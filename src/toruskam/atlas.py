@@ -19,14 +19,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fourier import mode_grid
+
 
 def nominal_half_width(A: float, size_exponent: int, level: int) -> float:
     return 0.5 * A ** -(level ** size_exponent)
 
 
 def k_modes(d: int, N: int, include_zero: bool = False) -> np.ndarray:
-    axes = np.meshgrid(*[np.arange(-N, N + 1)] * d, indexing="ij")
-    ks = np.stack([a.ravel() for a in axes], axis=-1)
+    """Modes of [-N, N]^d as a read-only (m, d) array in lexicographic
+    order, without k = 0 unless `include_zero`."""
+    ks = mode_grid(d, N).reshape(-1, d)
     if not include_zero:
         ks = ks[np.abs(ks).max(axis=1) > 0]
     return ks
@@ -139,9 +142,6 @@ class ParameterBox:
         signs = np.array(list(itertools.product((-1.0, 1.0),
                                                 repeat=self.d)))
         return np.asarray(self.center) + self.half_width * signs
-
-    def sample_points(self) -> np.ndarray:
-        return np.vstack([np.asarray(self.center)[None, :], self.corners()])
 
     def contains(self, point, tol: float = 1e-12) -> bool:
         return bool(np.all(np.abs(np.asarray(point)

@@ -19,9 +19,8 @@ from .atlas import ParameterAtlas, nonresonance_predicate, pave_and_filter
 from .config import ConfigError, RunConfig, load_config, parse_config
 from .driver import ParameterExcluded, log_csv, make_schedule, run
 from .fourier import FourierSeries
-from .greens import (CertificateGateError, NearSingularError,
-                     check_certificate, invert_direct)
-from .homological import SmallDivisorError, build_T
+from .greens import CertificateGateError, check_certificate, invert_direct
+from .homological import NearSingularError, SmallDivisorError, build_T
 from .jets import HamiltonianJet, NormalForm
 from .multiscale import sigma_scan
 from .stability import (integrate_linearized, l2_drift, lyapunov_estimate,
@@ -111,20 +110,23 @@ def _normal_form(cfg: RunConfig) -> NormalForm:
                       FourierSeries.zero(c["d"], shape=(c["n"], c["n"])))
 
 
-def _coupling_symbol(cfg: RunConfig) -> FourierSeries:
+def _greens_builder(cfg: RunConfig):
+    """sigma -> the greens section's lattice operator: the diagonal plus a
+    coupling symbol (zero when coupling_eps is 0)."""
     c = cfg.values
     n = c["n"]
     g = c["greens"]
-    if g["coupling_eps"] == 0.0:
-        return FourierSeries.zero(c["d"], shape=(n, n))
-    mode = tuple(c["perturbation"]["mode"])
-    # geometric envelope at the coupling decay rate, one excited mode
-    amp = g["coupling_eps"] * np.exp(
-        -g["coupling_rho"] * sum(abs(k) for k in mode))
-    eye = 0.5 * amp * np.eye(n)
-    neg = tuple(-k for k in mode)
-    ent = {mode: eye, neg: eye} if mode != neg else {mode: 2 * eye}
-    return FourierSeries.from_coeffs(c["d"], ent, shape=(n, n))
+    B = Z = FourierSeries.zero(c["d"], shape=(n, n))
+    if g["coupling_eps"] != 0.0:
+        mode = tuple(c["perturbation"]["mode"])
+        # geometric envelope at the coupling decay rate, one excited mode
+        amp = g["coupling_eps"] * np.exp(
+            -g["coupling_rho"] * sum(abs(k) for k in mode))
+        eye = 0.5 * amp * np.eye(n)
+        neg = tuple(-k for k in mode)
+        ent = {mode: eye, neg: eye} if mode != neg else {mode: 2 * eye}
+        B = FourierSeries.from_coeffs(c["d"], ent, shape=(n, n))
+    return lambda s: build_T(c["omega"], c["Omega"], B, Z, g["N"], sigma=s)
 
 
 # ----------------------------------------------------------------------
@@ -200,9 +202,7 @@ def _mode_atlas(cfg: RunConfig, out: dict):
 def _mode_greens(cfg: RunConfig, out: dict):
     c = cfg.values
     g = c["greens"]
-    B = _coupling_symbol(cfg)
-    T = build_T(c["omega"], c["Omega"], B, FourierSeries.zero(c["d"], shape=(c["n"], c["n"])),
-                g["N"], sigma=g["sigma"])
+    T = _greens_builder(cfg)(g["sigma"])
     threshold = g["N"] // 2 if g["threshold"] is None else g["threshold"]
     _, cert = invert_direct(T, threshold=int(threshold),
                             cond_cap=c["caps"]["cond_cap"])
@@ -223,16 +223,8 @@ def _mode_greens(cfg: RunConfig, out: dict):
 
 def _mode_sigma_scan(cfg: RunConfig, out: dict):
     c = cfg.values
-    g = c["greens"]
     sc = c["sigma_scan"]
-    B = _coupling_symbol(cfg)
-
-    def builder(s):
-        return build_T(c["omega"], c["Omega"], B,
-                       FourierSeries.zero(c["d"], shape=(c["n"], c["n"])),
-                       g["N"], sigma=s)
-
-    rep = sigma_scan(builder, tuple(sc["range"]),
+    rep = sigma_scan(_greens_builder(cfg), tuple(sc["range"]),
                      (sc["alpha_target"], sc["threshold"],
                       sc["norm_target"]),
                      points_per_unit=sc["points_per_unit"],
@@ -379,7 +371,6 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, help="override the configured seed")
     ap.add_argument("--levels", type=int,
                     help="override caps.levels")
-    ap.add_argument("--strict", action="store_true", default=True)
     ap.add_argument("--no-strict", dest="strict", action="store_false",
                     help="downgrade numeric failures to warnings")
     args = ap.parse_args(argv)

@@ -19,13 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .atlas import (ParameterAtlas, ScanReport, diophantine_ok,
-                    nonresonance_predicate, pave_and_filter)
+from .atlas import ParameterAtlas, nonresonance_predicate, pave_and_filter
 from .fourier import FourierSeries
 from .greens import invert_direct, neumann_transfer, variation_delta, \
     CertificateGateError
-from .homological import (HomologicalSolution, NearSingularError,
-                          SmallDivisorError, build_T, solve_homological)
+from .homological import (NearSingularError, SmallDivisorError, build_T,
+                          solve_homological)
 from .jets import (HamiltonianJet, NormalForm, check_reality, lie_transform,
                    matrix_zzbar, split_low_high, vf_norm)
 
@@ -109,9 +108,6 @@ class KamSchedule:
     def logK(self, N: int) -> float:
         return math.log(self.M0(N)) ** self.C[7]
 
-    def l0(self, N: int) -> float:
-        return self.C[8] * math.log(self.M0(N))
-
     def l1(self, N: int) -> float:
         return self.logK(N) / math.log(self.A)
 
@@ -176,7 +172,6 @@ def invariance_residual(P: HamiltonianJet, s: float, r: float) -> float:
     x-dependent scalar part, the y-linear part, and the z / zbar linear
     parts.  Their joint vf_norm dominates the defect.
     """
-    d, n = P.d, P.n
     keep = {}
     for sig, f in P.terms.items():
         a, b, c = sig

@@ -24,18 +24,20 @@ from scipy.signal import fftconvolve
 
 
 @lru_cache(maxsize=256)
-def _l1_grid(d: int, cutoff: int) -> np.ndarray:
-    """|k|_1 over the box [-cutoff, cutoff]^d, shape (2*cutoff+1,)*d."""
-    axes = np.meshgrid(*[np.abs(np.arange(-cutoff, cutoff + 1))] * d,
-                       indexing="ij")
-    return sum(axes) if d > 0 else np.zeros(())
+def mode_grid(d: int, cutoff: int) -> np.ndarray:
+    """Integer modes over the box [-cutoff, cutoff]^d, shape
+    (2*cutoff+1,)*d + (d,), in lexicographic order once flattened to
+    (-1, d).  The array is cached and shared, so it is read-only."""
+    axes = np.meshgrid(*[np.arange(-cutoff, cutoff + 1)] * d, indexing="ij")
+    grid = np.stack(axes, axis=-1)
+    grid.flags.writeable = False
+    return grid
 
 
 @lru_cache(maxsize=256)
-def _mode_grid(d: int, cutoff: int) -> np.ndarray:
-    """Integer modes over the box, shape (2*cutoff+1,)*d + (d,)."""
-    axes = np.meshgrid(*[np.arange(-cutoff, cutoff + 1)] * d, indexing="ij")
-    return np.stack(axes, axis=-1)
+def _l1_grid(d: int, cutoff: int) -> np.ndarray:
+    """|k|_1 over the box [-cutoff, cutoff]^d, shape (2*cutoff+1,)*d."""
+    return np.abs(mode_grid(d, cutoff)).sum(axis=-1)
 
 
 class FourierSeries:
@@ -216,7 +218,7 @@ class FourierSeries:
     def evaluate(self, x) -> np.ndarray:
         """Pointwise value sum_k f_hat(k) e^{i<k,x>}, shape (rows, cols)."""
         x = np.asarray(x, dtype=float)
-        modes = _mode_grid(self.d, self.cutoff)
+        modes = mode_grid(self.d, self.cutoff)
         phases = np.exp(1j * (modes @ x))
         return np.tensordot(self.data, phases, axes=(tuple(range(2, 2 + self.d)),
                                                      tuple(range(self.d))))
@@ -294,7 +296,7 @@ def dir_derivative(f: FourierSeries, omega) -> FourierSeries:
     omega = np.asarray(omega, dtype=float)
     if omega.shape != (f.d,):
         raise ValueError("omega must have length d")
-    modes = _mode_grid(f.d, f.cutoff)
+    modes = mode_grid(f.d, f.cutoff)
     factor = 1j * (modes @ omega)
     return FourierSeries(f.d, f.shape, f.cutoff, f.data * factor)
 

@@ -8,6 +8,12 @@ site distance exceeds `threshold`.  Certificates come from direct inversion
 transferred certificates are produced by explicit numeric contraction
 arguments, never by asymptotic constants, so that direct inversion can always
 be used as a soundness oracle.
+
+One certificate kernel: `invert_direct` factors with `homological._factor`
+and keeps the measured ||G||_2 in `extra["measured_norm"]` for its callers;
+`_site_magnitudes` is the per-site-pair block maximum and
+`decay_certificate` the b-exponent for every emitted certificate.  `certify`
+keeps its own SVD, as the independent soundness oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.linalg as sla
 
-from .homological import LatticeMatrix, NearSingularError
+from .homological import LatticeMatrix, _factor
 
 ALPHA_CAP = 50.0   # stored decay rate for exactly-banded/diagonal inverses
 
@@ -38,8 +44,7 @@ class DecayCertificate:
 
     @property
     def diameter(self) -> int:
-        ks = np.array(self.region)
-        return int(np.abs(ks[:, None, :] - ks[None, :, :]).sum(-1).max())
+        return int(site_distances(self.region).max())
 
     def entry_bound(self, dist: int) -> float:
         if dist <= self.threshold:
@@ -74,29 +79,33 @@ def measure_alpha(gmag: np.ndarray, dist: np.ndarray, threshold: int,
     return float(min(max(rate - guard, 0.0), ALPHA_CAP))
 
 
+def decay_certificate(norm: float, alpha: float, threshold: int,
+                      dist: np.ndarray, region, provenance: str,
+                      extra: dict) -> DecayCertificate:
+    """Certificate with b-exponent log(log norm) / log diam, where diam is
+    the largest |x-y|_1 in `dist`, the site distances of `region`."""
+    diam = int(dist.max()) if len(region) > 1 else 1
+    b_exp = float(np.log(np.log(norm)) / np.log(diam)) \
+        if norm > 1.0 and diam > 1 else 0.0
+    return DecayCertificate(norm_bound=norm, alpha=alpha, threshold=threshold,
+                            b_exponent=b_exp, region=region,
+                            provenance=provenance, extra=extra)
+
+
 def invert_direct(T: LatticeMatrix, threshold: int = 0,
                   cond_cap: float = 1e12):
-    """Dense inverse plus a certificate with fields measured from it."""
-    dense = T.to_dense()
-    anorm = np.abs(dense).sum(axis=0).max()
-    lu_piv = sla.lu_factor(dense, check_finite=False)
-    gecon = sla.get_lapack_funcs(("gecon",), (lu_piv[0],))[0]
-    rcond, _ = gecon(lu_piv[0], anorm, norm="1")
-    cond = np.inf if rcond == 0 else 1.0 / rcond
-    if cond > cond_cap:
-        raise NearSingularError(cond)
+    """Dense inverse plus a certificate with fields measured from it; `extra`
+    holds the condition estimate and ||G||_2 before the 1e-6 inflation."""
+    _, lu_piv, cond = _factor(T, cond_cap)
     G = sla.lu_solve(lu_piv, np.eye(T.size, dtype=complex), check_finite=False)
     dist = site_distances(T.region)
     gmag = _site_magnitudes(G, T.nsites, T.nblock)
-    norm = float(np.linalg.norm(G, 2)) * (1 + 1e-6)
+    measured = float(np.linalg.norm(G, 2))
     alpha = measure_alpha(gmag, dist, threshold)
-    diam = int(dist.max()) if T.nsites > 1 else 1
-    b_exp = float(np.log(np.log(norm)) / np.log(diam)) \
-        if norm > 1.0 and diam > 1 else 0.0
-    cert = DecayCertificate(norm_bound=norm, alpha=alpha, threshold=threshold,
-                            b_exponent=b_exp, region=T.region,
-                            provenance="direct",
-                            extra={"condition": float(cond)})
+    cert = decay_certificate(measured * (1 + 1e-6), alpha, threshold, dist,
+                             T.region, "direct",
+                             {"condition": float(cond),
+                              "measured_norm": measured})
     return G, cert
 
 

@@ -11,25 +11,27 @@ Vectorization order of the bold index is row-major over (i, j); sites are
 enumerated in sorted k order with the block index fastest.  This ordering is
 part of the contract so that emitted certificates reproduce bit-for-bit.
 
-Four solvers:
-  solve_hx    d_omega F^x = Gamma_N R^x                  (coefficientwise)
-  solve_hz    T_N F^z = -i E_N                           (lattice solve)
-  solve_hy    d_omega F^y = Gamma_N Rs - Rs_hat(0)       (coefficientwise)
-  solve_hzz   bold T_N vec(F^zz) = -i vec(S_N)           (lattice solve)
+Four solvers, two kernels:
+  solve_hx    d_omega F^x = Gamma_N R^x                  (_divide_by_divisor)
+  solve_hz    T_N F^z = -i E_N                           (_lattice_solve)
+  solve_hy    d_omega F^y = Gamma_N Rs - Rs_hat(0)       (_divide_by_divisor)
+  solve_hzz   bold T_N vec(F^zz) = -i vec(S_N)           (_lattice_solve)
 with F^zbar = conj(F^z) and F^zbzb = conj(F^zz) by the conjugation symmetry
-of the system.
+of the system.  `_lattice_solve` factors with `_factor` (dense LU plus a
+LAPACK condition estimate, shared with `greens.invert_direct`); the bold
+right side enters as the (n^2, 1) column of `_as_column`.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as sla
 
-from .fourier import FourierSeries, dir_derivative, strip_norm, truncate
+from .fourier import (FourierSeries, dir_derivative, mode_grid, strip_norm,
+                      truncate)
 from .jets import (HamiltonianJet, component_y, component_z, component_zbar,
                    jet_from_parts, matrix_zbzb, matrix_zz, poisson_bracket,
                    split_low_high)
@@ -54,9 +56,7 @@ class NearSingularError(Exception):
 
 def cube_region(d: int, N: int) -> tuple:
     """[-N, N]^d as a sorted tuple of k-tuples."""
-    axes = np.meshgrid(*[np.arange(-N, N + 1)] * d, indexing="ij")
-    ks = np.stack([a.ravel() for a in axes], axis=-1)
-    return tuple(sorted(map(tuple, ks)))
+    return tuple(map(tuple, mode_grid(d, N).reshape(-1, d)))
 
 
 @dataclass
@@ -95,9 +95,6 @@ class LatticeMatrix:
         kw = ks @ self.omega + self.sigma
         return kw[:, None] + self.diag_block[None, :]
 
-    def symbol_entry(self, i: int, j: int, dk: tuple) -> complex:
-        return self.symbol.coeff(dk)[i, j]
-
     def to_dense(self) -> np.ndarray:
         """Dense matrix, row index = site*nblock + block."""
         if self._dense is not None:
@@ -120,56 +117,45 @@ class LatticeMatrix:
     def translate(self, p) -> "LatticeMatrix":
         """The same operator restricted to region + p (Toeplitz shift)."""
         p = tuple(int(c) for c in p)
-        return LatticeMatrix(
-            d=self.d, nblock=self.nblock,
-            region=tuple(tuple(k[t] + p[t] for t in range(self.d))
-                         for k in self.region),
-            omega=self.omega, diag_block=self.diag_block, symbol=self.symbol,
-            sigma=self.sigma, bold=self.bold,
-            symbol_truncation_gap=self.symbol_truncation_gap)
+        region = tuple(tuple(k[t] + p[t] for t in range(self.d))
+                       for k in self.region)
+        return replace(self, region=region, _dense=None)
 
     def with_sigma(self, sigma: float) -> "LatticeMatrix":
-        return LatticeMatrix(
-            d=self.d, nblock=self.nblock, region=self.region,
-            omega=self.omega, diag_block=self.diag_block, symbol=self.symbol,
-            sigma=float(sigma), bold=self.bold,
-            symbol_truncation_gap=self.symbol_truncation_gap)
-
-    def measured_symbol_decay(self, s_guess: float = 1.0):
-        """(c, rho) with |symbol_hat(dk)| <= c e^{-rho |dk|_1} (measured)."""
-        coeffs = self.symbol.coeffs(tol=0.0)
-        c = 0.0
-        rho = np.inf
-        for k, v in coeffs.items():
-            mag = np.abs(v).max()
-            dist = sum(abs(t) for t in k)
-            if dist == 0:
-                c = max(c, mag)
-            elif mag > 0:
-                rho = min(rho, -np.log(mag) / dist) if mag < 1 else 0.0
-                c = max(c, mag)
-        return c, (s_guess if not np.isfinite(rho) else max(rho, 0.0))
+        return replace(self, sigma=float(sigma), _dense=None)
 
 
-def build_T(omega, Omega, B: FourierSeries, Rzz: FourierSeries, N: int,
-            sigma: float = 0.0, region=None,
-            pretruncate: bool = True) -> LatticeMatrix:
-    """Scalar operator with diag Omega_j + <k, omega> and symbol B + R^{z zbar}.
+def _lattice_operator(omega, Omega, B: FourierSeries, Rzz: FourierSeries,
+                      N: int, sigma: float, region, pretruncate: bool,
+                      bold: bool) -> LatticeMatrix:
+    """Operator with symbol B + R^{z zbar} on `region` (default [-N, N]^d).
 
     The symbol is pre-truncated to modes |k|_inf <= N; the strip norm of the
-    dropped part is recorded (`symbol_truncation_gap`).
+    dropped part is recorded (`symbol_truncation_gap`).  The bold operator
+    takes the pair diagonal Omega_i + Omega_j and the lifted symbol.
     """
     omega = np.asarray(omega, dtype=float)
     Omega = np.asarray(Omega, dtype=float)
     full = B + Rzz
     sym = truncate(full, N) if pretruncate else full
     gap = strip_norm(full - sym.pad(full.cutoff), 0.0) if pretruncate else 0.0
-    d = len(omega)
     if region is None:
-        region = cube_region(d, N)
-    return LatticeMatrix(d=d, nblock=len(Omega), region=region, omega=omega,
-                         diag_block=Omega, symbol=sym, sigma=sigma,
-                         symbol_truncation_gap=gap)
+        region = cube_region(len(omega), N)
+    if bold:
+        Omega = (Omega[:, None] + Omega[None, :]).ravel()
+        sym = bold_symbol(sym)
+    return LatticeMatrix(d=len(omega), nblock=len(Omega), region=region,
+                         omega=omega, diag_block=Omega, symbol=sym,
+                         sigma=sigma, bold=bold, symbol_truncation_gap=gap)
+
+
+def build_T(omega, Omega, B: FourierSeries, Rzz: FourierSeries, N: int,
+            sigma: float = 0.0, region=None,
+            pretruncate: bool = True) -> LatticeMatrix:
+    """Scalar operator with diag Omega_j + <k, omega> and symbol
+    B + R^{z zbar}, pre-truncated to |k|_inf <= N."""
+    return _lattice_operator(omega, Omega, B, Rzz, N, sigma, region,
+                             pretruncate, bold=False)
 
 
 def bold_symbol(A: FourierSeries) -> FourierSeries:
@@ -195,19 +181,8 @@ def build_boldT(omega, Omega, B: FourierSeries, Rzz: FourierSeries, N: int,
                 sigma: float = 0.0, region=None,
                 pretruncate: bool = True) -> LatticeMatrix:
     """Pair-index operator with diag Omega_i + Omega_j + <k, omega>."""
-    omega = np.asarray(omega, dtype=float)
-    Omega = np.asarray(Omega, dtype=float)
-    full = B + Rzz
-    sym = truncate(full, N) if pretruncate else full
-    gap = strip_norm(full - sym.pad(full.cutoff), 0.0) if pretruncate else 0.0
-    d = len(omega)
-    if region is None:
-        region = cube_region(d, N)
-    dblock = (Omega[:, None] + Omega[None, :]).ravel()
-    return LatticeMatrix(d=d, nblock=len(Omega) ** 2, region=region,
-                         omega=omega, diag_block=dblock,
-                         symbol=bold_symbol(sym), sigma=sigma, bold=True,
-                         symbol_truncation_gap=gap)
+    return _lattice_operator(omega, Omega, B, Rzz, N, sigma, region,
+                             pretruncate, bold=True)
 
 
 # ----------------------------------------------------------------------
@@ -262,18 +237,15 @@ def solve_hy(Rscript: FourierSeries, omega, N: int, divisor_floor=0.0):
 # lattice solves (homo 2 / homo 4)
 # ----------------------------------------------------------------------
 
-def _condition_estimate(lu_piv, anorm: float) -> float:
-    lu, _ = lu_piv
-    gecon = sla.get_lapack_funcs(("gecon",), (lu,))[0]
-    rcond, _ = gecon(lu, anorm, norm="1")
-    return np.inf if rcond == 0 else 1.0 / rcond
-
-
 def _factor(T: LatticeMatrix, cond_cap: float):
+    """Dense LU of T with its 1-norm condition estimate (LAPACK gecon);
+    returns (dense, lu_piv, cond) or raises NearSingularError past the cap."""
     dense = T.to_dense()
     anorm = np.abs(dense).sum(axis=0).max()
     lu_piv = sla.lu_factor(dense, check_finite=False)
-    cond = _condition_estimate(lu_piv, anorm)
+    gecon = sla.get_lapack_funcs(("gecon",), (lu_piv[0],))[0]
+    rcond, _ = gecon(lu_piv[0], anorm, norm="1")
+    cond = np.inf if rcond == 0 else 1.0 / rcond
     if cond > cond_cap:
         raise NearSingularError(cond)
     return dense, lu_piv, cond
@@ -281,20 +253,14 @@ def _factor(T: LatticeMatrix, cond_cap: float):
 
 def _series_to_vec(T: LatticeMatrix, F: FourierSeries) -> np.ndarray:
     """Stack hat(F)_block(k) over (site, block), block fastest."""
-    vec = np.empty(T.size, dtype=complex)
-    nb = T.nblock
-    for p, k in enumerate(T.region):
-        vec[p * nb:(p + 1) * nb] = F.coeff(k)[:, 0]
-    return vec
+    return np.concatenate([F.coeff(k)[:, 0] for k in T.region])
+
 
 def _vec_to_series(T: LatticeMatrix, vec: np.ndarray,
                    cutoff: int) -> FourierSeries:
-    entries = {}
-    nb = T.nblock
-    for p, k in enumerate(T.region):
-        entries[k] = vec[p * nb:(p + 1) * nb].reshape(nb, 1)
-    return FourierSeries.from_coeffs(T.d, entries, shape=(nb, 1),
-                                     cutoff=cutoff)
+    blocks = vec.reshape(T.nsites, T.nblock, 1)
+    return FourierSeries.from_coeffs(T.d, dict(zip(T.region, blocks)),
+                                     shape=(T.nblock, 1), cutoff=cutoff)
 
 
 @dataclass
@@ -303,24 +269,42 @@ class LatticeSolveInfo:
     condition: float
 
 
+def _at_cutoff(F: FourierSeries, N: int) -> FourierSeries:
+    """F on exactly the modes |k|_inf <= N (truncated or zero-padded)."""
+    return F.pad(N) if F.cutoff < N else truncate(F, N)
+
+
+def _as_column(F: FourierSeries) -> FourierSeries:
+    """Row-major vec of a matrix series as an (rows*cols, 1) series:
+    component (i, j) of an n x n series lands at block index i*n + j."""
+    rows = F.shape[0] * F.shape[1]
+    return FourierSeries(F.d, (rows, 1), F.cutoff,
+                         F.data.reshape((rows, 1) + F.data.shape[2:]))
+
+
+def _lattice_solve(T: LatticeMatrix, rhs: FourierSeries, N: int | None,
+                   cond_cap: float):
+    """Solve T u = -i rhs_N by dense LU; returns (u as an (nblock, 1)
+    series at cutoff N, info with the relative residual and condition)."""
+    if N is None:
+        N = max(max(abs(c) for c in k) for k in T.region)
+    dense, lu_piv, cond = _factor(T, cond_cap)
+    b = -1j * _series_to_vec(T, _at_cutoff(rhs, N))
+    sol = sla.lu_solve(lu_piv, b, check_finite=False)
+    scale = np.linalg.norm(b)
+    res = np.linalg.norm(dense @ sol - b) / scale if scale > 0 else 0.0
+    return _vec_to_series(T, sol, N), LatticeSolveInfo(residual=float(res),
+                                                       condition=cond)
+
+
 def solve_hz(T: LatticeMatrix, Ehat: FourierSeries, N: int | None = None,
              cond_cap: float = 1e12):
     """Solve T_N F = -i E_N; returns (F^z, F^zbar, info).
 
     F^zbar is conj(F^z) (the conjugate equation has right side conj(E)).
     """
-    if N is None:
-        N = max(max(abs(c) for c in k) for k in T.region)
-    Ehat = truncate(Ehat, N) if Ehat.cutoff > N else Ehat
-    Ev = Ehat.pad(N) if Ehat.cutoff < N else Ehat
-    dense, lu_piv, cond = _factor(T, cond_cap)
-    rhs = -1j * _series_to_vec(T, Ev)
-    sol = sla.lu_solve(lu_piv, rhs, check_finite=False)
-    scale = np.linalg.norm(rhs)
-    res = np.linalg.norm(dense @ sol - rhs) / scale if scale > 0 else 0.0
-    Fz = _vec_to_series(T, sol, N)
-    return Fz, Fz.conj_function(), LatticeSolveInfo(residual=float(res),
-                                                    condition=cond)
+    Fz, info = _lattice_solve(T, Ehat, N, cond_cap)
+    return Fz, Fz.conj_function(), info
 
 
 def solve_hzz(boldT: LatticeMatrix, Shat: FourierSeries,
@@ -331,25 +315,11 @@ def solve_hzz(boldT: LatticeMatrix, Shat: FourierSeries,
     F^zbzb = conj(F^zz).
     """
     n = int(round(np.sqrt(boldT.nblock)))
-    if N is None:
-        N = max(max(abs(c) for c in k) for k in boldT.region)
-    Shat = truncate(Shat, N) if Shat.cutoff > N else Shat
-    Sv = Shat.pad(N) if Shat.cutoff < N else Shat
-    # vec row-major: component (i, j) at block index i*n + j
-    vec_series = FourierSeries(
-        boldT.d, (n * n, 1), Sv.cutoff,
-        Sv.data.reshape((n * n, 1) + Sv.data.shape[2:]))
-    dense, lu_piv, cond = _factor(boldT, cond_cap)
-    rhs = -1j * _series_to_vec(boldT, vec_series)
-    sol = sla.lu_solve(lu_piv, rhs, check_finite=False)
-    scale = np.linalg.norm(rhs)
-    res = np.linalg.norm(dense @ sol - rhs) / scale if scale > 0 else 0.0
-    Fvec = _vec_to_series(boldT, sol, N)
-    Fzz = FourierSeries(boldT.d, (n, n), N,
+    Fvec, info = _lattice_solve(boldT, _as_column(Shat), N, cond_cap)
+    Fzz = FourierSeries(boldT.d, (n, n), Fvec.cutoff,
                         Fvec.data.reshape((n, n) + Fvec.data.shape[2:]))
     Fzz = 0.5 * (Fzz + Fzz.transpose())
-    return Fzz, Fzz.conj_function(), LatticeSolveInfo(residual=float(res),
-                                                      condition=cond)
+    return Fzz, Fzz.conj_function(), info
 
 
 # ----------------------------------------------------------------------
@@ -365,7 +335,6 @@ class HomologicalSolution:
     Fzz: FourierSeries | None = None
     Fzbzb: FourierSeries | None = None
     freq_shift: np.ndarray | None = None
-    B_update: FourierSeries | None = None
     truncation_gap: float = 0.0
     solve_info: dict = field(default_factory=dict)
 
@@ -449,7 +418,6 @@ def solve_homological(omega, Omega, B: FourierSeries, P: HamiltonianJet,
     boldT = build_boldT(omega, Omega, B, Rzzbar, N)
     sol.Fzz, sol.Fzbzb, info_zz = solve_hzz(boldT, S, N, cond_cap)
 
-    sol.B_update = Rzzbar
     sol.truncation_gap = T.symbol_truncation_gap + boldT.symbol_truncation_gap
     sol.solve_info = {"hz": info_z, "hzz": info_zz, "T": T, "boldT": boldT,
                       "Rx": Rx, "E": E, "Rscript": Rscript, "S": S}
@@ -477,13 +445,9 @@ def residual_lattice(T: LatticeMatrix, F: FourierSeries,
     """|T F - factor * rhs| / |rhs| in the lattice vector norm."""
     N = max(max(abs(c) for c in k) for k in T.region)
     if T.bold:
-        n = int(round(np.sqrt(T.nblock)))
-        F = FourierSeries(F.d, (n * n, 1), F.cutoff,
-                          F.data.reshape((n * n, 1) + F.data.shape[2:]))
-        rhs = FourierSeries(rhs.d, (n * n, 1), rhs.cutoff,
-                            rhs.data.reshape((n * n, 1) + rhs.data.shape[2:]))
-    Fv = _series_to_vec(T, F.pad(N) if F.cutoff < N else truncate(F, N))
-    rv = _series_to_vec(T, rhs.pad(N) if rhs.cutoff < N else truncate(rhs, N))
+        F, rhs = _as_column(F), _as_column(rhs)
+    Fv = _series_to_vec(T, _at_cutoff(F, N))
+    rv = _series_to_vec(T, _at_cutoff(rhs, N))
     num = np.linalg.norm(T.to_dense() @ Fv - factor * rv)
     den = np.linalg.norm(rv)
     return float(num / den) if den > 0 else float(num)
@@ -497,7 +461,7 @@ def bold_divisor_floor(omega, Omega, N: int) -> float:
     """
     omega = np.asarray(omega, dtype=float)
     Omega = np.asarray(Omega, dtype=float)
-    ks = np.array(cube_region(len(omega), N))
+    ks = mode_grid(len(omega), N).reshape(-1, len(omega))
     kw = ks @ omega
     pair = (Omega[:, None] + Omega[None, :]).ravel()
     return float(np.abs(kw[:, None] + pair[None, :]).min())

@@ -90,13 +90,6 @@ class HamiltonianJet:
     def zero(cls, d: int, n: int, **kw) -> "HamiltonianJet":
         return cls(d, n, {}, **kw)
 
-    def copy_with(self, **kw) -> "HamiltonianJet":
-        base = dict(d=self.d, n=self.n, terms=dict(self.terms),
-                    max_degree=self.max_degree, cutoff_cap=self.cutoff_cap,
-                    tail=self.tail, s_ref=self.s_ref, r_ref=self.r_ref)
-        base.update(kw)
-        return HamiltonianJet(**base)
-
     def term(self, sig: Signature) -> FourierSeries:
         sig = (tuple(sig[0]), tuple(sig[1]), tuple(sig[2]))
         return self.terms.get(sig, FourierSeries.zero(self.d))
@@ -193,11 +186,6 @@ class HamiltonianJet:
 
     def _ref_norm(self) -> float:
         return vf_norm(self, self.s_ref, self.r_ref)
-
-    def truncate_x(self, N: int) -> "HamiltonianJet":
-        """Apply the mode truncation Gamma_N to every coefficient series."""
-        return self._like({sig: truncate(f, N)
-                           for sig, f in self.terms.items()})
 
 
 # ----------------------------------------------------------------------

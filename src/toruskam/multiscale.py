@@ -21,7 +21,8 @@ from dataclasses import dataclass, replace as _dc_replace
 import numpy as np
 import scipy.linalg as sla
 
-from .greens import (CertificateGateError, DecayCertificate, invert_direct,
+from .greens import (CertificateGateError, DecayCertificate,
+                     _site_magnitudes, decay_certificate, invert_direct,
                      measure_alpha, site_distances)
 from .homological import LatticeMatrix, NearSingularError
 
@@ -214,6 +215,16 @@ def _sup_dist_matrix(sites) -> np.ndarray:
     return np.abs(pts[:, None, :] - pts[None, :, :]).max(axis=-1)
 
 
+def _decays(T: LatticeMatrix, G: np.ndarray, dist: np.ndarray,
+            far: np.ndarray, alpha: float) -> bool:
+    """|G(x,y)| <= e^{-alpha dist(x,y)} on every far site pair of T's
+    region; true when no pair is far."""
+    if not far.any():
+        return True
+    gmag = _site_magnitudes(G, T.nsites, T.nblock)
+    return bool((gmag[far] <= np.exp(-alpha * dist[far])).all())
+
+
 class DirectClassifier:
     """Good/bad classification of site sets by direct inversion.
 
@@ -228,41 +239,37 @@ class DirectClassifier:
         self.cond_cap = cond_cap
         self._cache: dict = {}
 
+    def _invert(self, sites):
+        sub = _restrict(self.T, frozenset(sites))
+        G, cert = invert_direct(sub, cond_cap=self.cond_cap)
+        return sub, G, cert
+
     def __call__(self, sites) -> bool:
         key = frozenset(sites)
         if key in self._cache:
             return self._cache[key]
-        sub = _restrict(self.T, key)
         try:
-            G, _ = invert_direct(sub, cond_cap=self.cond_cap)
+            sub, G, cert = self._invert(key)
         except NearSingularError:
             self._cache[key] = False
             return False
         L = max(diameter(key), 1)
-        norm_ok = np.linalg.norm(G, 2) <= np.exp(L ** self.b)
+        norm_ok = cert.extra["measured_norm"] <= np.exp(L ** self.b)
         dist = _sup_dist_matrix(key)
-        gmag = np.abs(G).reshape(len(key), sub.nblock, len(key),
-                                 sub.nblock).max(axis=(1, 3))
         far = dist > L ** self.theta
-        decay_ok = bool(
-            (gmag[far] <= np.exp(-self.alpha * dist[far])).all()) \
-            if far.any() else True
-        good = bool(norm_ok and decay_ok)
+        good = bool(norm_ok and _decays(sub, G, dist, far, self.alpha))
         self._cache[key] = good
         return good
 
     def norm(self, sites) -> float:
-        sub = _restrict(self.T, frozenset(sites))
-        G, _ = invert_direct(sub, cond_cap=self.cond_cap)
-        return float(np.linalg.norm(G, 2))
+        _, _, cert = self._invert(sites)
+        return cert.extra["measured_norm"]
 
     def entry_prefactor(self, sites, rate: float) -> float:
         """max over pairs of |G(x,y)| e^{rate |x-y|_sup} for the restriction."""
-        sub = _restrict(self.T, frozenset(sites))
-        G, _ = invert_direct(sub, cond_cap=self.cond_cap)
+        sub, G, _ = self._invert(sites)
         dist = _sup_dist_matrix(sites)
-        gmag = np.abs(G).reshape(len(sub.region), sub.nblock,
-                                 len(sub.region), sub.nblock).max(axis=(1, 3))
+        gmag = _site_magnitudes(G, sub.nsites, sub.nblock)
         return float((gmag * np.exp(rate * dist)).max())
 
 
@@ -315,8 +322,7 @@ def _propagate_bounds(T: LatticeMatrix, windows: dict,
     m = len(region)
     idx = {k: i for i, k in enumerate(region)}
     dist1 = site_distances(region)
-    dense = T.to_dense()
-    tmag = np.abs(dense).reshape(m, T.nblock, m, T.nblock).max(axis=(1, 3))
+    tmag = _site_magnitudes(T.to_dense(), m, T.nblock)
     a = np.zeros((m, m))
     K = np.zeros((m, m))
     for x, cert in windows.items():
@@ -341,17 +347,18 @@ def _propagate_bounds(T: LatticeMatrix, windows: dict,
     return np.maximum(g, 0.0)
 
 
-def _emit(T: LatticeMatrix, g: np.ndarray, threshold: int, provenance: str,
-          extra: dict) -> DecayCertificate:
+def _emit(T: LatticeMatrix, windows: dict, threshold: int | None,
+          gate: float, provenance: str, extra: dict) -> DecayCertificate:
+    """Certificate for T's region from the propagated window bounds; the
+    threshold defaults to the largest window threshold."""
+    g = _propagate_bounds(T, windows, gate=gate)
+    if threshold is None:
+        threshold = max(c.threshold for c in windows.values())
     dist1 = site_distances(T.region)
     norm = float(np.linalg.norm(g, 2)) * (1 + 1e-6)
     alpha = measure_alpha(g, dist1, threshold)
-    diam1 = int(dist1.max()) if len(T.region) > 1 else 1
-    b_exp = float(np.log(np.log(norm)) / np.log(diam1)) \
-        if norm > 1.0 and diam1 > 1 else 0.0
-    return DecayCertificate(norm_bound=norm, alpha=alpha, threshold=threshold,
-                            b_exponent=b_exp, region=T.region,
-                            provenance=provenance, extra=extra)
+    return decay_certificate(norm, alpha, threshold, dist1, T.region,
+                             provenance, extra)
 
 
 def cl1_couple(T: LatticeMatrix, site_certs: dict, M: int,
@@ -379,9 +386,6 @@ def cl1_couple(T: LatticeMatrix, site_certs: dict, M: int,
         if outside and min(sup_dist(x, v) for v in outside) <= M / 2:
             raise CertificateGateError(
                 f"window of {tuple(x)} too close to its complement")
-    g = _propagate_bounds(T, site_certs, gate=gate)
-    if threshold is None:
-        threshold = max(c.threshold for c in site_certs.values())
     N = max(diameter(region), 2)
     alphas = [c.alpha for c in site_certs.values()]
     nominal = {
@@ -390,7 +394,7 @@ def cl1_couple(T: LatticeMatrix, site_certs: dict, M: int,
         "alpha_nominal": min(min(alphas), rho if rho is not None
                              else min(alphas)) - np.log(N) ** -50,
     }
-    return _emit(T, g, threshold, "cl1", nominal)
+    return _emit(T, site_certs, threshold, gate, "cl1", nominal)
 
 
 def two_scale_couple(T: LatticeMatrix, certK: DecayCertificate,
@@ -419,13 +423,10 @@ def two_scale_couple(T: LatticeMatrix, certK: DecayCertificate,
                 raise CertificateGateError(
                     f"missing window certificate at {tuple(x)}")
             windows[tuple(x)] = cert
-    g = _propagate_bounds(T, windows, gate=gate)
-    if threshold is None:
-        threshold = max(c.threshold for c in windows.values())
     logN = np.log(max(2 * N + 1, 3))
     rates = [certK.alpha] + [c.alpha for c in certsM0.values()]
     nominal = {"gamma_nominal": min(min(rates), config.rho) - logN ** -8}
-    return _emit(T, g, threshold, "two_scale", nominal)
+    return _emit(T, windows, threshold, gate, "two_scale", nominal)
 
 
 # ----------------------------------------------------------------------
@@ -473,9 +474,7 @@ def cl2_couple(T: LatticeMatrix, config: ScaleConfig, scale_certs,
         budget = config.kappa * diam ** config.theta / M_prev
     # measured off-diagonal envelope of T: |T(x,y)| <= t_pref e^{-rho |x-y|}
     full = _restrict(T, sites)
-    dense = full.to_dense()
-    tmag = np.abs(dense).reshape(len(sites), full.nblock, len(sites),
-                                 full.nblock).max(axis=(1, 3))
+    tmag = _site_magnitudes(full.to_dense(), len(sites), full.nblock)
     dsup = _sup_dist_matrix(sites)
     off = dsup > 0
     t_pref = float((tmag[off] * np.exp(config.rho * dsup[off])).max()) \
@@ -523,16 +522,11 @@ def cl2_couple(T: LatticeMatrix, config: ScaleConfig, scale_certs,
     # certified l1 rate beyond the threshold
     alpha_out = max(beta / region.d - np.log(phi_worst) / threshold, 0.0)
     norm = oracle.norm(sites) * (1 + 1e-6)
-    dist1 = site_distances(tuple(sorted(sites)))
-    diam1 = int(dist1.max()) if len(sites) > 1 else 1
-    b_exp = float(np.log(np.log(norm)) / np.log(diam1)) \
-        if norm > 1.0 and diam1 > 1 else 0.0
+    region1 = tuple(sorted(sites))
     nominal = beta * (1 - 15 * config.kappa)
-    return DecayCertificate(
-        norm_bound=norm, alpha=alpha_out, threshold=threshold,
-        b_exponent=b_exp, region=tuple(sorted(sites)), provenance="cl2",
-        extra={"alpha_nominal": nominal, "phi": float(phi_worst),
-               "beta": beta})
+    return decay_certificate(
+        norm, alpha_out, threshold, site_distances(region1), region1, "cl2",
+        {"alpha_nominal": nominal, "phi": float(phi_worst), "beta": beta})
 
 
 # ----------------------------------------------------------------------
@@ -563,12 +557,8 @@ def _probe(T_builder, sigma, targets, cond_cap=1e12):
     except NearSingularError:
         return False, np.inf, 0.0
     dist = site_distances(T.region)
-    gmag = np.abs(G).reshape(T.nsites, T.nblock, T.nsites,
-                             T.nblock).max(axis=(1, 3))
-    norm = float(np.linalg.norm(G, 2))
-    far = dist > threshold
-    decay_ok = bool((gmag[far] <= np.exp(-alpha_target * dist[far])).all()) \
-        if far.any() else True
+    norm = cert.extra["measured_norm"]
+    decay_ok = _decays(T, G, dist, dist > threshold, alpha_target)
     return bool(norm <= norm_target and decay_ok), norm, cert.alpha
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import FourierSeries
+from .fourier import FourierSeries, mode_grid
 
 
 @dataclass
@@ -35,9 +35,7 @@ def _coupling_evaluator(B: FourierSeries | None, n: int):
     if B is None or B.max_abs_coeff() == 0.0:
         zero = np.zeros((n, n), dtype=complex)
         return lambda x: zero, True
-    c = B.cutoff
-    axes = np.meshgrid(*[np.arange(-c, c + 1)] * B.d, indexing="ij")
-    modes = np.stack([a.ravel() for a in axes], axis=-1)    # (nm, d)
+    modes = mode_grid(B.d, B.cutoff).reshape(-1, B.d)       # (nm, d)
     flat = B.data.reshape(n * n, -1)                        # (n^2, nm)
     nonzero = np.abs(modes).max(axis=1) > 0
     constant = not nonzero.any() \

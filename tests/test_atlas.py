@@ -156,6 +156,9 @@ def test_monte_carlo_half_space():
 def test_k_modes_and_nominal_width():
     ks = k_modes(2, 2)
     assert len(ks) == 24 and not (np.abs(ks).max(axis=1) == 0).any()
+    shared = k_modes(2, 2, include_zero=True)
+    with pytest.raises(ValueError):
+        shared[0, 0] = 7           # the cached mode grid stays read-only
     assert nominal_half_width(10.0, 1, 0) == 0.5
     assert nominal_half_width(10.0, 1, 2) == pytest.approx(0.005)
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -91,6 +92,11 @@ def test_cube_region():
     assert len(reg) == 9
     assert reg == tuple(sorted(reg))
     assert (0, 0) in reg and (-1, 1) in reg
+    # lexicographic order is part of the contract
+    for d in (1, 2, 3):
+        for N in (0, 1, 3):
+            assert cube_region(d, N) == tuple(
+                itertools.product(range(-N, N + 1), repeat=d))
 
 
 def test_diagonal_T_entries():

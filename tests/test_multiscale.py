@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from toruskam.fourier import FourierSeries
 from toruskam.greens import (CertificateGateError, check_certificate,
-                             invert_direct)
+                             invert_direct, measure_alpha)
 from toruskam.homological import LatticeMatrix, build_T, cube_region
 from toruskam.multiscale import (DirectClassifier, ElementaryRegion,
                                  ScaleConfig, build_exhaustion, classify_annuli,
@@ -334,6 +335,39 @@ def test_sigma_scan_translation_covariance():
                           points_per_unit=400, refine_iters=25)
     assert rep_moved.bad_measure == pytest.approx(rep_base.bad_measure,
                                                   abs=3e-3)
+
+
+def test_sigma_scan_samples_match_direct_probe():
+    # each grid sample against a probe rebuilt here: LU inverse, its own
+    # ||G||_2, and the l1 decay mask beyond the threshold
+    N, omega, Omega = 4, np.array([1.0, PHI]), np.array([1.17])
+    amp = 0.5 * 0.05 * math.exp(-0.5)
+    B = FourierSeries.from_coeffs(2, {(1, 0): amp, (-1, 0): amp})
+    Z = FourierSeries.zero(2)
+
+    def builder(s):
+        return build_T(omega, Omega, B, Z, N, sigma=s)
+
+    alpha_target, threshold, norm_target = 0.1, 2, 100.0
+    rep = sigma_scan(builder, (-1.4037, -0.9037),
+                     (alpha_target, threshold, norm_target),
+                     points_per_unit=100, refine_iters=5)
+    assert rep.bad_intervals     # the range crosses the k = 0 window
+    for s, passed, norm, alpha in rep.samples:
+        T = builder(s)
+        G = sla.lu_solve(sla.lu_factor(T.to_dense()),
+                         np.eye(T.size, dtype=complex))
+        ks = np.array(T.region)
+        dist = np.abs(ks[:, None, :] - ks[None, :, :]).sum(axis=-1)
+        gmag = np.abs(G).reshape(T.nsites, T.nblock, T.nsites,
+                                 T.nblock).max(axis=(1, 3))
+        ref_norm = float(np.linalg.norm(G, 2))
+        far = dist > threshold
+        decay_ok = bool((gmag[far] <= np.exp(-alpha_target
+                                             * dist[far])).all())
+        assert (passed, norm, alpha) == (
+            ref_norm <= norm_target and decay_ok, ref_norm,
+            measure_alpha(gmag, dist, threshold))
 
 
 def test_scale_config_invariants():
