@@ -17,9 +17,13 @@ Four solvers, two kernels:
   solve_hy    d_omega F^y = Gamma_N Rs - Rs_hat(0)       (_divide_by_divisor)
   solve_hzz   bold T_N vec(F^zz) = -i vec(S_N)           (_lattice_solve)
 with F^zbar = conj(F^z) and F^zbzb = conj(F^zz) by the conjugation symmetry
-of the system.  `_lattice_solve` factors with `_factor` (dense LU plus a
-LAPACK condition estimate, shared with `greens.invert_direct`); the bold
-right side enters as the (n^2, 1) column of `_as_column`.
+of the system; the bold right side enters as the (n^2, 1) column of
+`_as_column`.  `_lattice_solve` has two routes.  On the full centred box,
+with q = ||S|| / min|D| < 1 (||S|| bounded by the symbol's mode sum), T is
+invertible and is solved matrix-free by the Jacobi iteration
+u <- u + D^{-1}(b - T u), whose matvec is the series product truncated to
+the box.  Otherwise it factors with `_factor` (dense LU plus a LAPACK
+condition estimate, shared with `greens.invert_direct`).
 """
 
 from __future__ import annotations
@@ -30,8 +34,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.linalg as sla
 
-from .fourier import (FourierSeries, dir_derivative, mode_grid, strip_norm,
-                      truncate)
+from .fourier import (FourierSeries, dir_derivative, mode_grid, product,
+                      strip_norm, truncate)
 from .jets import (HamiltonianJet, component_y, component_z, component_zbar,
                    jet_from_parts, matrix_zbzb, matrix_zz, poisson_bracket,
                    split_low_high)
@@ -265,8 +269,18 @@ def _vec_to_series(T: LatticeMatrix, vec: np.ndarray,
 
 @dataclass
 class LatticeSolveInfo:
+    """Diagnostics of one lattice solve.
+
+    `route` is "neumann" (matrix-free iteration) or "dense" (LU);
+    `iterations` counts the Jacobi sweeps (0 on the dense route).
+    `condition` is the proven 1-norm bound
+    (max|D| + ||S||) / (min|D| (1 - q)) on the Neumann route and the LAPACK
+    gecon estimate on the dense route.  `residual` is |T u - b| / |b|.
+    """
     residual: float
     condition: float
+    route: str
+    iterations: int
 
 
 def _at_cutoff(F: FourierSeries, N: int) -> FourierSeries:
@@ -282,19 +296,76 @@ def _as_column(F: FourierSeries) -> FourierSeries:
                          F.data.reshape((rows, 1) + F.data.shape[2:]))
 
 
+def _neumann_bound(T: LatticeMatrix) -> float | None:
+    """Gate of the matrix-free route.  ||S|| <= sum_k max(row sum, column
+    sum) of |symbol(k)| bounds the 1-, 2- and inf-norms of the Toeplitz part
+    on any region; with q = ||S|| / min|D| < 1 this returns the 1-norm
+    condition bound (max|D| + ||S||) / (min|D| (1 - q)), else None."""
+    absD = np.abs(T.diag_values())
+    dmin = float(absD.min())
+    if dmin == 0.0:
+        return None
+    a = np.abs(T.symbol.data)
+    snorm = float(np.maximum(a.sum(axis=1).max(axis=0),
+                             a.sum(axis=0).max(axis=0)).sum())
+    q = snorm / dmin
+    if q >= 1.0:
+        return None
+    return (float(absD.max()) + snorm) / (dmin * (1.0 - q))
+
+
+def _neumann_solve(T: LatticeMatrix, b: np.ndarray, N: int):
+    """Jacobi iteration u <- u + D^{-1}(b - T u) on the box layout of a
+    (nblock, 1) series at cutoff N, run until the relative residual stops
+    decreasing; returns (u, residual, sweeps)."""
+    D = T.diag_values().T.reshape(b.shape)
+
+    def residual_of(u):
+        Su = truncate(product(T.symbol, FourierSeries(T.d, b.shape[:2], N, u)),
+                      N)
+        return b - D * u - Su.data
+
+    scale = np.linalg.norm(b)
+    if scale == 0:
+        return b, 0.0, 0
+    u = b / D
+    r = residual_of(u)
+    res, sweeps = np.linalg.norm(r) / scale, 1
+    while res > 0:
+        u_next = u + r / D
+        r_next = residual_of(u_next)
+        res_next = np.linalg.norm(r_next) / scale
+        if not res_next < res:
+            break
+        u, r, res, sweeps = u_next, r_next, res_next, sweeps + 1
+    return u, float(res), sweeps
+
+
 def _lattice_solve(T: LatticeMatrix, rhs: FourierSeries, N: int | None,
                    cond_cap: float):
-    """Solve T u = -i rhs_N by dense LU; returns (u as an (nblock, 1)
-    series at cutoff N, info with the relative residual and condition)."""
+    """Solve T u = -i rhs_N; returns (u as an (nblock, 1) series at cutoff
+    N, info).  With q = ||S|| / min|D| < 1, T = D (I + D^{-1} S) is
+    invertible, Jacobi converges at rate q and cond_1(T) is at most
+    (max|D| + ||S||) / (min|D| (1 - q)), which bounds gecon's estimate from
+    above.  That route is taken on the full centred box when the bound is
+    within `cond_cap`; otherwise dense LU decides, as the oracle."""
+    Nr = max(max(abs(c) for c in k) for k in T.region)
     if N is None:
-        N = max(max(abs(c) for c in k) for k in T.region)
+        N = Nr
+    bound = _neumann_bound(T) if T.region == cube_region(T.d, Nr) else None
+    if bound is not None and bound <= cond_cap:
+        b = -1j * _at_cutoff(_at_cutoff(rhs, N), Nr).data
+        u, res, sweeps = _neumann_solve(T, b, Nr)
+        sol = _at_cutoff(FourierSeries(T.d, b.shape[:2], Nr, u), N)
+        return sol, LatticeSolveInfo(residual=res, condition=bound,
+                                     route="neumann", iterations=sweeps)
     dense, lu_piv, cond = _factor(T, cond_cap)
     b = -1j * _series_to_vec(T, _at_cutoff(rhs, N))
     sol = sla.lu_solve(lu_piv, b, check_finite=False)
     scale = np.linalg.norm(b)
     res = np.linalg.norm(dense @ sol - b) / scale if scale > 0 else 0.0
-    return _vec_to_series(T, sol, N), LatticeSolveInfo(residual=float(res),
-                                                       condition=cond)
+    return _vec_to_series(T, sol, N), LatticeSolveInfo(
+        residual=float(res), condition=cond, route="dense", iterations=0)
 
 
 def solve_hz(T: LatticeMatrix, Ehat: FourierSeries, N: int | None = None,

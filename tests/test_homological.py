@@ -4,11 +4,13 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from toruskam.fourier import (FourierSeries, dir_derivative, partial_x,
                               product, strip_norm, truncate)
 from toruskam.homological import (HomologicalSolution, NearSingularError,
-                                  SmallDivisorError, assemble_rhs,
+                                  SmallDivisorError, _factor, _lattice_solve,
+                                  _neumann_bound, assemble_rhs,
                                   bold_divisor_floor, bold_symbol, build_T,
                                   build_boldT, cube_region, residual_hx,
                                   residual_lattice, solve_homological,
@@ -322,6 +324,150 @@ def test_solve_hzz_symmetric_symbol_residual():
     # symmetric symbol: symmetrization is exact, residual stays machine-level
     assert (Fzz - Fzz.transpose()).max_abs_coeff() <= 1e-13
     assert residual_lattice(bT, Fzz, S) <= 1e-11
+
+
+# ----------------------------------------------------------------------
+# matrix-free route: dense LU as the oracle
+# ----------------------------------------------------------------------
+
+def contraction_q(T):
+    """q = sum_k max(row, column sum) |symbol(k)| / min|D|, computed here
+    independently of the solver's gate."""
+    a = np.abs(T.symbol.data)
+    snorm = np.maximum(a.sum(axis=1).max(axis=0),
+                       a.sum(axis=0).max(axis=0)).sum()
+    return snorm / np.abs(T.diag_values()).min()
+
+
+def random_column(rng, rows, N, d=D):
+    box = (rows, 1) + (2 * N + 1,) * d
+    return FourierSeries(d, (rows, 1), N,
+                         rng.standard_normal(box) + 1j * rng.standard_normal(box))
+
+
+def random_hermitian_symbol(rng, n, scale, cutoff=1):
+    """symbol(-k) = symbol(k)^H, so T is Hermitian; unlike `random_B` the
+    matrices are not symmetric, which keeps the matvec's orientation
+    observable."""
+    box = (n, n) + (2 * cutoff + 1,) * D
+    A = FourierSeries(D, (n, n), cutoff,
+                      rng.standard_normal(box) + 1j * rng.standard_normal(box))
+    return scale * 0.5 * (A + A.conj_function().transpose())
+
+
+def lattice_vec(T, F):
+    return np.concatenate([F.coeff(k)[:, 0] for k in T.region])
+
+
+def lu_reference(T, rhs):
+    """The dense LU solve of T u = -i rhs (rhs at the region's cutoff), as
+    `_lattice_solve` did it before the matrix-free route."""
+    lu_piv = sla.lu_factor(T.to_dense(), check_finite=False)
+    return sla.lu_solve(lu_piv, -1j * lattice_vec(T, rhs), check_finite=False)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("build", [build_T, build_boldT])
+@pytest.mark.parametrize("sigma", [0.0, 0.37])
+def test_neumann_route_matches_dense_oracle(n, build, sigma):
+    rng = np.random.default_rng(60 + 10 * n + int(100 * sigma))
+    N = 3
+    omega = 0.1 * GOLD       # |<k, omega>| <= 0.79 < Omega on the box
+    Omega = 1.0 + rng.uniform(0.0, 0.5, n)
+    T = build(omega, Omega, random_hermitian_symbol(rng, n, 0.005),
+              FourierSeries.zero(D, shape=(n, n)), N, sigma=sigma)
+    assert 0.05 < contraction_q(T) < 1.0
+    rhs = random_column(rng, T.nblock, N)
+    u, info = _lattice_solve(T, rhs, N, 1e12)
+    assert info.route == "neumann" and info.iterations > 1
+    assert T._dense is None
+    assert info.residual <= 1e-14
+    dense = T.to_dense()
+    assert np.abs(dense - dense.conj().T).max() <= 1e-15   # Hermitian
+    ref = lu_reference(T, rhs)
+    assert np.linalg.norm(lattice_vec(T, u) - ref) \
+        <= 1e-12 * np.linalg.norm(ref)
+    _, _, gecon = _factor(T, np.inf)
+    assert info.condition >= gecon
+    assert info.condition >= np.linalg.cond(dense, 1)
+
+
+def test_dense_fallback_selection():
+    rng = np.random.default_rng(70)
+    Z = FourierSeries.zero(D)
+    # an exactly vanishing divisor: no gate, and dense LU still refuses it
+    T = build_T(GOLD, np.array([0.0]), Z, Z, 1)
+    assert _neumann_bound(T) is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(NearSingularError):
+            solve_hz(T, FourierSeries.from_coeffs(D, {ZD: 1.0}, cutoff=1), 1)
+
+    small = build_T(0.1 * GOLD, np.array([1.3]),
+                    random_B(rng, 1, scale=0.01), Z, 2)
+    assert contraction_q(small) < 1.0
+    shifted = small.translate((3, -2))       # q < 1, but not the centred box
+    assert contraction_q(shifted) < 1.0
+    strong = build_T(GOLD, np.array([1.17]), random_B(rng, 1, scale=0.3), Z, 3)
+    assert contraction_q(strong) >= 1.0
+    # q just above 1: the Jacobi iteration is not proven to converge
+    edge = build_T(0.1 * GOLD, np.array([1.3]),
+                   (1.05 / contraction_q(small)) * small.symbol, Z, 2)
+    assert 1.0 <= contraction_q(edge) < 1.1
+    assert solve_hz(small, random_column(rng, 1, 2))[2].route == "neumann"
+    bound = _neumann_bound(small)
+    gecon = _factor(small, np.inf)[2]
+    assert gecon < bound                      # a cap between the two
+    cases = [(shifted, 1e12), (strong, 1e12), (edge, 1e12),
+             (small, 0.5 * (gecon + bound))]
+    for T, cap in cases:
+        Nr = max(max(abs(c) for c in k) for k in T.region)
+        rhs = random_column(rng, 1, Nr)
+        Fz, _, info = solve_hz(T, rhs, cond_cap=cap)
+        assert info.route == "dense" and info.iterations == 0
+        assert np.array_equal(lattice_vec(T, Fz), lu_reference(T, rhs))
+        assert info.condition == _factor(T, np.inf)[2]
+
+
+def test_kam_size_solve_builds_no_dense():
+    # n = 1 at N = 24 (m = 2401), the lattice size of the last run level
+    rng = np.random.default_rng(71)
+    Omega = np.array([1.17])
+    B = random_B(rng, 1, scale=1e-7)
+    P = symmetrize_zzbar(random_real_jet(rng, 1, eps=1e-8))
+    sol = solve_homological(GOLD, Omega, B, P, 24)
+    info = sol.solve_info
+    assert info["T"].size == 2401
+    for op, key in (("T", "hz"), ("boldT", "hzz")):
+        assert info[key].route == "neumann"
+        assert info[key].residual <= 1e-14
+        assert info[op]._dense is None
+
+
+def test_neumann_d3_box_without_dense():
+    # m = 9261: one dense complex copy would take 1.4 GB, and `to_dense`
+    # adds (m, m, 3) int64 temporaries.  q is checked before the solve, so a
+    # symbol that leaves the gate fails here instead of allocating that.
+    d, N = 3, 10
+    rng = np.random.default_rng(72)
+    omega = np.array([1.0, math.sqrt(2.0), math.sqrt(3.0)])
+    box = (1, 1) + (5,) * d
+    B = FourierSeries(d, (1, 1), 2,
+                      rng.standard_normal(box) + 1j * rng.standard_normal(box))
+    B = 1e-7 * (0.5 * (B + B.conj_function()))
+    T = build_T(omega, np.array([1.17]), B, FourierSeries.zero(d), N)
+    assert T.size == 9261
+    assert contraction_q(T) < 1.0
+    E = random_column(rng, 1, N, d=d)
+    Fz, _, info = solve_hz(T, E, N)
+    assert info.route == "neumann"
+    assert info.residual <= 1e-10
+    assert T._dense is None
+    # the equation as series algebra: d_omega F + i(Omega + B) F = E on the box
+    mult = FourierSeries.constant(d, [[1.17]]).pad(B.cutoff) + B
+    lhs = dir_derivative(Fz, omega) \
+        + 1j * truncate(product(mult, Fz), N) - E
+    assert strip_norm(lhs, 0.0) / strip_norm(E, 0.0) <= 1e-10
 
 
 # ----------------------------------------------------------------------
