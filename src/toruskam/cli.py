@@ -347,6 +347,12 @@ def dispatch(cfg: RunConfig, out_dir: str, strict: bool = True) -> int:
         report["results"]["downgraded"] = True
         code = EXIT_OK
     report["exit_code"] = code
+    _write_outputs(report, out_dir)
+    return code
+
+
+def _write_outputs(report: dict, out_dir: str):
+    """Write report.json, the report's CSV sidecars and summary.txt."""
     csvs = report.pop("csv", {})
     summary = report.pop("summary", "")
     os.makedirs(out_dir, exist_ok=True)
@@ -357,7 +363,6 @@ def dispatch(cfg: RunConfig, out_dir: str, strict: bool = True) -> int:
             fh.write(text)
     with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
         fh.write(summary + "\n")
-    return code
 
 
 def main(argv=None) -> int:
@@ -387,6 +392,13 @@ def main(argv=None) -> int:
         return dispatch(cfg, args.out, strict=args.strict)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
+        try:
+            _write_outputs({"schema": SCHEMA_VERSION,
+                            "exit_code": EXIT_CONFIG,
+                            "results": {"config_errors": exc.violations},
+                            "summary": str(exc)}, args.out)
+        except OSError:
+            pass                # the message above is the report
         return EXIT_CONFIG
 
 

@@ -225,9 +225,12 @@ def validate(values: dict) -> list:
              "sigma_scan.refine_iters: nonneg integer", v)
 
     st = c["stability"]
-    for key in ("T", "dt"):
-        _require(_is_num(st[key]) and st[key] > 0,
-                 f"stability.{key}: positive", v)
+    if all([_require(_is_num(st[key]) and st[key] > 0,
+                     f"stability.{key}: positive", v)
+            for key in ("T", "dt")]):
+        # round(T / dt) >= 2, written so that an infinite ratio passes
+        _require(st["T"] / st["dt"] >= 1.5,
+                 "stability.T: must span at least 2 steps of dt", v)
     if _require(isinstance(st["phases"], list) and len(st["phases"]) > 0
                 and all(_num_list(p) for p in st["phases"]),
                 "stability.phases: list of angle vectors", v) and dim_ok:

@@ -216,12 +216,23 @@ class FourierSeries:
         return float(np.abs(self.data).max(initial=0.0))
 
     def evaluate(self, x) -> np.ndarray:
-        """Pointwise value sum_k f_hat(k) e^{i<k,x>}, shape (rows, cols)."""
+        """Pointwise value sum_k f_hat(k) e^{i<k,x>}: shape (rows, cols)
+        for one point x of shape (d,), (P, rows, cols) for points of shape
+        (P, d).  The factors e^{i k_j x_j} are built per axis and the
+        coefficient box is contracted one axis at a time, the first
+        contraction (over the last axis) as one matrix product."""
         x = np.asarray(x, dtype=float)
-        modes = mode_grid(self.d, self.cutoff)
-        phases = np.exp(1j * (modes @ x))
-        return np.tensordot(self.data, phases, axes=(tuple(range(2, 2 + self.d)),
-                                                     tuple(range(self.d))))
+        pts = np.atleast_2d(x)
+        if x.ndim > 2 or pts.shape[1] != self.d:
+            raise ValueError(f"points must have shape (d,) or (P, {self.d})")
+        k = np.arange(-self.cutoff, self.cutoff + 1)
+        acc = self.data.reshape(-1, k.size) \
+            @ np.exp(1j * np.outer(k, pts[:, -1]))
+        for j in range(self.d - 2, -1, -1):
+            acc = np.einsum("mkp,kp->mp", acc.reshape(-1, k.size, len(pts)),
+                            np.exp(1j * np.outer(k, pts[:, j])))
+        vals = np.moveaxis(acc.reshape(self.shape + (len(pts),)), -1, 0)
+        return vals[0] if x.ndim == 1 else vals
 
 
 # ----------------------------------------------------------------------

@@ -217,3 +217,18 @@ def test_main_config_error_exit_2(tmp_path):
 def test_main_missing_file_exit_2(tmp_path):
     assert main(["--config", str(tmp_path / "absent.json"),
                  "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+
+def test_stability_too_short_run_exit_2(tmp_path, capsys):
+    # round(T / dt) = 0 steps would make the Lyapunov estimate 0 / 0
+    path = write_config(tmp_path, {"mode": "stability",
+                                   "stability": {"T": 0.0004, "dt": 0.001}})
+    out = tmp_path / "o"
+    assert main(["--config", path, "--out", str(out)]) == EXIT_CONFIG
+    msg = "stability.T: must span at least 2 steps of dt"
+    assert msg in capsys.readouterr().err
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["exit_code"] == EXIT_CONFIG
+    assert msg in rep["results"]["config_errors"]
+    # 1.5 steps rounds to 2 and is accepted
+    load_config({"stability": {"T": 0.0015, "dt": 0.001}})

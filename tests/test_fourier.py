@@ -225,3 +225,24 @@ def test_evaluate_real_for_real_series():
     f = random_series(rng, cutoff=3, real=True)
     x = rng.uniform(0, 2 * np.pi, 2)
     assert abs(f.evaluate(x)[0, 0].imag) <= 1e-12
+
+
+@pytest.mark.parametrize("d,shape,cutoff", [(1, (1, 1), 5), (2, (2, 3), 4),
+                                            (3, (2, 2), 2), (2, (1, 1), 0)])
+def test_evaluate_batched_matches_pointwise_and_mode_sum(d, shape, cutoff):
+    rng = np.random.default_rng(11 + d)
+    f = random_series(rng, d=d, cutoff=cutoff, shape=shape)
+    pts = rng.uniform(-40.0, 40.0, size=(9, d))
+    batched = f.evaluate(pts)
+    assert batched.shape == (9,) + shape
+    scale = np.abs(f.data).sum()
+    for p, x in enumerate(pts):
+        single = f.evaluate(x)
+        assert single.shape == shape
+        assert np.abs(batched[p] - single).max() <= 1e-14 * scale
+        # the definition, one exponential per mode
+        direct = sum(c * np.exp(1j * np.dot(k, x))
+                     for k, c in f.coeffs().items())
+        assert np.abs(single - direct).max() <= 1e-13 * scale
+    with pytest.raises(ValueError):
+        f.evaluate(np.zeros(d + 1))

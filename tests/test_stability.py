@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from toruskam.fourier import FourierSeries
-from toruskam.stability import (integrate_linearized, l2_drift,
+from toruskam.fourier import FourierSeries, mode_grid
+from toruskam.stability import (CHUNK, integrate_linearized, l2_drift,
                                 lyapunov_estimate, symmetry_defect,
                                 trajectory_csv)
 
@@ -148,3 +149,115 @@ def test_trajectory_csv_shape_and_determinism():
     assert trajectory_csv(traj2) == csv
     assert len(trajectory_csv(traj, stride=5).strip().split("\n")) \
         == 1 + math.ceil(len(traj.times) / 5)
+
+
+# ----------------------------------------------------------------------
+# batched integrator against the per-step loop it replaced
+# ----------------------------------------------------------------------
+
+def loop_rk4(omega, Omega, B, z0, T, dt, x0=None):
+    """Reference: one classical RK4 step at a time, with B summed mode by
+    mode (one exp per mode) at t, t + dt/2 and t + dt.  Returns z only."""
+    omega = np.asarray(omega, dtype=float)
+    z = np.asarray(z0, dtype=complex).copy()
+    n = z.size
+    x0 = np.zeros(omega.size) if x0 is None else np.asarray(x0, dtype=float)
+    if B is None:
+        modes, flat = np.zeros((1, omega.size)), np.zeros((n * n, 1))
+    else:
+        modes = mode_grid(B.d, B.cutoff).reshape(-1, B.d)
+        flat = B.data.reshape(n * n, -1)
+
+    def gen(t):
+        A = 1j * (flat @ np.exp(1j * (modes @ (omega * t + x0)))
+                  ).reshape(n, n)
+        A[np.diag_indices(n)] += 1j * np.asarray(Omega, dtype=float)
+        return A
+
+    nsteps = int(round(T / dt))
+    times = dt * np.arange(nsteps + 1)
+    traj = np.empty((nsteps + 1, n), dtype=complex)
+    traj[0] = z
+    for i in range(nsteps):
+        t = times[i]
+        A1 = gen(t)
+        A2 = gen(t + 0.5 * dt)
+        A4 = gen(t + dt)
+        k1 = A1 @ traj[i]
+        k2 = A2 @ (traj[i] + 0.5 * dt * k1)
+        k3 = A2 @ (traj[i] + 0.5 * dt * k2)
+        k4 = A4 @ (traj[i] + dt * k3)
+        traj[i + 1] = traj[i] + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return traj
+
+
+def random_symmetric(d, n, cutoff, amp, seed):
+    """Real symmetric matrix-valued series with random modes."""
+    rng = np.random.default_rng(seed)
+    box = (2 * cutoff + 1,) * d
+    c = rng.standard_normal((n, n) + box) \
+        + 1j * rng.standard_normal((n, n) + box)
+    c = c + np.swapaxes(c, 0, 1)
+    c = c + np.conj(np.flip(c, axis=tuple(range(2, 2 + d))))
+    return FourierSeries(d, (n, n), cutoff, amp * c)
+
+
+PARITY_CASES = {
+    # name: (omega, Omega, B, z0, x0)
+    "free": (OMEGA, [1.17, 2.31], None, [1.0, 0.5 - 0.25j], None),
+    "constant": (OMEGA, [1.0, 1.4], matrix_series(
+        {(0, 0): FourierSeries.constant(2, 0.3),
+         (0, 1): FourierSeries.constant(2, 0.2),
+         (1, 0): FourierSeries.constant(2, 0.2),
+         (1, 1): FourierSeries.constant(2, -0.1)}, cutoff=0),
+        [1.0, 1.0j], None),
+    "symmetric": (OMEGA, [1.0, 1.4], symmetric_B(), [1.0, 0.5j],
+                  [0.7, -2.1]),
+    "nonsymmetric": (OMEGA, [1.0, 2.0], matrix_series(
+        {(0, 1): FourierSeries.cosine(2, (1, 0), 0.02)}),
+        [1.0, 1.0], None),
+    "gain": (OMEGA, [1.3], matrix_series(
+        {(0, 0): FourierSeries.constant(2, -0.01j)}, cutoff=0),
+        [1.0], None),
+    "d1": ([PHI], [0.9, 1.6], random_symmetric(1, 2, 3, 0.05, 1),
+           [1.0, -0.5j], [0.4]),
+    "d3": ([1.0, PHI, math.sqrt(2.0)], [0.9, 1.6],
+           random_symmetric(3, 2, 2, 0.02, 2), [0.3j, 1.0],
+           [0.1, 2.0, 4.0]),
+}
+
+
+def _assert_parity(case, nsteps, dt=2e-3):
+    omega, Omega, B, z0, x0 = case
+    T = nsteps * dt
+    traj = integrate_linearized(omega, Omega, B, z0, T=T, dt=dt, x0=x0)
+    ref = loop_rk4(omega, Omega, B, z0, T=T, dt=dt, x0=x0)
+    assert traj.z.shape == ref.shape == (nsteps + 1, len(z0))
+    assert np.array_equal(traj.times, dt * np.arange(nsteps + 1))
+    scale = np.abs(ref).max()
+    assert np.abs(traj.z - ref).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_CASES))
+def test_batched_matches_loop_across_couplings(name):
+    _assert_parity(PARITY_CASES[name], 2 * CHUNK + 300)
+
+
+@pytest.mark.parametrize("nsteps", [1, 2, CHUNK - 1, CHUNK, CHUNK + 1,
+                                    3 * CHUNK + 17])
+def test_batched_matches_loop_across_step_counts(nsteps):
+    _assert_parity(PARITY_CASES["symmetric"], nsteps)
+
+
+def test_batched_integration_memory_is_chunked():
+    # acceptance-test size: d = 2, cutoff 32 (4225 modes); 20000 steps
+    B = random_symmetric(2, 1, 32, 1e-4, 3)
+    tracemalloc.start()
+    try:
+        traj = integrate_linearized(OMEGA, [1.3], B, [1.0], T=20.0,
+                                    dt=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    own = traj.z.nbytes + traj.x.nbytes + traj.times.nbytes
+    assert peak - own <= 16 * 2 ** 20
