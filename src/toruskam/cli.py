@@ -20,7 +20,8 @@ from .config import ConfigError, RunConfig, load_config, parse_config
 from .driver import ParameterExcluded, log_csv, make_schedule, run
 from .fourier import FourierSeries
 from .greens import CertificateGateError, check_certificate, invert_direct
-from .homological import NearSingularError, SmallDivisorError, build_T
+from .homological import (LatticeMatrix, NearSingularError, SmallDivisorError,
+                          build_T)
 from .jets import HamiltonianJet, NormalForm
 from .multiscale import sigma_scan
 from .stability import (integrate_linearized, l2_drift, lyapunov_estimate,
@@ -110,9 +111,9 @@ def _normal_form(cfg: RunConfig) -> NormalForm:
                       FourierSeries.zero(c["d"], shape=(c["n"], c["n"])))
 
 
-def _greens_builder(cfg: RunConfig):
-    """sigma -> the greens section's lattice operator: the diagonal plus a
-    coupling symbol (zero when coupling_eps is 0)."""
+def _greens_operator(cfg: RunConfig) -> LatticeMatrix:
+    """The greens section's lattice operator at sigma = 0: the diagonal plus
+    a coupling symbol (zero when coupling_eps is 0)."""
     c = cfg.values
     n = c["n"]
     g = c["greens"]
@@ -126,7 +127,7 @@ def _greens_builder(cfg: RunConfig):
         neg = tuple(-k for k in mode)
         ent = {mode: eye, neg: eye} if mode != neg else {mode: 2 * eye}
         B = FourierSeries.from_coeffs(c["d"], ent, shape=(n, n))
-    return lambda s: build_T(c["omega"], c["Omega"], B, Z, g["N"], sigma=s)
+    return build_T(c["omega"], c["Omega"], B, Z, g["N"])
 
 
 # ----------------------------------------------------------------------
@@ -202,7 +203,7 @@ def _mode_atlas(cfg: RunConfig, out: dict):
 def _mode_greens(cfg: RunConfig, out: dict):
     c = cfg.values
     g = c["greens"]
-    T = _greens_builder(cfg)(g["sigma"])
+    T = _greens_operator(cfg).with_sigma(g["sigma"])
     threshold = g["N"] // 2 if g["threshold"] is None else g["threshold"]
     _, cert = invert_direct(T, threshold=int(threshold),
                             cond_cap=c["caps"]["cond_cap"])
@@ -224,7 +225,7 @@ def _mode_greens(cfg: RunConfig, out: dict):
 def _mode_sigma_scan(cfg: RunConfig, out: dict):
     c = cfg.values
     sc = c["sigma_scan"]
-    rep = sigma_scan(_greens_builder(cfg), tuple(sc["range"]),
+    rep = sigma_scan(_greens_operator(cfg), tuple(sc["range"]),
                      (sc["alpha_target"], sc["threshold"],
                       sc["norm_target"]),
                      points_per_unit=sc["points_per_unit"],
@@ -235,6 +236,8 @@ def _mode_sigma_scan(cfg: RunConfig, out: dict):
         "bad_measure": rep.bad_measure,
         "bad_fraction": rep.bad_fraction,
         "samples": len(rep.samples),
+        "norm_route": rep.norm_route,
+        "factored_probes": rep.factored_probes,
     }
     out["csv"] = {"sigma_scan.csv": rep.columnar()}
     out["summary"] = (f"sigma-scan: bad measure {rep.bad_measure:.4e} "

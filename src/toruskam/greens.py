@@ -9,8 +9,10 @@ transferred certificates are produced by explicit numeric contraction
 arguments, never by asymptotic constants, so that direct inversion can always
 be used as a soundness oracle.
 
-One certificate kernel: `invert_direct` factors with `homological._factor`
-and keeps the measured ||G||_2 in `extra["measured_norm"]` for its callers;
+One certificate kernel: `_lu_inverse` is the one gated LU inverse (with
+`homological._factor`) and its site magnitudes, shared by `invert_direct`
+and the sigma-scan probes; `invert_direct` adds the measured ||G||_2, kept
+in `extra["measured_norm"]` for its callers, and the certificate;
 `_site_magnitudes` is the per-site-pair block maximum and
 `decay_certificate` the b-exponent for every emitted certificate.  `certify`
 keeps its own SVD, as the independent soundness oracle.
@@ -92,14 +94,20 @@ def decay_certificate(norm: float, alpha: float, threshold: int,
                             provenance=provenance, extra=extra)
 
 
+def _lu_inverse(T: LatticeMatrix, cond_cap: float, eye: np.ndarray):
+    """(G, site magnitudes of G, condition estimate) from the gated LU of T,
+    solved against the identity `eye`; raises NearSingularError."""
+    _, lu_piv, cond = _factor(T, cond_cap)
+    G = sla.lu_solve(lu_piv, eye, check_finite=False)
+    return G, _site_magnitudes(G, T.nsites, T.nblock), cond
+
+
 def invert_direct(T: LatticeMatrix, threshold: int = 0,
                   cond_cap: float = 1e12):
     """Dense inverse plus a certificate with fields measured from it; `extra`
     holds the condition estimate and ||G||_2 before the 1e-6 inflation."""
-    _, lu_piv, cond = _factor(T, cond_cap)
-    G = sla.lu_solve(lu_piv, np.eye(T.size, dtype=complex), check_finite=False)
+    G, gmag, cond = _lu_inverse(T, cond_cap, np.eye(T.size, dtype=complex))
     dist = site_distances(T.region)
-    gmag = _site_magnitudes(G, T.nsites, T.nblock)
     measured = float(np.linalg.norm(G, 2))
     alpha = measure_alpha(gmag, dist, threshold)
     cert = decay_certificate(measured * (1 + 1e-6), alpha, threshold, dist,
@@ -122,17 +130,24 @@ class CertifyResult:
 def certify(G: np.ndarray, region, nblock: int, alpha_target: float,
             threshold: int, norm_target: float) -> CertifyResult:
     """Check |G(x,y)| <= e^{-alpha |x-y|} beyond the threshold and
-    ||G|| <= norm_target; report the 10 worst offenders."""
+    ||G|| <= norm_target; report the 10 worst offenders with their ratio
+    |G(x,y)| e^{alpha |x-y|}.
+
+    The comparison is log|G(x,y)| + alpha |x-y| > 0, so that neither
+    e^{alpha |x-y|} overflowing nor a zero entry can produce a NaN."""
     nsites = len(region)
     dist = site_distances(region)
     gmag = _site_magnitudes(G, nsites, nblock)
     norm = float(np.linalg.norm(G, 2))
-    ratio = gmag * np.exp(alpha_target * dist)
+    with np.errstate(divide="ignore"):
+        log_ratio = np.log(gmag) + alpha_target * dist
     mask = dist > threshold
-    bad = np.argwhere(mask & (ratio > 1.0))
-    order = np.argsort(-ratio[tuple(bad.T)]) if len(bad) else []
-    offenders = [(tuple(region[i]), tuple(region[j]), float(ratio[i, j]))
-                 for i, j in bad[order][:10]]
+    bad = np.argwhere(mask & (log_ratio > 0.0))
+    order = np.argsort(-log_ratio[tuple(bad.T)]) if len(bad) else []
+    with np.errstate(over="ignore"):
+        offenders = [(tuple(region[i]), tuple(region[j]),
+                      float(np.exp(log_ratio[i, j])))
+                     for i, j in bad[order][:10]]
     passed = len(bad) == 0 and norm <= norm_target
     if norm > norm_target and len(offenders) < 10:
         offenders.append(("norm", "norm", norm))

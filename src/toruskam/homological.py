@@ -114,9 +114,15 @@ class LatticeMatrix:
         flat = gather * inside[None, None, :, :]
         # (nb, nb, m, m) -> (m, nb, m, nb)
         T = np.transpose(flat, (2, 0, 3, 1)).reshape(m * nb, m * nb).copy()
-        T[np.arange(m * nb), np.arange(m * nb)] += self.diag_values().ravel()
+        T[np.arange(m * nb), np.arange(m * nb)] = self._dense_diagonal()
         self._dense = T
         return T
+
+    def _dense_diagonal(self) -> np.ndarray:
+        """Diagonal of the dense form: the symbol's centre block plus D."""
+        centre = self.symbol.data[(slice(None), slice(None))
+                                  + (self.symbol.cutoff,) * self.d]
+        return (np.diagonal(centre)[None, :] + self.diag_values()).ravel()
 
     def translate(self, p) -> "LatticeMatrix":
         """The same operator restricted to region + p (Toeplitz shift)."""
@@ -126,7 +132,15 @@ class LatticeMatrix:
         return replace(self, region=region, _dense=None)
 
     def with_sigma(self, sigma: float) -> "LatticeMatrix":
-        return replace(self, sigma=float(sigma), _dense=None)
+        """The same operator with shift sigma; a cached dense form is
+        carried forward with only its diagonal rewritten."""
+        out = replace(self, sigma=float(sigma), _dense=None)
+        if self._dense is not None:
+            dense = self._dense.copy()
+            i = np.arange(self.size)
+            dense[i, i] = out._dense_diagonal()
+            out._dense = dense
+        return out
 
 
 def _lattice_operator(omega, Omega, B: FourierSeries, Rzz: FourierSeries,
@@ -246,7 +260,11 @@ def _factor(T: LatticeMatrix, cond_cap: float):
     returns (dense, lu_piv, cond) or raises NearSingularError past the cap."""
     dense = T.to_dense()
     anorm = np.abs(dense).sum(axis=0).max()
-    lu_piv = sla.lu_factor(dense, check_finite=False)
+    with warnings.catch_warnings():
+        # an exactly zero pivot warns here; gecon then gives rcond = 0 and
+        # the cap check below raises NearSingularError(inf)
+        warnings.simplefilter("ignore", sla.LinAlgWarning)
+        lu_piv = sla.lu_factor(dense, check_finite=False)
     gecon = sla.get_lapack_funcs(("gecon",), (lu_piv[0],))[0]
     rcond, _ = gecon(lu_piv[0], anorm, norm="1")
     cond = np.inf if rcond == 0 else 1.0 / rcond

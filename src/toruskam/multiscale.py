@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace as _dc_replace
 import numpy as np
 import scipy.linalg as sla
 
-from .greens import (CertificateGateError, DecayCertificate,
+from .greens import (CertificateGateError, DecayCertificate, _lu_inverse,
                      _site_magnitudes, decay_certificate, invert_direct,
                      measure_alpha, site_distances)
 from .homological import LatticeMatrix, NearSingularError
@@ -215,13 +215,12 @@ def _sup_dist_matrix(sites) -> np.ndarray:
     return np.abs(pts[:, None, :] - pts[None, :, :]).max(axis=-1)
 
 
-def _decays(T: LatticeMatrix, G: np.ndarray, dist: np.ndarray,
-            far: np.ndarray, alpha: float) -> bool:
-    """|G(x,y)| <= e^{-alpha dist(x,y)} on every far site pair of T's
-    region; true when no pair is far."""
+def _decays(gmag: np.ndarray, dist: np.ndarray, far: np.ndarray,
+            alpha: float) -> bool:
+    """|G(x,y)| <= e^{-alpha dist(x,y)} on every far site pair, from the
+    site magnitudes `gmag` of G; true when no pair is far."""
     if not far.any():
         return True
-    gmag = _site_magnitudes(G, T.nsites, T.nblock)
     return bool((gmag[far] <= np.exp(-alpha * dist[far])).all())
 
 
@@ -257,7 +256,9 @@ class DirectClassifier:
         norm_ok = cert.extra["measured_norm"] <= np.exp(L ** self.b)
         dist = _sup_dist_matrix(key)
         far = dist > L ** self.theta
-        good = bool(norm_ok and _decays(sub, G, dist, far, self.alpha))
+        good = bool(norm_ok and _decays(
+            _site_magnitudes(G, sub.nsites, sub.nblock), dist, far,
+            self.alpha))
         self._cache[key] = good
         return good
 
@@ -541,6 +542,8 @@ class SigmaScanReport:
     bad_intervals: list       # (lo, hi) failing windows
     bad_measure: float
     bad_fraction: float
+    norm_route: str           # "spectral" (Hermitian T) or "svd"
+    factored_probes: int      # probes that ran an LU factorization
 
     def columnar(self) -> str:
         lines = ["sigma pass norm alpha"]
@@ -549,32 +552,76 @@ class SigmaScanReport:
         return "\n".join(lines)
 
 
-def _probe(T_builder, sigma, targets, cond_cap=1e12):
-    alpha_target, threshold, norm_target = targets
-    T = T_builder(sigma)
-    try:
-        G, cert = invert_direct(T, threshold=threshold, cond_cap=cond_cap)
-    except NearSingularError:
-        return False, np.inf, 0.0
-    dist = site_distances(T.region)
-    norm = cert.extra["measured_norm"]
-    decay_ok = _decays(T, G, dist, dist > threshold, alpha_target)
-    return bool(norm <= norm_target and decay_ok), norm, cert.alpha
+class _Prober:
+    """Probes of T + sigma with the work shared by a whole scan done once:
+    the dense form at sigma = 0, its eigenvalues when it is Hermitian,
+    the site distances, the far-pair mask and the identity right side."""
+
+    def __init__(self, T: LatticeMatrix, targets, cond_cap: float):
+        self.alpha_target, self.threshold, self.norm_target = targets
+        self.cond_cap = cond_cap
+        self.T0 = T.with_sigma(0.0)
+        D = self.T0.to_dense()
+        self.lam = np.linalg.eigvalsh(D) \
+            if np.array_equal(D, D.conj().T) else None
+        self.dist = site_distances(T.region)
+        self.far = self.dist > self.threshold
+        self.eye = np.eye(T.size, dtype=complex)
+        self.factored = 0
+
+    def _norm(self, sigma: float, G) -> float:
+        """||G||_2: 1 / min |lambda + sigma| on the spectral route (G is
+        not read), the SVD of G otherwise."""
+        if self.lam is None:
+            return float(np.linalg.norm(G, 2))
+        gap = float(np.abs(self.lam + sigma).min())
+        return np.inf if gap == 0.0 else 1.0 / gap
+
+    def sample(self, sigma: float) -> tuple:
+        """(passed, ||G||_2, measured alpha); (False, inf, 0.0) when T + sigma
+        fails the condition gate."""
+        self.factored += 1
+        try:
+            G, gmag, _ = _lu_inverse(self.T0.with_sigma(sigma),
+                                     self.cond_cap, self.eye)
+        except NearSingularError:
+            return False, np.inf, 0.0
+        norm = self._norm(sigma, G)
+        decay_ok = _decays(gmag, self.dist, self.far, self.alpha_target)
+        return (bool(norm <= self.norm_target and decay_ok), norm,
+                measure_alpha(gmag, self.dist, self.threshold))
+
+    def passes(self, sigma: float) -> bool:
+        """The pass flag of `sample(sigma)`; a spectral-route probe whose
+        norm misses the target is not factored."""
+        if self.lam is not None \
+                and self._norm(sigma, None) > self.norm_target:
+            return False
+        return self.sample(sigma)[0]
 
 
-def sigma_scan(T_builder, sigma_range, targets, points_per_unit: float = 1e4,
-               refine_iters: int = 20, cond_cap: float = 1e12
-               ) -> SigmaScanReport:
-    """Scan the shift parameter, marking sigma values whose restricted
-    inverse violates the targets; failing windows are localized by bisection
-    refinement at the pass/fail boundaries."""
+def sigma_scan(T: LatticeMatrix, sigma_range, targets,
+               points_per_unit: float = 1e4, refine_iters: int = 20,
+               cond_cap: float = 1e12) -> SigmaScanReport:
+    """Scan the shift family T + sigma (T's own sigma is replaced), marking
+    sigma values whose inverse violates the targets (alpha_target,
+    threshold, norm_target); failing windows are localized by bisection
+    refinement at the pass/fail boundaries.
+
+    Every probe factors T + sigma with the condition gate and takes the
+    decay test and alpha from the LU inverse.  When T is exactly Hermitian,
+    ||G||_2 = 1 / min |lambda + sigma| from one eigvalsh per scan ("spectral"
+    route); otherwise each probe takes an SVD of G ("svd" route).  The
+    bisection needs only the pass flag, so a Hermitian bisection probe whose
+    norm already misses the target is not factored."""
     lo, hi = float(sigma_range[0]), float(sigma_range[1])
     npts = max(int(np.ceil((hi - lo) * points_per_unit)) + 1, 2)
     grid = np.linspace(lo, hi, npts)
+    prober = _Prober(T, targets, cond_cap)
     samples = []
     passed = np.zeros(npts, dtype=bool)
     for i, s in enumerate(grid):
-        ok, nrm, al = _probe(T_builder, float(s), targets, cond_cap)
+        ok, nrm, al = prober.sample(float(s))
         passed[i] = ok
         samples.append((float(s), ok, nrm, al))
 
@@ -582,8 +629,7 @@ def sigma_scan(T_builder, sigma_range, targets, points_per_unit: float = 1e4,
         # boundary between a (pass state ok_a) and b
         for _ in range(refine_iters):
             mid = 0.5 * (a + b)
-            ok, _, _ = _probe(T_builder, mid, targets, cond_cap)
-            if ok == ok_a:
+            if prober.passes(mid) == ok_a:
                 a = mid
             else:
                 b = mid
@@ -608,7 +654,10 @@ def sigma_scan(T_builder, sigma_range, targets, points_per_unit: float = 1e4,
                            samples=samples, bad_intervals=intervals,
                            bad_measure=measure,
                            bad_fraction=measure / (hi - lo) if hi > lo
-                           else 0.0)
+                           else 0.0,
+                           norm_route="svd" if prober.lam is None
+                           else "spectral",
+                           factored_probes=prober.factored)
 
 
 def diagonal_bad_measure(omega, Omega, region, delta, sigma_range) -> float:

@@ -251,11 +251,8 @@ def test_sigma_scan_exact_and_toeplitz_stability():
     omega = np.array([PHI])
     Om = np.array([1.05])
 
-    def diag_builder(s):
-        return build_T(omega, Om, Z, Z, N, sigma=s)
-
     targets = (0.5, 0, 1.0 / delta)
-    rep = sigma_scan(diag_builder, (-1.0, 1.0), targets,
+    rep = sigma_scan(build_T(omega, Om, Z, Z, N), (-1.0, 1.0), targets,
                      points_per_unit=500, refine_iters=25)
     exact = diagonal_bad_measure(omega, Om, region, delta, (-1.0, 1.0))
     assert exact > 0
@@ -275,10 +272,7 @@ def test_sigma_scan_exact_and_toeplitz_stability():
     sym = FourierSeries.from_coeffs(1, entries, cutoff=N)
     sym = 0.5 * (sym + sym.conj_function())
 
-    def toep_builder(s):
-        return build_T(omega, Om, sym, Z, N, sigma=s)
-
-    rep_t = sigma_scan(toep_builder, (-1.0, 1.0), targets,
+    rep_t = sigma_scan(build_T(omega, Om, sym, Z, N), (-1.0, 1.0), targets,
                        points_per_unit=500, refine_iters=25)
     ratio = rep_t.bad_measure / rep.bad_measure
     assert 0.5 <= ratio <= 2.0

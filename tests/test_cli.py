@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -114,6 +115,18 @@ def test_greens_mode_sound_cert(tmp_path):
     assert rep["results"]["provenance"] == "direct"
 
 
+def test_greens_default_config_no_runtime_warning(tmp_path):
+    # the soundness check weighs far entries by e^{alpha d} with alpha at
+    # ALPHA_CAP, which overflows at this size
+    cfg = load_config({"mode": "greens", "greens": {"N": 16}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert dispatch(cfg, str(tmp_path / "out")) == EXIT_OK
+    rep = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert rep["results"]["sound"] is True
+    assert rep["results"]["alpha"] == 50.0
+
+
 def test_greens_near_singular_exit_4(tmp_path):
     # sigma cancels Omega at k = 0: the divisor vanishes exactly
     cfg = load_config({"mode": "greens", "omega": [1.0, PHI],
@@ -153,6 +166,8 @@ def test_sigma_scan_mode(tmp_path):
     assert dispatch(cfg, str(tmp_path / "out")) == EXIT_OK
     rep = json.loads((tmp_path / "out" / "report.json").read_text())
     assert rep["results"]["bad_measure"] >= 0.0
+    assert rep["results"]["norm_route"] == "spectral"
+    assert rep["results"]["samples"] <= rep["results"]["factored_probes"]
     assert (tmp_path / "out" / "sigma_scan.csv").read_text().splitlines()[0]
 
 

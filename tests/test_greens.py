@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -91,6 +92,34 @@ def test_certify_planted_offender():
     x, y, ratio = res.offenders[0]
     assert {x, y} == {(-4,), (4,)}
     assert ratio > 1.0
+
+
+def _far_entry_case(magnitude):
+    # alpha * |x-y| = 48 * 15 = 720 > log(max float): e^{alpha d} overflows
+    # for the pair ((-8,), (7,)) and every pair farther apart
+    region = cube_region(1, 8)
+    G = np.eye(len(region), dtype=complex)
+    G[0, -2] = magnitude
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return certify(G, region, 1, alpha_target=48.0, threshold=1,
+                       norm_target=2.0)
+
+
+def test_certify_far_entry_below_overflowing_weight_passes():
+    # |G| e^{alpha d} = 1e-315 e^{720} ~ 5e-3 < 1, though e^{720} = inf
+    res = _far_entry_case(1e-315)
+    assert res.passed and not res.offenders
+
+
+def test_certify_far_entry_above_one_is_flagged():
+    # 1e-310 e^{720} ~ 490 > 1
+    res = _far_entry_case(1e-310)
+    assert not res.passed
+    x, y, ratio = res.offenders[0]
+    assert (x, y) == ((-8,), (7,))
+    assert ratio == pytest.approx(1e-310 * math.exp(360) * math.exp(360),
+                                  rel=1e-9)
 
 
 def test_certify_norm_violation():

@@ -134,6 +134,29 @@ def test_translation_covariance():
     assert np.allclose(shifted.to_dense(), ref.to_dense(), atol=1e-12)
 
 
+@pytest.mark.parametrize("d,N", [(1, 4), (2, 3), (3, 2)])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("builder", [build_T, build_boldT])
+def test_with_sigma_carries_dense_form(d, N, n, builder):
+    # a complex, non-Hermitian symbol with a nonzero centre block
+    rng = np.random.default_rng(40 + 10 * d + n)
+    box = (n, n) + (3,) * d
+    B = FourierSeries(d, (n, n), 1, 0.1 * (rng.standard_normal(box)
+                                           + 1j * rng.standard_normal(box)))
+    omega = GOLD[0] + np.arange(d) * (GOLD[1] - 1.0)
+    Omega = 1.1 + 0.3 * np.arange(n)
+    Z = FourierSeries.zero(d, shape=(n, n))
+    T = builder(omega, Omega, B, Z, N, sigma=0.1)
+    before = T.to_dense().copy()
+    moved = T
+    for s in (0.37, -1.2, 0.0):
+        moved = moved.with_sigma(s)
+        assert moved._dense is not None
+        fresh = builder(omega, Omega, B, Z, N, sigma=s).to_dense()
+        assert np.array_equal(moved.to_dense(), fresh)
+    assert np.array_equal(T.to_dense(), before)
+
+
 def test_bold_symbol_case_table():
     rng = np.random.default_rng(31)
     A = FourierSeries.constant(D, rng.standard_normal((2, 2)))

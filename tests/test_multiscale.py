@@ -14,7 +14,8 @@ from toruskam.multiscale import (DirectClassifier, ElementaryRegion,
                                  cl1_couple, cl2_couple, cube_sites,
                                  diagonal_bad_measure,
                                  random_elementary_region, sigma_scan,
-                                 sup_dist, two_scale_couple, _restrict)
+                                 sup_dist, two_scale_couple, _Prober,
+                                 _restrict)
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -301,35 +302,26 @@ def test_sigma_scan_matches_diagonal_oracle():
     N, delta = 5, 0.05
     region = cube_region(1, N)
     Z = FourierSeries.zero(1)
-
-    def builder(s):
-        return build_T(np.array([PHI]), np.array([1.05]), Z, Z, N, sigma=s)
-
-    rep = sigma_scan(builder, (-1.0, 1.0), (0.5, 0, 1.0 / delta),
+    T = build_T(np.array([PHI]), np.array([1.05]), Z, Z, N)
+    rep = sigma_scan(T, (-1.0, 1.0), (0.5, 0, 1.0 / delta),
                      points_per_unit=500, refine_iters=25)
     exact = diagonal_bad_measure([PHI], [1.05], region, delta, (-1.0, 1.0))
     assert exact > 0
     assert rep.bad_measure == pytest.approx(exact, abs=5e-3)
     assert rep.bad_fraction == pytest.approx(rep.bad_measure / 2.0)
     assert "sigma pass norm alpha" in rep.columnar()
+    assert rep.norm_route == "spectral"
 
 
 def test_sigma_scan_translation_covariance():
     N, delta = 3, 0.05
     Z = FourierSeries.zero(1)
     omega = np.array([PHI])
-
-    def base(s):
-        return build_T(omega, np.array([1.05]), Z, Z, N, sigma=s)
-
+    base = build_T(omega, np.array([1.05]), Z, Z, N)
     p = (2,)
     shift = float(np.dot(p, omega))
-
-    def moved(s):
-        return base(s).translate(p)
-
     targets = (0.5, 0, 1.0 / delta)
-    rep_moved = sigma_scan(moved, (-0.5, 0.5), targets,
+    rep_moved = sigma_scan(base.translate(p), (-0.5, 0.5), targets,
                            points_per_unit=400, refine_iters=25)
     rep_base = sigma_scan(base, (-0.5 + shift, 0.5 + shift), targets,
                           points_per_unit=400, refine_iters=25)
@@ -337,37 +329,96 @@ def test_sigma_scan_translation_covariance():
                                                   abs=3e-3)
 
 
-def test_sigma_scan_samples_match_direct_probe():
-    # each grid sample against a probe rebuilt here: LU inverse, its own
-    # ||G||_2, and the l1 decay mask beyond the threshold
+def _direct_probe_case(hermitian):
+    """Operator, builder and targets for the direct-probe parity tests;
+    the non-Hermitian coupling excites only the (1, 0) mode."""
     N, omega, Omega = 4, np.array([1.0, PHI]), np.array([1.17])
     amp = 0.5 * 0.05 * math.exp(-0.5)
-    B = FourierSeries.from_coeffs(2, {(1, 0): amp, (-1, 0): amp})
+    coeffs = {(1, 0): amp, (-1, 0): amp} if hermitian else {(1, 0): amp}
+    B = FourierSeries.from_coeffs(2, coeffs)
     Z = FourierSeries.zero(2)
 
     def builder(s):
         return build_T(omega, Omega, B, Z, N, sigma=s)
 
-    alpha_target, threshold, norm_target = 0.1, 2, 100.0
-    rep = sigma_scan(builder, (-1.4037, -0.9037),
-                     (alpha_target, threshold, norm_target),
+    return builder, (0.1, 2, 100.0)
+
+
+def _lu_oracle(T, targets):
+    """(passed, ||G||_2, alpha) from a fresh LU inverse, its own SVD norm
+    and the l1 decay mask beyond the threshold."""
+    alpha_target, threshold, norm_target = targets
+    G = sla.lu_solve(sla.lu_factor(T.to_dense()),
+                     np.eye(T.size, dtype=complex))
+    ks = np.array(T.region)
+    dist = np.abs(ks[:, None, :] - ks[None, :, :]).sum(axis=-1)
+    gmag = np.abs(G).reshape(T.nsites, T.nblock, T.nsites,
+                             T.nblock).max(axis=(1, 3))
+    ref_norm = float(np.linalg.norm(G, 2))
+    far = dist > threshold
+    decay_ok = bool((gmag[far] <= np.exp(-alpha_target * dist[far])).all())
+    return (ref_norm <= norm_target and decay_ok, ref_norm,
+            measure_alpha(gmag, dist, threshold))
+
+
+def test_sigma_scan_samples_match_direct_probe():
+    # spectral route: pass flags and alpha are exact against the LU oracle,
+    # the eigenvalue norm agrees with its SVD norm to rounding
+    builder, targets = _direct_probe_case(hermitian=True)
+    rep = sigma_scan(builder(0.0), (-1.4037, -0.9037), targets,
                      points_per_unit=100, refine_iters=5)
+    assert rep.norm_route == "spectral"
     assert rep.bad_intervals     # the range crosses the k = 0 window
     for s, passed, norm, alpha in rep.samples:
-        T = builder(s)
-        G = sla.lu_solve(sla.lu_factor(T.to_dense()),
-                         np.eye(T.size, dtype=complex))
-        ks = np.array(T.region)
-        dist = np.abs(ks[:, None, :] - ks[None, :, :]).sum(axis=-1)
-        gmag = np.abs(G).reshape(T.nsites, T.nblock, T.nsites,
-                                 T.nblock).max(axis=(1, 3))
-        ref_norm = float(np.linalg.norm(G, 2))
-        far = dist > threshold
-        decay_ok = bool((gmag[far] <= np.exp(-alpha_target
-                                             * dist[far])).all())
-        assert (passed, norm, alpha) == (
-            ref_norm <= norm_target and decay_ok, ref_norm,
-            measure_alpha(gmag, dist, threshold))
+        ref_passed, ref_norm, ref_alpha = _lu_oracle(builder(s), targets)
+        assert (passed, alpha) == (ref_passed, ref_alpha)
+        assert abs(norm - ref_norm) <= 1e-12 * max(1.0, ref_norm) * ref_norm
+
+
+def test_sigma_scan_svd_route_matches_direct_probe():
+    builder, targets = _direct_probe_case(hermitian=False)
+    T = builder(0.0)
+    assert not np.array_equal(T.to_dense(), T.to_dense().conj().T)
+    rep = sigma_scan(T, (-1.4037, -0.9037), targets,
+                     points_per_unit=100, refine_iters=5)
+    assert rep.norm_route == "svd"
+    assert rep.bad_intervals
+    for s, passed, norm, alpha in rep.samples:
+        assert (passed, norm, alpha) == _lu_oracle(builder(s), targets)
+
+
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_sigma_scan_flag_only_bisection_matches_full_probes(monkeypatch,
+                                                            hermitian):
+    builder, targets = _direct_probe_case(hermitian)
+    T = builder(0.0)
+    args = ((-1.4037, -0.9037), targets)
+    kw = {"points_per_unit": 100, "refine_iters": 12}
+    fast = sigma_scan(T, *args, **kw)
+    # reference: every bisection midpoint factored and fully sampled
+    monkeypatch.setattr(_Prober, "passes",
+                        lambda self, s: self.sample(s)[0])
+    ref = sigma_scan(T, *args, **kw)
+    assert fast.bad_intervals and fast.bad_intervals == ref.bad_intervals
+    assert fast.samples == ref.samples
+    flags = [row[1] for row in ref.samples]
+    boundaries = sum(a != b for a, b in zip(flags, flags[1:]))
+    assert ref.factored_probes == len(flags) + 12 * boundaries
+    if hermitian:
+        assert fast.factored_probes < ref.factored_probes
+    else:
+        assert fast.factored_probes == ref.factored_probes
+
+
+def test_sigma_scan_exactly_singular_sample():
+    # sigma = -Omega makes the k = 0 diagonal entry exactly zero
+    Z = FourierSeries.zero(1)
+    T = build_T(np.array([PHI]), np.array([1.05]), Z, Z, 3)
+    for op in (T, T.translate((0,))):
+        rep = sigma_scan(op, (-1.05, -0.95), (0.5, 0, 20.0),
+                         points_per_unit=100, refine_iters=5)
+        assert rep.samples[0] == (-1.05, False, np.inf, 0.0)
+        assert _Prober(op, (0.5, 0, 20.0), 1e12).passes(-1.05) is False
 
 
 def test_scale_config_invariants():
