@@ -15,6 +15,7 @@ divisors).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -184,6 +185,27 @@ class ParameterAtlas:
         rows = [(b.level, *b.center, b.half_width)
                 for b in sorted(self.boxes, key=lambda b: b.center)]
         return rows
+
+
+def paving_count(atlas: ParameterAtlas, levels: int) -> int | float:
+    """Boxes that `pave_and_filter` would create from `atlas` up to level
+    `levels` if no box were filtered out, found without building a grid:
+    per level, each box of half width h becomes per_axis^d children with
+    per_axis = max(1, round(h / target)), as `pave_and_filter` rounds it
+    (the boxes of one level share their half width).  Returns inf once the
+    target width underflows."""
+    d = atlas.boxes[0].d
+    hw = atlas.boxes[0].half_width
+    boxes, total = len(atlas.boxes), 0
+    for level in range(atlas.level + 1, levels + 1):
+        target = nominal_half_width(atlas.A, atlas.size_exponent, level)
+        if target == 0.0 or hw / target == math.inf:
+            return math.inf
+        per_axis = max(1, round(hw / target))
+        hw /= per_axis
+        boxes *= per_axis ** d
+        total += boxes
+    return total
 
 
 def pave_and_filter(atlas: ParameterAtlas, next_level: int, predicate

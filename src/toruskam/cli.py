@@ -10,15 +10,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 import numpy as np
 
-from .atlas import ParameterAtlas, nonresonance_predicate, pave_and_filter
+from .atlas import (ParameterAtlas, nonresonance_predicate, pave_and_filter,
+                    paving_count)
 from .config import ConfigError, RunConfig, load_config, parse_config
 from .driver import ParameterExcluded, log_csv, make_schedule, run
-from .fourier import FourierSeries
+from .fourier import FourierSeries, _l1_grid
 from .greens import CertificateGateError, check_certificate, invert_direct
 from .homological import (LatticeMatrix, NearSingularError, SmallDivisorError,
                           build_T)
@@ -33,6 +35,10 @@ EXIT_EXCLUDED = 3
 EXIT_NUMERIC = 4
 
 SCHEMA_VERSION = 1
+
+# boxes an atlas run may pave: the predicate holds about 20 kB per child box
+# at exclusion_N = 6, so this bounds one paving near 330 MB
+MAX_ATLAS_BOXES = 1 << 14
 
 
 def _jsonable(obj):
@@ -52,17 +58,20 @@ def render_report(report: dict) -> str:
 
 
 def _decaying_scalar(rng, d, eps, decay, kmax, zero_mean=True, real=True):
-    entries = {}
-    for k in np.ndindex(*(2 * kmax + 1,) * d):
-        kk = tuple(int(c) - kmax for c in k)
-        if sum(abs(c) for c in kk) > kmax:
-            continue
-        if zero_mean and not any(kk):
-            continue
-        amp = eps * np.exp(-decay * sum(abs(c) for c in kk))
-        entries[kk] = amp * (rng.standard_normal()
-                             + 1j * rng.standard_normal())
-    f = FourierSeries.from_coeffs(d, entries, cutoff=kmax)
+    """Random series with coefficient eps e^{-decay |k|_1} (a + i b) at each
+    |k|_1 <= kmax (k = 0 left out if `zero_mean`), a and b standard normal,
+    drawn pairwise in lexicographic mode order; symmetrized to a real
+    function if `real`."""
+    l1 = _l1_grid(d, kmax).ravel()
+    live = np.flatnonzero((l1 <= kmax) & ((l1 > 0) | (not zero_mean)))
+    z = rng.standard_normal((live.size, 2))
+    # one scalar np.exp per distinct |k|_1, as the per-mode form computed it
+    amp = [eps * np.exp(-decay * v) for v in range(kmax + 1)]
+    data = np.zeros(l1.size, dtype=complex)
+    data[live] += np.array([amp[v] for v in l1[live].tolist()]) \
+        * (z[:, 0] + 1j * z[:, 1])
+    f = FourierSeries(d, (1, 1), kmax,
+                      data.reshape((1, 1) + (2 * kmax + 1,) * d))
     return 0.5 * (f + f.conj_function()) if real else f
 
 
@@ -167,6 +176,12 @@ def _mode_atlas(cfg: RunConfig, out: dict):
     c = cfg.values
     atlas = ParameterAtlas.root(c["omega"], c["box"]["half_width"],
                                 A=c["A"])
+    count = paving_count(atlas, c["box"]["atlas_level"])
+    if count > MAX_ATLAS_BOXES:
+        raise ConfigError([
+            f"box.atlas_level: {c['box']['atlas_level']} levels at A = "
+            f"{c['A']} would pave up to 2^{math.log2(count):.1f} boxes, "
+            f"more than the {MAX_ATLAS_BOXES} allowed"])
     gamma = c["caps"]["gamma"]
     if gamma is None:
         gamma = 0.5 * float(np.sqrt(c["eps"]))

@@ -28,6 +28,7 @@ condition estimate, shared with `greens.invert_direct`).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -207,25 +208,34 @@ def build_boldT(omega, Omega, B: FourierSeries, Rzz: FourierSeries, N: int,
 # coefficientwise solves (homo 1 / homo 3)
 # ----------------------------------------------------------------------
 
-def _floor_of(divisor_floor, k) -> float:
-    if callable(divisor_floor):
-        return float(divisor_floor(k))
-    return float(divisor_floor)
-
-
 def _divide_by_divisor(R: FourierSeries, omega, N: int,
                        divisor_floor) -> FourierSeries:
+    """F_hat(k) = R_hat(k) / (i <k, omega>) for 0 < |k|_inf <= N.  The floor
+    (a number, or a callable of the mode tuple) is checked at every mode
+    with a nonzero coefficient; the first failure in lexicographic order
+    raises SmallDivisorError."""
     omega = np.asarray(omega, dtype=float)
     R = truncate(R, N)
-    out = {}
-    for k, v in R.coeffs().items():
-        if all(c == 0 for c in k):
-            continue
-        div = float(np.dot(k, omega))
-        if div == 0.0 or abs(div) < _floor_of(divisor_floor, k):
-            raise SmallDivisorError(k, div, _floor_of(divisor_floor, k))
-        out[k] = v / (1j * div)
-    return FourierSeries.from_coeffs(R.d, out, shape=R.shape, cutoff=R.cutoff)
+    modes = mode_grid(R.d, R.cutoff).reshape(-1, R.d)
+    coef = R.data.reshape(R.shape + (-1,))
+    live = np.flatnonzero((np.abs(coef).max(axis=(0, 1)) > 0)
+                          & np.any(modes != 0, axis=1))
+    # a stack of 1 x d rows runs np.dot's kernel once per mode, so every
+    # divisor is bit-identical to np.dot(k, omega); a single (m, d) @ (d,)
+    # product goes through gemv and can differ in the last place
+    div = np.matmul(modes[live, None, :], omega)[:, 0]
+    if callable(divisor_floor):
+        floor = np.array([float(divisor_floor(k))
+                          for k in map(tuple, modes[live].tolist())])
+    else:
+        floor = np.full(live.size, float(divisor_floor))
+    bad = np.flatnonzero((div == 0.0) | (np.abs(div) < floor))
+    if bad.size:
+        i = bad[0]
+        raise SmallDivisorError(modes[live[i]].tolist(), div[i], floor[i])
+    out = np.zeros_like(coef)
+    out[..., live] += coef[..., live] / (1j * div)
+    return FourierSeries(R.d, R.shape, R.cutoff, out.reshape(R.data.shape))
 
 
 def solve_hx(Rx: FourierSeries, omega, N: int,
@@ -314,28 +324,48 @@ def _as_column(F: FourierSeries) -> FourierSeries:
                          F.data.reshape((rows, 1) + F.data.shape[2:]))
 
 
+def _symbol_norm(T: LatticeMatrix) -> float:
+    """sum_k max(row sum, column sum) of |symbol(k)|: a bound for the 1-, 2-
+    and inf-norms of the Toeplitz part S on any region."""
+    a = np.abs(T.symbol.data)
+    return float(np.maximum(a.sum(axis=1).max(axis=0),
+                            a.sum(axis=0).max(axis=0)).sum())
+
+
 def _neumann_bound(T: LatticeMatrix) -> float | None:
-    """Gate of the matrix-free route.  ||S|| <= sum_k max(row sum, column
-    sum) of |symbol(k)| bounds the 1-, 2- and inf-norms of the Toeplitz part
-    on any region; with q = ||S|| / min|D| < 1 this returns the 1-norm
-    condition bound (max|D| + ||S||) / (min|D| (1 - q)), else None."""
+    """Gate of the matrix-free route.  With q = ||S|| / min|D| < 1 this
+    returns the 1-norm condition bound (max|D| + ||S||) / (min|D| (1 - q)),
+    else None."""
     absD = np.abs(T.diag_values())
     dmin = float(absD.min())
     if dmin == 0.0:
         return None
-    a = np.abs(T.symbol.data)
-    snorm = float(np.maximum(a.sum(axis=1).max(axis=0),
-                             a.sum(axis=0).max(axis=0)).sum())
+    snorm = _symbol_norm(T)
     q = snorm / dmin
     if q >= 1.0:
         return None
     return (float(absD.max()) + snorm) / (dmin * (1.0 - q))
 
 
+# sweeps allowed past the proven count, for the rounding of each sweep
+_SWEEP_SLACK = 16
+
+
+def _sweep_cap(T: LatticeMatrix) -> int:
+    """Sweep limit of `_neumann_solve` on a gated T.  Each sweep maps the
+    residual r to -S D^{-1} r, so after j sweeps |r| / |b| <= q^j; past
+    ceil(log 2^-52 / log q) sweeps that bound is below the rounding of b."""
+    q = _symbol_norm(T) / float(np.abs(T.diag_values()).min())
+    if q == 0.0:
+        return 1 + _SWEEP_SLACK
+    return math.ceil(-52.0 * math.log(2.0) / math.log(q)) + _SWEEP_SLACK
+
+
 def _neumann_solve(T: LatticeMatrix, b: np.ndarray, N: int):
     """Jacobi iteration u <- u + D^{-1}(b - T u) on the box layout of a
     (nblock, 1) series at cutoff N, run until the relative residual stops
-    decreasing; returns (u, residual, sweeps)."""
+    decreasing; returns (u, residual, sweeps), or None when it still
+    decreases at `_sweep_cap`, which the proven rate q rules out."""
     D = T.diag_values().T.reshape(b.shape)
 
     def residual_of(u):
@@ -346,10 +376,13 @@ def _neumann_solve(T: LatticeMatrix, b: np.ndarray, N: int):
     scale = np.linalg.norm(b)
     if scale == 0:
         return b, 0.0, 0
+    cap = _sweep_cap(T)
     u = b / D
     r = residual_of(u)
     res, sweeps = np.linalg.norm(r) / scale, 1
     while res > 0:
+        if sweeps >= cap:
+            return None
         u_next = u + r / D
         r_next = residual_of(u_next)
         res_next = np.linalg.norm(r_next) / scale
@@ -366,17 +399,20 @@ def _lattice_solve(T: LatticeMatrix, rhs: FourierSeries, N: int | None,
     invertible, Jacobi converges at rate q and cond_1(T) is at most
     (max|D| + ||S||) / (min|D| (1 - q)), which bounds gecon's estimate from
     above.  That route is taken on the full centred box when the bound is
-    within `cond_cap`; otherwise dense LU decides, as the oracle."""
+    within `cond_cap` and the iteration settles within its sweep cap;
+    otherwise dense LU decides, as the oracle."""
     Nr = max(max(abs(c) for c in k) for k in T.region)
     if N is None:
         N = Nr
     bound = _neumann_bound(T) if T.region == cube_region(T.d, Nr) else None
     if bound is not None and bound <= cond_cap:
         b = -1j * _at_cutoff(_at_cutoff(rhs, N), Nr).data
-        u, res, sweeps = _neumann_solve(T, b, Nr)
-        sol = _at_cutoff(FourierSeries(T.d, b.shape[:2], Nr, u), N)
-        return sol, LatticeSolveInfo(residual=res, condition=bound,
-                                     route="neumann", iterations=sweeps)
+        solved = _neumann_solve(T, b, Nr)
+        if solved is not None:
+            u, res, sweeps = solved
+            sol = _at_cutoff(FourierSeries(T.d, b.shape[:2], Nr, u), N)
+            return sol, LatticeSolveInfo(residual=res, condition=bound,
+                                         route="neumann", iterations=sweeps)
     dense, lu_piv, cond = _factor(T, cond_cap)
     b = -1j * _series_to_vec(T, _at_cutoff(rhs, N))
     sol = sla.lu_solve(lu_piv, b, check_finite=False)

@@ -15,10 +15,12 @@ includes.  That keeps all reported norms upper bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
+from scipy import fft as sfft
 
-from .fourier import FourierSeries, partial_x, strip_norm, truncate
+from .fourier import FourierSeries, _l1_grid, partial_x
 
 Signature = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
@@ -28,28 +30,140 @@ def weighted_degree(sig: Signature) -> int:
     return 2 * sum(a) + sum(b) + sum(c)
 
 
-def _term_vf_bound(sig: Signature, series: FourierSeries,
-                   s: float, r: float) -> float:
-    """Upper bound for the weighted vector-field norm of one monomial term.
+@lru_cache(maxsize=256)
+def _vf_weights(d: int, cutoff: int, s: float, keep: int = -1):
+    """Weights e^{s|k|_1} and |k|_1 e^{s|k|_1} over the box of `cutoff`,
+    zero on the modes |k|_inf <= keep.  Cached and shared: read-only."""
+    l1 = _l1_grid(d, cutoff)
+    w = np.exp(s * l1)
+    if keep >= 0:
+        w[(slice(cutoff - keep, cutoff + keep + 1),) * d] = 0.0
+    wl1 = w * l1
+    w.flags.writeable = wl1.flags.writeable = False
+    return w, wl1
 
-    The Hamiltonian vector field of q(x) y^a z^b zbar^c has components
+
+def _vf_sums(mags: np.ndarray, s: float, keep: int = -1):
+    """For coefficient magnitudes m over a centred box, the strip norm
+    sum_k m(k) e^{s|k|_1} and the sum of the strip norms of the d partials,
+    sum_k |k|_1 m(k) e^{s|k|_1}; modes |k|_inf <= keep are left out."""
+    if s < 0:
+        raise ValueError("s must be >= 0")
+    w, wl1 = _vf_weights(mags.ndim, (mags.shape[0] - 1) // 2, float(s), keep)
+    return float(np.sum(mags * w)), float(np.sum(mags * wl1))
+
+
+def _vf_of(sig: Signature, sigma: float, sx: float, r: float) -> float:
+    """Upper bound for the weighted vector-field norm of one monomial term
+    q(x) y^a z^b zbar^c, from the strip norm `sigma` of q and the summed
+    strip norms `sx` of its partials dq/dx_i.
+
+    The Hamiltonian vector field has components
     (dq/dy, -dq/dx, i dq/dzbar, -i dq/dz) with weights
     (1, r^-2, r^-1, r^-1) and monomial suprema |y| <= r^2, |z|,|zbar| <= r.
     """
     a, b, c = sig
     g = weighted_degree(sig)
-    sigma = strip_norm(series, s)
     out = 0.0
     if sum(a):  # dq/dy_i drops y_i: degree g-2
         out += sum(a) * sigma * r ** (g - 2)
-    # dq/dx: differentiate the series
-    sx = sum(strip_norm(partial_x(series, i), s) for i in range(series.d))
     if sx:
         out += (1.0 / r ** 2) * sx * r ** g
     nz = sum(b) + sum(c)
     if nz:
         out += (1.0 / r) * nz * sigma * r ** (g - 1)
     return out
+
+
+def _term_vf_bound(sig: Signature, series: FourierSeries,
+                   s: float, r: float) -> float:
+    """Upper bound for the weighted vector-field norm of one jet term."""
+    return _vf_of(sig, *_vf_sums(np.abs(series.data).max(axis=(0, 1)), s),
+                  r)
+
+
+# working set of one batch of pair products in `_grid_products`
+_BATCH_BYTES = 1 << 21
+
+
+def _grid_transforms(series: list, cutoff: int, L: int) -> np.ndarray:
+    """Forward transforms of scalar series, each embedded in the box of
+    `cutoff`, on the grid of L points per axis: shape (len, L, ..., L)."""
+    d = series[0].d
+    stack = np.zeros((len(series),) + (2 * cutoff + 1,) * d, dtype=complex)
+    for t, f in enumerate(series):
+        w = cutoff - f.cutoff
+        stack[(t,) + (slice(w, w + 2 * f.cutoff + 1),) * d] = f.data[0, 0]
+    return sfft.fftn(stack, s=(L,) * d, axes=tuple(range(1, d + 1)),
+                     overwrite_x=True)
+
+
+def _grid_products(P: "HamiltonianJet", Q: "HamiltonianJet"):
+    """Every pair product of the terms of P and Q on one FFT grid; returns
+    (terms, tail) as the term-by-term loop books them.
+
+    Each factor is padded to its largest cutoff N1, N2, on a grid of
+    L >= 2(N1 + N2) + 1 points per axis, where circular convolution is
+    linear convolution.  Q is transformed once and kept stacked; each term
+    of P is transformed once and multiplied pointwise against that stack,
+    and the pair products are inverse-transformed in batches of at most
+    _BATCH_BYTES.  Pair (f1, f2) keeps the modes of its own box
+    c = f1.cutoff + f2.cutoff and no others: an over-degree pair goes whole
+    into the tail bound, a pair past the cutoff cap puts its modes beyond
+    the cap there.  P's terms run outer, as in the term-by-term loop, so
+    each signature sums its pairs in the loop's order and cancels exactly
+    where the loop does (an exactly zero sum drops the term, and with it
+    its cutoff).  In a KAM step P is nearly always the larger factor: the
+    jet being transformed, against parts of the generator.
+    """
+    d = P.d
+    t1, t2 = list(P.terms.items()), list(Q.terms.items())
+    cap = P.cutoff_cap
+    booked = {}         # (i, j) -> (sig, box cutoff, kept cutoff or None)
+    width = {}          # output cutoff per kept signature, in loop order
+    for i, (s1, f1) in enumerate(t1):
+        for j, (s2, f2) in enumerate(t2):
+            sig = tuple(tuple(x + y for x, y in zip(u, v))
+                        for u, v in zip(s1, s2))
+            c = f1.cutoff + f2.cutoff
+            kept = None
+            if weighted_degree(sig) <= P.max_degree:
+                kept = c if cap is None else min(c, cap)
+                width[sig] = max(width.get(sig, 0), kept)
+            booked[i, j] = (sig, c, kept)
+    acc = {sig: np.zeros((2 * K + 1,) * d, dtype=complex)
+           for sig, K in width.items()}
+    tail = 0.0
+
+    N1 = max(f.cutoff for _, f in t1)
+    N2 = max(f.cutoff for _, f in t2)
+    N = N1 + N2
+    L = sfft.next_fast_len(2 * N + 1)
+    B = _grid_transforms([f for _, f in t2], N2, L)
+    per = max(1, min(len(t2), _BATCH_BYTES // B[0].nbytes))
+    buf = np.empty((per,) + B.shape[1:], dtype=complex)
+    for i, (_, f) in enumerate(t1):
+        a = _grid_transforms([f], N1, L)[0]
+        for start in range(0, len(t2), per):
+            stop = min(start + per, len(t2))
+            prod = np.multiply(a, B[start:stop], out=buf[:stop - start])
+            prod = sfft.ifftn(prod, axes=tuple(range(1, d + 1)),
+                              overwrite_x=True)
+            for j in range(start, stop):
+                sig, c, kept = booked[i, j]
+                fp = prod[j - start][(slice(N - c, N + c + 1),) * d]
+                if kept is None or kept < c:
+                    sums = _vf_sums(np.abs(fp), P.s_ref,
+                                    -1 if kept is None else kept)
+                    tail += _vf_of(sig, *sums, P.r_ref)
+                    if kept is None:
+                        continue
+                    fp = fp[(slice(c - kept, c + kept + 1),) * d]
+                K = width[sig]
+                acc[sig][(slice(K - kept, K + kept + 1),) * d] += fp
+    terms = {sig: FourierSeries(d, (1, 1), width[sig], v[None, None])
+             for sig, v in acc.items()}
+    return terms, tail
 
 
 @dataclass
@@ -152,30 +266,13 @@ class HamiltonianJet:
         return self._like(out, tail=0.0)
 
     def jet_product(self, other: "HamiltonianJet") -> "HamiltonianJet":
-        """Polynomial product; degree/cutoff overflow goes to `tail`."""
-        from .fourier import product as fproduct
+        """Polynomial product; degree/cutoff overflow goes to `tail`.
+        The pair products run on one FFT grid (`_grid_products`)."""
         if (self.d, self.n) != (other.d, other.n):
             raise ValueError("dimension mismatch")
-        out: dict[Signature, FourierSeries] = {}
-        extra_tail = 0.0
-        for (a1, b1, c1), f1 in self.terms.items():
-            for (a2, b2, c2), f2 in other.terms.items():
-                sig = (tuple(x + y for x, y in zip(a1, a2)),
-                       tuple(x + y for x, y in zip(b1, b2)),
-                       tuple(x + y for x, y in zip(c1, c2)))
-                fp = fproduct(f1, f2)
-                if weighted_degree(sig) > self.max_degree:
-                    extra_tail += _term_vf_bound(sig, fp, self.s_ref,
-                                                 self.r_ref)
-                    continue
-                if self.cutoff_cap is not None \
-                        and fp.cutoff > self.cutoff_cap:
-                    kept = truncate(fp, self.cutoff_cap)
-                    dropped = fp - kept.pad(fp.cutoff)
-                    extra_tail += _term_vf_bound(sig, dropped, self.s_ref,
-                                                 self.r_ref)
-                    fp = kept
-                out[sig] = out[sig] + fp if sig in out else fp
+        out, extra_tail = {}, 0.0
+        if self.terms and other.terms:
+            out, extra_tail = _grid_products(self, other)
         # bilinear coupling of the unrepresented parts (measured bookkeeping)
         cross = 0.0
         if self.tail:

@@ -6,7 +6,8 @@ import pytest
 from toruskam.atlas import (ParameterAtlas, ParameterBox, diophantine_ok,
                             k_modes, measure_fraction, melnikov1_ok,
                             monte_carlo_excluded, nominal_half_width,
-                            nonresonance_predicate, pave_and_filter)
+                            nonresonance_predicate, pave_and_filter,
+                            paving_count)
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -181,3 +182,28 @@ def test_excluded_fraction_scales_like_sqrt_eps():
         ratio = frac / math.sqrt(eps)
         assert fracs[0] / math.sqrt(epss[0]) / 3 <= ratio \
             <= fracs[0] / math.sqrt(epss[0]) * 3
+
+
+def test_paving_count_matches_pave_and_filter():
+    def keep_all(pts):
+        return np.ones(len(pts), dtype=bool)
+    for center, hw, A in (((1.0, PHI), 0.5, 2.0), ((1.0, PHI), 0.25, 4.0),
+                          ((1.0, PHI), 0.65, 2.0), ((PHI,), 0.5, 3.0),
+                          ((1.0, PHI, 2.0), 0.5, 5.0)):
+        root = ParameterAtlas.root(center, hw, A=A)
+        level1, _ = pave_and_filter(root, 1, keep_all)
+        assert paving_count(root, 1) == len(level1.boxes)
+        assert paving_count(level1, 1) == 0
+    # A near 1: level 1 keeps the root box whole, level 2 splits it
+    root = ParameterAtlas.root((1.0, PHI), 0.5, A=1.05)
+    level2, _ = pave_and_filter(pave_and_filter(root, 1, keep_all)[0], 2,
+                                keep_all)
+    assert paving_count(root, 2) == 1 + len(level2.boxes)
+
+
+def test_paving_count_of_deep_levels_without_grid():
+    root = ParameterAtlas.root((1.0, PHI), 0.5, A=2.0)
+    # level 1 halves each axis; level 2 asks for 2^15 children per axis
+    assert paving_count(root, 2) == 4 + 4 * 32768 ** 2
+    # 0.5 * 2^-(6^4) underflows: the target width is 0
+    assert paving_count(root, 6) == math.inf

@@ -2,10 +2,13 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
+from toruskam import cli
 from toruskam.cli import (EXIT_CONFIG, EXIT_EXCLUDED, EXIT_NUMERIC, EXIT_OK,
-                          dispatch, main)
+                          _decaying_scalar, dispatch, main)
+from toruskam.fourier import FourierSeries
 from toruskam.config import (ConfigError, load_config, parse_config,
                              validate)
 
@@ -232,6 +235,51 @@ def test_main_config_error_exit_2(tmp_path):
 def test_main_missing_file_exit_2(tmp_path):
     assert main(["--config", str(tmp_path / "absent.json"),
                  "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+
+def test_atlas_huge_paving_refused_exit_2(tmp_path, capsys, monkeypatch):
+    # level 2 at A = 2 would pave 4 boxes of 32768^2 children each
+    def no_paving(*args):
+        raise AssertionError("paved before refusing")
+    monkeypatch.setattr(cli, "pave_and_filter", no_paving)
+    path = write_config(tmp_path, {"mode": "atlas",
+                                   "box": {"atlas_level": 2}})
+    out = tmp_path / "o"
+    assert main(["--config", path, "--out", str(out)]) == EXIT_CONFIG
+    assert "box.atlas_level" in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert report["exit_code"] == EXIT_CONFIG
+    assert "2^32.0 boxes" in report["results"]["config_errors"][0]
+
+
+def decaying_scalar_loop(rng, d, eps, decay, kmax, zero_mean=True,
+                         real=True):
+    """The per-mode form: two scalar draws and one np.exp per mode."""
+    entries = {}
+    for k in np.ndindex(*(2 * kmax + 1,) * d):
+        kk = tuple(int(c) - kmax for c in k)
+        if sum(abs(c) for c in kk) > kmax:
+            continue
+        if zero_mean and not any(kk):
+            continue
+        amp = eps * np.exp(-decay * sum(abs(c) for c in kk))
+        entries[kk] = amp * (rng.standard_normal()
+                             + 1j * rng.standard_normal())
+    f = FourierSeries.from_coeffs(d, entries, cutoff=kmax)
+    return 0.5 * (f + f.conj_function()) if real else f
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("zero_mean", [True, False])
+@pytest.mark.parametrize("real", [True, False])
+def test_decaying_scalar_matches_mode_loop(d, zero_mean, real):
+    kmax = {1: 26, 2: 9, 3: 4}[d]
+    rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+    got = _decaying_scalar(rng, d, 1e-6, 0.7, kmax, zero_mean, real)
+    ref = decaying_scalar_loop(ref_rng, d, 1e-6, 0.7, kmax, zero_mean, real)
+    assert got.cutoff == ref.cutoff
+    assert np.array_equal(got.data, ref.data)
+    assert rng.standard_normal() == ref_rng.standard_normal()
 
 
 def test_stability_too_short_run_exit_2(tmp_path, capsys):

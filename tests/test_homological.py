@@ -8,9 +8,11 @@ import scipy.linalg as sla
 
 from toruskam.fourier import (FourierSeries, dir_derivative, partial_x,
                               product, strip_norm, truncate)
+from toruskam import homological
 from toruskam.homological import (HomologicalSolution, NearSingularError,
-                                  SmallDivisorError, _factor, _lattice_solve,
-                                  _neumann_bound, assemble_rhs,
+                                  SmallDivisorError, _divide_by_divisor,
+                                  _factor, _lattice_solve, _neumann_bound,
+                                  _sweep_cap, assemble_rhs,
                                   bold_divisor_floor, bold_symbol, build_T,
                                   build_boldT, cube_region, residual_hx,
                                   residual_lattice, solve_homological,
@@ -234,6 +236,60 @@ def test_solve_hx_divisor_floor_callable():
         solve_hx(Rx, GOLD, 2, divisor_floor=lambda k: 1.0)
 
 
+def divide_by_divisor_loop(R, omega, N, divisor_floor):
+    """The per-mode form: one np.dot and one floor call per nonzero mode."""
+    def floor_of(k):
+        if callable(divisor_floor):
+            return float(divisor_floor(k))
+        return float(divisor_floor)
+    omega = np.asarray(omega, dtype=float)
+    R = truncate(R, N)
+    out = {}
+    for k, v in R.coeffs().items():
+        if all(c == 0 for c in k):
+            continue
+        div = float(np.dot(k, omega))
+        if div == 0.0 or abs(div) < floor_of(k):
+            raise SmallDivisorError(k, div, floor_of(k))
+        out[k] = v / (1j * div)
+    return FourierSeries.from_coeffs(R.d, out, shape=R.shape, cutoff=R.cutoff)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_divide_by_divisor_matches_mode_loop(d):
+    rng = np.random.default_rng(80 + d)
+    omega = rng.standard_normal(d) * 3.0
+    cut = {1: 40, 2: 9, 3: 4}[d]
+    for rows in (1, d):
+        box = (rows, 1) + (2 * cut + 1,) * d
+        data = rng.standard_normal(box) + 1j * rng.standard_normal(box)
+        data[..., rng.random(box[2:]) < 0.3] = 0.0   # modes left unchecked
+        R = FourierSeries(d, (rows, 1), cut, data)
+        for N, floor in ((cut, 0.0), (cut - 1, 1e-9),
+                         (cut, lambda k: 1e-6 * max(sum(map(abs, k)), 1))):
+            got = _divide_by_divisor(R, omega, N, floor)
+            ref = divide_by_divisor_loop(R, omega, N, floor)
+            assert got.cutoff == ref.cutoff
+            assert np.array_equal(got.data, ref.data)
+
+
+def test_divide_by_divisor_names_first_offending_mode():
+    # omega = (2, 3): (3, -2) and (-3, 2) kill the divisor exactly; the
+    # callable floor also fails at (-3, 0) and (-1, 1)
+    coeffs = {(3, -2): 1.0, (-3, 2): 1.0, (2, 1): 1.0, (-1, 1): 1.0,
+              (-3, 0): 1.0, (1, 1): 1.0}
+    R = FourierSeries.from_coeffs(D, coeffs, cutoff=3)
+    for floor, first in ((1e-8, (-3, 2)),
+                         (lambda k: 7.0 if k[0] < 0 else 0.0, (-3, 0))):
+        with pytest.raises(SmallDivisorError) as got:
+            _divide_by_divisor(R, (2.0, 3.0), 3, floor)
+        with pytest.raises(SmallDivisorError) as ref:
+            divide_by_divisor_loop(R, (2.0, 3.0), 3, floor)
+        assert got.value.k == first
+        assert (got.value.k, got.value.value, got.value.floor) \
+            == (ref.value.k, ref.value.value, ref.value.floor)
+
+
 def test_solve_hy_constant_is_pure_shift():
     c = np.array([[0.5], [0.25]])
     R = FourierSeries.constant(D, c)
@@ -450,6 +506,41 @@ def test_dense_fallback_selection():
         assert info.route == "dense" and info.iterations == 0
         assert np.array_equal(lattice_vec(T, Fz), lu_reference(T, rhs))
         assert info.condition == _factor(T, np.inf)[2]
+
+
+def q99_operator(N=3):
+    """A constant symbol at 0.99 min|D|: Jacobi contracts at nearly q = 0.99
+    on the site of smallest |D|, so it needs thousands of sweeps."""
+    Z = FourierSeries.zero(D)
+    omega, Omega = 0.1 * GOLD, np.array([1.3])
+    dmin = np.abs(build_T(omega, Omega, Z, Z, N).diag_values()).min()
+    return build_T(omega, Omega, FourierSeries.constant(D, [[0.99 * dmin]]),
+                   Z, N)
+
+
+def test_neumann_sweeps_capped_at_q99():
+    rng = np.random.default_rng(74)
+    T = q99_operator()
+    assert contraction_q(T) == pytest.approx(0.99, rel=1e-12)
+    cap = _sweep_cap(T)
+    assert cap == math.ceil(math.log(2.0 ** -52) / math.log(0.99)) + 16
+    rhs = random_column(rng, 1, 3)
+    Fz, _, info = solve_hz(T, rhs)
+    assert info.route == "neumann"
+    assert 3000 < info.iterations <= cap
+    ref = lu_reference(T, rhs)
+    assert np.linalg.norm(lattice_vec(T, Fz) - ref) \
+        <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_neumann_past_sweep_cap_falls_back_to_dense(monkeypatch):
+    rng = np.random.default_rng(75)
+    T = q99_operator()
+    rhs = random_column(rng, 1, 3)
+    monkeypatch.setattr(homological, "_sweep_cap", lambda T: 100)
+    Fz, _, info = solve_hz(T, rhs)
+    assert info.route == "dense" and info.iterations == 0
+    assert np.array_equal(lattice_vec(T, Fz), lu_reference(T, rhs))
 
 
 def test_kam_size_solve_builds_no_dense():

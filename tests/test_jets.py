@@ -1,15 +1,20 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toruskam.fourier import FourierSeries
-from toruskam.jets import (HamiltonianJet, NormalForm, check_reality,
-                           component_x, component_y, component_z,
-                           conjugate_jet, jet_from_parts, lie_transform,
-                           matrix_zz, matrix_zzbar, poisson_bracket,
-                           split_low_high, vf_norm, weighted_degree)
+from toruskam import jets
+from toruskam.fourier import (FourierSeries, partial_x, product, strip_norm,
+                              truncate)
+from toruskam.jets import (HamiltonianJet, NormalForm, _term_vf_bound,
+                           check_reality, component_x, component_y,
+                           component_z, conjugate_jet, jet_from_parts,
+                           lie_transform, matrix_zz, matrix_zzbar,
+                           poisson_bracket, split_low_high, vf_norm,
+                           weighted_degree)
 
 D, N = 2, 2
 ZD, ZN = (0,) * D, (0,) * N
@@ -118,6 +123,193 @@ def test_vf_norm_subadditive():
     P, Q = random_jet(rng), random_jet(rng)
     s, r = 0.4, 0.6
     assert vf_norm(P + Q, s, r) <= vf_norm(P, s, r) + vf_norm(Q, s, r) + 1e-12
+
+
+# ----------------------------------------------------------------------
+# the FFT-grid products against the term-by-term loop
+# ----------------------------------------------------------------------
+
+def oracle_term_vf_bound(sig, series, s, r):
+    """The vector-field bound with one partial_x copy per axis."""
+    a, b, c = sig
+    g = weighted_degree(sig)
+    sigma = strip_norm(series, s)
+    out = 0.0
+    if sum(a):
+        out += sum(a) * sigma * r ** (g - 2)
+    sx = sum(strip_norm(partial_x(series, i), s) for i in range(series.d))
+    if sx:
+        out += (1.0 / r ** 2) * sx * r ** g
+    nz = sum(b) + sum(c)
+    if nz:
+        out += (1.0 / r) * nz * sigma * r ** (g - 1)
+    return out
+
+
+def oracle_vf_norm(P, s, r):
+    return sum(oracle_term_vf_bound(sig, f, s, r)
+               for sig, f in P.terms.items()) + P.tail
+
+
+def oracle_jet_product(self, other):
+    """The term-by-term loop: one fourier.product per pair of terms."""
+    out, extra_tail = {}, 0.0
+    for (a1, b1, c1), f1 in self.terms.items():
+        for (a2, b2, c2), f2 in other.terms.items():
+            sig = (tuple(x + y for x, y in zip(a1, a2)),
+                   tuple(x + y for x, y in zip(b1, b2)),
+                   tuple(x + y for x, y in zip(c1, c2)))
+            fp = product(f1, f2)
+            if weighted_degree(sig) > self.max_degree:
+                extra_tail += oracle_term_vf_bound(sig, fp, self.s_ref,
+                                                   self.r_ref)
+                continue
+            if self.cutoff_cap is not None and fp.cutoff > self.cutoff_cap:
+                kept = truncate(fp, self.cutoff_cap)
+                dropped = fp - kept.pad(fp.cutoff)
+                extra_tail += oracle_term_vf_bound(sig, dropped, self.s_ref,
+                                                   self.r_ref)
+                fp = kept
+            out[sig] = out[sig] + fp if sig in out else fp
+    cross = 0.0
+    if self.tail:
+        cross += self.tail * (oracle_vf_norm(other, other.s_ref, other.r_ref)
+                              + other.tail)
+    if other.tail:
+        cross += other.tail * oracle_vf_norm(self, self.s_ref, self.r_ref)
+    return self._like(out, tail=0.0, extra_tail=extra_tail + cross)
+
+
+@pytest.fixture
+def oracle(monkeypatch):
+    """Run a callable with the term-by-term product and bound in place."""
+    def run(fn, *args, **kw):
+        with monkeypatch.context() as m:
+            m.setattr(HamiltonianJet, "jet_product", oracle_jet_product)
+            m.setattr(jets, "vf_norm", oracle_vf_norm)
+            return fn(*args, **kw)
+    return run
+
+
+def signatures(d, n, degree):
+    """Every signature of weighted degree <= degree for (d, n)."""
+    out = []
+    for a in itertools.product(range(degree // 2 + 1), repeat=d):
+        for b in itertools.product(range(degree + 1), repeat=n):
+            for c in itertools.product(range(degree + 1), repeat=n):
+                if weighted_degree((a, b, c)) <= degree:
+                    out.append((a, b, c))
+    return out
+
+
+def mixed_jet(rng, d, n, count, max_cutoff, degree=3, tail=0.0, **kw):
+    """`count` random terms of weighted degree <= degree, each at its own
+    cutoff in [0, max_cutoff] (the largest cutoff always occurs)."""
+    sigs = signatures(d, n, degree)
+    pick = rng.choice(len(sigs), size=min(count, len(sigs)), replace=False)
+    terms = {}
+    for t, idx in enumerate(pick):
+        cut = max_cutoff if t == 0 else int(rng.integers(0, max_cutoff + 1))
+        box = (1, 1) + (2 * cut + 1,) * d
+        data = rng.standard_normal(box) + 1j * rng.standard_normal(box)
+        terms[sigs[idx]] = FourierSeries(d, (1, 1), cut, data)
+    return HamiltonianJet(d, n, terms, tail=tail, **kw)
+
+
+def assert_jets_agree(got, ref, rtol=1e-12):
+    """Coefficients within rtol of the jet's largest one, equal output
+    cutoffs, tails within rtol.  A term only one side has must be rounding
+    noise: some signatures cancel exactly in a bracket."""
+    tol = rtol * ref.max_abs_coeff()
+    for sig in set(got.terms) | set(ref.terms):
+        if sig in got.terms and sig in ref.terms:
+            g, f = got.terms[sig], ref.terms[sig]
+            assert g.cutoff == f.cutoff, sig
+            assert np.abs(g.data - f.data).max() <= tol, sig
+        else:
+            assert got.term(sig).max_abs_coeff() <= tol, sig
+            assert ref.term(sig).max_abs_coeff() <= tol, sig
+    assert got.tail == pytest.approx(ref.tail, rel=rtol, abs=0.0)
+
+
+# (d, n, max cutoff of a factor, cutoff cap)
+GRID_CASES = [(1, 1, 7, 9), (1, 2, 5, None), (2, 1, 4, 6), (2, 2, 3, 4),
+              (3, 1, 2, 2), (3, 2, 2, None)]
+
+
+@pytest.mark.parametrize("d, n, cut, cap", GRID_CASES)
+def test_grid_jet_product_matches_pair_loop(oracle, d, n, cut, cap):
+    rng = np.random.default_rng(100 * d + n)
+    kw = dict(max_degree=4, cutoff_cap=cap, s_ref=0.3, r_ref=0.5)
+    # degree-3 factors: pairs up to degree 6 overflow max_degree 4
+    P = mixed_jet(rng, d, n, 7, cut, tail=1e-3, **kw)
+    Q = mixed_jet(rng, d, n, 5, cut - 1, tail=2e-3, **kw)
+    for F, G in ((P, Q), (Q, P), (P, P)):
+        # the lambda looks jet_product up inside the patched context
+        assert_jets_agree(F.jet_product(G), oracle(lambda: F.jet_product(G)))
+    over = [1 for a in P.terms for b in Q.terms
+            if weighted_degree(tuple(tuple(x + y for x, y in zip(u, v))
+                                     for u, v in zip(a, b))) > 4]
+    assert over, "no over-degree pair in the case"
+    if cap is not None:
+        assert any(f.cutoff + g.cutoff > cap for f in P.terms.values()
+                   for g in Q.terms.values())
+
+
+@pytest.mark.parametrize("d, n, cut, cap", GRID_CASES)
+def test_grid_bracket_and_lie_transform_match_pair_loop(oracle, d, n, cut,
+                                                        cap):
+    rng = np.random.default_rng(200 * d + n)
+    kw = dict(max_degree=4, cutoff_cap=cap, s_ref=0.3, r_ref=0.5)
+    H = mixed_jet(rng, d, n, 6, cut, degree=4, tail=1e-4, **kw)
+    F = 1e-5 * mixed_jet(rng, d, n, 5, cut - 1, degree=2, tail=1e-3, **kw)
+    assert_jets_agree(poisson_bracket(H, F), oracle(poisson_bracket, H, F))
+    got = lie_transform(H, F, order=2)
+    ref = oracle(lie_transform, H, F, order=2)
+    assert_jets_agree(got.jet, ref.jet)
+    assert got.tail_bound == pytest.approx(ref.tail_bound, rel=1e-12)
+    assert got.term_norms == pytest.approx(ref.term_norms, rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_closed_form_term_bound_matches_partial_x_sum(d):
+    rng = np.random.default_rng(30 + d)
+    for sig in signatures(d, 1, 4):
+        cut = int(rng.integers(0, 6 - d))
+        box = (1, 1) + (2 * cut + 1,) * d
+        f = FourierSeries(d, (1, 1), cut, rng.standard_normal(box)
+                          + 1j * rng.standard_normal(box))
+        for s in (0.0, 0.3, 1.7):
+            ref = oracle_term_vf_bound(sig, f, s, 0.4)
+            assert _term_vf_bound(sig, f, s, 0.4) == pytest.approx(
+                ref, rel=1e-13, abs=0.0)
+
+
+def test_grid_product_memory_is_batched(monkeypatch):
+    # every pair is over degree, so no output terms are built.  Q's 58
+    # transforms on the 66 x 66 grid take 3.9 MB; one row of unbatched pair
+    # products would take as much again, the 256 KiB batch a fifteenth
+    monkeypatch.setattr(jets, "_BATCH_BYTES", 1 << 18)
+    rng = np.random.default_rng(41)
+    sigs = [s for s in signatures(2, 2, 4) if weighted_degree(s) == 4]
+    box = (1, 1, 33, 33)
+
+    def deg4_jet(count):
+        return HamiltonianJet(2, 2, {
+            sig: FourierSeries(2, (1, 1), 16, rng.standard_normal(box)
+                               + 1j * rng.standard_normal(box))
+            for sig in sigs[:count]}, max_degree=4, s_ref=0.3, r_ref=0.5)
+
+    P, Q = deg4_jet(4), deg4_jet(58)
+    stack = 58 * 66 ** 2 * 16
+    tracemalloc.start()
+    try:
+        out = P.jet_product(Q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not out.terms and out.tail > 0
+    assert peak - stack <= 1.5 * 2 ** 20
 
 
 # ----------------------------------------------------------------------
