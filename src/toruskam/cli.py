@@ -40,6 +40,11 @@ SCHEMA_VERSION = 1
 # at exclusion_N = 6, so this bounds one paving near 330 MB
 MAX_ATLAS_BOXES = 1 << 14
 
+# grid points a sigma scan may probe: the default section has 2001, and a
+# probe at N = 8 takes about a millisecond, so this bounds a scan's grid
+# near a minute
+MAX_SIGMA_POINTS = 2 ** 16
+
 
 def _jsonable(obj):
     if isinstance(obj, dict):
@@ -240,6 +245,14 @@ def _mode_greens(cfg: RunConfig, out: dict):
 def _mode_sigma_scan(cfg: RunConfig, out: dict):
     c = cfg.values
     sc = c["sigma_scan"]
+    lo, hi = sc["range"]
+    span = (hi - lo) * sc["points_per_unit"]
+    # the grid has ceil(span) + 1 points; the negated test refuses inf too
+    if not span <= MAX_SIGMA_POINTS - 1:
+        raise ConfigError([
+            f"sigma_scan: range [{lo}, {hi}] at points_per_unit "
+            f"{sc['points_per_unit']} would probe {span + 1:.4g} grid "
+            f"points, more than the {MAX_SIGMA_POINTS} allowed"])
     rep = sigma_scan(_greens_operator(cfg), tuple(sc["range"]),
                      (sc["alpha_target"], sc["threshold"],
                       sc["norm_target"]),
@@ -253,6 +266,7 @@ def _mode_sigma_scan(cfg: RunConfig, out: dict):
         "samples": len(rep.samples),
         "norm_route": rep.norm_route,
         "factored_probes": rep.factored_probes,
+        "components": list(rep.components),
     }
     out["csv"] = {"sigma_scan.csv": rep.columnar()}
     out["summary"] = (f"sigma-scan: bad measure {rep.bad_measure:.4e} "

@@ -9,13 +9,19 @@ transferred certificates are produced by explicit numeric contraction
 arguments, never by asymptotic constants, so that direct inversion can always
 be used as a soundness oracle.
 
-One certificate kernel: `_lu_inverse` is the one gated LU inverse (with
-`homological._factor`) and its site magnitudes, shared by `invert_direct`
-and the sigma-scan probes; `invert_direct` adds the measured ||G||_2, kept
-in `extra["measured_norm"]` for its callers, and the certificate;
-`_site_magnitudes` is the per-site-pair block maximum and
-`decay_certificate` the b-exponent for every emitted certificate.  `certify`
-keeps its own SVD, as the independent soundness oracle.
+One certificate kernel: an operator's inverse is block diagonal on the
+connected components of its off-diagonal pattern
+(`LatticeMatrix.components`), so `_block_inverse` inverts the diagonal
+blocks, one batched LU with partial pivoting per component size, and gates
+on the exact condition number cond_1 = max_b ||T_b||_1 max_b ||G_b||_1
+(at least the LAPACK gecon estimate of the dense form, up to rounding).
+It is shared by `invert_direct` and the sigma-scan probes; `invert_direct`
+scatters the blocks into the full G its callers read and adds the measured
+||G||_2 = max_b ||G_b||_2, kept in `extra["measured_norm"]`, and the
+certificate.  `_site_magnitudes` is the per-site-pair block maximum and
+`decay_certificate` the b-exponent for every emitted certificate.
+`certify` keeps its own SVD of the full G, as the independent soundness
+oracle.
 """
 
 from __future__ import annotations
@@ -23,9 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg as sla
 
-from .homological import LatticeMatrix, _factor
+from .homological import LatticeMatrix, NearSingularError
 
 ALPHA_CAP = 50.0   # stored decay rate for exactly-banded/diagonal inverses
 
@@ -60,9 +65,10 @@ def site_distances(region) -> np.ndarray:
 
 
 def _site_magnitudes(G: np.ndarray, nsites: int, nblock: int) -> np.ndarray:
-    """max block magnitude per site pair, shape (nsites, nsites)."""
-    R = np.abs(G).reshape(nsites, nblock, nsites, nblock)
-    return R.max(axis=(1, 3))
+    """max block magnitude per site pair, shape (..., nsites, nsites) for a
+    stack of matrices G of shape (..., nsites nblock, nsites nblock)."""
+    R = np.abs(G).reshape(G.shape[:-2] + (nsites, nblock, nsites, nblock))
+    return R.max(axis=(-3, -1))
 
 
 def measure_alpha(gmag: np.ndarray, dist: np.ndarray, threshold: int,
@@ -94,21 +100,58 @@ def decay_certificate(norm: float, alpha: float, threshold: int,
                             provenance=provenance, extra=extra)
 
 
-def _lu_inverse(T: LatticeMatrix, cond_cap: float, eye: np.ndarray):
-    """(G, site magnitudes of G, condition estimate) from the gated LU of T,
-    solved against the identity `eye`; raises NearSingularError."""
-    _, lu_piv, cond = _factor(T, cond_cap)
-    G = sla.lu_solve(lu_piv, eye, check_finite=False)
-    return G, _site_magnitudes(G, T.nsites, T.nblock), cond
+def _component_blocks(T: LatticeMatrix) -> list:
+    """(sites, rows, blocks) per component size of T: the (c, s) site
+    indices of its c components of s sites, their (c, s nblock) dense-form
+    rows and the (c, s nblock, s nblock) diagonal blocks of the dense form."""
+    dense = T.to_dense()
+    out = []
+    for sites in T.components():
+        rows = (sites[:, :, None] * T.nblock
+                + np.arange(T.nblock)).reshape(len(sites), -1)
+        out.append((sites, rows, dense[rows[:, :, None], rows[:, None, :]]))
+    return out
+
+
+def _block_inverse(blocks: list, nblock: int, cond_cap: float):
+    """(inverses, site magnitudes, cond_1) of a block-diagonal operator
+    given by its diagonal blocks, one (c, k, k) stack per block size.
+
+    Each stack takes one batched LU with partial pivoting against the
+    identity (`np.linalg.inv`).  The gate is the exact
+    cond_1 = max_b ||T_b||_1 max_b ||G_b||_1; an exactly singular block
+    raises NearSingularError(inf), a cond_1 beyond `cond_cap` (or NaN)
+    NearSingularError(cond_1)."""
+    try:
+        inverses = [np.linalg.inv(B) for B in blocks]
+    except np.linalg.LinAlgError:
+        raise NearSingularError(np.inf) from None
+    anorm = max(float(np.abs(B).sum(axis=-2).max()) for B in blocks)
+    gnorm = max(float(np.abs(G).sum(axis=-2).max()) for G in inverses)
+    cond = anorm * gnorm
+    if not cond <= cond_cap:
+        raise NearSingularError(cond)
+    gmags = [_site_magnitudes(G, G.shape[-1] // nblock, nblock)
+             for G in inverses]
+    return inverses, gmags, cond
 
 
 def invert_direct(T: LatticeMatrix, threshold: int = 0,
                   cond_cap: float = 1e12):
-    """Dense inverse plus a certificate with fields measured from it; `extra`
-    holds the condition estimate and ||G||_2 before the 1e-6 inflation."""
-    G, gmag, cond = _lu_inverse(T, cond_cap, np.eye(T.size, dtype=complex))
+    """Inverse (block by block, on T's components) plus a certificate with
+    fields measured from it; `extra` holds the exact cond_1 and ||G||_2
+    before the 1e-6 inflation."""
+    parts = _component_blocks(T)
+    inverses, gmags, cond = _block_inverse([B for _, _, B in parts],
+                                           T.nblock, cond_cap)
+    G = np.zeros((T.size, T.size), dtype=complex)
+    gmag = np.zeros((T.nsites, T.nsites))
+    for (sites, rows, _), Gb, gb in zip(parts, inverses, gmags):
+        G[rows[:, :, None], rows[:, None, :]] = Gb
+        gmag[sites[:, :, None], sites[:, None, :]] = gb
     dist = site_distances(T.region)
-    measured = float(np.linalg.norm(G, 2))
+    measured = max(float(np.linalg.norm(Gb, 2, axis=(-2, -1)).max())
+                   for Gb in inverses)
     alpha = measure_alpha(gmag, dist, threshold)
     cert = decay_certificate(measured * (1 + 1e-6), alpha, threshold, dist,
                              T.region, "direct",

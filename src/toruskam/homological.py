@@ -23,7 +23,7 @@ with q = ||S|| / min|D| < 1 (||S|| bounded by the symbol's mode sum), T is
 invertible and is solved matrix-free by the Jacobi iteration
 u <- u + D^{-1}(b - T u), whose matvec is the series product truncated to
 the box.  Otherwise it factors with `_factor` (dense LU plus a LAPACK
-condition estimate, shared with `greens.invert_direct`).
+condition estimate).
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as sla
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from .fourier import (FourierSeries, dir_derivative, mode_grid, product,
                       strip_norm, truncate)
@@ -94,10 +96,11 @@ class LatticeMatrix:
     def site_array(self) -> np.ndarray:
         return np.array(self.region, dtype=int)
 
-    def diag_values(self) -> np.ndarray:
-        """D(j,k) per (site, block), shape (nsites, nblock)."""
+    def diag_values(self, sigma: float | None = None) -> np.ndarray:
+        """D(j,k) per (site, block), shape (nsites, nblock), at the shift
+        `sigma` (default: the operator's own)."""
         ks = self.site_array()
-        kw = ks @ self.omega + self.sigma
+        kw = ks @ self.omega + (self.sigma if sigma is None else sigma)
         return kw[:, None] + self.diag_block[None, :]
 
     def to_dense(self) -> np.ndarray:
@@ -115,15 +118,36 @@ class LatticeMatrix:
         flat = gather * inside[None, None, :, :]
         # (nb, nb, m, m) -> (m, nb, m, nb)
         T = np.transpose(flat, (2, 0, 3, 1)).reshape(m * nb, m * nb).copy()
-        T[np.arange(m * nb), np.arange(m * nb)] = self._dense_diagonal()
+        T[np.arange(m * nb), np.arange(m * nb)] = self.dense_diagonal()
         self._dense = T
         return T
 
-    def _dense_diagonal(self) -> np.ndarray:
-        """Diagonal of the dense form: the symbol's centre block plus D."""
+    def dense_diagonal(self, sigma: float | None = None) -> np.ndarray:
+        """Diagonal of the dense form at the shift `sigma` (default: the
+        operator's own): the symbol's centre block plus D."""
         centre = self.symbol.data[(slice(None), slice(None))
                                   + (self.symbol.cutoff,) * self.d]
-        return (np.diagonal(centre)[None, :] + self.diag_values()).ravel()
+        return (np.diagonal(centre)[None, :]
+                + self.diag_values(sigma)).ravel()
+
+    def components(self) -> list:
+        """Site indices of the connected components of the off-diagonal
+        pattern, two sites coupled when any block entry between them is
+        nonzero; one (count, size) array per component size, sizes
+        ascending, sites ascending within a component.  sigma moves only
+        the diagonal, so the components hold for every sigma."""
+        m, nb = self.nsites, self.nblock
+        coupled = (self.to_dense() != 0).reshape(m, nb, m, nb).any(
+            axis=(1, 3))
+        _, labels = connected_components(sparse.csr_array(coupled),
+                                         directed=False)
+        sizes = np.bincount(labels)
+        groups = []
+        for size in np.unique(sizes):
+            sites = np.flatnonzero(sizes[labels] == size)
+            order = np.argsort(labels[sites], kind="stable")
+            groups.append(sites[order].reshape(-1, size))
+        return groups
 
     def translate(self, p) -> "LatticeMatrix":
         """The same operator restricted to region + p (Toeplitz shift)."""
@@ -133,15 +157,8 @@ class LatticeMatrix:
         return replace(self, region=region, _dense=None)
 
     def with_sigma(self, sigma: float) -> "LatticeMatrix":
-        """The same operator with shift sigma; a cached dense form is
-        carried forward with only its diagonal rewritten."""
-        out = replace(self, sigma=float(sigma), _dense=None)
-        if self._dense is not None:
-            dense = self._dense.copy()
-            i = np.arange(self.size)
-            dense[i, i] = out._dense_diagonal()
-            out._dense = dense
-        return out
+        """The same operator with shift sigma."""
+        return replace(self, sigma=float(sigma), _dense=None)
 
 
 def _lattice_operator(omega, Omega, B: FourierSeries, Rzz: FourierSeries,

@@ -21,9 +21,9 @@ from dataclasses import dataclass, replace as _dc_replace
 import numpy as np
 import scipy.linalg as sla
 
-from .greens import (CertificateGateError, DecayCertificate, _lu_inverse,
-                     _site_magnitudes, decay_certificate, invert_direct,
-                     measure_alpha, site_distances)
+from .greens import (CertificateGateError, DecayCertificate, _block_inverse,
+                     _component_blocks, _site_magnitudes, decay_certificate,
+                     invert_direct, measure_alpha, site_distances)
 from .homological import LatticeMatrix, NearSingularError
 
 
@@ -544,6 +544,7 @@ class SigmaScanReport:
     bad_fraction: float
     norm_route: str           # "spectral" (Hermitian T) or "svd"
     factored_probes: int      # probes that ran an LU factorization
+    components: tuple         # (count, largest size) of T's components
 
     def columnar(self) -> str:
         lines = ["sigma pass norm alpha"]
@@ -553,9 +554,14 @@ class SigmaScanReport:
 
 
 class _Prober:
-    """Probes of T + sigma with the work shared by a whole scan done once:
-    the dense form at sigma = 0, its eigenvalues when it is Hermitian,
-    the site distances, the far-pair mask and the identity right side."""
+    """Probes of T + sigma in the block basis of T's connected components,
+    with the work shared by a whole scan done once: the components, the
+    diagonal blocks of the dense form at sigma = 0, the eigenvalues when it
+    is Hermitian, and the in-block site distances and far-pair mask.
+
+    A probe rewrites only the block diagonals.  Site pairs in different
+    components are structural zeros of G: they pass the decay test and
+    carry no rate, so the test and alpha run on the in-block pairs alone."""
 
     def __init__(self, T: LatticeMatrix, targets, cond_cap: float):
         self.alpha_target, self.threshold, self.norm_target = targets
@@ -564,16 +570,23 @@ class _Prober:
         D = self.T0.to_dense()
         self.lam = np.linalg.eigvalsh(D) \
             if np.array_equal(D, D.conj().T) else None
-        self.dist = site_distances(T.region)
+        parts = _component_blocks(self.T0)
+        self.blocks0 = [(rows, B) for _, rows, B in parts]
+        dist = site_distances(T.region)
+        self.dist = np.concatenate([dist[sites[:, :, None],
+                                         sites[:, None, :]].ravel()
+                                    for sites, _, _ in parts])
         self.far = self.dist > self.threshold
-        self.eye = np.eye(T.size, dtype=complex)
+        self.components = (sum(len(sites) for sites, _, _ in parts),
+                           parts[-1][0].shape[1])
         self.factored = 0
 
-    def _norm(self, sigma: float, G) -> float:
+    def _norm(self, sigma: float, inverses) -> float:
         """||G||_2: 1 / min |lambda + sigma| on the spectral route (G is
-        not read), the SVD of G otherwise."""
+        not read), max_b ||G_b||_2 otherwise."""
         if self.lam is None:
-            return float(np.linalg.norm(G, 2))
+            return max(float(np.linalg.norm(G, 2, axis=(-2, -1)).max())
+                       for G in inverses)
         gap = float(np.abs(self.lam + sigma).min())
         return np.inf if gap == 0.0 else 1.0 / gap
 
@@ -581,12 +594,20 @@ class _Prober:
         """(passed, ||G||_2, measured alpha); (False, inf, 0.0) when T + sigma
         fails the condition gate."""
         self.factored += 1
+        diag = self.T0.dense_diagonal(float(sigma))
+        blocks = []
+        for rows, B0 in self.blocks0:
+            B = B0.copy()
+            i = np.arange(rows.shape[1])
+            B[:, i, i] = diag[rows]
+            blocks.append(B)
         try:
-            G, gmag, _ = _lu_inverse(self.T0.with_sigma(sigma),
-                                     self.cond_cap, self.eye)
+            inverses, gmags, _ = _block_inverse(blocks, self.T0.nblock,
+                                                self.cond_cap)
         except NearSingularError:
             return False, np.inf, 0.0
-        norm = self._norm(sigma, G)
+        norm = self._norm(sigma, inverses)
+        gmag = np.concatenate([g.ravel() for g in gmags])
         decay_ok = _decays(gmag, self.dist, self.far, self.alpha_target)
         return (bool(norm <= self.norm_target and decay_ok), norm,
                 measure_alpha(gmag, self.dist, self.threshold))
@@ -608,12 +629,14 @@ def sigma_scan(T: LatticeMatrix, sigma_range, targets,
     threshold, norm_target); failing windows are localized by bisection
     refinement at the pass/fail boundaries.
 
-    Every probe factors T + sigma with the condition gate and takes the
-    decay test and alpha from the LU inverse.  When T is exactly Hermitian,
-    ||G||_2 = 1 / min |lambda + sigma| from one eigvalsh per scan ("spectral"
-    route); otherwise each probe takes an SVD of G ("svd" route).  The
-    bisection needs only the pass flag, so a Hermitian bisection probe whose
-    norm already misses the target is not factored."""
+    Every probe factors T + sigma on T's connected components, one batched
+    LU per component size, gated on the exact cond_1 of the blocks, and
+    takes the decay test and alpha from the in-block entries of G.  When T
+    is exactly Hermitian, ||G||_2 = 1 / min |lambda + sigma| from one
+    eigvalsh per scan ("spectral" route); otherwise it is the largest block
+    norm max_b ||G_b||_2 ("svd" route).  The bisection needs only the pass
+    flag, so a Hermitian bisection probe whose norm already misses the
+    target is not factored."""
     lo, hi = float(sigma_range[0]), float(sigma_range[1])
     npts = max(int(np.ceil((hi - lo) * points_per_unit)) + 1, 2)
     grid = np.linspace(lo, hi, npts)
@@ -657,7 +680,8 @@ def sigma_scan(T: LatticeMatrix, sigma_range, targets,
                            else 0.0,
                            norm_route="svd" if prober.lam is None
                            else "spectral",
-                           factored_probes=prober.factored)
+                           factored_probes=prober.factored,
+                           components=prober.components)
 
 
 def diagonal_bad_measure(omega, Omega, region, delta, sigma_range) -> float:

@@ -174,6 +174,19 @@ def test_sigma_scan_mode(tmp_path):
     assert (tmp_path / "out" / "sigma_scan.csv").read_text().splitlines()[0]
 
 
+def test_sigma_scan_reports_components(tmp_path):
+    # mode (1, 0) on [-8, 8]^2 splits the lattice into 17 chains of 17
+    cfg = load_config({"mode": "sigma-scan", "omega": [1.0, PHI],
+                       "perturbation": {"mode": [1, 0]},
+                       "greens": {"N": 8, "coupling_eps": 0.05},
+                       "sigma_scan": {"range": [-0.2, -0.1],
+                                      "points_per_unit": 100.0,
+                                      "refine_iters": 3}})
+    assert dispatch(cfg, str(tmp_path / "out")) == EXIT_OK
+    rep = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert rep["results"]["components"] == [17, 17]
+
+
 def test_verify_replays_report(tmp_path):
     cfg = load_config(stability_config(perturbation={"kind": "zero"}))
     assert dispatch(cfg, str(tmp_path / "a")) == EXIT_OK
@@ -250,6 +263,38 @@ def test_atlas_huge_paving_refused_exit_2(tmp_path, capsys, monkeypatch):
     report = json.loads((out / "report.json").read_text())
     assert report["exit_code"] == EXIT_CONFIG
     assert "2^32.0 boxes" in report["results"]["config_errors"][0]
+
+
+class _Scanned(Exception):
+    """Raised by the stand-in scan: the config got past the size check."""
+
+
+@pytest.mark.parametrize("lo, hi, ppu, refused", [
+    (-1.0, 1.0, 1000.0, False),           # the default section, 2001 points
+    (0.0, 1.0, 65535.0, False),           # 2^16 points, the largest allowed
+    (0.0, 1.0, 65536.0, True),
+    (-1.0, 1.0, 1e300, True),
+    (0.0, 1.0, math.inf, True),
+])
+def test_sigma_scan_grid_cap(tmp_path, capsys, monkeypatch, lo, hi, ppu,
+                             refused):
+    def stand_in(*args, **kwargs):
+        raise _Scanned
+    monkeypatch.setattr(cli, "sigma_scan", stand_in)
+    path = write_config(tmp_path, {"mode": "sigma-scan",
+                                   "sigma_scan": {"range": [lo, hi],
+                                                  "points_per_unit": ppu}})
+    out = tmp_path / "o"
+    if not refused:
+        with pytest.raises(_Scanned):
+            main(["--config", path, "--out", str(out)])
+        return
+    assert main(["--config", path, "--out", str(out)]) == EXIT_CONFIG
+    msg = f"more than the {cli.MAX_SIGMA_POINTS} allowed"
+    assert msg in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert report["exit_code"] == EXIT_CONFIG
+    assert msg in report["results"]["config_errors"][0]
 
 
 def decaying_scalar_loop(rng, d, eps, decay, kmax, zero_mean=True,

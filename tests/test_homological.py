@@ -151,11 +151,13 @@ def test_with_sigma_carries_dense_form(d, N, n, builder):
     T = builder(omega, Omega, B, Z, N, sigma=0.1)
     before = T.to_dense().copy()
     moved = T
+    # the shifted operator, and the diagonal shifted in place as the sigma
+    # scan does it, equal the dense form built at that shift
     for s in (0.37, -1.2, 0.0):
         moved = moved.with_sigma(s)
-        assert moved._dense is not None
         fresh = builder(omega, Omega, B, Z, N, sigma=s).to_dense()
         assert np.array_equal(moved.to_dense(), fresh)
+        assert np.array_equal(T.dense_diagonal(s), np.diagonal(fresh))
     assert np.array_equal(T.to_dense(), before)
 
 

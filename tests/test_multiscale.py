@@ -6,9 +6,11 @@ import pytest
 import scipy.linalg as sla
 
 from toruskam.fourier import FourierSeries
-from toruskam.greens import (CertificateGateError, check_certificate,
+from toruskam.greens import (CertificateGateError, _block_inverse,
+                             _component_blocks, check_certificate,
                              invert_direct, measure_alpha)
-from toruskam.homological import LatticeMatrix, build_T, cube_region
+from toruskam.homological import (LatticeMatrix, NearSingularError, _factor,
+                                  build_T, cube_region)
 from toruskam.multiscale import (DirectClassifier, ElementaryRegion,
                                  ScaleConfig, build_exhaustion, classify_annuli,
                                  cl1_couple, cl2_couple, cube_sites,
@@ -362,8 +364,9 @@ def _lu_oracle(T, targets):
 
 
 def test_sigma_scan_samples_match_direct_probe():
-    # spectral route: pass flags and alpha are exact against the LU oracle,
-    # the eigenvalue norm agrees with its SVD norm to rounding
+    # spectral route: pass flags are exact against the dense LU oracle;
+    # alpha (per-component LU) and the eigenvalue norm agree with it to
+    # rounding
     builder, targets = _direct_probe_case(hermitian=True)
     rep = sigma_scan(builder(0.0), (-1.4037, -0.9037), targets,
                      points_per_unit=100, refine_iters=5)
@@ -371,7 +374,8 @@ def test_sigma_scan_samples_match_direct_probe():
     assert rep.bad_intervals     # the range crosses the k = 0 window
     for s, passed, norm, alpha in rep.samples:
         ref_passed, ref_norm, ref_alpha = _lu_oracle(builder(s), targets)
-        assert (passed, alpha) == (ref_passed, ref_alpha)
+        assert passed == ref_passed
+        assert abs(alpha - ref_alpha) <= 1e-12 * ref_alpha
         assert abs(norm - ref_norm) <= 1e-12 * max(1.0, ref_norm) * ref_norm
 
 
@@ -384,7 +388,10 @@ def test_sigma_scan_svd_route_matches_direct_probe():
     assert rep.norm_route == "svd"
     assert rep.bad_intervals
     for s, passed, norm, alpha in rep.samples:
-        assert (passed, norm, alpha) == _lu_oracle(builder(s), targets)
+        ref_passed, ref_norm, ref_alpha = _lu_oracle(builder(s), targets)
+        assert passed == ref_passed
+        assert abs(norm - ref_norm) <= 1e-12 * ref_norm
+        assert abs(alpha - ref_alpha) <= 1e-12 * ref_alpha
 
 
 @pytest.mark.parametrize("hermitian", [True, False])
@@ -419,6 +426,132 @@ def test_sigma_scan_exactly_singular_sample():
                          points_per_unit=100, refine_iters=5)
         assert rep.samples[0] == (-1.05, False, np.inf, 0.0)
         assert _Prober(op, (0.5, 0, 20.0), 1e12).passes(-1.05) is False
+
+
+def _coupled_T(d, N, n, modes, hermitian=True, seed=0, eps=0.05):
+    """Operator on [-N, N]^d coupling k to k +- each of `modes` through
+    random complex n x n blocks; Hermitian when `hermitian`."""
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        return eps * (rng.standard_normal((n, n))
+                      + 1j * rng.standard_normal((n, n)))
+
+    coeffs = {}
+    for mode in modes:
+        coeffs[mode] = draw()
+        coeffs[tuple(-c for c in mode)] = \
+            coeffs[mode].conj().T if hermitian else draw()
+    B = FourierSeries.from_coeffs(d, coeffs, shape=(n, n))
+    Z = FourierSeries.zero(d, shape=(n, n))
+    return build_T(np.array([1.0, PHI, math.sqrt(2.0)][:d]),
+                   1.17 + 0.26 * np.arange(n), B, Z, N)
+
+
+def _benchmark_scan_T():
+    """The sigma-scan benchmark's operator: d = 2, N = 8, mode (1, 0)."""
+    from toruskam.cli import _greens_operator
+    from toruskam.config import load_config
+    return _greens_operator(load_config({
+        "mode": "sigma-scan", "omega": [1.0, PHI], "Omega": [1.17],
+        "perturbation": {"mode": [1, 0]},
+        "greens": {"N": 8, "coupling_eps": 0.05, "coupling_rho": 0.5}}))
+
+
+# (operator, component shapes (count, size) per size, spectral route)
+BLOCK_CASES = {
+    "benchmark": (_benchmark_scan_T, [(17, 17)], True),
+    "diagonal chains": (lambda: _coupled_T(2, 8, 1, [(1, 1)]),
+                        [(2, s) for s in range(1, 17)] + [(1, 17)], True),
+    "diagonal chains, svd": (
+        lambda: _coupled_T(2, 8, 1, [(1, 1)], hermitian=False),
+        [(2, s) for s in range(1, 17)] + [(1, 17)], False),
+    "two blocks per site": (lambda: _coupled_T(2, 4, 2, [(1, 0)]),
+                            [(9, 9)], True),
+    "connected": (lambda: _coupled_T(2, 4, 1, [(1, 0), (0, 1)]),
+                  [(1, 81)], True),
+    "diagonal": (lambda: _coupled_T(2, 8, 1, []), [(289, 1)], True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_block_kernel_matches_dense_oracle(case):
+    make, shapes, spectral = BLOCK_CASES[case]
+    T = make()
+    assert [g.shape for g in T.components()] == shapes
+    targets = (0.1, 2, 100.0)
+    prober = _Prober(T, targets, 1e12)
+    assert (prober.lam is not None) == spectral
+    assert prober.components == (sum(c for c, _ in shapes), shapes[-1][1])
+    # two shifts just off the spectrum, where the norm target fails
+    lam = np.linalg.eigvals(T.to_dense())
+    near = [float(-lam[0].real + 1e-3), float(-lam[-1].real - 2e-3)]
+    flags = set()
+    for s in [-2.3, -1.45, -0.62, 0.05, 0.91] + near:
+        Ts = T.with_sigma(s)
+        # dense oracle: gated LU of the whole matrix against the identity
+        _, lu_piv, _ = _factor(Ts, 1e12)
+        ref = sla.lu_solve(lu_piv, np.eye(Ts.size, dtype=complex))
+        G, cert = invert_direct(Ts)
+        assert np.array_equal(G != 0, ref != 0)
+        assert (np.abs(G - ref) <= 1e-12 * np.abs(ref)).all()
+        ref_norm = float(np.linalg.norm(ref, 2))
+        assert abs(cert.extra["measured_norm"] - ref_norm) \
+            <= 1e-12 * ref_norm
+        passed, norm, alpha = prober.sample(s)
+        ref_passed, ref_norm, ref_alpha = _lu_oracle(Ts, targets)
+        assert passed == ref_passed
+        assert abs(alpha - ref_alpha) <= 1e-12 * ref_alpha
+        scale = max(1.0, ref_norm) if spectral else 1.0
+        assert abs(norm - ref_norm) <= 1e-12 * scale * ref_norm
+        flags.add(passed)
+    assert flags == {True, False}
+
+
+def test_block_kernel_exactly_singular_block():
+    # sites 0 and 1 form the exactly singular block [[1, 1], [1, 1]] at
+    # sigma = 0; site 3 is a component of its own
+    B = FourierSeries.from_coeffs(1, {(1,): 1.0, (-1,): 1.0})
+    Z = FourierSeries.zero(1)
+    T = build_T(np.array([0.0]), np.array([1.0]), B, Z, 3,
+                region=((0,), (1,), (3,)))
+    assert [g.tolist() for g in T.components()] == [[[2]], [[0, 1]]]
+    prober = _Prober(T, (0.5, 0, 20.0), 1e12)
+    assert prober.sample(0.0) == (False, np.inf, 0.0)
+    assert prober.passes(0.0) is False
+    for invert in (lambda: _factor(T, 1e12), lambda: invert_direct(T)):
+        with pytest.raises(NearSingularError) as exc:
+            invert()
+        assert exc.value.cond == np.inf
+    assert prober.sample(0.5)[1] < np.inf
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_block_cond_bounds_gecon_estimate(seed):
+    rng = np.random.default_rng(seed)
+    modes = [[(1, 0)], [(1, 1)], [(1, 0), (0, 2)]][seed % 3]
+    T = _coupled_T(2, int(rng.integers(2, 5)), int(rng.integers(1, 3)),
+                   modes, hermitian=bool(seed % 2), seed=seed,
+                   eps=float(rng.uniform(0.05, 0.5))).with_sigma(
+        float(rng.uniform(-2.0, 1.0)))
+    _, _, est = _factor(T, np.inf)
+    _, _, cond = _block_inverse([B for _, _, B in _component_blocks(T)],
+                                T.nblock, np.inf)
+    # exact cond_1 >= the gecon lower estimate, up to rounding
+    assert cond >= est * (1 - 1e-12)
+    cap = 0.5 * est
+    with pytest.raises(NearSingularError):
+        _factor(T, cap)
+    with pytest.raises(NearSingularError):
+        invert_direct(T, cond_cap=cap)
+    if seed % 2:
+        # shifted onto an eigenvalue: both gates refuse at the default cap
+        lam = np.linalg.eigvalsh(T.to_dense())
+        near = T.with_sigma(T.sigma - lam[len(lam) // 2])
+        with pytest.raises(NearSingularError):
+            _factor(near, 1e12)
+        with pytest.raises(NearSingularError):
+            invert_direct(near, cond_cap=1e12)
 
 
 def test_scale_config_invariants():
