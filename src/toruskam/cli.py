@@ -34,7 +34,9 @@ EXIT_CONFIG = 2
 EXIT_EXCLUDED = 3
 EXIT_NUMERIC = 4
 
-SCHEMA_VERSION = 1
+# version 2: sigma-scan results carry norm_route, factored_probes and
+# components
+SCHEMA_VERSION = 2
 
 # boxes an atlas run may pave: the predicate holds about 20 kB per child box
 # at exclusion_N = 6, so this bounds one paving near 330 MB
@@ -344,6 +346,10 @@ def _mode_verify(cfg: RunConfig, out: dict):
                       "replay_exit": code}
     out["summary"] = f"verify: replay of {path} " \
                      + ("matches" if match else "DIFFERS")
+    if saved.get("schema") != SCHEMA_VERSION:
+        out["results"]["schema"] = [saved.get("schema"), SCHEMA_VERSION]
+        out["summary"] += (f" (report schema {saved.get('schema')}, "
+                           f"current schema {SCHEMA_VERSION})")
     return EXIT_OK if match and code == EXIT_OK else EXIT_NUMERIC
 
 

@@ -16,6 +16,10 @@ from .driver import DEFAULT_CONSTANTS, check_constant_ordering
 
 MODES = ("run", "atlas", "greens", "sigma-scan", "stability", "verify")
 
+# bisection steps per pass/fail boundary of a sigma scan: past about 52
+# halvings of a grid step the midpoint no longer moves in double precision
+MAX_REFINE_ITERS = 64
+
 DEFAULTS = {
     "mode": "run",
     "seed": 0,
@@ -221,8 +225,10 @@ def validate(values: dict) -> list:
                 "points_per_unit"):
         _require(_is_num(sc[key]) and sc[key] > 0,
                  f"sigma_scan.{key}: positive", v)
-    _require(isinstance(sc["refine_iters"], int) and sc["refine_iters"] >= 0,
-             "sigma_scan.refine_iters: nonneg integer", v)
+    _require(isinstance(sc["refine_iters"], int)
+             and 0 <= sc["refine_iters"] <= MAX_REFINE_ITERS,
+             "sigma_scan.refine_iters: integer from 0 to "
+             f"{MAX_REFINE_ITERS}", v)
 
     st = c["stability"]
     if all([_require(_is_num(st[key]) and st[key] > 0,

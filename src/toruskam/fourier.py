@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft as sfft
 
 
 @lru_cache(maxsize=256)
@@ -264,42 +264,67 @@ def strip_norm(f: FourierSeries, s: float) -> float:
     return float(np.sum(mags * w))
 
 
+def _grid_transforms(series: list, cutoff: int, L: int) -> np.ndarray:
+    """Forward transforms of series of one shape, each embedded in the box
+    of `cutoff`, on the grid of L points per axis: shape
+    (len, rows, cols, L, ..., L)."""
+    d = series[0].d
+    stack = np.zeros((len(series),) + series[0].shape
+                     + (2 * cutoff + 1,) * d, dtype=complex)
+    for t, f in enumerate(series):
+        w = cutoff - f.cutoff
+        stack[(t, slice(None), slice(None))
+              + (slice(w, w + 2 * f.cutoff + 1),) * d] = f.data
+    return sfft.fftn(stack, s=(L,) * d, axes=tuple(range(3, d + 3)),
+                     overwrite_x=True)
+
+
 def product(f: FourierSeries, g: FourierSeries) -> FourierSeries:
     """Matrix product with coefficient convolution; cutoff adds.
 
-    Scalar (1x1) factors multiply entrywise against any shape.
+    Scalar (1x1) factors multiply entrywise against any shape.  Each factor
+    is transformed once on L = next_fast_len(2N + 1) points per axis, where
+    circular convolution is linear convolution; every pair product is
+    inverse-transformed and the pairs of an entry are summed in order.  A
+    factor with cutoff 0 multiplies by broadcasting instead.
     """
     if f.d != g.d:
         raise ValueError("dimension mismatch in product")
     scalar_f, scalar_g = f.is_scalar, g.is_scalar
     if not (scalar_f or scalar_g) and f.shape[1] != g.shape[0]:
         raise ValueError(f"shapes {f.shape} x {g.shape} do not compose")
-    if scalar_f and not scalar_g:
-        rows, cols, inner = g.shape[0], g.shape[1], None
-    elif scalar_g and not scalar_f:
-        rows, cols, inner = f.shape[0], f.shape[1], None
+    if scalar_f != scalar_g:
+        # each matrix entry against the scalar, matrix entry first
+        lhs, rhs = (g, f) if scalar_f else (f, g)
+        (rows, cols), inner = lhs.shape, 1
+        pairs = [((i, j), (0, 0)) for i in range(rows) for j in range(cols)]
     else:
-        rows, cols, inner = f.shape[0], g.shape[1], f.shape[1]
-    N = f.cutoff + g.cutoff
-    box = (2 * N + 1,) * f.d
-    out = np.zeros((rows, cols) + box, dtype=complex)
-    conv_axes = tuple(range(f.d))
-    if inner is None:
-        a = f.data[0, 0] if scalar_f else g.data[0, 0]
-        m = g.data if scalar_f else f.data
-        for i in range(rows):
-            for j in range(cols):
-                out[i, j] = fftconvolve(m[i, j], a, mode="full",
-                                        axes=conv_axes)
+        lhs, rhs = f, g
+        rows, inner, cols = f.shape[0], f.shape[1], g.shape[1]
+        pairs = [((i, m), (m, j)) for i in range(rows)
+                 for m in range(inner) for j in range(cols)]
+    d, N = f.d, f.cutoff + g.cutoff
+    box = (2 * N + 1,) * d
+    if lhs.cutoff == 0 or rhs.cutoff == 0:
+        terms = np.stack([lhs.data[p] * rhs.data[q] for p, q in pairs])
     else:
-        for i in range(rows):
-            for j in range(cols):
-                acc = np.zeros(box, dtype=complex)
-                for m in range(inner):
-                    acc += fftconvolve(f.data[i, m], g.data[m, j],
-                                       mode="full", axes=conv_axes)
-                out[i, j] = acc
-    return FourierSeries(f.d, (rows, cols), N, out)
+        L = sfft.next_fast_len(2 * N + 1)
+        A = _grid_transforms([lhs], lhs.cutoff, L)[0]
+        B = _grid_transforms([rhs], rhs.cutoff, L)[0]
+        terms = np.empty((len(pairs),) + (L,) * d, dtype=complex)
+        for t, (p, q) in enumerate(pairs):
+            np.multiply(A[p], B[q], out=terms[t])
+        terms = sfft.ifftn(terms, axes=tuple(range(1, d + 1)),
+                           overwrite_x=True)
+        terms = terms[(slice(None),) + (slice(2 * N + 1),) * d]
+    terms = terms.reshape((rows, inner, cols) + box)
+    if scalar_f != scalar_g:
+        out = terms[:, 0]
+    else:
+        out = np.zeros((rows, cols) + box, dtype=complex)
+        for m in range(inner):
+            out += terms[:, m]
+    return FourierSeries(d, (rows, cols), N, out)
 
 
 def dir_derivative(f: FourierSeries, omega) -> FourierSeries:

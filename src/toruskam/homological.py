@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -93,13 +94,18 @@ class LatticeMatrix:
     def size(self) -> int:
         return self.nblock * self.nsites
 
+    @cached_property
     def site_array(self) -> np.ndarray:
-        return np.array(self.region, dtype=int)
+        """The region as an (nsites, d) int array, built once per operator
+        and read-only (`translate` and `with_sigma` make new operators)."""
+        ks = np.array(self.region, dtype=int)
+        ks.flags.writeable = False
+        return ks
 
     def diag_values(self, sigma: float | None = None) -> np.ndarray:
         """D(j,k) per (site, block), shape (nsites, nblock), at the shift
         `sigma` (default: the operator's own)."""
-        ks = self.site_array()
+        ks = self.site_array
         kw = ks @ self.omega + (self.sigma if sigma is None else sigma)
         return kw[:, None] + self.diag_block[None, :]
 
@@ -108,7 +114,7 @@ class LatticeMatrix:
         if self._dense is not None:
             return self._dense
         m, nb = self.nsites, self.nblock
-        ks = self.site_array()
+        ks = self.site_array
         diff = ks[:, None, :] - ks[None, :, :]           # (m, m, d)
         cut = self.symbol.cutoff
         inside = np.all(np.abs(diff) <= cut, axis=-1)

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import fft as sfft
 
-from .fourier import FourierSeries, _l1_grid, partial_x
+from .fourier import FourierSeries, _grid_transforms, _l1_grid, partial_x
 
 Signature = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
@@ -86,18 +86,6 @@ def _term_vf_bound(sig: Signature, series: FourierSeries,
 _BATCH_BYTES = 1 << 21
 
 
-def _grid_transforms(series: list, cutoff: int, L: int) -> np.ndarray:
-    """Forward transforms of scalar series, each embedded in the box of
-    `cutoff`, on the grid of L points per axis: shape (len, L, ..., L)."""
-    d = series[0].d
-    stack = np.zeros((len(series),) + (2 * cutoff + 1,) * d, dtype=complex)
-    for t, f in enumerate(series):
-        w = cutoff - f.cutoff
-        stack[(t,) + (slice(w, w + 2 * f.cutoff + 1),) * d] = f.data[0, 0]
-    return sfft.fftn(stack, s=(L,) * d, axes=tuple(range(1, d + 1)),
-                     overwrite_x=True)
-
-
 def _grid_products(P: "HamiltonianJet", Q: "HamiltonianJet"):
     """Every pair product of the terms of P and Q on one FFT grid; returns
     (terms, tail) as the term-by-term loop books them.
@@ -139,11 +127,11 @@ def _grid_products(P: "HamiltonianJet", Q: "HamiltonianJet"):
     N2 = max(f.cutoff for _, f in t2)
     N = N1 + N2
     L = sfft.next_fast_len(2 * N + 1)
-    B = _grid_transforms([f for _, f in t2], N2, L)
+    B = _grid_transforms([f for _, f in t2], N2, L)[:, 0, 0]
     per = max(1, min(len(t2), _BATCH_BYTES // B[0].nbytes))
     buf = np.empty((per,) + B.shape[1:], dtype=complex)
     for i, (_, f) in enumerate(t1):
-        a = _grid_transforms([f], N1, L)[0]
+        a = _grid_transforms([f], N1, L)[0, 0, 0]
         for start in range(0, len(t2), per):
             stop = min(start + per, len(t2))
             prod = np.multiply(a, B[start:stop], out=buf[:stop - start])
@@ -188,7 +176,7 @@ class HamiltonianJet:
                 raise ValueError(f"signature {sig} beyond max_degree")
             if f.shape != (1, 1):
                 raise ValueError("jet coefficients must be scalar series")
-            if f.max_abs_coeff() > 0.0:
+            if f.data.any():    # exact zeros only: a NaN term stays
                 clean[sig] = f if sig not in clean else clean[sig] + f
         self.terms = clean
 
@@ -448,7 +436,7 @@ class NormalForm:
                 coef = self.B.entry(j, i)
                 if i == j:
                     coef = coef + FourierSeries.constant(d, self.Omega[i])
-                if coef.max_abs_coeff() > 0:
+                if coef.data.any():
                     terms[((0,) * d, b, c)] = coef
         return HamiltonianJet(d, n, terms, **jet_kw)
 
@@ -553,7 +541,7 @@ def jet_from_parts(d: int, n: int,
     zd = (0,) * d
 
     def put(sig, f):
-        if f.max_abs_coeff() > 0:
+        if f.data.any():
             terms[sig] = terms[sig] + f if sig in terms else f
 
     if Fx is not None:

@@ -140,6 +140,8 @@ def trajectory_csv(traj: LinearTrajectory, stride: int = 1) -> str:
     z = traj.z[::stride]
     table = np.column_stack([traj.times[::stride], z.real, z.imag,
                              (np.abs(z) ** 2).sum(axis=1)])
-    fmt = ",".join(["{:.17e}"] * len(cols))
-    lines = [",".join(cols)] + [fmt.format(*row) for row in table.tolist()]
-    return "\n".join(lines) + "\n"
+    # one format over the flat values: a list per row would be 10^4
+    # container objects for the garbage collector to walk
+    row = ",".join(["{:.17e}"] * len(cols)) + "\n"
+    return ",".join(cols) + "\n" \
+        + (row * len(table)).format(*table.ravel().tolist())

@@ -9,8 +9,8 @@ from toruskam import cli
 from toruskam.cli import (EXIT_CONFIG, EXIT_EXCLUDED, EXIT_NUMERIC, EXIT_OK,
                           _decaying_scalar, dispatch, main)
 from toruskam.fourier import FourierSeries
-from toruskam.config import (ConfigError, load_config, parse_config,
-                             validate)
+from toruskam.config import (MAX_REFINE_ITERS, ConfigError, load_config,
+                             parse_config, validate)
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -196,6 +196,7 @@ def test_verify_replays_report(tmp_path):
     assert dispatch(vcfg, str(tmp_path / "b")) == EXIT_OK
     rep = json.loads((tmp_path / "b" / "report.json").read_text())
     assert rep["results"]["match"] is True
+    assert "schema" not in rep["results"]
 
 
 def test_verify_detects_tampering(tmp_path):
@@ -207,6 +208,23 @@ def test_verify_detects_tampering(tmp_path):
     p.write_text(json.dumps(doc))
     vcfg = load_config({"mode": "verify", "verify": {"report": str(p)}})
     assert dispatch(vcfg, str(tmp_path / "b")) == EXIT_NUMERIC
+
+
+def test_verify_names_schema_change(tmp_path):
+    cfg = load_config(stability_config(perturbation={"kind": "zero"}))
+    dispatch(cfg, str(tmp_path / "a"))
+    p = tmp_path / "a" / "report.json"
+    doc = json.loads(p.read_text())
+    assert doc["schema"] == cli.SCHEMA_VERSION == 2
+    doc["schema"] = 1
+    p.write_text(json.dumps(doc))
+    vcfg = load_config({"mode": "verify", "verify": {"report": str(p)}})
+    assert dispatch(vcfg, str(tmp_path / "b")) == EXIT_NUMERIC
+    rep = json.loads((tmp_path / "b" / "report.json").read_text())
+    assert rep["results"]["schema"] == [1, 2]
+    assert rep["results"]["match"] is False
+    summary = (tmp_path / "b" / "summary.txt").read_text()
+    assert "DIFFERS (report schema 1, current schema 2)" in summary
 
 
 def test_reports_byte_identical(tmp_path):
@@ -295,6 +313,26 @@ def test_sigma_scan_grid_cap(tmp_path, capsys, monkeypatch, lo, hi, ppu,
     report = json.loads((out / "report.json").read_text())
     assert report["exit_code"] == EXIT_CONFIG
     assert msg in report["results"]["config_errors"][0]
+
+
+@pytest.mark.parametrize("iters, refused", [(64, False), (65, True)])
+def test_refine_iters_cap(tmp_path, capsys, iters, refused):
+    # refused by config validation, before any scan could start
+    assert MAX_REFINE_ITERS == 64
+    data = {"mode": "sigma-scan", "sigma_scan": {"refine_iters": iters}}
+    if not refused:
+        assert load_config(data)["sigma_scan"]["refine_iters"] == iters
+        return
+    with pytest.raises(ConfigError) as exc:
+        load_config(data)
+    msg = "sigma_scan.refine_iters: integer from 0 to 64"
+    assert exc.value.violations == [msg]
+    out = tmp_path / "o"
+    assert main(["--config", write_config(tmp_path, data),
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert msg in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert report["results"]["config_errors"] == [msg]
 
 
 def decaying_scalar_loop(rng, d, eps, decay, kmax, zero_mean=True,

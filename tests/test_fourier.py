@@ -143,6 +143,43 @@ def test_product_scalar_broadcast():
                        atol=1e-12)
 
 
+def fftconvolve_product(f, g):
+    """The product as entrywise scipy.signal.fftconvolve sums: a matrix
+    entry against the scalar factor (matrix entry first), or sums over the
+    inner index in order."""
+    from scipy.signal import fftconvolve
+    if f.is_scalar != g.is_scalar:
+        mat, sca = (g.data, f.data) if f.is_scalar else (f.data, g.data)
+        return np.array([[fftconvolve(mat[i, j], sca[0, 0])
+                          for j in range(mat.shape[1])]
+                         for i in range(mat.shape[0])])
+    rows, inner, cols = f.shape[0], f.shape[1], g.shape[1]
+    box = (2 * (f.cutoff + g.cutoff) + 1,) * f.d
+    out = np.zeros((rows, cols) + box, dtype=complex)
+    for i in range(rows):
+        for j in range(cols):
+            acc = np.zeros(box, dtype=complex)
+            for m in range(inner):
+                acc += fftconvolve(f.data[i, m], g.data[m, j])
+            out[i, j] = acc
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("shapes", [((1, 1), (2, 3)), ((3, 2), (1, 1)),
+                                    ((1, 1), (1, 1)), ((2, 3), (3, 2))])
+def test_product_bitwise_equals_fftconvolve(d, shapes):
+    # the grid kernel reproduces the fftconvolve sums bit for bit, cutoff 0
+    # (a broadcast multiply) included
+    rng = np.random.default_rng(7 + d)
+    for c1 in range(7):
+        for c2 in range(7):
+            f = random_series(rng, d=d, cutoff=c1, shape=shapes[0])
+            g = random_series(rng, d=d, cutoff=c2, shape=shapes[1])
+            assert np.array_equal(product(f, g).data,
+                                  fftconvolve_product(f, g))
+
+
 # ----------------------------------------------------------------------
 # dir_derivative
 # ----------------------------------------------------------------------

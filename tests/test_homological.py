@@ -136,6 +136,26 @@ def test_translation_covariance():
     assert np.allclose(shifted.to_dense(), ref.to_dense(), atol=1e-12)
 
 
+def test_site_array_built_once_read_only():
+    rng = np.random.default_rng(32)
+    T = build_T(GOLD, np.array([1.3]), random_B(rng, 1),
+                FourierSeries.zero(D), 3)
+    ks = T.site_array
+    assert ks is T.site_array
+    assert not ks.flags.writeable
+    assert np.array_equal(ks, np.array(T.region, dtype=int))
+    # the per-probe diagonal is bitwise the one a fresh operator gives
+    for s in (0.0, 0.37, -1.2):
+        fresh = build_T(GOLD, np.array([1.3]), T.symbol,
+                        FourierSeries.zero(D), 3, sigma=s)
+        assert np.array_equal(T.dense_diagonal(s), fresh.dense_diagonal())
+    # a translated operator has its own sites
+    moved = T.translate((3, -2))
+    assert np.array_equal(moved.site_array,
+                          np.array(moved.region, dtype=int))
+    assert np.array_equal(moved.site_array, ks + np.array([3, -2]))
+
+
 @pytest.mark.parametrize("d,N", [(1, 4), (2, 3), (3, 2)])
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("builder", [build_T, build_boldT])

@@ -1,12 +1,17 @@
-"""Static hygiene of the package, checked with `ast` alone.
+"""Hygiene of the package.
 
-Two rules over every module in `src/toruskam`:
+Two static rules over every module in `src/toruskam`, checked with `ast`:
   * every imported name is used in the module that imports it;
   * every function, method and class that is not a dunder is named
     somewhere besides its own definition, in `src/` or `tests/`.
+One import rule, checked in a fresh interpreter: `toruskam.cli` loads none
+of the scipy subpackages that cost the most start-up time.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -73,3 +78,17 @@ def test_no_unused_imports():
 
 def test_no_unreferenced_definitions():
     assert unreferenced_definitions() == []
+
+
+def test_cli_import_skips_heavy_scipy():
+    heavy = ("scipy.signal", "scipy.stats", "scipy.interpolate",
+             "scipy.optimize", "scipy.ndimage")
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = "import sys, toruskam.cli; print(*sorted(sys.modules))"
+    loaded = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True,
+                            check=True).stdout.split()
+    assert "toruskam.cli" in loaded
+    assert [m for m in loaded
+            if any(m == h or m.startswith(h + ".") for h in heavy)] == []

@@ -312,6 +312,21 @@ def test_grid_product_memory_is_batched(monkeypatch):
     assert peak - stack <= 1.5 * 2 ** 20
 
 
+def test_nan_terms_are_kept_zero_terms_dropped():
+    sig_x, sig_y = (ZD, ZN, ZN), ((1, 0), ZN, ZN)
+    nan = FourierSeries.constant(D, np.nan)
+    P = HamiltonianJet(D, N, {sig_x: nan,
+                              sig_y: FourierSeries.zero(D, cutoff=2)})
+    assert list(P.terms) == [sig_x]
+    assert np.isnan(P.terms[sig_x].data).all()
+    for built in (P + scalar_jet(FourierSeries.cosine(D, (1, 0))),
+                  P._like(P.terms), 2.0 * P):
+        assert np.isnan(built.term(sig_x).data).any()
+    # a term whose coefficients cancel exactly is still dropped
+    f = FourierSeries.cosine(D, (1, 0))
+    assert not (y_jet(0, f) - y_jet(0, f)).terms
+
+
 # ----------------------------------------------------------------------
 # split
 # ----------------------------------------------------------------------

@@ -149,6 +149,15 @@ def test_trajectory_csv_shape_and_determinism():
     assert trajectory_csv(traj2) == csv
     assert len(trajectory_csv(traj, stride=5).strip().split("\n")) \
         == 1 + math.ceil(len(traj.times) / 5)
+    # the rows are the values formatted one row at a time
+    traj = integrate_linearized(OMEGA, np.array([1.17, 1.43]), None,
+                                np.array([0.5 + 0.5j, -1.0j]), T=0.1,
+                                dt=1e-2)
+    rows = ["t,re_z0,re_z1,im_z0,im_z1,norm_sq"]
+    for t, z in zip(traj.times[::3], traj.z[::3]):
+        vals = [t, *z.real, *z.imag, float((np.abs(z) ** 2).sum())]
+        rows.append(",".join(f"{v:.17e}" for v in vals))
+    assert trajectory_csv(traj, stride=3) == "\n".join(rows) + "\n"
 
 
 # ----------------------------------------------------------------------
