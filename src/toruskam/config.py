@@ -133,6 +133,12 @@ def _is_num(x):
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _is_int(x, low=None):
+    """An integer (JSON true/false are not), at least `low` if given."""
+    return isinstance(x, int) and not isinstance(x, bool) \
+        and (low is None or x >= low)
+
+
 def _num_list(x):
     return isinstance(x, list) and len(x) > 0 and all(_is_num(v) for v in x)
 
@@ -142,12 +148,9 @@ def validate(values: dict) -> list:
     v = []
     c = values
     _require(c["mode"] in MODES, f"mode: must be one of {MODES}", v)
-    _require(isinstance(c["seed"], int) and c["seed"] >= 0
-             and not isinstance(c["seed"], bool), "seed: nonneg integer", v)
-    dim_ok = _require(isinstance(c["d"], int) and c["d"] >= 1,
-                      "d: positive integer", v)
-    n_ok = _require(isinstance(c["n"], int) and c["n"] >= 1,
-                    "n: positive integer", v)
+    _require(_is_int(c["seed"], 0), "seed: nonneg integer", v)
+    dim_ok = _require(_is_int(c["d"], 1), "d: positive integer", v)
+    n_ok = _require(_is_int(c["n"], 1), "n: positive integer", v)
     if _require(_num_list(c["omega"]), "omega: nonempty number list", v) \
             and dim_ok:
         _require(len(c["omega"]) == c["d"], "omega: length must equal d", v)
@@ -171,8 +174,7 @@ def validate(values: dict) -> list:
 
     caps = c["caps"]
     for key in ("N_max", "levels", "exclusion_N", "lie_order"):
-        _require(isinstance(caps[key], int) and caps[key] >= 1,
-                 f"caps.{key}: positive integer", v)
+        _require(_is_int(caps[key], 1), f"caps.{key}: positive integer", v)
     for key in ("cond_cap", "stop_threshold"):
         _require(_is_num(caps[key]) and caps[key] > 0,
                  f"caps.{key}: positive", v)
@@ -183,8 +185,7 @@ def validate(values: dict) -> list:
 
     _require(_is_num(c["box"]["half_width"]) and c["box"]["half_width"] > 0,
              "box.half_width: positive", v)
-    _require(isinstance(c["box"]["atlas_level"], int)
-             and c["box"]["atlas_level"] >= 1,
+    _require(_is_int(c["box"]["atlas_level"], 1),
              "box.atlas_level: positive integer", v)
 
     pert = c["perturbation"]
@@ -194,19 +195,18 @@ def validate(values: dict) -> list:
              "perturbation.amplitude: nonnegative", v)
     _require(_is_num(pert["decay"]) and pert["decay"] > 0,
              "perturbation.decay: positive", v)
-    _require(isinstance(pert["kmax"], int) and pert["kmax"] >= 1,
+    _require(_is_int(pert["kmax"], 1),
              "perturbation.kmax: positive integer", v)
-    _require(isinstance(pert["cutoff_cap"], int) and pert["cutoff_cap"] >= 1,
+    _require(_is_int(pert["cutoff_cap"], 1),
              "perturbation.cutoff_cap: positive integer", v)
     if dim_ok and _require(isinstance(pert["mode"], list)
-                           and all(isinstance(k, int) for k in pert["mode"]),
+                           and all(_is_int(k) for k in pert["mode"]),
                            "perturbation.mode: integer list", v):
         _require(len(pert["mode"]) == c["d"],
                  "perturbation.mode: length must equal d", v)
 
     g = c["greens"]
-    _require(isinstance(g["N"], int) and g["N"] >= 1,
-             "greens.N: positive integer", v)
+    _require(_is_int(g["N"], 1), "greens.N: positive integer", v)
     _require(_is_num(g["sigma"]), "greens.sigma: number", v)
     if g["threshold"] is not None:
         _require(_is_num(g["threshold"]) and g["threshold"] >= 0,
@@ -225,8 +225,8 @@ def validate(values: dict) -> list:
                 "points_per_unit"):
         _require(_is_num(sc[key]) and sc[key] > 0,
                  f"sigma_scan.{key}: positive", v)
-    _require(isinstance(sc["refine_iters"], int)
-             and 0 <= sc["refine_iters"] <= MAX_REFINE_ITERS,
+    _require(_is_int(sc["refine_iters"], 0)
+             and sc["refine_iters"] <= MAX_REFINE_ITERS,
              "sigma_scan.refine_iters: integer from 0 to "
              f"{MAX_REFINE_ITERS}", v)
 

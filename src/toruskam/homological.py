@@ -500,17 +500,14 @@ class HomologicalSolution:
         return jet_from_parts(d, n, **kw, **jet_kw)
 
 
-def assemble_rhs(stage: str, P: HamiltonianJet,
-                 partialF: HomologicalSolution) -> FourierSeries:
-    """Right-hand sides of the four equation classes.
+_RHS_COMPONENT = {"E": component_z, "Ebar": component_zbar,
+                  "R": component_y, "S": matrix_zz, "Sbar": matrix_zbzb}
 
-    stage in {"E", "Ebar", "R", "S", "Sbar"}.  Each right side is the matching
-    component of R^low plus the low-order part of {P^high, F_partial}, where
-    F_partial contains only the already-solved generator components
-    (F^x for E; F^x, F^z, F^zbar for R, S, Sbar).
-    """
+
+def _rhs_parts(stage: str, P: HamiltonianJet,
+               partialF: HomologicalSolution):
+    """R^low and {P^high, F_partial} for `stage` (see `assemble_rhs`)."""
     sp = split_low_high(P)
-    low, high = sp.low, sp.high
     d, n = P.d, P.n
     if stage in ("E", "Ebar"):
         if partialF.Fx is None:
@@ -526,16 +523,21 @@ def assemble_rhs(stage: str, P: HamiltonianJet,
                                        max_degree=P.max_degree)
     else:
         raise ValueError(f"unknown stage {stage!r}")
-    br = poisson_bracket(high, Fpart)
-    if stage == "E":
-        return component_z(low) + component_z(br)
-    if stage == "Ebar":
-        return component_zbar(low) + component_zbar(br)
-    if stage == "R":
-        return component_y(low) + component_y(br)
-    if stage == "S":
-        return matrix_zz(low) + matrix_zz(br)
-    return matrix_zbzb(low) + matrix_zbzb(br)
+    return sp.low, poisson_bracket(sp.high, Fpart)
+
+
+def assemble_rhs(stage: str, P: HamiltonianJet,
+                 partialF: HomologicalSolution) -> FourierSeries:
+    """Right-hand sides of the four equation classes.
+
+    stage in {"E", "Ebar", "R", "S", "Sbar"}.  Each right side is the matching
+    component of R^low plus the low-order part of {P^high, F_partial}, where
+    F_partial contains only the already-solved generator components
+    (F^x for E; F^x, F^z, F^zbar for R, S, Sbar).
+    """
+    low, br = _rhs_parts(stage, P, partialF)
+    pick = _RHS_COMPONENT[stage]
+    return pick(low) + pick(br)
 
 
 def solve_homological(omega, Omega, B: FourierSeries, P: HamiltonianJet,
@@ -559,10 +561,12 @@ def solve_homological(omega, Omega, B: FourierSeries, P: HamiltonianJet,
     E = assemble_rhs("E", P, sol)
     sol.Fz, sol.Fzbar, info_z = solve_hz(T, E, N, cond_cap)
 
-    Rscript = assemble_rhs("R", P, sol)
+    # R and S share one bracket: F_partial leaves out F^y, solved between
+    low, br = _rhs_parts("R", P, sol)
+    Rscript = component_y(low) + component_y(br)
     sol.Fy, sol.freq_shift = solve_hy(Rscript, omega, N, divisor_floor)
 
-    S = assemble_rhs("S", P, sol)
+    S = matrix_zz(low) + matrix_zz(br)
     boldT = build_boldT(omega, Omega, B, Rzzbar, N)
     sol.Fzz, sol.Fzbzb, info_zz = solve_hzz(boldT, S, N, cond_cap)
 

@@ -82,73 +82,146 @@ def _term_vf_bound(sig: Signature, series: FourierSeries,
                   r)
 
 
-# working set of one batch of pair products in `_grid_products`
+# working set of one batch of key sums in `_grid_kernel`
 _BATCH_BYTES = 1 << 21
 
 
-def _grid_products(P: "HamiltonianJet", Q: "HamiltonianJet"):
-    """Every pair product of the terms of P and Q on one FFT grid; returns
-    (terms, tail) as the term-by-term loop books them.
+def _moves_along(f: FourierSeries, axis: int) -> bool:
+    """Whether some coefficient off the plane k_axis = 0 is nonzero."""
+    plane = f.data[(0, 0) + (slice(None),) * axis + (f.cutoff,)]
+    return np.count_nonzero(f.data) > np.count_nonzero(plane)
 
-    Each factor is padded to its largest cutoff N1, N2, on a grid of
-    L >= 2(N1 + N2) + 1 points per axis, where circular convolution is
-    linear convolution.  Q is transformed once and kept stacked; each term
-    of P is transformed once and multiplied pointwise against that stack,
-    and the pair products are inverse-transformed in batches of at most
-    _BATCH_BYTES.  Pair (f1, f2) keeps the modes of its own box
-    c = f1.cutoff + f2.cutoff and no others: an over-degree pair goes whole
-    into the tail bound, a pair past the cutoff cap puts its modes beyond
-    the cap there.  P's terms run outer, as in the term-by-term loop, so
-    each signature sums its pairs in the loop's order and cancels exactly
-    where the loop does (an exactly zero sum drops the term, and with it
-    its cutoff).  In a KAM step P is nearly always the larger factor: the
-    jet being transformed, against parts of the generator.
+
+def _lower(e: tuple[int, ...], t: int) -> tuple[int, ...]:
+    return e[:t] + (e[t] - 1,) + e[t + 1:]
+
+
+def _product_channels(F: "HamiltonianJet", G: "HamiltonianJet"):
+    """The pair products of F G: (i, 0, j, 0, signature, 1) per pair of
+    terms (see `_grid_kernel`)."""
+    for i, s1 in enumerate(F.terms):
+        for j, s2 in enumerate(G.terms):
+            yield i, 0, j, 0, tuple(tuple(x + y for x, y in zip(u, v))
+                                    for u, v in zip(s1, s2)), 1
+
+
+def _bracket_channels(F: "HamiltonianJet", G: "HamiltonianJet"):
+    """The channel products of {F, G} = <F_x, G_y> - <F_y, G_x>
+    + i<F_z, G_zbar> - i<F_zbar, G_z>, per pair of terms f y^a1 z^b1 zbar^c1
+    and g y^a2 z^b2 zbar^c2: a2_i f_{x_i} g and -a1_i f g_{x_i} on the
+    signature with y_i lowered, and i(b1_t c2_t - c1_t b2_t) f g with z_t
+    and zbar_t lowered.  Identically zero x-partials are left out."""
+    d, n = F.d, F.n
+    mf = [[_moves_along(f, ax) for ax in range(d)] for f in F.terms.values()]
+    mg = [[_moves_along(g, ax) for ax in range(d)] for g in G.terms.values()]
+    for i, (a1, b1, c1) in enumerate(F.terms):
+        for j, (a2, b2, c2) in enumerate(G.terms):
+            a, b, c = (tuple(x + y for x, y in zip(u, v))
+                       for u, v in ((a1, a2), (b1, b2), (c1, c2)))
+            for ax in range(d):
+                sig = (_lower(a, ax), b, c)
+                if a2[ax] and mf[i][ax]:
+                    yield i, 1 + ax, j, 0, sig, a2[ax]
+                if a1[ax] and mg[j][ax]:
+                    yield i, 0, j, 1 + ax, sig, -a1[ax]
+            for t in range(n):
+                w = b1[t] * c2[t] - c1[t] * b2[t]
+                if w:
+                    yield i, 0, j, 0, (a, _lower(b, t), _lower(c, t)), 1j * w
+
+
+def _grid_kernel(F: "HamiltonianJet", G: "HamiltonianJet", channels):
+    """Sum of the channel products `channels(F, G)` on one FFT grid;
+    returns (terms, tail).
+
+    A channel product (i, p, j, q, sig, w) is w times the product of part p
+    of F's i-th term and part q of G's j-th term, where part 0 is the term
+    and part 1 + a its x_a-partial.  F and G are padded to their largest
+    cutoffs N1, N2, on a grid of L >= 2(N1 + N2) + 1 points per axis, where
+    circular convolution is linear convolution; every part is transformed
+    once.  The products are summed on the grid by key (sig, c), c the box
+    f.cutoff + g.cutoff of the pair, in F-term order, and each key is
+    inverse-transformed once.  A key keeps the modes of its own box and no
+    others: an over-degree key goes whole into the tail bound, a key past
+    the cutoff cap puts its modes beyond the cap there, and its kept cutoff
+    min(c, cap) feeds the output cutoff of sig.
+
+    Keys run one after another, in order of their first product, each
+    summed in a row of a slab of at most _BATCH_BYTES that is
+    inverse-transformed once full; a part's grid lives from its first to
+    its last use.
     """
-    d = P.d
-    t1, t2 = list(P.terms.items()), list(Q.terms.items())
-    cap = P.cutoff_cap
-    booked = {}         # (i, j) -> (sig, box cutoff, kept cutoff or None)
-    width = {}          # output cutoff per kept signature, in loop order
-    for i, (s1, f1) in enumerate(t1):
-        for j, (s2, f2) in enumerate(t2):
-            sig = tuple(tuple(x + y for x, y in zip(u, v))
-                        for u, v in zip(s1, s2))
-            c = f1.cutoff + f2.cutoff
-            kept = None
-            if weighted_degree(sig) <= P.max_degree:
-                kept = c if cap is None else min(c, cap)
-                width[sig] = max(width.get(sig, 0), kept)
-            booked[i, j] = (sig, c, kept)
-    acc = {sig: np.zeros((2 * K + 1,) * d, dtype=complex)
-           for sig, K in width.items()}
-    tail = 0.0
-
-    N1 = max(f.cutoff for _, f in t1)
-    N2 = max(f.cutoff for _, f in t2)
+    d = F.d
+    tf, tg = list(F.terms.values()), list(G.terms.values())
+    keys = {}           # (sig, box) -> its products (i, p, j, q, w)
+    for i, p, j, q, sig, w in channels(F, G):
+        keys.setdefault((sig, tf[i].cutoff + tg[j].cutoff), []).append(
+            (i, p, j, q, w))
+    cap, s, r = F.cutoff_cap, F.s_ref, F.r_ref
+    kept, width = {}, {}    # kept cutoff per key, output cutoff per sig
+    for sig, c in keys:
+        if weighted_degree(sig) <= F.max_degree:
+            kept[sig, c] = c if cap is None else min(c, cap)
+            width[sig] = max(width.get(sig, 0), kept[sig, c])
+    last = {}               # last use of each part, as a product count
+    for pos, (i, p, j, q, _) in enumerate(
+            prod for prods in keys.values() for prod in prods):
+        last["F", i, p] = last["G", j, q] = pos
+    N1 = max(f.cutoff for f in tf)
+    N2 = max(g.cutoff for g in tg)
     N = N1 + N2
     L = sfft.next_fast_len(2 * N + 1)
-    B = _grid_transforms([f for _, f in t2], N2, L)[:, 0, 0]
-    per = max(1, min(len(t2), _BATCH_BYTES // B[0].nbytes))
-    buf = np.empty((per,) + B.shape[1:], dtype=complex)
-    for i, (_, f) in enumerate(t1):
-        a = _grid_transforms([f], N1, L)[0, 0, 0]
-        for start in range(0, len(t2), per):
-            stop = min(start + per, len(t2))
-            prod = np.multiply(a, B[start:stop], out=buf[:stop - start])
-            prod = sfft.ifftn(prod, axes=tuple(range(1, d + 1)),
-                              overwrite_x=True)
-            for j in range(start, stop):
-                sig, c, kept = booked[i, j]
-                fp = prod[j - start][(slice(N - c, N + c + 1),) * d]
-                if kept is None or kept < c:
-                    sums = _vf_sums(np.abs(fp), P.s_ref,
-                                    -1 if kept is None else kept)
-                    tail += _vf_of(sig, *sums, P.r_ref)
-                    if kept is None:
-                        continue
-                    fp = fp[(slice(c - kept, c + kept + 1),) * d]
-                K = width[sig]
-                acc[sig][(slice(K - kept, K + kept + 1),) * d] += fp
+    tmp = np.empty((L,) * d, dtype=complex)
+    slab = np.empty((min(len(keys), max(1, _BATCH_BYTES // tmp.nbytes)),)
+                    + tmp.shape, dtype=complex)
+    grids, pending, acc, tail = {}, [], {}, 0.0
+
+    def part(x):
+        if x not in grids:
+            side, term, p = x
+            f = (tf if side == "F" else tg)[term]
+            grids[x] = _grid_transforms([partial_x(f, p - 1) if p else f],
+                                        N1 if side == "F" else N2, L)[0, 0, 0]
+        return grids[x]
+
+    def flush():
+        nonlocal tail
+        out = sfft.ifftn(slab[:len(pending)], axes=tuple(range(1, d + 1)),
+                         overwrite_x=True)
+        for (sig, c), grid in zip(pending, out):
+            fp = grid[(slice(N - c, N + c + 1),) * d]
+            m = kept.get((sig, c))
+            if m is None or m < c:
+                tail += _vf_of(sig, *_vf_sums(np.abs(fp), s,
+                                              -1 if m is None else m), r)
+                if m is None:
+                    continue
+                fp = fp[(slice(c - m, c + m + 1),) * d]
+            K = width[sig]
+            if sig not in acc:
+                acc[sig] = np.zeros((2 * K + 1,) * d, dtype=complex)
+            acc[sig][(slice(K - m, K + m + 1),) * d] += fp
+        pending.clear()
+
+    pos = 0
+    for key, prods in keys.items():
+        buf = slab[len(pending)]
+        for t, (i, p, j, q, w) in enumerate(prods):
+            x, y = ("F", i, p), ("G", j, q)
+            out = np.multiply(part(x), part(y), out=tmp if t else buf)
+            if w != 1:
+                out *= w
+            if t:
+                buf += out
+            for z in (x, y):
+                if last[z] == pos:
+                    del grids[z]
+            pos += 1
+        pending.append(key)
+        if len(pending) == len(slab):
+            flush()
+    if pending:
+        flush()
     terms = {sig: FourierSeries(d, (1, 1), width[sig], v[None, None])
              for sig, v in acc.items()}
     return terms, tail
@@ -219,48 +292,14 @@ class HamiltonianJet:
         return max((f.max_abs_coeff() for f in self.terms.values()),
                    default=0.0)
 
-    # ------------------------------------------------------------------
-    # calculus on monomials
-    # ------------------------------------------------------------------
-    def d_x(self, i: int) -> "HamiltonianJet":
-        return self._like({sig: partial_x(f, i)
-                           for sig, f in self.terms.items()}, tail=0.0)
-
-    def d_y(self, i: int) -> "HamiltonianJet":
-        out = {}
-        for (a, b, c), f in self.terms.items():
-            if a[i] == 0:
-                continue
-            a2 = a[:i] + (a[i] - 1,) + a[i + 1:]
-            out[(a2, b, c)] = f * a[i]
-        return self._like(out, tail=0.0)
-
-    def d_z(self, j: int) -> "HamiltonianJet":
-        out = {}
-        for (a, b, c), f in self.terms.items():
-            if b[j] == 0:
-                continue
-            b2 = b[:j] + (b[j] - 1,) + b[j + 1:]
-            out[(a, b2, c)] = f * b[j]
-        return self._like(out, tail=0.0)
-
-    def d_zbar(self, j: int) -> "HamiltonianJet":
-        out = {}
-        for (a, b, c), f in self.terms.items():
-            if c[j] == 0:
-                continue
-            c2 = c[:j] + (c[j] - 1,) + c[j + 1:]
-            out[(a, b, c2)] = f * c[j]
-        return self._like(out, tail=0.0)
-
     def jet_product(self, other: "HamiltonianJet") -> "HamiltonianJet":
         """Polynomial product; degree/cutoff overflow goes to `tail`.
-        The pair products run on one FFT grid (`_grid_products`)."""
+        The pair products run on one FFT grid (`_grid_kernel`)."""
         if (self.d, self.n) != (other.d, other.n):
             raise ValueError("dimension mismatch")
         out, extra_tail = {}, 0.0
         if self.terms and other.terms:
-            out, extra_tail = _grid_products(self, other)
+            out, extra_tail = _grid_kernel(self, other, _product_channels)
         # bilinear coupling of the unrepresented parts (measured bookkeeping)
         cross = 0.0
         if self.tail:
@@ -278,27 +317,23 @@ class HamiltonianJet:
 # ----------------------------------------------------------------------
 
 def poisson_bracket(F: HamiltonianJet, G: HamiltonianJet) -> HamiltonianJet:
-    """{F,G} = <F_x,G_y> - <F_y,G_x> + i<F_z,G_zbar> - i<F_zbar,G_z>."""
+    """{F,G} = <F_x,G_y> - <F_y,G_x> + i<F_z,G_zbar> - i<F_zbar,G_z>.
+
+    All channels run in one `_grid_kernel` call: each term and x-partial is
+    transformed once and each (signature, box) inverse-transformed once."""
     if (F.d, F.n) != (G.d, G.n):
         raise ValueError("dimension mismatch")
-    out = HamiltonianJet.zero(F.d, F.n, max_degree=max(F.max_degree,
-                                                       G.max_degree),
-                              cutoff_cap=F.cutoff_cap,
-                              s_ref=F.s_ref, r_ref=F.r_ref)
-    for i in range(F.d):
-        out = out + F.d_x(i).jet_product(G.d_y(i))
-        out = out - F.d_y(i).jet_product(G.d_x(i))
-    for j in range(F.n):
-        out = out + 1j * F.d_z(j).jet_product(G.d_zbar(j))
-        out = out - 1j * F.d_zbar(j).jet_product(G.d_z(j))
-    # unrepresented-part coupling (the d_* jets carry no tail themselves)
+    terms, tail = {}, 0.0
+    if F.terms and G.terms:
+        terms, tail = _grid_kernel(F, G, _bracket_channels)
+    # unrepresented-part coupling
     cross = 0.0
     if F.tail:
         cross += F.tail * vf_norm(G, G.s_ref, G.r_ref)
     if G.tail:
         cross += G.tail * vf_norm(F, F.s_ref, F.r_ref)
-    if cross:
-        out = out._like(out.terms, extra_tail=cross)
+    out = F._like(terms, tail=tail + cross)
+    out.max_degree = max(F.max_degree, G.max_degree)
     return out
 
 
@@ -330,13 +365,8 @@ def check_reality(P: HamiltonianJet, tol: float = 1e-12):
     Returns (ok, worst_violation).
     """
     worst = 0.0
-    seen = set(P.terms)
-    for (a, b, c), f in P.terms.items():
-        seen.add((a, c, b))
-    for sig in seen:
-        a, b, c = sig
-        f = P.term(sig)
-        g = P.term((a, c, b))
+    for a, b, c in set(P.terms) | {(a, c, b) for a, b, c in P.terms}:
+        f, g = P.term((a, b, c)), P.term((a, c, b))
         N = max(f.cutoff, g.cutoff)
         diff = f.conj_function().pad(N) - g.pad(N)
         worst = max(worst, diff.max_abs_coeff())
@@ -426,23 +456,29 @@ class NormalForm:
         d, n = self.d, self.n
         terms: dict[Signature, FourierSeries] = {}
         for i in range(d):
-            a = tuple(1 if t == i else 0 for t in range(d))
-            terms[(a, (0,) * n, (0,) * n)] = FourierSeries.constant(
-                d, self.omega[i])
+            terms[(_unit(d, i), (0,) * n, (0,) * n)] = \
+                FourierSeries.constant(d, self.omega[i])
         for i in range(n):
             for j in range(n):
-                b = tuple(1 if t == i else 0 for t in range(n))
-                c = tuple(1 if t == j else 0 for t in range(n))
                 coef = self.B.entry(j, i)
                 if i == j:
                     coef = coef + FourierSeries.constant(d, self.Omega[i])
                 if coef.data.any():
-                    terms[((0,) * d, b, c)] = coef
+                    terms[((0,) * d, _unit(n, i), _unit(n, j))] = coef
         return HamiltonianJet(d, n, terms, **jet_kw)
 
 
-def _unit(n: int, j: int) -> tuple[int, ...]:
-    return tuple(1 if t == j else 0 for t in range(n))
+def _unit(n: int, *js: int) -> tuple[int, ...]:
+    """Exponents of the monomial prod_j v_j in n variables."""
+    return tuple(sum(t == j for j in js) for t in range(n))
+
+
+def _table(d: int, rows: int, cols: int, entry) -> FourierSeries:
+    """The (rows, cols) matrix series with scalar entries entry(i, j)."""
+    parts = [[entry(i, j) for j in range(cols)] for i in range(rows)]
+    N = max(f.cutoff for row in parts for f in row)
+    return FourierSeries(d, (rows, cols), N, np.array(
+        [[f.pad(N).data[0, 0] for f in row] for row in parts]))
 
 
 def component_x(P: HamiltonianJet) -> FourierSeries:
@@ -452,27 +488,18 @@ def component_x(P: HamiltonianJet) -> FourierSeries:
 
 def component_y(P: HamiltonianJet) -> FourierSeries:
     """R^y as a d x 1 vector series (coefficient of y_i)."""
-    parts = [P.term((_unit(P.d, i), (0,) * P.n, (0,) * P.n))
-             for i in range(P.d)]
-    return _stack(parts, P.d)
+    zn = (0,) * P.n
+    return _table(P.d, P.d, 1, lambda i, _: P.term((_unit(P.d, i), zn, zn)))
 
 
 def component_z(P: HamiltonianJet) -> FourierSeries:
-    parts = [P.term(((0,) * P.d, _unit(P.n, j), (0,) * P.n))
-             for j in range(P.n)]
-    return _stack(parts, P.d)
+    zd, zn = (0,) * P.d, (0,) * P.n
+    return _table(P.d, P.n, 1, lambda j, _: P.term((zd, _unit(P.n, j), zn)))
 
 
 def component_zbar(P: HamiltonianJet) -> FourierSeries:
-    parts = [P.term(((0,) * P.d, (0,) * P.n, _unit(P.n, j)))
-             for j in range(P.n)]
-    return _stack(parts, P.d)
-
-
-def _stack(parts: list[FourierSeries], d: int) -> FourierSeries:
-    N = max((p.cutoff for p in parts), default=0)
-    data = np.stack([p.pad(N).data[0, 0] for p in parts])[:, None]
-    return FourierSeries(d, (len(parts), 1), N, data)
+    zd, zn = (0,) * P.d, (0,) * P.n
+    return _table(P.d, P.n, 1, lambda j, _: P.term((zd, zn, _unit(P.n, j))))
 
 
 def matrix_zz(P: HamiltonianJet) -> FourierSeries:
@@ -480,49 +507,22 @@ def matrix_zz(P: HamiltonianJet) -> FourierSeries:
 
     M_ij = coeff(z_i z_j) for i != j, M_ii = 2 coeff(z_i^2).
     """
-    return _quad_matrix(P, which="zz")
+    zd, zn = (0,) * P.d, (0,) * P.n
+    return _table(P.d, P.n, P.n, lambda i, j: (1.0 + (i == j)) * P.term(
+        (zd, _unit(P.n, i, j), zn)))
 
 
 def matrix_zbzb(P: HamiltonianJet) -> FourierSeries:
-    return _quad_matrix(P, which="zbzb")
+    zd, zn = (0,) * P.d, (0,) * P.n
+    return _table(P.d, P.n, P.n, lambda i, j: (1.0 + (i == j)) * P.term(
+        (zd, zn, _unit(P.n, i, j))))
 
 
 def matrix_zzbar(P: HamiltonianJet) -> FourierSeries:
     """M with the z zbar block equal to <M z, zbar>: M_ji = coeff(z_i zbar_j)."""
-    d, n = P.d, P.n
-    N = 0
-    entries = {}
-    for i in range(n):
-        for j in range(n):
-            f = P.term(((0,) * d, _unit(n, i), _unit(n, j)))
-            entries[(j, i)] = f
-            N = max(N, f.cutoff)
-    data = np.zeros((n, n) + (2 * N + 1,) * d, dtype=complex)
-    for (j, i), f in entries.items():
-        data[j, i] = f.pad(N).data[0, 0]
-    return FourierSeries(d, (n, n), N, data)
-
-
-def _quad_matrix(P: HamiltonianJet, which: str) -> FourierSeries:
-    d, n = P.d, P.n
-    zero = (0,) * n
-    entries = {}
-    N = 0
-    for i in range(n):
-        for j in range(i, n):
-            e = tuple((1 if t == i else 0) + (1 if t == j else 0)
-                      for t in range(n))
-            sig = ((0,) * d, e, zero) if which == "zz" else ((0,) * d, zero, e)
-            f = P.term(sig)
-            if i == j:
-                f = 2.0 * f
-            entries[(i, j)] = f
-            N = max(N, f.cutoff)
-    data = np.zeros((n, n) + (2 * N + 1,) * d, dtype=complex)
-    for (i, j), f in entries.items():
-        data[i, j] = f.pad(N).data[0, 0]
-        data[j, i] = f.pad(N).data[0, 0]
-    return FourierSeries(d, (n, n), N, data)
+    zd = (0,) * P.d
+    return _table(P.d, P.n, P.n, lambda j, i: P.term(
+        (zd, _unit(P.n, i), _unit(P.n, j))))
 
 
 def jet_from_parts(d: int, n: int,
@@ -555,18 +555,13 @@ def jet_from_parts(d: int, n: int,
     if Fzbar is not None:
         for j in range(n):
             put((zd, zn, _unit(n, j)), Fzbar.entry(j, 0))
-    for M, which in ((Fzz, "zz"), (Fzbzb, "zbzb")):
-        if M is None:
-            continue
-        for i in range(n):
+    for M, zz in ((Fzz, True), (Fzbzb, False)):
+        for i in range(n if M is not None else 0):
             for j in range(i, n):
-                e = tuple((1 if t == i else 0) + (1 if t == j else 0)
-                          for t in range(n))
-                sig = (zd, e, zn) if which == "zz" else (zd, zn, e)
-                coef = M.entry(i, j) if i != j else 0.5 * M.entry(i, i)
-                if i != j:
-                    coef = 0.5 * (M.entry(i, j) + M.entry(j, i))
-                put(sig, coef)
+                e = _unit(n, i, j)
+                put((zd, e, zn) if zz else (zd, zn, e),
+                    0.5 * (M.entry(i, i) if i == j
+                           else M.entry(i, j) + M.entry(j, i)))
     if Mzzbar is not None:
         for i in range(n):
             for j in range(n):

@@ -335,6 +335,37 @@ def test_refine_iters_cap(tmp_path, capsys, iters, refused):
     assert report["results"]["config_errors"] == [msg]
 
 
+@pytest.mark.parametrize("section, key, msg", [
+    (None, "seed", "seed: nonneg integer"),
+    (None, "d", "d: positive integer"),
+    (None, "n", "n: positive integer"),
+    ("caps", "N_max", "caps.N_max: positive integer"),
+    ("caps", "levels", "caps.levels: positive integer"),
+    ("caps", "exclusion_N", "caps.exclusion_N: positive integer"),
+    ("caps", "lie_order", "caps.lie_order: positive integer"),
+    ("box", "atlas_level", "box.atlas_level: positive integer"),
+    ("perturbation", "kmax", "perturbation.kmax: positive integer"),
+    ("perturbation", "cutoff_cap", "perturbation.cutoff_cap: positive integer"),
+    ("perturbation", "mode", "perturbation.mode: integer list"),
+    ("greens", "N", "greens.N: positive integer"),
+    ("sigma_scan", "refine_iters",
+     "sigma_scan.refine_iters: integer from 0 to 64"),
+])
+@pytest.mark.parametrize("flag", [True, False])
+def test_booleans_are_not_integers(tmp_path, capsys, section, key, msg, flag):
+    value = [flag, 0] if key == "mode" else flag
+    data = {key: value} if section is None else {section: {key: value}}
+    with pytest.raises(ConfigError) as exc:
+        load_config(data)
+    assert msg in exc.value.violations
+    out = tmp_path / "o"
+    assert main(["--config", write_config(tmp_path, data),
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert msg in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert msg in report["results"]["config_errors"]
+
+
 def decaying_scalar_loop(rng, d, eps, decay, kmax, zero_mean=True,
                          real=True):
     """The per-mode form: two scalar draws and one np.exp per mode."""

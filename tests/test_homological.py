@@ -746,6 +746,24 @@ def test_full_pipeline_residuals(n):
     assert info["hzz"].residual <= 1e-10
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_full_pipeline_brackets_once_for_R_and_S(monkeypatch, n):
+    # E needs {P^high, F^x}; R and S both need {P^high, F^x + F^z + F^zbar}
+    rng = np.random.default_rng(45 + n)
+    B, Omega, P, N = make_instance(rng, n)
+    calls = []
+    bracket = homological.poisson_bracket
+    monkeypatch.setattr(homological, "poisson_bracket",
+                        lambda F, G: calls.append(1) or bracket(F, G))
+    sol = solve_homological(GOLD, Omega, B, P, N)
+    assert len(calls) == 2
+    info = sol.solve_info
+    for key, stage in (("Rscript", "R"), ("S", "S")):
+        ref = assemble_rhs(stage, P, sol)
+        assert info[key].cutoff == ref.cutoff
+        assert np.array_equal(info[key].data, ref.data)
+
+
 def test_full_pipeline_generator_reality():
     rng = np.random.default_rng(43)
     B, Omega, P, N = make_instance(rng, 2)

@@ -151,41 +151,123 @@ def oracle_vf_norm(P, s, r):
                for sig, f in P.terms.items()) + P.tail
 
 
-def oracle_jet_product(self, other):
-    """The term-by-term loop: one fourier.product per pair of terms."""
-    out, extra_tail = {}, 0.0
-    for (a1, b1, c1), f1 in self.terms.items():
-        for (a2, b2, c2), f2 in other.terms.items():
+def d_x(P, i):
+    return P._like({sig: partial_x(f, i) for sig, f in P.terms.items()},
+                   tail=0.0)
+
+
+def _d_monomial(P, slot, j):
+    """The partial of P in the j-th variable of signature slot 0 (y),
+    1 (z) or 2 (zbar)."""
+    out = {}
+    for sig, f in P.terms.items():
+        e = sig[slot]
+        if e[j] == 0:
+            continue
+        low = list(sig)
+        low[slot] = e[:j] + (e[j] - 1,) + e[j + 1:]
+        out[tuple(low)] = f * e[j]
+    return P._like(out, tail=0.0)
+
+
+def d_y(P, i):
+    return _d_monomial(P, 0, i)
+
+
+def d_z(P, j):
+    return _d_monomial(P, 1, j)
+
+
+def d_zbar(P, j):
+    return _d_monomial(P, 2, j)
+
+
+def oracle_pairs(P, Q):
+    """The term-by-term loop: one fourier.product per pair of terms.
+    Returns the kept terms and, per pair, (signature, box, dropped part):
+    the whole product of an over-degree pair, the modes beyond the cap of
+    a pair past the cutoff cap."""
+    out, dropped = {}, []
+    for (a1, b1, c1), f1 in P.terms.items():
+        for (a2, b2, c2), f2 in Q.terms.items():
             sig = (tuple(x + y for x, y in zip(a1, a2)),
                    tuple(x + y for x, y in zip(b1, b2)),
                    tuple(x + y for x, y in zip(c1, c2)))
             fp = product(f1, f2)
-            if weighted_degree(sig) > self.max_degree:
-                extra_tail += oracle_term_vf_bound(sig, fp, self.s_ref,
-                                                   self.r_ref)
+            if weighted_degree(sig) > P.max_degree:
+                dropped.append((sig, fp.cutoff, fp))
                 continue
-            if self.cutoff_cap is not None and fp.cutoff > self.cutoff_cap:
-                kept = truncate(fp, self.cutoff_cap)
-                dropped = fp - kept.pad(fp.cutoff)
-                extra_tail += oracle_term_vf_bound(sig, dropped, self.s_ref,
-                                                   self.r_ref)
+            if P.cutoff_cap is not None and fp.cutoff > P.cutoff_cap:
+                kept = truncate(fp, P.cutoff_cap)
+                dropped.append((sig, fp.cutoff, fp - kept.pad(fp.cutoff)))
                 fp = kept
             out[sig] = out[sig] + fp if sig in out else fp
+    return out, dropped
+
+
+def oracle_tail(dropped, s, r, per_pair=False):
+    """Bound of the dropped parts, summed per (signature, box) first; with
+    per_pair, one bound per pair as the pair loop used to book it."""
+    if per_pair:
+        return sum(oracle_term_vf_bound(sig, part, s, r)
+                   for sig, _, part in dropped)
+    keys = {}
+    for sig, box, part in dropped:
+        key = (sig, box)
+        keys[key] = keys[key] + part if key in keys else part
+    return sum(oracle_term_vf_bound(sig, part, s, r)
+               for (sig, _), part in keys.items())
+
+
+def oracle_jet_product(self, other, per_pair=False):
+    out, dropped = oracle_pairs(self, other)
     cross = 0.0
     if self.tail:
         cross += self.tail * (oracle_vf_norm(other, other.s_ref, other.r_ref)
                               + other.tail)
     if other.tail:
         cross += other.tail * oracle_vf_norm(self, self.s_ref, self.r_ref)
-    return self._like(out, tail=0.0, extra_tail=extra_tail + cross)
+    extra = oracle_tail(dropped, self.s_ref, self.r_ref, per_pair)
+    return self._like(out, tail=0.0, extra_tail=extra + cross)
+
+
+def oracle_poisson_bracket(F, G, per_pair=False):
+    """The channel loop: one term-by-term product per channel of
+    <F_x,G_y> - <F_y,G_x> + i<F_z,G_zbar> - i<F_zbar,G_z>."""
+    if (F.d, F.n) != (G.d, G.n):
+        raise ValueError("dimension mismatch")
+    channels = []
+    for i in range(F.d):
+        channels += [(1, d_x(F, i), d_y(G, i)), (-1, d_y(F, i), d_x(G, i))]
+    for j in range(F.n):
+        channels += [(1j, d_z(F, j), d_zbar(G, j)),
+                     (-1j, d_zbar(F, j), d_z(G, j))]
+    out = HamiltonianJet.zero(F.d, F.n, max_degree=max(F.max_degree,
+                                                       G.max_degree),
+                              cutoff_cap=F.cutoff_cap,
+                              s_ref=F.s_ref, r_ref=F.r_ref)
+    dropped = []
+    for w, P, Q in channels:
+        terms, drops = oracle_pairs(P, Q)
+        out = out + w * P._like(terms, tail=0.0)
+        dropped += [(sig, box, w * part) for sig, box, part in drops]
+    cross = 0.0
+    if F.tail:
+        cross += F.tail * oracle_vf_norm(G, G.s_ref, G.r_ref)
+    if G.tail:
+        cross += G.tail * oracle_vf_norm(F, F.s_ref, F.r_ref)
+    tail = oracle_tail(dropped, F.s_ref, F.r_ref, per_pair)
+    return out._like(out.terms, tail=tail + cross)
 
 
 @pytest.fixture
 def oracle(monkeypatch):
-    """Run a callable with the term-by-term product and bound in place."""
+    """Run a callable with the term-by-term product, bracket and bound in
+    place."""
     def run(fn, *args, **kw):
         with monkeypatch.context() as m:
             m.setattr(HamiltonianJet, "jet_product", oracle_jet_product)
+            m.setattr(jets, "poisson_bracket", oracle_poisson_bracket)
             m.setattr(jets, "vf_norm", oracle_vf_norm)
             return fn(*args, **kw)
     return run
@@ -246,7 +328,10 @@ def test_grid_jet_product_matches_pair_loop(oracle, d, n, cut, cap):
     Q = mixed_jet(rng, d, n, 5, cut - 1, tail=2e-3, **kw)
     for F, G in ((P, Q), (Q, P), (P, P)):
         # the lambda looks jet_product up inside the patched context
-        assert_jets_agree(F.jet_product(G), oracle(lambda: F.jet_product(G)))
+        got = F.jet_product(G)
+        assert_jets_agree(got, oracle(lambda: F.jet_product(G)))
+        per_pair = oracle_jet_product(F, G, per_pair=True).tail
+        assert got.tail <= per_pair * (1 + 1e-12)
     over = [1 for a in P.terms for b in Q.terms
             if weighted_degree(tuple(tuple(x + y for x, y in zip(u, v))
                                      for u, v in zip(a, b))) > 4]
@@ -263,12 +348,48 @@ def test_grid_bracket_and_lie_transform_match_pair_loop(oracle, d, n, cut,
     kw = dict(max_degree=4, cutoff_cap=cap, s_ref=0.3, r_ref=0.5)
     H = mixed_jet(rng, d, n, 6, cut, degree=4, tail=1e-4, **kw)
     F = 1e-5 * mixed_jet(rng, d, n, 5, cut - 1, degree=2, tail=1e-3, **kw)
-    assert_jets_agree(poisson_bracket(H, F), oracle(poisson_bracket, H, F))
+    # degree 3 against degree 4: brackets up to degree 5 overflow
+    P = mixed_jet(rng, d, n, 6, cut - 1, degree=3, **kw)
+    for A, B in ((H, F), (F, H), (H, P), (P, H)):
+        got = poisson_bracket(A, B)
+        assert_jets_agree(got, oracle_poisson_bracket(A, B))
+        per_pair = oracle_poisson_bracket(A, B, per_pair=True).tail
+        assert got.tail <= per_pair * (1 + 1e-12)
+    assert poisson_bracket(H, P).tail > 0
     got = lie_transform(H, F, order=2)
     ref = oracle(lie_transform, H, F, order=2)
     assert_jets_agree(got.jet, ref.jet)
     assert got.tail_bound == pytest.approx(ref.tail_bound, rel=1e-12)
     assert got.term_norms == pytest.approx(ref.term_norms, rel=1e-12)
+
+
+def test_bracket_box_edge_modes_come_from_their_own_pair():
+    # one signature, two pairs: {A, B} is large in the box 1 + 1, {C, D}
+    # tiny in the box 8 + 8.  Modes 2 < |k| <= 16 belong to the tiny pair
+    # alone; a sum over the whole signature would put the large pair's
+    # FFT rounding there.
+    rng = np.random.default_rng(51)
+
+    def series(cut, scale):
+        box = (1, 1, 2 * cut + 1)
+        return FourierSeries(1, (1, 1), cut, scale * (
+            rng.standard_normal(box) + 1j * rng.standard_normal(box)))
+
+    zero = (0,)
+    F = HamiltonianJet(1, 1, {((1,), zero, zero): series(1, 1e6),
+                              (zero, (1,), zero): series(8, 1e-6)})
+    G = HamiltonianJet(1, 1, {(zero, zero, zero): series(1, 1.0),
+                              (zero, zero, (1,)): series(8, 1.0)})
+    scalar = (zero, zero, zero)
+    got = poisson_bracket(F, G).terms[scalar]
+    ref = oracle_poisson_bracket(F, G).terms[scalar]
+    assert got.cutoff == ref.cutoff == 16
+    tiny = product(F.terms[(zero, (1,), zero)],
+                   G.terms[(zero, zero, (1,))]).max_abs_coeff()
+    edge = np.abs(np.arange(-16, 17)) > 2
+    err = np.abs(got.data[0, 0, edge] - ref.data[0, 0, edge]).max()
+    assert err <= 1e-12 * tiny
+    assert got.max_abs_coeff() > 1e4 * tiny
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
