@@ -15,6 +15,7 @@ import os
 import sys
 
 import numpy as np
+from numpy.random import default_rng
 
 from .atlas import (ParameterAtlas, nonresonance_predicate, pave_and_filter,
                     paving_count)
@@ -152,7 +153,7 @@ def _greens_operator(cfg: RunConfig) -> LatticeMatrix:
 
 def _mode_run(cfg: RunConfig, out: dict):
     c = cfg.values
-    rng = np.random.default_rng(c["seed"])
+    rng = default_rng(c["seed"])
     nf = _normal_form(cfg)
     P = build_perturbation(cfg, rng)
     sch = make_schedule(c["A"], c["eps"], c["d"], tau=c["tau"],

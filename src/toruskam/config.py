@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass
 
 from .driver import DEFAULT_CONSTANTS, check_constant_ordering
@@ -130,7 +131,10 @@ def _require(cond, msg, violations):
 
 
 def _is_num(x):
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A finite number: JSON true/false are not, nor NaN and +-Infinity,
+    which Python's json parser accepts."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) \
+        and math.isfinite(x)
 
 
 def _is_int(x, low=None):
@@ -234,9 +238,13 @@ def validate(values: dict) -> list:
     if all([_require(_is_num(st[key]) and st[key] > 0,
                      f"stability.{key}: positive", v)
             for key in ("T", "dt")]):
-        # round(T / dt) >= 2, written so that an infinite ratio passes
-        _require(st["T"] / st["dt"] >= 1.5,
+        # round(T / dt) >= 2, and a finite step count: T / dt overflows to
+        # inf for a large T over a tiny dt even when both are finite
+        steps = st["T"] / st["dt"]
+        _require(steps >= 1.5,
                  "stability.T: must span at least 2 steps of dt", v)
+        _require(math.isfinite(steps),
+                 "stability.T / stability.dt: must be finite", v)
     if _require(isinstance(st["phases"], list) and len(st["phases"]) > 0
                 and all(_num_list(p) for p in st["phases"]),
                 "stability.phases: list of angle vectors", v) and dim_ok:

@@ -17,10 +17,49 @@ All operations return new objects; instances are treated as immutable.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft as sfft
+from numpy.fft import fft, ifft
+
+
+@lru_cache(maxsize=256)
+def next_fast_len(n: int) -> int:
+    """The smallest 11-smooth integer >= n (n >= 1), the transform length
+    pocketfft runs fastest; equal to `scipy.fft.next_fast_len(n)`."""
+    m = n
+    while True:
+        r = m
+        for p in (2, 3, 5, 7, 11):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m
+        m += 1
+
+
+def fftn(x: np.ndarray, L: int, axes: tuple) -> np.ndarray:
+    """Forward transform over `axes`, each zero-padded to L points: one
+    1-d pass per axis in the given order, which is bit-for-bit
+    `scipy.fft.fftn(x, s=(L,) * len(axes), axes=axes)` (`np.fft.fftn` runs
+    the axes last-first and differs in the last bits)."""
+    for ax in axes:
+        x = fft(x, n=L, axis=ax)
+    return x
+
+
+def ifftn(x: np.ndarray, axes: tuple) -> np.ndarray:
+    """Inverse transform over `axes`, in place in the complex array x.
+    The whole 1/n of the inverse is applied once, after the first axis's
+    pass, as `scipy.fft.ifftn` does, so the result is bit-for-bit the same
+    (`np.fft.ifftn` scales each axis by its own length)."""
+    n = math.prod(x.shape[ax] for ax in axes)
+    for t, ax in enumerate(axes):
+        ifft(x, axis=ax, norm="forward", out=x)
+        if t == 0:
+            x *= 1.0 / n
+    return x
 
 
 @lru_cache(maxsize=256)
@@ -275,8 +314,7 @@ def _grid_transforms(series: list, cutoff: int, L: int) -> np.ndarray:
         w = cutoff - f.cutoff
         stack[(t, slice(None), slice(None))
               + (slice(w, w + 2 * f.cutoff + 1),) * d] = f.data
-    return sfft.fftn(stack, s=(L,) * d, axes=tuple(range(3, d + 3)),
-                     overwrite_x=True)
+    return fftn(stack, L, tuple(range(3, d + 3)))
 
 
 def product(f: FourierSeries, g: FourierSeries) -> FourierSeries:
@@ -308,14 +346,13 @@ def product(f: FourierSeries, g: FourierSeries) -> FourierSeries:
     if lhs.cutoff == 0 or rhs.cutoff == 0:
         terms = np.stack([lhs.data[p] * rhs.data[q] for p, q in pairs])
     else:
-        L = sfft.next_fast_len(2 * N + 1)
+        L = next_fast_len(2 * N + 1)
         A = _grid_transforms([lhs], lhs.cutoff, L)[0]
         B = _grid_transforms([rhs], rhs.cutoff, L)[0]
         terms = np.empty((len(pairs),) + (L,) * d, dtype=complex)
         for t, (p, q) in enumerate(pairs):
             np.multiply(A[p], B[q], out=terms[t])
-        terms = sfft.ifftn(terms, axes=tuple(range(1, d + 1)),
-                           overwrite_x=True)
+        terms = ifftn(terms, tuple(range(1, d + 1)))
         terms = terms[(slice(None),) + (slice(2 * N + 1),) * d]
     terms = terms.reshape((rows, inner, cols) + box)
     if scalar_f != scalar_g:

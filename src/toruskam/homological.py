@@ -34,9 +34,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 
 from .fourier import (FourierSeries, dir_derivative, mode_grid, product,
                       strip_norm, truncate)
@@ -140,16 +137,34 @@ class LatticeMatrix:
         """Site indices of the connected components of the off-diagonal
         pattern, two sites coupled when any block entry between them is
         nonzero; one (count, size) array per component size, sizes
-        ascending, sites ascending within a component.  sigma moves only
-        the diagonal, so the components hold for every sigma."""
+        ascending, sites ascending within a component and components in
+        order of their smallest site.  sigma moves only the diagonal, so
+        the components hold for every sigma."""
         m, nb = self.nsites, self.nblock
         coupled = (self.to_dense() != 0).reshape(m, nb, m, nb).any(
             axis=(1, 3))
-        _, labels = connected_components(sparse.csr_array(coupled),
-                                         directed=False)
+        coupled |= coupled.T
+        np.fill_diagonal(coupled, True)
+        rows, cols = np.nonzero(coupled)
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        # min-label propagation: each site takes the smallest label among
+        # its neighbours, then follows labels to their fixed points (pointer
+        # jumping); at the fixed point every site carries the smallest site
+        # of its component
+        labels = np.arange(m)
+        while True:
+            new = np.minimum.reduceat(labels[cols], starts)
+            jumped = new[new]
+            while not np.array_equal(jumped, new):
+                new, jumped = jumped, jumped[jumped]
+            if np.array_equal(new, labels):
+                break
+            labels = new
+        roots = labels == np.arange(m)
+        labels = (np.cumsum(roots) - 1)[labels]
         sizes = np.bincount(labels)
         groups = []
-        for size in np.unique(sizes):
+        for size in np.flatnonzero(np.bincount(sizes)):
             sites = np.flatnonzero(sizes[labels] == size)
             order = np.argsort(labels[sites], kind="stable")
             groups.append(sites[order].reshape(-1, size))
@@ -288,9 +303,17 @@ def solve_hy(Rscript: FourierSeries, omega, N: int, divisor_floor=0.0):
 # lattice solves (homo 2 / homo 4)
 # ----------------------------------------------------------------------
 
+def _sla():
+    """scipy.linalg, imported on the first dense solve: no other route needs
+    it, and it is the costliest import of the package."""
+    import scipy.linalg
+    return scipy.linalg
+
+
 def _factor(T: LatticeMatrix, cond_cap: float):
     """Dense LU of T with its 1-norm condition estimate (LAPACK gecon);
     returns (dense, lu_piv, cond) or raises NearSingularError past the cap."""
+    sla = _sla()
     dense = T.to_dense()
     anorm = np.abs(dense).sum(axis=0).max()
     with warnings.catch_warnings():
@@ -438,7 +461,7 @@ def _lattice_solve(T: LatticeMatrix, rhs: FourierSeries, N: int | None,
                                          route="neumann", iterations=sweeps)
     dense, lu_piv, cond = _factor(T, cond_cap)
     b = -1j * _series_to_vec(T, _at_cutoff(rhs, N))
-    sol = sla.lu_solve(lu_piv, b, check_finite=False)
+    sol = _sla().lu_solve(lu_piv, b, check_finite=False)
     scale = np.linalg.norm(b)
     res = np.linalg.norm(dense @ sol - b) / scale if scale > 0 else 0.0
     return _vec_to_series(T, sol, N), LatticeSolveInfo(

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft as sfft
 
-from .fourier import FourierSeries, _grid_transforms, _l1_grid, partial_x
+from .fourier import (FourierSeries, _grid_transforms, _l1_grid, ifftn,
+                      next_fast_len, partial_x)
 
 Signature = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
@@ -170,7 +170,7 @@ def _grid_kernel(F: "HamiltonianJet", G: "HamiltonianJet", channels):
     N1 = max(f.cutoff for f in tf)
     N2 = max(g.cutoff for g in tg)
     N = N1 + N2
-    L = sfft.next_fast_len(2 * N + 1)
+    L = next_fast_len(2 * N + 1)
     tmp = np.empty((L,) * d, dtype=complex)
     slab = np.empty((min(len(keys), max(1, _BATCH_BYTES // tmp.nbytes)),)
                     + tmp.shape, dtype=complex)
@@ -186,8 +186,7 @@ def _grid_kernel(F: "HamiltonianJet", G: "HamiltonianJet", channels):
 
     def flush():
         nonlocal tail
-        out = sfft.ifftn(slab[:len(pending)], axes=tuple(range(1, d + 1)),
-                         overwrite_x=True)
+        out = ifftn(slab[:len(pending)], tuple(range(1, d + 1)))
         for (sig, c), grid in zip(pending, out):
             fp = grid[(slice(N - c, N + c + 1),) * d]
             m = kept.get((sig, c))

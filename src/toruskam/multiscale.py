@@ -19,7 +19,6 @@ import itertools
 from dataclasses import dataclass, replace as _dc_replace
 
 import numpy as np
-import scipy.linalg as sla
 
 from .greens import (CertificateGateError, DecayCertificate, _block_inverse,
                      _component_blocks, _site_magnitudes, decay_certificate,
@@ -344,7 +343,7 @@ def _propagate_bounds(T: LatticeMatrix, windows: dict,
     if rows.max() >= gate:
         raise CertificateGateError(
             f"resolvent contraction factor {rows.max():.3e} >= {gate}")
-    g = sla.solve(np.eye(m) - K, a)
+    g = np.linalg.solve(np.eye(m) - K, a)
     return np.maximum(g, 0.0)
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng
 
 from .fourier import FourierSeries
 
@@ -122,7 +123,7 @@ def symmetry_defect(B: FourierSeries | None, samples: int = 16,
     planted asymmetric or gain term shows up immediately."""
     if B is None:
         return 0.0
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     pts = np.vstack([np.zeros(B.d),
                      rng.uniform(0, 2 * np.pi, size=(samples, B.d))])
     vals = B.evaluate(pts)

@@ -292,7 +292,8 @@ class _Scanned(Exception):
     (0.0, 1.0, 65535.0, False),           # 2^16 points, the largest allowed
     (0.0, 1.0, 65536.0, True),
     (-1.0, 1.0, 1e300, True),
-    (0.0, 1.0, math.inf, True),
+    (0.0, 1.0, math.inf, True),           # refused as a number, below
+    (-1e308, 1e308, 1.0, True),           # finite ends, span overflows
 ])
 def test_sigma_scan_grid_cap(tmp_path, capsys, monkeypatch, lo, hi, ppu,
                              refused):
@@ -308,7 +309,8 @@ def test_sigma_scan_grid_cap(tmp_path, capsys, monkeypatch, lo, hi, ppu,
             main(["--config", path, "--out", str(out)])
         return
     assert main(["--config", path, "--out", str(out)]) == EXIT_CONFIG
-    msg = f"more than the {cli.MAX_SIGMA_POINTS} allowed"
+    msg = (f"more than the {cli.MAX_SIGMA_POINTS} allowed"
+           if math.isfinite(ppu) else "sigma_scan.points_per_unit: positive")
     assert msg in capsys.readouterr().err
     report = json.loads((out / "report.json").read_text())
     assert report["exit_code"] == EXIT_CONFIG
@@ -364,6 +366,37 @@ def test_booleans_are_not_integers(tmp_path, capsys, section, key, msg, flag):
     assert msg in capsys.readouterr().err
     report = json.loads((out / "report.json").read_text())
     assert msg in report["results"]["config_errors"]
+
+
+@pytest.mark.parametrize("text, msg", [
+    ('{"mode": "stability", "stability": {"T": Infinity}}',
+     "stability.T: positive"),
+    ('{"omega": [1.0, NaN]}', "omega: nonempty number list"),
+    ('{"A": Infinity}', "A: must exceed 1"),
+    ('{"Omega": [-Infinity]}', "Omega: nonempty number list"),
+    ('{"caps": {"cond_cap": Infinity}}', "caps.cond_cap: positive"),
+    ('{"greens": {"sigma": NaN}}', "greens.sigma: number"),
+    ('{"mode": "stability", "stability": {"phases": [[0.0, NaN]]}}',
+     "stability.phases: list of angle vectors"),
+    ('{"mode": "stability", "n": 2, "Omega": [1.17, 1.43],'
+     ' "stability": {"z0_imag": [0.0, Infinity]}}',
+     "stability.z0_imag: number list"),
+    # both finite, but T / dt overflows to an infinite step count
+    ('{"mode": "stability", "stability": {"T": 1e300, "dt": 1e-300}}',
+     "stability.T / stability.dt: must be finite"),
+], ids=["T-inf", "omega-nan", "A-inf", "Omega-neg-inf", "cond_cap-inf",
+        "sigma-nan", "phases-nan", "z0_imag-inf", "T-over-dt-inf"])
+def test_non_finite_numbers_refused(tmp_path, capsys, text, msg):
+    # Python's json reads NaN and +-Infinity; each is a config error (exit
+    # 2 with the violation in report.json), not a run
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    out = tmp_path / "o"
+    assert main(["--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert msg in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert report["exit_code"] == EXIT_CONFIG
+    assert report["results"]["config_errors"] == [msg]
 
 
 def decaying_scalar_loop(rng, d, eps, decay, kmax, zero_mean=True,

@@ -4,16 +4,19 @@ Two static rules over every module in `src/toruskam`, checked with `ast`:
   * every imported name is used in the module that imports it;
   * every function, method and class that is not a dunder is named
     somewhere besides its own definition, in `src/` or `tests/`.
-One import rule, checked in a fresh interpreter: `toruskam.cli` loads none
-of the scipy subpackages that cost the most start-up time.
+Two import rules, checked in fresh interpreters: `toruskam.cli` loads no
+scipy module, and `dispatch` imports no module on the benchmark workloads.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "toruskam"
@@ -80,15 +83,87 @@ def test_no_unreferenced_definitions():
     assert unreferenced_definitions() == []
 
 
-def test_cli_import_skips_heavy_scipy():
-    heavy = ("scipy.signal", "scipy.stats", "scipy.interpolate",
-             "scipy.optimize", "scipy.ndimage")
+def _fresh_python(code: str, *args: str) -> str:
+    """Standard output of `code` run in a fresh interpreter that imports
+    toruskam from `src/`."""
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_cli_import_loads_no_scipy():
     code = "import sys, toruskam.cli; print(*sorted(sys.modules))"
-    loaded = subprocess.run([sys.executable, "-c", code], env=env,
-                            capture_output=True, text=True,
-                            check=True).stdout.split()
+    loaded = _fresh_python(code).split()
     assert "toruskam.cli" in loaded
-    assert [m for m in loaded
-            if any(m == h or m.startswith(h + ".") for h in heavy)] == []
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+
+
+GOLDEN = (1.0 + 5.0 ** 0.5) / 2.0
+
+# the three benchmark workloads' configs at seed 1, to three digits
+WORKLOAD_CONFIGS = {
+    "kam-run": {
+        "mode": "run", "seed": 1, "omega": [1.0, GOLDEN], "Omega": [1.17],
+        "caps": {"levels": 3, "N_max": 24, "gamma": 1e-4},
+        "perturbation": {"kind": "random-tail", "amplitude": 1e-6,
+                         "kmax": 26}},
+    "sigma-scan": {
+        "mode": "sigma-scan", "seed": 1, "omega": [1.0, GOLDEN],
+        "Omega": [1.17], "perturbation": {"mode": [1, 0]},
+        "greens": {"N": 8, "coupling_eps": 0.05, "coupling_rho": 0.5},
+        "sigma_scan": {"range": [-0.488, 0.512], "norm_target": 100.0,
+                       "alpha_target": 0.1, "threshold": 2.0,
+                       "points_per_unit": 100.0, "refine_iters": 10}},
+    "stability": {
+        "mode": "stability", "seed": 1, "n": 2, "omega": [1.0, GOLDEN],
+        "Omega": [1.17, 1.43],
+        "perturbation": {"kind": "cosine", "amplitude": 0.01,
+                         "mode": [1, 0]},
+        "stability": {"T": 100.0, "dt": 1e-3, "phases": [[3.216, 5.972]],
+                      "z0_real": [0.617, 0.948],
+                      "z0_imag": [0.787, -0.317]}},
+}
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_CONFIGS))
+def test_dispatch_imports_no_module(tmp_path, workload):
+    # everything a run uses is imported with toruskam.cli, so a lazy import
+    # (numpy.ma under np.unique, numpy.random, numpy.fft, scipy.linalg)
+    # cannot move set-up time into the solve
+    code = ("import json, sys\n"
+            "from toruskam import cli, config\n"
+            "cfg = config.load_config(json.loads(sys.argv[1]))\n"
+            "before = set(sys.modules)\n"
+            "code = cli.dispatch(cfg, sys.argv[2])\n"
+            "print(code, *sorted(set(sys.modules) - before))")
+    out = _fresh_python(code, json.dumps(WORKLOAD_CONFIGS[workload]),
+                        str(tmp_path / "out")).split()
+    assert out == ["0"]
+
+
+def test_dense_route_alone_imports_scipy_linalg():
+    # a Jacobi-gated solve runs without scipy; a symbol with
+    # q = ||S|| / min|D| >= 1 forces the dense LU route, which imports
+    # scipy.linalg on first use and still solves to its residual
+    code = """if True:
+        import sys
+        import numpy as np
+        from toruskam.fourier import FourierSeries
+        from toruskam.homological import build_T, solve_hz
+        omega, Omega = np.array([0.1, 0.1618]), np.array([1.3])
+        Z = FourierSeries.zero(2)
+        rhs = FourierSeries.from_coeffs(2, {(0, 0): 1.0, (1, -1): 0.5j})
+        for coupling in (0.05, 1.5):
+            B = FourierSeries.from_coeffs(2, {(1, 0): coupling,
+                                              (-1, 0): coupling})
+            T = build_T(omega, Omega, B, Z, 3)
+            Fz, _, info = solve_hz(T, rhs)
+            b = -1j * np.concatenate([rhs.coeff(k)[:, 0] for k in T.region])
+            u = np.concatenate([Fz.coeff(k)[:, 0] for k in T.region])
+            res = np.linalg.norm(T.to_dense() @ u - b) / np.linalg.norm(b)
+            print(info.route, info.residual <= 1e-12, res <= 1e-12,
+                  "scipy.linalg" in sys.modules)
+    """
+    lines = _fresh_python(code).splitlines()
+    assert lines == ["neumann True True False", "dense True True True"]

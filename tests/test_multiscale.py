@@ -526,6 +526,65 @@ def test_block_kernel_exactly_singular_block():
     assert prober.sample(0.5)[1] < np.inf
 
 
+def _csgraph_components(T):
+    """The component grouping of `LatticeMatrix.components` computed with
+    scipy's csgraph labelling, as the oracle."""
+    from scipy import sparse
+    from scipy.sparse.csgraph import connected_components
+    m, nb = T.nsites, T.nblock
+    coupled = (T.to_dense() != 0).reshape(m, nb, m, nb).any(axis=(1, 3))
+    _, labels = connected_components(sparse.csr_array(coupled),
+                                     directed=False)
+    sizes = np.bincount(labels)
+    groups = []
+    for size in np.unique(sizes):
+        sites = np.flatnonzero(sizes[labels] == size)
+        order = np.argsort(labels[sites], kind="stable")
+        groups.append(sites[order].reshape(-1, size))
+    return groups
+
+
+def _patterned_T(m, nb, density, seed, symmetric=True):
+    """An operator on m sites of nblock nb whose dense form is a random
+    pattern of the given density (symmetric in the sites, or not)."""
+    rng = np.random.default_rng(seed)
+    T = lattice_on([(k,) for k in range(m)], 1)
+    T = LatticeMatrix(d=1, nblock=nb, region=T.region, omega=T.omega,
+                      diag_block=np.ones(nb),
+                      symbol=FourierSeries.zero(1, shape=(nb, nb)))
+    pattern = rng.random((m * nb, m * nb)) < density
+    if symmetric:
+        pattern |= pattern.T
+    T._dense = np.where(pattern, 1.0 + rng.random(pattern.shape), 0.0)
+    return T
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES) + [
+    f"random {m} {nb} {density} {sym}"
+    for m, nb, density in [(1, 1, 0.5), (40, 1, 0.02), (60, 1, 0.01),
+                           (50, 2, 0.005), (120, 1, 0.004), (30, 3, 0.3)]
+    for sym in ("sym", "asym")] + ["shuffled chain"])
+def test_components_match_csgraph(case):
+    if case in BLOCK_CASES:
+        T = BLOCK_CASES[case][0]()
+    elif case == "shuffled chain":
+        # one path through 200 sites in random order, the longest labels
+        # have to travel; its own diagonal entries are zero
+        T = _patterned_T(200, 1, 0.0, seed=0)
+        path = np.random.default_rng(0).permutation(200)
+        T._dense[path[:-1], path[1:]] = 1.0
+        assert [g.shape for g in T.components()] == [(1, 200)]
+    else:
+        _, m, nb, density, sym = case.split()
+        T = _patterned_T(int(m), int(nb), float(density),
+                         seed=int(m) + int(nb), symmetric=sym == "sym")
+    got, want = T.components(), _csgraph_components(T)
+    assert [g.shape for g in got] == [g.shape for g in want]
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert sorted(np.concatenate([g.ravel() for g in got]).tolist()) \
+        == list(range(T.nsites))
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_block_cond_bounds_gecon_estimate(seed):
     rng = np.random.default_rng(seed)
