@@ -36,8 +36,8 @@ EXIT_EXCLUDED = 3
 EXIT_NUMERIC = 4
 
 # version 2: sigma-scan results carry norm_route, factored_probes and
-# components
-SCHEMA_VERSION = 2
+# components; version 3: run results carry level_certificate
+SCHEMA_VERSION = 3
 
 # boxes an atlas run may pave: the predicate holds about 20 kB per child box
 # at exclusion_N = 6, so this bounds one paving near 330 MB
@@ -47,6 +47,11 @@ MAX_ATLAS_BOXES = 1 << 14
 # probe at N = 8 takes about a millisecond, so this bounds a scan's grid
 # near a minute
 MAX_SIGMA_POINTS = 2 ** 16
+
+# RK4 steps a stability run may take over all its phases: at n = 2, 10^6
+# steps take about 1.4 s and a phase holds about 100 bytes per step, so
+# this bounds a run near 6 s and one phase near 420 MB
+MAX_STABILITY_STEPS = 2 ** 22
 
 
 def _jsonable(obj):
@@ -151,6 +156,15 @@ def _greens_operator(cfg: RunConfig) -> LatticeMatrix:
 # modes
 # ----------------------------------------------------------------------
 
+def _certificate_record(cert) -> dict:
+    """A certificate's claim and its route's numbers: r and q_r for the
+    closed form, the condition number and measured norm for a direct
+    inversion."""
+    return {"provenance": cert.provenance, "alpha": cert.alpha,
+            "prefactor": cert.prefactor, "norm_bound": cert.norm_bound,
+            "threshold": cert.threshold, **cert.extra}
+
+
 def _mode_run(cfg: RunConfig, out: dict):
     c = cfg.values
     rng = default_rng(c["seed"])
@@ -172,6 +186,7 @@ def _mode_run(cfg: RunConfig, out: dict):
         "residual": res.residual,
         "final_low_norm": res.final_low_norm,
         "surviving_boxes": len(res.atlas.boxes),
+        "level_certificate": _certificate_record(res.level_certificate),
     }
     out["csv"] = {"levels.csv": log_csv(res.rows)}
     out["summary"] = (
@@ -282,6 +297,12 @@ def _mode_stability(cfg: RunConfig, out: dict):
     c = cfg.values
     st = c["stability"]
     n = c["n"]
+    steps = round(st["T"] / st["dt"]) * len(st["phases"])
+    if steps > MAX_STABILITY_STEPS:
+        raise ConfigError([
+            f"stability: T / dt = {st['T'] / st['dt']:.4g} steps over "
+            f"{len(st['phases'])} phases would take {steps:.4g} steps, "
+            f"more than the {MAX_STABILITY_STEPS} allowed"])
     B = None
     if c["perturbation"]["kind"] == "cosine" \
             and c["perturbation"]["amplitude"] > 0:

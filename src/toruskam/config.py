@@ -203,9 +203,15 @@ def validate(values: dict) -> list:
              "perturbation.kmax: positive integer", v)
     _require(_is_int(pert["cutoff_cap"], 1),
              "perturbation.cutoff_cap: positive integer", v)
+    # the lengths of perturbation.mode and stability.phases are checked
+    # against d only where they are read: the mode by the greens operator
+    # (greens, sigma-scan) and the cosine perturbation, the phases by the
+    # stability mode
     if dim_ok and _require(isinstance(pert["mode"], list)
                            and all(_is_int(k) for k in pert["mode"]),
-                           "perturbation.mode: integer list", v):
+                           "perturbation.mode: integer list", v) \
+            and (c["mode"] in ("greens", "sigma-scan")
+                 or pert["kind"] == "cosine"):
         _require(len(pert["mode"]) == c["d"],
                  "perturbation.mode: length must equal d", v)
 
@@ -247,7 +253,8 @@ def validate(values: dict) -> list:
                  "stability.T / stability.dt: must be finite", v)
     if _require(isinstance(st["phases"], list) and len(st["phases"]) > 0
                 and all(_num_list(p) for p in st["phases"]),
-                "stability.phases: list of angle vectors", v) and dim_ok:
+                "stability.phases: list of angle vectors", v) and dim_ok \
+            and c["mode"] == "stability":
         _require(all(len(p) == c["d"] for p in st["phases"]),
                  "stability.phases: each phase must have length d", v)
     for key in ("z0_real", "z0_imag"):

@@ -21,8 +21,7 @@ import numpy as np
 
 from .atlas import ParameterAtlas, nonresonance_predicate, pave_and_filter
 from .fourier import FourierSeries
-from .greens import invert_direct, neumann_transfer, variation_delta, \
-    CertificateGateError
+from .greens import DecayCertificate, level_certificate
 from .homological import (NearSingularError, SmallDivisorError, build_T,
                           solve_homological)
 from .jets import (HamiltonianJet, NormalForm, check_reality, lie_transform,
@@ -151,6 +150,7 @@ class TorusResult:
     rows: list                # per-level log dictionaries
     exponent: float | None    # measured contraction exponent
     final_low_norm: float
+    level_certificate: DecayCertificate   # of the first level's operator
 
 
 def _jet_kw(P: HamiltonianJet) -> dict:
@@ -159,9 +159,15 @@ def _jet_kw(P: HamiltonianJet) -> dict:
 
 
 def gamma_floor(gamma: float, tau: float):
-    """Divisor exclusion floor |<k, omega>| > gamma |k|_1^{-tau}."""
-    def floor(k):
-        return gamma * max(sum(abs(c) for c in k), 1) ** -tau
+    """Divisor exclusion floor |<k, omega>| > gamma |k|_1^{-tau}, as a
+    callable of an (m, d) array of modes returning their m floors.  Each
+    distinct |k|_1 takes one scalar gamma * max(|k|_1, 1) ** -tau, the
+    per-mode expression, so every floor is bit-identical to it."""
+    def floor(modes):
+        l1 = np.abs(modes).sum(axis=1)
+        table = [gamma * max(v, 1) ** -tau
+                 for v in range(int(l1.max(initial=0)) + 1)]
+        return np.array(table)[l1]
     return floor
 
 
@@ -182,15 +188,6 @@ def invariance_residual(P: HamiltonianJet, s: float, r: float) -> float:
     return vf_norm(sub, s, r)
 
 
-def state_variation(a: KamState, b: KamState, s: float, N: int):
-    """Perturbation envelope between the lattice operators of two states."""
-    Ta = build_T(a.nf.omega, a.nf.Omega, a.nf.B,
-                 matrix_zzbar(split_low_high(a.P).low), N)
-    Tb = build_T(b.nf.omega, b.nf.Omega, b.nf.B,
-                 matrix_zzbar(split_low_high(b.P).low), N)
-    return variation_delta(Ta, Tb, s)
-
-
 # ----------------------------------------------------------------------
 # the iteration
 # ----------------------------------------------------------------------
@@ -199,8 +196,10 @@ def initial_step(nf: NormalForm, P: HamiltonianJet, schedule: KamSchedule,
                  gamma: float | None = None, exclusion_N: int = 8,
                  ambient_half_width: float = 0.5) -> tuple:
     """Measure the input, build the surviving-parameter atlas at the first
-    level, and return the starting state (with the frequency vector as the
-    active parameter) plus the atlas."""
+    level, certify the level's lattice operator (`level_certificate`: the
+    closed-form Combes-Thomas bound, or a direct inversion when its gate
+    q_0 < 1 fails), and return the starting state (with the frequency
+    vector as the active parameter) plus the atlas."""
     ok, worst = check_reality(P)
     if not ok:
         raise ValueError(f"input violates the reality condition: {worst:.3e}")
@@ -223,21 +222,13 @@ def initial_step(nf: NormalForm, P: HamiltonianJet, schedule: KamSchedule,
         centers = np.array([b.center for b in atlas.boxes])
         xi = centers[np.argmin(np.abs(centers - nf.omega).sum(axis=1))]
         nf = NormalForm(xi.copy(), nf.Omega, nf.B)
-    # level-entry certificate for the lattice operator, Neumann-transferred
-    # from the unperturbed diagonal when the perturbation is small enough
-    N = schedule.N(l)
-    Z = FourierSeries.zero(nf.d, shape=(nf.n, nf.n))
-    T0 = build_T(nf.omega, nf.Omega, Z, Z, N)
-    T = build_T(nf.omega, nf.Omega, nf.B, matrix_zzbar(sp.low), N)
-    _, cert0 = invert_direct(T0, threshold=2)
-    try:
-        cert = neumann_transfer(cert0, variation_delta(T0, T, s=0.25))
-    except CertificateGateError:
-        _, cert = invert_direct(T, threshold=2)
+    T = build_T(nf.omega, nf.Omega, nf.B, matrix_zzbar(sp.low),
+                schedule.N(l))
     state = KamState(level=l, nf=nf, P=P, xi=xi, eps_meas=eps0,
                      eps_high=eps_high,
                      extra={"gamma": gamma, "removed_measure": removed,
-                            "greens": cert})
+                            "level_certificate":
+                                level_certificate(T, threshold=2)})
     return state, atlas
 
 
@@ -353,7 +344,8 @@ def run(nf: NormalForm, P: HamiltonianJet, schedule: KamSchedule,
                        generators=generators, residual=residual,
                        atlas=atlas, rows=rows,
                        exponent=contraction_exponent(eps_seq),
-                       final_low_norm=state.eps_meas)
+                       final_low_norm=state.eps_meas,
+                       level_certificate=state.extra["level_certificate"])
 
 
 def log_csv(rows) -> str:

@@ -2,12 +2,23 @@
 
 A DecayCertificate is a falsifiable statement about the inverse G of a
 lattice operator restricted to a finite region: the operator norm is at most
-`norm_bound`, and entries decay like |G(x,y)| <= e^{-alpha |x-y|_1} once the
-site distance exceeds `threshold`.  Certificates come from direct inversion
-(measured) or are transferred from existing ones through perturbation bounds;
-transferred certificates are produced by explicit numeric contraction
-arguments, never by asymptotic constants, so that direct inversion can always
-be used as a soundness oracle.
+`norm_bound`, and entries decay like |G(x,y)| <= C e^{-alpha |x-y|_1} once
+the site distance exceeds `threshold`, with the prefactor C = `prefactor`
+(1 unless a route proves a larger one).  Certificates come from direct
+inversion (measured), from the closed-form Combes-Thomas bound
+(`combes_thomas`, verified including rounding), or are transferred from
+existing ones through perturbation bounds; transferred certificates are
+produced by explicit numeric contraction arguments, never by asymptotic
+constants, so that direct inversion can always be used as a soundness
+oracle.
+
+The Combes-Thomas bound reads T = D + S off its symbol alone: with
+s_r = sum_k max(row sum, column sum) of |S(k)| e^{r |k|_1} and
+q_r = s_r / min|D| < 1, conjugating T by e^{r |x - y|_1} keeps it a small
+perturbation of D, so |G(x,y)| <= e^{-r |x-y|_1} / (min|D| (1 - q_r)) and
+||G|| <= 1 / (min|D| (1 - q_0)).  It costs O(symbol size) at any d and
+needs no dense form; `level_certificate` falls back to direct inversion
+when q_0 >= 1.
 
 One certificate kernel: an operator's inverse is block diagonal on the
 connected components of its off-diagonal pattern
@@ -26,13 +37,19 @@ oracle.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .homological import LatticeMatrix, NearSingularError
+from .homological import LatticeMatrix, NearSingularError, _symbol_norm
 
 ALPHA_CAP = 50.0   # stored decay rate for exactly-banded/diagonal inverses
+
+# Combes-Thomas rates tried, in ascending order: binary fractions, so that
+# r |k|_1 is exact and e^{r |k|_1} carries only the rounding of exp
+CT_RATES = tuple(j / 32 for j in range(1, 129))
+CT_Q_MAX = 0.5     # the scan keeps the largest rate with q_r <= CT_Q_MAX
 
 
 class CertificateGateError(Exception):
@@ -47,21 +64,33 @@ class DecayCertificate:
     b_exponent: float
     region: tuple
     provenance: str
+    prefactor: float = 1.0
     extra: dict = field(default_factory=dict, compare=False)
 
     @property
     def diameter(self) -> int:
-        return int(site_distances(self.region).max())
+        return l1_diameter(self.region)
 
     def entry_bound(self, dist: int) -> float:
         if dist <= self.threshold:
             return self.norm_bound
-        return float(np.exp(-self.alpha * dist))
+        return float(self.prefactor * np.exp(-self.alpha * dist))
 
 
 def site_distances(region) -> np.ndarray:
     ks = np.array(region, dtype=int)
     return np.abs(ks[:, None, :] - ks[None, :, :]).sum(axis=-1)
+
+
+def l1_diameter(region) -> int:
+    """max |x - y|_1 over pairs of sites, without the m x m distances:
+    |x - y|_1 = max over sign vectors e of <e, x - y>, so it is the largest
+    spread of <e, x> over the 2^(d-1) sign vectors with e_1 = +1."""
+    ks = np.asarray(region, dtype=int)
+    signs = np.array([(1,) + e for e in
+                      itertools.product((1, -1), repeat=ks.shape[1] - 1)])
+    proj = ks @ signs.T
+    return int((proj.max(axis=0) - proj.min(axis=0)).max())
 
 
 def _site_magnitudes(G: np.ndarray, nsites: int, nblock: int) -> np.ndarray:
@@ -87,17 +116,18 @@ def measure_alpha(gmag: np.ndarray, dist: np.ndarray, threshold: int,
     return float(min(max(rate - guard, 0.0), ALPHA_CAP))
 
 
-def decay_certificate(norm: float, alpha: float, threshold: int,
-                      dist: np.ndarray, region, provenance: str,
-                      extra: dict) -> DecayCertificate:
+def decay_certificate(norm: float, alpha: float, threshold: int, region,
+                      provenance: str, extra: dict,
+                      prefactor: float = 1.0) -> DecayCertificate:
     """Certificate with b-exponent log(log norm) / log diam, where diam is
-    the largest |x-y|_1 in `dist`, the site distances of `region`."""
-    diam = int(dist.max()) if len(region) > 1 else 1
+    the largest |x-y|_1 over `region`."""
+    diam = l1_diameter(region) if len(region) > 1 else 1
     b_exp = float(np.log(np.log(norm)) / np.log(diam)) \
         if norm > 1.0 and diam > 1 else 0.0
     return DecayCertificate(norm_bound=norm, alpha=alpha, threshold=threshold,
                             b_exponent=b_exp, region=region,
-                            provenance=provenance, extra=extra)
+                            provenance=provenance, prefactor=prefactor,
+                            extra=extra)
 
 
 def _component_blocks(T: LatticeMatrix) -> list:
@@ -153,7 +183,7 @@ def invert_direct(T: LatticeMatrix, threshold: int = 0,
     measured = max(float(np.linalg.norm(Gb, 2, axis=(-2, -1)).max())
                    for Gb in inverses)
     alpha = measure_alpha(gmag, dist, threshold)
-    cert = decay_certificate(measured * (1 + 1e-6), alpha, threshold, dist,
+    cert = decay_certificate(measured * (1 + 1e-6), alpha, threshold,
                              T.region, "direct",
                              {"condition": float(cond),
                               "measured_norm": measured})
@@ -171,19 +201,21 @@ class CertifyResult:
 
 
 def certify(G: np.ndarray, region, nblock: int, alpha_target: float,
-            threshold: int, norm_target: float) -> CertifyResult:
-    """Check |G(x,y)| <= e^{-alpha |x-y|} beyond the threshold and
-    ||G|| <= norm_target; report the 10 worst offenders with their ratio
-    |G(x,y)| e^{alpha |x-y|}.
+            threshold: int, norm_target: float,
+            prefactor: float = 1.0) -> CertifyResult:
+    """Check |G(x,y)| <= C e^{-alpha |x-y|} beyond the threshold, with
+    C = `prefactor`, and ||G|| <= norm_target; report the 10 worst
+    offenders with their ratio |G(x,y)| e^{alpha |x-y|} / C.
 
-    The comparison is log|G(x,y)| + alpha |x-y| > 0, so that neither
-    e^{alpha |x-y|} overflowing nor a zero entry can produce a NaN."""
+    The comparison is log|G(x,y)| + alpha |x-y| - log C > 0, so that
+    neither e^{alpha |x-y|} overflowing nor a zero entry can produce a
+    NaN."""
     nsites = len(region)
     dist = site_distances(region)
     gmag = _site_magnitudes(G, nsites, nblock)
     norm = float(np.linalg.norm(G, 2))
     with np.errstate(divide="ignore"):
-        log_ratio = np.log(gmag) + alpha_target * dist
+        log_ratio = np.log(gmag) + alpha_target * dist - np.log(prefactor)
     mask = dist > threshold
     bad = np.argwhere(mask & (log_ratio > 0.0))
     order = np.argsort(-log_ratio[tuple(bad.T)]) if len(bad) else []
@@ -208,7 +240,7 @@ def weighted_row_norm_from_cert(cert: DecayCertificate, rate: float) -> float:
     dist = site_distances(cert.region)
     near = dist <= cert.threshold
     bound = np.where(near, cert.norm_bound * np.exp(rate * dist),
-                     np.exp(-(cert.alpha - rate) * dist))
+                     cert.prefactor * np.exp(-(cert.alpha - rate) * dist))
     return float(bound.sum(axis=1).max())
 
 
@@ -230,7 +262,8 @@ def neumann_transfer(cert: DecayCertificate, delta: tuple,
     a weighted row norm (the asymptotic largeness assumptions are replaced by
     this check at desk scale).  The nominal output is the norm doubled and
     alpha' = min(alpha, rho) - 2 ln2 / threshold; the emitted alpha is the
-    smaller of that and the rate the contraction argument actually proves.
+    smaller of that and the rate the contraction argument actually proves
+    under the parent's prefactor, which the output keeps.
     """
     bound_eps, rho = float(delta[0]), float(delta[1])
     diam = max(cert.diameter, 1)
@@ -255,7 +288,8 @@ def neumann_transfer(cert: DecayCertificate, delta: tuple,
     dvals = np.arange(thr + 1, max(diam, thr + 1) + 1)
     bound = np.array([cert.entry_bound(int(dd)) for dd in dvals]) \
         + corr * np.exp(-rate * dvals)
-    alpha_rig = float((-np.log(np.maximum(bound, 1e-300)) / dvals).min())
+    alpha_rig = float((-np.log(np.maximum(bound, 1e-300) / cert.prefactor)
+                       / dvals).min())
     alpha_out = max(min(alpha_nom, alpha_rig), 0.0)
     return replace(cert, norm_bound=2.0 * cert.norm_bound,
                    alpha=alpha_out, provenance="neumann",
@@ -281,4 +315,90 @@ def check_certificate(cert: DecayCertificate, T: LatticeMatrix,
     """Soundness oracle: invert directly and certify against the claim."""
     G, _ = invert_direct(T, threshold=cert.threshold)
     return certify(G, T.region, T.nblock, cert.alpha - tol, cert.threshold,
-                   cert.norm_bound * (1 + tol))
+                   cert.norm_bound * (1 + tol), cert.prefactor * (1 + tol))
+
+
+# ----------------------------------------------------------------------
+# closed-form certificate (Combes-Thomas)
+# ----------------------------------------------------------------------
+
+def _up(x: float, n: int) -> float:
+    """x times 1 + (n + 1) 2^-52, an exact float above 1 + gamma_n with
+    gamma_n = n u / (1 - n u) and u = 2^-53: a value computed with n
+    roundings of relative size u, rounded up past them and past this
+    product's own rounding (Higham, Accuracy and Stability of Numerical
+    Algorithms, section 3.1)."""
+    return x * (1.0 + (n + 1) * 2.0 ** -52)
+
+
+def _down(x: float, n: int) -> float:
+    """x rounded down past n roundings, as `_up` rounds up."""
+    return x * (1.0 - (n + 1) * 2.0 ** -52)
+
+
+def _diagonal_floor(T: LatticeMatrix) -> float:
+    """A lower bound for min |D| of the exact diagonal
+    D(j,k) = <k, omega> + sigma + Omega_j of T's float data.  The computed
+    D takes d + 2 roundings, so it is off by at most
+    gamma_{d+2} (|k| . |omega| + |sigma| + |Omega_j|); the slack below is
+    four times that, which also covers the rounding of the slack itself."""
+    ks = np.abs(T.site_array)
+    scale = (ks @ np.abs(T.omega) + abs(T.sigma))[:, None] \
+        + np.abs(T.diag_block)[None, :]
+    slack = scale * ((4 * T.d + 16) * 2.0 ** -53)
+    return _down(float((np.abs(T.diag_values()) - slack).min()), 1)
+
+
+def combes_thomas(T: LatticeMatrix, threshold: int = 0):
+    """Closed-form certificate of T = D + S from its symbol, or None when
+    q_0 = s_0 / min|D| >= 1 (then only a direct inversion decides).
+
+    For a weight e^{r |x - y|_1} around any column y, the conjugated
+    operator is D + S_r with ||S_r|| <= s_r (`_symbol_norm`), so with
+    q_r = s_r / min|D| < 1 its inverse has norm at most
+    C_r = 1 / (min|D| (1 - q_r)), and every entry satisfies
+    |G(x,y)| <= C_r e^{-r |x-y|_1}; r = 0 bounds ||G||.  The rate is the
+    largest of `CT_RATES` with q_r <= CT_Q_MAX, which keeps C_r within
+    1 / (min|D| (1 - CT_Q_MAX)); when none passes, r = 0 and C is the norm
+    bound.  s_r is rounded up and min|D| down past the rounding of their
+    evaluation, so the bound holds for the exact operator.  The claim holds
+    at every distance; `threshold` only sets where the certificate's
+    entry bound switches from the norm to the decay."""
+    dmin = _diagonal_floor(T)
+    if not dmin > 0.0:
+        return None
+    # |symbol| (2 roundings), a row sum over nblock terms, exp (4), one
+    # product and a sum over the symbol's modes
+    rounds = T.nblock + T.symbol.data[0, 0].size + 8
+
+    def q_of(r):
+        # e^{r |k|_1} may overflow on a huge box: s_r is then inf or NaN,
+        # and the rate is not taken
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _up(_up(_symbol_norm(T, r), rounds) / dmin, 1)
+
+    q0 = q_of(0.0)
+    if not q0 < 1.0:
+        return None
+    # s_r grows with r, so the scan stops at the first rate past the gate
+    r, q = 0.0, q0
+    for rate in CT_RATES:
+        q_rate = q_of(rate)
+        if not q_rate <= CT_Q_MAX:
+            break
+        r, q = rate, q_rate
+    norm = _up(1.0 / (dmin * (1.0 - q0)), 3)
+    prefactor = _up(1.0 / (dmin * (1.0 - q)), 3)
+    return decay_certificate(norm, r, threshold, T.region, "combes-thomas",
+                             {"r": r, "q_r": q, "q0": q0},
+                             prefactor=prefactor)
+
+
+def level_certificate(T: LatticeMatrix, threshold: int = 0,
+                      cond_cap: float = 1e12) -> DecayCertificate:
+    """The closed-form certificate of T when q_0 < 1, else the measured one
+    of `invert_direct` (which raises NearSingularError past `cond_cap`)."""
+    cert = combes_thomas(T, threshold)
+    if cert is None:
+        _, cert = invert_direct(T, threshold=threshold, cond_cap=cond_cap)
+    return cert

@@ -31,12 +31,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .fourier import (FourierSeries, dir_derivative, mode_grid, product,
-                      strip_norm, truncate)
+from .fourier import (FourierSeries, _l1_grid, dir_derivative, mode_grid,
+                      product, strip_norm, truncate)
 from .jets import (HamiltonianJet, component_y, component_z, component_zbar,
                    jet_from_parts, matrix_zbzb, matrix_zz, poisson_bracket,
                    split_low_high)
@@ -59,8 +59,10 @@ class NearSingularError(Exception):
         super().__init__(f"condition estimate {self.cond:.3e} beyond cap")
 
 
+@lru_cache(maxsize=64)
 def cube_region(d: int, N: int) -> tuple:
-    """[-N, N]^d as a sorted tuple of k-tuples."""
+    """[-N, N]^d as a sorted tuple of k-tuples, cached (the tuple is
+    immutable and shared)."""
     return tuple(map(tuple, mode_grid(d, N).reshape(-1, d)))
 
 
@@ -249,9 +251,9 @@ def build_boldT(omega, Omega, B: FourierSeries, Rzz: FourierSeries, N: int,
 def _divide_by_divisor(R: FourierSeries, omega, N: int,
                        divisor_floor) -> FourierSeries:
     """F_hat(k) = R_hat(k) / (i <k, omega>) for 0 < |k|_inf <= N.  The floor
-    (a number, or a callable of the mode tuple) is checked at every mode
-    with a nonzero coefficient; the first failure in lexicographic order
-    raises SmallDivisorError."""
+    (a number, or a callable mapping an (m, d) array of modes to their m
+    floors) is checked at every mode with a nonzero coefficient; the first
+    failure in lexicographic order raises SmallDivisorError."""
     omega = np.asarray(omega, dtype=float)
     R = truncate(R, N)
     modes = mode_grid(R.d, R.cutoff).reshape(-1, R.d)
@@ -263,8 +265,7 @@ def _divide_by_divisor(R: FourierSeries, omega, N: int,
     # product goes through gemv and can differ in the last place
     div = np.matmul(modes[live, None, :], omega)[:, 0]
     if callable(divisor_floor):
-        floor = np.array([float(divisor_floor(k))
-                          for k in map(tuple, modes[live].tolist())])
+        floor = np.asarray(divisor_floor(modes[live]), dtype=float)
     else:
         floor = np.full(live.size, float(divisor_floor))
     bad = np.flatnonzero((div == 0.0) | (np.abs(div) < floor))
@@ -370,12 +371,16 @@ def _as_column(F: FourierSeries) -> FourierSeries:
                          F.data.reshape((rows, 1) + F.data.shape[2:]))
 
 
-def _symbol_norm(T: LatticeMatrix) -> float:
-    """sum_k max(row sum, column sum) of |symbol(k)|: a bound for the 1-, 2-
-    and inf-norms of the Toeplitz part S on any region."""
+def _symbol_norm(T: LatticeMatrix, r: float = 0.0) -> float:
+    """s_r = sum_k max(row sum, column sum) of |symbol(k)| e^{r |k|_1}: a
+    bound for the 1-, 2- and inf-norms of the Toeplitz part S on any region
+    (r = 0), and of e^{r phi} S e^{-r phi} for every weight phi with
+    |phi(x) - phi(y)| <= |x - y|_1 (the Combes-Thomas conjugation)."""
     a = np.abs(T.symbol.data)
-    return float(np.maximum(a.sum(axis=1).max(axis=0),
-                            a.sum(axis=0).max(axis=0)).sum())
+    per_mode = np.maximum(a.sum(axis=1).max(axis=0), a.sum(axis=0).max(axis=0))
+    if r:
+        per_mode = per_mode * np.exp(r * _l1_grid(T.d, T.symbol.cutoff))
+    return float(per_mode.sum())
 
 
 def _neumann_bound(T: LatticeMatrix) -> float | None:
@@ -447,7 +452,7 @@ def _lattice_solve(T: LatticeMatrix, rhs: FourierSeries, N: int | None,
     above.  That route is taken on the full centred box when the bound is
     within `cond_cap` and the iteration settles within its sweep cap;
     otherwise dense LU decides, as the oracle."""
-    Nr = max(max(abs(c) for c in k) for k in T.region)
+    Nr = int(np.abs(T.site_array).max())
     if N is None:
         N = Nr
     bound = _neumann_bound(T) if T.region == cube_region(T.d, Nr) else None
@@ -618,7 +623,7 @@ def residual_hx(Fx: FourierSeries, Rx: FourierSeries, omega, N: int) -> float:
 def residual_lattice(T: LatticeMatrix, F: FourierSeries,
                      rhs: FourierSeries, factor: complex = -1j) -> float:
     """|T F - factor * rhs| / |rhs| in the lattice vector norm."""
-    N = max(max(abs(c) for c in k) for k in T.region)
+    N = int(np.abs(T.site_array).max())
     if T.bold:
         F, rhs = _as_column(F), _as_column(rhs)
     Fv = _series_to_vec(T, _at_cutoff(F, N))

@@ -357,8 +357,8 @@ def _emit(T: LatticeMatrix, windows: dict, threshold: int | None,
     dist1 = site_distances(T.region)
     norm = float(np.linalg.norm(g, 2)) * (1 + 1e-6)
     alpha = measure_alpha(g, dist1, threshold)
-    return decay_certificate(norm, alpha, threshold, dist1, T.region,
-                             provenance, extra)
+    return decay_certificate(norm, alpha, threshold, T.region, provenance,
+                             extra)
 
 
 def cl1_couple(T: LatticeMatrix, site_certs: dict, M: int,
@@ -525,7 +525,7 @@ def cl2_couple(T: LatticeMatrix, config: ScaleConfig, scale_certs,
     region1 = tuple(sorted(sites))
     nominal = beta * (1 - 15 * config.kappa)
     return decay_certificate(
-        norm, alpha_out, threshold, site_distances(region1), region1, "cl2",
+        norm, alpha_out, threshold, region1, "cl2",
         {"alpha_nominal": nominal, "phi": float(phi_worst), "beta": beta})
 
 

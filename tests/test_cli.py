@@ -108,6 +108,22 @@ def test_run_mode_exclusion_exit_3(tmp_path):
     assert "excluded" in rep["results"]
 
 
+def test_run_mode_reports_level_certificate(tmp_path):
+    cfg = load_config({"mode": "run", "seed": 3, "omega": [1.0, PHI],
+                       "caps": {"levels": 1, "N_max": 8, "gamma": 1e-4},
+                       "perturbation": {"kmax": 6}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert dispatch(cfg, str(tmp_path / "out")) == EXIT_OK
+    rep = json.loads((tmp_path / "out" / "report.json").read_text())
+    cert = rep["results"]["level_certificate"]
+    assert cert["provenance"] == "combes-thomas"
+    assert cert["alpha"] == cert["r"] > 0
+    assert cert["q_r"] <= 0.5 and cert["q0"] <= cert["q_r"]
+    assert cert["prefactor"] >= cert["norm_bound"] > 0
+    assert cert["threshold"] == 2
+
+
 def test_greens_mode_sound_cert(tmp_path):
     cfg = load_config({"mode": "greens", "omega": [1.0, PHI],
                        "greens": {"N": 4, "sigma": 0.3,
@@ -215,16 +231,16 @@ def test_verify_names_schema_change(tmp_path):
     dispatch(cfg, str(tmp_path / "a"))
     p = tmp_path / "a" / "report.json"
     doc = json.loads(p.read_text())
-    assert doc["schema"] == cli.SCHEMA_VERSION == 2
+    assert doc["schema"] == cli.SCHEMA_VERSION == 3
     doc["schema"] = 1
     p.write_text(json.dumps(doc))
     vcfg = load_config({"mode": "verify", "verify": {"report": str(p)}})
     assert dispatch(vcfg, str(tmp_path / "b")) == EXIT_NUMERIC
     rep = json.loads((tmp_path / "b" / "report.json").read_text())
-    assert rep["results"]["schema"] == [1, 2]
+    assert rep["results"]["schema"] == [1, 3]
     assert rep["results"]["match"] is False
     summary = (tmp_path / "b" / "summary.txt").read_text()
-    assert "DIFFERS (report schema 1, current schema 2)" in summary
+    assert "DIFFERS (report schema 1, current schema 3)" in summary
 
 
 def test_reports_byte_identical(tmp_path):
@@ -442,3 +458,71 @@ def test_stability_too_short_run_exit_2(tmp_path, capsys):
     assert msg in rep["results"]["config_errors"]
     # 1.5 steps rounds to 2 and is accepted
     load_config({"stability": {"T": 0.0015, "dt": 0.001}})
+
+
+class _Integrated(Exception):
+    """Raised by the stand-in integrator: the config got past the cap."""
+
+
+@pytest.mark.parametrize("T, phases, refused", [
+    (10.0, 1, False),                      # the default section
+    (cli.MAX_STABILITY_STEPS * 1e-3, 1, False),
+    (cli.MAX_STABILITY_STEPS * 1e-3, 2, True),
+    ((cli.MAX_STABILITY_STEPS + 1) * 1e-3, 1, True),
+    (1e12, 1, True),
+])
+def test_stability_step_cap(tmp_path, capsys, monkeypatch, T, phases,
+                            refused):
+    def stand_in(*args, **kwargs):
+        raise _Integrated
+    monkeypatch.setattr(cli, "integrate_linearized", stand_in)
+    path = write_config(tmp_path, {"mode": "stability",
+                                   "stability": {"T": T, "dt": 1e-3,
+                                                 "phases": [[0.0, 0.0]]
+                                                 * phases}})
+    out = tmp_path / "o"
+    if not refused:
+        with pytest.raises(_Integrated):
+            main(["--config", path, "--out", str(out)])
+        return
+    assert main(["--config", path, "--out", str(out)]) == EXIT_CONFIG
+    msg = f"more than the {cli.MAX_STABILITY_STEPS} allowed"
+    assert msg in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert report["exit_code"] == EXIT_CONFIG
+    assert msg in report["results"]["config_errors"][0]
+
+
+D3_RUN = {"mode": "run", "d": 3, "n": 1,
+          "omega": [1.0, PHI, math.sqrt(2.0)], "Omega": [1.17],
+          "caps": {"levels": 2, "N_max": 10, "gamma": 1e-4},
+          "perturbation": {"kind": "random-tail", "amplitude": 1e-6,
+                           "kmax": 6}}
+
+
+def test_d3_run_config_accepted():
+    # a random-tail run reads neither perturbation.mode nor
+    # stability.phases, so their d = 2 defaults are not checked against d
+    assert load_config(D3_RUN)["d"] == 3
+    for mode in ("atlas", "run"):
+        assert validate(load_config({**D3_RUN, "mode": mode}).values) == []
+
+
+@pytest.mark.parametrize("data, msg", [
+    ({"mode": "sigma-scan", "perturbation": {"mode": [1, 0, 0]}},
+     "perturbation.mode: length must equal d"),
+    ({"mode": "greens", "d": 3, "omega": [1.0, PHI, 2.0]},
+     "perturbation.mode: length must equal d"),
+    ({**D3_RUN, "perturbation": {"kind": "cosine"}},
+     "perturbation.mode: length must equal d"),
+    ({"mode": "stability", "stability": {"phases": [[0.0, 0.0, 0.0]]}},
+     "stability.phases: each phase must have length d"),
+], ids=["sigma-scan-mode", "greens-mode", "cosine-mode", "stability-phases"])
+def test_lengths_checked_where_read(tmp_path, capsys, data, msg):
+    with pytest.raises(ConfigError) as exc:
+        load_config(data)
+    assert exc.value.violations == [msg]
+    out = tmp_path / "o"
+    assert main(["--config", write_config(tmp_path, data),
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert msg in capsys.readouterr().err

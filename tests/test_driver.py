@@ -1,14 +1,16 @@
 import math
+import time
 import warnings
 
 import numpy as np
 import pytest
 
+from toruskam import cli, greens
+from toruskam.config import load_config
 from toruskam.driver import (DEFAULT_CONSTANTS, KamState, ParameterExcluded,
                              check_constant_ordering, contraction_exponent,
                              gamma_floor, initial_step, invariance_residual,
-                             kam_step, log_csv, make_schedule, run,
-                             state_variation)
+                             kam_step, log_csv, make_schedule, run)
 from toruskam.fourier import FourierSeries
 from toruskam.jets import (HamiltonianJet, NormalForm, check_reality,
                            split_low_high, vf_norm)
@@ -111,7 +113,8 @@ def test_schedule_intermediate_ladder():
 
 def test_gamma_floor_and_contraction_exponent():
     floor = gamma_floor(0.1, 2.0)
-    assert floor((2, -1)) == pytest.approx(0.1 / 9.0)
+    assert floor(np.array([[2, -1], [0, 0]])) == pytest.approx(
+        [0.1 / 9.0, 0.1])
     eps = [2.0 ** -((4.0 / 3.0) ** l) for l in range(2, 6)]
     assert contraction_exponent(eps) == pytest.approx(4.0 / 3.0, rel=1e-9)
     assert contraction_exponent([2.0]) is None
@@ -129,7 +132,42 @@ def test_initial_step_zero_perturbation():
     assert state.eps_meas == 0.0
     assert np.allclose(state.xi, GOLD)
     assert len(atlas.boxes) > 50
-    assert state.extra["greens"].provenance in ("neumann", "direct")
+    cert = state.extra["level_certificate"]
+    assert cert.provenance == "combes-thomas"
+    # S = 0: q_r = 0 at every rate, and G = D^{-1}
+    assert cert.extra["q0"] == cert.extra["q_r"] == 0.0
+    assert cert.alpha == greens.CT_RATES[-1]
+    assert cert.norm_bound == cert.prefactor
+
+
+def test_initial_step_certifies_d3_in_closed_form(monkeypatch):
+    # the d = 3 level operator has 4913 sites: its dense form alone is
+    # 386 MB, so no dense inverse may be taken
+    def refuse(*args, **kwargs):
+        raise AssertionError("invert_direct called")
+    monkeypatch.setattr(greens, "invert_direct", refuse)
+    cfg = load_config({
+        "mode": "run", "seed": 1, "d": 3, "n": 1,
+        "omega": [1.0, PHI, math.sqrt(2.0)], "Omega": [1.17],
+        "A": 2.0, "s0": 0.3, "r0": 0.5, "eps": 1e-6,
+        "caps": {"levels": 2, "N_max": 10, "gamma": 1e-4},
+        "perturbation": {"kind": "random-tail", "amplitude": 1e-6,
+                         "kmax": 6}})
+    c = cfg.values
+    P = cli.build_perturbation(cfg, np.random.default_rng(1))
+    sch = make_schedule(c["A"], c["eps"], 3, s0=c["s0"], r0=c["r0"],
+                        N_max=10)
+    t0 = time.monotonic()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        state, _ = initial_step(cli._normal_form(cfg), P, sch, gamma=1e-4,
+                                exclusion_N=c["caps"]["exclusion_N"])
+    assert time.monotonic() - t0 <= 20.0
+    cert = state.extra["level_certificate"]
+    assert cert.provenance == "combes-thomas"
+    assert len(cert.region) == 17 ** 3
+    assert cert.alpha > 1.0 and cert.extra["q_r"] <= greens.CT_Q_MAX
+    assert cert.extra["q0"] < 0.01
 
 
 def test_initial_step_moves_off_resonance():
@@ -243,15 +281,6 @@ def test_run_symmetry_reality_across_levels():
     res = small_run(seed=9)
     for row in res.rows:
         assert row["B_symmetry_err"] <= 1e-12
-
-
-def test_state_variation_identical():
-    nf = base_nf()
-    P = HamiltonianJet.zero(D, NN, s_ref=0.3, r_ref=0.5)
-    st = KamState(level=2, nf=nf, P=P, xi=GOLD.copy(), eps_meas=0.0,
-                  eps_high=0.0)
-    eps, s = state_variation(st, st, s=0.4, N=4)
-    assert eps == 0.0 and s == 0.4
 
 
 def test_invariance_residual_selects_obstructions():

@@ -9,6 +9,7 @@ import scipy.linalg as sla
 from toruskam.fourier import (FourierSeries, dir_derivative, partial_x,
                               product, strip_norm, truncate)
 from toruskam import homological
+from toruskam.driver import gamma_floor
 from toruskam.homological import (HomologicalSolution, NearSingularError,
                                   SmallDivisorError, _divide_by_divisor,
                                   _factor, _lattice_solve, _neumann_bound,
@@ -101,6 +102,8 @@ def test_cube_region():
         for N in (0, 1, 3):
             assert cube_region(d, N) == tuple(
                 itertools.product(range(-N, N + 1), repeat=d))
+    # cached: the same immutable tuple on every call
+    assert cube_region(2, 3) is cube_region(2, 3)
 
 
 def test_diagonal_T_entries():
@@ -255,11 +258,12 @@ def test_solve_hx_divisor_floor_callable():
     Rx = FourierSeries.from_coeffs(D, {(2, -1): 1.0})
     # <k, omega> = 2 - phi ~ 0.382; a steep floor excludes it
     with pytest.raises(SmallDivisorError):
-        solve_hx(Rx, GOLD, 2, divisor_floor=lambda k: 1.0)
+        solve_hx(Rx, GOLD, 2, divisor_floor=lambda ks: np.ones(len(ks)))
 
 
 def divide_by_divisor_loop(R, omega, N, divisor_floor):
-    """The per-mode form: one np.dot and one floor call per nonzero mode."""
+    """The per-mode form: one np.dot and one floor call per nonzero mode;
+    a callable floor here takes one mode tuple."""
     def floor_of(k):
         if callable(divisor_floor):
             return float(divisor_floor(k))
@@ -287,12 +291,34 @@ def test_divide_by_divisor_matches_mode_loop(d):
         data = rng.standard_normal(box) + 1j * rng.standard_normal(box)
         data[..., rng.random(box[2:]) < 0.3] = 0.0   # modes left unchecked
         R = FourierSeries(d, (rows, 1), cut, data)
-        for N, floor in ((cut, 0.0), (cut - 1, 1e-9),
-                         (cut, lambda k: 1e-6 * max(sum(map(abs, k)), 1))):
+        for N, floor, per_mode in (
+                (cut, 0.0, 0.0), (cut - 1, 1e-9, 1e-9),
+                (cut, lambda ks: 1e-6 * np.maximum(np.abs(ks).sum(axis=1), 1),
+                 lambda k: 1e-6 * max(sum(map(abs, k)), 1)),
+                (cut, gamma_floor(1e-3, d + 2.0), gamma_floor_loop(
+                    1e-3, d + 2.0))):
             got = _divide_by_divisor(R, omega, N, floor)
-            ref = divide_by_divisor_loop(R, omega, N, floor)
+            ref = divide_by_divisor_loop(R, omega, N, per_mode)
             assert got.cutoff == ref.cutoff
             assert np.array_equal(got.data, ref.data)
+
+
+def gamma_floor_loop(gamma, tau):
+    """The per-mode floor the driver evaluated once per live mode."""
+    return lambda k: gamma * max(sum(abs(c) for c in k), 1) ** -tau
+
+
+@pytest.mark.parametrize("tau", [4.0, 5.0, 2.5, 3.7])
+def test_gamma_floor_matches_mode_loop(tau):
+    # bit-identical floors: one scalar power per distinct |k|_1
+    rng = np.random.default_rng(int(tau * 10))
+    for d in (1, 2, 3):
+        modes = rng.integers(-30, 31, size=(500, d))
+        modes[:3] = 0
+        got = gamma_floor(3.7e-5, tau)(modes)
+        ref = gamma_floor_loop(3.7e-5, tau)
+        assert got.tolist() == [ref(tuple(k)) for k in modes.tolist()]
+    assert gamma_floor(1.0, tau)(np.zeros((0, 2), dtype=int)).shape == (0,)
 
 
 def test_divide_by_divisor_names_first_offending_mode():
@@ -301,12 +327,14 @@ def test_divide_by_divisor_names_first_offending_mode():
     coeffs = {(3, -2): 1.0, (-3, 2): 1.0, (2, 1): 1.0, (-1, 1): 1.0,
               (-3, 0): 1.0, (1, 1): 1.0}
     R = FourierSeries.from_coeffs(D, coeffs, cutoff=3)
-    for floor, first in ((1e-8, (-3, 2)),
-                         (lambda k: 7.0 if k[0] < 0 else 0.0, (-3, 0))):
+    for floor, per_mode, first in (
+            (1e-8, 1e-8, (-3, 2)),
+            (lambda ks: np.where(ks[:, 0] < 0, 7.0, 0.0),
+             lambda k: 7.0 if k[0] < 0 else 0.0, (-3, 0))):
         with pytest.raises(SmallDivisorError) as got:
             _divide_by_divisor(R, (2.0, 3.0), 3, floor)
         with pytest.raises(SmallDivisorError) as ref:
-            divide_by_divisor_loop(R, (2.0, 3.0), 3, floor)
+            divide_by_divisor_loop(R, (2.0, 3.0), 3, per_mode)
         assert got.value.k == first
         assert (got.value.k, got.value.value, got.value.floor) \
             == (ref.value.k, ref.value.value, ref.value.floor)

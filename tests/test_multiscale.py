@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import scipy.linalg as sla
 from toruskam.fourier import FourierSeries
 from toruskam.greens import (CertificateGateError, _block_inverse,
                              _component_blocks, check_certificate,
-                             invert_direct, measure_alpha)
+                             combes_thomas, invert_direct, measure_alpha)
 from toruskam.homological import (LatticeMatrix, NearSingularError, _factor,
                                   build_T, cube_region)
 from toruskam.multiscale import (DirectClassifier, ElementaryRegion,
@@ -17,7 +18,7 @@ from toruskam.multiscale import (DirectClassifier, ElementaryRegion,
                                  diagonal_bad_measure,
                                  random_elementary_region, sigma_scan,
                                  sup_dist, two_scale_couple, _Prober,
-                                 _restrict)
+                                 _propagate_bounds, _restrict)
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -196,6 +197,24 @@ def test_cl1_sound_against_direct():
     assert check_certificate(cert, T).passed
     G, _ = invert_direct(T)
     assert cert.norm_bound >= np.linalg.norm(G, 2)
+
+
+def test_cl1_couples_closed_form_windows():
+    # Combes-Thomas windows carry a prefactor C = 1 / (min|D| (1 - q_r)),
+    # here from 0.26 to 3.5: the propagated bound reads it, and the
+    # coupled certificate is sound
+    sites = [(k,) for k in range(-8, 9)]
+    T = lattice_on(sites, 1, Omega=1.05, eps=1e-4, seed=11)
+    certs = {x: combes_thomas(_restrict(T, sorted(
+        cube_sites(x, 4) & set(T.region))), threshold=2) for x in T.region}
+    assert max(c.prefactor for c in certs.values()) > 1.0
+    cert = cl1_couple(T, certs, M=6)
+    assert check_certificate(cert, T).passed
+    g = _propagate_bounds(T, certs)
+    doubled = _propagate_bounds(T, {x: replace(c, prefactor=2 * c.prefactor)
+                                    for x, c in certs.items()})
+    far = np.abs(np.subtract.outer(np.arange(17), np.arange(17))) > 2
+    assert np.all(doubled >= g) and np.all(doubled[far] > g[far])
 
 
 def test_cl1_missing_certificate():
