@@ -40,58 +40,8 @@ def k_modes(d: int, N: int, include_zero: bool = False) -> np.ndarray:
 # non-resonance scans
 # ----------------------------------------------------------------------
 
-@dataclass
-class ScanReport:
-    ok: bool
-    worst: tuple | None      # offending (k,) or (j, k) or ((j1, j2), k)
-    margin: float            # min over the scan of |divisor| - bound
-
-    def __bool__(self):
-        return self.ok
-
-
-def diophantine_ok(omega, N: int, gamma: float, tau: float) -> ScanReport:
-    """|<k, omega>| > gamma |k|_1^{-tau} for all 0 < |k|_inf <= N,
-    by exhaustive scan."""
-    omega = np.asarray(omega, dtype=float)
-    if N < 1:
-        raise ValueError("N >= 1 required")
-    ks = k_modes(omega.size, N)
-    vals = np.abs(ks @ omega)
-    bounds = gamma * np.abs(ks).sum(axis=1) ** -float(tau)
-    margins = vals - bounds
-    i = int(np.argmin(margins))
-    return ScanReport(ok=bool((margins > 0).all()),
-                      worst=tuple(int(c) for c in ks[i]),
-                      margin=float(margins[i]))
-
-
-def melnikov1_ok(omega, Omega, N: int, gamma: float, tau: float,
-                 doubled: bool = False) -> ScanReport:
-    """First Melnikov condition |<k, omega> + Omega_j| > gamma |k|_1^{-tau}
-    over |k|_inf <= N (k = 0 included, |k| read as 1 there); with
-    doubled=True the divisor uses Omega_{j1} + Omega_{j2} instead."""
-    omega = np.asarray(omega, dtype=float)
-    Omega = np.asarray(Omega, dtype=float)
-    if (Omega <= 0).any():
-        raise ValueError("normal frequencies must be positive")
-    ks = k_modes(omega.size, N, include_zero=True)
-    knorm = np.maximum(np.abs(ks).sum(axis=1), 1)
-    bounds = gamma * knorm ** -float(tau)
-    kw = ks @ omega
-    if doubled:
-        labels = [(j1, j2) for j1 in range(Omega.size)
-                  for j2 in range(j1, Omega.size)]
-        sums = np.array([Omega[a] + Omega[b] for a, b in labels])
-    else:
-        labels = list(range(Omega.size))
-        sums = Omega
-    vals = np.abs(kw[:, None] + sums[None, :])        # (nk, nj)
-    margins = vals - bounds[:, None]
-    i, j = np.unravel_index(int(np.argmin(margins)), margins.shape)
-    return ScanReport(ok=bool((margins > 0).all()),
-                      worst=(labels[j], tuple(int(c) for c in ks[i])),
-                      margin=float(margins[i, j]))
+# bytes of divisors the predicate holds at once: points run in chunks
+_PREDICATE_BYTES = 1 << 23
 
 
 def nonresonance_predicate(Omega, N: int, gamma: float, tau: float,
@@ -99,7 +49,8 @@ def nonresonance_predicate(Omega, N: int, gamma: float, tau: float,
     """Vectorized predicate: a point passes when its frequency vector meets
     the Diophantine condition and the plain and doubled Melnikov conditions.
     `omega_of` maps an (m, d) array of parameters to frequency vectors;
-    default identity."""
+    default identity.  Points run in chunks of _PREDICATE_BYTES of
+    divisors <k, omega>, so memory stays flat in the number of points."""
     Omega = np.asarray(Omega, dtype=float)
     pairs = np.array([Omega[a] + Omega[b] for a in range(Omega.size)
                       for b in range(a, Omega.size)])
@@ -112,10 +63,14 @@ def nonresonance_predicate(Omega, N: int, gamma: float, tau: float,
         knz = np.abs(ks).max(axis=1) > 0
         kn1 = np.maximum(np.abs(ks).sum(axis=1), 1)
         bounds = gamma * kn1 ** -float(tau)
-        kw = om @ ks.T                                  # (m, nk)
-        ok = (np.abs(kw[:, knz]) > bounds[knz][None, :]).all(axis=1)
-        for s in shifts:
-            ok &= (np.abs(kw + s) > bounds[None, :]).all(axis=1)
+        ok = np.empty(len(om), dtype=bool)
+        step = max(1, _PREDICATE_BYTES // (8 * len(ks)))
+        for lo in range(0, len(om), step):
+            kw = om[lo:lo + step] @ ks.T                # (chunk, nk)
+            part = (np.abs(kw[:, knz]) > bounds[knz][None, :]).all(axis=1)
+            for s in shifts:
+                part &= (np.abs(kw + s) > bounds[None, :]).all(axis=1)
+            ok[lo:lo + step] = part
         return ok
 
     return predicate
@@ -240,14 +195,6 @@ def pave_and_filter(atlas: ParameterAtlas, next_level: int, predicate
                          size_exponent=atlas.size_exponent,
                          boxes=children, parents=parents)
     return out, removed
-
-
-def measure_fraction(atlas_l: ParameterAtlas,
-                     atlas_0: ParameterAtlas) -> float:
-    v0 = atlas_0.total_volume()
-    if v0 <= 0:
-        raise ValueError("reference atlas has zero volume")
-    return atlas_l.total_volume() / v0
 
 
 def monte_carlo_excluded(predicate, box: ParameterBox, n: int, rng,

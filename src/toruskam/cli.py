@@ -36,8 +36,10 @@ EXIT_EXCLUDED = 3
 EXIT_NUMERIC = 4
 
 # version 2: sigma-scan results carry norm_route, factored_probes and
-# components; version 3: run results carry level_certificate
-SCHEMA_VERSION = 3
+# components; version 3: run results carry level_certificate; version 4:
+# run results' `levels` lists each level's eps_high, lie_tail, reality_err
+# and B_fold_defect (it was the level count)
+SCHEMA_VERSION = 4
 
 # boxes an atlas run may pave: the predicate holds about 20 kB per child box
 # at exclusion_N = 6, so this bounds one paving near 330 MB
@@ -180,7 +182,9 @@ def _mode_run(cfg: RunConfig, out: dict):
               exclusion_N=c["caps"]["exclusion_N"])
     out["results"] = {
         "omega_star": list(res.omega_star),
-        "levels": len(res.rows),
+        "levels": [{k: r[k] for k in ("level", "eps_high", "lie_tail",
+                                      "reality_err", "B_fold_defect")}
+                   for r in res.rows],
         "eps_sequence": [r["eps_meas"] for r in res.rows],
         "contraction_exponent": res.exponent,
         "residual": res.residual,

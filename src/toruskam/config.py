@@ -103,9 +103,6 @@ class RunConfig:
     def normalized(self) -> dict:
         return copy.deepcopy(self.values)
 
-    def to_json(self) -> str:
-        return json.dumps(self.values, indent=2, sort_keys=True) + "\n"
-
 
 def _merge(defaults, given, path, violations):
     out = copy.deepcopy(defaults)

@@ -24,8 +24,8 @@ from .fourier import FourierSeries
 from .greens import DecayCertificate, level_certificate
 from .homological import (NearSingularError, SmallDivisorError, build_T,
                           solve_homological)
-from .jets import (HamiltonianJet, NormalForm, check_reality, lie_transform,
-                   matrix_zzbar, split_low_high, vf_norm)
+from .jets import (HamiltonianJet, NormalForm, check_reality, conjugate_jet,
+                   lie_transform, matrix_zzbar, split_low_high, vf_norm)
 
 
 class ParameterExcluded(Exception):
@@ -81,16 +81,6 @@ class KamSchedule:
 
     def r(self, l: int) -> float:
         return self.r0 * (1.0 - self.e(l))
-
-    def s_inter(self, l: int, j: int) -> float:
-        if not 0 <= j <= 100:
-            raise ValueError("intermediate index in 0..100")
-        return self.s(l) + (self.s(l + 1) - self.s(l)) * j / 100.0
-
-    def r_inter(self, l: int, j: int) -> float:
-        if not 0 <= j <= 100:
-            raise ValueError("intermediate index in 0..100")
-        return self.r(l) + (self.r(l + 1) - self.r(l)) * j / 100.0
 
     def N(self, l: int) -> int:
         nominal = self.A ** (l + 1)
@@ -199,10 +189,14 @@ def initial_step(nf: NormalForm, P: HamiltonianJet, schedule: KamSchedule,
     level, certify the level's lattice operator (`level_certificate`: the
     closed-form Combes-Thomas bound, or a direct inversion when its gate
     q_0 < 1 fails), and return the starting state (with the frequency
-    vector as the active parameter) plus the atlas."""
+    vector as the active parameter) plus the atlas.  The input, accepted
+    within 1e-12 of real, is projected onto the real subspace, which leaves
+    an exactly real one bit for bit as it is; every later level then stays
+    exactly real, and the jet kernel computes half of each bracket."""
     ok, worst = check_reality(P)
     if not ok:
         raise ValueError(f"input violates the reality condition: {worst:.3e}")
+    P = 0.5 * (P + conjugate_jet(P))
     l = schedule.l_star
     sp = split_low_high(P)
     eps0 = vf_norm(sp.low, schedule.s(l), schedule.r(l))
@@ -228,7 +222,10 @@ def initial_step(nf: NormalForm, P: HamiltonianJet, schedule: KamSchedule,
                      eps_high=eps_high,
                      extra={"gamma": gamma, "removed_measure": removed,
                             "level_certificate":
-                                level_certificate(T, threshold=2)})
+                                level_certificate(T, threshold=2),
+                            "omega_shift": 0.0,
+                            "B_symmetry_err": nf.symmetry_error(),
+                            "reality_err": check_reality(P, tol=0.0)[1]})
     return state, atlas
 
 
@@ -317,33 +314,32 @@ def run(nf: NormalForm, P: HamiltonianJet, schedule: KamSchedule,
         exclusion_N: int = 8, strict_schedule: bool = False) -> TorusResult:
     state, atlas = initial_step(nf, P, schedule, gamma=gamma,
                                 exclusion_N=exclusion_N)
-    rows = [{"level": state.level, "eps_meas": state.eps_meas,
-             "eps_sched": schedule.eps(state.level), "omega_shift": 0.0,
-             "B_symmetry_err": state.nf.symmetry_error(),
-             "residual": invariance_residual(P, schedule.s(state.level),
-                                             schedule.r(state.level))}]
-    generators = []
-    eps_seq = [state.eps_meas]
-    steps = 0
-    while steps < max_levels and state.eps_meas > stop_threshold:
+    rows, generators = [], []
+    while True:
+        extra = state.extra
+        rows.append({"level": state.level, "eps_meas": state.eps_meas,
+                     "eps_sched": schedule.eps(state.level),
+                     "omega_shift": extra["omega_shift"],
+                     "B_symmetry_err": extra["B_symmetry_err"],
+                     "residual": invariance_residual(
+                         state.P, schedule.s(state.level),
+                         schedule.r(state.level)),
+                     "eps_high": state.eps_high,
+                     "reality_err": extra["reality_err"],
+                     "lie_tail": extra.get("lie_tail"),
+                     "B_fold_defect": extra.get("B_fold_defect")})
+        if len(generators) >= max_levels \
+                or not state.eps_meas > stop_threshold:
+            break
         state, sol = kam_step(state, schedule, lie_order=lie_order,
                               cond_cap=cond_cap,
                               strict_schedule=strict_schedule)
         generators.append(sol)
-        eps_seq.append(state.eps_meas)
-        rows.append({"level": state.level, "eps_meas": state.eps_meas,
-                     "eps_sched": schedule.eps(state.level),
-                     "omega_shift": state.extra["omega_shift"],
-                     "B_symmetry_err": state.extra["B_symmetry_err"],
-                     "residual": invariance_residual(
-                         state.P, schedule.s(state.level),
-                         schedule.r(state.level))})
-        steps += 1
-    residual = rows[-1]["residual"]
     return TorusResult(omega_star=state.nf.omega, B_final=state.nf.B,
-                       generators=generators, residual=residual,
+                       generators=generators, residual=rows[-1]["residual"],
                        atlas=atlas, rows=rows,
-                       exponent=contraction_exponent(eps_seq),
+                       exponent=contraction_exponent(
+                           [r["eps_meas"] for r in rows]),
                        final_low_norm=state.eps_meas,
                        level_certificate=state.extra["level_certificate"])
 

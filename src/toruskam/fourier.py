@@ -152,15 +152,6 @@ class FourierSeries:
         a = complex(amplitude) / 2.0
         return cls.from_coeffs(d, {k: a, mk: a} if k != mk else {k: 2 * a})
 
-    @classmethod
-    def sine(cls, d: int, k: tuple, amplitude=1.0) -> "FourierSeries":
-        k = tuple(k)
-        mk = tuple(-c for c in k)
-        a = complex(amplitude) / (2.0j)
-        if k == mk:
-            return cls.zero(d)
-        return cls.from_coeffs(d, {k: a, mk: -a})
-
     # ------------------------------------------------------------------
     # access
     # ------------------------------------------------------------------

@@ -632,16 +632,3 @@ def residual_lattice(T: LatticeMatrix, F: FourierSeries,
     den = np.linalg.norm(rv)
     return float(num / den) if den > 0 else float(num)
 
-
-def bold_divisor_floor(omega, Omega, N: int) -> float:
-    """min over j-pairs and |k|_inf <= N of |Omega_i + Omega_j + <k, omega>|.
-
-    In the regime |<k, omega>| < min(Omega_i + Omega_j) this is positive:
-    the plus-sign pair condition needs no exclusion.
-    """
-    omega = np.asarray(omega, dtype=float)
-    Omega = np.asarray(Omega, dtype=float)
-    ks = mode_grid(len(omega), N).reshape(-1, len(omega))
-    kw = ks @ omega
-    pair = (Omega[:, None] + Omega[None, :]).ravel()
-    return float(np.abs(kw[:, None] + pair[None, :]).min())

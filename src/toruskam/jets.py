@@ -6,21 +6,28 @@ b, c in N^n for z, zbar -- to a FourierSeries.  The weighted degree of a
 signature is 2|a| + |b| + |c| (y counts twice); "low" means weighted degree
 <= 2 excluding the z zbar block handled by the normal form.
 
-Products and brackets that overflow the degree cap or the Fourier cutoff cap
-are not silently dropped: their vector-field norm on the reference domain
-(s_ref, r_ref) accumulates in the scalar `tail`, which every vf_norm result
-includes.  That keeps all reported norms upper bounds.
+Brackets that overflow the degree cap or the Fourier cutoff cap are not
+silently dropped: a bound for the vector-field norm of the dropped modes on
+the reference domain (s_ref, r_ref) accumulates in the scalar `tail`, which
+every vf_norm result includes.  That keeps all reported norms upper bounds.
+The bound comes from shell sums of the factors' coefficient magnitudes,
+rounded outward, never from FFT values, so FFT rounding cannot enter it.
+The FFT grid of a bracket is alias-free for the kept modes only, and when
+both factors are exactly real only half of the bracket is computed: the
+rest is its conjugate mirror, so the result is exactly real too.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy.fft import fft, ifft
 
-from .fourier import (FourierSeries, _grid_transforms, _l1_grid, ifftn,
-                      next_fast_len, partial_x)
+from .fourier import (FourierSeries, _l1_grid, mode_grid, next_fast_len,
+                      partial_x)
 
 Signature = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
@@ -31,26 +38,14 @@ def weighted_degree(sig: Signature) -> int:
 
 
 @lru_cache(maxsize=256)
-def _vf_weights(d: int, cutoff: int, s: float, keep: int = -1):
-    """Weights e^{s|k|_1} and |k|_1 e^{s|k|_1} over the box of `cutoff`,
-    zero on the modes |k|_inf <= keep.  Cached and shared: read-only."""
+def _vf_weights(d: int, cutoff: int, s: float):
+    """Weights e^{s|k|_1} and |k|_1 e^{s|k|_1} over the box of `cutoff`.
+    Cached and shared: read-only."""
     l1 = _l1_grid(d, cutoff)
     w = np.exp(s * l1)
-    if keep >= 0:
-        w[(slice(cutoff - keep, cutoff + keep + 1),) * d] = 0.0
     wl1 = w * l1
     w.flags.writeable = wl1.flags.writeable = False
     return w, wl1
-
-
-def _vf_sums(mags: np.ndarray, s: float, keep: int = -1):
-    """For coefficient magnitudes m over a centred box, the strip norm
-    sum_k m(k) e^{s|k|_1} and the sum of the strip norms of the d partials,
-    sum_k |k|_1 m(k) e^{s|k|_1}; modes |k|_inf <= keep are left out."""
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    w, wl1 = _vf_weights(mags.ndim, (mags.shape[0] - 1) // 2, float(s), keep)
-    return float(np.sum(mags * w)), float(np.sum(mags * wl1))
 
 
 def _vf_of(sig: Signature, sigma: float, sx: float, r: float) -> float:
@@ -77,9 +72,14 @@ def _vf_of(sig: Signature, sigma: float, sx: float, r: float) -> float:
 
 def _term_vf_bound(sig: Signature, series: FourierSeries,
                    s: float, r: float) -> float:
-    """Upper bound for the weighted vector-field norm of one jet term."""
-    return _vf_of(sig, *_vf_sums(np.abs(series.data).max(axis=(0, 1)), s),
-                  r)
+    """Upper bound for the weighted vector-field norm of one jet term, from
+    its strip norm sum_k m(k) e^{s|k|_1} and the summed strip norms of its
+    partials, sum_k |k|_1 m(k) e^{s|k|_1}, m the coefficient magnitudes."""
+    if s < 0:
+        raise ValueError("s must be >= 0")
+    mags = np.abs(series.data).max(axis=(0, 1))
+    w, wl1 = _vf_weights(series.d, series.cutoff, float(s))
+    return _vf_of(sig, float(np.sum(mags * w)), float(np.sum(mags * wl1)), r)
 
 
 # working set of one batch of key sums in `_grid_kernel`
@@ -94,15 +94,6 @@ def _moves_along(f: FourierSeries, axis: int) -> bool:
 
 def _lower(e: tuple[int, ...], t: int) -> tuple[int, ...]:
     return e[:t] + (e[t] - 1,) + e[t + 1:]
-
-
-def _product_channels(F: "HamiltonianJet", G: "HamiltonianJet"):
-    """The pair products of F G: (i, 0, j, 0, signature, 1) per pair of
-    terms (see `_grid_kernel`)."""
-    for i, s1 in enumerate(F.terms):
-        for j, s2 in enumerate(G.terms):
-            yield i, 0, j, 0, tuple(tuple(x + y for x, y in zip(u, v))
-                                    for u, v in zip(s1, s2)), 1
 
 
 def _bracket_channels(F: "HamiltonianJet", G: "HamiltonianJet"):
@@ -130,26 +121,130 @@ def _bracket_channels(F: "HamiltonianJet", G: "HamiltonianJet"):
                     yield i, 0, j, 0, (a, _lower(b, t), _lower(c, t)), 1j * w
 
 
+def _mirrors(J: "HamiltonianJet") -> list | None:
+    """Index of each term's mirror (a, c, b) when J is exactly real,
+    coeff(a, c, b) == conj_function(coeff(a, b, c)) bit for bit; else None."""
+    index = {sig: t for t, sig in enumerate(J.terms)}
+    out = [index.get((a, c, b)) for a, b, c in J.terms]
+    if None in out or not all(
+            np.array_equal(J.terms[a, c, b].data, f.conj_function().data)
+            for (a, b, c), f in J.terms.items() if b <= c):
+        return None
+    return out
+
+
+@lru_cache(maxsize=256)
+def _shell_index(d: int, cutoff: int) -> np.ndarray:
+    """|k|_inf over the box of `cutoff`, flattened."""
+    return np.abs(mode_grid(d, cutoff)).max(axis=-1).ravel()
+
+
+def _shells(f: FourierSeries, p: int, s: float, width: int) -> np.ndarray:
+    """Shell sums of part p of f (f for p = 0, else its x_{p-1}-partial):
+    for j < width, the sums over |k|_inf = j of |h(k)| e^{s|k|_1} and of
+    |k|_1 |h(k)| e^{s|k|_1}, shape (2, width)."""
+    d, n = f.d, f.cutoff
+    mags = np.abs(f.data[0, 0])
+    if p:
+        mags = mags * np.abs(mode_grid(d, n)[..., p - 1])
+    return np.array([np.bincount(_shell_index(d, n), (mags * w).ravel(),
+                                 width) for w in _vf_weights(d, n, s)])
+
+
+def _dropped_bound(tf, tg, keys, kept, s: float, r: float) -> float:
+    """Bound for the vector-field norm of the modes the keys drop, from the
+    shell sums a, a' of their factors (`_shells`), never from grid values.
+
+    As |k1 + k2|_inf <= |k1|_inf + |k2|_inf and e^{s|k1 + k2|_1} <=
+    e^{s|k1|_1} e^{s|k2|_1}, the modes |k|_inf > m of f g have strip norm
+    at most sum_{i+j>m} a_f(i) a_g(j), and their partials summed strip norms
+    at most sum_{i+j>m} a'_f(i) a_g(j) + a_f(i) a'_g(j).  A key sums these
+    over its products with |w| into `_vf_of`; m is its kept cutoff, -1 past
+    max_degree.  Every term is nonnegative, so the float sum is within
+    gamma_n of the exact one for a chain of n roundings; it is raised by
+    2 gamma_n."""
+    rows = [(t, i, p, j, q, abs(w), kept.get(key, -1))
+            for t, (key, prods) in enumerate(keys.items())
+            if kept.get(key, -1) < key[1] for i, p, j, q, w in prods]
+    if not rows:
+        return 0.0
+    N1, N2 = max(f.cutoff for f in tf), max(g.cutoff for g in tg)
+    memo = {}
+
+    def shells(h, p, width):
+        if (id(h), p, width) not in memo:
+            memo[id(h), p, width] = _shells(h, p, s, width)
+        return memo[id(h), p, width]
+
+    A = np.array([shells(tf[i], p, N1 + 1) for _, i, p, *_ in rows])
+    S = np.array([shells(tg[j], q, N2 + 2) for _, _, _, j, q, *_ in rows])
+    S = np.cumsum(S[..., ::-1], axis=-1)[..., ::-1]    # sum over j' >= j
+    key_of, aw, m = (np.array([row[k] for row in rows]) for k in (0, 5, 6))
+    # shell i of the F factor pairs with the G shells j >= m + 1 - i
+    lo = np.clip(m[:, None] + 1 - np.arange(N1 + 1), 0, N2 + 1)
+    g = np.take_along_axis(S, lo[:, None, :], axis=2)
+    sig = np.bincount(key_of, aw * (A[:, 0] * g[:, 0]).sum(axis=1), len(keys))
+    sx = np.bincount(key_of, aw * (A[:, 1] * g[:, 0]
+                                   + A[:, 0] * g[:, 1]).sum(axis=1), len(keys))
+    tail = sum(_vf_of(key[0], float(sig[t]), float(sx[t]), r)
+               for t, key in enumerate(keys) if sig[t] or sx[t])
+    # roundings in a chain: a shell sum, the exp of the rounded s|k|_1, the
+    # suffix sum, the dot, the sums over products and keys, and _vf_of
+    d, N = tf[0].d, max(N1, N2)
+    nu = ((2 * N + 1) ** d + 2 * N + len(rows) + len(keys)
+          + math.ceil(s * d * N) + 32) * 2.0 ** -53
+    return tail * (1.0 + 2.0 * nu / (1.0 - nu))
+
+
+def _wrapped_transform(f: FourierSeries, L: int) -> np.ndarray:
+    """Forward transform of the scalar series f on L >= 2 cutoff + 1 points
+    per axis, mode k at index k mod L.  In this wrapped, centred embedding
+    the transform of conj_function(f) is the conjugate of f's."""
+    x, n = f.data[0, 0], f.cutoff
+    for ax in range(f.d):
+        pre = (slice(None),) * ax
+        y = np.zeros(x.shape[:ax] + (L,) + x.shape[ax + 1:], dtype=complex)
+        y[pre + (slice(0, n + 1),)] = x[pre + (slice(n, None),)]
+        y[pre + (slice(L - n, L),)] = x[pre + (slice(0, n),)]
+        x = fft(y, axis=ax, out=y)
+    return x
+
+
+def _kept_inverse(x: np.ndarray, M: int) -> np.ndarray:
+    """Inverse transform of a stack of wrapped grids over axes 1..d, the
+    first pass in place in x, keeping the modes |k|_inf <= M in centred
+    order: after the pass over an axis only its kept rows go on."""
+    L = x.shape[1]
+    rows = np.r_[L - M:L, 0:M + 1]
+    for ax in range(1, x.ndim):
+        ifft(x, axis=ax, norm="forward", out=x)
+        x = x.take(rows, axis=ax)
+    x *= 1.0 / L ** (x.ndim - 1)
+    return x
+
+
 def _grid_kernel(F: "HamiltonianJet", G: "HamiltonianJet", channels):
     """Sum of the channel products `channels(F, G)` on one FFT grid;
     returns (terms, tail).
 
     A channel product (i, p, j, q, sig, w) is w times the product of part p
-    of F's i-th term and part q of G's j-th term, where part 0 is the term
-    and part 1 + a its x_a-partial.  F and G are padded to their largest
-    cutoffs N1, N2, on a grid of L >= 2(N1 + N2) + 1 points per axis, where
-    circular convolution is linear convolution; every part is transformed
-    once.  The products are summed on the grid by key (sig, c), c the box
-    f.cutoff + g.cutoff of the pair, in F-term order, and each key is
-    inverse-transformed once.  A key keeps the modes of its own box and no
-    others: an over-degree key goes whole into the tail bound, a key past
-    the cutoff cap puts its modes beyond the cap there, and its kept cutoff
-    min(c, cap) feeds the output cutoff of sig.
+    of F's i-th term and part q of G's j-th term, part 0 being the term and
+    part 1 + a its x_a-partial.  Products are summed by key (sig, c), c the
+    box f.cutoff + g.cutoff of the pair, in F-term order.  A key keeps the
+    modes |k|_inf <= m = min(c, cap) of its own box, none past max_degree;
+    `_dropped_bound` books the rest in `tail`, and an over-degree key never
+    touches the grid.  Parts sit wrapped (mode k at index k mod L) on
+    L >= c + m + 1 points per axis over the kept keys, and L >= 2 cutoff + 1
+    per part: a kept mode's aliases lie at |k|_inf >= L - m > c, outside
+    its key's box.  Every part is transformed once, while it is in use;
+    keys run in order of their first product, summed in the rows of a slab
+    of at most _BATCH_BYTES that is inverse-transformed once full.
 
-    Keys run one after another, in order of their first product, each
-    summed in a row of a slab of at most _BATCH_BYTES that is
-    inverse-transformed once full; a part's grid lives from its first to
-    its last use.
+    When F and G are exactly real (`_mirrors`), only keys (a, b, c) with
+    b <= c are computed: a b = c output is projected onto the real
+    subspace, 0.5 (t + conj_function(t)), and a b > c output is the
+    conj_function of its mirror (a, c, b).  A mirror part's grid is the
+    conjugate of its partner's while that one is live.
     """
     d = F.d
     tf, tg = list(F.terms.values()), list(G.terms.values())
@@ -157,55 +252,54 @@ def _grid_kernel(F: "HamiltonianJet", G: "HamiltonianJet", channels):
     for i, p, j, q, sig, w in channels(F, G):
         keys.setdefault((sig, tf[i].cutoff + tg[j].cutoff), []).append(
             (i, p, j, q, w))
-    cap, s, r = F.cutoff_cap, F.s_ref, F.r_ref
+    cap = F.cutoff_cap
     kept, width = {}, {}    # kept cutoff per key, output cutoff per sig
     for sig, c in keys:
         if weighted_degree(sig) <= F.max_degree:
             kept[sig, c] = c if cap is None else min(c, cap)
             width[sig] = max(width.get(sig, 0), kept[sig, c])
+    tail = _dropped_bound(tf, tg, keys, kept, F.s_ref, F.r_ref)
+    mirror = {"F": _mirrors(F), "G": _mirrors(G)}
+    real = None not in mirror.values()
+    live = [key for key in kept if not (real and key[0][1] > key[0][2])]
+    if not live:
+        return {}, tail
     last = {}               # last use of each part, as a product count
     for pos, (i, p, j, q, _) in enumerate(
-            prod for prods in keys.values() for prod in prods):
+            prod for key in live for prod in keys[key]):
         last["F", i, p] = last["G", j, q] = pos
-    N1 = max(f.cutoff for f in tf)
-    N2 = max(g.cutoff for g in tg)
-    N = N1 + N2
-    L = next_fast_len(2 * N + 1)
+    N = max((tf if side == "F" else tg)[t].cutoff for side, t, _ in last)
+    L = next_fast_len(max([2 * N + 1] + [c + kept[sig, c] + 1
+                                         for sig, c in live]))
     tmp = np.empty((L,) * d, dtype=complex)
-    slab = np.empty((min(len(keys), max(1, _BATCH_BYTES // tmp.nbytes)),)
+    slab = np.empty((min(len(live), max(1, _BATCH_BYTES // tmp.nbytes)),)
                     + tmp.shape, dtype=complex)
-    grids, pending, acc, tail = {}, [], {}, 0.0
+    grids, pending, acc = {}, [], {}
 
     def part(x):
         if x not in grids:
-            side, term, p = x
-            f = (tf if side == "F" else tg)[term]
-            grids[x] = _grid_transforms([partial_x(f, p - 1) if p else f],
-                                        N1 if side == "F" else N2, L)[0, 0, 0]
+            side, t, p = x
+            y = (side, mirror[side][t], p) if real else x
+            f = (tf if side == "F" else tg)[t]
+            grids[x] = np.conj(grids[y]) if y in grids else \
+                _wrapped_transform(partial_x(f, p - 1) if p else f, L)
         return grids[x]
 
     def flush():
-        nonlocal tail
-        out = ifftn(slab[:len(pending)], tuple(range(1, d + 1)))
-        for (sig, c), grid in zip(pending, out):
-            fp = grid[(slice(N - c, N + c + 1),) * d]
-            m = kept.get((sig, c))
-            if m is None or m < c:
-                tail += _vf_of(sig, *_vf_sums(np.abs(fp), s,
-                                              -1 if m is None else m), r)
-                if m is None:
-                    continue
-                fp = fp[(slice(c - m, c + m + 1),) * d]
-            K = width[sig]
+        M = max(kept[key] for key in pending)
+        out = _kept_inverse(slab[:len(pending)], M)
+        for key, grid in zip(pending, out):
+            sig, m, K = key[0], kept[key], width[key[0]]
             if sig not in acc:
                 acc[sig] = np.zeros((2 * K + 1,) * d, dtype=complex)
-            acc[sig][(slice(K - m, K + m + 1),) * d] += fp
+            acc[sig][(slice(K - m, K + m + 1),) * d] += \
+                grid[(slice(M - m, M + m + 1),) * d]
         pending.clear()
 
     pos = 0
-    for key, prods in keys.items():
+    for key in live:
         buf = slab[len(pending)]
-        for t, (i, p, j, q, w) in enumerate(prods):
+        for t, (i, p, j, q, w) in enumerate(keys[key]):
             x, y = ("F", i, p), ("G", j, q)
             out = np.multiply(part(x), part(y), out=tmp if t else buf)
             if w != 1:
@@ -221,9 +315,12 @@ def _grid_kernel(F: "HamiltonianJet", G: "HamiltonianJet", channels):
             flush()
     if pending:
         flush()
-    terms = {sig: FourierSeries(d, (1, 1), width[sig], v[None, None])
-             for sig, v in acc.items()}
-    return terms, tail
+    for (a, b, c), v in acc.items():
+        if real and b == c:
+            v = 0.5 * (v + np.conj(np.flip(v)))
+        acc[a, b, c] = FourierSeries(d, (1, 1), width[a, b, c], v[None, None])
+    return {(a, b, c): acc[a, b, c] if (a, b, c) in acc
+            else acc[a, c, b].conj_function() for a, b, c in width}, tail
 
 
 @dataclass
@@ -253,11 +350,11 @@ class HamiltonianJet:
         self.terms = clean
 
     # ------------------------------------------------------------------
-    def _like(self, terms, tail=None, extra_tail=0.0) -> "HamiltonianJet":
+    def _like(self, terms, tail=None) -> "HamiltonianJet":
         return HamiltonianJet(
             self.d, self.n, terms, max_degree=self.max_degree,
             cutoff_cap=self.cutoff_cap,
-            tail=(self.tail if tail is None else tail) + extra_tail,
+            tail=self.tail if tail is None else tail,
             s_ref=self.s_ref, r_ref=self.r_ref)
 
     @classmethod
@@ -290,25 +387,6 @@ class HamiltonianJet:
     def max_abs_coeff(self) -> float:
         return max((f.max_abs_coeff() for f in self.terms.values()),
                    default=0.0)
-
-    def jet_product(self, other: "HamiltonianJet") -> "HamiltonianJet":
-        """Polynomial product; degree/cutoff overflow goes to `tail`.
-        The pair products run on one FFT grid (`_grid_kernel`)."""
-        if (self.d, self.n) != (other.d, other.n):
-            raise ValueError("dimension mismatch")
-        out, extra_tail = {}, 0.0
-        if self.terms and other.terms:
-            out, extra_tail = _grid_kernel(self, other, _product_channels)
-        # bilinear coupling of the unrepresented parts (measured bookkeeping)
-        cross = 0.0
-        if self.tail:
-            cross += self.tail * (other._ref_norm() + other.tail)
-        if other.tail:
-            cross += other.tail * self._ref_norm()
-        return self._like(out, tail=0.0, extra_tail=extra_tail + cross)
-
-    def _ref_norm(self) -> float:
-        return vf_norm(self, self.s_ref, self.r_ref)
 
 
 # ----------------------------------------------------------------------

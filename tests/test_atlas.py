@@ -1,10 +1,12 @@
 import math
+import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from toruskam.atlas import (ParameterAtlas, ParameterBox, diophantine_ok,
-                            k_modes, measure_fraction, melnikov1_ok,
+from toruskam import atlas as atlas_mod
+from toruskam.atlas import (ParameterAtlas, ParameterBox, k_modes,
                             monte_carlo_excluded, nominal_half_width,
                             nonresonance_predicate, pave_and_filter,
                             paving_count)
@@ -15,6 +17,71 @@ PHI = (1.0 + math.sqrt(5.0)) / 2.0
 # ----------------------------------------------------------------------
 # non-resonance scans
 # ----------------------------------------------------------------------
+
+# the exhaustive scalar scans: the oracles of the vectorized predicate
+
+@dataclass
+class ScanReport:
+    ok: bool
+    worst: tuple | None      # offending (k,) or (j, k) or ((j1, j2), k)
+    margin: float            # min over the scan of |divisor| - bound
+
+    def __bool__(self):
+        return self.ok
+
+
+def diophantine_ok(omega, N: int, gamma: float, tau: float) -> ScanReport:
+    """|<k, omega>| > gamma |k|_1^{-tau} for all 0 < |k|_inf <= N,
+    by exhaustive scan."""
+    omega = np.asarray(omega, dtype=float)
+    if N < 1:
+        raise ValueError("N >= 1 required")
+    ks = k_modes(omega.size, N)
+    vals = np.abs(ks @ omega)
+    bounds = gamma * np.abs(ks).sum(axis=1) ** -float(tau)
+    margins = vals - bounds
+    i = int(np.argmin(margins))
+    return ScanReport(ok=bool((margins > 0).all()),
+                      worst=tuple(int(c) for c in ks[i]),
+                      margin=float(margins[i]))
+
+
+def melnikov1_ok(omega, Omega, N: int, gamma: float, tau: float,
+                 doubled: bool = False) -> ScanReport:
+    """First Melnikov condition |<k, omega> + Omega_j| > gamma |k|_1^{-tau}
+    over |k|_inf <= N (k = 0 included, |k| read as 1 there); with
+    doubled=True the divisor uses Omega_{j1} + Omega_{j2} instead."""
+    omega = np.asarray(omega, dtype=float)
+    Omega = np.asarray(Omega, dtype=float)
+    if (Omega <= 0).any():
+        raise ValueError("normal frequencies must be positive")
+    ks = k_modes(omega.size, N, include_zero=True)
+    knorm = np.maximum(np.abs(ks).sum(axis=1), 1)
+    bounds = gamma * knorm ** -float(tau)
+    kw = ks @ omega
+    if doubled:
+        labels = [(j1, j2) for j1 in range(Omega.size)
+                  for j2 in range(j1, Omega.size)]
+        sums = np.array([Omega[a] + Omega[b] for a, b in labels])
+    else:
+        labels = list(range(Omega.size))
+        sums = Omega
+    vals = np.abs(kw[:, None] + sums[None, :])        # (nk, nj)
+    margins = vals - bounds[:, None]
+    i, j = np.unravel_index(int(np.argmin(margins)), margins.shape)
+    return ScanReport(ok=bool((margins > 0).all()),
+                      worst=(labels[j], tuple(int(c) for c in ks[i])),
+                      margin=float(margins[i, j]))
+
+
+def measure_fraction(atlas_l: ParameterAtlas,
+                     atlas_0: ParameterAtlas) -> float:
+    v0 = atlas_0.total_volume()
+    if v0 <= 0:
+        raise ValueError("reference atlas has zero volume")
+    return atlas_l.total_volume() / v0
+
+
 
 def test_diophantine_resonant_vector():
     rep = diophantine_ok((1.0, 1.0), N=5, gamma=0.01, tau=2)
@@ -83,6 +150,36 @@ def test_predicate_matches_scalar_scans():
             and melnikov1_ok(xi, Om, 4, 0.01, 2).ok \
             and melnikov1_ok(xi, Om, 4, 0.01, 2, doubled=True).ok
         assert bool(got[i]) == want
+
+
+def test_predicate_chunks_match_one_pass(monkeypatch):
+    rng = np.random.default_rng(2)
+    pts = np.array([1.0, PHI, math.sqrt(2.0)]) \
+        + rng.uniform(-0.05, 0.05, size=(300, 3))
+    pred = nonresonance_predicate((1.17, 1.43), N=4, gamma=1e-3, tau=5.0)
+    monkeypatch.setattr(atlas_mod, "_PREDICATE_BYTES", 1 << 40)
+    whole = pred(pts)
+    assert 0 < whole.sum() < len(pts)
+    for size in (1, 8 * 9 ** 3 * 7, 1 << 16):
+        monkeypatch.setattr(atlas_mod, "_PREDICATE_BYTES", size)
+        assert np.array_equal(pred(pts), whole)
+
+
+def test_d3_paving_memory_is_flat():
+    # the d = 3 run's first paving: 1000 boxes, 9 points each, against
+    # 2197 modes.  In one pass the divisors alone took 158 MB and the
+    # paving peaked at 475 MB
+    root = ParameterAtlas.root((1.0, PHI, math.sqrt(2.0)), 0.5, A=10.0,
+                               size_exponent=1)
+    pred = nonresonance_predicate((1.17,), N=6, gamma=1e-4, tau=5.0)
+    tracemalloc.start()
+    try:
+        out, _ = pave_and_filter(root, 1, pred)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out.boxes) == 1000
+    assert peak <= 4 * atlas_mod._PREDICATE_BYTES
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 import warnings
 
 import numpy as np
@@ -54,7 +55,8 @@ def test_all_violations_reported_at_once():
 
 def test_config_round_trip(tmp_path):
     cfg = parse_config(write_config(tmp_path, {"seed": 5, "A": 3.0}))
-    again = parse_config(write_config(tmp_path, json.loads(cfg.to_json()),
+    text = json.dumps(cfg.values, indent=2, sort_keys=True)
+    again = parse_config(write_config(tmp_path, json.loads(text),
                                       name="round.json"))
     assert again.values == cfg.values
 
@@ -122,6 +124,13 @@ def test_run_mode_reports_level_certificate(tmp_path):
     assert cert["q_r"] <= 0.5 and cert["q0"] <= cert["q_r"]
     assert cert["prefactor"] >= cert["norm_bound"] > 0
     assert cert["threshold"] == 2
+    # one entry per levels.csv row; the first level has no Lie transform
+    levels = rep["results"]["levels"]
+    assert [lv["level"] for lv in levels] == [2, 3]
+    assert levels[0]["lie_tail"] is None and levels[0]["B_fold_defect"] is None
+    assert levels[1]["lie_tail"] >= 0 and levels[1]["B_fold_defect"] >= 0
+    assert all(lv["eps_high"] > 0 and lv["reality_err"] == 0.0
+               for lv in levels)
 
 
 def test_greens_mode_sound_cert(tmp_path):
@@ -231,16 +240,16 @@ def test_verify_names_schema_change(tmp_path):
     dispatch(cfg, str(tmp_path / "a"))
     p = tmp_path / "a" / "report.json"
     doc = json.loads(p.read_text())
-    assert doc["schema"] == cli.SCHEMA_VERSION == 3
+    assert doc["schema"] == cli.SCHEMA_VERSION == 4
     doc["schema"] = 1
     p.write_text(json.dumps(doc))
     vcfg = load_config({"mode": "verify", "verify": {"report": str(p)}})
     assert dispatch(vcfg, str(tmp_path / "b")) == EXIT_NUMERIC
     rep = json.loads((tmp_path / "b" / "report.json").read_text())
-    assert rep["results"]["schema"] == [1, 3]
+    assert rep["results"]["schema"] == [1, 4]
     assert rep["results"]["match"] is False
     summary = (tmp_path / "b" / "summary.txt").read_text()
-    assert "DIFFERS (report schema 1, current schema 3)" in summary
+    assert "DIFFERS (report schema 1, current schema 4)" in summary
 
 
 def test_reports_byte_identical(tmp_path):
@@ -498,6 +507,25 @@ D3_RUN = {"mode": "run", "d": 3, "n": 1,
           "caps": {"levels": 2, "N_max": 10, "gamma": 1e-4},
           "perturbation": {"kind": "random-tail", "amplitude": 1e-6,
                            "kmax": 6}}
+
+
+def test_d3_run_smoke(tmp_path):
+    # a small d = 3 run end to end through main: every level stays exactly
+    # real, so the jet kernel mirrors every bracket
+    data = {**D3_RUN, "seed": 1,
+            "caps": {**D3_RUN["caps"], "N_max": 3, "exclusion_N": 3},
+            "perturbation": {**D3_RUN["perturbation"], "kmax": 3}}
+    t0 = time.monotonic()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(["--config", write_config(tmp_path, data),
+                     "--out", str(tmp_path / "o")])
+    assert time.monotonic() - t0 <= 3.0
+    assert code == EXIT_OK
+    res = json.loads((tmp_path / "o" / "report.json").read_text())["results"]
+    eps = res["eps_sequence"]
+    assert len(eps) == 3 and all(b < a for a, b in zip(eps, eps[1:]))
+    assert [lv["reality_err"] for lv in res["levels"]] == [0.0] * 3
 
 
 def test_d3_run_config_accepted():

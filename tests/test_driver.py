@@ -101,13 +101,21 @@ def test_schedule_lstar_and_cutoff_cap():
     assert sch.N(0) == 10
 
 
+def inter(ladder, l, j):
+    """The ladder value a fraction j / 100 of the way from level l to
+    l + 1 (`ladder` is a schedule's s or r)."""
+    if not 0 <= j <= 100:
+        raise ValueError("intermediate index in 0..100")
+    return ladder(l) + (ladder(l + 1) - ladder(l)) * j / 100.0
+
+
 def test_schedule_intermediate_ladder():
     sch = make_schedule(2.0, 1e-6, d=2)
-    assert sch.s_inter(1, 0) == sch.s(1)
-    assert sch.s_inter(1, 100) == pytest.approx(sch.s(2))
-    assert sch.r_inter(3, 50) == pytest.approx(0.5 * (sch.r(3) + sch.r(4)))
+    assert inter(sch.s, 1, 0) == sch.s(1)
+    assert inter(sch.s, 1, 100) == pytest.approx(sch.s(2))
+    assert inter(sch.r, 3, 50) == pytest.approx(0.5 * (sch.r(3) + sch.r(4)))
     with pytest.raises(ValueError):
-        sch.s_inter(1, 101)
+        inter(sch.s, 1, 101)
     assert sch.l1(16) == pytest.approx(sch.logK(16) / math.log(2.0))
 
 
@@ -196,6 +204,27 @@ def test_initial_step_rejects_unreal_input():
     sch = make_schedule(2.0, 1e-6, d=2, s0=0.3)
     with pytest.raises(ValueError):
         initial_step(base_nf(), bad, sch)
+
+
+def test_initial_step_projects_onto_real_subspace():
+    rng = np.random.default_rng(5)
+    P = tail_jet(rng, 1e-5, s0=1.0, kmax=6)
+    sch = make_schedule(2.0, 1e-5, d=2, s0=0.3, N_max=16)
+    # an exactly real input passes bit for bit
+    state, _ = initial_step(base_nf(), P, sch, gamma=1e-4, exclusion_N=4)
+    assert list(state.P.terms) == list(P.terms)
+    assert all(np.array_equal(state.P.terms[sig].data, f.data)
+               for sig, f in P.terms.items())
+    assert state.P.tail == P.tail and state.extra["reality_err"] == 0.0
+    # a defect within the 1e-12 acceptance is projected away
+    sig = ((0, 0), (1,), (0,))
+    near = P._like({**P.terms,
+                    sig: P.terms[sig] + FourierSeries.constant(D, 1e-13j)})
+    assert 0 < check_reality(near)[1] <= 1e-12
+    state, _ = initial_step(base_nf(), near, sch, gamma=1e-4, exclusion_N=4)
+    assert check_reality(state.P, tol=0.0) == (True, 0.0)
+    assert state.extra["reality_err"] == 0.0
+    assert (state.P - near).max_abs_coeff() <= 1e-13
 
 
 # ----------------------------------------------------------------------

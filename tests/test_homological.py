@@ -13,14 +13,16 @@ from toruskam.driver import gamma_floor
 from toruskam.homological import (HomologicalSolution, NearSingularError,
                                   SmallDivisorError, _divide_by_divisor,
                                   _factor, _lattice_solve, _neumann_bound,
-                                  _sweep_cap, assemble_rhs,
-                                  bold_divisor_floor, bold_symbol, build_T,
-                                  build_boldT, cube_region, residual_hx,
-                                  residual_lattice, solve_homological,
-                                  solve_hx, solve_hy, solve_hz, solve_hzz)
+                                  _sweep_cap, assemble_rhs, bold_symbol,
+                                  build_T, build_boldT, cube_region,
+                                  residual_hx, residual_lattice,
+                                  solve_homological, solve_hx, solve_hy,
+                                  solve_hz, solve_hzz)
 from toruskam.jets import (HamiltonianJet, check_reality, component_x,
                            component_z, conjugate_jet, matrix_zz,
                            matrix_zzbar, split_low_high, weighted_degree)
+
+from test_fourier import sine
 
 D = 2
 ZD = (0, 0)
@@ -213,9 +215,11 @@ def test_boldT_diagonal_n1():
 
 
 def test_bold_divisor_floor_positive():
-    # |<k, omega>| < min(Omega_i + Omega_j): plus-sign pairs never vanish
-    floor = bold_divisor_floor(0.1 * GOLD, np.array([1.0, 2.0]), 5)
-    assert floor > 0.5
+    # |<k, omega>| < min(Omega_i + Omega_j): plus-sign pairs never vanish,
+    # so the bold operator's diagonal stays off zero
+    T = build_boldT(0.1 * GOLD, np.array([1.0, 2.0]), FourierSeries.zero(
+        D, shape=(2, 2)), FourierSeries.zero(D, shape=(2, 2)), 5)
+    assert np.abs(T.diag_values()).min() > 0.5
 
 
 # ----------------------------------------------------------------------
@@ -225,7 +229,7 @@ def test_bold_divisor_floor_positive():
 def test_solve_hx_cosine():
     Rx = FourierSeries.cosine(D, (1, 0))
     Fx = solve_hx(Rx, GOLD, 2)
-    ref = FourierSeries.sine(D, (1, 0))
+    ref = sine(D, (1, 0))
     assert np.allclose(Fx.pad(1).data, ref.data, atol=1e-14)
 
 
@@ -354,7 +358,7 @@ def test_solve_hy_cosine():
             (-1, 0): np.array([[0.5], [0.0]])}, shape=(2, 1))
     Fy, shift = solve_hy(R, GOLD, 2)
     assert np.allclose(shift, 0.0)
-    ref = FourierSeries.sine(D, (1, 0))
+    ref = sine(D, (1, 0))
     assert np.allclose(Fy.entry(0, 0).data, ref.pad(Fy.cutoff).data, atol=1e-14)
     assert Fy.entry(1, 0).max_abs_coeff() == 0.0
 
@@ -713,7 +717,7 @@ def test_assemble_rhs_S_targeted_yzz_term():
     c = FourierSeries.cosine(D, (1, 1), amplitude=0.7)
     sig = ((1, 0), (1, 1), (0, 0))
     P = HamiltonianJet(D, n, {sig: c}, max_degree=4)
-    Fx = FourierSeries.sine(D, (1, 0), amplitude=0.3)
+    Fx = sine(D, (1, 0), amplitude=0.3)
     Z = FourierSeries.zero(D, shape=(n, 1))
     sol = HomologicalSolution(Fx=Fx, Fz=Z, Fzbar=Z)
     S = assemble_rhs("S", P, sol)
@@ -731,7 +735,7 @@ def test_assemble_rhs_S_targeted_zzz_term():
     sig = ((0, 0), (2, 1), (0, 0))
     P = HamiltonianJet(D, n, {sig: c}, max_degree=4)
     f1 = FourierSeries.cosine(D, (0, 1), amplitude=0.2)
-    f2 = FourierSeries.sine(D, (1, 1), amplitude=0.4)
+    f2 = sine(D, (1, 1), amplitude=0.4)
     Fzb = FourierSeries(D, (n, 1), 1,
                         np.stack([f1.data[0, 0], f2.data[0, 0]])[:, None])
     Z = FourierSeries.zero(D, shape=(n, 1))

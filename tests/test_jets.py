@@ -5,7 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.signal import convolve
 
+from test_fourier import sine
 from toruskam import jets
 from toruskam.fourier import (FourierSeries, partial_x, product, strip_norm,
                               truncate)
@@ -57,7 +59,7 @@ def random_jet(rng, degree=2, cutoff=1, real=False) -> HamiltonianJet:
 # ----------------------------------------------------------------------
 
 def test_bracket_canonical_pair():
-    F = scalar_jet(FourierSeries.sine(D, (1, 0)))
+    F = scalar_jet(sine(D, (1, 0)))
     G = y_jet(0, FourierSeries.constant(D, 1.0))
     H = poisson_bracket(F, G)
     cx = component_x(H)
@@ -129,6 +131,28 @@ def test_vf_norm_subadditive():
 # the FFT-grid products against the term-by-term loop
 # ----------------------------------------------------------------------
 
+def product_channels(F, G):
+    """The pair products of the polynomial product F G as grid-kernel
+    channels: (i, 0, j, 0, signature, 1) per pair of terms."""
+    for i, s1 in enumerate(F.terms):
+        for j, s2 in enumerate(G.terms):
+            yield i, 0, j, 0, tuple(tuple(x + y for x, y in zip(u, v))
+                                    for u, v in zip(s1, s2)), 1
+
+
+def jet_product(F, G):
+    """Polynomial product on the grid kernel: degree and cutoff overflow
+    and the bilinear coupling of the unrepresented parts go to `tail`."""
+    out, tail = {}, 0.0
+    if F.terms and G.terms:
+        out, tail = jets._grid_kernel(F, G, product_channels)
+    if F.tail:
+        tail += F.tail * (vf_norm(G, G.s_ref, G.r_ref) + G.tail)
+    if G.tail:
+        tail += G.tail * vf_norm(F, F.s_ref, F.r_ref)
+    return F._like(out, tail=tail)
+
+
 def oracle_term_vf_bound(sig, series, s, r):
     """The vector-field bound with one partial_x copy per axis."""
     a, b, c = sig
@@ -182,56 +206,94 @@ def d_zbar(P, j):
     return _d_monomial(P, 2, j)
 
 
-def oracle_pairs(P, Q):
-    """The term-by-term loop: one fourier.product per pair of terms.
-    Returns the kept terms and, per pair, (signature, box, dropped part):
-    the whole product of an over-degree pair, the modes beyond the cap of
-    a pair past the cutoff cap."""
+def direct_product(f, g):
+    """fourier.product of scalar series by direct convolution, no FFT."""
+    return FourierSeries(f.d, (1, 1), f.cutoff + g.cutoff, convolve(
+        f.data[0, 0], g.data[0, 0], method="direct")[None, None])
+
+
+def shell_sums(f, s):
+    """Per shell |k|_inf = j, the sums of |f(k)| e^{s|k|_1} and of
+    |k|_1 |f(k)| e^{s|k|_1}, one mode at a time."""
+    out = np.zeros((2, f.cutoff + 1))
+    for k, v in f.coeffs().items():
+        l1 = sum(abs(c) for c in k)
+        mag = abs(v[0, 0]) * math.exp(s * l1)
+        out[:, max((abs(c) for c in k), default=0)] += (mag, l1 * mag)
+    return out
+
+
+def shell_bound(f, g, m, s):
+    """(strip norm, summed partials' strip norms) bound of the modes
+    |k|_inf > m of f g: every shell pair (i, j) with i + j > m."""
+    a, b = shell_sums(f, s), shell_sums(g, s)
+    far = np.add.outer(np.arange(f.cutoff + 1), np.arange(g.cutoff + 1)) > m
+    return ((np.outer(a[0], b[0]) * far).sum(),
+            ((np.outer(a[1], b[0]) + np.outer(a[0], b[1])) * far).sum())
+
+
+def oracle_pairs(P, Q, w=1, mul=product):
+    """The term-by-term loop: one product per pair of terms, times w.
+    Returns the kept terms and, per pair, (signature, box, dropped part,
+    (w, f1, f2, m)): the dropped part is the whole product of an
+    over-degree pair (m = -1), the modes beyond the cap m of a pair past the
+    cutoff cap."""
     out, dropped = {}, []
     for (a1, b1, c1), f1 in P.terms.items():
         for (a2, b2, c2), f2 in Q.terms.items():
             sig = (tuple(x + y for x, y in zip(a1, a2)),
                    tuple(x + y for x, y in zip(b1, b2)),
                    tuple(x + y for x, y in zip(c1, c2)))
-            fp = product(f1, f2)
-            if weighted_degree(sig) > P.max_degree:
-                dropped.append((sig, fp.cutoff, fp))
-                continue
-            if P.cutoff_cap is not None and fp.cutoff > P.cutoff_cap:
-                kept = truncate(fp, P.cutoff_cap)
-                dropped.append((sig, fp.cutoff, fp - kept.pad(fp.cutoff)))
+            fp = w * mul(f1, f2)
+            m = -1 if weighted_degree(sig) > P.max_degree else fp.cutoff
+            if m >= 0 and P.cutoff_cap is not None:
+                m = min(m, P.cutoff_cap)
+            if m < fp.cutoff:
+                kept = truncate(fp, m) if m >= 0 else 0 * fp
+                dropped.append((sig, fp.cutoff, fp - kept.pad(fp.cutoff),
+                                (w, f1, f2, m)))
+                if m < 0:
+                    continue
                 fp = kept
             out[sig] = out[sig] + fp if sig in out else fp
     return out, dropped
 
 
-def oracle_tail(dropped, s, r, per_pair=False):
-    """Bound of the dropped parts, summed per (signature, box) first; with
-    per_pair, one bound per pair as the pair loop used to book it."""
-    if per_pair:
-        return sum(oracle_term_vf_bound(sig, part, s, r)
-                   for sig, _, part in dropped)
+def oracle_vf_of(sig, sigma, sx, r):
+    """`oracle_term_vf_bound` from the two strip-norm sums."""
+    a, b, c = sig
+    g = weighted_degree(sig)
+    return (sum(a) * sigma * r ** (g - 2) + sx * r ** (g - 2)
+            + (sum(b) + sum(c)) * sigma * r ** (g - 2))
+
+
+def oracle_tail(dropped, s, r, shells=False):
+    """Bound of the dropped parts, summed per (signature, box) first: their
+    exact vector-field norm, or with `shells` the shell-sum bound."""
     keys = {}
-    for sig, box, part in dropped:
-        key = (sig, box)
-        keys[key] = keys[key] + part if key in keys else part
+    for sig, box, part, (w, f1, f2, m) in dropped:
+        new = abs(w) * np.array(shell_bound(f1, f2, m, s)) if shells else part
+        keys[sig, box] = keys[sig, box] + new if (sig, box) in keys else new
+    if shells:
+        return sum(oracle_vf_of(sig, *bound, r)
+                   for (sig, _), bound in keys.items())
     return sum(oracle_term_vf_bound(sig, part, s, r)
                for (sig, _), part in keys.items())
 
 
-def oracle_jet_product(self, other, per_pair=False):
-    out, dropped = oracle_pairs(self, other)
+def oracle_jet_product(self, other, shells=False, mul=product):
+    out, dropped = oracle_pairs(self, other, mul=mul)
     cross = 0.0
     if self.tail:
         cross += self.tail * (oracle_vf_norm(other, other.s_ref, other.r_ref)
                               + other.tail)
     if other.tail:
         cross += other.tail * oracle_vf_norm(self, self.s_ref, self.r_ref)
-    extra = oracle_tail(dropped, self.s_ref, self.r_ref, per_pair)
-    return self._like(out, tail=0.0, extra_tail=extra + cross)
+    extra = oracle_tail(dropped, self.s_ref, self.r_ref, shells)
+    return self._like(out, tail=extra + cross)
 
 
-def oracle_poisson_bracket(F, G, per_pair=False):
+def oracle_poisson_bracket(F, G, shells=False, mul=product):
     """The channel loop: one term-by-term product per channel of
     <F_x,G_y> - <F_y,G_x> + i<F_z,G_zbar> - i<F_zbar,G_z>."""
     if (F.d, F.n) != (G.d, G.n):
@@ -248,26 +310,26 @@ def oracle_poisson_bracket(F, G, per_pair=False):
                               s_ref=F.s_ref, r_ref=F.r_ref)
     dropped = []
     for w, P, Q in channels:
-        terms, drops = oracle_pairs(P, Q)
-        out = out + w * P._like(terms, tail=0.0)
-        dropped += [(sig, box, w * part) for sig, box, part in drops]
+        terms, drops = oracle_pairs(P, Q, w, mul)
+        out = out + P._like(terms, tail=0.0)
+        dropped += drops
     cross = 0.0
     if F.tail:
         cross += F.tail * oracle_vf_norm(G, G.s_ref, G.r_ref)
     if G.tail:
         cross += G.tail * oracle_vf_norm(F, F.s_ref, F.r_ref)
-    tail = oracle_tail(dropped, F.s_ref, F.r_ref, per_pair)
+    tail = oracle_tail(dropped, F.s_ref, F.r_ref, shells)
     return out._like(out.terms, tail=tail + cross)
 
 
 @pytest.fixture
 def oracle(monkeypatch):
-    """Run a callable with the term-by-term product, bracket and bound in
-    place."""
-    def run(fn, *args, **kw):
+    """Run a callable with the term-by-term bracket and bound in place;
+    with shells=True the bracket books the shell-sum bound as its tail."""
+    def run(fn, *args, shells=False, **kw):
         with monkeypatch.context() as m:
-            m.setattr(HamiltonianJet, "jet_product", oracle_jet_product)
-            m.setattr(jets, "poisson_bracket", oracle_poisson_bracket)
+            m.setattr(jets, "poisson_bracket",
+                      lambda F, G: oracle_poisson_bracket(F, G, shells))
             m.setattr(jets, "vf_norm", oracle_vf_norm)
             return fn(*args, **kw)
     return run
@@ -298,10 +360,12 @@ def mixed_jet(rng, d, n, count, max_cutoff, degree=3, tail=0.0, **kw):
     return HamiltonianJet(d, n, terms, tail=tail, **kw)
 
 
-def assert_jets_agree(got, ref, rtol=1e-12):
+def assert_jets_agree(got, ref, rtol=1e-12, upper=None):
     """Coefficients within rtol of the jet's largest one, equal output
-    cutoffs, tails within rtol.  A term only one side has must be rounding
-    noise: some signatures cancel exactly in a bracket."""
+    cutoffs.  A term only one side has must be rounding noise: some
+    signatures cancel exactly in a bracket.  Without `upper` the tails agree
+    within rtol; with it, got's tail lies between ref's (the exact dropped
+    parts) and upper's (the shell-sum bound), up to rounding."""
     tol = rtol * ref.max_abs_coeff()
     for sig in set(got.terms) | set(ref.terms):
         if sig in got.terms and sig in ref.terms:
@@ -311,7 +375,10 @@ def assert_jets_agree(got, ref, rtol=1e-12):
         else:
             assert got.term(sig).max_abs_coeff() <= tol, sig
             assert ref.term(sig).max_abs_coeff() <= tol, sig
-    assert got.tail == pytest.approx(ref.tail, rel=rtol, abs=0.0)
+    if upper is None:
+        assert got.tail == pytest.approx(ref.tail, rel=rtol, abs=0.0)
+    else:
+        assert ref.tail * (1 - rtol) <= got.tail <= upper.tail * (1 + 1e-9)
 
 
 # (d, n, max cutoff of a factor, cutoff cap)
@@ -327,11 +394,8 @@ def test_grid_jet_product_matches_pair_loop(oracle, d, n, cut, cap):
     P = mixed_jet(rng, d, n, 7, cut, tail=1e-3, **kw)
     Q = mixed_jet(rng, d, n, 5, cut - 1, tail=2e-3, **kw)
     for F, G in ((P, Q), (Q, P), (P, P)):
-        # the lambda looks jet_product up inside the patched context
-        got = F.jet_product(G)
-        assert_jets_agree(got, oracle(lambda: F.jet_product(G)))
-        per_pair = oracle_jet_product(F, G, per_pair=True).tail
-        assert got.tail <= per_pair * (1 + 1e-12)
+        assert_jets_agree(jet_product(F, G), oracle_jet_product(F, G),
+                          upper=oracle_jet_product(F, G, shells=True))
     over = [1 for a in P.terms for b in Q.terms
             if weighted_degree(tuple(tuple(x + y for x, y in zip(u, v))
                                      for u, v in zip(a, b))) > 4]
@@ -351,16 +415,17 @@ def test_grid_bracket_and_lie_transform_match_pair_loop(oracle, d, n, cut,
     # degree 3 against degree 4: brackets up to degree 5 overflow
     P = mixed_jet(rng, d, n, 6, cut - 1, degree=3, **kw)
     for A, B in ((H, F), (F, H), (H, P), (P, H)):
-        got = poisson_bracket(A, B)
-        assert_jets_agree(got, oracle_poisson_bracket(A, B))
-        per_pair = oracle_poisson_bracket(A, B, per_pair=True).tail
-        assert got.tail <= per_pair * (1 + 1e-12)
+        assert_jets_agree(poisson_bracket(A, B), oracle_poisson_bracket(A, B),
+                          upper=oracle_poisson_bracket(A, B, shells=True))
     assert poisson_bracket(H, P).tail > 0
     got = lie_transform(H, F, order=2)
     ref = oracle(lie_transform, H, F, order=2)
-    assert_jets_agree(got.jet, ref.jet)
-    assert got.tail_bound == pytest.approx(ref.tail_bound, rel=1e-12)
-    assert got.term_norms == pytest.approx(ref.term_norms, rel=1e-12)
+    upper = oracle(lie_transform, H, F, order=2, shells=True)
+    assert_jets_agree(got.jet, ref.jet, upper=upper.jet)
+    for g, lo, hi in zip([got.tail_bound] + got.term_norms,
+                         [ref.tail_bound] + ref.term_norms,
+                         [upper.tail_bound] + upper.term_norms):
+        assert lo * (1 - 1e-12) <= g <= hi * (1 + 1e-9)
 
 
 def test_bracket_box_edge_modes_come_from_their_own_pair():
@@ -392,6 +457,119 @@ def test_bracket_box_edge_modes_come_from_their_own_pair():
     assert got.max_abs_coeff() > 1e4 * tiny
 
 
+def sparse_jet(rng, d, n, count, max_cutoff, **kw):
+    """Like `mixed_jet`, but each term has one to three random modes, so a
+    product's shell bound can be tight."""
+    sigs = signatures(d, n, 3)
+    terms = {}
+    for idx in rng.choice(len(sigs), size=min(count, len(sigs)),
+                          replace=False):
+        cut = int(rng.integers(0, max_cutoff + 1))
+        modes = rng.integers(-cut, cut + 1, size=(int(rng.integers(1, 4)), d))
+        terms[sigs[idx]] = FourierSeries.from_coeffs(
+            d, {tuple(map(int, k)): complex(*rng.standard_normal(2))
+                for k in modes}, cutoff=cut)
+    return HamiltonianJet(d, n, terms, **kw)
+
+
+def test_tail_bounds_exact_dropped_part_200_cases():
+    # the booked tail is at least the vector-field norm of the exact dropped
+    # modes, products by direct convolution, summed per (signature, box)
+    rng = np.random.default_rng(7)
+    seen = {"over-degree": 0, "cap-binding": 0, "real": 0}
+    ratios = []
+    for case in range(200):
+        d, n = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        cut = (6, 3, 2)[d - 1]
+        kw = dict(max_degree=int(rng.integers(3, 5)),
+                  cutoff_cap=[None, int(rng.integers(0, 2 * cut))][case % 2],
+                  s_ref=float(rng.uniform(0.0, 1.0)),
+                  r_ref=float(rng.uniform(0.2, 1.0)))
+        make = sparse_jet if case % 3 == 0 else mixed_jet
+        F, G = (make(rng, d, n, int(rng.integers(1, 5)), cut, **kw)
+                for _ in range(2))
+        if case % 4 == 0:
+            F, G = (0.5 * (J + conjugate_jet(J)) for J in (F, G))
+            seen["real"] += jets._mirrors(F) is not None \
+                and jets._mirrors(G) is not None
+        for op, ref in ((poisson_bracket, oracle_poisson_bracket),
+                        (jet_product, oracle_jet_product)):
+            got = op(F, G).tail
+            exact = ref(F, G, mul=direct_product).tail
+            assert got >= exact, (case, op.__name__)
+            if exact > 0:
+                ratios.append(got / exact)
+        pairs = [(f.cutoff + g.cutoff, weighted_degree(tuple(
+            tuple(x + y for x, y in zip(u, v)) for u, v in zip(a, b))))
+            for a, f in F.terms.items() for b, g in G.terms.items()]
+        seen["over-degree"] += any(g > kw["max_degree"] for _, g in pairs)
+        seen["cap-binding"] += kw["cutoff_cap"] is not None and any(
+            c > kw["cutoff_cap"] for c, _ in pairs)
+    assert min(seen.values()) >= 40, seen
+    assert min(ratios) < 1.01
+
+
+def test_exactly_real_inputs_give_exactly_real_brackets(monkeypatch):
+    rows = []
+    inverse = jets._kept_inverse
+    monkeypatch.setattr(jets, "_kept_inverse",
+                        lambda x, M: rows.append(len(x)) or inverse(x, M))
+    for d, n, cut, cap in GRID_CASES:
+        rng = np.random.default_rng(300 * d + n)
+        kw = dict(max_degree=4, cutoff_cap=cap, s_ref=0.3, r_ref=0.5)
+        H = mixed_jet(rng, d, n, 8, cut, degree=4, **kw)
+        F = 1e-5 * mixed_jet(rng, d, n, 6, cut - 1, degree=2, **kw)
+        H, F = (0.5 * (J + conjugate_jet(J)) for J in (H, F))
+        assert jets._mirrors(H) is not None and jets._mirrors(F) is not None
+        rows.clear()
+        got = [poisson_bracket(H, F), poisson_bracket(F, H),
+               jet_product(H, F), lie_transform(H, F, order=2).jet]
+        mirrored = sum(rows)
+        with monkeypatch.context() as m:
+            m.setattr(jets, "_mirrors", lambda J: None)
+            rows.clear()
+            ref = [poisson_bracket(H, F), poisson_bracket(F, H),
+                   jet_product(H, F), lie_transform(H, F, order=2).jet]
+        assert mirrored < sum(rows)
+        for g, f in zip(got, ref):
+            assert check_reality(g, tol=0.0) == (True, 0.0)
+            assert check_reality(f)[0]
+            assert_jets_agree(g, f)
+        # real to the last bit only: the full kernel runs
+        sig = next(s for s in H.terms if s[1] != s[2])
+        bumped = dict(H.terms)
+        bumped[sig] = H.terms[sig] * (1 + 2 ** -52)
+        assert jets._mirrors(H._like(bumped)) is None
+
+
+@pytest.mark.parametrize("d, n, cut, cap", GRID_CASES)
+def test_kept_modes_exact_on_the_minimal_grid(monkeypatch, d, n, cut, cap):
+    # with next_fast_len the identity, the grid is the least alias-free
+    # one, L = max(c + m + 1) over kept keys (or 2N + 1), and the kept
+    # modes match direct convolution; one point fewer folds a dropped mode
+    # onto a kept one
+    rng = np.random.default_rng(400 * d + n)
+    kw = dict(max_degree=4, cutoff_cap=cap, s_ref=0.3, r_ref=0.5)
+    H = mixed_jet(rng, d, n, 6, cut, degree=4, **kw)
+    G = mixed_jet(rng, d, n, 5, cut - 1, degree=2, **kw)
+    ref = oracle_poisson_bracket(H, G, mul=direct_product)
+    lengths = []
+    monkeypatch.setattr(jets, "next_fast_len",
+                        lambda m: lengths.append(m) or m)
+    assert_jets_agree(poisson_bracket(H, G), ref, upper=oracle_poisson_bracket(
+        H, G, shells=True, mul=direct_product))
+    # the old grid took 2 c + 1 points, c the largest box
+    c = max(f.cutoff for f in H.terms.values()) \
+        + max(g.cutoff for g in G.terms.values())
+    assert len(lengths) == 1 and lengths[0] <= 2 * c + 1
+    assert cap is None or cap >= c or lengths[0] < 2 * c + 1
+    monkeypatch.setattr(jets, "next_fast_len", lambda m: m - 1)
+    folded = poisson_bracket(H, G)
+    assert max(np.abs(f.pad(ref.terms[s].cutoff).data
+                      - ref.terms[s].data).max()
+               for s, f in folded.terms.items()) > 1e-3 * ref.max_abs_coeff()
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_closed_form_term_bound_matches_partial_x_sum(d):
     rng = np.random.default_rng(30 + d)
@@ -406,31 +584,58 @@ def test_closed_form_term_bound_matches_partial_x_sum(d):
                 ref, rel=1e-13, abs=0.0)
 
 
-def test_grid_product_memory_is_batched(monkeypatch):
-    # every pair is over degree, so no output terms are built.  Q's 58
-    # transforms on the 66 x 66 grid take 3.9 MB; one row of unbatched pair
-    # products would take as much again, the 256 KiB batch a fifteenth
-    monkeypatch.setattr(jets, "_BATCH_BYTES", 1 << 18)
+def deg_jet(rng, d, n, degree, count, cut, **kw):
+    """`count` random terms of weighted degree exactly `degree` at one
+    cutoff."""
+    sigs = [s for s in signatures(d, n, degree) if weighted_degree(s) == degree]
+    box = (1, 1) + (2 * cut + 1,) * d
+    return HamiltonianJet(d, n, {
+        sig: FourierSeries(d, (1, 1), cut, rng.standard_normal(box)
+                           + 1j * rng.standard_normal(box))
+        for sig in sigs[:count]}, s_ref=0.3, r_ref=0.5, **kw)
+
+
+def test_over_degree_pairs_never_touch_the_grid(monkeypatch):
+    # every pair is over degree: the tail comes from shell sums alone, and
+    # no part is transformed.  Q's 58 transforms on the old 66 x 66 grid
+    # took 3.9 MB
+    def refuse(*args):
+        raise AssertionError("grid transform of an over-degree pair")
+    monkeypatch.setattr(jets, "_wrapped_transform", refuse)
     rng = np.random.default_rng(41)
-    sigs = [s for s in signatures(2, 2, 4) if weighted_degree(s) == 4]
-    box = (1, 1, 33, 33)
-
-    def deg4_jet(count):
-        return HamiltonianJet(2, 2, {
-            sig: FourierSeries(2, (1, 1), 16, rng.standard_normal(box)
-                               + 1j * rng.standard_normal(box))
-            for sig in sigs[:count]}, max_degree=4, s_ref=0.3, r_ref=0.5)
-
-    P, Q = deg4_jet(4), deg4_jet(58)
-    stack = 58 * 66 ** 2 * 16
+    P, Q = (deg_jet(rng, 2, 2, 4, count, 16, max_degree=4)
+            for count in (4, 58))
     tracemalloc.start()
     try:
-        out = P.jet_product(Q)
+        out = jet_product(P, Q)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert not out.terms and out.tail > 0
-    assert peak - stack <= 1.5 * 2 ** 20
+    assert out.tail >= oracle_jet_product(P, Q).tail
+    assert peak <= 2 ** 20
+
+
+def test_grid_product_memory_is_batched(monkeypatch):
+    # 12 x 12 kept pairs at cutoffs 24 + 24 under cap 2 sum into 58 keys
+    # on the 54 x 54 grid (47 kB each): unbatched, the key sums would take
+    # 2.7 MB beyond the 24 transforms; the 128 KiB batch holds two rows
+    monkeypatch.setattr(jets, "_BATCH_BYTES", 1 << 17)
+    rows = []
+    inverse = jets._kept_inverse
+    monkeypatch.setattr(jets, "_kept_inverse",
+                        lambda x, M: rows.append(len(x)) or inverse(x, M))
+    rng = np.random.default_rng(42)
+    P, Q = (deg_jet(rng, 2, 2, 2, 12, 24, cutoff_cap=2) for _ in range(2))
+    grid = 54 ** 2 * 16
+    tracemalloc.start()
+    try:
+        out = jet_product(P, Q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(rows) == 2 and sum(rows) == len(out.terms) == 58
+    assert peak <= 24 * grid + 0.5 * 2 ** 20
 
 
 def test_nan_terms_are_kept_zero_terms_dropped():
@@ -526,7 +731,7 @@ def test_lie_two_term_hand_expansion():
     # frozen: H = <omega, y>, F = F^x(x): {H, F} = -d_omega F^x, next 0
     H = y_jet(0, FourierSeries.constant(D, GOLD[0])) \
         + y_jet(1, FourierSeries.constant(D, GOLD[1]))
-    Fx = FourierSeries.sine(D, (1, 0), amplitude=0.1)
+    Fx = sine(D, (1, 0), amplitude=0.1)
     F = scalar_jet(Fx)
     res = lie_transform(H, F, order=3)
     from toruskam.fourier import dir_derivative
