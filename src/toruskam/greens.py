@@ -22,11 +22,13 @@ when q_0 >= 1.
 
 One certificate kernel: an operator's inverse is block diagonal on the
 connected components of its off-diagonal pattern
-(`LatticeMatrix.components`), so `_block_inverse` inverts the diagonal
-blocks, one batched LU with partial pivoting per component size, and gates
-on the exact condition number cond_1 = max_b ||T_b||_1 max_b ||G_b||_1
-(at least the LAPACK gecon estimate of the dense form, up to rounding).
-It is shared by `invert_direct` and the sigma-scan probes; `invert_direct`
+(`LatticeMatrix.components`), so `homological._block_inverse`, beside the
+operator, inverts the diagonal blocks, one batched LU with partial
+pivoting per component size, and gates on the exact condition number
+cond_1 = max_b ||T_b||_1 max_b ||G_b||_1 (at least the LAPACK gecon
+estimate of the dense form, up to rounding, which the tests keep as the
+oracle).  It is shared by `invert_direct`, the sigma-scan probes and the
+dense route of the lattice solves; `invert_direct`
 scatters the blocks into the full G its callers read and adds the measured
 ||G||_2 = max_b ||G_b||_2, kept in `extra["measured_norm"]`, and the
 certificate.  `_site_magnitudes` is the per-site-pair block maximum and
@@ -42,7 +44,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .homological import LatticeMatrix, NearSingularError, _symbol_norm
+from .homological import (LatticeMatrix, _block_inverse, _component_blocks,
+                          _symbol_norm)
 
 ALPHA_CAP = 50.0   # stored decay rate for exactly-banded/diagonal inverses
 
@@ -130,55 +133,19 @@ def decay_certificate(norm: float, alpha: float, threshold: int, region,
                             extra=extra)
 
 
-def _component_blocks(T: LatticeMatrix) -> list:
-    """(sites, rows, blocks) per component size of T: the (c, s) site
-    indices of its c components of s sites, their (c, s nblock) dense-form
-    rows and the (c, s nblock, s nblock) diagonal blocks of the dense form."""
-    dense = T.to_dense()
-    out = []
-    for sites in T.components():
-        rows = (sites[:, :, None] * T.nblock
-                + np.arange(T.nblock)).reshape(len(sites), -1)
-        out.append((sites, rows, dense[rows[:, :, None], rows[:, None, :]]))
-    return out
-
-
-def _block_inverse(blocks: list, nblock: int, cond_cap: float):
-    """(inverses, site magnitudes, cond_1) of a block-diagonal operator
-    given by its diagonal blocks, one (c, k, k) stack per block size.
-
-    Each stack takes one batched LU with partial pivoting against the
-    identity (`np.linalg.inv`).  The gate is the exact
-    cond_1 = max_b ||T_b||_1 max_b ||G_b||_1; an exactly singular block
-    raises NearSingularError(inf), a cond_1 beyond `cond_cap` (or NaN)
-    NearSingularError(cond_1)."""
-    try:
-        inverses = [np.linalg.inv(B) for B in blocks]
-    except np.linalg.LinAlgError:
-        raise NearSingularError(np.inf) from None
-    anorm = max(float(np.abs(B).sum(axis=-2).max()) for B in blocks)
-    gnorm = max(float(np.abs(G).sum(axis=-2).max()) for G in inverses)
-    cond = anorm * gnorm
-    if not cond <= cond_cap:
-        raise NearSingularError(cond)
-    gmags = [_site_magnitudes(G, G.shape[-1] // nblock, nblock)
-             for G in inverses]
-    return inverses, gmags, cond
-
-
 def invert_direct(T: LatticeMatrix, threshold: int = 0,
                   cond_cap: float = 1e12):
     """Inverse (block by block, on T's components) plus a certificate with
     fields measured from it; `extra` holds the exact cond_1 and ||G||_2
     before the 1e-6 inflation."""
     parts = _component_blocks(T)
-    inverses, gmags, cond = _block_inverse([B for _, _, B in parts],
-                                           T.nblock, cond_cap)
+    inverses, cond = _block_inverse([B for _, _, B in parts], cond_cap)
     G = np.zeros((T.size, T.size), dtype=complex)
     gmag = np.zeros((T.nsites, T.nsites))
-    for (sites, rows, _), Gb, gb in zip(parts, inverses, gmags):
+    for (sites, rows, _), Gb in zip(parts, inverses):
         G[rows[:, :, None], rows[:, None, :]] = Gb
-        gmag[sites[:, :, None], sites[:, None, :]] = gb
+        gmag[sites[:, :, None], sites[:, None, :]] = _site_magnitudes(
+            Gb, sites.shape[1], T.nblock)
     dist = site_distances(T.region)
     measured = max(float(np.linalg.norm(Gb, 2, axis=(-2, -1)).max())
                    for Gb in inverses)

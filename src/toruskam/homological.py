@@ -22,8 +22,9 @@ of the system; the bold right side enters as the (n^2, 1) column of
 with q = ||S|| / min|D| < 1 (||S|| bounded by the symbol's mode sum), T is
 invertible and is solved matrix-free by the Jacobi iteration
 u <- u + D^{-1}(b - T u), whose matvec is the series product truncated to
-the box.  Otherwise it factors with `_factor` (dense LU plus a LAPACK
-condition estimate).
+the box.  Otherwise it inverts T block by block on its connected
+components (`_block_inverse`, the package's one LU kernel, which `greens`
+and the sigma-scan probes share) and gates on the exact cond_1.
 """
 
 from __future__ import annotations
@@ -52,11 +53,11 @@ class SmallDivisorError(Exception):
 
 
 class NearSingularError(Exception):
-    """A lattice operator's condition estimate exceeded the configured cap."""
+    """A lattice operator's condition number exceeded the configured cap."""
 
     def __init__(self, cond):
         self.cond = float(cond)
-        super().__init__(f"condition estimate {self.cond:.3e} beyond cap")
+        super().__init__(f"condition number {self.cond:.3e} beyond cap")
 
 
 @lru_cache(maxsize=64)
@@ -184,6 +185,40 @@ class LatticeMatrix:
         return replace(self, sigma=float(sigma), _dense=None)
 
 
+def _component_blocks(T: LatticeMatrix) -> list:
+    """(sites, rows, blocks) per component size of T: the (c, s) site
+    indices of its c components of s sites, their (c, s nblock) dense-form
+    rows and the (c, s nblock, s nblock) diagonal blocks of the dense form."""
+    dense = T.to_dense()
+    out = []
+    for sites in T.components():
+        rows = (sites[:, :, None] * T.nblock
+                + np.arange(T.nblock)).reshape(len(sites), -1)
+        out.append((sites, rows, dense[rows[:, :, None], rows[:, None, :]]))
+    return out
+
+
+def _block_inverse(blocks: list, cond_cap: float):
+    """(inverses, cond_1) of a block-diagonal operator given by its
+    diagonal blocks, one (c, k, k) stack per block size.
+
+    Each stack takes one batched LU with partial pivoting against the
+    identity (`np.linalg.inv`).  The gate is the exact
+    cond_1 = max_b ||T_b||_1 max_b ||G_b||_1; an exactly singular block
+    raises NearSingularError(inf), a cond_1 beyond `cond_cap` (or NaN)
+    NearSingularError(cond_1)."""
+    try:
+        inverses = [np.linalg.inv(B) for B in blocks]
+    except np.linalg.LinAlgError:
+        raise NearSingularError(np.inf) from None
+    anorm = max(float(np.abs(B).sum(axis=-2).max()) for B in blocks)
+    gnorm = max(float(np.abs(G).sum(axis=-2).max()) for G in inverses)
+    cond = anorm * gnorm
+    if not cond <= cond_cap:
+        raise NearSingularError(cond)
+    return inverses, cond
+
+
 def _lattice_operator(omega, Omega, B: FourierSeries, Rzz: FourierSeries,
                       N: int, sigma: float, region, pretruncate: bool,
                       bold: bool) -> LatticeMatrix:
@@ -304,32 +339,6 @@ def solve_hy(Rscript: FourierSeries, omega, N: int, divisor_floor=0.0):
 # lattice solves (homo 2 / homo 4)
 # ----------------------------------------------------------------------
 
-def _sla():
-    """scipy.linalg, imported on the first dense solve: no other route needs
-    it, and it is the costliest import of the package."""
-    import scipy.linalg
-    return scipy.linalg
-
-
-def _factor(T: LatticeMatrix, cond_cap: float):
-    """Dense LU of T with its 1-norm condition estimate (LAPACK gecon);
-    returns (dense, lu_piv, cond) or raises NearSingularError past the cap."""
-    sla = _sla()
-    dense = T.to_dense()
-    anorm = np.abs(dense).sum(axis=0).max()
-    with warnings.catch_warnings():
-        # an exactly zero pivot warns here; gecon then gives rcond = 0 and
-        # the cap check below raises NearSingularError(inf)
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu_piv = sla.lu_factor(dense, check_finite=False)
-    gecon = sla.get_lapack_funcs(("gecon",), (lu_piv[0],))[0]
-    rcond, _ = gecon(lu_piv[0], anorm, norm="1")
-    cond = np.inf if rcond == 0 else 1.0 / rcond
-    if cond > cond_cap:
-        raise NearSingularError(cond)
-    return dense, lu_piv, cond
-
-
 def _series_to_vec(T: LatticeMatrix, F: FourierSeries) -> np.ndarray:
     """Stack hat(F)_block(k) over (site, block), block fastest."""
     return np.concatenate([F.coeff(k)[:, 0] for k in T.region])
@@ -346,11 +355,13 @@ def _vec_to_series(T: LatticeMatrix, vec: np.ndarray,
 class LatticeSolveInfo:
     """Diagnostics of one lattice solve.
 
-    `route` is "neumann" (matrix-free iteration) or "dense" (LU);
-    `iterations` counts the Jacobi sweeps (0 on the dense route).
+    `route` is "neumann" (matrix-free iteration) or "dense" (component
+    block inverse); `iterations` counts the Jacobi sweeps (0 on the dense
+    route).
     `condition` is the proven 1-norm bound
-    (max|D| + ||S||) / (min|D| (1 - q)) on the Neumann route and the LAPACK
-    gecon estimate on the dense route.  `residual` is |T u - b| / |b|.
+    (max|D| + ||S||) / (min|D| (1 - q)) on the Neumann route and the exact
+    cond_1 of the component blocks on the dense route.  `residual` is
+    |T u - b| / |b|.
     """
     residual: float
     condition: float
@@ -383,10 +394,10 @@ def _symbol_norm(T: LatticeMatrix, r: float = 0.0) -> float:
     return float(per_mode.sum())
 
 
-def _neumann_bound(T: LatticeMatrix) -> float | None:
+def _neumann_bound(T: LatticeMatrix):
     """Gate of the matrix-free route.  With q = ||S|| / min|D| < 1 this
-    returns the 1-norm condition bound (max|D| + ||S||) / (min|D| (1 - q)),
-    else None."""
+    returns the 1-norm condition bound (max|D| + ||S||) / (min|D| (1 - q))
+    and q, else None."""
     absD = np.abs(T.diag_values())
     dmin = float(absD.min())
     if dmin == 0.0:
@@ -395,28 +406,28 @@ def _neumann_bound(T: LatticeMatrix) -> float | None:
     q = snorm / dmin
     if q >= 1.0:
         return None
-    return (float(absD.max()) + snorm) / (dmin * (1.0 - q))
+    return (float(absD.max()) + snorm) / (dmin * (1.0 - q)), q
 
 
 # sweeps allowed past the proven count, for the rounding of each sweep
 _SWEEP_SLACK = 16
 
 
-def _sweep_cap(T: LatticeMatrix) -> int:
-    """Sweep limit of `_neumann_solve` on a gated T.  Each sweep maps the
-    residual r to -S D^{-1} r, so after j sweeps |r| / |b| <= q^j; past
-    ceil(log 2^-52 / log q) sweeps that bound is below the rounding of b."""
-    q = _symbol_norm(T) / float(np.abs(T.diag_values()).min())
+def _sweep_cap(q: float) -> int:
+    """Sweep limit of `_neumann_solve` at the proven rate q < 1.  Each sweep
+    maps the residual r to -S D^{-1} r, so after j sweeps |r| / |b| <= q^j;
+    past ceil(log 2^-52 / log q) sweeps that bound is below the rounding of
+    b."""
     if q == 0.0:
         return 1 + _SWEEP_SLACK
     return math.ceil(-52.0 * math.log(2.0) / math.log(q)) + _SWEEP_SLACK
 
 
-def _neumann_solve(T: LatticeMatrix, b: np.ndarray, N: int):
+def _neumann_solve(T: LatticeMatrix, b: np.ndarray, N: int, q: float):
     """Jacobi iteration u <- u + D^{-1}(b - T u) on the box layout of a
     (nblock, 1) series at cutoff N, run until the relative residual stops
     decreasing; returns (u, residual, sweeps), or None when it still
-    decreases at `_sweep_cap`, which the proven rate q rules out."""
+    decreases at `_sweep_cap(q)`, which the proven rate q rules out."""
     D = T.diag_values().T.reshape(b.shape)
 
     def residual_of(u):
@@ -427,7 +438,7 @@ def _neumann_solve(T: LatticeMatrix, b: np.ndarray, N: int):
     scale = np.linalg.norm(b)
     if scale == 0:
         return b, 0.0, 0
-    cap = _sweep_cap(T)
+    cap = _sweep_cap(q)
     u = b / D
     r = residual_of(u)
     res, sweeps = np.linalg.norm(r) / scale, 1
@@ -448,27 +459,32 @@ def _lattice_solve(T: LatticeMatrix, rhs: FourierSeries, N: int | None,
     """Solve T u = -i rhs_N; returns (u as an (nblock, 1) series at cutoff
     N, info).  With q = ||S|| / min|D| < 1, T = D (I + D^{-1} S) is
     invertible, Jacobi converges at rate q and cond_1(T) is at most
-    (max|D| + ||S||) / (min|D| (1 - q)), which bounds gecon's estimate from
-    above.  That route is taken on the full centred box when the bound is
-    within `cond_cap` and the iteration settles within its sweep cap;
-    otherwise dense LU decides, as the oracle."""
+    (max|D| + ||S||) / (min|D| (1 - q)).  That route is taken on the full
+    centred box when the bound is within `cond_cap` and the iteration
+    settles within its sweep cap.  Otherwise T is inverted on its
+    components (`_block_inverse`), gated on the exact cond_1 within
+    `cond_cap`, and u = G_b b_b block by block."""
     Nr = int(np.abs(T.site_array).max())
     if N is None:
         N = Nr
-    bound = _neumann_bound(T) if T.region == cube_region(T.d, Nr) else None
-    if bound is not None and bound <= cond_cap:
+    gate = _neumann_bound(T) if T.region == cube_region(T.d, Nr) else None
+    if gate is not None and gate[0] <= cond_cap:
+        bound, q = gate
         b = -1j * _at_cutoff(_at_cutoff(rhs, N), Nr).data
-        solved = _neumann_solve(T, b, Nr)
+        solved = _neumann_solve(T, b, Nr, q)
         if solved is not None:
             u, res, sweeps = solved
             sol = _at_cutoff(FourierSeries(T.d, b.shape[:2], Nr, u), N)
             return sol, LatticeSolveInfo(residual=res, condition=bound,
                                          route="neumann", iterations=sweeps)
-    dense, lu_piv, cond = _factor(T, cond_cap)
+    parts = _component_blocks(T)
+    inverses, cond = _block_inverse([B for _, _, B in parts], cond_cap)
     b = -1j * _series_to_vec(T, _at_cutoff(rhs, N))
-    sol = _sla().lu_solve(lu_piv, b, check_finite=False)
+    sol = np.empty_like(b)
+    for (_, rows, _), G in zip(parts, inverses):
+        sol[rows] = (G @ b[rows][..., None])[..., 0]
     scale = np.linalg.norm(b)
-    res = np.linalg.norm(dense @ sol - b) / scale if scale > 0 else 0.0
+    res = np.linalg.norm(T.to_dense() @ sol - b) / scale if scale > 0 else 0.0
     return _vec_to_series(T, sol, N), LatticeSolveInfo(
         residual=float(res), condition=cond, route="dense", iterations=0)
 

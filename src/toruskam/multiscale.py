@@ -20,10 +20,11 @@ from dataclasses import dataclass, replace as _dc_replace
 
 import numpy as np
 
-from .greens import (CertificateGateError, DecayCertificate, _block_inverse,
-                     _component_blocks, _site_magnitudes, decay_certificate,
-                     invert_direct, measure_alpha, site_distances)
-from .homological import LatticeMatrix, NearSingularError
+from .greens import (CertificateGateError, DecayCertificate, _site_magnitudes,
+                     decay_certificate, invert_direct, measure_alpha,
+                     site_distances)
+from .homological import (LatticeMatrix, NearSingularError, _block_inverse,
+                          _component_blocks)
 
 
 def sup_dist(a, b) -> int:
@@ -601,12 +602,13 @@ class _Prober:
             B[:, i, i] = diag[rows]
             blocks.append(B)
         try:
-            inverses, gmags, _ = _block_inverse(blocks, self.T0.nblock,
-                                                self.cond_cap)
+            inverses, _ = _block_inverse(blocks, self.cond_cap)
         except NearSingularError:
             return False, np.inf, 0.0
         norm = self._norm(sigma, inverses)
-        gmag = np.concatenate([g.ravel() for g in gmags])
+        nb = self.T0.nblock
+        gmag = np.concatenate([_site_magnitudes(G, G.shape[-1] // nb, nb)
+                               .ravel() for G in inverses])
         decay_ok = _decays(gmag, self.dist, self.far, self.alpha_target)
         return (bool(norm <= self.norm_target and decay_ok), norm,
                 measure_alpha(gmag, self.dist, self.threshold))

@@ -11,17 +11,19 @@ from toruskam.fourier import (FourierSeries, dir_derivative, partial_x,
 from toruskam import homological
 from toruskam.driver import gamma_floor
 from toruskam.homological import (HomologicalSolution, NearSingularError,
-                                  SmallDivisorError, _divide_by_divisor,
-                                  _factor, _lattice_solve, _neumann_bound,
-                                  _sweep_cap, assemble_rhs, bold_symbol,
-                                  build_T, build_boldT, cube_region,
-                                  residual_hx, residual_lattice,
+                                  SmallDivisorError, _as_column,
+                                  _block_inverse, _component_blocks,
+                                  _divide_by_divisor, _lattice_solve,
+                                  _neumann_bound, _sweep_cap, assemble_rhs,
+                                  bold_symbol, build_T, build_boldT,
+                                  cube_region, residual_hx, residual_lattice,
                                   solve_homological, solve_hx, solve_hy,
                                   solve_hz, solve_hzz)
 from toruskam.jets import (HamiltonianJet, check_reality, component_x,
                            component_z, conjugate_jet, matrix_zz,
                            matrix_zzbar, split_low_high, weighted_degree)
 
+from lu_oracle import lu_gecon
 from test_fourier import sine
 
 D = 2
@@ -493,10 +495,24 @@ def lattice_vec(T, F):
 
 
 def lu_reference(T, rhs):
-    """The dense LU solve of T u = -i rhs (rhs at the region's cutoff), as
-    `_lattice_solve` did it before the matrix-free route."""
+    """scipy's dense LU solve of T u = -i rhs (rhs at the region's cutoff),
+    the oracle of both routes of `_lattice_solve`."""
     lu_piv = sla.lu_factor(T.to_dense(), check_finite=False)
     return sla.lu_solve(lu_piv, -1j * lattice_vec(T, rhs), check_finite=False)
+
+
+def block_cond(T):
+    """The exact cond_1 of T's component blocks."""
+    return _block_inverse([B for _, _, B in _component_blocks(T)], np.inf)[1]
+
+
+def assert_dense_solve(T, u, rhs):
+    """u (a lattice vector) within 1e-12 of the LU oracle, with the
+    residual |T u + i rhs| / |rhs| <= 1e-14 from the dense form."""
+    ref = lu_reference(T, rhs)
+    assert np.linalg.norm(u - ref) <= 1e-12 * np.linalg.norm(ref)
+    b = -1j * lattice_vec(T, rhs)
+    assert np.linalg.norm(T.to_dense() @ u - b) <= 1e-14 * np.linalg.norm(b)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -520,7 +536,7 @@ def test_neumann_route_matches_dense_oracle(n, build, sigma):
     ref = lu_reference(T, rhs)
     assert np.linalg.norm(lattice_vec(T, u) - ref) \
         <= 1e-12 * np.linalg.norm(ref)
-    _, _, gecon = _factor(T, np.inf)
+    _, _, gecon = lu_gecon(T, np.inf)
     assert info.condition >= gecon
     assert info.condition >= np.linalg.cond(dense, 1)
 
@@ -528,13 +544,12 @@ def test_neumann_route_matches_dense_oracle(n, build, sigma):
 def test_dense_fallback_selection():
     rng = np.random.default_rng(70)
     Z = FourierSeries.zero(D)
-    # an exactly vanishing divisor: no gate, and dense LU still refuses it
+    # an exactly vanishing divisor: no gate, and the dense route refuses it
     T = build_T(GOLD, np.array([0.0]), Z, Z, 1)
     assert _neumann_bound(T) is None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with pytest.raises(NearSingularError):
-            solve_hz(T, FourierSeries.from_coeffs(D, {ZD: 1.0}, cutoff=1), 1)
+    with pytest.raises(NearSingularError) as exc:
+        solve_hz(T, FourierSeries.from_coeffs(D, {ZD: 1.0}, cutoff=1), 1)
+    assert exc.value.cond == np.inf
 
     small = build_T(0.1 * GOLD, np.array([1.3]),
                     random_B(rng, 1, scale=0.01), Z, 2)
@@ -548,18 +563,20 @@ def test_dense_fallback_selection():
                    (1.05 / contraction_q(small)) * small.symbol, Z, 2)
     assert 1.0 <= contraction_q(edge) < 1.1
     assert solve_hz(small, random_column(rng, 1, 2))[2].route == "neumann"
-    bound = _neumann_bound(small)
-    gecon = _factor(small, np.inf)[2]
-    assert gecon < bound                      # a cap between the two
+    bound, _ = _neumann_bound(small)
+    cond = block_cond(small)
+    assert cond < bound                       # a cap between the two
     cases = [(shifted, 1e12), (strong, 1e12), (edge, 1e12),
-             (small, 0.5 * (gecon + bound))]
+             (small, 0.5 * (cond + bound))]
     for T, cap in cases:
         Nr = max(max(abs(c) for c in k) for k in T.region)
         rhs = random_column(rng, 1, Nr)
         Fz, _, info = solve_hz(T, rhs, cond_cap=cap)
         assert info.route == "dense" and info.iterations == 0
-        assert np.array_equal(lattice_vec(T, Fz), lu_reference(T, rhs))
-        assert info.condition == _factor(T, np.inf)[2]
+        assert_dense_solve(T, lattice_vec(T, Fz), rhs)
+        # the exact cond_1, at least the gecon estimate up to rounding
+        assert info.condition == block_cond(T)
+        assert info.condition >= lu_gecon(T, np.inf)[2] * (1 - 1e-12)
 
 
 def q99_operator(N=3):
@@ -576,7 +593,9 @@ def test_neumann_sweeps_capped_at_q99():
     rng = np.random.default_rng(74)
     T = q99_operator()
     assert contraction_q(T) == pytest.approx(0.99, rel=1e-12)
-    cap = _sweep_cap(T)
+    _, q = _neumann_bound(T)
+    assert q == contraction_q(T)
+    cap = _sweep_cap(q)
     assert cap == math.ceil(math.log(2.0 ** -52) / math.log(0.99)) + 16
     rhs = random_column(rng, 1, 3)
     Fz, _, info = solve_hz(T, rhs)
@@ -591,10 +610,64 @@ def test_neumann_past_sweep_cap_falls_back_to_dense(monkeypatch):
     rng = np.random.default_rng(75)
     T = q99_operator()
     rhs = random_column(rng, 1, 3)
-    monkeypatch.setattr(homological, "_sweep_cap", lambda T: 100)
+    monkeypatch.setattr(homological, "_sweep_cap", lambda q: 100)
     Fz, _, info = solve_hz(T, rhs)
     assert info.route == "dense" and info.iterations == 0
-    assert np.array_equal(lattice_vec(T, Fz), lu_reference(T, rhs))
+    assert_dense_solve(T, lattice_vec(T, Fz), rhs)
+
+
+def test_dense_route_on_several_components():
+    # 1-d: sites 0 and 1 couple into one block, site 3 is a component of
+    # its own; at sigma = 0 the pair block is exactly singular, [[1, 1],
+    # [1, 1]] for T and twice that for the bold T with n = 1
+    B1 = FourierSeries.from_coeffs(1, {(1,): 1.0, (-1,): 1.0})
+    Z1 = FourierSeries.zero(1)
+    region = ((0,), (1,), (3,))
+    # d = 2: a random symbol on the modes (+-1, 0) and (+-2, 0), which
+    # couples sites along the first axis only, on runs of 5, 3 and 1 sites
+    rng = np.random.default_rng(76)
+    n = 2
+    coeffs = {}
+    for k in ((1, 0), (2, 0)):
+        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        coeffs[k] = 0.2 * (A + A.T)
+        coeffs[(-k[0], 0)] = coeffs[k].conj()
+    B2 = FourierSeries.from_coeffs(D, coeffs, shape=(n, n))
+    Z2 = FourierSeries.zero(D, shape=(n, n))
+    region2 = tuple([(k, 0) for k in range(-2, 3)]
+                    + [(k, 2) for k in range(0, 3)] + [(-3, -3)])
+    cases = [(build_T(np.array([0.0]), np.array([1.0]), B1, Z1, 3,
+                      sigma=0.5, region=region), [(1, 1), (1, 2)]),
+             (build_T(GOLD, np.array([1.1, 1.6]), B2, Z2, 3, sigma=0.3,
+                      region=region2), [(1, 1), (1, 3), (1, 5)])]
+    cases.append((build_boldT(GOLD, np.array([1.1, 1.6]), B2, Z2, 3,
+                              sigma=0.3, region=region2), cases[1][1]))
+    for T, shapes in cases:
+        assert [g.shape for g in T.components()] == shapes
+        Nr = max(max(abs(c) for c in k) for k in T.region)
+        if T.bold:
+            S = random_column(rng, n * n, Nr, d=T.d).data.reshape(
+                (n, n) + (2 * Nr + 1,) * T.d)
+            S = FourierSeries(T.d, (n, n), Nr, S + np.swapaxes(S, 0, 1))
+            F, _, info = solve_hzz(T, S)
+            F, rhs = _as_column(F), _as_column(S)
+        else:
+            rhs = random_column(rng, T.nblock, Nr, d=T.d)
+            F, _, info = solve_hz(T, rhs)
+        assert info.route == "dense" and info.iterations == 0
+        assert info.residual <= 1e-14
+        assert info.condition == block_cond(T)
+        assert_dense_solve(T, lattice_vec(T, F), rhs)
+    singular = (build_T(np.array([0.0]), np.array([1.0]), B1, Z1, 3,
+                        region=region),
+                build_boldT(np.array([0.0]), np.array([1.0]), B1, Z1, 3,
+                            region=region))
+    for T in singular:
+        solve = solve_hzz if T.bold else solve_hz
+        rhs = FourierSeries.from_coeffs(1, {(0,): 1.0}, cutoff=3)
+        with pytest.raises(NearSingularError) as exc:
+            solve(T, rhs)
+        assert exc.value.cond == np.inf
 
 
 def test_kam_size_solve_builds_no_dense():

@@ -7,11 +7,11 @@ import pytest
 import scipy.linalg as sla
 
 from toruskam.fourier import FourierSeries
-from toruskam.greens import (CertificateGateError, _block_inverse,
-                             _component_blocks, check_certificate,
+from toruskam.greens import (CertificateGateError, check_certificate,
                              combes_thomas, invert_direct, measure_alpha)
-from toruskam.homological import (LatticeMatrix, NearSingularError, _factor,
-                                  build_T, cube_region)
+from toruskam.homological import (LatticeMatrix, NearSingularError,
+                                  _block_inverse, _component_blocks, build_T,
+                                  cube_region)
 from toruskam.multiscale import (DirectClassifier, ElementaryRegion,
                                  ScaleConfig, build_exhaustion, classify_annuli,
                                  cl1_couple, cl2_couple, cube_sites,
@@ -19,6 +19,8 @@ from toruskam.multiscale import (DirectClassifier, ElementaryRegion,
                                  random_elementary_region, sigma_scan,
                                  sup_dist, two_scale_couple, _Prober,
                                  _propagate_bounds, _restrict)
+
+from lu_oracle import lu_gecon
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -509,7 +511,7 @@ def test_block_kernel_matches_dense_oracle(case):
     for s in [-2.3, -1.45, -0.62, 0.05, 0.91] + near:
         Ts = T.with_sigma(s)
         # dense oracle: gated LU of the whole matrix against the identity
-        _, lu_piv, _ = _factor(Ts, 1e12)
+        _, lu_piv, _ = lu_gecon(Ts, 1e12)
         ref = sla.lu_solve(lu_piv, np.eye(Ts.size, dtype=complex))
         G, cert = invert_direct(Ts)
         assert np.array_equal(G != 0, ref != 0)
@@ -538,7 +540,7 @@ def test_block_kernel_exactly_singular_block():
     prober = _Prober(T, (0.5, 0, 20.0), 1e12)
     assert prober.sample(0.0) == (False, np.inf, 0.0)
     assert prober.passes(0.0) is False
-    for invert in (lambda: _factor(T, 1e12), lambda: invert_direct(T)):
+    for invert in (lambda: lu_gecon(T, 1e12), lambda: invert_direct(T)):
         with pytest.raises(NearSingularError) as exc:
             invert()
         assert exc.value.cond == np.inf
@@ -612,14 +614,13 @@ def test_block_cond_bounds_gecon_estimate(seed):
                    modes, hermitian=bool(seed % 2), seed=seed,
                    eps=float(rng.uniform(0.05, 0.5))).with_sigma(
         float(rng.uniform(-2.0, 1.0)))
-    _, _, est = _factor(T, np.inf)
-    _, _, cond = _block_inverse([B for _, _, B in _component_blocks(T)],
-                                T.nblock, np.inf)
+    _, _, est = lu_gecon(T, np.inf)
+    _, cond = _block_inverse([B for _, _, B in _component_blocks(T)], np.inf)
     # exact cond_1 >= the gecon lower estimate, up to rounding
     assert cond >= est * (1 - 1e-12)
     cap = 0.5 * est
     with pytest.raises(NearSingularError):
-        _factor(T, cap)
+        lu_gecon(T, cap)
     with pytest.raises(NearSingularError):
         invert_direct(T, cond_cap=cap)
     if seed % 2:
@@ -627,7 +628,7 @@ def test_block_cond_bounds_gecon_estimate(seed):
         lam = np.linalg.eigvalsh(T.to_dense())
         near = T.with_sigma(T.sigma - lam[len(lam) // 2])
         with pytest.raises(NearSingularError):
-            _factor(near, 1e12)
+            lu_gecon(near, 1e12)
         with pytest.raises(NearSingularError):
             invert_direct(near, cond_cap=1e12)
 
