@@ -44,20 +44,17 @@ def k_modes(d: int, N: int, include_zero: bool = False) -> np.ndarray:
 _PREDICATE_BYTES = 1 << 23
 
 
-def nonresonance_predicate(Omega, N: int, gamma: float, tau: float,
-                           omega_of=None):
-    """Vectorized predicate: a point passes when its frequency vector meets
-    the Diophantine condition and the plain and doubled Melnikov conditions.
-    `omega_of` maps an (m, d) array of parameters to frequency vectors;
-    default identity.  Points run in chunks of _PREDICATE_BYTES of
-    divisors <k, omega>, so memory stays flat in the number of points."""
+def nonresonance_predicate(Omega, N: int, gamma: float, tau: float):
+    """Vectorized predicate: a point, an (m, d) array of frequency vectors,
+    passes when it meets the Diophantine condition and the plain and
+    doubled Melnikov conditions.  Points run in chunks of _PREDICATE_BYTES
+    of divisors <k, omega>, so memory stays flat in the number of points."""
     Omega = np.asarray(Omega, dtype=float)
     pairs = np.array([Omega[a] + Omega[b] for a in range(Omega.size)
                       for b in range(a, Omega.size)])
     shifts = np.concatenate([Omega, pairs])
 
-    def predicate(xi: np.ndarray) -> np.ndarray:
-        om = xi if omega_of is None else omega_of(xi)
+    def predicate(om: np.ndarray) -> np.ndarray:
         d = om.shape[1]
         ks = k_modes(d, N, include_zero=True)
         knz = np.abs(ks).max(axis=1) > 0
@@ -93,11 +90,6 @@ class ParameterBox:
     @property
     def volume(self) -> float:
         return (2.0 * self.half_width) ** self.d
-
-    def corners(self) -> np.ndarray:
-        signs = np.array(list(itertools.product((-1.0, 1.0),
-                                                repeat=self.d)))
-        return np.asarray(self.center) + self.half_width * signs
 
     def contains(self, point, tol: float = 1e-12) -> bool:
         return bool(np.all(np.abs(np.asarray(point)

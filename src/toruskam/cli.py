@@ -357,12 +357,18 @@ def _mode_verify(cfg: RunConfig, out: dict):
             saved = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError([f"verify.report: cannot load {path}: {exc}"])
+    if not isinstance(saved, dict):
+        raise ConfigError([f"verify.report: {path} is not a JSON object"])
     if "config" not in saved or "mode" not in saved:
         raise ConfigError(["verify.report: missing config/mode"])
+    mode = saved["mode"]
+    # a verify report would replay itself, or another verify report
+    if not isinstance(mode, str) or mode not in MODE_TABLE or mode == "verify":
+        raise ConfigError([f"verify.report: cannot replay mode {mode!r}"])
     replay_cfg = load_config(saved["config"])
-    replay = {"schema": SCHEMA_VERSION, "mode": saved["mode"],
+    replay = {"schema": SCHEMA_VERSION, "mode": mode,
               "config": replay_cfg.normalized()}
-    code = MODE_TABLE[saved["mode"]](replay_cfg, replay)
+    code = MODE_TABLE[mode](replay_cfg, replay)
     replay.pop("csv", None)
     replay.pop("summary", None)
     pruned = {k: v for k, v in saved.items()

@@ -13,11 +13,17 @@ exponential weights e^{s|k|} and lattice distances in decay statements use
 Coefficients are stored densely over the cutoff box (index k maps to
 k + cutoff per axis); the sparse map interface is `coeffs`/`from_coeffs`.
 All operations return new objects; instances are treated as immutable.
+
+Every FFT convolution in the package, `product` here and the jet brackets
+in `jets`, runs on one embedding: `_wrapped_transform` puts mode k at index
+k mod L of each axis, and `_kept_inverse` inverts a stack of grids keeping
+only the modes |k|_inf <= M, in centred order.  A product with modes up to
+|k|_inf = c keeps its modes |k|_inf <= M alias-free when L >= c + M + 1,
+which for the whole product of cutoff N is L >= 2N + 1.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -37,29 +43,6 @@ def next_fast_len(n: int) -> int:
         if r == 1:
             return m
         m += 1
-
-
-def fftn(x: np.ndarray, L: int, axes: tuple) -> np.ndarray:
-    """Forward transform over `axes`, each zero-padded to L points: one
-    1-d pass per axis in the given order, which is bit-for-bit
-    `scipy.fft.fftn(x, s=(L,) * len(axes), axes=axes)` (`np.fft.fftn` runs
-    the axes last-first and differs in the last bits)."""
-    for ax in axes:
-        x = fft(x, n=L, axis=ax)
-    return x
-
-
-def ifftn(x: np.ndarray, axes: tuple) -> np.ndarray:
-    """Inverse transform over `axes`, in place in the complex array x.
-    The whole 1/n of the inverse is applied once, after the first axis's
-    pass, as `scipy.fft.ifftn` does, so the result is bit-for-bit the same
-    (`np.fft.ifftn` scales each axis by its own length)."""
-    n = math.prod(x.shape[ax] for ax in axes)
-    for t, ax in enumerate(axes):
-        ifft(x, axis=ax, norm="forward", out=x)
-        if t == 0:
-            x *= 1.0 / n
-    return x
 
 
 @lru_cache(maxsize=256)
@@ -266,7 +249,39 @@ class FourierSeries:
 
 
 # ----------------------------------------------------------------------
-# the four contract operations
+# the FFT embedding: mode k at index k mod L
+# ----------------------------------------------------------------------
+
+def _wrapped_transform(f: FourierSeries, L: int) -> np.ndarray:
+    """Forward transforms of every entry of f on L >= 2 cutoff + 1 points
+    per axis, mode k at index k mod L: shape (rows, cols) + (L,) * d.  In
+    this wrapped, centred embedding the transform of conj_function(f) is
+    the conjugate of f's."""
+    x, n = f.data, f.cutoff
+    for ax in range(2, 2 + f.d):
+        pre = (slice(None),) * ax
+        y = np.zeros(x.shape[:ax] + (L,) + x.shape[ax + 1:], dtype=complex)
+        y[pre + (slice(0, n + 1),)] = x[pre + (slice(n, None),)]
+        y[pre + (slice(L - n, L),)] = x[pre + (slice(0, n),)]
+        x = fft(y, axis=ax, out=y)
+    return x
+
+
+def _kept_inverse(x: np.ndarray, M: int) -> np.ndarray:
+    """Inverse transform of a stack of wrapped grids over axes 1..d, the
+    first pass in place in x, keeping the modes |k|_inf <= M in centred
+    order: after the pass over an axis only its kept rows go on."""
+    L = x.shape[1]
+    rows = np.r_[L - M:L, 0:M + 1]
+    for ax in range(1, x.ndim):
+        ifft(x, axis=ax, norm="forward", out=x)
+        x = x.take(rows, axis=ax)
+    x *= 1.0 / L ** (x.ndim - 1)
+    return x
+
+
+# ----------------------------------------------------------------------
+# contract operations
 # ----------------------------------------------------------------------
 
 def truncate(f: FourierSeries, N: int) -> FourierSeries:
@@ -294,28 +309,15 @@ def strip_norm(f: FourierSeries, s: float) -> float:
     return float(np.sum(mags * w))
 
 
-def _grid_transforms(series: list, cutoff: int, L: int) -> np.ndarray:
-    """Forward transforms of series of one shape, each embedded in the box
-    of `cutoff`, on the grid of L points per axis: shape
-    (len, rows, cols, L, ..., L)."""
-    d = series[0].d
-    stack = np.zeros((len(series),) + series[0].shape
-                     + (2 * cutoff + 1,) * d, dtype=complex)
-    for t, f in enumerate(series):
-        w = cutoff - f.cutoff
-        stack[(t, slice(None), slice(None))
-              + (slice(w, w + 2 * f.cutoff + 1),) * d] = f.data
-    return fftn(stack, L, tuple(range(3, d + 3)))
-
-
 def product(f: FourierSeries, g: FourierSeries) -> FourierSeries:
     """Matrix product with coefficient convolution; cutoff adds.
 
     Scalar (1x1) factors multiply entrywise against any shape.  Each factor
-    is transformed once on L = next_fast_len(2N + 1) points per axis, where
-    circular convolution is linear convolution; every pair product is
-    inverse-transformed and the pairs of an entry are summed in order.  A
-    factor with cutoff 0 multiplies by broadcasting instead.
+    is transformed once (`_wrapped_transform`) on L = next_fast_len(2N + 1)
+    points per axis, where circular convolution is linear convolution; the
+    pair products are inverse-transformed as one stack that keeps the modes
+    |k|_inf <= N (`_kept_inverse`), and the pairs of an entry are summed in
+    order.  A factor with cutoff 0 multiplies by broadcasting instead.
     """
     if f.d != g.d:
         raise ValueError("dimension mismatch in product")
@@ -338,13 +340,11 @@ def product(f: FourierSeries, g: FourierSeries) -> FourierSeries:
         terms = np.stack([lhs.data[p] * rhs.data[q] for p, q in pairs])
     else:
         L = next_fast_len(2 * N + 1)
-        A = _grid_transforms([lhs], lhs.cutoff, L)[0]
-        B = _grid_transforms([rhs], rhs.cutoff, L)[0]
+        A, B = _wrapped_transform(lhs, L), _wrapped_transform(rhs, L)
         terms = np.empty((len(pairs),) + (L,) * d, dtype=complex)
         for t, (p, q) in enumerate(pairs):
             np.multiply(A[p], B[q], out=terms[t])
-        terms = ifftn(terms, tuple(range(1, d + 1)))
-        terms = terms[(slice(None),) + (slice(2 * N + 1),) * d]
+        terms = _kept_inverse(terms, N)
     terms = terms.reshape((rows, inner, cols) + box)
     if scalar_f != scalar_g:
         out = terms[:, 0]

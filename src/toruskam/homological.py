@@ -220,8 +220,8 @@ def _block_inverse(blocks: list, cond_cap: float):
 
 
 def _lattice_operator(omega, Omega, B: FourierSeries, Rzz: FourierSeries,
-                      N: int, sigma: float, region, pretruncate: bool,
-                      bold: bool) -> LatticeMatrix:
+                      N: int, sigma: float, region, bold: bool
+                      ) -> LatticeMatrix:
     """Operator with symbol B + R^{z zbar} on `region` (default [-N, N]^d).
 
     The symbol is pre-truncated to modes |k|_inf <= N; the strip norm of the
@@ -231,8 +231,8 @@ def _lattice_operator(omega, Omega, B: FourierSeries, Rzz: FourierSeries,
     omega = np.asarray(omega, dtype=float)
     Omega = np.asarray(Omega, dtype=float)
     full = B + Rzz
-    sym = truncate(full, N) if pretruncate else full
-    gap = strip_norm(full - sym.pad(full.cutoff), 0.0) if pretruncate else 0.0
+    sym = truncate(full, N)
+    gap = strip_norm(full - sym.pad(full.cutoff), 0.0)
     if region is None:
         region = cube_region(len(omega), N)
     if bold:
@@ -244,12 +244,11 @@ def _lattice_operator(omega, Omega, B: FourierSeries, Rzz: FourierSeries,
 
 
 def build_T(omega, Omega, B: FourierSeries, Rzz: FourierSeries, N: int,
-            sigma: float = 0.0, region=None,
-            pretruncate: bool = True) -> LatticeMatrix:
+            sigma: float = 0.0, region=None) -> LatticeMatrix:
     """Scalar operator with diag Omega_j + <k, omega> and symbol
     B + R^{z zbar}, pre-truncated to |k|_inf <= N."""
     return _lattice_operator(omega, Omega, B, Rzz, N, sigma, region,
-                             pretruncate, bold=False)
+                             bold=False)
 
 
 def bold_symbol(A: FourierSeries) -> FourierSeries:
@@ -272,11 +271,10 @@ def bold_symbol(A: FourierSeries) -> FourierSeries:
 
 
 def build_boldT(omega, Omega, B: FourierSeries, Rzz: FourierSeries, N: int,
-                sigma: float = 0.0, region=None,
-                pretruncate: bool = True) -> LatticeMatrix:
+                sigma: float = 0.0, region=None) -> LatticeMatrix:
     """Pair-index operator with diag Omega_i + Omega_j + <k, omega>."""
     return _lattice_operator(omega, Omega, B, Rzz, N, sigma, region,
-                             pretruncate, bold=True)
+                             bold=True)
 
 
 # ----------------------------------------------------------------------
@@ -637,14 +635,14 @@ def residual_hx(Fx: FourierSeries, Rx: FourierSeries, omega, N: int) -> float:
 
 
 def residual_lattice(T: LatticeMatrix, F: FourierSeries,
-                     rhs: FourierSeries, factor: complex = -1j) -> float:
-    """|T F - factor * rhs| / |rhs| in the lattice vector norm."""
+                     rhs: FourierSeries) -> float:
+    """|T F + i rhs| / |rhs| in the lattice vector norm."""
     N = int(np.abs(T.site_array).max())
     if T.bold:
         F, rhs = _as_column(F), _as_column(rhs)
     Fv = _series_to_vec(T, _at_cutoff(F, N))
     rv = _series_to_vec(T, _at_cutoff(rhs, N))
-    num = np.linalg.norm(T.to_dense() @ Fv - factor * rv)
+    num = np.linalg.norm(T.to_dense() @ Fv + 1j * rv)
     den = np.linalg.norm(rv)
     return float(num / den) if den > 0 else float(num)
 

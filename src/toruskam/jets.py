@@ -12,9 +12,11 @@ the reference domain (s_ref, r_ref) accumulates in the scalar `tail`, which
 every vf_norm result includes.  That keeps all reported norms upper bounds.
 The bound comes from shell sums of the factors' coefficient magnitudes,
 rounded outward, never from FFT values, so FFT rounding cannot enter it.
-The FFT grid of a bracket is alias-free for the kept modes only, and when
-both factors are exactly real only half of the bracket is computed: the
-rest is its conjugate mirror, so the result is exactly real too.
+A bracket runs on the wrapped FFT embedding of `fourier`
+(`_wrapped_transform`, `_kept_inverse`), the one `fourier.product` uses, on
+a grid that is alias-free for the kept modes only.  When both factors are
+exactly real only half of the bracket is computed: the rest is its
+conjugate mirror, so the result is exactly real too.
 """
 
 from __future__ import annotations
@@ -24,10 +26,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from numpy.fft import fft, ifft
 
-from .fourier import (FourierSeries, _l1_grid, mode_grid, next_fast_len,
-                      partial_x)
+from .fourier import (FourierSeries, _kept_inverse, _l1_grid,
+                      _wrapped_transform, mode_grid, next_fast_len, partial_x)
 
 Signature = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
@@ -196,33 +197,6 @@ def _dropped_bound(tf, tg, keys, kept, s: float, r: float) -> float:
     return tail * (1.0 + 2.0 * nu / (1.0 - nu))
 
 
-def _wrapped_transform(f: FourierSeries, L: int) -> np.ndarray:
-    """Forward transform of the scalar series f on L >= 2 cutoff + 1 points
-    per axis, mode k at index k mod L.  In this wrapped, centred embedding
-    the transform of conj_function(f) is the conjugate of f's."""
-    x, n = f.data[0, 0], f.cutoff
-    for ax in range(f.d):
-        pre = (slice(None),) * ax
-        y = np.zeros(x.shape[:ax] + (L,) + x.shape[ax + 1:], dtype=complex)
-        y[pre + (slice(0, n + 1),)] = x[pre + (slice(n, None),)]
-        y[pre + (slice(L - n, L),)] = x[pre + (slice(0, n),)]
-        x = fft(y, axis=ax, out=y)
-    return x
-
-
-def _kept_inverse(x: np.ndarray, M: int) -> np.ndarray:
-    """Inverse transform of a stack of wrapped grids over axes 1..d, the
-    first pass in place in x, keeping the modes |k|_inf <= M in centred
-    order: after the pass over an axis only its kept rows go on."""
-    L = x.shape[1]
-    rows = np.r_[L - M:L, 0:M + 1]
-    for ax in range(1, x.ndim):
-        ifft(x, axis=ax, norm="forward", out=x)
-        x = x.take(rows, axis=ax)
-    x *= 1.0 / L ** (x.ndim - 1)
-    return x
-
-
 def _grid_kernel(F: "HamiltonianJet", G: "HamiltonianJet", channels):
     """Sum of the channel products `channels(F, G)` on one FFT grid;
     returns (terms, tail).
@@ -282,7 +256,7 @@ def _grid_kernel(F: "HamiltonianJet", G: "HamiltonianJet", channels):
             y = (side, mirror[side][t], p) if real else x
             f = (tf if side == "F" else tg)[t]
             grids[x] = np.conj(grids[y]) if y in grids else \
-                _wrapped_transform(partial_x(f, p - 1) if p else f, L)
+                _wrapped_transform(partial_x(f, p - 1) if p else f, L)[0, 0]
         return grids[x]
 
     def flush():

@@ -252,6 +252,47 @@ def test_verify_names_schema_change(tmp_path):
     assert "DIFFERS (report schema 1, current schema 4)" in summary
 
 
+def refused_verify(tmp_path, capsys, report, out):
+    """Exit code, parsed report.json and stderr of `main` verifying the
+    report at `report` into `out`."""
+    path = write_config(tmp_path, {"mode": "verify",
+                                   "verify": {"report": str(report)}},
+                        name="verify.json")
+    code = main(["--config", path, "--out", str(out)])
+    return code, json.loads((out / "report.json").read_text()), \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, msg", [
+    ([1, 2], "is not a JSON object"),
+    ({"mode": "bogus", "config": {}}, "cannot replay mode 'bogus'")])
+def test_verify_refuses_foreign_report(tmp_path, capsys, doc, msg):
+    p = tmp_path / "saved.json"
+    p.write_text(json.dumps(doc))
+    code, rep, err = refused_verify(tmp_path, capsys, p, tmp_path / "o")
+    assert code == EXIT_CONFIG and rep["exit_code"] == EXIT_CONFIG
+    assert msg in rep["results"]["config_errors"][0]
+    assert msg in err and "Traceback" not in err
+
+
+def test_verify_refuses_self_naming_report(tmp_path, capsys):
+    # verifying into the report's own directory leaves a verify report
+    # that names itself; replaying it would recurse without end
+    path = write_config(tmp_path, stability_config(
+        perturbation={"kind": "zero"}))
+    out = tmp_path / "a"
+    assert main(["--config", path, "--out", str(out)]) == EXIT_OK
+    code, rep, _ = refused_verify(tmp_path, capsys, out / "report.json", out)
+    assert code == EXIT_OK and rep["mode"] == "verify"
+    assert rep["config"]["verify"]["report"] == str(out / "report.json")
+    code, rep, err = refused_verify(tmp_path, capsys, out / "report.json",
+                                    tmp_path / "b")
+    assert code == EXIT_CONFIG and rep["exit_code"] == EXIT_CONFIG
+    assert rep["results"]["config_errors"] \
+        == ["verify.report: cannot replay mode 'verify'"]
+    assert "Traceback" not in err
+
+
 def test_reports_byte_identical(tmp_path):
     data = {"mode": "greens", "seed": 11, "omega": [1.0, PHI],
             "greens": {"N": 4, "sigma": 0.3, "coupling_eps": 1e-3}}

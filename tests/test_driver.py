@@ -12,6 +12,7 @@ from toruskam.driver import (DEFAULT_CONSTANTS, KamState, ParameterExcluded,
                              gamma_floor, initial_step, invariance_residual,
                              kam_step, log_csv, make_schedule, run)
 from toruskam.fourier import FourierSeries
+from toruskam.homological import NearSingularError
 from toruskam.jets import (HamiltonianJet, NormalForm, check_reality,
                            split_low_high, vf_norm)
 
@@ -116,7 +117,6 @@ def test_schedule_intermediate_ladder():
     assert inter(sch.r, 3, 50) == pytest.approx(0.5 * (sch.r(3) + sch.r(4)))
     with pytest.raises(ValueError):
         inter(sch.s, 1, 101)
-    assert sch.l1(16) == pytest.approx(sch.logK(16) / math.log(2.0))
 
 
 def test_gamma_floor_and_contraction_exponent():
@@ -146,6 +146,26 @@ def test_initial_step_zero_perturbation():
     assert cert.extra["q0"] == cert.extra["q_r"] == 0.0
     assert cert.alpha == greens.CT_RATES[-1]
     assert cert.norm_bound == cert.prefactor
+
+
+def test_initial_step_direct_certificate_gated_on_cond_cap(monkeypatch):
+    # when the closed form declines, the direct inversion of the level
+    # operator is gated on the configured cap, not a default one
+    seen = []
+    monkeypatch.setattr(greens, "combes_thomas",
+                        lambda T, threshold=0: seen.append(T))
+    nf = base_nf()
+    P = HamiltonianJet.zero(D, NN, s_ref=0.3, r_ref=0.5)
+    sch = make_schedule(2.0, 1e-6, d=2, s0=0.3, N_max=16)
+    state, _ = initial_step(nf, P, sch, gamma=1e-3)
+    cond = greens.invert_direct(seen[0])[1].extra["condition"]
+    assert state.extra["level_certificate"].provenance == "direct"
+    assert 1.0 < cond < 1e12
+    with pytest.raises(NearSingularError):
+        initial_step(nf, P, sch, gamma=1e-3, cond_cap=0.5 * cond)
+    state, _ = initial_step(nf, P, sch, gamma=1e-3, cond_cap=2.0 * cond)
+    cert = state.extra["level_certificate"]
+    assert cert.provenance == "direct" and cert.extra["condition"] == cond
 
 
 def test_initial_step_certifies_d3_in_closed_form(monkeypatch):

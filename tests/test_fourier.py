@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toruskam.fourier import (FourierSeries, dir_derivative, fftn, ifftn,
-                              next_fast_len, partial_x, product, strip_norm,
-                              tail, truncate)
+from toruskam.fourier import (FourierSeries, dir_derivative, next_fast_len,
+                              partial_x, product, strip_norm, tail, truncate)
 
 GOLD = (1.0, (1.0 + math.sqrt(5.0)) / 2.0)
 
@@ -180,42 +179,26 @@ def fftconvolve_product(f, g):
 @pytest.mark.parametrize("shapes", [((1, 1), (2, 3)), ((3, 2), (1, 1)),
                                     ((1, 1), (1, 1)), ((2, 3), (3, 2))])
 def test_product_bitwise_equals_fftconvolve(d, shapes):
-    # the grid kernel reproduces the fftconvolve sums bit for bit, cutoff 0
-    # (a broadcast multiply) included
+    # the wrapped grid kernel agrees with the fftconvolve sums to within
+    # 4e-15 of their largest entry; a factor of cutoff 0 (a broadcast
+    # multiply) reproduces them bit for bit
     rng = np.random.default_rng(7 + d)
     for c1 in range(7):
         for c2 in range(7):
             f = random_series(rng, d=d, cutoff=c1, shape=shapes[0])
             g = random_series(rng, d=d, cutoff=c2, shape=shapes[1])
-            assert np.array_equal(product(f, g).data,
-                                  fftconvolve_product(f, g))
+            got, want = product(f, g).data, fftconvolve_product(f, g)
+            if c1 == 0 or c2 == 0:
+                assert np.array_equal(got, want)
+            else:
+                assert np.abs(got - want).max() \
+                    <= 4e-15 * np.abs(want).max()
 
 
 def test_next_fast_len_matches_scipy():
     from scipy import fft as sfft
     assert [next_fast_len(n) for n in range(1, 4097)] \
         == [sfft.next_fast_len(n) for n in range(1, 4097)]
-
-
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_grid_transforms_bitwise_equal_scipy(d):
-    # zero-padded forward transforms of a multi-entry stack over the
-    # trailing d axes, and the in-place inverse, against scipy.fft
-    from scipy import fft as sfft
-    rng = np.random.default_rng(d)
-    axes = tuple(range(3, 3 + d))
-    for c in (0, 1, 3, 6):
-        shape = (3, 2, 2) + (2 * c + 1,) * d
-        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        for L in sorted({2 * c + 1, next_fast_len(2 * (2 * c) + 1),
-                         next_fast_len(4 * c + 7)}):
-            want = sfft.fftn(x, s=(L,) * d, axes=axes)
-            got = fftn(x, L, axes)
-            assert np.array_equal(got, want)
-            inv = sfft.ifftn(want, axes=axes)
-            buf = got.copy()
-            assert ifftn(buf, axes) is buf
-            assert np.array_equal(buf, inv)
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 Two static rules over every module in `src/toruskam`, checked with `ast`:
   * every imported name is used in the module that imports it;
-  * every function, method and class that is not a dunder is named
-    somewhere besides its own definition, in `src/` or `tests/`.
+  * every function and class that is not a dunder is named somewhere
+    besides its own definition, in `src/` or `tests/`, and every method
+    is referenced there as an attribute (`obj.name`): a local variable of
+    the same name does not count as a use.
 Three import rules, checked in fresh interpreters: `toruskam.cli` loads no
 scipy module, `dispatch` imports no module on the benchmark workloads, and
 neither lattice-solve route loads scipy.  numpy is the only runtime
@@ -35,17 +37,19 @@ def _bound_names(node):
     return [(a.asname or a.name).split(".")[0] for a in node.names]
 
 
-def _references(tree) -> Counter:
-    """Every identifier a tree names outside `def`/`class` headers."""
-    refs = Counter()
+def _references(tree) -> tuple:
+    """Every identifier a tree names outside `def`/`class` headers, and
+    every one it names as an attribute."""
+    refs, attrs = Counter(), Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             refs[node.id] += 1
         elif isinstance(node, ast.Attribute):
             refs[node.attr] += 1
+            attrs[node.attr] += 1
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             refs.update(a.name.split(".")[-1] for a in node.names)
-    return refs
+    return refs, attrs
 
 
 def unused_imports() -> list:
@@ -62,17 +66,23 @@ def unused_imports() -> list:
 
 def unreferenced_definitions() -> list:
     files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
-    refs = Counter()
+    refs, attrs = Counter(), Counter()
     for path in files:
-        refs += _references(_parse(path))
+        r, a = _references(_parse(path))
+        refs += r
+        attrs += a
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(_parse(path)):
+        tree = _parse(path)
+        methods = {id(node) for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) for node in cls.body}
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
                 name = node.name
+                used = (attrs if id(node) in methods else refs)[name]
                 if not (name.startswith("__") and name.endswith("__")) \
-                        and refs[name] == 0:
+                        and used == 0:
                     found.append(f"{path.name}: def {name}")
     return found
 
