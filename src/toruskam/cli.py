@@ -365,7 +365,11 @@ def _mode_verify(cfg: RunConfig, out: dict):
     # a verify report would replay itself, or another verify report
     if not isinstance(mode, str) or mode not in MODE_TABLE or mode == "verify":
         raise ConfigError([f"verify.report: cannot replay mode {mode!r}"])
-    replay_cfg = load_config(saved["config"])
+    try:
+        replay_cfg = load_config(saved["config"])
+    except ConfigError as exc:
+        raise ConfigError([f"verify.report: {path}: config: {v}"
+                           for v in exc.violations]) from None
     replay = {"schema": SCHEMA_VERSION, "mode": mode,
               "config": replay_cfg.normalized()}
     code = MODE_TABLE[mode](replay_cfg, replay)

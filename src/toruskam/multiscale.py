@@ -556,26 +556,32 @@ class SigmaScanReport:
 class _Prober:
     """Probes of T + sigma in the block basis of T's connected components,
     with the work shared by a whole scan done once: the components, the
-    diagonal blocks of the dense form at sigma = 0, the eigenvalues when it
-    is Hermitian, and the in-block site distances and far-pair mask.
+    diagonal blocks of the dense form at sigma = 0, their eigenvalues when
+    every block is Hermitian, and the in-block site distances and far-pair
+    mask.
 
     A probe rewrites only the block diagonals.  Site pairs in different
     components are structural zeros of G: they pass the decay test and
-    carry no rate, so the test and alpha run on the in-block pairs alone."""
+    carry no rate, so the test and alpha run on the in-block pairs alone.
+    The components come from the symmetrised coupling pattern, so T is
+    Hermitian exactly when each of its diagonal blocks is, and its spectrum
+    is the union of theirs."""
 
     def __init__(self, T: LatticeMatrix, targets, cond_cap: float):
         self.alpha_target, self.threshold, self.norm_target = targets
         self.cond_cap = cond_cap
         self.T0 = T.with_sigma(0.0)
-        D = self.T0.to_dense()
-        self.lam = np.linalg.eigvalsh(D) \
-            if np.array_equal(D, D.conj().T) else None
         parts = _component_blocks(self.T0)
         self.blocks0 = [(rows, B) for _, rows, B in parts]
-        dist = site_distances(T.region)
-        self.dist = np.concatenate([dist[sites[:, :, None],
-                                         sites[:, None, :]].ravel()
-                                    for sites, _, _ in parts])
+        hermitian = all(np.array_equal(B, B.conj().swapaxes(-2, -1))
+                        for _, _, B in parts)
+        self.lam = np.concatenate([np.linalg.eigvalsh(B).ravel()
+                                   for _, _, B in parts]) \
+            if hermitian else None
+        ks = self.T0.site_array
+        self.dist = np.concatenate([
+            np.abs(k[:, :, None, :] - k[:, None, :, :]).sum(axis=-1).ravel()
+            for k in (ks[sites] for sites, _, _ in parts)])
         self.far = self.dist > self.threshold
         self.components = (sum(len(sites) for sites, _, _ in parts),
                            parts[-1][0].shape[1])
@@ -590,9 +596,9 @@ class _Prober:
         gap = float(np.abs(self.lam + sigma).min())
         return np.inf if gap == 0.0 else 1.0 / gap
 
-    def sample(self, sigma: float) -> tuple:
-        """(passed, ||G||_2, measured alpha); (False, inf, 0.0) when T + sigma
-        fails the condition gate."""
+    def _factor(self, sigma: float):
+        """(block inverses, in-block site magnitudes of G) of T + sigma;
+        None when it fails the condition gate."""
         self.factored += 1
         diag = self.T0.dense_diagonal(float(sigma))
         blocks = []
@@ -604,11 +610,20 @@ class _Prober:
         try:
             inverses, _ = _block_inverse(blocks, self.cond_cap)
         except NearSingularError:
-            return False, np.inf, 0.0
-        norm = self._norm(sigma, inverses)
+            return None
         nb = self.T0.nblock
-        gmag = np.concatenate([_site_magnitudes(G, G.shape[-1] // nb, nb)
-                               .ravel() for G in inverses])
+        return inverses, np.concatenate([
+            _site_magnitudes(G, G.shape[-1] // nb, nb).ravel()
+            for G in inverses])
+
+    def sample(self, sigma: float) -> tuple:
+        """(passed, ||G||_2, measured alpha); (False, inf, 0.0) when T + sigma
+        fails the condition gate."""
+        probe = self._factor(sigma)
+        if probe is None:
+            return False, np.inf, 0.0
+        inverses, gmag = probe
+        norm = self._norm(sigma, inverses)
         decay_ok = _decays(gmag, self.dist, self.far, self.alpha_target)
         return (bool(norm <= self.norm_target and decay_ok), norm,
                 measure_alpha(gmag, self.dist, self.threshold))
@@ -621,23 +636,57 @@ class _Prober:
             return False
         return self.sample(sigma)[0]
 
+    def decays(self, sigma: float) -> bool:
+        """Whether T + sigma passes the condition gate and the decay test;
+        the norm is not compared."""
+        probe = self._factor(sigma)
+        return probe is not None and _decays(probe[1], self.dist, self.far,
+                                             self.alpha_target)
+
+    def norm_edge(self, a: float, b: float) -> float | None:
+        """On the spectral route, when b misses the norm target: the edge
+        of the windows |lambda + sigma| < 1/norm_target nearest the passing
+        point a on the way to b, min {-lambda - delta in [a, b)} for a < b
+        and max {-lambda + delta in (b, a]} for b < a.  None otherwise, or
+        when rounding leaves no edge in that range."""
+        if self.lam is None or not self._norm(b, None) > self.norm_target:
+            return None
+        delta = 1.0 / self.norm_target
+        if a < b:
+            edges = -self.lam - delta
+            edges = edges[(edges >= a) & (edges < b)]
+            return float(edges.min()) if edges.size else None
+        edges = -self.lam + delta
+        edges = edges[(edges > b) & (edges <= a)]
+        return float(edges.max()) if edges.size else None
+
 
 def sigma_scan(T: LatticeMatrix, sigma_range, targets,
                points_per_unit: float = 1e4, refine_iters: int = 20,
                cond_cap: float = 1e12) -> SigmaScanReport:
     """Scan the shift family T + sigma (T's own sigma is replaced), marking
     sigma values whose inverse violates the targets (alpha_target,
-    threshold, norm_target); failing windows are localized by bisection
-    refinement at the pass/fail boundaries.
+    threshold, norm_target); failing windows are localized at the pass/fail
+    boundaries of the grid.
 
     Every probe factors T + sigma on T's connected components, one batched
     LU per component size, gated on the exact cond_1 of the blocks, and
-    takes the decay test and alpha from the in-block entries of G.  When T
-    is exactly Hermitian, ||G||_2 = 1 / min |lambda + sigma| from one
-    eigvalsh per scan ("spectral" route); otherwise it is the largest block
-    norm max_b ||G_b||_2 ("svd" route).  The bisection needs only the pass
-    flag, so a Hermitian bisection probe whose norm already misses the
-    target is not factored."""
+    takes the decay test and alpha from the in-block entries of G.  When
+    every component block is exactly Hermitian, ||G||_2 = 1 / min |lambda +
+    sigma| over their eigenvalues, one batched eigvalsh per block size and
+    scan ("spectral" route); otherwise it is the largest block norm
+    max_b ||G_b||_2 ("svd" route).
+
+    On the spectral route the norm fails exactly on the windows
+    |lambda + sigma| < 1/norm_target, so a boundary whose failing grid point
+    misses the norm target ends at the nearest window edge e (`norm_edge`).
+    One factored probe at e confirms it with the condition gate and the
+    decay test alone; if that fails, or rounding leaves no edge, the
+    boundary is bisected on [a, e] (or the grid cell).  Boundaries where
+    only the decay test fails, and every svd-route boundary, are bisected
+    for `refine_iters` steps.  The bisection needs only the pass flag, so a
+    spectral bisection probe whose norm already misses the target is not
+    factored."""
     lo, hi = float(sigma_range[0]), float(sigma_range[1])
     npts = max(int(np.ceil((hi - lo) * points_per_unit)) + 1, 2)
     grid = np.linspace(lo, hi, npts)
@@ -649,15 +698,22 @@ def sigma_scan(T: LatticeMatrix, sigma_range, targets,
         passed[i] = ok
         samples.append((float(s), ok, nrm, al))
 
-    def bisect(a, b, ok_a):
-        # boundary between a (pass state ok_a) and b
+    def bisect(a, b):
+        # boundary between the passing a and the failing b
         for _ in range(refine_iters):
             mid = 0.5 * (a + b)
-            if prober.passes(mid) == ok_a:
+            if prober.passes(mid):
                 a = mid
             else:
                 b = mid
         return 0.5 * (a + b)
+
+    def boundary(a, b):
+        # end of the failing run at the grid point b, next to the passing a
+        e = prober.norm_edge(a, b)
+        if e is None:
+            return bisect(a, b)
+        return e if prober.decays(e) else bisect(a, e)
 
     intervals = []
     i = 0
@@ -666,9 +722,9 @@ def sigma_scan(T: LatticeMatrix, sigma_range, targets,
             j = i
             while j + 1 < npts and not passed[j + 1]:
                 j += 1
-            left = grid[i] if i == 0 else bisect(grid[i - 1], grid[i], True)
+            left = grid[i] if i == 0 else boundary(grid[i - 1], grid[i])
             right = grid[j] if j == npts - 1 \
-                else bisect(grid[j + 1], grid[j], True)
+                else boundary(grid[j + 1], grid[j])
             intervals.append((float(left), float(right)))
             i = j + 1
         else:

@@ -195,8 +195,18 @@ def test_sigma_scan_mode(tmp_path):
     rep = json.loads((tmp_path / "out" / "report.json").read_text())
     assert rep["results"]["bad_measure"] >= 0.0
     assert rep["results"]["norm_route"] == "spectral"
-    assert rep["results"]["samples"] <= rep["results"]["factored_probes"]
-    assert (tmp_path / "out" / "sigma_scan.csv").read_text().splitlines()[0]
+    lines = (tmp_path / "out" / "sigma_scan.csv").read_text().splitlines()
+    assert lines[0] == "sigma pass norm alpha"
+    # every boundary here is a norm boundary, which its closed-form edge
+    # and one confirming probe settle
+    rows = [(line.split()[1] == "1", float(line.split()[2]))
+            for line in lines[1:]]
+    norm_target = rep["config"]["sigma_scan"]["norm_target"]
+    boundaries = [(a, b) for a, b in zip(rows, rows[1:]) if a[0] != b[0]]
+    assert boundaries and all((b if a[0] else a)[1] > norm_target
+                              for a, b in boundaries)
+    assert rep["results"]["factored_probes"] \
+        == rep["results"]["samples"] + len(boundaries)
 
 
 def test_sigma_scan_reports_components(tmp_path):
@@ -273,6 +283,19 @@ def test_verify_refuses_foreign_report(tmp_path, capsys, doc, msg):
     assert code == EXIT_CONFIG and rep["exit_code"] == EXIT_CONFIG
     assert msg in rep["results"]["config_errors"][0]
     assert msg in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("config, msg", [
+    ([1], "top level: expected a JSON object"),
+    ({"mode": "stability", "d": "x"}, "d: positive integer")])
+def test_verify_names_saved_config_errors(tmp_path, capsys, config, msg):
+    p = tmp_path / "saved.json"
+    p.write_text(json.dumps({"mode": "stability", "config": config}))
+    code, rep, err = refused_verify(tmp_path, capsys, p, tmp_path / "o")
+    assert code == EXIT_CONFIG and rep["exit_code"] == EXIT_CONFIG
+    want = f"verify.report: {p}: config: {msg}"
+    assert want in rep["results"]["config_errors"]
+    assert want in err and "Traceback" not in err
 
 
 def test_verify_refuses_self_naming_report(tmp_path, capsys):

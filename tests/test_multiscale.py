@@ -8,7 +8,8 @@ import scipy.linalg as sla
 
 from toruskam.fourier import FourierSeries
 from toruskam.greens import (CertificateGateError, check_certificate,
-                             combes_thomas, invert_direct, measure_alpha)
+                             combes_thomas, invert_direct, measure_alpha,
+                             site_distances)
 from toruskam.homological import (LatticeMatrix, NearSingularError,
                                   _block_inverse, _component_blocks, build_T,
                                   cube_region)
@@ -429,13 +430,148 @@ def test_sigma_scan_flag_only_bisection_matches_full_probes(monkeypatch,
     ref = sigma_scan(T, *args, **kw)
     assert fast.bad_intervals and fast.bad_intervals == ref.bad_intervals
     assert fast.samples == ref.samples
-    flags = [row[1] for row in ref.samples]
-    boundaries = sum(a != b for a, b in zip(flags, flags[1:]))
-    assert ref.factored_probes == len(flags) + 12 * boundaries
+    cells = [(a, b) for a, b in zip(ref.samples, ref.samples[1:])
+             if a[1] != b[1]]
+    # spectral route: every boundary here misses the norm on its failing
+    # side and takes one confirming probe at its closed-form edge; the svd
+    # route bisects each boundary with 12 factored probes
     if hermitian:
-        assert fast.factored_probes < ref.factored_probes
-    else:
-        assert fast.factored_probes == ref.factored_probes
+        assert all((b if a[1] else a)[2] > targets[2] for a, b in cells)
+    per_boundary = 1 if hermitian else 12
+    assert ref.factored_probes == len(ref.samples) + per_boundary * len(cells)
+    assert fast.factored_probes == ref.factored_probes
+
+
+def _bisection_intervals(T, sigma_range, targets, points_per_unit,
+                         refine_iters, edge=None):
+    """bad_intervals of a scan that bisects every pass/fail boundary on
+    fully sampled probes, as the scan did before its closed-form norm
+    edges; `edge(prober, a, b)` may first move the failing end b of a grid
+    cell (a passes)."""
+    prober = _Prober(T, targets, 1e12)
+    lo, hi = sigma_range
+    npts = max(int(np.ceil((hi - lo) * points_per_unit)) + 1, 2)
+    grid = np.linspace(lo, hi, npts)
+    flags = [prober.sample(float(s))[0] for s in grid]
+
+    def bisect(a, b):
+        a, b = float(a), float(b)
+        if edge is not None:
+            b = edge(prober, a, b)
+        for _ in range(refine_iters):
+            mid = 0.5 * (a + b)
+            if prober.sample(mid)[0]:
+                a = mid
+            else:
+                b = mid
+        return 0.5 * (a + b)
+
+    out = []
+    for ok, run in itertools.groupby(range(npts), key=flags.__getitem__):
+        if ok:
+            continue
+        run = list(run)
+        i, j = run[0], run[-1]
+        out.append((float(grid[i] if i == 0 else bisect(grid[i - 1], grid[i])),
+                    float(grid[j] if j == npts - 1
+                          else bisect(grid[j + 1], grid[j]))))
+    return out
+
+
+def test_sigma_scan_norm_edges_closed_form_on_diagonal():
+    # a diagonal T passes every decay test, so each interior endpoint is a
+    # norm-window edge -lambda -+ delta, confirmed by one probe
+    N, delta = 5, 0.05
+    Z = FourierSeries.zero(1)
+    T = build_T(np.array([PHI]), np.array([1.05]), Z, Z, N)
+    rep = sigma_scan(T, (-1.0, 1.0), (0.5, 0, 1.0 / delta),
+                     points_per_unit=500, refine_iters=25)
+    lam = np.array([k * PHI + 1.05 for k in range(-N, N + 1)])
+    ends = 0
+    for lo, hi in rep.bad_intervals:
+        if lo > -1.0:
+            assert np.abs(lo - (-lam - delta)).min() <= 1e-12
+            ends += 1
+        if hi < 1.0:
+            assert np.abs(hi - (-lam + delta)).min() <= 1e-12
+            ends += 1
+    assert ends >= 2
+    assert rep.factored_probes == len(rep.samples) + ends
+
+
+BLOCK_SPECTRUM_CASES = {
+    "direct probe": lambda: _direct_probe_case(hermitian=True)[0](0.0),
+    "two blocks per site": lambda: _coupled_T(2, 4, 2, [(1, 0)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_SPECTRUM_CASES))
+def test_prober_block_spectrum_matches_dense(case):
+    T = BLOCK_SPECTRUM_CASES[case]()
+    prober = _Prober(T, (0.1, 2, 100.0), 1e12)
+    ref = np.linalg.eigvalsh(T.to_dense())
+    assert len(prober.lam) == T.size
+    assert np.abs(np.sort(prober.lam) - ref).max() <= 1e-13
+    # the in-block distances are the l1 distances of the m x m form
+    dist = site_distances(T.region)
+    want = np.concatenate([dist[g[:, :, None], g[:, None, :]].ravel()
+                           for g in T.components()])
+    assert prober.dist.dtype == want.dtype
+    assert np.array_equal(prober.dist, want)
+
+
+def test_sigma_scan_non_hermitian_block_bisects():
+    builder, targets = _direct_probe_case(hermitian=False)
+    T = builder(0.0)
+    assert _Prober(T, targets, 1e12).lam is None
+    assert _Prober(_coupled_T(2, 4, 2, [(1, 0)], hermitian=False), targets,
+                   1e12).lam is None
+    args = ((-1.4037, -0.9037), targets, 100, 12)
+    rep = sigma_scan(T, *args[:2], points_per_unit=100, refine_iters=12)
+    assert rep.norm_route == "svd"
+    assert rep.bad_intervals and rep.bad_intervals \
+        == _bisection_intervals(T, *args)
+
+
+def test_sigma_scan_decay_only_boundaries_bisect():
+    # the norm passes at every grid point (target 1e4) while the decay
+    # test (alpha 2 beyond distance 1) fails near the resonances
+    builder, _ = _direct_probe_case(hermitian=True)
+    T, targets = builder(0.0), (2.0, 1, 1e4)
+    rep = sigma_scan(T, (-1.4037, -0.9037), targets, points_per_unit=100,
+                     refine_iters=12)
+    assert rep.norm_route == "spectral"
+    assert all(norm <= targets[2] for _, _, norm, _ in rep.samples)
+    cells = sum(a[1] != b[1] for a, b in zip(rep.samples, rep.samples[1:]))
+    assert cells >= 2
+    assert rep.factored_probes == len(rep.samples) + 12 * cells
+    assert rep.bad_intervals == _bisection_intervals(
+        T, (-1.4037, -0.9037), targets, 100, 12)
+
+
+@pytest.mark.parametrize("targets, patched", [((0.1, 2, 100.0), True),
+                                              ((1.5, 1, 1e3), False)])
+def test_sigma_scan_unconfirmed_edge_bisects(monkeypatch, targets, patched):
+    # a norm edge whose confirming probe fails the decay test is bisected
+    # on [a, e]: forced by a failing `decays` at the default targets, and
+    # seen unforced where the decay windows are wider than the norm ones
+    builder, _ = _direct_probe_case(hermitian=True)
+    T = builder(0.0)
+    args = ((-1.4037, -0.9037), targets)
+    if patched:
+        monkeypatch.setattr(_Prober, "decays", lambda self, s: False)
+    rep = sigma_scan(T, *args, points_per_unit=100, refine_iters=12)
+    assert rep.bad_intervals == _bisection_intervals(
+        T, *args, 100, 12,
+        edge=lambda prober, a, b: prober.norm_edge(a, b) or b)
+    # each norm boundary took its confirming probe (unless patched away)
+    # and 12 bisection probes, each decay-only boundary 12
+    cells = [(a, b) for a, b in zip(rep.samples, rep.samples[1:])
+             if a[1] != b[1]]
+    norm_edges = sum((b if a[1] else a)[2] > targets[2] for a, b in cells)
+    assert norm_edges >= 2
+    assert rep.factored_probes == len(rep.samples) + 12 * len(cells) \
+        + (0 if patched else norm_edges)
 
 
 def test_sigma_scan_exactly_singular_sample():
