@@ -628,14 +628,6 @@ class _Prober:
         return (bool(norm <= self.norm_target and decay_ok), norm,
                 measure_alpha(gmag, self.dist, self.threshold))
 
-    def passes(self, sigma: float) -> bool:
-        """The pass flag of `sample(sigma)`; a spectral-route probe whose
-        norm misses the target is not factored."""
-        if self.lam is not None \
-                and self._norm(sigma, None) > self.norm_target:
-            return False
-        return self.sample(sigma)[0]
-
     def decays(self, sigma: float) -> bool:
         """Whether T + sigma passes the condition gate and the decay test;
         the norm is not compared."""
@@ -684,9 +676,7 @@ def sigma_scan(T: LatticeMatrix, sigma_range, targets,
     decay test alone; if that fails, or rounding leaves no edge, the
     boundary is bisected on [a, e] (or the grid cell).  Boundaries where
     only the decay test fails, and every svd-route boundary, are bisected
-    for `refine_iters` steps.  The bisection needs only the pass flag, so a
-    spectral bisection probe whose norm already misses the target is not
-    factored."""
+    for `refine_iters` steps, each step one factored probe."""
     lo, hi = float(sigma_range[0]), float(sigma_range[1])
     npts = max(int(np.ceil((hi - lo) * points_per_unit)) + 1, 2)
     grid = np.linspace(lo, hi, npts)
@@ -702,7 +692,7 @@ def sigma_scan(T: LatticeMatrix, sigma_range, targets,
         # boundary between the passing a and the failing b
         for _ in range(refine_iters):
             mid = 0.5 * (a + b)
-            if prober.passes(mid):
+            if prober.sample(mid)[0]:
                 a = mid
             else:
                 b = mid

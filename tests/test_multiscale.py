@@ -417,29 +417,31 @@ def test_sigma_scan_svd_route_matches_direct_probe():
 
 
 @pytest.mark.parametrize("hermitian", [True, False])
-def test_sigma_scan_flag_only_bisection_matches_full_probes(monkeypatch,
-                                                            hermitian):
+def test_sigma_scan_flag_only_bisection_matches_full_probes(hermitian):
+    # every probe of the scan is a full sample.  The spectral route ends
+    # each boundary here, whose failing side misses the norm, at its
+    # closed-form edge after one confirming probe; the svd route bisects
+    # each boundary with 12 factored probes
     builder, targets = _direct_probe_case(hermitian)
     T = builder(0.0)
-    args = ((-1.4037, -0.9037), targets)
-    kw = {"points_per_unit": 100, "refine_iters": 12}
-    fast = sigma_scan(T, *args, **kw)
-    # reference: every bisection midpoint factored and fully sampled
-    monkeypatch.setattr(_Prober, "passes",
-                        lambda self, s: self.sample(s)[0])
-    ref = sigma_scan(T, *args, **kw)
-    assert fast.bad_intervals and fast.bad_intervals == ref.bad_intervals
-    assert fast.samples == ref.samples
-    cells = [(a, b) for a, b in zip(ref.samples, ref.samples[1:])
+    args = ((-1.4037, -0.9037), targets, 100, 12)
+    rep = sigma_scan(T, *args[:2], points_per_unit=100, refine_iters=12)
+    prober = _Prober(T, targets, 1e12)
+    assert rep.samples == [(s, *prober.sample(s)) for s, *_ in rep.samples]
+    cells = [(a, b) for a, b in zip(rep.samples, rep.samples[1:])
              if a[1] != b[1]]
-    # spectral route: every boundary here misses the norm on its failing
-    # side and takes one confirming probe at its closed-form edge; the svd
-    # route bisects each boundary with 12 factored probes
+    assert rep.bad_intervals and cells
     if hermitian:
         assert all((b if a[1] else a)[2] > targets[2] for a, b in cells)
+        edges = [prober.norm_edge(a[0], b[0]) if a[1]
+                 else prober.norm_edge(b[0], a[0]) for a, b in cells]
+        ends = [x for iv in rep.bad_intervals for x in iv
+                if x not in (rep.samples[0][0], rep.samples[-1][0])]
+        assert None not in edges and ends == edges
+    else:
+        assert rep.bad_intervals == _bisection_intervals(T, *args)
     per_boundary = 1 if hermitian else 12
-    assert ref.factored_probes == len(ref.samples) + per_boundary * len(cells)
-    assert fast.factored_probes == ref.factored_probes
+    assert rep.factored_probes == len(rep.samples) + per_boundary * len(cells)
 
 
 def _bisection_intervals(T, sigma_range, targets, points_per_unit,
@@ -563,7 +565,8 @@ def test_sigma_scan_unconfirmed_edge_bisects(monkeypatch, targets, patched):
     rep = sigma_scan(T, *args, points_per_unit=100, refine_iters=12)
     assert rep.bad_intervals == _bisection_intervals(
         T, *args, 100, 12,
-        edge=lambda prober, a, b: prober.norm_edge(a, b) or b)
+        edge=lambda prober, a, b:
+        e if (e := prober.norm_edge(a, b)) is not None else b)
     # each norm boundary took its confirming probe (unless patched away)
     # and 12 bisection probes, each decay-only boundary 12
     cells = [(a, b) for a, b in zip(rep.samples, rep.samples[1:])
@@ -582,7 +585,8 @@ def test_sigma_scan_exactly_singular_sample():
         rep = sigma_scan(op, (-1.05, -0.95), (0.5, 0, 20.0),
                          points_per_unit=100, refine_iters=5)
         assert rep.samples[0] == (-1.05, False, np.inf, 0.0)
-        assert _Prober(op, (0.5, 0, 20.0), 1e12).passes(-1.05) is False
+        assert _Prober(op, (0.5, 0, 20.0), 1e12).sample(-1.05) \
+            == (False, np.inf, 0.0)
 
 
 def _coupled_T(d, N, n, modes, hermitian=True, seed=0, eps=0.05):
@@ -675,7 +679,6 @@ def test_block_kernel_exactly_singular_block():
     assert [g.tolist() for g in T.components()] == [[[2]], [[0, 1]]]
     prober = _Prober(T, (0.5, 0, 20.0), 1e12)
     assert prober.sample(0.0) == (False, np.inf, 0.0)
-    assert prober.passes(0.0) is False
     for invert in (lambda: lu_gecon(T, 1e12), lambda: invert_direct(T)):
         with pytest.raises(NearSingularError) as exc:
             invert()
