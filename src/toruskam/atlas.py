@@ -27,15 +27,6 @@ def nominal_half_width(A: float, size_exponent: int, level: int) -> float:
     return 0.5 * A ** -(level ** size_exponent)
 
 
-def k_modes(d: int, N: int, include_zero: bool = False) -> np.ndarray:
-    """Modes of [-N, N]^d as a read-only (m, d) array in lexicographic
-    order, without k = 0 unless `include_zero`."""
-    ks = mode_grid(d, N).reshape(-1, d)
-    if not include_zero:
-        ks = ks[np.abs(ks).max(axis=1) > 0]
-    return ks
-
-
 # ----------------------------------------------------------------------
 # non-resonance scans
 # ----------------------------------------------------------------------
@@ -56,7 +47,7 @@ def nonresonance_predicate(Omega, N: int, gamma: float, tau: float):
 
     def predicate(om: np.ndarray) -> np.ndarray:
         d = om.shape[1]
-        ks = k_modes(d, N, include_zero=True)
+        ks = mode_grid(d, N).reshape(-1, d)
         knz = np.abs(ks).max(axis=1) > 0
         kn1 = np.maximum(np.abs(ks).sum(axis=1), 1)
         bounds = gamma * kn1 ** -float(tau)
@@ -189,15 +180,18 @@ def pave_and_filter(atlas: ParameterAtlas, next_level: int, predicate
     return out, removed
 
 
-def monte_carlo_excluded(predicate, box: ParameterBox, n: int, rng,
-                         chunk: int = 65536) -> tuple:
+# points a Monte-Carlo estimate draws and tests at once
+_MC_CHUNK = 65536
+
+
+def monte_carlo_excluded(predicate, box: ParameterBox, n: int, rng) -> tuple:
     """Monte-Carlo estimate of the excluded fraction of a box, with the
     binomial standard error as the resolution bar."""
     bad = 0
     left = n
     c = np.asarray(box.center)
     while left > 0:
-        m = min(chunk, left)
+        m = min(_MC_CHUNK, left)
         pts = c + box.half_width * (2 * rng.random((m, box.d)) - 1)
         bad += int((~predicate(pts)).sum())
         left -= m

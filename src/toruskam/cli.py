@@ -38,8 +38,9 @@ EXIT_NUMERIC = 4
 # version 2: sigma-scan results carry norm_route, factored_probes and
 # components; version 3: run results carry level_certificate; version 4:
 # run results' `levels` lists each level's eps_high, lie_tail, reality_err
-# and B_fold_defect (it was the level count)
-SCHEMA_VERSION = 4
+# and B_fold_defect (it was the level count); version 5: the `config` echo
+# no longer carries `constants`, a key that changed no number
+SCHEMA_VERSION = 5
 
 # boxes an atlas run may pave: the predicate holds about 20 kB per child box
 # at exclusion_N = 6, so this bounds one paving near 330 MB
@@ -49,6 +50,12 @@ MAX_ATLAS_BOXES = 1 << 14
 # probe at N = 8 takes about a millisecond, so this bounds a scan's grid
 # near a minute
 MAX_SIGMA_POINTS = 2 ** 16
+
+# lattice sites (2N + 1)^d n of a greens or sigma-scan operator: its dense
+# form, inverse and distance tables peak near 90 bytes per pair of sites,
+# and a greens run at 2025 sites (N = 22, d = 2) peaked at 390 MB, so this
+# bounds either mode near 400 MB
+MAX_GREENS_SITES = 2 ** 11
 
 # RK4 steps a stability run may take over all its phases: at n = 2, 10^6
 # steps take about 1.4 s and a phase holds about 100 bytes per step, so
@@ -137,10 +144,16 @@ def _normal_form(cfg: RunConfig) -> NormalForm:
 
 def _greens_operator(cfg: RunConfig) -> LatticeMatrix:
     """The greens section's lattice operator at sigma = 0: the diagonal plus
-    a coupling symbol (zero when coupling_eps is 0)."""
+    a coupling symbol (zero when coupling_eps is 0).  Refused, before any
+    array is built, past MAX_GREENS_SITES sites."""
     c = cfg.values
     n = c["n"]
     g = c["greens"]
+    sites = (2 * g["N"] + 1) ** c["d"] * n
+    if sites > MAX_GREENS_SITES:
+        raise ConfigError([
+            f"greens.N: {g['N']} at d = {c['d']}, n = {n} gives {sites} "
+            f"lattice sites, more than the {MAX_GREENS_SITES} allowed"])
     B = Z = FourierSeries.zero(c["d"], shape=(n, n))
     if g["coupling_eps"] != 0.0:
         mode = tuple(c["perturbation"]["mode"])
@@ -172,9 +185,8 @@ def _mode_run(cfg: RunConfig, out: dict):
     rng = default_rng(c["seed"])
     nf = _normal_form(cfg)
     P = build_perturbation(cfg, rng)
-    sch = make_schedule(c["A"], c["eps"], c["d"], tau=c["tau"],
-                        C=tuple(c["constants"]), s0=c["s0"], r0=c["r0"],
-                        N_max=c["caps"]["N_max"])
+    sch = make_schedule(c["A"], c["eps"], c["d"], tau=c["tau"], s0=c["s0"],
+                        r0=c["r0"], N_max=c["caps"]["N_max"])
     res = run(nf, P, sch, max_levels=c["caps"]["levels"],
               stop_threshold=c["caps"]["stop_threshold"],
               lie_order=c["caps"]["lie_order"],

@@ -13,8 +13,6 @@ import json
 import math
 from dataclasses import dataclass
 
-from .driver import DEFAULT_CONSTANTS, check_constant_ordering
-
 MODES = ("run", "atlas", "greens", "sigma-scan", "stability", "verify")
 
 # bisection steps per pass/fail boundary of a sigma scan: past about 52
@@ -33,11 +31,12 @@ DEFAULTS = {
     "r0": 0.5,
     "tau": None,                 # None -> d + 2
     "eps": 1e-6,
-    "constants": list(DEFAULT_CONSTANTS),
     "caps": {
         "N_max": 16,
         "levels": 3,
-        "gamma": None,           # None -> 0.5 sqrt(eps)
+        "gamma": None,           # None -> 0.5 sqrt(eps): eps is the
+                                 # measured first-level low norm in run,
+                                 # the configured eps in atlas
         "cond_cap": 1e12,
         "stop_threshold": 1e-14,
         "exclusion_N": 6,
@@ -166,12 +165,6 @@ def validate(values: dict) -> list:
         _require(_is_num(c[key]) and c[key] > 0, f"{key}: positive", v)
     if c["tau"] is not None:
         _require(_is_num(c["tau"]) and c["tau"] > 0, "tau: positive", v)
-    if _require(_num_list(c["constants"]) and len(c["constants"]) == 9,
-                "constants: list of 9 numbers", v):
-        try:
-            check_constant_ordering(tuple(c["constants"]))
-        except ValueError as exc:
-            v.append(f"constants: {exc}")
 
     caps = c["caps"]
     for key in ("N_max", "levels", "exclusion_N", "lie_order"):

@@ -43,27 +43,13 @@ class ParameterExcluded(Exception):
 # schedule
 # ----------------------------------------------------------------------
 
-DEFAULT_CONSTANTS = (2, 3, 17, 4, 5, 14, 11, 16, 12)   # C0 .. C8
-
 _ZETA2 = math.pi ** 2 / 6.0
-
-
-def check_constant_ordering(C):
-    C0, C1, C2, C3, C4, C5, C6, C7, C8 = C
-    rules = [(C1 > C0, "C1 > C0"), (C2 > 2 * C1 + 10, "C2 > 2 C1 + 10"),
-             (C4 > C3, "C4 > C3"), (C3 > C1, "C3 > C1"),
-             (C5 > C6 + 2, "C5 > C6 + 2"), (C6 > 2 * C4, "C6 > 2 C4"),
-             (C7 > max(C4 + 10, C5), "C7 > max(C4 + 10, C5)")]
-    bad = [name for ok, name in rules if not ok]
-    if bad:
-        raise ValueError(f"constant ordering violated: {', '.join(bad)}")
 
 
 @dataclass(frozen=True)
 class KamSchedule:
     A: float
     tau: float
-    C: tuple
     l_star: int
     s0: float = 1.0
     r0: float = 0.5
@@ -92,17 +78,16 @@ class KamSchedule:
 
 
 def make_schedule(A: float, eps0: float, d: int, tau: float | None = None,
-                  C=DEFAULT_CONSTANTS, s0: float = 1.0, r0: float = 0.5,
+                  s0: float = 1.0, r0: float = 0.5,
                   N_max: int = 16) -> KamSchedule:
     if A <= 1:
         raise ValueError("A > 1 required")
-    check_constant_ordering(C)
     tau = float(d + 2) if tau is None else float(tau)
     # A^{tau l*} = eps^{-1/3}, rounded up
     l_star = max(int(math.ceil(-math.log(eps0) / (3.0 * tau * math.log(A)))),
                  1)
-    return KamSchedule(A=float(A), tau=tau, C=tuple(C), l_star=l_star,
-                       s0=s0, r0=r0, N_max=N_max)
+    return KamSchedule(A=float(A), tau=tau, l_star=l_star, s0=s0, r0=r0,
+                       N_max=N_max)
 
 
 # ----------------------------------------------------------------------
@@ -124,7 +109,6 @@ class KamState:
 class TorusResult:
     omega_star: np.ndarray
     B_final: FourierSeries
-    generators: list          # HomologicalSolution per accepted level
     residual: float
     atlas: ParameterAtlas | None
     rows: list                # per-level log dictionaries
@@ -196,7 +180,7 @@ def initial_step(nf: NormalForm, P: HamiltonianJet, schedule: KamSchedule,
         gamma = 0.5 * math.sqrt(max(eps0, 1e-300))
     pred = nonresonance_predicate(nf.Omega, exclusion_N, gamma, schedule.tau)
     root = ParameterAtlas.root(tuple(nf.omega), size_exponent=1)
-    atlas, removed = pave_and_filter(root, 1, pred)
+    atlas, _ = pave_and_filter(root, 1, pred)
     if not atlas.boxes:
         raise ParameterExcluded(nf.omega, l, "empty atlas: every sampled "
                                 "parameter hits a resonance")
@@ -210,7 +194,7 @@ def initial_step(nf: NormalForm, P: HamiltonianJet, schedule: KamSchedule,
                 schedule.N(l))
     state = KamState(level=l, nf=nf, P=P, xi=xi, eps_meas=eps0,
                      eps_high=eps_high,
-                     extra={"gamma": gamma, "removed_measure": removed,
+                     extra={"gamma": gamma,
                             "level_certificate":
                                 level_certificate(T, threshold=2,
                                                   cond_cap=cond_cap),
@@ -276,7 +260,6 @@ def kam_step(state: KamState, schedule: KamSchedule,
                    eps_meas=eps_new, eps_high=eps_high,
                    extra={**state.extra,
                           "omega_shift": drift,
-                          "B_drift": bdrift,
                           "B_symmetry_err": nf_new.symmetry_error(),
                           "B_fold_defect": float(fold_defect),
                           "reality_err": float(reality_err),
@@ -301,7 +284,7 @@ def run(nf: NormalForm, P: HamiltonianJet, schedule: KamSchedule,
         exclusion_N: int = 8) -> TorusResult:
     state, atlas = initial_step(nf, P, schedule, gamma=gamma,
                                 exclusion_N=exclusion_N, cond_cap=cond_cap)
-    rows, generators = [], []
+    rows = []
     while True:
         extra = state.extra
         rows.append({"level": state.level, "eps_meas": state.eps_meas,
@@ -315,14 +298,12 @@ def run(nf: NormalForm, P: HamiltonianJet, schedule: KamSchedule,
                      "reality_err": extra["reality_err"],
                      "lie_tail": extra.get("lie_tail"),
                      "B_fold_defect": extra.get("B_fold_defect")})
-        if len(generators) >= max_levels \
-                or not state.eps_meas > stop_threshold:
+        if len(rows) > max_levels or not state.eps_meas > stop_threshold:
             break
-        state, sol = kam_step(state, schedule, lie_order=lie_order,
-                              cond_cap=cond_cap)
-        generators.append(sol)
+        state, _ = kam_step(state, schedule, lie_order=lie_order,
+                            cond_cap=cond_cap)
     return TorusResult(omega_star=state.nf.omega, B_final=state.nf.B,
-                       generators=generators, residual=rows[-1]["residual"],
+                       residual=rows[-1]["residual"],
                        atlas=atlas, rows=rows,
                        exponent=contraction_exponent(
                            [r["eps_meas"] for r in rows]),

@@ -95,14 +95,9 @@ class FourierSeries:
         return cls(d, shape, cutoff)
 
     @classmethod
-    def constant(cls, d: int, value, shape: tuple[int, int] | None = None
-                 ) -> "FourierSeries":
+    def constant(cls, d: int, value) -> "FourierSeries":
         value = np.atleast_2d(np.asarray(value, dtype=complex))
-        if shape is None:
-            shape = value.shape
-        out = np.zeros(shape + (1,) * d, dtype=complex)
-        out[(Ellipsis,) + (0,) * d] = value
-        return cls(d, shape, 0, out)
+        return cls(d, value.shape, 0, value.reshape(value.shape + (1,) * d))
 
     @classmethod
     def from_coeffs(cls, d: int, entries: dict, shape: tuple[int, int] = (1, 1),
@@ -122,11 +117,9 @@ class FourierSeries:
         return cls(d, shape, cutoff, data)
 
     @classmethod
-    def mode(cls, d: int, k: tuple, value=1.0,
-             shape: tuple[int, int] = (1, 1)) -> "FourierSeries":
-        """Single-mode series value * e^{i<k,x>}."""
-        v = np.broadcast_to(np.asarray(value, dtype=complex), shape)
-        return cls.from_coeffs(d, {tuple(k): v}, shape=shape)
+    def mode(cls, d: int, k: tuple) -> "FourierSeries":
+        """Single-mode series e^{i<k,x>}."""
+        return cls.from_coeffs(d, {tuple(k): 1.0})
 
     @classmethod
     def cosine(cls, d: int, k: tuple, amplitude=1.0) -> "FourierSeries":

@@ -103,10 +103,9 @@ def _site_magnitudes(G: np.ndarray, nsites: int, nblock: int) -> np.ndarray:
     return R.max(axis=(-3, -1))
 
 
-def measure_alpha(gmag: np.ndarray, dist: np.ndarray, threshold: int,
-                  guard: float = 1e-9) -> float:
+def measure_alpha(gmag: np.ndarray, dist: np.ndarray, threshold: int) -> float:
     """Largest rate valid beyond the threshold: inf over pairs of
-    -log|G|/|x-y|, minus a guard."""
+    -log|G|/|x-y|, minus a guard of 1e-9."""
     mask = dist > threshold
     if not mask.any():
         return ALPHA_CAP
@@ -116,7 +115,7 @@ def measure_alpha(gmag: np.ndarray, dist: np.ndarray, threshold: int,
     if not nz.any():
         return ALPHA_CAP
     rate = (-np.log(g[nz]) / d[nz]).min()
-    return float(min(max(rate - guard, 0.0), ALPHA_CAP))
+    return float(min(max(rate - 1e-9, 0.0), ALPHA_CAP))
 
 
 def decay_certificate(norm: float, alpha: float, threshold: int, region,
@@ -219,22 +218,22 @@ def weighted_delta_norm(region, bound_eps: float, rho: float,
     return float(bound_eps * np.exp(-(rho - rate) * dist).sum(axis=1).max())
 
 
-def neumann_transfer(cert: DecayCertificate, delta: tuple,
-                     theta: float = 0.997) -> DecayCertificate:
+def neumann_transfer(cert: DecayCertificate, delta: tuple) -> DecayCertificate:
     """Transfer a certificate through a small perturbation.
 
     `delta = (bound_eps, rho)` bounds the entries of T' - T by
     bound_eps * e^{-rho |x-y|}.  Gates: the smallness condition
-    bound_eps < e^{-4 rho diam^theta}, plus an explicit contraction check in
-    a weighted row norm (the asymptotic largeness assumptions are replaced by
-    this check at desk scale).  The nominal output is the norm doubled and
-    alpha' = min(alpha, rho) - 2 ln2 / threshold; the emitted alpha is the
-    smaller of that and the rate the contraction argument actually proves
-    under the parent's prefactor, which the output keeps.
+    bound_eps < e^{-4 rho diam^theta} with theta = 0.997, plus an explicit
+    contraction check in a weighted row norm (the asymptotic largeness
+    assumptions are replaced by this check at desk scale).  The nominal
+    output is the norm doubled and alpha' = min(alpha, rho) - 2 ln2 /
+    threshold; the emitted alpha is the smaller of that and the rate the
+    contraction argument actually proves under the parent's prefactor,
+    which the output keeps.
     """
     bound_eps, rho = float(delta[0]), float(delta[1])
     diam = max(cert.diameter, 1)
-    gate = float(np.exp(-4.0 * rho * diam ** theta))
+    gate = float(np.exp(-4.0 * rho * diam ** 0.997))
     if bound_eps >= gate:
         raise CertificateGateError(
             f"perturbation {bound_eps:.3e} >= gate e^(-4 rho diam^theta) "
@@ -277,9 +276,11 @@ def variation_delta(Ta: LatticeMatrix, Tb: LatticeMatrix, s: float):
     return bound_eps, s
 
 
-def check_certificate(cert: DecayCertificate, T: LatticeMatrix,
-                      tol: float = 1e-12) -> CertifyResult:
-    """Soundness oracle: invert directly and certify against the claim."""
+def check_certificate(cert: DecayCertificate, T: LatticeMatrix
+                      ) -> CertifyResult:
+    """Soundness oracle: invert directly and certify against the claim,
+    relaxed by a relative tolerance of 1e-12."""
+    tol = 1e-12
     G, _ = invert_direct(T, threshold=cert.threshold)
     return certify(G, T.region, T.nblock, cert.alpha - tol, cert.threshold,
                    cert.norm_bound * (1 + tol), cert.prefactor * (1 + tol))

@@ -38,9 +38,8 @@ import numpy as np
 
 from .fourier import (FourierSeries, _l1_grid, dir_derivative, mode_grid,
                       product, strip_norm, truncate)
-from .jets import (HamiltonianJet, component_y, component_z, component_zbar,
-                   jet_from_parts, matrix_zbzb, matrix_zz, poisson_bracket,
-                   split_low_high)
+from .jets import (HamiltonianJet, component_y, component_z, jet_from_parts,
+                   matrix_zz, poisson_bracket, split_low_high)
 
 
 class SmallDivisorError(Exception):
@@ -542,8 +541,7 @@ class HomologicalSolution:
         return jet_from_parts(d, n, **kw, **jet_kw)
 
 
-_RHS_COMPONENT = {"E": component_z, "Ebar": component_zbar,
-                  "R": component_y, "S": matrix_zz, "Sbar": matrix_zbzb}
+_RHS_COMPONENT = {"E": component_z, "R": component_y, "S": matrix_zz}
 
 
 def _rhs_parts(stage: str, P: HamiltonianJet,
@@ -551,12 +549,12 @@ def _rhs_parts(stage: str, P: HamiltonianJet,
     """R^low and {P^high, F_partial} for `stage` (see `assemble_rhs`)."""
     sp = split_low_high(P)
     d, n = P.d, P.n
-    if stage in ("E", "Ebar"):
+    if stage == "E":
         if partialF.Fx is None:
             raise ValueError("stage E needs F^x")
         Fpart = partialF.generator_jet(d, n, stages=("x",),
                                        max_degree=P.max_degree)
-    elif stage in ("R", "S", "Sbar"):
+    elif stage in ("R", "S"):
         missing = [nm for nm, v in (("F^x", partialF.Fx), ("F^z", partialF.Fz),
                                     ("F^zbar", partialF.Fzbar)) if v is None]
         if missing:
@@ -570,12 +568,12 @@ def _rhs_parts(stage: str, P: HamiltonianJet,
 
 def assemble_rhs(stage: str, P: HamiltonianJet,
                  partialF: HomologicalSolution) -> FourierSeries:
-    """Right-hand sides of the four equation classes.
+    """Right-hand side of the equation class `stage`, one of "E", "R", "S".
 
-    stage in {"E", "Ebar", "R", "S", "Sbar"}.  Each right side is the matching
-    component of R^low plus the low-order part of {P^high, F_partial}, where
-    F_partial contains only the already-solved generator components
-    (F^x for E; F^x, F^z, F^zbar for R, S, Sbar).
+    Each right side is the matching component of
+    R^low plus the low-order part of {P^high, F_partial}, where F_partial
+    contains only the already-solved generator components (F^x for E; F^x,
+    F^z, F^zbar for R and S).
     """
     low, br = _rhs_parts(stage, P, partialF)
     pick = _RHS_COMPONENT[stage]

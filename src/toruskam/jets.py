@@ -22,7 +22,7 @@ conjugate mirror, so the result is exactly real too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -345,9 +345,8 @@ class HamiltonianJet:
         terms = dict(self.terms)
         for sig, f in other.terms.items():
             terms[sig] = terms[sig] + f if sig in terms else f
-        out = self._like(terms, tail=self.tail + other.tail)
-        out.max_degree = max(self.max_degree, other.max_degree)
-        return out
+        return replace(self, terms=terms, tail=self.tail + other.tail,
+                       max_degree=max(self.max_degree, other.max_degree))
 
     def __sub__(self, other: "HamiltonianJet") -> "HamiltonianJet":
         return self + (-1.0) * other
@@ -383,9 +382,8 @@ def poisson_bracket(F: HamiltonianJet, G: HamiltonianJet) -> HamiltonianJet:
         cross += F.tail * vf_norm(G, G.s_ref, G.r_ref)
     if G.tail:
         cross += G.tail * vf_norm(F, F.s_ref, F.r_ref)
-    out = F._like(terms, tail=tail + cross)
-    out.max_degree = max(F.max_degree, G.max_degree)
-    return out
+    return replace(F, terms=terms, tail=tail + cross,
+                   max_degree=max(F.max_degree, G.max_degree))
 
 
 def vf_norm(P: HamiltonianJet, s: float, r: float) -> float:
@@ -548,11 +546,6 @@ def component_z(P: HamiltonianJet) -> FourierSeries:
     return _table(P.d, P.n, 1, lambda j, _: P.term((zd, _unit(P.n, j), zn)))
 
 
-def component_zbar(P: HamiltonianJet) -> FourierSeries:
-    zd, zn = (0,) * P.d, (0,) * P.n
-    return _table(P.d, P.n, 1, lambda j, _: P.term((zd, zn, _unit(P.n, j))))
-
-
 def matrix_zz(P: HamiltonianJet) -> FourierSeries:
     """Symmetric M with the z z block equal to (1/2) <M z, z>.
 
@@ -561,12 +554,6 @@ def matrix_zz(P: HamiltonianJet) -> FourierSeries:
     zd, zn = (0,) * P.d, (0,) * P.n
     return _table(P.d, P.n, P.n, lambda i, j: (1.0 + (i == j)) * P.term(
         (zd, _unit(P.n, i, j), zn)))
-
-
-def matrix_zbzb(P: HamiltonianJet) -> FourierSeries:
-    zd, zn = (0,) * P.d, (0,) * P.n
-    return _table(P.d, P.n, P.n, lambda i, j: (1.0 + (i == j)) * P.term(
-        (zd, zn, _unit(P.n, i, j))))
 
 
 def matrix_zzbar(P: HamiltonianJet) -> FourierSeries:
@@ -583,10 +570,9 @@ def jet_from_parts(d: int, n: int,
                    Fzbar: FourierSeries | None = None,
                    Fzz: FourierSeries | None = None,
                    Fzbzb: FourierSeries | None = None,
-                   Mzzbar: FourierSeries | None = None,
                    **jet_kw) -> HamiltonianJet:
     """Assemble F^x + <F^y,y> + <F^z,z> + <F^zbar,zbar>
-    + (1/2)<F^zz z,z> + (1/2)<F^zbzb zbar,zbar> + <M z,zbar> as a jet."""
+    + (1/2)<F^zz z,z> + (1/2)<F^zbzb zbar,zbar> as a jet."""
     terms: dict[Signature, FourierSeries] = {}
     zn = (0,) * n
     zd = (0,) * d
@@ -613,8 +599,4 @@ def jet_from_parts(d: int, n: int,
                 put((zd, e, zn) if zz else (zd, zn, e),
                     0.5 * (M.entry(i, i) if i == j
                            else M.entry(i, j) + M.entry(j, i)))
-    if Mzzbar is not None:
-        for i in range(n):
-            for j in range(n):
-                put((zd, _unit(n, i), _unit(n, j)), Mzzbar.entry(j, i))
     return HamiltonianJet(d, n, terms, **jet_kw)

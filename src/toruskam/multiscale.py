@@ -43,20 +43,15 @@ def diameter(sites) -> int:
 
 @dataclass(frozen=True)
 class ScaleConfig:
-    beta: float = 0.05
     b: float = 0.996
     theta: float = 0.997
-    lam: float = 1.002
     kappa: float = 0.005
-    tau: float = 0.5
     rho: float = 0.5
     alpha0: float = 0.4
 
     def __post_init__(self):
         if not (0 < self.b < self.theta < 1):
             raise ValueError("need 0 < b < theta < 1")
-        if not (1 < self.lam < 2 - self.theta):
-            raise ValueError("need 1 < lambda < 2 - theta")
         if not self.kappa < 1e-2:
             raise ValueError("need kappa < 1e-2")
 
@@ -71,7 +66,6 @@ class ElementaryRegion:
     block_center: tuple
     half_widths: tuple
     shift: tuple | None = None
-    ambient: tuple | None = None     # optional (center, half_widths) clip box
 
     def block_sites(self) -> set:
         rng = [range(c - h, c + h + 1)
@@ -84,10 +78,6 @@ class ElementaryRegion:
         if self.shift is not None:
             moved = {tuple(x + s for x, s in zip(p, self.shift)) for p in R}
             out = R - moved
-        if self.ambient is not None:
-            c, h = self.ambient
-            out = {p for p in out
-                   if all(abs(x - cc) <= hh for x, cc, hh in zip(p, c, h))}
         if not out:
             raise ValueError("realized set is empty")
         return tuple(sorted(out))
@@ -167,8 +157,6 @@ def random_elementary_region(rng, d: int, min_half: int = 2,
 
 @dataclass
 class Exhaustion:
-    center: tuple
-    M: int
     region_sites: frozenset
     sets: list            # S_0 .. S_l, each a frozenset, S_l != region
     annuli: list          # A_j = S_j \ S_{j-1}
@@ -201,9 +189,8 @@ def build_exhaustion(region: ElementaryRegion, m, M: int) -> Exhaustion:
         pieces = annuli + ([remainder] if remainder else [])
         dists = [min(sup_dist(p, corner) for p in piece) for piece in pieces]
         exceptional = int(np.argmin(dists))
-    return Exhaustion(center=m, M=M, region_sites=sites, sets=sets,
-                      annuli=annuli, remainder=remainder,
-                      exceptional=exceptional)
+    return Exhaustion(region_sites=sites, sets=sets, annuli=annuli,
+                      remainder=remainder, exceptional=exceptional)
 
 
 def _restrict(T: LatticeMatrix, sites) -> LatticeMatrix:
@@ -232,15 +219,13 @@ class DirectClassifier:
     |x-y|_sup > L^theta.
     """
 
-    def __init__(self, T: LatticeMatrix, alpha: float, b: float, theta: float,
-                 cond_cap: float = 1e12):
+    def __init__(self, T: LatticeMatrix, alpha: float, b: float, theta: float):
         self.T, self.alpha, self.b, self.theta = T, alpha, b, theta
-        self.cond_cap = cond_cap
         self._cache: dict = {}
 
     def _invert(self, sites):
         sub = _restrict(self.T, frozenset(sites))
-        G, cert = invert_direct(sub, cond_cap=self.cond_cap)
+        G, cert = invert_direct(sub)
         return sub, G, cert
 
     def __call__(self, sites) -> bool:
@@ -311,13 +296,13 @@ def classify_annuli(T: LatticeMatrix, ex: Exhaustion, M: int,
 # resolvent bound propagation (CL1 and the two-scale coupling)
 # ----------------------------------------------------------------------
 
-def _propagate_bounds(T: LatticeMatrix, windows: dict,
-                      gate: float = 0.1) -> np.ndarray:
+def _propagate_bounds(T: LatticeMatrix, windows: dict) -> np.ndarray:
     """Entrywise bound on |G_Lambda| from window certificates.
 
     For each site x the resolvent identity on its window U(x) gives
     g(x, y) <= a(x, y) + sum_v K(x, v) g(v, y); with row sums of K below the
-    contraction gate, the solution of (I - K) g = a dominates |G| entrywise.
+    contraction gate 0.1, the solution of (I - K) g = a dominates |G|
+    entrywise.
     """
     region = T.region
     m = len(region)
@@ -341,20 +326,19 @@ def _propagate_bounds(T: LatticeMatrix, windows: dict,
         coupling = row_g[inU] @ tmag[inU][:, ~inU]
         K[i, ~inU] = coupling
     rows = K.sum(axis=1)
-    if rows.max() >= gate:
+    if rows.max() >= 0.1:
         raise CertificateGateError(
-            f"resolvent contraction factor {rows.max():.3e} >= {gate}")
+            f"resolvent contraction factor {rows.max():.3e} >= 0.1")
     g = np.linalg.solve(np.eye(m) - K, a)
     return np.maximum(g, 0.0)
 
 
-def _emit(T: LatticeMatrix, windows: dict, threshold: int | None,
-          gate: float, provenance: str, extra: dict) -> DecayCertificate:
-    """Certificate for T's region from the propagated window bounds; the
-    threshold defaults to the largest window threshold."""
-    g = _propagate_bounds(T, windows, gate=gate)
-    if threshold is None:
-        threshold = max(c.threshold for c in windows.values())
+def _emit(T: LatticeMatrix, windows: dict, provenance: str,
+          extra: dict) -> DecayCertificate:
+    """Certificate for T's region from the propagated window bounds, with
+    the largest window threshold."""
+    g = _propagate_bounds(T, windows)
+    threshold = max(c.threshold for c in windows.values())
     dist1 = site_distances(T.region)
     norm = float(np.linalg.norm(g, 2)) * (1 + 1e-6)
     alpha = measure_alpha(g, dist1, threshold)
@@ -362,16 +346,15 @@ def _emit(T: LatticeMatrix, windows: dict, threshold: int | None,
                              extra)
 
 
-def cl1_couple(T: LatticeMatrix, site_certs: dict, M: int,
-               rho: float | None = None, threshold: int | None = None,
-               gate: float = 0.1) -> DecayCertificate:
+def cl1_couple(T: LatticeMatrix, site_certs: dict, M: int
+               ) -> DecayCertificate:
     """Couple per-site window certificates into one for the whole region.
 
     Each site m must come with a certificate for a window U(m) (the
     certificate's own region) containing m with dist(m, region \\ U(m))
     > M/2.  The certified bound is produced by the resolvent propagation
     above; the nominal conclusion (norm <= 2 |region|^d max site norm,
-    alpha >= min(alpha, rho) - (log |region|)^-50) is reported alongside.
+    alpha >= min alpha - (log |region|)^-50) is reported alongside.
     """
     region = T.region
     sites = frozenset(region)
@@ -392,16 +375,14 @@ def cl1_couple(T: LatticeMatrix, site_certs: dict, M: int,
     nominal = {
         "norm_nominal": 2.0 * N ** T.d
         * max(c.norm_bound for c in site_certs.values()),
-        "alpha_nominal": min(min(alphas), rho if rho is not None
-                             else min(alphas)) - np.log(N) ** -50,
+        "alpha_nominal": min(alphas) - np.log(N) ** -50,
     }
-    return _emit(T, site_certs, threshold, gate, "cl1", nominal)
+    return _emit(T, site_certs, "cl1", nominal)
 
 
 def two_scale_couple(T: LatticeMatrix, certK: DecayCertificate,
-                     certsM0: dict, config: ScaleConfig, K: int, M0: int,
-                     threshold: int | None = None,
-                     gate: float = 0.1) -> DecayCertificate:
+                     certsM0: dict, config: ScaleConfig, K: int, M0: int
+                     ) -> DecayCertificate:
     """Couple one bulk window certificate (side K) with boundary windows of
     side M0 into a certificate for the full cube [-N, N]^d.
 
@@ -427,7 +408,7 @@ def two_scale_couple(T: LatticeMatrix, certK: DecayCertificate,
     logN = np.log(max(2 * N + 1, 3))
     rates = [certK.alpha] + [c.alpha for c in certsM0.values()]
     nominal = {"gamma_nominal": min(min(rates), config.rho) - logN ** -8}
-    return _emit(T, windows, threshold, gate, "two_scale", nominal)
+    return _emit(T, windows, "two_scale", nominal)
 
 
 # ----------------------------------------------------------------------
@@ -443,16 +424,15 @@ def _runs(flags):
     return out
 
 
-def cl2_couple(T: LatticeMatrix, config: ScaleConfig, scale_certs,
-               region: ElementaryRegion, M_prev: int,
-               alpha_prev: float | None = None,
-               threshold: int | None = None,
+def cl2_couple(T: LatticeMatrix, config: ScaleConfig,
+               scale_certs: DirectClassifier, region: ElementaryRegion,
+               M_prev: int, alpha_prev: float | None = None,
                budget: float | None = None) -> DecayCertificate:
     """Large-scale decay from a good/bad classification at the previous
     scale, via the alternating-exhaustion multiplier recursion.
 
-    `scale_certs` is the previous-scale classifier (site set -> good?); a
-    DirectClassifier doubles as the norm/prefactor oracle for the measured
+    `scale_certs` is the previous-scale classifier (site set -> good?),
+    which doubles as the norm/prefactor oracle for the measured
     multipliers.  The region is GOOD when every center's exhaustion has at
     most kappa * diam^theta / M_prev bad annuli; otherwise the call refuses,
     listing the offending center and annuli.
@@ -466,9 +446,6 @@ def cl2_couple(T: LatticeMatrix, config: ScaleConfig, scale_certs,
     """
     beta = min(alpha_prev if alpha_prev is not None else config.alpha0,
                config.rho)
-    oracle = scale_certs if isinstance(scale_certs, DirectClassifier) \
-        else DirectClassifier(T, beta, config.b, config.theta)
-    is_good = scale_certs
     sites = region.site_set()
     diam = max(region.diam, 2)
     if budget is None:
@@ -484,21 +461,20 @@ def cl2_couple(T: LatticeMatrix, config: ScaleConfig, scale_certs,
     for m in region.sites():
         ex = build_exhaustion(region, m, M_prev)
         rep = classify_annuli(T, ex, M_prev, beta, config.b, config.theta,
-                              classifier=is_good if callable(is_good)
-                              else None)
+                              classifier=scale_certs)
         if rep.bad_count > budget:
             bad = [j for j, f in enumerate(rep.flags) if not f]
             raise CertificateGateError(
                 f"region is BAD: center {m} has {rep.bad_count} bad annuli "
                 f"{bad} > budget {budget:.3f}")
         pieces = list(ex.annuli) + ([ex.remainder] if ex.remainder else [])
-        phi = oracle.entry_prefactor(pieces[0], beta)
+        phi = scale_certs.entry_prefactor(pieces[0], beta)
         J = set(pieces[0])
         for good, run in _runs(rep.flags[1:]):
             run_pieces = set().union(*[pieces[j + 1] for j in run])
             Jnext = J | run_pieces
             n_pairs = len(J) * len(run_pieces)
-            W = oracle.norm(Jnext)
+            W = scale_certs.norm(Jnext)
             dmin_run = min(sup_dist(m, z) for z in run_pieces)
             dmax_old = max(sup_dist(m, y) for y in J)
             dmax_next = max(dmax_old,
@@ -509,7 +485,7 @@ def cl2_couple(T: LatticeMatrix, config: ScaleConfig, scale_certs,
                 back = max(0, dmax_old - dmin_run)
                 phi_a = phi * (1.0 + n_pairs * t_pref * W
                                * np.exp(beta * back))
-                cU = oracle.entry_prefactor(run_pieces, beta)
+                cU = scale_certs.entry_prefactor(run_pieces, beta)
                 phi = max(phi_a, phi_a * n_pairs * t_pref * cU)
             else:
                 back = max(0, dmax_next - dmin_run)
@@ -517,12 +493,11 @@ def cl2_couple(T: LatticeMatrix, config: ScaleConfig, scale_certs,
                              * np.exp(beta * back))
             J = Jnext
         phi_worst = max(phi_worst, phi)
-    if threshold is None:
-        threshold = max(int(np.ceil(diam ** config.theta)), 1)
+    threshold = max(int(np.ceil(diam ** config.theta)), 1)
     # |G(m,n)| <= phi e^{-beta |m-n|_sup} and |.|_sup >= |.|_1 / d:
     # certified l1 rate beyond the threshold
     alpha_out = max(beta / region.d - np.log(phi_worst) / threshold, 0.0)
-    norm = oracle.norm(sites) * (1 + 1e-6)
+    norm = scale_certs.norm(sites) * (1 + 1e-6)
     region1 = tuple(sorted(sites))
     nominal = beta * (1 - 15 * config.kappa)
     return decay_certificate(
@@ -536,8 +511,6 @@ def cl2_couple(T: LatticeMatrix, config: ScaleConfig, scale_certs,
 
 @dataclass
 class SigmaScanReport:
-    sigma_range: tuple
-    targets: tuple            # (alpha_target, threshold, norm_target)
     samples: list             # (sigma, passed, norm, alpha) rows
     bad_intervals: list       # (lo, hi) failing windows
     bad_measure: float
@@ -720,8 +693,7 @@ def sigma_scan(T: LatticeMatrix, sigma_range, targets,
         else:
             i += 1
     measure = float(sum(b - a for a, b in intervals))
-    return SigmaScanReport(sigma_range=(lo, hi), targets=tuple(targets),
-                           samples=samples, bad_intervals=intervals,
+    return SigmaScanReport(samples=samples, bad_intervals=intervals,
                            bad_measure=measure,
                            bad_fraction=measure / (hi - lo) if hi > lo
                            else 0.0,

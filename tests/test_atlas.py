@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from toruskam import atlas as atlas_mod
-from toruskam.atlas import (ParameterAtlas, ParameterBox, k_modes,
+from toruskam.atlas import (ParameterAtlas, ParameterBox,
                             monte_carlo_excluded, nominal_half_width,
                             nonresonance_predicate, pave_and_filter,
                             paving_count)
+from toruskam.fourier import mode_grid
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -36,7 +37,8 @@ def diophantine_ok(omega, N: int, gamma: float, tau: float) -> ScanReport:
     omega = np.asarray(omega, dtype=float)
     if N < 1:
         raise ValueError("N >= 1 required")
-    ks = k_modes(omega.size, N)
+    ks = mode_grid(omega.size, N).reshape(-1, omega.size)
+    ks = ks[np.abs(ks).max(axis=1) > 0]
     vals = np.abs(ks @ omega)
     bounds = gamma * np.abs(ks).sum(axis=1) ** -float(tau)
     margins = vals - bounds
@@ -55,7 +57,7 @@ def melnikov1_ok(omega, Omega, N: int, gamma: float, tau: float,
     Omega = np.asarray(Omega, dtype=float)
     if (Omega <= 0).any():
         raise ValueError("normal frequencies must be positive")
-    ks = k_modes(omega.size, N, include_zero=True)
+    ks = mode_grid(omega.size, N).reshape(-1, omega.size)
     knorm = np.maximum(np.abs(ks).sum(axis=1), 1)
     bounds = gamma * knorm ** -float(tau)
     kw = ks @ omega
@@ -251,10 +253,10 @@ def test_monte_carlo_half_space():
     assert frac == pytest.approx(0.5, abs=5 * err + 1e-3)
 
 
-def test_k_modes_and_nominal_width():
-    ks = k_modes(2, 2)
+def test_mode_grid_and_nominal_width():
+    shared = mode_grid(2, 2).reshape(-1, 2)
+    ks = shared[np.abs(shared).max(axis=1) > 0]
     assert len(ks) == 24 and not (np.abs(ks).max(axis=1) == 0).any()
-    shared = k_modes(2, 2, include_zero=True)
     with pytest.raises(ValueError):
         shared[0, 0] = 7           # the cached mode grid stays read-only
     assert nominal_half_width(10.0, 1, 0) == 0.5

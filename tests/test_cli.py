@@ -34,10 +34,10 @@ def test_minimal_config_fills_defaults(tmp_path):
     assert cfg["stability"]["dt"] == 1e-3
 
 
-def test_constant_ordering_named_inequality():
+def test_constants_key_is_unknown():
     with pytest.raises(ConfigError) as exc:
         load_config({"constants": [2, 3, 6, 4, 5, 14, 11, 16, 12]})
-    assert any("C2 > 2 C1 + 10" in v for v in exc.value.violations)
+    assert exc.value.violations == ["unknown key: constants"]
 
 
 def test_all_violations_reported_at_once():
@@ -250,16 +250,33 @@ def test_verify_names_schema_change(tmp_path):
     dispatch(cfg, str(tmp_path / "a"))
     p = tmp_path / "a" / "report.json"
     doc = json.loads(p.read_text())
-    assert doc["schema"] == cli.SCHEMA_VERSION == 4
+    assert doc["schema"] == cli.SCHEMA_VERSION == 5
     doc["schema"] = 1
     p.write_text(json.dumps(doc))
     vcfg = load_config({"mode": "verify", "verify": {"report": str(p)}})
     assert dispatch(vcfg, str(tmp_path / "b")) == EXIT_NUMERIC
     rep = json.loads((tmp_path / "b" / "report.json").read_text())
-    assert rep["results"]["schema"] == [1, 4]
+    assert rep["results"]["schema"] == [1, 5]
     assert rep["results"]["match"] is False
     summary = (tmp_path / "b" / "summary.txt").read_text()
-    assert "DIFFERS (report schema 1, current schema 4)" in summary
+    assert "DIFFERS (report schema 1, current schema 5)" in summary
+
+
+def test_verify_refuses_schema_4_constants(tmp_path, capsys):
+    # a schema-4 report's config echo carries `constants`, which is no
+    # config key: the replay is refused as a config error
+    cfg = load_config(stability_config(perturbation={"kind": "zero"}))
+    dispatch(cfg, str(tmp_path / "a"))
+    p = tmp_path / "a" / "report.json"
+    doc = json.loads(p.read_text())
+    doc["schema"] = 4
+    doc["config"]["constants"] = [2, 3, 17, 4, 5, 14, 11, 16, 12]
+    p.write_text(json.dumps(doc))
+    code, rep, err = refused_verify(tmp_path, capsys, p, tmp_path / "b")
+    assert code == EXIT_CONFIG and rep["exit_code"] == EXIT_CONFIG
+    want = f"verify.report: {p}: config: unknown key: constants"
+    assert rep["results"]["config_errors"] == [want]
+    assert want in err and "Traceback" not in err
 
 
 def refused_verify(tmp_path, capsys, report, out):
@@ -372,8 +389,9 @@ def test_atlas_huge_paving_refused_exit_2(tmp_path, capsys, monkeypatch):
     assert "2^32.0 boxes" in report["results"]["config_errors"][0]
 
 
-class _Scanned(Exception):
-    """Raised by the stand-in scan: the config got past the size check."""
+class _PastCap(Exception):
+    """Raised by a stand-in for the capped work: the config got past the
+    size check."""
 
 
 @pytest.mark.parametrize("lo, hi, ppu, refused", [
@@ -387,14 +405,14 @@ class _Scanned(Exception):
 def test_sigma_scan_grid_cap(tmp_path, capsys, monkeypatch, lo, hi, ppu,
                              refused):
     def stand_in(*args, **kwargs):
-        raise _Scanned
+        raise _PastCap
     monkeypatch.setattr(cli, "sigma_scan", stand_in)
     path = write_config(tmp_path, {"mode": "sigma-scan",
                                    "sigma_scan": {"range": [lo, hi],
                                                   "points_per_unit": ppu}})
     out = tmp_path / "o"
     if not refused:
-        with pytest.raises(_Scanned):
+        with pytest.raises(_PastCap):
             main(["--config", path, "--out", str(out)])
         return
     assert main(["--config", path, "--out", str(out)]) == EXIT_CONFIG
@@ -404,6 +422,37 @@ def test_sigma_scan_grid_cap(tmp_path, capsys, monkeypatch, lo, hi, ppu,
     report = json.loads((out / "report.json").read_text())
     assert report["exit_code"] == EXIT_CONFIG
     assert msg in report["results"]["config_errors"][0]
+
+
+@pytest.mark.parametrize("mode", ["greens", "sigma-scan"])
+@pytest.mark.parametrize("data, refused", [
+    ({"greens": {"N": 22}}, False),           # 2025 sites
+    ({"greens": {"N": 23}}, True),            # 2209 sites
+    ({"greens": {"N": 60}}, True),            # 14641 sites, 3.2 GiB dense
+    ({"n": 2, "Omega": [1.17, 1.43], "greens": {"N": 16}}, True),
+    ({"d": 3, "omega": [1.0, PHI, 2.0], "perturbation": {"mode": [1, 0, 0]},
+      "greens": {"N": 6}}, True),             # 13^3 = 2197 sites
+])
+def test_greens_site_cap(tmp_path, capsys, monkeypatch, mode, data,
+                         refused):
+    def stand_in(*args, **kwargs):
+        raise _PastCap
+    monkeypatch.setattr(cli, "build_T", stand_in)
+    assert cli.MAX_GREENS_SITES == 2048
+    path = write_config(tmp_path, {"mode": mode, **data})
+    out = tmp_path / "o"
+    if not refused:
+        with pytest.raises(_PastCap):
+            main(["--config", path, "--out", str(out)])
+        return
+    assert main(["--config", path, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert report["exit_code"] == EXIT_CONFIG
+    msg = report["results"]["config_errors"][0]
+    assert msg.startswith(f"greens.N: {data['greens']['N']} at d = ")
+    assert "more than the 2048 allowed" in msg
+    assert msg in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("iters, refused", [(64, False), (65, True)])

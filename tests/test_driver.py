@@ -7,8 +7,7 @@ import pytest
 
 from toruskam import cli, greens
 from toruskam.config import load_config
-from toruskam.driver import (DEFAULT_CONSTANTS, KamState, ParameterExcluded,
-                             check_constant_ordering, contraction_exponent,
+from toruskam.driver import (KamState, ParameterExcluded, contraction_exponent,
                              gamma_floor, initial_step, invariance_residual,
                              kam_step, log_csv, make_schedule, run)
 from toruskam.fourier import FourierSeries
@@ -75,12 +74,6 @@ def test_schedule_eps_example():
     sch = make_schedule(10.0, 1e-6, d=2)
     assert sch.eps(2) == pytest.approx(10 ** -(16.0 / 9.0), rel=1e-12)
     assert sch.eps(2) == pytest.approx(1.667e-2, rel=1e-3)
-
-
-def test_default_constants_pass_ordering():
-    check_constant_ordering(DEFAULT_CONSTANTS)
-    with pytest.raises(ValueError):
-        check_constant_ordering((2, 3, 10, 4, 5, 14, 11, 16, 12))
 
 
 def test_schedule_e_stays_below_half():

@@ -1,11 +1,14 @@
 """Hygiene of the package.
 
-Two static rules over every module in `src/toruskam`, checked with `ast`:
+Three static rules over every module in `src/toruskam`, checked with `ast`:
   * every imported name is used in the module that imports it;
   * every function and class that is not a dunder is named somewhere
     besides its own definition, in `src/` or `tests/`, and every method
     is referenced there as an attribute (`obj.name`): a local variable of
-    the same name does not count as a use.
+    the same name does not count as a use;
+  * every parameter with a default is set by some call in `src/` or
+    `tests/`, by name, by position, or through `*`/`**`: a default no
+    caller overrides is a constant, not a setting.
 Three import rules, checked in fresh interpreters: `toruskam.cli` loads no
 scipy module, `dispatch` imports no module on the benchmark workloads, and
 neither lattice-solve route loads scipy.  numpy is the only runtime
@@ -87,12 +90,71 @@ def unreferenced_definitions() -> list:
     return found
 
 
+def _defaulted_parameters(tree) -> list:
+    """(function, parameter, position or None) of every parameter with a
+    default, keyword-only ones without a position.  A method's positions
+    start after self or cls, and `__init__` is listed under its class, as
+    `Cls(...)` calls it."""
+    owner = {id(node): cls.name for cls in ast.walk(tree)
+             if isinstance(cls, ast.ClassDef) for node in cls.body}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        static = any(isinstance(dec, ast.Name) and dec.id == "staticmethod"
+                     for dec in node.decorator_list)
+        skip = int(id(node) in owner and not static)
+        name = owner[id(node)] if node.name == "__init__" \
+            and id(node) in owner else node.name
+        args = node.args
+        pos = args.posonlyargs + args.args
+        found += [(name, pos[i].arg, i - skip)
+                  for i in range(len(pos) - len(args.defaults), len(pos))]
+        found += [(name, a.arg, None)
+                  for a, dflt in zip(args.kwonlyargs, args.kw_defaults)
+                  if dflt is not None]
+    return found
+
+
+def unset_parameters() -> list:
+    """Defaulted parameters no call sets.  A call is matched by the name
+    it calls (`f(...)`, `obj.f(...)`), so a call of a same-named function
+    elsewhere counts too: the rule can miss a parameter, never invent
+    one."""
+    keywords, positions = set(), Counter()
+    for path in sorted(PACKAGE.glob("*.py")) \
+            + sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else \
+                f.attr if isinstance(f, ast.Attribute) else None
+            keywords.update((name, kw.arg or "**") for kw in node.keywords)
+            if any(isinstance(a, ast.Starred) for a in node.args):
+                keywords.add((name, "*"))
+            positions[name] = max(positions[name], len(node.args))
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn, arg, pos in _defaulted_parameters(_parse(path)):
+            if (fn, arg) in keywords or (fn, "**") in keywords \
+                    or pos is not None and ((fn, "*") in keywords
+                                            or positions[fn] > pos):
+                continue
+            found.append(f"{path.name}: {fn}({arg}=...)")
+    return found
+
+
 def test_no_unused_imports():
     assert unused_imports() == []
 
 
 def test_no_unreferenced_definitions():
     assert unreferenced_definitions() == []
+
+
+def test_every_default_is_overridden_somewhere():
+    assert unset_parameters() == []
 
 
 def _fresh_python(code: str, *args: str) -> str:

@@ -653,6 +653,22 @@ def test_nan_terms_are_kept_zero_terms_dropped():
     assert not (y_jet(0, f) - y_jet(0, f)).terms
 
 
+def test_jet_sum_takes_the_larger_degree_cap_in_either_order():
+    # b carries a degree-3 term past a's cap of 2: the sum is built with
+    # the larger cap from the start, whichever operand comes first
+    f = FourierSeries.cosine(D, (1, 0))
+    a = HamiltonianJet(D, N, {(ZD, ZN, ZN): f}, max_degree=2)
+    b = HamiltonianJet(D, N, {(ZD, (1, 1), (1, 0)): 2.0 * f,
+                              (ZD, ZN, ZN): f}, max_degree=4)
+    ab, ba = a + b, b + a
+    assert ab.max_degree == ba.max_degree == 4
+    assert ab.terms.keys() == ba.terms.keys()
+    assert all(np.array_equal(ab.terms[s].data, ba.terms[s].data)
+               for s in ab.terms)
+    assert (a - b).max_degree == (b - a).max_degree == 4
+    assert poisson_bracket(a, b).max_degree == 4
+
+
 # ----------------------------------------------------------------------
 # split
 # ----------------------------------------------------------------------

@@ -777,6 +777,4 @@ def test_scale_config_invariants():
     with pytest.raises(ValueError):
         ScaleConfig(b=0.999, theta=0.99)
     with pytest.raises(ValueError):
-        ScaleConfig(lam=1.2)
-    with pytest.raises(ValueError):
         ScaleConfig(kappa=0.02)
