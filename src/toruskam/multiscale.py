@@ -41,13 +41,17 @@ def diameter(sites) -> int:
     return int((pts.max(axis=0) - pts.min(axis=0)).max())
 
 
+# decay rate assumed for the operator's off-diagonal entries, and the decay
+# rate a CL2 coupling starts from when no previous scale supplies one
+RHO = 0.5
+ALPHA0 = 0.4
+
+
 @dataclass(frozen=True)
 class ScaleConfig:
     b: float = 0.996
     theta: float = 0.997
     kappa: float = 0.005
-    rho: float = 0.5
-    alpha0: float = 0.4
 
     def __post_init__(self):
         if not (0 < self.b < self.theta < 1):
@@ -407,7 +411,7 @@ def two_scale_couple(T: LatticeMatrix, certK: DecayCertificate,
             windows[tuple(x)] = cert
     logN = np.log(max(2 * N + 1, 3))
     rates = [certK.alpha] + [c.alpha for c in certsM0.values()]
-    nominal = {"gamma_nominal": min(min(rates), config.rho) - logN ** -8}
+    nominal = {"gamma_nominal": min(min(rates), RHO) - logN ** -8}
     return _emit(T, windows, "two_scale", nominal)
 
 
@@ -444,8 +448,7 @@ def cl2_couple(T: LatticeMatrix, config: ScaleConfig,
     computed from exact site geometry and measured norms (the paper-level
     nominal result beta (1 - 15 kappa) is reported alongside).
     """
-    beta = min(alpha_prev if alpha_prev is not None else config.alpha0,
-               config.rho)
+    beta = min(alpha_prev if alpha_prev is not None else ALPHA0, RHO)
     sites = region.site_set()
     diam = max(region.diam, 2)
     if budget is None:
@@ -455,7 +458,7 @@ def cl2_couple(T: LatticeMatrix, config: ScaleConfig,
     tmag = _site_magnitudes(full.to_dense(), len(sites), full.nblock)
     dsup = _sup_dist_matrix(sites)
     off = dsup > 0
-    t_pref = float((tmag[off] * np.exp(config.rho * dsup[off])).max()) \
+    t_pref = float((tmag[off] * np.exp(RHO * dsup[off])).max()) \
         if off.any() else 0.0
     phi_worst = 1.0
     for m in region.sites():

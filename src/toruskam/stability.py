@@ -7,9 +7,12 @@ elliptic behaviour: the l2 norm of z is conserved and the top Lyapunov
 exponent vanishes.  A non-symmetric or non-real B breaks conservation, which
 is exactly how planted sentinels are detected.
 
-The steps are taken in chunks: B is evaluated at a chunk's half-step times
-in one batch, each step's RK4 map becomes an n x n propagator, and a
-doubling prefix product turns those into the chunk's trajectory rows.
+The steps are taken in chunks.  Along the orbit every chunk sees the same
+half-step offsets s dt / 2, so B at a chunk's half-step times comes from
+per-axis phase tables e^{i k omega_j s dt / 2}, built once per integration,
+contracted with the coefficients rotated by the chunk's start phase.  Each
+step's RK4 map becomes an n x n propagator, and a doubling prefix product
+turns those into the chunk's trajectory rows.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ CHUNK = 1024
 class LinearTrajectory:
     times: np.ndarray        # (nt,) increasing
     z: np.ndarray            # (nt, n) complex
-    x: np.ndarray            # (nt, d) real, omega t + x0 mod 2 pi
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.z)):
@@ -45,15 +47,40 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _propagators(omega, Omega, B, x0, n: int, dt: float, start: int,
-                 count: int) -> np.ndarray:
-    """RK4 maps M_i, z_{i+1} = M_i z_i, of steps start .. start+count-1,
-    shape (count, n, n)."""
-    t = 0.5 * dt * np.arange(2 * start, 2 * (start + count) + 1)
-    if B is None:
-        A = np.zeros((t.size, n, n), dtype=complex)
-    else:
-        A = 1j * B.evaluate(t[:, None] * omega[None, :] + x0[None, :])
+def _phase_tables(omega: np.ndarray, cutoff: int, dt: float,
+                  count: int) -> np.ndarray:
+    """Per-axis factors E_j[k, s] = e^{i k omega_j s dt/2} for |k| <= cutoff
+    and s = 0 .. 2 count: shape (d, 2 cutoff + 1, 2 count + 1)."""
+    k = np.arange(-cutoff, cutoff + 1)
+    s = 0.5 * dt * np.arange(2 * count + 1)
+    return np.exp(1j * np.stack([np.outer(k, w * s) for w in omega]))
+
+
+def _orbit_generator(iB: np.ndarray, tables: np.ndarray, omega: np.ndarray,
+                     x0: np.ndarray, t0: float, count: int) -> np.ndarray:
+    """Values of i B(omega t + x0) at t = t0 + s dt/2, s = 0 .. 2 count,
+    shape (2 count + 1, n, n), from the coefficients iB = 1j * B.data.  The
+    coefficients are rotated by e^{i k_j (omega_j t0 + x0_j)} and contracted
+    with the phase tables one axis at a time, the last axis as one matrix
+    product."""
+    d, K = tables.shape[:2]
+    p = 2 * count + 1
+    phase = np.exp(1j * np.outer(omega * t0 + x0, np.arange(K) - K // 2))
+    rot = iB
+    for j in range(d):
+        rot = rot * phase[j].reshape((K,) + (1,) * (d - 1 - j))
+    acc = rot.reshape(-1, K) @ tables[-1, :, :p]
+    for j in range(d - 2, -1, -1):
+        acc = np.einsum("mkp,kp->mp", acc.reshape(-1, K, p),
+                        tables[j, :, :p])
+    return np.moveaxis(acc.reshape(iB.shape[:2] + (p,)), -1, 0)
+
+
+def _propagators(A: np.ndarray, Omega: np.ndarray, dt: float) -> np.ndarray:
+    """RK4 maps M_i, z_{i+1} = M_i z_i, of a chunk's steps from i B at its
+    2 count + 1 half-step times, A of shape (2 count + 1, n, n), which gets
+    i Omega added on its diagonal: shape (count, n, n)."""
+    n = A.shape[-1]
     A[:, np.arange(n), np.arange(n)] += 1j * Omega
     A1, A2, A4 = A[:-1:2], A[1::2], A[2::2]
     eye = np.eye(n)
@@ -66,28 +93,45 @@ def _propagators(omega, Omega, B, x0, n: int, dt: float, start: int,
 def integrate_linearized(omega, Omega, B: FourierSeries | None, z0,
                          T: float, dt: float, x0=None) -> LinearTrajectory:
     """Fixed-step fourth-order integration of z' = i (Omega + B(x)) z along
-    x = omega t + x0.  Deterministic; the step count is round(T / dt)."""
+    x = omega t + x0.  Deterministic; the step count is round(T / dt).
+    Stops at the first chunk whose rows are not finite, with a ValueError
+    naming the chunk's start time."""
     omega = np.asarray(omega, dtype=float)
     Omega = np.asarray(Omega, dtype=float)
     z = np.asarray(z0, dtype=complex).copy()
     n = z.size
     if dt <= 0 or T <= 0:
         raise ValueError("T and dt must be positive")
+    if B is not None and B.d != omega.size:
+        raise ValueError(f"B has d = {B.d}, omega has {omega.size} entries")
     x0 = np.zeros(omega.size) if x0 is None else np.asarray(x0, dtype=float)
     nsteps = int(round(T / dt))
     times = dt * np.arange(nsteps + 1)
     traj = np.empty((nsteps + 1, n), dtype=complex)
     traj[0] = z
-    for start in range(0, nsteps, CHUNK):
-        count = min(CHUNK, nsteps - start)
-        P = _propagators(omega, Omega, B, x0, n, dt, start, count)
-        s = 1
-        while s < count:
-            P[s:] = _matmul(P[s:], P[:-s])
-            s *= 2
-        traj[start + 1:start + count + 1] = P @ traj[start]
-    xs = np.mod(times[:, None] * omega[None, :] + x0[None, :], 2 * np.pi)
-    return LinearTrajectory(times=times, z=traj, x=xs)
+    if B is not None:
+        iB = 1j * B.data
+        tables = _phase_tables(omega, B.cutoff, dt, min(CHUNK, nsteps))
+    # an overflowing run is reported by the finiteness test below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, nsteps, CHUNK):
+            count = min(CHUNK, nsteps - start)
+            if B is None:
+                A = np.zeros((2 * count + 1, n, n), dtype=complex)
+            else:
+                A = _orbit_generator(iB, tables, omega, x0, start * dt, count)
+            P = _propagators(A, Omega, dt)
+            s = 1
+            while s < count:
+                P[s:] = _matmul(P[s:], P[:-s])
+                s *= 2
+            rows = P @ traj[start]
+            if not np.isfinite(rows).all():
+                raise ValueError(
+                    "trajectory contains non-finite amplitudes in the "
+                    f"chunk from t = {start * dt:.6g}")
+            traj[start + 1:start + count + 1] = rows
+    return LinearTrajectory(times=times, z=traj)
 
 
 def l2_drift(traj: LinearTrajectory) -> float:

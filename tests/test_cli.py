@@ -97,6 +97,24 @@ def test_stability_free_flow_exit_ok(tmp_path):
     assert (out / "summary.txt").read_text().startswith("stability:")
 
 
+def test_stability_overflow_exit_4_quietly(tmp_path, capsys):
+    # overflow in the first chunk ends the run there, t = 0, with no NumPy
+    # warning
+    path = write_config(tmp_path, {
+        "mode": "stability", "perturbation": {
+            "kind": "cosine", "amplitude": 1e300, "mode": [1, 0]}})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--config", path, "--out", str(out)]) == EXIT_NUMERIC
+    assert capsys.readouterr().err == ""
+    rep = json.loads((out / "report.json").read_text())
+    msg = "trajectory contains non-finite amplitudes in the chunk from t = 0"
+    assert rep["exit_code"] == EXIT_NUMERIC
+    assert rep["results"]["error"] == f"ValueError: {msg}"
+    assert (out / "summary.txt").read_text() == f"numeric failure: {msg}\n"
+
+
 def test_run_mode_exclusion_exit_3(tmp_path):
     cfg = load_config({"mode": "run", "omega": [1.0, PHI],
                        "eps": 1e-4,

@@ -1,6 +1,6 @@
 """Hygiene of the package.
 
-Three static rules over every module in `src/toruskam`, checked with `ast`:
+Four static rules over every module in `src/toruskam`, checked with `ast`:
   * every imported name is used in the module that imports it;
   * every function and class that is not a dunder is named somewhere
     besides its own definition, in `src/` or `tests/`, and every method
@@ -8,7 +8,9 @@ Three static rules over every module in `src/toruskam`, checked with `ast`:
     the same name does not count as a use;
   * every parameter with a default is set by some call in `src/` or
     `tests/`, by name, by position, or through `*`/`**`: a default no
-    caller overrides is a constant, not a setting.
+    caller overrides is a constant, not a setting;
+  * likewise every dataclass field with a default, which may also be set
+    by a `replace(...)` call or an attribute assignment (`obj.field = ...`).
 Three import rules, checked in fresh interpreters: `toruskam.cli` loads no
 scipy module, `dispatch` imports no module on the benchmark workloads, and
 neither lattice-solve route loads scipy.  numpy is the only runtime
@@ -116,15 +118,29 @@ def _defaulted_parameters(tree) -> list:
     return found
 
 
-def unset_parameters() -> list:
-    """Defaulted parameters no call sets.  A call is matched by the name
-    it calls (`f(...)`, `obj.f(...)`), so a call of a same-named function
-    elsewhere counts too: the rule can miss a parameter, never invent
-    one."""
-    keywords, positions = set(), Counter()
+def _settings() -> tuple:
+    """What the calls and assignments in `src/` and `tests/` set: the
+    (name called, keyword) pairs, with "**" for a `**` argument and "*"
+    for a starred positional one; the most positional arguments of any
+    call per name called; and every attribute name assigned
+    (`obj.name = ...`) or passed by keyword to a dataclass `replace`."""
+    keywords, positions, attributes = set(), Counter(), set()
     for path in sorted(PACKAGE.glob("*.py")) \
             + sorted((ROOT / "tests").glob("*.py")):
-        for node in ast.walk(_parse(path)):
+        tree = _parse(path)
+        replace = {"replace"} | {
+            a.asname for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and node.module == "dataclasses"
+            for a in node.names if a.name == "replace" and a.asname}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) \
+                    else [node.target]
+                attributes.update(
+                    t.attr for target in targets for t in ast.walk(target)
+                    if isinstance(t, ast.Attribute)
+                    and isinstance(t.ctx, ast.Store))
             if not isinstance(node, ast.Call):
                 continue
             f = node.func
@@ -134,15 +150,58 @@ def unset_parameters() -> list:
             if any(isinstance(a, ast.Starred) for a in node.args):
                 keywords.add((name, "*"))
             positions[name] = max(positions[name], len(node.args))
+            if name in replace:
+                attributes.update(kw.arg for kw in node.keywords)
+    return keywords, positions, attributes
+
+
+def _is_set(keywords, positions, fn, arg, pos) -> bool:
+    return (fn, arg) in keywords or (fn, "**") in keywords \
+        or pos is not None and ((fn, "*") in keywords or positions[fn] > pos)
+
+
+def unset_parameters() -> list:
+    """Defaulted parameters no call sets.  A call is matched by the name
+    it calls (`f(...)`, `obj.f(...)`), so a call of a same-named function
+    elsewhere counts too: the rule can miss a parameter, never invent
+    one."""
+    keywords, positions, _ = _settings()
+    return [f"{path.name}: {fn}({arg}=...)"
+            for path in sorted(PACKAGE.glob("*.py"))
+            for fn, arg, pos in _defaulted_parameters(_parse(path))
+            if not _is_set(keywords, positions, fn, arg, pos)]
+
+
+def _defaulted_fields(tree) -> list:
+    """(class, field, position) of every dataclass field with a default."""
     found = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for fn, arg, pos in _defaulted_parameters(_parse(path)):
-            if (fn, arg) in keywords or (fn, "**") in keywords \
-                    or pos is not None and ((fn, "*") in keywords
-                                            or positions[fn] > pos):
-                continue
-            found.append(f"{path.name}: {fn}({arg}=...)")
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        decorators = [dec.func if isinstance(dec, ast.Call) else dec
+                      for dec in cls.decorator_list]
+        if not any(getattr(dec, "id", getattr(dec, "attr", None))
+                   == "dataclass" for dec in decorators):
+            continue
+        fields = [node for node in cls.body
+                  if isinstance(node, ast.AnnAssign)
+                  and isinstance(node.target, ast.Name)]
+        found += [(cls.name, node.target.id, i)
+                  for i, node in enumerate(fields) if node.value is not None]
     return found
+
+
+def unset_fields() -> list:
+    """Defaulted dataclass fields that no constructor call sets, by name
+    or position, and no `replace` call or attribute assignment sets.
+    Calls match by name as for parameters, and an assignment or `replace`
+    keyword counts for every field of that name."""
+    keywords, positions, attributes = _settings()
+    return [f"{path.name}: {cls}.{field}"
+            for path in sorted(PACKAGE.glob("*.py"))
+            for cls, field, pos in _defaulted_fields(_parse(path))
+            if field not in attributes
+            and not _is_set(keywords, positions, cls, field, pos)]
 
 
 def test_no_unused_imports():
@@ -155,6 +214,10 @@ def test_no_unreferenced_definitions():
 
 def test_every_default_is_overridden_somewhere():
     assert unset_parameters() == []
+
+
+def test_every_dataclass_default_is_set_somewhere():
+    assert unset_fields() == []
 
 
 def _fresh_python(code: str, *args: str) -> str:

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from toruskam.fourier import FourierSeries, mode_grid
-from toruskam.stability import (CHUNK, integrate_linearized, l2_drift,
+from toruskam.stability import (CHUNK, _orbit_generator, _phase_tables,
+                                integrate_linearized, l2_drift,
                                 lyapunov_estimate, symmetry_defect,
                                 trajectory_csv)
 
@@ -128,6 +129,10 @@ def test_lyapunov_halves_and_errors():
     with pytest.raises(ValueError):
         integrate_linearized(OMEGA, np.array([1.0]), None,
                              np.array([1.0 + 0.0j]), T=1.0, dt=0.0)
+    with pytest.raises(ValueError, match="B has d = 2"):
+        integrate_linearized([1.0, PHI, 2.0], np.array([1.0, 1.4]),
+                             symmetric_B(), np.array([1.0, 0.5j]), T=1.0,
+                             dt=1e-2)
 
 
 def _zero_start(traj):
@@ -258,6 +263,47 @@ def test_batched_matches_loop_across_step_counts(nsteps):
     _assert_parity(PARITY_CASES["symmetric"], nsteps)
 
 
+@pytest.mark.parametrize("d,cutoff", [(d, c) for d in (1, 2, 3)
+                                      for c in (0, 1, 5)] + [(2, 32)])
+def test_phase_tables_match_evaluate(d, cutoff):
+    # the first chunk, an interior one at t0 ~ 1e3 and a last partial one
+    omega = np.array([1.0, PHI, math.sqrt(2.0)][-d:])
+    x0 = np.linspace(0.4, 4.0, d)
+    B = random_symmetric(d, 2, cutoff, 0.5, 4)
+    dt, nsteps = 1e-3, 1000 * CHUNK + 300
+    tables = _phase_tables(omega, cutoff, dt, CHUNK)
+    mags = np.abs(B.data).max(axis=(0, 1)).ravel()
+    k1 = np.abs(mode_grid(d, cutoff).reshape(-1, d)).sum(axis=1)
+    for start in (0, 977 * CHUNK, 1000 * CHUNK):
+        count = min(CHUNK, nsteps - start)
+        vals = _orbit_generator(1j * B.data, tables, omega, x0, start * dt,
+                                count)
+        t = 0.5 * dt * np.arange(2 * start, 2 * (start + count) + 1)
+        x = t[:, None] * omega + x0
+        ref = 1j * B.evaluate(x)
+        assert vals.shape == ref.shape == (2 * count + 1, 2, 2)
+        # both sides round the phases k.x before summing, so beyond 1e-13
+        # they may differ by the sum's condition number in |x|
+        cond = np.finfo(float).eps \
+            * (mags * (1.0 + k1 * np.abs(x).max())).sum()
+        assert np.abs(vals - ref).max() \
+            <= 1e-13 * np.abs(B.data).max() + 4.0 * cond
+
+
+def test_overflow_stops_at_first_non_finite_chunk():
+    B = matrix_series({(0, 0): FourierSeries.cosine(2, (1, 0), 1e300)})
+    z0 = np.array([1.0 + 0.0j])
+    with np.errstate(all="raise"):
+        with pytest.raises(ValueError, match=r"chunk from t = 0$"):
+            integrate_linearized(OMEGA, [1.3], B, z0, T=100.0, dt=1e-3)
+    # |z| = e^{400 t} passes the largest double, about e^{709.8}, at
+    # t = 1.77, in the chunk from t = CHUNK dt
+    gain = matrix_series({(0, 0): FourierSeries.constant(2, -400j)},
+                         cutoff=0)
+    with pytest.raises(ValueError, match=f"chunk from t = {CHUNK * 1e-3:g}$"):
+        integrate_linearized(OMEGA, [1.3], gain, z0, T=10.0, dt=1e-3)
+
+
 def test_batched_integration_memory_is_chunked():
     # acceptance-test size: d = 2, cutoff 32 (4225 modes); 20000 steps
     B = random_symmetric(2, 1, 32, 1e-4, 3)
@@ -268,5 +314,5 @@ def test_batched_integration_memory_is_chunked():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    own = traj.z.nbytes + traj.x.nbytes + traj.times.nbytes
+    own = traj.z.nbytes + traj.times.nbytes
     assert peak - own <= 16 * 2 ** 20
