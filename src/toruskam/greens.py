@@ -28,10 +28,14 @@ pivoting per component size, and gates on the exact condition number
 cond_1 = max_b ||T_b||_1 max_b ||G_b||_1 (at least the LAPACK gecon
 estimate of the dense form, up to rounding, which the tests keep as the
 oracle).  It is shared by `invert_direct`, the sigma-scan probes and the
-dense route of the lattice solves; `invert_direct`
+dense route of the lattice solves.  The blocks are gathered from the
+symbol (`homological._component_blocks`), with no dense form of the
+operator, and are float64 when the operator is real, so the LU, the norms
+and the site magnitudes then run in real arithmetic.  `invert_direct`
 scatters the blocks into the full G its callers read and adds the measured
 ||G||_2 = max_b ||G_b||_2, kept in `extra["measured_norm"]`, and the
-certificate.  `_site_magnitudes` is the per-site-pair block maximum and
+certificate, whose rate is read off the in-block pairs (`far_rate`, the one
+rate formula).  `_site_magnitudes` is the per-site-pair block maximum and
 `decay_certificate` the b-exponent for every emitted certificate.
 `certify` keeps its own SVD of the full G, as the independent soundness
 oracle.
@@ -103,14 +107,27 @@ def _site_magnitudes(G: np.ndarray, nsites: int, nblock: int) -> np.ndarray:
     return R.max(axis=(-3, -1))
 
 
+def _block_distances(ks: np.ndarray) -> np.ndarray:
+    """|x - y|_1 between the sites of each component, shape (c, s, s), from
+    their (c, s, d) coordinates, summed one axis at a time."""
+    dist = np.zeros(ks.shape[:2] + ks.shape[1:2], dtype=ks.dtype)
+    for t in range(ks.shape[2]):
+        dist += np.abs(ks[:, :, None, t] - ks[:, None, :, t])
+    return dist
+
+
 def measure_alpha(gmag: np.ndarray, dist: np.ndarray, threshold: int) -> float:
     """Largest rate valid beyond the threshold: inf over pairs of
     -log|G|/|x-y|, minus a guard of 1e-9."""
     mask = dist > threshold
-    if not mask.any():
+    return far_rate(gmag[mask], dist[mask])
+
+
+def far_rate(g: np.ndarray, d: np.ndarray) -> float:
+    """`measure_alpha` on the site magnitudes g and distances d of the
+    pairs beyond the threshold alone."""
+    if not g.size:
         return ALPHA_CAP
-    g = gmag[mask]
-    d = dist[mask]
     nz = g > 0
     if not nz.any():
         return ALPHA_CAP
@@ -134,18 +151,21 @@ def decay_certificate(norm: float, alpha: float, threshold: int, region,
 
 def invert_direct(T: LatticeMatrix, threshold: int = 0,
                   cond_cap: float = 1e12):
-    """Inverse (block by block, on T's components) plus a certificate with
-    fields measured from it; `extra` holds the exact cond_1 and ||G||_2
-    before the 1e-6 inflation."""
+    """Inverse (block by block, on T's components; float64 when T is
+    real) plus a certificate with fields measured from it; `extra` holds
+    the exact cond_1 and ||G||_2 before the 1e-6 inflation."""
     parts = _component_blocks(T)
     inverses, cond = _block_inverse([B for _, _, B in parts], cond_cap)
-    G = np.zeros((T.size, T.size), dtype=complex)
-    gmag = np.zeros((T.nsites, T.nsites))
-    for (sites, rows, _), Gb in zip(parts, inverses):
+    G = np.zeros((T.size, T.size), dtype=np.result_type(*inverses))
+    for (_, rows, _), Gb in zip(parts, inverses):
         G[rows[:, :, None], rows[:, None, :]] = Gb
-        gmag[sites[:, :, None], sites[:, None, :]] = _site_magnitudes(
-            Gb, sites.shape[1], T.nblock)
-    dist = site_distances(T.region)
+    # pairs in different components are structural zeros of G, which
+    # carry no rate: alpha is read off the in-block pairs
+    gmag = np.concatenate([
+        _site_magnitudes(Gb, sites.shape[1], T.nblock).ravel()
+        for (sites, _, _), Gb in zip(parts, inverses)])
+    dist = np.concatenate([_block_distances(T.site_array[sites]).ravel()
+                           for sites, _, _ in parts])
     measured = max(float(np.linalg.norm(Gb, 2, axis=(-2, -1)).max())
                    for Gb in inverses)
     alpha = measure_alpha(gmag, dist, threshold)

@@ -25,6 +25,13 @@ u <- u + D^{-1}(b - T u), whose matvec is the series product truncated to
 the box.  Otherwise it inverts T block by block on its connected
 components (`_block_inverse`, the package's one LU kernel, which `greens`
 and the sigma-scan probes share) and gates on the exact cond_1.
+
+Neither route builds the dense form.  The components and their blocks are
+gathered from the symbol scattered once over the box of site differences
+(`LatticeMatrix._gather`); `to_dense` is the same gather over all site
+pairs, kept as the oracle.  When the symbol and the diagonal are exactly
+real the blocks are float64, and the LU, the norms and the site magnitudes
+run in real arithmetic on the same code path.
 """
 
 from __future__ import annotations
@@ -57,6 +64,10 @@ class NearSingularError(Exception):
     def __init__(self, cond):
         self.cond = float(cond)
         super().__init__(f"condition number {self.cond:.3e} beyond cap")
+
+
+# index bytes of one row chunk of `LatticeMatrix.components`
+_GATHER_BYTES = 2 ** 20
 
 
 @lru_cache(maxsize=64)
@@ -108,30 +119,66 @@ class LatticeMatrix:
         kw = ks @ self.omega + (self.sigma if sigma is None else sigma)
         return kw[:, None] + self.diag_block[None, :]
 
-    def to_dense(self) -> np.ndarray:
-        """Dense matrix, row index = site*nblock + block."""
-        if self._dense is not None:
-            return self._dense
-        m, nb = self.nsites, self.nblock
+    @cached_property
+    def is_real(self) -> bool:
+        """Whether every symbol coefficient and the diagonal are exactly
+        real: the dense form and the component blocks are then float64, and
+        everything computed from them runs in real arithmetic."""
+        return not (np.imag(self.symbol.data).any()
+                    or np.imag(self.diag_block).any())
+
+    @cached_property
+    def _differences(self) -> tuple:
+        """(P, X, off), built once per operator: the symbol scattered over
+        the box of site differences of the region, zero outside its cutoff,
+        as an (nboxes, nblock, nblock) array P, and each site's flat index X
+        in that box, so that symbol(k_x - k_y) = P[X[x] - X[y] + off].  The
+        box spans k_x - k_y in [-span, span] per axis, so reversing P's
+        flat order maps each difference to its negative."""
         ks = self.site_array
-        diff = ks[:, None, :] - ks[None, :, :]           # (m, m, d)
-        cut = self.symbol.cutoff
-        inside = np.all(np.abs(diff) <= cut, axis=-1)
-        idx = np.clip(diff + cut, 0, 2 * cut)
-        gather = self.symbol.data[
-            (slice(None), slice(None)) + tuple(idx[..., t] for t in range(self.d))]
-        flat = gather * inside[None, None, :, :]
-        # (nb, nb, m, m) -> (m, nb, m, nb)
-        T = np.transpose(flat, (2, 0, 3, 1)).reshape(m * nb, m * nb).copy()
-        T[np.arange(m * nb), np.arange(m * nb)] = self.dense_diagonal()
-        self._dense = T
-        return T
+        lo = ks.min(axis=0)
+        span = ks.max(axis=0) - lo
+        width = 2 * span + 1
+        strides = np.append(np.cumprod(width[:0:-1])[::-1], 1)
+        nb, cut = self.nblock, self.symbol.cutoff
+        keep = np.minimum(span, cut)
+        data = self.symbol.data.real if self.is_real else self.symbol.data
+        P = np.zeros(tuple(width) + (nb, nb), dtype=data.dtype)
+        P[tuple(slice(s - c, s + c + 1) for s, c in zip(span, keep))] = \
+            np.moveaxis(data[(slice(None), slice(None)) + tuple(
+                slice(cut - c, cut + c + 1) for c in keep)], (0, 1), (-2, -1))
+        return P.reshape(-1, nb, nb), (ks - lo) @ strides, int(span @ strides)
+
+    def _gather(self, sites: np.ndarray) -> tuple:
+        """(rows, blocks) of the dense form restricted to each row of the
+        (c, s) site indices `sites`: the (c, s nblock) dense-form rows and
+        the (c, s nblock, s nblock) blocks, the diagonal at the operator's
+        own shift."""
+        P, X, off = self._differences
+        nb = self.nblock
+        x = X[sites]
+        blocks = P[(x + off)[:, :, None] - x[:, None, :]]  # (c, s, s, nb, nb)
+        c, s = sites.shape
+        blocks = blocks.swapaxes(2, 3).reshape(c, s * nb, s * nb)
+        rows = (sites[:, :, None] * nb + np.arange(nb)).reshape(c, s * nb)
+        i = np.arange(s * nb)
+        blocks[:, i, i] = self.dense_diagonal()[rows]
+        return rows, blocks
+
+    def to_dense(self) -> np.ndarray:
+        """Dense matrix, row index = site*nblock + block: the gather of
+        `_gather` over all site pairs, float64 when `is_real`."""
+        if self._dense is None:
+            self._dense = self._gather(np.arange(self.nsites)[None])[1][0]
+        return self._dense
 
     def dense_diagonal(self, sigma: float | None = None) -> np.ndarray:
         """Diagonal of the dense form at the shift `sigma` (default: the
         operator's own): the symbol's centre block plus D."""
         centre = self.symbol.data[(slice(None), slice(None))
                                   + (self.symbol.cutoff,) * self.d]
+        if self.is_real:
+            centre = centre.real
         return (np.diagonal(centre)[None, :]
                 + self.diag_values(sigma)).ravel()
 
@@ -141,36 +188,23 @@ class LatticeMatrix:
         nonzero; one (count, size) array per component size, sizes
         ascending, sites ascending within a component and components in
         order of their smallest site.  sigma moves only the diagonal, so
-        the components hold for every sigma."""
-        m, nb = self.nsites, self.nblock
-        coupled = (self.to_dense() != 0).reshape(m, nb, m, nb).any(
-            axis=(1, 3))
-        coupled |= coupled.T
-        np.fill_diagonal(coupled, True)
-        rows, cols = np.nonzero(coupled)
-        starts = np.flatnonzero(np.diff(rows, prepend=-1))
-        # min-label propagation: each site takes the smallest label among
-        # its neighbours, then follows labels to their fixed points (pointer
-        # jumping); at the fixed point every site carries the smallest site
-        # of its component
-        labels = np.arange(m)
-        while True:
-            new = np.minimum.reduceat(labels[cols], starts)
-            jumped = new[new]
-            while not np.array_equal(jumped, new):
-                new, jumped = jumped, jumped[jumped]
-            if np.array_equal(new, labels):
-                break
-            labels = new
-        roots = labels == np.arange(m)
-        labels = (np.cumsum(roots) - 1)[labels]
-        sizes = np.bincount(labels)
-        groups = []
-        for size in np.flatnonzero(np.bincount(sizes)):
-            sites = np.flatnonzero(sizes[labels] == size)
-            order = np.argsort(labels[sites], kind="stable")
-            groups.append(sites[order].reshape(-1, size))
-        return groups
+        the components hold for every sigma.  The symmetrised pattern is
+        read per site difference and gathered in row chunks of
+        `_GATHER_BYTES` of indices."""
+        P, X, off = self._differences
+        coupled = (P != 0).any(axis=(1, 2))
+        coupled = coupled | coupled[::-1]
+        coupled[off] = True
+        m = self.nsites
+        step = max(1, _GATHER_BYTES // (8 * m))
+        rows, cols = [], []
+        for start in range(0, m, step):
+            r, c = np.nonzero(coupled[(X[start:start + step, None] + off)
+                                      - X[None, :]])
+            rows.append(r + start)
+            cols.append(c)
+        return _label_components(m, np.concatenate(rows),
+                                 np.concatenate(cols))
 
     def translate(self, p) -> "LatticeMatrix":
         """The same operator restricted to region + p (Toeplitz shift)."""
@@ -184,17 +218,42 @@ class LatticeMatrix:
         return replace(self, sigma=float(sigma), _dense=None)
 
 
+def _label_components(m: int, rows: np.ndarray, cols: np.ndarray) -> list:
+    """Connected components of the graph on m sites whose edges are
+    (rows, cols): the nonzero positions, in row-major order, of a symmetric
+    pattern that holds its diagonal.  Grouped as in
+    `LatticeMatrix.components`."""
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    # min-label propagation: each site takes the smallest label among
+    # its neighbours, then follows labels to their fixed points (pointer
+    # jumping); at the fixed point every site carries the smallest site
+    # of its component
+    labels = np.arange(m)
+    while True:
+        new = np.minimum.reduceat(labels[cols], starts)
+        jumped = new[new]
+        while not np.array_equal(jumped, new):
+            new, jumped = jumped, jumped[jumped]
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    roots = labels == np.arange(m)
+    labels = (np.cumsum(roots) - 1)[labels]
+    sizes = np.bincount(labels)
+    groups = []
+    for size in np.flatnonzero(np.bincount(sizes)):
+        sites = np.flatnonzero(sizes[labels] == size)
+        order = np.argsort(labels[sites], kind="stable")
+        groups.append(sites[order].reshape(-1, size))
+    return groups
+
+
 def _component_blocks(T: LatticeMatrix) -> list:
     """(sites, rows, blocks) per component size of T: the (c, s) site
     indices of its c components of s sites, their (c, s nblock) dense-form
-    rows and the (c, s nblock, s nblock) diagonal blocks of the dense form."""
-    dense = T.to_dense()
-    out = []
-    for sites in T.components():
-        rows = (sites[:, :, None] * T.nblock
-                + np.arange(T.nblock)).reshape(len(sites), -1)
-        out.append((sites, rows, dense[rows[:, :, None], rows[:, None, :]]))
-    return out
+    rows and the (c, s nblock, s nblock) diagonal blocks of the dense form,
+    gathered from the symbol without the dense form."""
+    return [(sites, *T._gather(sites)) for sites in T.components()]
 
 
 def _block_inverse(blocks: list, cond_cap: float):
@@ -477,11 +536,14 @@ def _lattice_solve(T: LatticeMatrix, rhs: FourierSeries, N: int | None,
     parts = _component_blocks(T)
     inverses, cond = _block_inverse([B for _, _, B in parts], cond_cap)
     b = -1j * _series_to_vec(T, _at_cutoff(rhs, N))
-    sol = np.empty_like(b)
-    for (_, rows, _), G in zip(parts, inverses):
+    sol, Tsol = np.empty_like(b), np.empty_like(b)
+    # T's entries between components are structural zeros, so the block
+    # products make up T sol
+    for (_, rows, B), G in zip(parts, inverses):
         sol[rows] = (G @ b[rows][..., None])[..., 0]
+        Tsol[rows] = (B @ sol[rows][..., None])[..., 0]
     scale = np.linalg.norm(b)
-    res = np.linalg.norm(T.to_dense() @ sol - b) / scale if scale > 0 else 0.0
+    res = np.linalg.norm(Tsol - b) / scale if scale > 0 else 0.0
     return _vec_to_series(T, sol, N), LatticeSolveInfo(
         residual=float(res), condition=cond, route="dense", iterations=0)
 

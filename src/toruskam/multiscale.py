@@ -20,9 +20,9 @@ from dataclasses import dataclass, replace as _dc_replace
 
 import numpy as np
 
-from .greens import (CertificateGateError, DecayCertificate, _site_magnitudes,
-                     decay_certificate, invert_direct, measure_alpha,
-                     site_distances)
+from .greens import (CertificateGateError, DecayCertificate, _block_distances,
+                     _site_magnitudes, decay_certificate, far_rate,
+                     invert_direct, measure_alpha, site_distances)
 from .homological import (LatticeMatrix, NearSingularError, _block_inverse,
                           _component_blocks)
 
@@ -206,13 +206,11 @@ def _sup_dist_matrix(sites) -> np.ndarray:
     return np.abs(pts[:, None, :] - pts[None, :, :]).max(axis=-1)
 
 
-def _decays(gmag: np.ndarray, dist: np.ndarray, far: np.ndarray,
-            alpha: float) -> bool:
+def _decays(gfar: np.ndarray, bound: np.ndarray) -> bool:
     """|G(x,y)| <= e^{-alpha dist(x,y)} on every far site pair, from the
-    site magnitudes `gmag` of G; true when no pair is far."""
-    if not far.any():
-        return True
-    return bool((gmag[far] <= np.exp(-alpha * dist[far])).all())
+    site magnitudes `gfar` of G on those pairs and their bounds
+    e^{-alpha dist}; true when no pair is far."""
+    return bool((gfar <= bound).all())
 
 
 class DirectClassifier:
@@ -246,8 +244,8 @@ class DirectClassifier:
         dist = _sup_dist_matrix(key)
         far = dist > L ** self.theta
         good = bool(norm_ok and _decays(
-            _site_magnitudes(G, sub.nsites, sub.nblock), dist, far,
-            self.alpha))
+            _site_magnitudes(G, sub.nsites, sub.nblock)[far],
+            np.exp(-self.alpha * dist[far])))
         self._cache[key] = good
         return good
 
@@ -385,8 +383,7 @@ def cl1_couple(T: LatticeMatrix, site_certs: dict, M: int
 
 
 def two_scale_couple(T: LatticeMatrix, certK: DecayCertificate,
-                     certsM0: dict, config: ScaleConfig, K: int, M0: int
-                     ) -> DecayCertificate:
+                     certsM0: dict, K: int, M0: int) -> DecayCertificate:
     """Couple one bulk window certificate (side K) with boundary windows of
     side M0 into a certificate for the full cube [-N, N]^d.
 
@@ -532,9 +529,10 @@ class SigmaScanReport:
 class _Prober:
     """Probes of T + sigma in the block basis of T's connected components,
     with the work shared by a whole scan done once: the components, the
-    diagonal blocks of the dense form at sigma = 0, their eigenvalues when
-    every block is Hermitian, and the in-block site distances and far-pair
-    mask.
+    diagonal blocks of the dense form at sigma = 0 (gathered from the
+    symbol, float64 when T is real), their eigenvalues when every block is
+    Hermitian, and the in-block far-pair mask, the far distances and their
+    decay bounds e^{-alpha_target dist}.
 
     A probe rewrites only the block diagonals.  Site pairs in different
     components are structural zeros of G: they pass the decay test and
@@ -554,11 +552,12 @@ class _Prober:
         self.lam = np.concatenate([np.linalg.eigvalsh(B).ravel()
                                    for _, _, B in parts]) \
             if hermitian else None
-        ks = self.T0.site_array
-        self.dist = np.concatenate([
-            np.abs(k[:, :, None, :] - k[:, None, :, :]).sum(axis=-1).ravel()
-            for k in (ks[sites] for sites, _, _ in parts)])
-        self.far = self.dist > self.threshold
+        dist = np.concatenate([
+            _block_distances(self.T0.site_array[sites]).ravel()
+            for sites, _, _ in parts])
+        self.far = dist > self.threshold
+        self.far_dist = dist[self.far]
+        self.far_bound = np.exp(-self.alpha_target * self.far_dist)
         self.components = (sum(len(sites) for sites, _, _ in parts),
                            parts[-1][0].shape[1])
         self.factored = 0
@@ -573,8 +572,8 @@ class _Prober:
         return np.inf if gap == 0.0 else 1.0 / gap
 
     def _factor(self, sigma: float):
-        """(block inverses, in-block site magnitudes of G) of T + sigma;
-        None when it fails the condition gate."""
+        """(block inverses, site magnitudes of G on the far in-block pairs)
+        of T + sigma; None when it fails the condition gate."""
         self.factored += 1
         diag = self.T0.dense_diagonal(float(sigma))
         blocks = []
@@ -590,7 +589,7 @@ class _Prober:
         nb = self.T0.nblock
         return inverses, np.concatenate([
             _site_magnitudes(G, G.shape[-1] // nb, nb).ravel()
-            for G in inverses])
+            for G in inverses])[self.far]
 
     def sample(self, sigma: float) -> tuple:
         """(passed, ||G||_2, measured alpha); (False, inf, 0.0) when T + sigma
@@ -598,18 +597,17 @@ class _Prober:
         probe = self._factor(sigma)
         if probe is None:
             return False, np.inf, 0.0
-        inverses, gmag = probe
+        inverses, gfar = probe
         norm = self._norm(sigma, inverses)
-        decay_ok = _decays(gmag, self.dist, self.far, self.alpha_target)
+        decay_ok = _decays(gfar, self.far_bound)
         return (bool(norm <= self.norm_target and decay_ok), norm,
-                measure_alpha(gmag, self.dist, self.threshold))
+                far_rate(gfar, self.far_dist))
 
     def decays(self, sigma: float) -> bool:
         """Whether T + sigma passes the condition gate and the decay test;
         the norm is not compared."""
         probe = self._factor(sigma)
-        return probe is not None and _decays(probe[1], self.dist, self.far,
-                                             self.alpha_target)
+        return probe is not None and _decays(probe[1], self.far_bound)
 
     def norm_edge(self, a: float, b: float) -> float | None:
         """On the spectral route, when b misses the norm target: the edge

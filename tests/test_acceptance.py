@@ -169,8 +169,7 @@ def _two_scale_instances(counts):
         certs = {x: c for x, c in window_certs(T, M_window=2).items()
                  if abs(x[0]) > 3}
         try:
-            out = two_scale_couple(T, certK, certs, ScaleConfig(),
-                                   K=6, M0=2)
+            out = two_scale_couple(T, certK, certs, K=6, M0=2)
         except CertificateGateError:
             continue
         assert check_certificate(out, T).passed, ("two-scale-1d", seed)
@@ -185,8 +184,7 @@ def _two_scale_instances(counts):
         certs = {x: c for x, c in window_certs(T, M_window=2).items()
                  if max(abs(c0) for c0 in x) > 3}
         try:
-            out = two_scale_couple(T, certK, certs, ScaleConfig(),
-                                   K=6, M0=2)
+            out = two_scale_couple(T, certK, certs, K=6, M0=2)
         except CertificateGateError:
             continue
         assert check_certificate(out, T).passed, ("two-scale-2d", seed)

@@ -573,6 +573,7 @@ def test_dense_fallback_selection():
         rhs = random_column(rng, 1, Nr)
         Fz, _, info = solve_hz(T, rhs, cond_cap=cap)
         assert info.route == "dense" and info.iterations == 0
+        assert T._dense is None
         assert_dense_solve(T, lattice_vec(T, Fz), rhs)
         # the exact cond_1, at least the gecon estimate up to rounding
         assert info.condition == block_cond(T)
@@ -655,6 +656,7 @@ def test_dense_route_on_several_components():
             rhs = random_column(rng, T.nblock, Nr, d=T.d)
             F, _, info = solve_hz(T, rhs)
         assert info.route == "dense" and info.iterations == 0
+        assert T._dense is None
         assert info.residual <= 1e-14
         assert info.condition == block_cond(T)
         assert_dense_solve(T, lattice_vec(T, F), rhs)

@@ -13,7 +13,10 @@ Four static rules over every module in `src/toruskam`, checked with `ast`:
     by a `replace(...)` call or an attribute assignment (`obj.field = ...`).
 Three import rules, checked in fresh interpreters: `toruskam.cli` loads no
 scipy module, `dispatch` imports no module on the benchmark workloads, and
-neither lattice-solve route loads scipy.  numpy is the only runtime
+neither lattice-solve route loads scipy.  One run-path rule: `dispatch`
+builds no dense lattice operator (`LatticeMatrix.to_dense`) on the
+benchmark workloads, nor on a strong-coupling run that takes the dense
+route.  numpy is the only runtime
 dependency in `pyproject.toml`; scipy is a test oracle.
 """
 
@@ -22,6 +25,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -277,6 +281,37 @@ def test_dispatch_imports_no_module(tmp_path, workload):
     out = _fresh_python(code, json.dumps(WORKLOAD_CONFIGS[workload]),
                         str(tmp_path / "out")).split()
     assert out == ["0"]
+
+
+# kam-run with eps and amplitude 1e-2: most lattice solves fail the Neumann
+# gate and take the dense route on the component blocks
+STRONG_CONFIG = dict(WORKLOAD_CONFIGS["kam-run"], eps=1e-2, perturbation=dict(
+    WORKLOAD_CONFIGS["kam-run"]["perturbation"], amplitude=1e-2))
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_CONFIGS) + ["strong"])
+def test_dispatch_builds_no_dense_form(tmp_path, monkeypatch, workload):
+    # the run path reads lattice operators through their symbol: no
+    # `LatticeMatrix.to_dense` call, also where the components are factored
+    # (sigma-scan once, the strong run on each dense-route solve)
+    from toruskam import cli, config
+    from toruskam.homological import LatticeMatrix
+    calls = Counter()
+    for name in ("to_dense", "components"):
+        method = getattr(LatticeMatrix, name)
+
+        def counted(self, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(self)
+        monkeypatch.setattr(LatticeMatrix, name, counted)
+    cfg = config.load_config(STRONG_CONFIG if workload == "strong"
+                             else WORKLOAD_CONFIGS[workload])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert cli.dispatch(cfg, str(tmp_path / "out")) == 0
+    assert calls["to_dense"] == 0
+    assert (calls["components"] > 1) == (workload == "strong")
+    assert (calls["components"] == 1) == (workload == "sigma-scan")
 
 
 def test_dense_route_imports_no_scipy():

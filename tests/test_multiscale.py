@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,8 +12,8 @@ from toruskam.greens import (CertificateGateError, check_certificate,
                              combes_thomas, invert_direct, measure_alpha,
                              site_distances)
 from toruskam.homological import (LatticeMatrix, NearSingularError,
-                                  _block_inverse, _component_blocks, build_T,
-                                  cube_region)
+                                  _block_inverse, _component_blocks,
+                                  _label_components, build_T, cube_region)
 from toruskam.multiscale import (DirectClassifier, ElementaryRegion,
                                  ScaleConfig, build_exhaustion, classify_annuli,
                                  cl1_couple, cl2_couple, cube_sites,
@@ -253,8 +254,7 @@ def test_two_scale_degenerate_reduces_to_bulk():
     T = build_T(np.array([PHI]), np.array([1.05]), FourierSeries.zero(1),
                 FourierSeries.zero(1), 4)
     _, certK = invert_direct(T, threshold=2)
-    cfg = ScaleConfig()
-    out = two_scale_couple(T, certK, {}, cfg, K=4, M0=1)
+    out = two_scale_couple(T, certK, {}, K=4, M0=1)
     assert out.provenance == "two_scale"
     assert check_certificate(out, T).passed
 
@@ -266,7 +266,7 @@ def test_two_scale_sound_against_direct():
     _, certK = invert_direct(_restrict(T, bulk), threshold=2)
     certs = {x: c for x, c in window_certs(T, M_window=2).items()
              if abs(x[0]) > 3}
-    out = two_scale_couple(T, certK, certs, ScaleConfig(), K=6, M0=2)
+    out = two_scale_couple(T, certK, certs, K=6, M0=2)
     assert check_certificate(out, T).passed
 
 
@@ -276,7 +276,7 @@ def test_two_scale_missing_boundary_window():
     bulk = sorted(cube_sites((0,), 6) & set(sites))
     _, certK = invert_direct(_restrict(T, bulk), threshold=2)
     with pytest.raises(CertificateGateError):
-        two_scale_couple(T, certK, {}, ScaleConfig(), K=6, M0=2)
+        two_scale_couple(T, certK, {}, K=6, M0=2)
 
 
 # ----------------------------------------------------------------------
@@ -514,12 +514,15 @@ def test_prober_block_spectrum_matches_dense(case):
     ref = np.linalg.eigvalsh(T.to_dense())
     assert len(prober.lam) == T.size
     assert np.abs(np.sort(prober.lam) - ref).max() <= 1e-13
-    # the in-block distances are the l1 distances of the m x m form
+    # the in-block far pairs and their distances are those of the l1
+    # distances of the m x m form, and their bounds e^{-alpha dist}
     dist = site_distances(T.region)
     want = np.concatenate([dist[g[:, :, None], g[:, None, :]].ravel()
                            for g in T.components()])
-    assert prober.dist.dtype == want.dtype
-    assert np.array_equal(prober.dist, want)
+    assert np.array_equal(prober.far, want > 2)
+    assert prober.far_dist.dtype == want.dtype
+    assert np.array_equal(prober.far_dist, want[want > 2])
+    assert np.array_equal(prober.far_bound, np.exp(-0.1 * want[want > 2]))
 
 
 def test_sigma_scan_non_hermitian_block_bisects():
@@ -609,14 +612,14 @@ def _coupled_T(d, N, n, modes, hermitian=True, seed=0, eps=0.05):
                    1.17 + 0.26 * np.arange(n), B, Z, N)
 
 
-def _benchmark_scan_T():
+def _benchmark_scan_T(N=8):
     """The sigma-scan benchmark's operator: d = 2, N = 8, mode (1, 0)."""
     from toruskam.cli import _greens_operator
     from toruskam.config import load_config
     return _greens_operator(load_config({
         "mode": "sigma-scan", "omega": [1.0, PHI], "Omega": [1.17],
         "perturbation": {"mode": [1, 0]},
-        "greens": {"N": 8, "coupling_eps": 0.05, "coupling_rho": 0.5}}))
+        "greens": {"N": N, "coupling_eps": 0.05, "coupling_rho": 0.5}}))
 
 
 # (operator, component shapes (count, size) per size, spectral route)
@@ -686,13 +689,12 @@ def test_block_kernel_exactly_singular_block():
     assert prober.sample(0.5)[1] < np.inf
 
 
-def _csgraph_components(T):
-    """The component grouping of `LatticeMatrix.components` computed with
-    scipy's csgraph labelling, as the oracle."""
+def _csgraph_groups(coupled):
+    """The component grouping of `LatticeMatrix.components` for the site
+    coupling pattern `coupled`, computed with scipy's csgraph labelling,
+    as the oracle."""
     from scipy import sparse
     from scipy.sparse.csgraph import connected_components
-    m, nb = T.nsites, T.nblock
-    coupled = (T.to_dense() != 0).reshape(m, nb, m, nb).any(axis=(1, 3))
     _, labels = connected_components(sparse.csr_array(coupled),
                                      directed=False)
     sizes = np.bincount(labels)
@@ -704,19 +706,28 @@ def _csgraph_components(T):
     return groups
 
 
-def _patterned_T(m, nb, density, seed, symmetric=True):
-    """An operator on m sites of nblock nb whose dense form is a random
-    pattern of the given density (symmetric in the sites, or not)."""
+def _site_pattern(T):
+    """Sites coupled by a nonzero block entry of T's dense form."""
+    m, nb = T.nsites, T.nblock
+    return (T.to_dense() != 0).reshape(m, nb, m, nb).any(axis=(1, 3))
+
+
+def _planted_pattern(m, nb, density, seed, symmetric=True):
+    """The site coupling pattern of a random (m nb)-square pattern of the
+    given density (symmetric in the sites, or not)."""
     rng = np.random.default_rng(seed)
-    T = lattice_on([(k,) for k in range(m)], 1)
-    T = LatticeMatrix(d=1, nblock=nb, region=T.region, omega=T.omega,
-                      diag_block=np.ones(nb),
-                      symbol=FourierSeries.zero(1, shape=(nb, nb)))
     pattern = rng.random((m * nb, m * nb)) < density
     if symmetric:
         pattern |= pattern.T
-    T._dense = np.where(pattern, 1.0 + rng.random(pattern.shape), 0.0)
-    return T
+    return pattern.reshape(m, nb, m, nb).any(axis=(1, 3))
+
+
+def _labelled(coupled):
+    """`_label_components` on the symmetrised pattern with its diagonal,
+    the edge list `LatticeMatrix.components` hands it."""
+    sym = coupled | coupled.T
+    np.fill_diagonal(sym, True)
+    return _label_components(len(sym), *np.nonzero(sym))
 
 
 @pytest.mark.parametrize("case", sorted(BLOCK_CASES) + [
@@ -727,22 +738,140 @@ def _patterned_T(m, nb, density, seed, symmetric=True):
 def test_components_match_csgraph(case):
     if case in BLOCK_CASES:
         T = BLOCK_CASES[case][0]()
+        coupled = _site_pattern(T)
+        got = T.components()
     elif case == "shuffled chain":
         # one path through 200 sites in random order, the longest labels
         # have to travel; its own diagonal entries are zero
-        T = _patterned_T(200, 1, 0.0, seed=0)
+        coupled = _planted_pattern(200, 1, 0.0, seed=0)
         path = np.random.default_rng(0).permutation(200)
-        T._dense[path[:-1], path[1:]] = 1.0
-        assert [g.shape for g in T.components()] == [(1, 200)]
+        coupled[path[:-1], path[1:]] = True
+        got = _labelled(coupled)
+        assert [g.shape for g in got] == [(1, 200)]
     else:
         _, m, nb, density, sym = case.split()
-        T = _patterned_T(int(m), int(nb), float(density),
-                         seed=int(m) + int(nb), symmetric=sym == "sym")
-    got, want = T.components(), _csgraph_components(T)
+        coupled = _planted_pattern(int(m), int(nb), float(density),
+                                   seed=int(m) + int(nb),
+                                   symmetric=sym == "sym")
+        got = _labelled(coupled)
+    want = _csgraph_groups(coupled)
     assert [g.shape for g in got] == [g.shape for g in want]
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
     assert sorted(np.concatenate([g.ravel() for g in got]).tolist()) \
-        == list(range(T.nsites))
+        == list(range(len(coupled)))
+
+
+def _dense_oracle(T):
+    """T's dense form from its symbol by a broadcast over all site pairs
+    and their (m, m, d) differences, independent of the gather."""
+    m, nb = T.nsites, T.nblock
+    ks = np.array(T.region)
+    diff = ks[:, None, :] - ks[None, :, :]
+    cut = T.symbol.cutoff
+    inside = np.all(np.abs(diff) <= cut, axis=-1)
+    idx = tuple(np.moveaxis(np.clip(diff + cut, 0, 2 * cut), -1, 0))
+    entries = np.where(inside, T.symbol.data[(slice(None), slice(None)) + idx],
+                       0.0)
+    dense = entries.transpose(2, 0, 3, 1).reshape(m * nb, m * nb)
+    np.fill_diagonal(dense, T.dense_diagonal())
+    return dense
+
+
+def _symbol_built_T(d, nb, region, support, kind, seed):
+    """An operator built from a random symbol: `kind` "symmetric" (real,
+    symbol(-k) = symbol(k)^T), "hermitian" (complex, symbol(-k) =
+    symbol(k)^H), "real" or "complex" (no pairing); `support` "sparse" (two
+    modes of cutoff 2, and their negatives when paired) or "wide" (most
+    modes up to 2 N + 1, past the region's span); every block entry is zero
+    with probability 0.3.  `region` "cube" is [-N, N]^d, "restricted" a
+    random half of an off-centre box."""
+    rng = np.random.default_rng(seed)
+    N = {1: 5, 2: 3, 3: 2}[d]
+    cutoff = 2 if support == "sparse" else 2 * N + 1
+    paired = kind in ("symmetric", "hermitian")
+
+    def draw():
+        A = rng.standard_normal((nb, nb)) * (rng.random((nb, nb)) >= 0.3)
+        if kind in ("hermitian", "complex"):
+            A = A + 1j * rng.standard_normal((nb, nb))
+        return 0.3 * A
+
+    modes = [k for k in itertools.product(range(-cutoff, cutoff + 1),
+                                          repeat=d) if any(k)]
+    if support == "sparse":
+        modes = [modes[i] for i in rng.choice(len(modes), 2, replace=False)]
+    else:
+        modes = [k for k in modes if rng.random() < 0.7]
+    coeffs = {(0,) * d: draw()}
+    for k in modes:
+        coeffs[k] = draw()
+        if paired:
+            coeffs[tuple(-c for c in k)] = coeffs[k].conj().T
+    if paired:
+        coeffs[(0,) * d] = coeffs[(0,) * d] + coeffs[(0,) * d].conj().T
+    symbol = FourierSeries.from_coeffs(d, coeffs, shape=(nb, nb),
+                                       cutoff=cutoff)
+    if region == "cube":
+        sites = cube_region(d, N)
+    else:
+        lo = rng.integers(-N - 3, 1, size=d)
+        box = itertools.product(*[range(a, a + N + 2) for a in lo])
+        sites = [k for k in box if rng.random() < 0.5] or [tuple(lo)]
+    return LatticeMatrix(d=d, nblock=nb, region=sites,
+                         omega=np.array([1.0, PHI, math.sqrt(2.0)][:d]),
+                         diag_block=1.1 + 0.3 * np.arange(nb), symbol=symbol)
+
+
+@pytest.mark.parametrize("support", ["sparse", "wide"])
+@pytest.mark.parametrize("region", ["cube", "restricted"])
+@pytest.mark.parametrize("nb", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_symbol_gather_matches_dense_oracle(d, nb, region, support):
+    kinds = ("symmetric", "hermitian", "real", "complex")
+    for seed, kind in enumerate(kinds):
+        T = _symbol_built_T(d, nb, region, support, kind,
+                            seed=100 * d + 10 * nb + seed)
+        # a complex diagonal makes the blocks of a real symbol complex
+        cases = [(T, kind in ("symmetric", "real"))]
+        if kind == "real":
+            cases.append((replace(T, diag_block=T.diag_block + 1e-3j), False))
+        for op, real in cases:
+            parts = _component_blocks(op)
+            components = op.components()
+            assert op._dense is None
+            ref = _dense_oracle(op)
+            dense = op.to_dense()
+            assert op.is_real == real
+            assert dense.dtype == (np.float64 if real else np.complex128)
+            assert np.array_equal(dense, ref)
+            coupled = (ref != 0).reshape(op.nsites, nb, op.nsites, nb).any(
+                axis=(1, 3))
+            want = _csgraph_groups(coupled)
+            assert [g.shape for g in components] == [g.shape for g in want]
+            assert all(np.array_equal(g, w) for g, w in zip(components, want))
+            for (sites, rows, B), g in zip(parts, components):
+                assert np.array_equal(sites, g)
+                assert np.array_equal(rows, (g[:, :, None] * nb + np.arange(
+                    nb)).reshape(len(g), -1))
+                assert B.dtype == dense.dtype
+                assert np.array_equal(B, ref[rows[:, :, None],
+                                             rows[:, None, :]])
+
+
+def test_prober_memory_without_dense_form():
+    # greens N = 16: m = 1089 sites on 33 chains of 33.  The probes' blocks,
+    # components and far pairs are gathered from the symbol: no m x m
+    # array (19 MB complex) and no (m, m, d) site differences
+    T = _benchmark_scan_T(16)
+    assert T.size == 1089
+    tracemalloc.start()
+    try:
+        prober = _Prober(T, (0.1, 2, 100.0), 1e12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert prober.components == (33, 33)
+    assert peak < 10e6
 
 
 @pytest.mark.parametrize("seed", range(8))
