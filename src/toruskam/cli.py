@@ -204,6 +204,7 @@ def _mode_run(cfg: RunConfig, out: dict):
         "surviving_boxes": len(res.atlas.boxes),
         "level_certificate": _certificate_record(res.level_certificate),
     }
+    out["events"] = res.events
     out["csv"] = {"levels.csv": log_csv(res.rows)}
     out["summary"] = (
         f"run: {len(res.rows)} levels, final eps "

@@ -8,13 +8,14 @@ re-symmetrized with the defect folded back into the perturbation), and
 measure the new low-order norm.  The schedule fixes the targets
 eps_l = A^{-(4/3)^l} and the analyticity-loss ladder; at desk scale the mode
 cutoffs are capped, so contraction is asserted against measured norms and
-the schedule targets are reported side by side.
+the schedule targets are reported side by side.  What a run meets on the way
+-- a capped cutoff, a normal form that drifts, a missed schedule target --
+is recorded as events in the state and the result, never as a warning.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,10 +72,27 @@ class KamSchedule:
     def N(self, l: int) -> int:
         nominal = self.A ** (l + 1)
         if nominal > self.N_max:
-            warnings.warn(f"mode cutoff capped at {self.N_max} "
-                          f"(nominal {nominal:.3g})")
             return self.N_max
         return max(int(round(nominal)), 1)
+
+    def cap_event(self, l: int) -> dict | None:
+        """The event of level l's mode cutoff capped at N_max, if it is."""
+        nominal = self.A ** (l + 1)
+        if nominal <= self.N_max:
+            return None
+        return _event(l, "cutoff_capped", f"mode cutoff capped at "
+                      f"{self.N_max} (nominal {nominal:.3g})")
+
+
+def _event(level: int, kind: str, message: str) -> dict:
+    return {"level": level, "event": kind, "message": message}
+
+
+def _with_events(events: list, *new) -> list:
+    """events plus each new event that is not None and not yet in it."""
+    out = list(events)
+    out += [e for e in new if e is not None and e not in out]
+    return out
 
 
 def make_schedule(A: float, eps0: float, d: int, tau: float | None = None,
@@ -115,6 +133,7 @@ class TorusResult:
     exponent: float | None    # measured contraction exponent
     final_low_norm: float
     level_certificate: DecayCertificate   # of the first level's operator
+    events: list              # `_event` records, in the order met
 
 
 def _jet_kw(P: HamiltonianJet) -> dict:
@@ -200,7 +219,8 @@ def initial_step(nf: NormalForm, P: HamiltonianJet, schedule: KamSchedule,
                                                   cond_cap=cond_cap),
                             "omega_shift": 0.0,
                             "B_symmetry_err": nf.symmetry_error(),
-                            "reality_err": check_reality(P, tol=0.0)[1]})
+                            "reality_err": check_reality(P, tol=0.0)[1],
+                            "events": _with_events([], schedule.cap_event(l))})
     return state, atlas
 
 
@@ -249,11 +269,15 @@ def kam_step(state: KamState, schedule: KamSchedule,
                                 f"frequency drift {drift:.3e} beyond "
                                 f"sqrt(eps) = {math.sqrt(state.eps_meas):.3e}")
     bdrift = (B_new - nf.B.pad(B_new.cutoff)).max_abs_coeff()
-    if bdrift > max(state.eps_meas, 1e-300) ** 0.1:
-        warnings.warn(f"normal-form drift {bdrift:.3e} beyond eps^(1/10)")
-    if eps_new > schedule.eps(l + 1):
-        warnings.warn(f"measured low norm {eps_new:.3e} misses the schedule "
-                      f"target {schedule.eps(l + 1):.3e} at level {l + 1}")
+    events = _with_events(
+        state.extra.get("events", []), schedule.cap_event(l),
+        _event(l, "normal_form_drift", f"normal-form drift {bdrift:.3e} "
+               "beyond eps^(1/10)")
+        if bdrift > max(state.eps_meas, 1e-300) ** 0.1 else None,
+        _event(l + 1, "schedule_target_missed", f"measured low norm "
+               f"{eps_new:.3e} misses the schedule target "
+               f"{schedule.eps(l + 1):.3e} at level {l + 1}")
+        if eps_new > schedule.eps(l + 1) else None)
 
     _, reality_err = check_reality(P_new, tol=0.0)
     new = KamState(level=l + 1, nf=nf_new, P=P_new, xi=state.xi,
@@ -263,7 +287,8 @@ def kam_step(state: KamState, schedule: KamSchedule,
                           "B_symmetry_err": nf_new.symmetry_error(),
                           "B_fold_defect": float(fold_defect),
                           "reality_err": float(reality_err),
-                          "lie_tail": lie.tail_bound})
+                          "lie_tail": lie.tail_bound,
+                          "events": events})
     return new, sol
 
 
@@ -308,7 +333,8 @@ def run(nf: NormalForm, P: HamiltonianJet, schedule: KamSchedule,
                        exponent=contraction_exponent(
                            [r["eps_meas"] for r in rows]),
                        final_low_norm=state.eps_meas,
-                       level_certificate=state.extra["level_certificate"])
+                       level_certificate=state.extra["level_certificate"],
+                       events=state.extra["events"])
 
 
 def log_csv(rows) -> str:

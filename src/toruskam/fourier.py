@@ -12,7 +12,9 @@ exponential weights e^{s|k|} and lattice distances in decay statements use
 
 Coefficients are stored densely over the cutoff box (index k maps to
 k + cutoff per axis); the sparse map interface is `coeffs`/`from_coeffs`.
-All operations return new objects; instances are treated as immutable.
+All operations return new objects; instances are treated as immutable.  A
+series copies the array it is built from, except where an operation hands
+over an array it has just allocated (`_adopt`).
 
 Every FFT convolution in the package, `product` here and the jet brackets
 in `jets`, runs on one embedding: `_wrapped_transform` puts mode k at index
@@ -62,6 +64,19 @@ def _l1_grid(d: int, cutoff: int) -> np.ndarray:
     return np.abs(mode_grid(d, cutoff)).sum(axis=-1)
 
 
+@lru_cache(maxsize=256)
+def _ik(d: int, cutoff: int, axis: int) -> np.ndarray:
+    """i k_axis for k_axis in [-cutoff, cutoff], shaped to broadcast along
+    `axis` of the box [-cutoff, cutoff]^d: the factor of d/dx_axis, with
+    the values `dir_derivative` forms for a unit omega.  Cached and
+    shared, so it is read-only."""
+    shape = [1] * d
+    shape[axis] = 2 * cutoff + 1
+    factor = 1j * np.arange(-cutoff, cutoff + 1, dtype=float).reshape(shape)
+    factor.flags.writeable = False
+    return factor
+
+
 class FourierSeries:
     __slots__ = ("d", "shape", "cutoff", "data")
 
@@ -89,6 +104,17 @@ class FourierSeries:
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
+    @classmethod
+    def _adopt(cls, d: int, shape: tuple[int, int], cutoff: int,
+               data: np.ndarray) -> "FourierSeries":
+        """A series on `data`, a complex array of shape shape + box that
+        the caller has just allocated and hands over: no copy, no checks."""
+        self = cls.__new__(cls)
+        self.d, self.shape, self.cutoff = d, shape, cutoff
+        data.flags.writeable = False
+        self.data = data
+        return self
+
     @classmethod
     def zero(cls, d: int, shape: tuple[int, int] = (1, 1),
              cutoff: int = 0) -> "FourierSeries":
@@ -169,9 +195,10 @@ class FourierSeries:
         if cutoff == self.cutoff:
             return self
         w = cutoff - self.cutoff
-        pad = [(0, 0), (0, 0)] + [(w, w)] * self.d
-        return FourierSeries(self.d, self.shape, cutoff,
-                             np.pad(self.data, pad))
+        data = np.zeros(self.shape + (2 * cutoff + 1,) * self.d,
+                        dtype=complex)
+        data[(slice(None),) * 2 + (slice(w, -w),) * self.d] = self.data
+        return FourierSeries._adopt(self.d, self.shape, cutoff, data)
 
     def __add__(self, other: "FourierSeries") -> "FourierSeries":
         if not isinstance(other, FourierSeries):
@@ -179,7 +206,8 @@ class FourierSeries:
         if self.d != other.d or self.shape != other.shape:
             raise ValueError("shape mismatch in add")
         a, b = self._aligned(other)
-        return FourierSeries(self.d, self.shape, a.cutoff, a.data + b.data)
+        return FourierSeries._adopt(self.d, self.shape, a.cutoff,
+                                    a.data + b.data)
 
     def __sub__(self, other: "FourierSeries") -> "FourierSeries":
         return self + (-1.0) * other
@@ -187,8 +215,8 @@ class FourierSeries:
     def __mul__(self, scalar) -> "FourierSeries":
         if isinstance(scalar, FourierSeries):
             return NotImplemented
-        return FourierSeries(self.d, self.shape, self.cutoff,
-                             self.data * complex(scalar))
+        return FourierSeries._adopt(self.d, self.shape, self.cutoff,
+                                    self.data * complex(scalar))
 
     __rmul__ = __mul__
 
@@ -205,8 +233,8 @@ class FourierSeries:
         (conj f)_hat(k) = conj(f_hat(-k)).
         """
         flipped = np.flip(self.data, axis=tuple(range(2, 2 + self.d)))
-        return FourierSeries(self.d, self.shape, self.cutoff,
-                             np.conj(flipped))
+        return FourierSeries._adopt(self.d, self.shape, self.cutoff,
+                                    np.conj(flipped))
 
     def reflect(self) -> "FourierSeries":
         """Series with coefficients f_hat(-k)."""
@@ -245,13 +273,14 @@ class FourierSeries:
 # the FFT embedding: mode k at index k mod L
 # ----------------------------------------------------------------------
 
-def _wrapped_transform(f: FourierSeries, L: int) -> np.ndarray:
-    """Forward transforms of every entry of f on L >= 2 cutoff + 1 points
-    per axis, mode k at index k mod L: shape (rows, cols) + (L,) * d.  In
-    this wrapped, centred embedding the transform of conj_function(f) is
-    the conjugate of f's."""
-    x, n = f.data, f.cutoff
-    for ax in range(2, 2 + f.d):
+def _wrapped_transform(x: np.ndarray, L: int) -> np.ndarray:
+    """Forward transforms of every entry of a coefficient block x of shape
+    (rows, cols) + (2 cutoff + 1,) * d, a series' `data` or a multiple of
+    it, on L >= 2 cutoff + 1 points per axis, mode k at index k mod L:
+    shape (rows, cols) + (L,) * d.  In this wrapped, centred embedding the
+    transform of conj_function(f) is the conjugate of f's."""
+    n = (x.shape[-1] - 1) // 2
+    for ax in range(2, x.ndim):
         pre = (slice(None),) * ax
         y = np.zeros(x.shape[:ax] + (L,) + x.shape[ax + 1:], dtype=complex)
         y[pre + (slice(0, n + 1),)] = x[pre + (slice(n, None),)]
@@ -333,7 +362,7 @@ def product(f: FourierSeries, g: FourierSeries) -> FourierSeries:
         terms = np.stack([lhs.data[p] * rhs.data[q] for p, q in pairs])
     else:
         L = next_fast_len(2 * N + 1)
-        A, B = _wrapped_transform(lhs, L), _wrapped_transform(rhs, L)
+        A, B = _wrapped_transform(lhs.data, L), _wrapped_transform(rhs.data, L)
         terms = np.empty((len(pairs),) + (L,) * d, dtype=complex)
         for t, (p, q) in enumerate(pairs):
             np.multiply(A[p], B[q], out=terms[t])
@@ -345,7 +374,7 @@ def product(f: FourierSeries, g: FourierSeries) -> FourierSeries:
         out = np.zeros((rows, cols) + box, dtype=complex)
         for m in range(inner):
             out += terms[:, m]
-    return FourierSeries(d, (rows, cols), N, out)
+    return FourierSeries._adopt(d, (rows, cols), N, out)
 
 
 def dir_derivative(f: FourierSeries, omega) -> FourierSeries:
@@ -355,11 +384,10 @@ def dir_derivative(f: FourierSeries, omega) -> FourierSeries:
         raise ValueError("omega must have length d")
     modes = mode_grid(f.d, f.cutoff)
     factor = 1j * (modes @ omega)
-    return FourierSeries(f.d, f.shape, f.cutoff, f.data * factor)
+    return FourierSeries._adopt(f.d, f.shape, f.cutoff, f.data * factor)
 
 
 def partial_x(f: FourierSeries, axis: int) -> FourierSeries:
     """d/dx_axis: multiply coefficient at k by i*k_axis."""
-    e = np.zeros(f.d)
-    e[axis] = 1.0
-    return dir_derivative(f, e)
+    return FourierSeries._adopt(f.d, f.shape, f.cutoff,
+                                f.data * _ik(f.d, f.cutoff, axis))

@@ -190,7 +190,8 @@ class LatticeMatrix:
         order of their smallest site.  sigma moves only the diagonal, so
         the components hold for every sigma.  The symmetrised pattern is
         read per site difference and gathered in row chunks of
-        `_GATHER_BYTES` of indices."""
+        `_GATHER_BYTES` of indices; the edge list keeps int32 site indices,
+        half the bytes of `np.nonzero`'s."""
         P, X, off = self._differences
         coupled = (P != 0).any(axis=(1, 2))
         coupled = coupled | coupled[::-1]
@@ -201,10 +202,11 @@ class LatticeMatrix:
         for start in range(0, m, step):
             r, c = np.nonzero(coupled[(X[start:start + step, None] + off)
                                       - X[None, :]])
-            rows.append(r + start)
-            cols.append(c)
-        return _label_components(m, np.concatenate(rows),
-                                 np.concatenate(cols))
+            rows.append((r + start).astype(np.int32))
+            cols.append(c.astype(np.int32))
+        # the chunks are freed here, before the labelling's temporaries
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        return _label_components(m, rows, cols)
 
     def translate(self, p) -> "LatticeMatrix":
         """The same operator restricted to region + p (Toeplitz shift)."""
@@ -223,12 +225,12 @@ def _label_components(m: int, rows: np.ndarray, cols: np.ndarray) -> list:
     (rows, cols): the nonzero positions, in row-major order, of a symmetric
     pattern that holds its diagonal.  Grouped as in
     `LatticeMatrix.components`."""
-    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
     # min-label propagation: each site takes the smallest label among
     # its neighbours, then follows labels to their fixed points (pointer
     # jumping); at the fixed point every site carries the smallest site
     # of its component
-    labels = np.arange(m)
+    labels = np.arange(m, dtype=cols.dtype)
     while True:
         new = np.minimum.reduceat(labels[cols], starts)
         jumped = new[new]

@@ -22,13 +22,14 @@ conjugate mirror, so the result is exactly real too.
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .fourier import (FourierSeries, _kept_inverse, _l1_grid,
-                      _wrapped_transform, mode_grid, next_fast_len, partial_x)
+from .fourier import (FourierSeries, _ik, _kept_inverse, _l1_grid,
+                      _wrapped_transform, mode_grid, next_fast_len)
 
 Signature = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
@@ -78,7 +79,7 @@ def _term_vf_bound(sig: Signature, series: FourierSeries,
     partials, sum_k |k|_1 m(k) e^{s|k|_1}, m the coefficient magnitudes."""
     if s < 0:
         raise ValueError("s must be >= 0")
-    mags = np.abs(series.data).max(axis=(0, 1))
+    mags = np.abs(series.data[0, 0])
     w, wl1 = _vf_weights(series.d, series.cutoff, float(s))
     return _vf_of(sig, float(np.sum(mags * w)), float(np.sum(mags * wl1)), r)
 
@@ -86,40 +87,94 @@ def _term_vf_bound(sig: Signature, series: FourierSeries,
 # working set of one batch of key sums in `_grid_kernel`
 _BATCH_BYTES = 1 << 21
 
+# the generator's side of the brackets of the Lie series being summed, set
+# and reset by `lie_transform`; a context variable, so that `poisson_bracket`
+# keeps its two arguments and each thread or task sees only its own series
+_SERIES: ContextVar["_Side | None"] = ContextVar("_SERIES", default=None)
 
-def _moves_along(f: FourierSeries, axis: int) -> bool:
-    """Whether some coefficient off the plane k_axis = 0 is nonzero."""
-    plane = f.data[(0, 0) + (slice(None),) * axis + (f.cutoff,)]
-    return np.count_nonzero(f.data) > np.count_nonzero(plane)
+
+def _moves(f: FourierSeries) -> tuple[bool, ...]:
+    """Per axis, whether some coefficient off the plane k_axis = 0 is
+    nonzero."""
+    total = np.count_nonzero(f.data)
+    return tuple(total > np.count_nonzero(
+        f.data[(0, 0) + (slice(None),) * ax + (f.cutoff,)])
+        for ax in range(f.d))
+
+
+class _Side:
+    """One factor of `_grid_kernel`: a jet's terms, in order, and what the
+    kernel derives from them, each at most once: the mirror table
+    (`_mirrors`), the motion flags (`_moves`), the shell sums of its parts
+    (`_shells`), its `vf_norm` and, on a generator, the channel tables
+    against the other factor (`_bracket_channels`).  None of it is a grid.
+    `lie_transform` builds its generator's side once for the whole series
+    (`_side`); every other side lives for one bracket."""
+
+    def __init__(self, J: "HamiltonianJet"):
+        self.jet, self.terms = J, J.terms
+        self.series = list(J.terms.values())
+        self.channels = {}
+        self._shells = {}
+
+    @cached_property
+    def mirror(self) -> list | None:
+        return _mirrors(self.jet)
+
+    @cached_property
+    def moves(self) -> tuple:
+        return tuple(_moves(f) for f in self.series)
+
+    @cached_property
+    def vf(self) -> float:
+        return vf_norm(self.jet, self.jet.s_ref, self.jet.r_ref)
+
+    def shells(self, t: int, p: int, s: float, width: int) -> np.ndarray:
+        if (t, p, s, width) not in self._shells:
+            self._shells[t, p, s, width] = _shells(self.series[t], p, s,
+                                                   width)
+        return self._shells[t, p, s, width]
+
+
+def _side(J: "HamiltonianJet") -> _Side:
+    """The side of the Lie series' generator when J is it, else a new one."""
+    series = _SERIES.get()
+    return series if series is not None and series.jet is J else _Side(J)
 
 
 def _lower(e: tuple[int, ...], t: int) -> tuple[int, ...]:
     return e[:t] + (e[t] - 1,) + e[t + 1:]
 
 
-def _bracket_channels(F: "HamiltonianJet", G: "HamiltonianJet"):
+def _bracket_channels(F: _Side, G: _Side) -> list:
     """The channel products of {F, G} = <F_x, G_y> - <F_y, G_x>
     + i<F_z, G_zbar> - i<F_zbar, G_z>, per pair of terms f y^a1 z^b1 zbar^c1
     and g y^a2 z^b2 zbar^c2: a2_i f_{x_i} g and -a1_i f g_{x_i} on the
     signature with y_i lowered, and i(b1_t c2_t - c1_t b2_t) f g with z_t
-    and zbar_t lowered.  Identically zero x-partials are left out."""
-    d, n = F.d, F.n
-    mf = [[_moves_along(f, ax) for ax in range(d)] for f in F.terms.values()]
-    mg = [[_moves_along(g, ax) for ax in range(d)] for g in G.terms.values()]
+    and zbar_t lowered.  Identically zero x-partials are left out.  The
+    table is memoised on G per signatures and motion flags of F, which the
+    brackets of a Lie series repeat."""
+    key = tuple(F.terms), F.moves
+    if key in G.channels:
+        return G.channels[key]
+    d, n = F.jet.d, F.jet.n
+    table = G.channels[key] = []
     for i, (a1, b1, c1) in enumerate(F.terms):
         for j, (a2, b2, c2) in enumerate(G.terms):
             a, b, c = (tuple(x + y for x, y in zip(u, v))
                        for u, v in ((a1, a2), (b1, b2), (c1, c2)))
             for ax in range(d):
                 sig = (_lower(a, ax), b, c)
-                if a2[ax] and mf[i][ax]:
-                    yield i, 1 + ax, j, 0, sig, a2[ax]
-                if a1[ax] and mg[j][ax]:
-                    yield i, 0, j, 1 + ax, sig, -a1[ax]
+                if a2[ax] and F.moves[i][ax]:
+                    table.append((i, 1 + ax, j, 0, sig, a2[ax]))
+                if a1[ax] and G.moves[j][ax]:
+                    table.append((i, 0, j, 1 + ax, sig, -a1[ax]))
             for t in range(n):
                 w = b1[t] * c2[t] - c1[t] * b2[t]
                 if w:
-                    yield i, 0, j, 0, (a, _lower(b, t), _lower(c, t)), 1j * w
+                    table.append((i, 0, j, 0, (a, _lower(b, t), _lower(c, t)),
+                                  1j * w))
+    return table
 
 
 def _mirrors(J: "HamiltonianJet") -> list | None:
@@ -147,12 +202,13 @@ def _shells(f: FourierSeries, p: int, s: float, width: int) -> np.ndarray:
     d, n = f.d, f.cutoff
     mags = np.abs(f.data[0, 0])
     if p:
-        mags = mags * np.abs(mode_grid(d, n)[..., p - 1])
+        mags = mags * np.abs(_ik(d, n, p - 1).imag)
     return np.array([np.bincount(_shell_index(d, n), (mags * w).ravel(),
                                  width) for w in _vf_weights(d, n, s)])
 
 
-def _dropped_bound(tf, tg, keys, kept, s: float, r: float) -> float:
+def _dropped_bound(F: _Side, G: _Side, keys, kept, s: float,
+                   r: float) -> float:
     """Bound for the vector-field norm of the modes the keys drop, from the
     shell sums a, a' of their factors (`_shells`), never from grid values.
 
@@ -169,16 +225,9 @@ def _dropped_bound(tf, tg, keys, kept, s: float, r: float) -> float:
             if kept.get(key, -1) < key[1] for i, p, j, q, w in prods]
     if not rows:
         return 0.0
-    N1, N2 = max(f.cutoff for f in tf), max(g.cutoff for g in tg)
-    memo = {}
-
-    def shells(h, p, width):
-        if (id(h), p, width) not in memo:
-            memo[id(h), p, width] = _shells(h, p, s, width)
-        return memo[id(h), p, width]
-
-    A = np.array([shells(tf[i], p, N1 + 1) for _, i, p, *_ in rows])
-    S = np.array([shells(tg[j], q, N2 + 2) for _, _, _, j, q, *_ in rows])
+    N1, N2 = (max(f.cutoff for f in side.series) for side in (F, G))
+    A = np.array([F.shells(i, p, s, N1 + 1) for _, i, p, *_ in rows])
+    S = np.array([G.shells(j, q, s, N2 + 2) for _, _, _, j, q, *_ in rows])
     S = np.cumsum(S[..., ::-1], axis=-1)[..., ::-1]    # sum over j' >= j
     key_of, aw, m = (np.array([row[k] for row in rows]) for k in (0, 5, 6))
     # shell i of the F factor pairs with the G shells j >= m + 1 - i
@@ -191,39 +240,48 @@ def _dropped_bound(tf, tg, keys, kept, s: float, r: float) -> float:
                for t, key in enumerate(keys) if sig[t] or sx[t])
     # roundings in a chain: a shell sum, the exp of the rounded s|k|_1, the
     # suffix sum, the dot, the sums over products and keys, and _vf_of
-    d, N = tf[0].d, max(N1, N2)
+    d, N = F.jet.d, max(N1, N2)
     nu = ((2 * N + 1) ** d + 2 * N + len(rows) + len(keys)
           + math.ceil(s * d * N) + 32) * 2.0 ** -53
     return tail * (1.0 + 2.0 * nu / (1.0 - nu))
 
 
 def _grid_kernel(F: "HamiltonianJet", G: "HamiltonianJet", channels):
-    """Sum of the channel products `channels(F, G)` on one FFT grid;
-    returns (terms, tail).
+    """Sum of the channel products `channels(f, g)` on one FFT grid, f and
+    g the sides (`_Side`) of F and G; returns (terms, tail).  G's side is
+    the Lie series' own when G is its generator (`_side`), so what it
+    derives from G is derived once per series; nothing that holds a grid
+    outlives the call.
 
     A channel product (i, p, j, q, sig, w) is w times the product of part p
     of F's i-th term and part q of G's j-th term, part 0 being the term and
-    part 1 + a its x_a-partial.  Products are summed by key (sig, c), c the
-    box f.cutoff + g.cutoff of the pair, in F-term order.  A key keeps the
-    modes |k|_inf <= m = min(c, cap) of its own box, none past max_degree;
-    `_dropped_bound` books the rest in `tail`, and an over-degree key never
-    touches the grid.  Parts sit wrapped (mode k at index k mod L) on
-    L >= c + m + 1 points per axis over the kept keys, and L >= 2 cutoff + 1
-    per part: a kept mode's aliases lie at |k|_inf >= L - m > c, outside
-    its key's box.  Every part is transformed once, while it is in use;
-    keys run in order of their first product, summed in the rows of a slab
-    of at most _BATCH_BYTES that is inverse-transformed once full.
+    part 1 + a its x_a-partial, which is multiplied into the coefficient
+    block `_wrapped_transform` takes.  Products are summed by key (sig, c),
+    c the box f.cutoff + g.cutoff of the pair, in F-term order.  A key
+    keeps the modes |k|_inf <= m = min(c, cap) of its own box, none past
+    max_degree; `_dropped_bound` books the rest in `tail`, and an
+    over-degree key never touches the grid.  Parts sit wrapped (mode k at
+    index k mod L) on L >= c + m + 1 points per axis over the kept keys,
+    and L >= 2 cutoff + 1 per part: a kept mode's aliases lie at
+    |k|_inf >= L - m > c, outside its key's box.  Every part is
+    transformed once, while it is in use; keys run in order of their first
+    product, summed in the rows of a slab of at most _BATCH_BYTES that is
+    inverse-transformed once full.  The output series take over the arrays
+    summed here (`_adopt`), uncopied.
 
     When F and G are exactly real (`_mirrors`), only keys (a, b, c) with
     b <= c are computed: a b = c output is projected onto the real
     subspace, 0.5 (t + conj_function(t)), and a b > c output is the
-    conj_function of its mirror (a, c, b).  A mirror part's grid is the
-    conjugate of its partner's while that one is live.
+    conj_function of its mirror (a, c, b).  A mirror part first used
+    while its partner's grid is live is that grid's conjugate, taken at
+    each use into the product's own grid: it is never stored, and the
+    partner stays live until the mirror's last use.
     """
     d = F.d
-    tf, tg = list(F.terms.values()), list(G.terms.values())
+    fs, gs = _Side(F), _side(G)
+    tf, tg = fs.series, gs.series
     keys = {}           # (sig, box) -> its products (i, p, j, q, w)
-    for i, p, j, q, sig, w in channels(F, G):
+    for i, p, j, q, sig, w in channels(fs, gs):
         keys.setdefault((sig, tf[i].cutoff + tg[j].cutoff), []).append(
             (i, p, j, q, w))
     cap = F.cutoff_cap
@@ -232,16 +290,28 @@ def _grid_kernel(F: "HamiltonianJet", G: "HamiltonianJet", channels):
         if weighted_degree(sig) <= F.max_degree:
             kept[sig, c] = c if cap is None else min(c, cap)
             width[sig] = max(width.get(sig, 0), kept[sig, c])
-    tail = _dropped_bound(tf, tg, keys, kept, F.s_ref, F.r_ref)
-    mirror = {"F": _mirrors(F), "G": _mirrors(G)}
+    tail = _dropped_bound(fs, gs, keys, kept, F.s_ref, F.r_ref)
+    mirror = {"F": fs.mirror, "G": gs.mirror}
     real = None not in mirror.values()
     live = [key for key in kept if not (real and key[0][1] > key[0][2])]
     if not live:
         return {}, tail
-    last = {}               # last use of each part, as a product count
+    first, last = {}, {}    # first and last use of each part
     for pos, (i, p, j, q, _) in enumerate(
             prod for key in live for prod in keys[key]):
-        last["F", i, p] = last["G", j, q] = pos
+        for x in (("F", i, p), ("G", j, q)):
+            first.setdefault(x, pos)
+            last[x] = pos
+    # a part first used while its mirror partner's grid is live is that
+    # grid's conjugate: it is read off the partner at each use, which then
+    # stays live until the part's last use, and is never stored
+    partner = {}
+    for x in first if real else ():
+        y = (x[0], mirror[x[0]][x[1]], x[2])
+        if y in first and first[y] < first[x] < last[y]:
+            partner[x] = y
+    for x, y in partner.items():
+        last[y] = max(last[y], last[x])
     N = max((tf if side == "F" else tg)[t].cutoff for side, t, _ in last)
     L = next_fast_len(max([2 * N + 1] + [c + kept[sig, c] + 1
                                          for sig, c in live]))
@@ -250,13 +320,16 @@ def _grid_kernel(F: "HamiltonianJet", G: "HamiltonianJet", channels):
                     + tmp.shape, dtype=complex)
     grids, pending, acc = {}, [], {}
 
-    def part(x):
+    def part(x, out):
+        """The grid of part x; a mirror read off its partner goes to out,
+        or to a new array when out is None."""
+        if x in partner:
+            return np.conj(grids[partner[x]], out=out)
         if x not in grids:
             side, t, p = x
-            y = (side, mirror[side][t], p) if real else x
             f = (tf if side == "F" else tg)[t]
-            grids[x] = np.conj(grids[y]) if y in grids else \
-                _wrapped_transform(partial_x(f, p - 1) if p else f, L)[0, 0]
+            grids[x] = _wrapped_transform(f.data * _ik(d, f.cutoff, p - 1)
+                                          if p else f.data, L)[0, 0]
         return grids[x]
 
     def flush():
@@ -275,12 +348,15 @@ def _grid_kernel(F: "HamiltonianJet", G: "HamiltonianJet", channels):
         buf = slab[len(pending)]
         for t, (i, p, j, q, w) in enumerate(keys[key]):
             x, y = ("F", i, p), ("G", j, q)
-            out = np.multiply(part(x), part(y), out=tmp if t else buf)
+            out = tmp if t else buf
+            px = part(x, out)
+            out = np.multiply(px, part(y, None if px is out else out),
+                              out=out)
             if w != 1:
                 out *= w
             if t:
                 buf += out
-            for z in (x, y):
+            for z in (partner.get(x, x), partner.get(y, y)):
                 if last[z] == pos:
                     del grids[z]
             pos += 1
@@ -292,7 +368,8 @@ def _grid_kernel(F: "HamiltonianJet", G: "HamiltonianJet", channels):
     for (a, b, c), v in acc.items():
         if real and b == c:
             v = 0.5 * (v + np.conj(np.flip(v)))
-        acc[a, b, c] = FourierSeries(d, (1, 1), width[a, b, c], v[None, None])
+        acc[a, b, c] = FourierSeries._adopt(d, (1, 1), width[a, b, c],
+                                            v[None, None])
     return {(a, b, c): acc[a, b, c] if (a, b, c) in acc
             else acc[a, c, b].conj_function() for a, b, c in width}, tail
 
@@ -379,7 +456,7 @@ def poisson_bracket(F: HamiltonianJet, G: HamiltonianJet) -> HamiltonianJet:
     # unrepresented-part coupling
     cross = 0.0
     if F.tail:
-        cross += F.tail * vf_norm(G, G.s_ref, G.r_ref)
+        cross += F.tail * _side(G).vf
     if G.tail:
         cross += G.tail * vf_norm(F, F.s_ref, F.r_ref)
     return replace(F, terms=terms, tail=tail + cross,
@@ -453,17 +530,21 @@ def lie_transform(H: HamiltonianJet, F: HamiltonianJet,
     term = H
     norms = [vf_norm(term, H.s_ref, H.r_ref)]
     fact = 1.0
-    for j in range(1, order + 2):
-        term = poisson_bracket(term, F)
-        fact *= j
-        norm_j = vf_norm(term, H.s_ref, H.r_ref) / fact
-        norms.append(norm_j)
-        if j >= 2 and norm_j > norms[-2] and norm_j > 1e-13:
-            raise ValueError(
-                f"Lie series terms grow at order {j}: "
-                f"{norms[-2]:.3e} -> {norm_j:.3e}")
-        if j <= order:
-            out = out + (1.0 / fact) * term
+    series = _SERIES.set(_Side(F))
+    try:
+        for j in range(1, order + 2):
+            term = poisson_bracket(term, F)
+            fact *= j
+            norm_j = vf_norm(term, H.s_ref, H.r_ref) / fact
+            norms.append(norm_j)
+            if j >= 2 and norm_j > norms[-2] and norm_j > 1e-13:
+                raise ValueError(
+                    f"Lie series terms grow at order {j}: "
+                    f"{norms[-2]:.3e} -> {norm_j:.3e}")
+            if j <= order:
+                out = out + (1.0 / fact) * term
+    finally:
+        _SERIES.reset(series)
     tail_bound = norms[order + 1]
     jet = out._like(out.terms, tail=out.tail + tail_bound)
     return LieResult(jet=jet, tail_bound=tail_bound, term_norms=norms)

@@ -128,6 +128,33 @@ def test_run_mode_exclusion_exit_3(tmp_path):
     assert "excluded" in rep["results"]
 
 
+@pytest.mark.parametrize("caps, amplitude, want", [
+    ({"levels": 2, "N_max": 4}, 1e-6, [
+        {"event": "cutoff_capped", "level": 2,
+         "message": "mode cutoff capped at 4 (nominal 8)"},
+        {"event": "cutoff_capped", "level": 3,
+         "message": "mode cutoff capped at 4 (nominal 16)"}]),
+    ({"levels": 1, "N_max": 8}, 1e-2, [
+        {"event": "schedule_target_missed", "level": 2,
+         "message": "measured low norm 4.120e-01 misses the schedule "
+                    "target 2.916e-01 at level 2"}])])
+def test_run_mode_reports_events_not_warnings(tmp_path, caps, amplitude,
+                                              want):
+    # a capped cutoff and a missed schedule target are events in
+    # report.json, in the order met, and no warning
+    cfg = load_config({"mode": "run", "seed": 1, "omega": [1.0, PHI],
+                       "eps": max(amplitude, 1e-6),
+                       "caps": dict(caps, gamma=1e-4),
+                       "perturbation": {"kind": "random-tail",
+                                        "amplitude": amplitude,
+                                        "kmax": 6}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dispatch(cfg, str(tmp_path / "out")) == EXIT_OK
+    rep = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert rep["events"] == want
+
+
 def test_run_mode_reports_level_certificate(tmp_path):
     cfg = load_config({"mode": "run", "seed": 3, "omega": [1.0, PHI],
                        "caps": {"levels": 1, "N_max": 8, "gamma": 1e-4},

@@ -88,11 +88,13 @@ def test_schedule_lstar_and_cutoff_cap():
     sch = make_schedule(10.0, 1e-6, d=2)     # tau = 4
     assert sch.l_star == math.ceil(6 * math.log(10)
                                    / (3 * 4 * math.log(10)))
-    with warnings.catch_warnings(record=True) as rec:
-        warnings.simplefilter("always")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the cap is an event, not a warning
         assert sch.N(5) == sch.N_max
-        assert any("capped" in str(w.message) for w in rec)
-    assert sch.N(0) == 10
+    assert sch.cap_event(5) == {"level": 5, "event": "cutoff_capped",
+                                "message": "mode cutoff capped at 16 "
+                                           "(nominal 1e+06)"}
+    assert sch.N(0) == 10 and sch.cap_event(0) is None
 
 
 def inter(ladder, l, j):

@@ -11,12 +11,13 @@ Four static rules over every module in `src/toruskam`, checked with `ast`:
     caller overrides is a constant, not a setting;
   * likewise every dataclass field with a default, which may also be set
     by a `replace(...)` call or an attribute assignment (`obj.field = ...`).
-Three import rules, checked in fresh interpreters: `toruskam.cli` loads no
-scipy module, `dispatch` imports no module on the benchmark workloads, and
-neither lattice-solve route loads scipy.  One run-path rule: `dispatch`
-builds no dense lattice operator (`LatticeMatrix.to_dense`) on the
-benchmark workloads, nor on a strong-coupling run that takes the dense
-route.  numpy is the only runtime
+One transform rule: only `fourier` reaches `numpy.fft`, so `jets` transforms
+through its embedding.  Three import rules, checked in fresh interpreters:
+`toruskam.cli` loads no scipy module, `dispatch` imports no module on the
+benchmark workloads, and neither lattice-solve route loads scipy.  One
+run-path rule: `dispatch` builds no dense lattice operator
+(`LatticeMatrix.to_dense`) on the benchmark workloads, nor on a
+strong-coupling run that takes the dense route.  numpy is the only runtime
 dependency in `pyproject.toml`; scipy is a test oracle.
 """
 
@@ -231,6 +232,34 @@ def _fresh_python(code: str, *args: str) -> str:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     return subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, check=True).stdout
+
+
+def fft_uses(path) -> list:
+    """Where a module reaches `numpy.fft`: an import of it or of a name
+    from it, or an attribute `.fft` of `np`/`numpy`."""
+    found = []
+    for node in ast.walk(_parse(path)):
+        if isinstance(node, ast.ImportFrom) and node.module \
+                and node.module.startswith("numpy.fft") \
+                or isinstance(node, ast.ImportFrom) \
+                and node.module == "numpy" \
+                and any(a.name == "fft" for a in node.names) \
+                or isinstance(node, ast.Import) \
+                and any(a.name.startswith("numpy.fft") for a in node.names) \
+                or isinstance(node, ast.Attribute) and node.attr == "fft" \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id in ("np", "numpy"):
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_jets_transforms_only_through_fourier():
+    # the bracket kernel reaches the FFT only through `fourier`'s embedding
+    # (`_wrapped_transform`, `_kept_inverse`), so a test that patches those
+    # sees every transform; `fourier` is the one module that calls numpy.fft
+    assert fft_uses(PACKAGE / "jets.py") == []
+    assert [m.name for m in sorted(PACKAGE.glob("*.py")) if fft_uses(m)] \
+        == ["fourier.py"]
 
 
 def test_cli_import_loads_no_scipy():

@@ -638,6 +638,50 @@ def test_grid_product_memory_is_batched(monkeypatch):
     assert peak <= 24 * grid + 0.5 * 2 ** 20
 
 
+def mirror_classes_in_use(F, G):
+    """The most mirror classes {part, its mirror} of grid parts whose first
+    and last use span one product, in `_grid_kernel`'s order of a real
+    bracket: kept keys with b <= c, in order of their first product."""
+    f, g = jets._Side(F), jets._Side(G)
+    keys = {}
+    for i, p, j, q, sig, _ in jets._bracket_channels(f, g):
+        if weighted_degree(sig) <= F.max_degree and sig[1] <= sig[2]:
+            box = f.series[i].cutoff + g.series[j].cutoff
+            keys.setdefault((sig, box), []).append(
+                (("F", min(i, f.mirror[i]), p), ("G", min(j, g.mirror[j]), q)))
+    first, last = {}, {}
+    for pos, pair in enumerate(x for prods in keys.values() for x in prods):
+        for c in pair:
+            first.setdefault(c, pos)
+            last[c] = pos
+    return max(sum(first[c] <= pos <= last[c] for c in first)
+               for pos in range(pos + 1))
+
+
+def test_real_bracket_stores_one_grid_per_mirror_class(monkeypatch):
+    # a mirror part is read off its partner's grid at each use and never
+    # stored: past one slab row, the kernel's peak stays within one grid
+    # per mirror class in use plus 10 grids of transform and work space,
+    # 64 grids here.  Storing each mirror's conjugate peaked at 70 grids;
+    # this kernel peaks at 61
+    monkeypatch.setattr(jets, "_BATCH_BYTES", 1)
+    rng = np.random.default_rng(1)
+    kw = dict(max_degree=4, cutoff_cap=1, s_ref=0.3, r_ref=0.5)
+    H = mixed_jet(rng, 3, 2, 30, 8, degree=4, **kw)
+    F = 1e-5 * mixed_jet(rng, 3, 2, 14, 8, degree=2, **kw)
+    H, F = (0.5 * (J + conjugate_jet(J)) for J in (H, F))
+    assert jets._mirrors(H) is not None and jets._mirrors(F) is not None
+    grid = 16 * 18 ** 3         # L = 2 * 8 + 1, rounded to 18
+    poisson_bracket(H, F)       # caches of the box weights fill here
+    tracemalloc.start()
+    try:
+        poisson_bracket(H, F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (mirror_classes_in_use(H, F) + 1 + 10) * grid
+
+
 def test_nan_terms_are_kept_zero_terms_dropped():
     sig_x, sig_y = (ZD, ZN, ZN), ((1, 0), ZN, ZN)
     nan = FourierSeries.constant(D, np.nan)
@@ -734,6 +778,61 @@ def test_reality_symmetrization_oracle():
 # ----------------------------------------------------------------------
 # lie transform
 # ----------------------------------------------------------------------
+
+def plain_lie(H, F, order):
+    """`lie_transform` as a plain chain of `poisson_bracket` and `vf_norm`
+    calls, outside any series memo."""
+    out = term = H
+    norms = [vf_norm(H, H.s_ref, H.r_ref)]
+    fact = 1.0
+    for j in range(1, order + 2):
+        term = poisson_bracket(term, F)
+        fact *= j
+        norms.append(vf_norm(term, H.s_ref, H.r_ref) / fact)
+        if j <= order:
+            out = out + (1.0 / fact) * term
+    return out._like(out.terms, tail=out.tail + norms[-1]), norms[-1], norms
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("real", [False, True])
+def test_lie_series_memos_match_the_plain_bracket_chain(monkeypatch, d,
+                                                        real):
+    # the generator's mirror table, motion flags and shell sums are
+    # computed once per series and its channel tables reused: the jet,
+    # tail bound and term norms equal the plain chain's bit for bit
+    rng = np.random.default_rng(500 + 10 * d + real)
+    cut = (5, 3, 2)[d - 1]
+    kw = dict(max_degree=4, cutoff_cap=cut + 1, s_ref=0.3, r_ref=0.5)
+    H = mixed_jet(rng, d, 1, 8, cut, degree=4, tail=1e-4, **kw)
+    F = 1e-5 * mixed_jet(rng, d, 1, 6, cut - 1, degree=2, **kw)
+    if real:
+        H, F = (0.5 * (J + conjugate_jet(J)) for J in (H, F))
+    assert (jets._mirrors(F) is not None) == real
+    calls = {"_mirrors": [], "_moves": [], "_shells": []}
+    for name, log in calls.items():
+        def counted(*args, _f=getattr(jets, name), _log=log):
+            _log.append(args)
+            return _f(*args)
+        monkeypatch.setattr(jets, name, counted)
+    got = lie_transform(H, F, order=3)
+    terms = list(F.terms.values())
+    mirrors = [J for J, in calls["_mirrors"] if J is F]
+    moves = [f for f, in calls["_moves"] if any(f is g for g in terms)]
+    shells = [(id(f), p) for f, p, *_ in calls["_shells"]
+              if any(f is g for g in terms)]
+    assert len(mirrors) == 1
+    assert 0 < len(moves) == len({id(f) for f in moves}) <= len(terms)
+    assert 0 < len(shells) == len(set(shells))
+    for log in calls.values():
+        log.clear()
+    jet, tail, norms = plain_lie(H, F, 3)
+    assert len([J for J, in calls["_mirrors"] if J is F]) == 4
+    assert got.tail_bound == tail and got.term_norms == norms
+    assert got.jet.tail == jet.tail and list(got.jet.terms) == list(jet.terms)
+    assert all(got.jet.terms[sig].data.tobytes() == f.data.tobytes()
+               for sig, f in jet.terms.items())
+
 
 def test_lie_identity():
     rng = np.random.default_rng(14)

@@ -761,6 +761,30 @@ def test_components_match_csgraph(case):
         == list(range(len(coupled)))
 
 
+def test_components_memory_on_one_fully_coupled_component():
+    # m = 1089 sites, every pair coupled by a symbol wider than the region:
+    # the edge list holds m^2 site pairs as int32, once; as int64
+    # `np.nonzero` pairs plus their concatenation and a difference array it
+    # took 63 MB traced
+    N = 16
+    rng = np.random.default_rng(8)
+    box = (1, 1) + (4 * N + 1,) * 2
+    symbol = FourierSeries(2, (1, 1), 2 * N, 0.5 + rng.random(box))
+    T = LatticeMatrix(2, 1, cube_region(2, N), np.array([1.0, PHI]),
+                      np.array([1.17]), symbol)
+    T._differences
+    tracemalloc.start()
+    try:
+        got = T.components()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = _csgraph_groups(_site_pattern(T))
+    assert [g.shape for g in got] == [g.shape for g in want] == [(1, 1089)]
+    assert np.array_equal(got[0], want[0])
+    assert peak <= 24 * 2 ** 20
+
+
 def _dense_oracle(T):
     """T's dense form from its symbol by a broadcast over all site pairs
     and their (m, m, d) differences, independent of the gather."""
