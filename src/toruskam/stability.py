@@ -10,9 +10,14 @@ is exactly how planted sentinels are detected.
 The steps are taken in chunks.  Along the orbit every chunk sees the same
 half-step offsets s dt / 2, so B at a chunk's half-step times comes from
 per-axis phase tables e^{i k omega_j s dt / 2}, built once per integration,
-contracted with the coefficients rotated by the chunk's start phase.  Each
-step's RK4 map becomes an n x n propagator, and a doubling prefix product
-turns those into the chunk's trajectory rows.
+contracted with the coefficients rotated by the chunk's start phase.  When
+every off-diagonal coefficient of B is zero (B = None included) the n
+components are uncoupled scalar equations: only the diagonal of B is
+evaluated, each step's RK4 map is one complex factor per component, and a
+running product of those factors, seeded with the chunk's start value,
+gives the chunk's trajectory rows in the order the steps are taken.  A
+coupled B makes each step's RK4 map an n x n propagator, and a doubling
+prefix product turns those into the rows.
 """
 
 from __future__ import annotations
@@ -59,12 +64,13 @@ def _phase_tables(omega: np.ndarray, cutoff: int, dt: float,
 def _orbit_generator(iB: np.ndarray, tables: np.ndarray, omega: np.ndarray,
                      x0: np.ndarray, t0: float, count: int) -> np.ndarray:
     """Values of i B(omega t + x0) at t = t0 + s dt/2, s = 0 .. 2 count,
-    shape (2 count + 1, n, n), from the coefficients iB = 1j * B.data.  The
-    coefficients are rotated by e^{i k_j (omega_j t0 + x0_j)} and contracted
-    with the phase tables one axis at a time, the last axis as one matrix
-    product."""
+    from coefficients iB of shape lead + (2 cutoff + 1,) * d, 1j * B.data
+    or its diagonal: shape (2 count + 1,) + lead.  The coefficients are
+    rotated by e^{i k_j (omega_j t0 + x0_j)} and contracted with the phase
+    tables one axis at a time, the last axis as one matrix product."""
     d, K = tables.shape[:2]
     p = 2 * count + 1
+    lead = iB.shape[:iB.ndim - d]
     phase = np.exp(1j * np.outer(omega * t0 + x0, np.arange(K) - K // 2))
     rot = iB
     for j in range(d):
@@ -73,7 +79,7 @@ def _orbit_generator(iB: np.ndarray, tables: np.ndarray, omega: np.ndarray,
     for j in range(d - 2, -1, -1):
         acc = np.einsum("mkp,kp->mp", acc.reshape(-1, K, p),
                         tables[j, :, :p])
-    return np.moveaxis(acc.reshape(iB.shape[:2] + (p,)), -1, 0)
+    return np.moveaxis(acc.reshape(lead + (p,)), -1, 0)
 
 
 def _propagators(A: np.ndarray, Omega: np.ndarray, dt: float) -> np.ndarray:
@@ -90,6 +96,30 @@ def _propagators(A: np.ndarray, Omega: np.ndarray, dt: float) -> np.ndarray:
     return eye + (dt / 6.0) * (A1 + 2 * K2 + 2 * K3 + K4)
 
 
+def _scalar_factors(a: np.ndarray, Omega: np.ndarray,
+                    dt: float) -> np.ndarray:
+    """RK4 factors m_i, z_{i+1} = m_i z_i, of a chunk's steps for n
+    uncoupled components, from the diagonal of i B at its 2 count + 1
+    half-step times, a of shape (2 count + 1, n), which gets i Omega added:
+    shape (count, n).  The arithmetic of the diagonal of `_propagators`."""
+    a += 1j * Omega
+    a1, a2, a4 = a[:-1:2], a[1::2], a[2::2]
+    k2 = a2 * (1 + 0.5 * dt * a1)
+    k3 = a2 * (1 + 0.5 * dt * k2)
+    k4 = a4 * (1 + dt * k3)
+    return 1 + (dt / 6.0) * (a1 + 2 * k2 + 2 * k3 + k4)
+
+
+def _prefix_products(P: np.ndarray) -> np.ndarray:
+    """Doubling scan over a chunk's (count, n, n) propagators, in place:
+    row i becomes P_i ... P_1 P_0."""
+    s = 1
+    while s < len(P):
+        P[s:] = _matmul(P[s:], P[:-s])
+        s *= 2
+    return P
+
+
 def integrate_linearized(omega, Omega, B: FourierSeries | None, z0,
                          T: float, dt: float, x0=None) -> LinearTrajectory:
     """Fixed-step fourth-order integration of z' = i (Omega + B(x)) z along
@@ -102,30 +132,37 @@ def integrate_linearized(omega, Omega, B: FourierSeries | None, z0,
     n = z.size
     if dt <= 0 or T <= 0:
         raise ValueError("T and dt must be positive")
+    if Omega.shape != (n,):
+        raise ValueError(f"Omega has shape {Omega.shape}, z0 has shape "
+                         f"{z.shape}")
     if B is not None and B.d != omega.size:
         raise ValueError(f"B has d = {B.d}, omega has {omega.size} entries")
+    if B is not None and B.shape != (n, n):
+        raise ValueError(f"B has shape {B.shape}, z0 has shape {z.shape}")
     x0 = np.zeros(omega.size) if x0 is None else np.asarray(x0, dtype=float)
     nsteps = int(round(T / dt))
     times = dt * np.arange(nsteps + 1)
     traj = np.empty((nsteps + 1, n), dtype=complex)
     traj[0] = z
+    coupled = B is not None and B.data[~np.eye(n, dtype=bool)].any()
     if B is not None:
-        iB = 1j * B.data
+        iB = 1j * (B.data if coupled else B.data[np.arange(n), np.arange(n)])
         tables = _phase_tables(omega, B.cutoff, dt, min(CHUNK, nsteps))
     # an overflowing run is reported by the finiteness test below
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, nsteps, CHUNK):
             count = min(CHUNK, nsteps - start)
             if B is None:
-                A = np.zeros((2 * count + 1, n, n), dtype=complex)
+                A = np.zeros((2 * count + 1, n), dtype=complex)
             else:
                 A = _orbit_generator(iB, tables, omega, x0, start * dt, count)
-            P = _propagators(A, Omega, dt)
-            s = 1
-            while s < count:
-                P[s:] = _matmul(P[s:], P[:-s])
-                s *= 2
-            rows = P @ traj[start]
+            if coupled:
+                P = _prefix_products(_propagators(A, Omega, dt))
+                rows = P @ traj[start]
+            else:
+                rows = _scalar_factors(A, Omega, dt)
+                rows[0] *= traj[start]
+                np.cumprod(rows, axis=0, out=rows)
             if not np.isfinite(rows).all():
                 raise ValueError(
                     "trajectory contains non-finite amplitudes in the "
@@ -146,16 +183,16 @@ def lyapunov_estimate(traj: LinearTrajectory,
     """Finite-time top Lyapunov estimate log(|z(T)| / |z(0)|) / T.  With
     return_halves=True also reports the estimate over [0, T/2] and
     [T/2, T] so stabilization can be judged."""
-    amp = np.linalg.norm(traj.z, axis=1)
+    m = len(traj.z) // 2
+    amp = np.linalg.norm(traj.z[[0, m, -1]], axis=1)
     if amp[0] == 0.0:
         raise ValueError("zero initial condition")
     T = traj.times[-1] - traj.times[0]
     full = float(np.log(amp[-1] / amp[0]) / T)
     if not return_halves:
         return full
-    m = len(amp) // 2
-    first = float(np.log(amp[m] / amp[0]) / (traj.times[m] - traj.times[0]))
-    second = float(np.log(amp[-1] / amp[m])
+    first = float(np.log(amp[1] / amp[0]) / (traj.times[m] - traj.times[0]))
+    second = float(np.log(amp[-1] / amp[1])
                    / (traj.times[-1] - traj.times[m]))
     return full, first, second
 

@@ -14,10 +14,11 @@ Four static rules over every module in `src/toruskam`, checked with `ast`:
 One transform rule: only `fourier` reaches `numpy.fft`, so `jets` transforms
 through its embedding.  Three import rules, checked in fresh interpreters:
 `toruskam.cli` loads no scipy module, `dispatch` imports no module on the
-benchmark workloads, and neither lattice-solve route loads scipy.  One
-run-path rule: `dispatch` builds no dense lattice operator
+benchmark workloads, and neither lattice-solve route loads scipy.  Two
+run-path rules: `dispatch` builds no dense lattice operator
 (`LatticeMatrix.to_dense`) on the benchmark workloads, nor on a
-strong-coupling run that takes the dense route.  numpy is the only runtime
+strong-coupling run that takes the dense route; and stability mode, whose
+B is diagonal, takes no n x n doubling scan.  numpy is the only runtime
 dependency in `pyproject.toml`; scipy is a test oracle.
 """
 
@@ -341,6 +342,28 @@ def test_dispatch_builds_no_dense_form(tmp_path, monkeypatch, workload):
     assert calls["to_dense"] == 0
     assert (calls["components"] > 1) == (workload == "strong")
     assert (calls["components"] == 1) == (workload == "sigma-scan")
+
+
+def test_uncoupled_stability_takes_no_doubling_scan(tmp_path, monkeypatch):
+    # stability mode's B is diagonal, so its n components are integrated
+    # as scalar recurrences; one off-diagonal coefficient of 1e-12 is
+    # enough to need the n x n propagators and their doubling scan
+    from test_stability import PARITY_CASES
+    from toruskam import cli, config, stability
+    calls = Counter()
+    scan = stability._prefix_products
+
+    def counted(P):
+        calls["scan"] += 1
+        return scan(P)
+    monkeypatch.setattr(stability, "_prefix_products", counted)
+    cfg = config.load_config(WORKLOAD_CONFIGS["stability"])
+    assert cli.dispatch(cfg, str(tmp_path / "out")) == 0
+    assert calls["scan"] == 0
+    omega, Omega, B, z0, x0 = PARITY_CASES["tiny-coupling"]
+    stability.integrate_linearized(omega, Omega, B, z0, T=1.0, dt=1e-3,
+                                   x0=x0)
+    assert calls["scan"] >= 1
 
 
 def test_dense_route_imports_no_scipy():

@@ -37,6 +37,13 @@ def symmetric_B(amp=0.5):
     return matrix_series({(0, 0): c, (1, 1): s, (0, 1): off, (1, 0): off})
 
 
+def diagonal_part(B):
+    """B with every off-diagonal coefficient set to zero."""
+    n = B.shape[0]
+    mask = np.eye(n).reshape((n, n) + (1,) * B.d)
+    return FourierSeries(B.d, B.shape, B.cutoff, B.data * mask)
+
+
 # ----------------------------------------------------------------------
 # closed-form oracle, conservation
 # ----------------------------------------------------------------------
@@ -135,6 +142,22 @@ def test_lyapunov_halves_and_errors():
                              dt=1e-2)
 
 
+@pytest.mark.parametrize("B", [None, symmetric_B(), diagonal_part(
+    symmetric_B())], ids=["none", "coupled", "diagonal"])
+def test_shape_mismatches_name_both_sizes(B):
+    # an Omega of length 1 is not broadcast to both components
+    for Omega, z0, match in (
+            ([1.0], [1.0, 0.5j], r"Omega has shape \(1,\), z0 has shape "
+                                 r"\(2,\)"),
+            ([1.0, 1.4, 2.0], [1.0, 0.5j], r"Omega has shape \(3,\)")):
+        with pytest.raises(ValueError, match=match):
+            integrate_linearized(OMEGA, Omega, B, z0, T=1.0, dt=1e-2)
+    if B is not None:
+        with pytest.raises(ValueError, match=r"B has shape \(2, 2\), z0 "
+                                             r"has shape \(1,\)"):
+            integrate_linearized(OMEGA, [1.0], B, [1.0], T=1.0, dt=1e-2)
+
+
 def _zero_start(traj):
     import dataclasses
     z = traj.z.copy()
@@ -216,6 +239,9 @@ def random_symmetric(d, n, cutoff, amp, seed):
     return FourierSeries(d, (n, n), cutoff, amp * c)
 
 
+# stability mode's B: one cosine on each diagonal entry
+STABILITY_COSINE = FourierSeries.cosine(2, (1, 0), 0.01)
+
 PARITY_CASES = {
     # name: (omega, Omega, B, z0, x0)
     "free": (OMEGA, [1.17, 2.31], None, [1.0, 0.5 - 0.25j], None),
@@ -238,6 +264,17 @@ PARITY_CASES = {
     "d3": ([1.0, PHI, math.sqrt(2.0)], [0.9, 1.6],
            random_symmetric(3, 2, 2, 0.02, 2), [0.3j, 1.0],
            [0.1, 2.0, 4.0]),
+    "stability-mode": (OMEGA, [1.17, 1.43], matrix_series(
+        {(0, 0): STABILITY_COSINE, (1, 1): STABILITY_COSINE}),
+        [0.617 + 0.787j, 0.948 - 0.317j], [3.216, 5.972]),
+    "d3-diagonal": ([1.0, PHI, math.sqrt(2.0)], [0.9, 1.6],
+                    diagonal_part(random_symmetric(3, 2, 2, 0.02, 5)),
+                    [0.3j, 1.0], [0.1, 2.0, 4.0]),
+    # one off-diagonal coefficient, however small, couples the components
+    "tiny-coupling": (OMEGA, [1.0, 1.4], matrix_series(
+        {(0, 0): STABILITY_COSINE, (1, 1): FourierSeries.constant(2, 0.2),
+         (0, 1): FourierSeries.from_coeffs(2, {(1, 0): 1e-12})}),
+        [1.0, 0.5j], [0.7, -2.1]),
 }
 
 
