@@ -39,8 +39,10 @@ EXIT_NUMERIC = 4
 # components; version 3: run results carry level_certificate; version 4:
 # run results' `levels` lists each level's eps_high, lie_tail, reality_err
 # and B_fold_defect (it was the level count); version 5: the `config` echo
-# no longer carries `constants`, a key that changed no number
-SCHEMA_VERSION = 5
+# no longer carries `constants`, a key that changed no number; version 6:
+# run results' `levels` carry lie_skipped_keys and lie_skipped_bound, the
+# keys the Lie series' budget booked in its tail and their summed bound
+SCHEMA_VERSION = 6
 
 # boxes an atlas run may pave: the predicate holds about 20 kB per child box
 # at exclusion_N = 6, so this bounds one paving near 330 MB
@@ -195,6 +197,7 @@ def _mode_run(cfg: RunConfig, out: dict):
     out["results"] = {
         "omega_star": list(res.omega_star),
         "levels": [{k: r[k] for k in ("level", "eps_high", "lie_tail",
+                                      "lie_skipped_keys", "lie_skipped_bound",
                                       "reality_err", "B_fold_defect")}
                    for r in res.rows],
         "eps_sequence": [r["eps_meas"] for r in res.rows],

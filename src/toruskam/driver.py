@@ -288,6 +288,8 @@ def kam_step(state: KamState, schedule: KamSchedule,
                           "B_fold_defect": float(fold_defect),
                           "reality_err": float(reality_err),
                           "lie_tail": lie.tail_bound,
+                          "lie_skipped_keys": lie.skipped_keys,
+                          "lie_skipped_bound": lie.skipped_bound,
                           "events": events})
     return new, sol
 
@@ -322,6 +324,8 @@ def run(nf: NormalForm, P: HamiltonianJet, schedule: KamSchedule,
                      "eps_high": state.eps_high,
                      "reality_err": extra["reality_err"],
                      "lie_tail": extra.get("lie_tail"),
+                     "lie_skipped_keys": extra.get("lie_skipped_keys"),
+                     "lie_skipped_bound": extra.get("lie_skipped_bound"),
                      "B_fold_defect": extra.get("B_fold_defect")})
         if len(rows) > max_levels or not state.eps_meas > stop_threshold:
             break

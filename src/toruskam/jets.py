@@ -17,6 +17,12 @@ A bracket runs on the wrapped FFT embedding of `fourier`
 a grid that is alias-free for the kept modes only.  When both factors are
 exactly real only half of the bracket is computed: the rest is its
 conjugate mirror, so the result is exactly real too.
+
+A Lie series is summed to the rounding of its first-order term {H, F}, a
+sum of FFT products that carries absolute rounding of about u |{H, F}|:
+from its second bracket on, a key whose whole contribution to the series
+is bounded below that level is booked in the tail, untransformed, like an
+over-degree key (`_whole_bounds`, `_ROUNDING`).
 """
 
 from __future__ import annotations
@@ -92,6 +98,27 @@ _BATCH_BYTES = 1 << 21
 # keeps its two arguments and each thread or task sees only its own series
 _SERIES: ContextVar["_Side | None"] = ContextVar("_SERIES", default=None)
 
+# unit roundoff u of the series budget: from bracket j = 2 on, a key whose
+# whole contribution to the series, its bound over j!, is at most u times
+# the vf norm of {H, F} is booked in the tail instead of transformed; the
+# first-order term is a sum of FFT products and already carries rounding of
+# that size.  0 sums every key.
+_ROUNDING = 2.0 ** -53
+
+
+@dataclass
+class _Budget:
+    """The per-key budget of the bracket being computed (0: none), and the
+    keys it skipped with the sum of their booked bounds."""
+    limit: float
+    keys: int
+    bound: float
+
+
+# the budget of the Lie series being summed, set and reset by
+# `lie_transform`; no other bracket has one
+_BUDGET: ContextVar["_Budget | None"] = ContextVar("_BUDGET", default=None)
+
 
 def _moves(f: FourierSeries) -> tuple[bool, ...]:
     """Per axis, whether some coefficient off the plane k_axis = 0 is
@@ -106,8 +133,9 @@ class _Side:
     """One factor of `_grid_kernel`: a jet's terms, in order, and what the
     kernel derives from them, each at most once: the mirror table
     (`_mirrors`), the motion flags (`_moves`), the shell sums of its parts
-    (`_shells`), its `vf_norm` and, on a generator, the channel tables
-    against the other factor (`_bracket_channels`).  None of it is a grid.
+    (`_shells`) and their totals (`_totals`), its `vf_norm` and, on a
+    generator, the channel tables against the other factor
+    (`_bracket_channels`).  None of it is a grid.
     `lie_transform` builds its generator's side once for the whole series
     (`_side`); every other side lives for one bracket."""
 
@@ -115,7 +143,7 @@ class _Side:
         self.jet, self.terms = J, J.terms
         self.series = list(J.terms.values())
         self.channels = {}
-        self._shells = {}
+        self._shells, self._totals = {}, {}
 
     @cached_property
     def mirror(self) -> list | None:
@@ -134,6 +162,11 @@ class _Side:
             self._shells[t, p, s, width] = _shells(self.series[t], p, s,
                                                    width)
         return self._shells[t, p, s, width]
+
+    def totals(self, t: int, s: float) -> np.ndarray:
+        if (t, s) not in self._totals:
+            self._totals[t, s] = _totals(self.series[t], s)
+        return self._totals[t, s]
 
 
 def _side(J: "HamiltonianJet") -> _Side:
@@ -241,9 +274,67 @@ def _dropped_bound(F: _Side, G: _Side, keys, kept, s: float,
     # roundings in a chain: a shell sum, the exp of the rounded s|k|_1, the
     # suffix sum, the dot, the sums over products and keys, and _vf_of
     d, N = F.jet.d, max(N1, N2)
-    nu = ((2 * N + 1) ** d + 2 * N + len(rows) + len(keys)
-          + math.ceil(s * d * N) + 32) * 2.0 ** -53
-    return tail * (1.0 + 2.0 * nu / (1.0 - nu))
+    return _raised(tail, (2 * N + 1) ** d + 2 * N + len(rows) + len(keys)
+                   + math.ceil(s * d * N) + 32)
+
+
+def _raised(total: float, chain: int) -> float:
+    """A float sum of nonnegative terms, at most `chain` roundings from
+    their exact values, raised by 2 gamma_chain: an upper bound for the
+    exact sum."""
+    nu = chain * 2.0 ** -53
+    return total * (1.0 + 2.0 * nu / (1.0 - nu))
+
+
+@lru_cache(maxsize=256)
+def _part_factors(d: int, cutoff: int) -> np.ndarray:
+    """1 and |k_a| for each axis a over the box of `cutoff`, flattened, shape
+    (d + 1, box): the factors of the parts of a series on the box.  Cached
+    and shared: read-only."""
+    k = np.abs(mode_grid(d, cutoff)).reshape(-1, d).T
+    out = np.vstack([np.ones(k.shape[1]), k])
+    out.flags.writeable = False
+    return out
+
+
+def _totals(f: FourierSeries, s: float) -> np.ndarray:
+    """The totals of the shell sums of every part of f (`_shells`), shape
+    (d + 1, 2): row p holds part p's strip norm and the summed strip norms
+    of its partials."""
+    mags = np.abs(f.data[0, 0]).ravel()
+    w, wl1 = _vf_weights(f.d, f.cutoff, s)
+    return _part_factors(f.d, f.cutoff) @ np.stack(
+        [mags * w.ravel(), mags * wl1.ravel()], axis=1)
+
+
+def _whole_bounds(F: _Side, G: _Side, keys, cand, s: float,
+                  r: float) -> list:
+    """Per key of `cand`, a bound for the vector-field norm of its whole
+    contribution: what `_dropped_bound` books for a key that keeps nothing
+    (m = -1, every shell pair), from the totals of the parts' shell sums
+    (`_totals`) instead of the sums themselves.  Over a key's products with
+    |w|, the strip norm of f g is at most sigma_f sigma_g and the summed
+    strip norms of its partials at most sigma'_f sigma_g + sigma_f
+    sigma'_g, passed through `_vf_of`.  Each bound is raised for its own
+    roundings and for those of a sum over the keys."""
+    rows = [(t, i, p, j, q, abs(w)) for t, key in enumerate(cand)
+            for i, p, j, q, w in keys[key]]
+    if not rows:
+        return []
+    a = np.array([F.totals(i, s)[p] for _, i, p, *_ in rows])
+    b = np.array([G.totals(j, s)[q] for _, _, _, j, q, _ in rows])
+    key_of, aw = (np.array([row[k] for row in rows]) for k in (0, 5))
+    sig = np.bincount(key_of, aw * a[:, 0] * b[:, 0], len(cand))
+    sx = np.bincount(key_of, aw * (a[:, 1] * b[:, 0] + a[:, 0] * b[:, 1]),
+                     len(cand))
+    # roundings in a chain: a total, the exp of the rounded s|k|_1, the
+    # products, the sums over products and keys, and _vf_of
+    d = F.jet.d
+    N = max(f.cutoff for side in (F, G) for f in side.series)
+    chain = (2 * N + 1) ** d + len(rows) + len(cand) \
+        + math.ceil(s * d * N) + 32
+    return [_raised(_vf_of(key[0], float(sig[t]), float(sx[t]), r), chain)
+            for t, key in enumerate(cand)]
 
 
 def _grid_kernel(F: "HamiltonianJet", G: "HamiltonianJet", channels):
@@ -260,7 +351,11 @@ def _grid_kernel(F: "HamiltonianJet", G: "HamiltonianJet", channels):
     c the box f.cutoff + g.cutoff of the pair, in F-term order.  A key
     keeps the modes |k|_inf <= m = min(c, cap) of its own box, none past
     max_degree; `_dropped_bound` books the rest in `tail`, and an
-    over-degree key never touches the grid.  Parts sit wrapped (mode k at
+    over-degree key never touches the grid.  Inside a Lie series, from its
+    second bracket on, neither does a key whose whole contribution is
+    bounded by the budget `lie_transform` sets (`_whole_bounds`, before any
+    transform): it is booked in `tail` whole, as an over-degree key is,
+    and counted in the budget's record.  Parts sit wrapped (mode k at
     index k mod L) on L >= c + m + 1 points per axis over the kept keys,
     and L >= 2 cutoff + 1 per part: a kept mode's aliases lie at
     |k|_inf >= L - m > c, outside its key's box.  Every part is
@@ -272,7 +367,8 @@ def _grid_kernel(F: "HamiltonianJet", G: "HamiltonianJet", channels):
     When F and G are exactly real (`_mirrors`), only keys (a, b, c) with
     b <= c are computed: a b = c output is projected onto the real
     subspace, 0.5 (t + conj_function(t)), and a b > c output is the
-    conj_function of its mirror (a, c, b).  A mirror part first used
+    conj_function of its mirror (a, c, b); a b < c key the budget skips
+    takes its mirror with it.  A mirror part first used
     while its partner's grid is live is that grid's conjugate, taken at
     each use into the product's own grid: it is never stored, and the
     partner stays live until the mirror's last use.
@@ -285,15 +381,32 @@ def _grid_kernel(F: "HamiltonianJet", G: "HamiltonianJet", channels):
         keys.setdefault((sig, tf[i].cutoff + tg[j].cutoff), []).append(
             (i, p, j, q, w))
     cap = F.cutoff_cap
-    kept, width = {}, {}    # kept cutoff per key, output cutoff per sig
-    for sig, c in keys:
-        if weighted_degree(sig) <= F.max_degree:
-            kept[sig, c] = c if cap is None else min(c, cap)
-            width[sig] = max(width.get(sig, 0), kept[sig, c])
-    tail = _dropped_bound(fs, gs, keys, kept, F.s_ref, F.r_ref)
+    kept = {key: key[1] if cap is None else min(key[1], cap)
+            for key in keys if weighted_degree(key[0]) <= F.max_degree}
     mirror = {"F": fs.mirror, "G": gs.mirror}
     real = None not in mirror.values()
     live = [key for key in kept if not (real and key[0][1] > key[0][2])]
+    budget, skipped, booked = _BUDGET.get(), set(), 0.0
+    if budget is not None and budget.limit > 0:
+        # a real mirror's parts have its partner's magnitudes and |w|, so
+        # its exact bound is the partner's
+        for key, bound in zip(live, _whole_bounds(fs, gs, keys, live,
+                                                  F.s_ref, F.r_ref)):
+            if bound <= budget.limit:
+                (a, b, c), box = key
+                pair = (key, ((a, c, b), box)) if real and b < c else (key,)
+                skipped.update(pair)
+                booked += len(pair) * bound
+        for key in skipped:
+            del kept[key]
+        live = [key for key in live if key in kept]
+        budget.keys += len(skipped)
+        budget.bound += booked
+    width = {}              # output cutoff per sig
+    for (sig, _), m in kept.items():
+        width[sig] = max(width.get(sig, 0), m)
+    rest = {key: prods for key, prods in keys.items() if key not in skipped}
+    tail = _dropped_bound(fs, gs, rest, kept, F.s_ref, F.r_ref) + booked
     if not live:
         return {}, tail
     first, last = {}, {}    # first and last use of each part
@@ -514,6 +627,8 @@ class LieResult:
     jet: HamiltonianJet
     tail_bound: float
     term_norms: list[float]
+    skipped_keys: int       # keys the series budget booked in the tail
+    skipped_bound: float    # the sum of their booked bounds
 
 
 def lie_transform(H: HamiltonianJet, F: HamiltonianJet,
@@ -523,6 +638,11 @@ def lie_transform(H: HamiltonianJet, F: HamiltonianJet,
     The reported tail bound is the vf_norm (on the reference domain) of the
     first omitted term.  Raises if the term norms grow, which signals a
     divergent expansion.
+
+    The series is summed to the rounding of its first-order term: bracket
+    j >= 2 books in its tail, untransformed, each key whose bound over j!
+    is at most u |{H, F}| (u = `_ROUNDING`, |.| the vf norm).  The result
+    counts those keys and sums their booked bounds.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -530,11 +650,14 @@ def lie_transform(H: HamiltonianJet, F: HamiltonianJet,
     term = H
     norms = [vf_norm(term, H.s_ref, H.r_ref)]
     fact = 1.0
-    series = _SERIES.set(_Side(F))
+    budget = _Budget(0.0, 0, 0.0)
+    series, budgets = _SERIES.set(_Side(F)), _BUDGET.set(budget)
     try:
         for j in range(1, order + 2):
-            term = poisson_bracket(term, F)
             fact *= j
+            if j >= 2:
+                budget.limit = _ROUNDING * norms[1] * fact
+            term = poisson_bracket(term, F)
             norm_j = vf_norm(term, H.s_ref, H.r_ref) / fact
             norms.append(norm_j)
             if j >= 2 and norm_j > norms[-2] and norm_j > 1e-13:
@@ -545,9 +668,11 @@ def lie_transform(H: HamiltonianJet, F: HamiltonianJet,
                 out = out + (1.0 / fact) * term
     finally:
         _SERIES.reset(series)
+        _BUDGET.reset(budgets)
     tail_bound = norms[order + 1]
     jet = out._like(out.terms, tail=out.tail + tail_bound)
-    return LieResult(jet=jet, tail_bound=tail_bound, term_norms=norms)
+    return LieResult(jet=jet, tail_bound=tail_bound, term_norms=norms,
+                     skipped_keys=budget.keys, skipped_bound=budget.bound)
 
 
 # ----------------------------------------------------------------------

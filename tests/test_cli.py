@@ -295,16 +295,16 @@ def test_verify_names_schema_change(tmp_path):
     dispatch(cfg, str(tmp_path / "a"))
     p = tmp_path / "a" / "report.json"
     doc = json.loads(p.read_text())
-    assert doc["schema"] == cli.SCHEMA_VERSION == 5
+    assert doc["schema"] == cli.SCHEMA_VERSION == 6
     doc["schema"] = 1
     p.write_text(json.dumps(doc))
     vcfg = load_config({"mode": "verify", "verify": {"report": str(p)}})
     assert dispatch(vcfg, str(tmp_path / "b")) == EXIT_NUMERIC
     rep = json.loads((tmp_path / "b" / "report.json").read_text())
-    assert rep["results"]["schema"] == [1, 5]
+    assert rep["results"]["schema"] == [1, 6]
     assert rep["results"]["match"] is False
     summary = (tmp_path / "b" / "summary.txt").read_text()
-    assert "DIFFERS (report schema 1, current schema 5)" in summary
+    assert "DIFFERS (report schema 1, current schema 6)" in summary
 
 
 def test_verify_refuses_schema_4_constants(tmp_path, capsys):

@@ -14,12 +14,13 @@ Four static rules over every module in `src/toruskam`, checked with `ast`:
 One transform rule: only `fourier` reaches `numpy.fft`, so `jets` transforms
 through its embedding.  Three import rules, checked in fresh interpreters:
 `toruskam.cli` loads no scipy module, `dispatch` imports no module on the
-benchmark workloads, and neither lattice-solve route loads scipy.  Two
+benchmark workloads, and neither lattice-solve route loads scipy.  Three
 run-path rules: `dispatch` builds no dense lattice operator
 (`LatticeMatrix.to_dense`) on the benchmark workloads, nor on a
-strong-coupling run that takes the dense route; and stability mode, whose
-B is diagonal, takes no n x n doubling scan.  numpy is the only runtime
-dependency in `pyproject.toml`; scipy is a test oracle.
+strong-coupling run that takes the dense route; stability mode, whose
+B is diagonal, takes no n x n doubling scan; and kam-run's Lie series
+transform fewer parts than they would with no series budget.  numpy is
+the only runtime dependency in `pyproject.toml`; scipy is a test oracle.
 """
 
 import ast
@@ -364,6 +365,39 @@ def test_uncoupled_stability_takes_no_doubling_scan(tmp_path, monkeypatch):
     stability.integrate_linearized(omega, Omega, B, z0, T=1.0, dt=1e-3,
                                    x0=x0)
     assert calls["scan"] >= 1
+
+
+def test_lie_series_budget_skips_transforms(tmp_path, monkeypatch):
+    # kam-run's Lie series book the keys of brackets 2-4 that fall below
+    # the rounding of their first-order term in the tail, untransformed:
+    # fewer forward transforms than the full series (budget constant 0),
+    # and the report's levels say how many keys and what bound
+    from toruskam import cli, config, fourier, jets
+    calls = Counter()
+    transform = fourier._wrapped_transform
+
+    def counted(x, L):
+        calls["transforms"] += 1
+        return transform(x, L)
+    for module in (fourier, jets):
+        monkeypatch.setattr(module, "_wrapped_transform", counted)
+    cfg = config.load_config(WORKLOAD_CONFIGS["kam-run"])
+    counts, skipped = [], []
+    for rounding in (jets._ROUNDING, 0.0):
+        monkeypatch.setattr(jets, "_ROUNDING", rounding)
+        calls.clear()
+        out = tmp_path / str(rounding)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert cli.dispatch(cfg, str(out)) == 0
+        counts.append(calls["transforms"])
+        levels = json.loads((out / "report.json").read_text())[
+            "results"]["levels"]
+        skipped.append([(lv["lie_skipped_keys"], lv["lie_skipped_bound"])
+                        for lv in levels[1:]])
+    assert 0 < counts[0] < counts[1]
+    assert all(keys > 0 and bound > 0 for keys, bound in skipped[0])
+    assert skipped[1] == [(0, 0.0)] * len(skipped[1])
 
 
 def test_dense_route_imports_no_scipy():

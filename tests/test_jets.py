@@ -781,13 +781,19 @@ def test_reality_symmetrization_oracle():
 
 def plain_lie(H, F, order):
     """`lie_transform` as a plain chain of `poisson_bracket` and `vf_norm`
-    calls, outside any series memo."""
+    calls, outside any series memo, under the same budget from the second
+    bracket on."""
     out = term = H
     norms = [vf_norm(H, H.s_ref, H.r_ref)]
     fact = 1.0
     for j in range(1, order + 2):
-        term = poisson_bracket(term, F)
         fact *= j
+        limit = jets._ROUNDING * norms[1] * fact if j >= 2 else 0.0
+        token = jets._BUDGET.set(jets._Budget(limit, 0, 0.0))
+        try:
+            term = poisson_bracket(term, F)
+        finally:
+            jets._BUDGET.reset(token)
         norms.append(vf_norm(term, H.s_ref, H.r_ref) / fact)
         if j <= order:
             out = out + (1.0 / fact) * term
@@ -832,6 +838,81 @@ def test_lie_series_memos_match_the_plain_bracket_chain(monkeypatch, d,
     assert got.jet.tail == jet.tail and list(got.jet.terms) == list(jet.terms)
     assert all(got.jet.terms[sig].data.tobytes() == f.data.tobytes()
                for sig, f in jet.terms.items())
+
+
+def graded_jet(rng, d, n, count, max_cutoff, degree, scale, **kw):
+    """Like `mixed_jet`, with each term scaled by scale 10^-U(0, 12), so a
+    series holds keys on both sides of its budget."""
+    J = mixed_jet(rng, d, n, count, max_cutoff, degree=degree, **kw)
+    return J._like({sig: f * (scale * 10.0 ** -rng.uniform(0, 12))
+                    for sig, f in J.terms.items()})
+
+
+def test_lie_series_budget_against_the_full_series_200_cases(monkeypatch):
+    # the series budget only moves keys into the tail: against the full
+    # series (budget constant 0) each coefficient moves by at most the
+    # bounds it booked, skipping never lowers a bracket's vf norm on the
+    # same input, real series stay exactly real, and no bracket outside a
+    # series has a budget
+    rng = np.random.default_rng(23)
+    seen = {"skipped": 0, "real-skipped": 0, "no-cap": 0}
+    for case in range(200):
+        d, n = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        cut = (3, 2, 1)[d - 1]
+        kw = dict(max_degree=4, cutoff_cap=[None, cut + 1][case % 2],
+                  s_ref=float(rng.uniform(0.1, 0.5)),
+                  r_ref=float(rng.uniform(0.3, 0.8)))
+        H = graded_jet(rng, d, n, 3, cut, 4, 1.0, **kw)
+        F = graded_jet(rng, d, n, 2, cut, 2, 10.0 ** -rng.uniform(2, 8),
+                       **kw)
+        real = case % 4 >= 2
+        if real:
+            H, F = (0.5 * (J + conjugate_jet(J)) for J in (H, F))
+        got = lie_transform(H, F, order=3)
+        assert jets._BUDGET.get() is None
+        bracket = poisson_bracket(H, F)
+        with monkeypatch.context() as m:
+            m.setattr(jets, "_ROUNDING", 0.0)
+            ref = lie_transform(H, F, order=3)
+            full = poisson_bracket(H, F)
+        assert ref.skipped_keys == 0 and ref.skipped_bound == 0.0
+        assert list(bracket.terms) == list(full.terms)
+        assert all(bracket.terms[sig].data.tobytes() == f.data.tobytes()
+                   for sig, f in full.terms.items())
+        seen["skipped"] += got.skipped_keys > 0
+        seen["real-skipped"] += real and got.skipped_keys > 0
+        s, r = H.s_ref, H.r_ref
+        for sig in set(got.jet.terms) | set(ref.jet.terms):
+            diff = got.jet.term(sig) - ref.jet.term(sig)
+            assert _term_vf_bound(sig, diff, s, r) <= got.skipped_bound, \
+                (case, sig)
+        if real:
+            assert jets._mirrors(got.jet) is not None
+        if kw["cutoff_cap"] is not None:
+            # a binding cap books the modes a kept key drops by another
+            # bound than a skipped key's, so the norms are not ordered
+            continue
+        seen["no-cap"] += 1
+        # the budgeted chain, each bracket against the full bracket of the
+        # same input
+        term, limit = H, 0.0
+        for j in range(1, 5):
+            token = jets._BUDGET.set(jets._Budget(limit, 0, 0.0))
+            try:
+                nxt = poisson_bracket(term, F)
+            finally:
+                jets._BUDGET.reset(token)
+            assert vf_norm(nxt, s, r) >= vf_norm(
+                poisson_bracket(term, F), s, r) * (1 - 2.0 ** -46), (case, j)
+            if real:
+                assert jets._mirrors(nxt) is not None, (case, j)
+            term, limit = nxt, jets._ROUNDING * got.term_norms[1] \
+                * math.factorial(j + 1)
+    assert min(seen.values()) >= 50, seen
+    H, F = random_jet(rng), 50.0 * random_jet(rng)
+    with pytest.raises(ValueError, match="grow"):
+        lie_transform(H, F, order=3)
+    assert jets._BUDGET.get() is None
 
 
 def test_lie_identity():
