@@ -256,7 +256,7 @@ def kam_step(state: KamState, schedule: KamSchedule,
     if sig0 in P_new.terms:
         f = P_new.terms[sig0]
         mean = FourierSeries.constant(d, f.coeff((0,) * d)).pad(f.cutoff)
-        P_new.terms[sig0] = f - mean
+        P_new = P_new._like({**P_new.terms, sig0: f - mean})
 
     sp = split_low_high(P_new)
     s1, r1 = schedule.s(l + 1), schedule.r(l + 1)

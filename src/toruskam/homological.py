@@ -88,7 +88,8 @@ class LatticeMatrix:
     sigma: float = 0.0
     bold: bool = False
     symbol_truncation_gap: float = 0.0   # norm dropped by pre-truncation
-    _dense: np.ndarray | None = field(default=None, repr=False)
+    # `to_dense`'s cache; `replace` starts every copy without it
+    _dense: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.omega = np.asarray(self.omega, dtype=float)
@@ -213,11 +214,11 @@ class LatticeMatrix:
         p = tuple(int(c) for c in p)
         region = tuple(tuple(k[t] + p[t] for t in range(self.d))
                        for k in self.region)
-        return replace(self, region=region, _dense=None)
+        return replace(self, region=region)
 
     def with_sigma(self, sigma: float) -> "LatticeMatrix":
         """The same operator with shift sigma."""
-        return replace(self, sigma=float(sigma), _dense=None)
+        return replace(self, sigma=float(sigma))
 
 
 def _label_components(m: int, rows: np.ndarray, cols: np.ndarray) -> list:
@@ -521,7 +522,8 @@ def _lattice_solve(T: LatticeMatrix, rhs: FourierSeries, N: int | None,
     centred box when the bound is within `cond_cap` and the iteration
     settles within its sweep cap.  Otherwise T is inverted on its
     components (`_block_inverse`), gated on the exact cond_1 within
-    `cond_cap`, and u = G_b b_b block by block."""
+    `cond_cap`, and u = G_b b_b block by block.  Either route solves on
+    T's whole region and then truncates or pads u to cutoff N."""
     Nr = int(np.abs(T.site_array).max())
     if N is None:
         N = Nr
@@ -546,7 +548,7 @@ def _lattice_solve(T: LatticeMatrix, rhs: FourierSeries, N: int | None,
         Tsol[rows] = (B @ sol[rows][..., None])[..., 0]
     scale = np.linalg.norm(b)
     res = np.linalg.norm(Tsol - b) / scale if scale > 0 else 0.0
-    return _vec_to_series(T, sol, N), LatticeSolveInfo(
+    return _at_cutoff(_vec_to_series(T, sol, Nr), N), LatticeSolveInfo(
         residual=float(res), condition=cond, route="dense", iterations=0)
 
 

@@ -9,9 +9,14 @@ signature is 2|a| + |b| + |c| (y counts twice); "low" means weighted degree
 Brackets that overflow the degree cap or the Fourier cutoff cap are not
 silently dropped: a bound for the vector-field norm of the dropped modes on
 the reference domain (s_ref, r_ref) accumulates in the scalar `tail`, which
-every vf_norm result includes.  That keeps all reported norms upper bounds.
-The bound comes from shell sums of the factors' coefficient magnitudes,
-rounded outward, never from FFT values, so FFT rounding cannot enter it.
+every vf_norm result includes.  The bound comes from shell sums of the
+factors' coefficient magnitudes, rounded outward, never from FFT values, so
+FFT rounding cannot enter it.  It bounds what one bracket drops of its
+factors' terms.  A factor's own tail enters a bracket only as that tail
+times the other factor's vf norm (`poisson_bracket`), which is not a bound
+of the bracket of the part the tail stands for: that bracket also carries
+the part's x-derivatives.  So a norm is an upper bound only as long as no
+tail has been bracketed again.
 A bracket runs on the wrapped FFT embedding of `fourier`
 (`_wrapped_transform`, `_kept_inverse`), the one `fourier.product` uses, on
 a grid that is alias-free for the kept modes only.  When both factors are
@@ -28,7 +33,6 @@ over-degree key (`_whole_bounds`, `_ROUNDING`).
 from __future__ import annotations
 
 import math
-from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
@@ -93,31 +97,12 @@ def _term_vf_bound(sig: Signature, series: FourierSeries,
 # working set of one batch of key sums in `_grid_kernel`
 _BATCH_BYTES = 1 << 21
 
-# the generator's side of the brackets of the Lie series being summed, set
-# and reset by `lie_transform`; a context variable, so that `poisson_bracket`
-# keeps its two arguments and each thread or task sees only its own series
-_SERIES: ContextVar["_Side | None"] = ContextVar("_SERIES", default=None)
-
 # unit roundoff u of the series budget: from bracket j = 2 on, a key whose
 # whole contribution to the series, its bound over j!, is at most u times
 # the vf norm of {H, F} is booked in the tail instead of transformed; the
 # first-order term is a sum of FFT products and already carries rounding of
 # that size.  0 sums every key.
 _ROUNDING = 2.0 ** -53
-
-
-@dataclass
-class _Budget:
-    """The per-key budget of the bracket being computed (0: none), and the
-    keys it skipped with the sum of their booked bounds."""
-    limit: float
-    keys: int
-    bound: float
-
-
-# the budget of the Lie series being summed, set and reset by
-# `lie_transform`; no other bracket has one
-_BUDGET: ContextVar["_Budget | None"] = ContextVar("_BUDGET", default=None)
 
 
 def _moves(f: FourierSeries) -> tuple[bool, ...]:
@@ -137,13 +122,19 @@ class _Side:
     generator, the channel tables against the other factor
     (`_bracket_channels`).  None of it is a grid.
     `lie_transform` builds its generator's side once for the whole series
-    (`_side`); every other side lives for one bracket."""
+    and hands it to every bracket; every other side lives for one bracket.
+
+    A generator's side also carries the series budget: `limit`, the per-key
+    budget of the bracket being computed (0, as on every new side: none),
+    and the keys it skipped, `skipped`, with the sum of their booked
+    bounds, `booked`, over every bracket of the side."""
 
     def __init__(self, J: "HamiltonianJet"):
         self.jet, self.terms = J, J.terms
         self.series = list(J.terms.values())
         self.channels = {}
         self._shells, self._totals = {}, {}
+        self.limit, self.skipped, self.booked = 0.0, 0, 0.0
 
     @cached_property
     def mirror(self) -> list | None:
@@ -167,12 +158,6 @@ class _Side:
         if (t, s) not in self._totals:
             self._totals[t, s] = _totals(self.series[t], s)
         return self._totals[t, s]
-
-
-def _side(J: "HamiltonianJet") -> _Side:
-    """The side of the Lie series' generator when J is it, else a new one."""
-    series = _SERIES.get()
-    return series if series is not None and series.jet is J else _Side(J)
 
 
 def _lower(e: tuple[int, ...], t: int) -> tuple[int, ...]:
@@ -337,12 +322,12 @@ def _whole_bounds(F: _Side, G: _Side, keys, cand, s: float,
             for t, key in enumerate(cand)]
 
 
-def _grid_kernel(F: "HamiltonianJet", G: "HamiltonianJet", channels):
-    """Sum of the channel products `channels(f, g)` on one FFT grid, f and
-    g the sides (`_Side`) of F and G; returns (terms, tail).  G's side is
-    the Lie series' own when G is its generator (`_side`), so what it
-    derives from G is derived once per series; nothing that holds a grid
-    outlives the call.
+def _grid_kernel(F: "HamiltonianJet", gs: _Side, channels):
+    """Sum of the channel products `channels(f, g)` on one FFT grid, f the
+    side (`_Side`) of F and g = `gs` the side of G its caller hands in;
+    returns (terms, tail).  In a Lie series `gs` is the generator's side
+    for the whole series, so what it derives from G is derived once per
+    series; nothing that holds a grid outlives the call.
 
     A channel product (i, p, j, q, sig, w) is w times the product of part p
     of F's i-th term and part q of G's j-th term, part 0 being the term and
@@ -351,12 +336,12 @@ def _grid_kernel(F: "HamiltonianJet", G: "HamiltonianJet", channels):
     c the box f.cutoff + g.cutoff of the pair, in F-term order.  A key
     keeps the modes |k|_inf <= m = min(c, cap) of its own box, none past
     max_degree; `_dropped_bound` books the rest in `tail`, and an
-    over-degree key never touches the grid.  Inside a Lie series, from its
-    second bracket on, neither does a key whose whole contribution is
-    bounded by the budget `lie_transform` sets (`_whole_bounds`, before any
-    transform): it is booked in `tail` whole, as an over-degree key is,
-    and counted in the budget's record.  Parts sit wrapped (mode k at
-    index k mod L) on L >= c + m + 1 points per axis over the kept keys,
+    over-degree key never touches the grid.  Neither does a key whose
+    whole contribution is bounded by `gs.limit` (`_whole_bounds`, before
+    any transform), which `lie_transform` sets from a series' second
+    bracket on: it is booked in `tail` whole, as an over-degree key is,
+    and counted in `gs.skipped` and `gs.booked`.  Parts sit wrapped (mode
+    k at index k mod L) on L >= c + m + 1 points per axis over the kept keys,
     and L >= 2 cutoff + 1 per part: a kept mode's aliases lie at
     |k|_inf >= L - m > c, outside its key's box.  Every part is
     transformed once, while it is in use; keys run in order of their first
@@ -374,7 +359,7 @@ def _grid_kernel(F: "HamiltonianJet", G: "HamiltonianJet", channels):
     partner stays live until the mirror's last use.
     """
     d = F.d
-    fs, gs = _Side(F), _side(G)
+    fs = _Side(F)
     tf, tg = fs.series, gs.series
     keys = {}           # (sig, box) -> its products (i, p, j, q, w)
     for i, p, j, q, sig, w in channels(fs, gs):
@@ -386,13 +371,13 @@ def _grid_kernel(F: "HamiltonianJet", G: "HamiltonianJet", channels):
     mirror = {"F": fs.mirror, "G": gs.mirror}
     real = None not in mirror.values()
     live = [key for key in kept if not (real and key[0][1] > key[0][2])]
-    budget, skipped, booked = _BUDGET.get(), set(), 0.0
-    if budget is not None and budget.limit > 0:
+    skipped, booked = set(), 0.0
+    if gs.limit > 0:
         # a real mirror's parts have its partner's magnitudes and |w|, so
         # its exact bound is the partner's
         for key, bound in zip(live, _whole_bounds(fs, gs, keys, live,
                                                   F.s_ref, F.r_ref)):
-            if bound <= budget.limit:
+            if bound <= gs.limit:
                 (a, b, c), box = key
                 pair = (key, ((a, c, b), box)) if real and b < c else (key,)
                 skipped.update(pair)
@@ -400,8 +385,8 @@ def _grid_kernel(F: "HamiltonianJet", G: "HamiltonianJet", channels):
         for key in skipped:
             del kept[key]
         live = [key for key in live if key in kept]
-        budget.keys += len(skipped)
-        budget.bound += booked
+        gs.skipped += len(skipped)
+        gs.booked += booked
     width = {}              # output cutoff per sig
     for (sig, _), m in kept.items():
         width[sig] = max(width.get(sig, 0), m)
@@ -556,20 +541,27 @@ class HamiltonianJet:
 # contract operations
 # ----------------------------------------------------------------------
 
-def poisson_bracket(F: HamiltonianJet, G: HamiltonianJet) -> HamiltonianJet:
+def poisson_bracket(F: HamiltonianJet, G: HamiltonianJet,
+                    side: _Side | None = None) -> HamiltonianJet:
     """{F,G} = <F_x,G_y> - <F_y,G_x> + i<F_z,G_zbar> - i<F_zbar,G_z>.
 
     All channels run in one `_grid_kernel` call: each term and x-partial is
-    transformed once and each (signature, box) inverse-transformed once."""
+    transformed once and each (signature, box) inverse-transformed once.
+    `side` is G's `_Side`: `lie_transform` hands in its generator's, with
+    the series budget; by default a new one, without a budget."""
     if (F.d, F.n) != (G.d, G.n):
         raise ValueError("dimension mismatch")
+    if side is None:
+        side = _Side(G)
     terms, tail = {}, 0.0
     if F.terms and G.terms:
-        terms, tail = _grid_kernel(F, G, _bracket_channels)
-    # unrepresented-part coupling
+        terms, tail = _grid_kernel(F, side, _bracket_channels)
+    # the unrepresented parts enter as tail times the other factor's vf
+    # norm: an estimate, not a bound of their bracket, which also carries
+    # their x-derivatives
     cross = 0.0
     if F.tail:
-        cross += F.tail * _side(G).vf
+        cross += F.tail * side.vf
     if G.tail:
         cross += G.tail * vf_norm(F, F.s_ref, F.r_ref)
     return replace(F, terms=terms, tail=tail + cross,
@@ -641,8 +633,9 @@ def lie_transform(H: HamiltonianJet, F: HamiltonianJet,
 
     The series is summed to the rounding of its first-order term: bracket
     j >= 2 books in its tail, untransformed, each key whose bound over j!
-    is at most u |{H, F}| (u = `_ROUNDING`, |.| the vf norm).  The result
-    counts those keys and sums their booked bounds.
+    is at most u |{H, F}| (u = `_ROUNDING`, |.| the vf norm).  Every
+    bracket takes F's one `_Side`, which holds that budget in `limit` and
+    counts the keys and sums their booked bounds for the result.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -650,29 +643,24 @@ def lie_transform(H: HamiltonianJet, F: HamiltonianJet,
     term = H
     norms = [vf_norm(term, H.s_ref, H.r_ref)]
     fact = 1.0
-    budget = _Budget(0.0, 0, 0.0)
-    series, budgets = _SERIES.set(_Side(F)), _BUDGET.set(budget)
-    try:
-        for j in range(1, order + 2):
-            fact *= j
-            if j >= 2:
-                budget.limit = _ROUNDING * norms[1] * fact
-            term = poisson_bracket(term, F)
-            norm_j = vf_norm(term, H.s_ref, H.r_ref) / fact
-            norms.append(norm_j)
-            if j >= 2 and norm_j > norms[-2] and norm_j > 1e-13:
-                raise ValueError(
-                    f"Lie series terms grow at order {j}: "
-                    f"{norms[-2]:.3e} -> {norm_j:.3e}")
-            if j <= order:
-                out = out + (1.0 / fact) * term
-    finally:
-        _SERIES.reset(series)
-        _BUDGET.reset(budgets)
+    side = _Side(F)
+    for j in range(1, order + 2):
+        fact *= j
+        if j >= 2:
+            side.limit = _ROUNDING * norms[1] * fact
+        term = poisson_bracket(term, F, side)
+        norm_j = vf_norm(term, H.s_ref, H.r_ref) / fact
+        norms.append(norm_j)
+        if j >= 2 and norm_j > norms[-2] and norm_j > 1e-13:
+            raise ValueError(
+                f"Lie series terms grow at order {j}: "
+                f"{norms[-2]:.3e} -> {norm_j:.3e}")
+        if j <= order:
+            out = out + (1.0 / fact) * term
     tail_bound = norms[order + 1]
     jet = out._like(out.terms, tail=out.tail + tail_bound)
     return LieResult(jet=jet, tail_bound=tail_bound, term_norms=norms,
-                     skipped_keys=budget.keys, skipped_bound=budget.bound)
+                     skipped_keys=side.skipped, skipped_bound=side.booked)
 
 
 # ----------------------------------------------------------------------

@@ -198,7 +198,7 @@ def build_exhaustion(region: ElementaryRegion, m, M: int) -> Exhaustion:
 
 
 def _restrict(T: LatticeMatrix, sites) -> LatticeMatrix:
-    return _dc_replace(T, region=tuple(sorted(sites)), _dense=None)
+    return _dc_replace(T, region=tuple(sorted(sites)))
 
 
 def _sup_dist_matrix(sites) -> np.ndarray:

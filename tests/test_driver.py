@@ -277,6 +277,21 @@ def test_kam_step_cosine_contracts():
     assert new.extra["omega_shift"] <= math.sqrt(state.eps_meas)
 
 
+def test_kam_step_drops_the_constant_shift_through_the_jet():
+    # a constant x-part is all energy shift: the new P holds no all-zero
+    # term in its place, as a jet built from those terms would not
+    sig0 = ((0, 0), (0,), (0,))
+    P = HamiltonianJet(D, NN, {sig0: FourierSeries.constant(D, 1e-6)},
+                       s_ref=0.3, r_ref=0.5)
+    sch = make_schedule(2.0, 1e-6, d=2, s0=0.3)
+    state, _ = initial_step(base_nf(), P, sch, gamma=1e-4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # R^x's mean is the shift
+        new, _ = kam_step(state, sch)
+    assert all(f.data.any() for f in new.P.terms.values())
+    assert sig0 not in new.P.terms
+
+
 def test_kam_step_resonant_parameter_excluded():
     nf = NormalForm(np.array([1.0, 1.5]), np.array([1.17]),
                     FourierSeries.zero(D, shape=(NN, NN)))

@@ -541,6 +541,23 @@ def test_neumann_route_matches_dense_oracle(n, build, sigma):
     assert info.condition >= np.linalg.cond(dense, 1)
 
 
+@pytest.mark.parametrize("coupling, route", [(0.01, "neumann"),
+                                              (0.5, "dense")])
+def test_both_routes_solve_below_the_region_cutoff(coupling, route):
+    # a solve cutoff N = 2 below the 3-box's: either route solves
+    # T u = -i rhs_N on the whole box and returns u truncated to N
+    N = 2
+    B = FourierSeries.from_coeffs(D, {(1, 0): coupling, (-1, 0): coupling})
+    T = build_T(0.1 * GOLD, np.array([1.3]), B, FourierSeries.zero(D), 3)
+    rhs = random_column(np.random.default_rng(75), 1, 3)
+    Fz, _, info = solve_hz(T, rhs, N)
+    assert info.route == route and Fz.cutoff == N
+    ref = lu_reference(T, truncate(rhs, N).pad(3))
+    ref[np.abs(T.site_array).max(axis=1) > N] = 0.0
+    assert np.linalg.norm(lattice_vec(T, Fz) - ref) \
+        <= 1e-12 * np.linalg.norm(ref)
+
+
 def test_dense_fallback_selection():
     rng = np.random.default_rng(70)
     Z = FourierSeries.zero(D)

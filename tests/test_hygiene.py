@@ -12,15 +12,17 @@ Four static rules over every module in `src/toruskam`, checked with `ast`:
   * likewise every dataclass field with a default, which may also be set
     by a `replace(...)` call or an attribute assignment (`obj.field = ...`).
 One transform rule: only `fourier` reaches `numpy.fft`, so `jets` transforms
-through its embedding.  Three import rules, checked in fresh interpreters:
-`toruskam.cli` loads no scipy module, `dispatch` imports no module on the
-benchmark workloads, and neither lattice-solve route loads scipy.  Three
-run-path rules: `dispatch` builds no dense lattice operator
-(`LatticeMatrix.to_dense`) on the benchmark workloads, nor on a
-strong-coupling run that takes the dense route; stability mode, whose
-B is diagonal, takes no n x n doubling scan; and kam-run's Lie series
-transform fewer parts than they would with no series budget.  numpy is
-the only runtime dependency in `pyproject.toml`; scipy is a test oracle.
+through its embedding.  One state rule: no module imports `contextvars`; a
+Lie series hands its state to each bracket as an argument.  Three import
+rules, checked in fresh interpreters: `toruskam.cli` loads no scipy module,
+`dispatch` imports no module on the benchmark workloads, and neither
+lattice-solve route loads scipy.  Three run-path rules: `dispatch` builds
+no dense lattice operator (`LatticeMatrix.to_dense`) on the benchmark
+workloads, nor on a strong-coupling run that takes the dense route;
+stability mode, whose B is diagonal, takes no n x n doubling scan; and
+kam-run's Lie series transform fewer parts than they would with no series
+budget.  numpy is the only runtime dependency in `pyproject.toml`; scipy
+is a test oracle.
 """
 
 import ast
@@ -253,6 +255,25 @@ def fft_uses(path) -> list:
                 and node.value.id in ("np", "numpy"):
             found.append(f"{path.name}:{node.lineno}")
     return found
+
+
+def imported_modules(path) -> set:
+    """The top-level names of every module a file imports."""
+    found = set()
+    for node in ast.walk(_parse(path)):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module \
+                and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_no_context_variables():
+    # state travels as arguments and lives with its owner: a Lie series'
+    # budget and memos on its generator's side, handed to each bracket
+    assert [m.name for m in sorted(PACKAGE.glob("*.py"))
+            if "contextvars" in imported_modules(m)] == []
 
 
 def test_jets_transforms_only_through_fourier():

@@ -145,7 +145,7 @@ def jet_product(F, G):
     and the bilinear coupling of the unrepresented parts go to `tail`."""
     out, tail = {}, 0.0
     if F.terms and G.terms:
-        out, tail = jets._grid_kernel(F, G, product_channels)
+        out, tail = jets._grid_kernel(F, jets._Side(G), product_channels)
     if F.tail:
         tail += F.tail * (vf_norm(G, G.s_ref, G.r_ref) + G.tail)
     if G.tail:
@@ -329,7 +329,8 @@ def oracle(monkeypatch):
     def run(fn, *args, shells=False, **kw):
         with monkeypatch.context() as m:
             m.setattr(jets, "poisson_bracket",
-                      lambda F, G: oracle_poisson_bracket(F, G, shells))
+                      lambda F, G, side=None: oracle_poisson_bracket(
+                          F, G, shells))
             m.setattr(jets, "vf_norm", oracle_vf_norm)
             return fn(*args, **kw)
     return run
@@ -779,21 +780,25 @@ def test_reality_symmetrization_oracle():
 # lie transform
 # ----------------------------------------------------------------------
 
+def assert_bit_identical(got, ref):
+    """The same terms, in the same order, and the same tail, bit for bit."""
+    assert got.tail == ref.tail and list(got.terms) == list(ref.terms)
+    assert all(got.terms[sig].data.tobytes() == f.data.tobytes()
+               for sig, f in ref.terms.items())
+
+
 def plain_lie(H, F, order):
     """`lie_transform` as a plain chain of `poisson_bracket` and `vf_norm`
-    calls, outside any series memo, under the same budget from the second
+    calls, each on a new side of F, under the same budget from the second
     bracket on."""
     out = term = H
     norms = [vf_norm(H, H.s_ref, H.r_ref)]
     fact = 1.0
     for j in range(1, order + 2):
         fact *= j
-        limit = jets._ROUNDING * norms[1] * fact if j >= 2 else 0.0
-        token = jets._BUDGET.set(jets._Budget(limit, 0, 0.0))
-        try:
-            term = poisson_bracket(term, F)
-        finally:
-            jets._BUDGET.reset(token)
+        side = jets._Side(F)
+        side.limit = jets._ROUNDING * norms[1] * fact if j >= 2 else 0.0
+        term = poisson_bracket(term, F, side)
         norms.append(vf_norm(term, H.s_ref, H.r_ref) / fact)
         if j <= order:
             out = out + (1.0 / fact) * term
@@ -835,9 +840,7 @@ def test_lie_series_memos_match_the_plain_bracket_chain(monkeypatch, d,
     jet, tail, norms = plain_lie(H, F, 3)
     assert len([J for J, in calls["_mirrors"] if J is F]) == 4
     assert got.tail_bound == tail and got.term_norms == norms
-    assert got.jet.tail == jet.tail and list(got.jet.terms) == list(jet.terms)
-    assert all(got.jet.terms[sig].data.tobytes() == f.data.tobytes()
-               for sig, f in jet.terms.items())
+    assert_bit_identical(got.jet, jet)
 
 
 def graded_jet(rng, d, n, count, max_cutoff, degree, scale, **kw):
@@ -852,8 +855,8 @@ def test_lie_series_budget_against_the_full_series_200_cases(monkeypatch):
     # the series budget only moves keys into the tail: against the full
     # series (budget constant 0) each coefficient moves by at most the
     # bounds it booked, skipping never lowers a bracket's vf norm on the
-    # same input, real series stay exactly real, and no bracket outside a
-    # series has a budget
+    # same input, real series stay exactly real, and a bracket outside a
+    # series, after it or after the growth error, has no budget
     rng = np.random.default_rng(23)
     seen = {"skipped": 0, "real-skipped": 0, "no-cap": 0}
     for case in range(200):
@@ -869,16 +872,13 @@ def test_lie_series_budget_against_the_full_series_200_cases(monkeypatch):
         if real:
             H, F = (0.5 * (J + conjugate_jet(J)) for J in (H, F))
         got = lie_transform(H, F, order=3)
-        assert jets._BUDGET.get() is None
         bracket = poisson_bracket(H, F)
         with monkeypatch.context() as m:
             m.setattr(jets, "_ROUNDING", 0.0)
             ref = lie_transform(H, F, order=3)
             full = poisson_bracket(H, F)
         assert ref.skipped_keys == 0 and ref.skipped_bound == 0.0
-        assert list(bracket.terms) == list(full.terms)
-        assert all(bracket.terms[sig].data.tobytes() == f.data.tobytes()
-                   for sig, f in full.terms.items())
+        assert_bit_identical(bracket, full)
         seen["skipped"] += got.skipped_keys > 0
         seen["real-skipped"] += real and got.skipped_keys > 0
         s, r = H.s_ref, H.r_ref
@@ -897,11 +897,9 @@ def test_lie_series_budget_against_the_full_series_200_cases(monkeypatch):
         # same input
         term, limit = H, 0.0
         for j in range(1, 5):
-            token = jets._BUDGET.set(jets._Budget(limit, 0, 0.0))
-            try:
-                nxt = poisson_bracket(term, F)
-            finally:
-                jets._BUDGET.reset(token)
+            side = jets._Side(F)
+            side.limit = limit
+            nxt = poisson_bracket(term, F, side)
             assert vf_norm(nxt, s, r) >= vf_norm(
                 poisson_bracket(term, F), s, r) * (1 - 2.0 ** -46), (case, j)
             if real:
@@ -912,7 +910,10 @@ def test_lie_series_budget_against_the_full_series_200_cases(monkeypatch):
     H, F = random_jet(rng), 50.0 * random_jet(rng)
     with pytest.raises(ValueError, match="grow"):
         lie_transform(H, F, order=3)
-    assert jets._BUDGET.get() is None
+    with monkeypatch.context() as m:
+        m.setattr(jets, "_ROUNDING", 0.0)
+        full = poisson_bracket(H, F)
+    assert_bit_identical(poisson_bracket(H, F), full)
 
 
 def test_lie_identity():
