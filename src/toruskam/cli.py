@@ -41,8 +41,10 @@ EXIT_NUMERIC = 4
 # and B_fold_defect (it was the level count); version 5: the `config` echo
 # no longer carries `constants`, a key that changed no number; version 6:
 # run results' `levels` carry lie_skipped_keys and lie_skipped_bound, the
-# keys the Lie series' budget booked in its tail and their summed bound
-SCHEMA_VERSION = 6
+# keys the Lie series' budget booked in its tail and their summed bound;
+# version 7: the `config` echo no longer carries caps.cond_cap, lie_order,
+# stop_threshold and perturbation.decay, now constants
+SCHEMA_VERSION = 7
 
 # boxes an atlas run may pave: the predicate holds about 20 kB per child box
 # at exclusion_N = 6, so this bounds one paving near 330 MB
@@ -81,8 +83,8 @@ def render_report(report: dict) -> str:
     return json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n"
 
 
-def _decaying_scalar(rng, d, eps, decay, kmax, zero_mean=True, real=True):
-    """Random series with coefficient eps e^{-decay |k|_1} (a + i b) at each
+def _decaying_scalar(rng, d, eps, kmax, zero_mean=True, real=True):
+    """Random series with coefficient eps e^{-|k|_1} (a + i b) at each
     |k|_1 <= kmax (k = 0 left out if `zero_mean`), a and b standard normal,
     drawn pairwise in lexicographic mode order; symmetrized to a real
     function if `real`."""
@@ -90,7 +92,7 @@ def _decaying_scalar(rng, d, eps, decay, kmax, zero_mean=True, real=True):
     live = np.flatnonzero((l1 <= kmax) & ((l1 > 0) | (not zero_mean)))
     z = rng.standard_normal((live.size, 2))
     # one scalar np.exp per distinct |k|_1, as the per-mode form computed it
-    amp = [eps * np.exp(-decay * v) for v in range(kmax + 1)]
+    amp = [eps * np.exp(-v) for v in range(kmax + 1)]
     data = np.zeros(l1.size, dtype=complex)
     data[live] += np.array([amp[v] for v in l1[live].tolist()]) \
         * (z[:, 0] + 1j * z[:, 1])
@@ -113,25 +115,23 @@ def build_perturbation(cfg: RunConfig, rng) -> HamiltonianJet:
         return HamiltonianJet(d, n, {(z0, zn, zn): f},
                               max_degree=4, cutoff_cap=pert["cutoff_cap"],
                               s_ref=s_ref, r_ref=r_ref)
-    eps, dec, kmax = pert["amplitude"], pert["decay"], pert["kmax"]
+    eps, kmax = pert["amplitude"], pert["kmax"]
     one_y = (1,) + (0,) * (d - 1)
     e1 = (1,) + (0,) * (n - 1)
-    terms = {(z0, zn, zn): _decaying_scalar(rng, d, eps, dec, kmax)}
-    terms[(one_y, zn, zn)] = _decaying_scalar(rng, d, eps, dec, kmax,
+    terms = {(z0, zn, zn): _decaying_scalar(rng, d, eps, kmax)}
+    terms[(one_y, zn, zn)] = _decaying_scalar(rng, d, eps, kmax,
                                               zero_mean=False)
-    hz = _decaying_scalar(rng, d, eps, dec, kmax, zero_mean=False,
-                          real=False)
+    hz = _decaying_scalar(rng, d, eps, kmax, zero_mean=False, real=False)
     terms[(z0, e1, zn)] = hz
     terms[(z0, zn, e1)] = hz.conj_function()
-    mzz = _decaying_scalar(rng, d, eps, dec, kmax, zero_mean=False,
-                           real=False)
+    mzz = _decaying_scalar(rng, d, eps, kmax, zero_mean=False, real=False)
     two = tuple(2 * a for a in e1)
     terms[(z0, two, zn)] = mzz
     terms[(z0, zn, two)] = mzz.conj_function()
-    terms[(z0, e1, e1)] = _decaying_scalar(rng, d, eps, dec, kmax,
+    terms[(z0, e1, e1)] = _decaying_scalar(rng, d, eps, kmax,
                                            zero_mean=False)
-    terms[(one_y, e1, e1)] = _decaying_scalar(rng, d, eps, dec,
-                                              min(kmax, 6), zero_mean=False)
+    terms[(one_y, e1, e1)] = _decaying_scalar(rng, d, eps, min(kmax, 6),
+                                              zero_mean=False)
     return HamiltonianJet(d, n, terms, max_degree=4,
                           cutoff_cap=pert["cutoff_cap"],
                           s_ref=s_ref, r_ref=r_ref)
@@ -190,10 +190,7 @@ def _mode_run(cfg: RunConfig, out: dict):
     sch = make_schedule(c["A"], c["eps"], c["d"], tau=c["tau"], s0=c["s0"],
                         r0=c["r0"], N_max=c["caps"]["N_max"])
     res = run(nf, P, sch, max_levels=c["caps"]["levels"],
-              stop_threshold=c["caps"]["stop_threshold"],
-              lie_order=c["caps"]["lie_order"],
-              cond_cap=c["caps"]["cond_cap"], gamma=c["caps"]["gamma"],
-              exclusion_N=c["caps"]["exclusion_N"])
+              gamma=c["caps"]["gamma"], exclusion_N=c["caps"]["exclusion_N"])
     out["results"] = {
         "omega_star": list(res.omega_star),
         "levels": [{k: r[k] for k in ("level", "eps_high", "lie_tail",
@@ -263,8 +260,7 @@ def _mode_greens(cfg: RunConfig, out: dict):
     g = c["greens"]
     T = _greens_operator(cfg).with_sigma(g["sigma"])
     threshold = g["N"] // 2 if g["threshold"] is None else g["threshold"]
-    _, cert = invert_direct(T, threshold=int(threshold),
-                            cond_cap=c["caps"]["cond_cap"])
+    _, cert = invert_direct(T, threshold=int(threshold))
     sound = check_certificate(cert, T)
     out["results"] = {
         "norm_bound": cert.norm_bound,
@@ -295,8 +291,7 @@ def _mode_sigma_scan(cfg: RunConfig, out: dict):
                      (sc["alpha_target"], sc["threshold"],
                       sc["norm_target"]),
                      points_per_unit=sc["points_per_unit"],
-                     refine_iters=sc["refine_iters"],
-                     cond_cap=c["caps"]["cond_cap"])
+                     refine_iters=sc["refine_iters"])
     out["results"] = {
         "bad_intervals": [list(iv) for iv in rep.bad_intervals],
         "bad_measure": rep.bad_measure,
@@ -388,11 +383,13 @@ def _mode_verify(cfg: RunConfig, out: dict):
                            for v in exc.violations]) from None
     replay = {"schema": SCHEMA_VERSION, "mode": mode,
               "config": replay_cfg.normalized()}
-    code = MODE_TABLE[mode](replay_cfg, replay)
+    # a run that was downgraded (--no-strict) replays downgraded
+    results = saved.get("results")
+    strict = not (isinstance(results, dict) and results.get("downgraded"))
+    code = _run_mode(replay_cfg, replay, strict)
     replay.pop("csv", None)
     replay.pop("summary", None)
-    pruned = {k: v for k, v in saved.items()
-              if k not in ("csv", "summary", "exit_code")}
+    pruned = {k: v for k, v in saved.items() if k not in ("csv", "summary")}
     match = render_report(replay) == render_report(pruned)
     out["results"] = {"replayed": path, "match": match,
                       "replay_exit": code}
@@ -402,7 +399,7 @@ def _mode_verify(cfg: RunConfig, out: dict):
         out["results"]["schema"] = [saved.get("schema"), SCHEMA_VERSION]
         out["summary"] += (f" (report schema {saved.get('schema')}, "
                            f"current schema {SCHEMA_VERSION})")
-    return EXIT_OK if match and code == EXIT_OK else EXIT_NUMERIC
+    return EXIT_OK if match else EXIT_NUMERIC
 
 
 MODE_TABLE = {
@@ -415,15 +412,12 @@ MODE_TABLE = {
 }
 
 
-def dispatch(cfg: RunConfig, out_dir: str, strict: bool = True) -> int:
-    """Run the configured mode, write report.json + CSV sidecars +
-    summary.txt, and return the exit code."""
-    report = {"schema": SCHEMA_VERSION, "mode": cfg.values["mode"],
-              "config": cfg.normalized()}
+def _run_mode(cfg: RunConfig, report: dict, strict: bool) -> int:
+    """Run the report's mode into `report`; its exit code, also in
+    `report["exit_code"]`, is 3 on an excluded parameter and 4 on a numeric
+    failure (0 with `results.downgraded` set unless `strict`)."""
     try:
-        code = MODE_TABLE[cfg.values["mode"]](cfg, report)
-    except ConfigError:
-        raise
+        code = MODE_TABLE[report["mode"]](cfg, report)
     except ParameterExcluded as exc:
         report["results"] = {"excluded": str(exc)}
         report["summary"] = f"parameter excluded: {exc}"
@@ -437,6 +431,15 @@ def dispatch(cfg: RunConfig, out_dir: str, strict: bool = True) -> int:
         report["results"]["downgraded"] = True
         code = EXIT_OK
     report["exit_code"] = code
+    return code
+
+
+def dispatch(cfg: RunConfig, out_dir: str, strict: bool = True) -> int:
+    """Run the configured mode, write report.json + CSV sidecars +
+    summary.txt, and return the exit code."""
+    report = {"schema": SCHEMA_VERSION, "mode": cfg.values["mode"],
+              "config": cfg.normalized()}
+    code = _run_mode(cfg, report, strict)
     _write_outputs(report, out_dir)
     return code
 
@@ -464,10 +467,9 @@ def main(argv=None) -> int:
     ap.add_argument("--mode", choices=sorted(MODE_TABLE),
                     help="override the configured mode")
     ap.add_argument("--seed", type=int, help="override the configured seed")
-    ap.add_argument("--levels", type=int,
-                    help="override caps.levels")
     ap.add_argument("--no-strict", dest="strict", action="store_false",
-                    help="downgrade numeric failures to warnings")
+                    help="exit 0 on a numeric failure, marking the report's "
+                         "results as downgraded")
     args = ap.parse_args(argv)
     try:
         cfg = parse_config(args.config)
@@ -476,10 +478,13 @@ def main(argv=None) -> int:
             values["mode"] = args.mode
         if args.seed is not None:
             values["seed"] = args.seed
-        if args.levels is not None:
-            values["caps"]["levels"] = args.levels
         cfg = load_config(values)
+        # made before the mode runs, so that an unusable --out costs no run
+        os.makedirs(args.out, exist_ok=True)
         return dispatch(cfg, args.out, strict=args.strict)
+    except OSError as exc:
+        print(f"cannot write outputs to {args.out}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         try:

@@ -37,11 +37,8 @@ DEFAULTS = {
         "gamma": None,           # None -> 0.5 sqrt(eps): eps is the
                                  # measured first-level low norm in run,
                                  # the configured eps in atlas
-        "cond_cap": 1e12,
-        "stop_threshold": 1e-14,
         "exclusion_N": 6,
-        "lie_order": 3,
-        "drift_tol": None,       # stability: warn-vs-fail threshold
+        "drift_tol": None,       # stability: exit 4 past this drift
     },
     "box": {
         "half_width": 0.5,
@@ -50,7 +47,6 @@ DEFAULTS = {
     "perturbation": {
         "kind": "random-tail",   # random-tail | cosine | zero
         "amplitude": 1e-6,
-        "decay": 1.0,
         "kmax": 10,
         "cutoff_cap": 32,
         "mode": [1, 0],          # cosine only
@@ -167,11 +163,8 @@ def validate(values: dict) -> list:
         _require(_is_num(c["tau"]) and c["tau"] > 0, "tau: positive", v)
 
     caps = c["caps"]
-    for key in ("N_max", "levels", "exclusion_N", "lie_order"):
+    for key in ("N_max", "levels", "exclusion_N"):
         _require(_is_int(caps[key], 1), f"caps.{key}: positive integer", v)
-    for key in ("cond_cap", "stop_threshold"):
-        _require(_is_num(caps[key]) and caps[key] > 0,
-                 f"caps.{key}: positive", v)
     for key in ("gamma", "drift_tol"):
         if caps[key] is not None:
             _require(_is_num(caps[key]) and caps[key] > 0,
@@ -187,8 +180,6 @@ def validate(values: dict) -> list:
              "perturbation.kind: random-tail | cosine | zero", v)
     _require(_is_num(pert["amplitude"]) and pert["amplitude"] >= 0,
              "perturbation.amplitude: nonnegative", v)
-    _require(_is_num(pert["decay"]) and pert["decay"] > 0,
-             "perturbation.decay: positive", v)
     _require(_is_int(pert["kmax"], 1),
              "perturbation.kmax: positive integer", v)
     _require(_is_int(pert["cutoff_cap"], 1),

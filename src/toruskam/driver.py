@@ -36,8 +36,8 @@ class ParameterExcluded(Exception):
         self.xi = np.asarray(xi, dtype=float)
         self.level = level
         self.reason = reason
-        super().__init__(f"parameter {tuple(self.xi)} excluded at level "
-                         f"{level}: {reason}")
+        super().__init__(f"parameter {tuple(self.xi.tolist())} excluded at "
+                         f"level {level}: {reason}")
 
 
 # ----------------------------------------------------------------------
@@ -175,13 +175,16 @@ def invariance_residual(P: HamiltonianJet, s: float, r: float) -> float:
 # the iteration
 # ----------------------------------------------------------------------
 
+# `run` stops at the first level whose measured low norm is at most this
+STOP_THRESHOLD = 1e-14
+
+
 def initial_step(nf: NormalForm, P: HamiltonianJet, schedule: KamSchedule,
-                 gamma: float | None = None, exclusion_N: int = 8,
-                 cond_cap: float = 1e12) -> tuple:
+                 gamma: float | None = None, exclusion_N: int = 8) -> tuple:
     """Measure the input, build the surviving-parameter atlas at the first
     level, certify the level's lattice operator (`level_certificate`: the
-    closed-form Combes-Thomas bound, or a direct inversion gated on
-    `cond_cap` when its gate q_0 < 1 fails), and return the starting state
+    closed-form Combes-Thomas bound, or a condition-gated direct inversion
+    when its gate q_0 < 1 fails), and return the starting state
     (with the frequency vector as the active parameter) plus the atlas.
     The input, accepted within 1e-12 of real, is projected onto the real
     subspace, which leaves an exactly real one bit for bit as it is; every
@@ -215,8 +218,7 @@ def initial_step(nf: NormalForm, P: HamiltonianJet, schedule: KamSchedule,
                      eps_high=eps_high,
                      extra={"gamma": gamma,
                             "level_certificate":
-                                level_certificate(T, threshold=2,
-                                                  cond_cap=cond_cap),
+                                level_certificate(T, threshold=2),
                             "omega_shift": 0.0,
                             "B_symmetry_err": nf.symmetry_error(),
                             "reality_err": check_reality(P, tol=0.0)[1],
@@ -224,8 +226,7 @@ def initial_step(nf: NormalForm, P: HamiltonianJet, schedule: KamSchedule,
     return state, atlas
 
 
-def kam_step(state: KamState, schedule: KamSchedule,
-             lie_order: int = 3, cond_cap: float = 1e12) -> tuple:
+def kam_step(state: KamState, schedule: KamSchedule) -> tuple:
     """One full level: solve, transform, re-extract the normal form."""
     l = state.level
     nf, P = state.nf, state.P
@@ -234,12 +235,12 @@ def kam_step(state: KamState, schedule: KamSchedule,
     floor = gamma_floor(0.5 * state.extra.get("gamma", 0.0), schedule.tau)
     try:
         sol = solve_homological(nf.omega, nf.Omega, nf.B, P, N,
-                                divisor_floor=floor, cond_cap=cond_cap)
+                                divisor_floor=floor)
     except (SmallDivisorError, NearSingularError) as err:
         raise ParameterExcluded(state.xi, l, str(err)) from err
     F = sol.generator_jet(d, n, **_jet_kw(P))
     H = nf.to_jet(**_jet_kw(P)) + P
-    lie = lie_transform(H, F, order=lie_order)
+    lie = lie_transform(H, F)
     Hp = lie.jet
 
     omega_new = nf.omega + np.real(np.asarray(sol.freq_shift))
@@ -306,11 +307,10 @@ def contraction_exponent(eps_values) -> float | None:
 
 
 def run(nf: NormalForm, P: HamiltonianJet, schedule: KamSchedule,
-        max_levels: int = 6, stop_threshold: float = 1e-14,
-        lie_order: int = 3, cond_cap: float = 1e12, gamma: float | None = None,
+        max_levels: int = 6, gamma: float | None = None,
         exclusion_N: int = 8) -> TorusResult:
     state, atlas = initial_step(nf, P, schedule, gamma=gamma,
-                                exclusion_N=exclusion_N, cond_cap=cond_cap)
+                                exclusion_N=exclusion_N)
     rows = []
     while True:
         extra = state.extra
@@ -327,10 +327,9 @@ def run(nf: NormalForm, P: HamiltonianJet, schedule: KamSchedule,
                      "lie_skipped_keys": extra.get("lie_skipped_keys"),
                      "lie_skipped_bound": extra.get("lie_skipped_bound"),
                      "B_fold_defect": extra.get("B_fold_defect")})
-        if len(rows) > max_levels or not state.eps_meas > stop_threshold:
+        if len(rows) > max_levels or not state.eps_meas > STOP_THRESHOLD:
             break
-        state, _ = kam_step(state, schedule, lie_order=lie_order,
-                            cond_cap=cond_cap)
+        state, _ = kam_step(state, schedule)
     return TorusResult(omega_star=state.nf.omega, B_final=state.nf.B,
                        residual=rows[-1]["residual"],
                        atlas=atlas, rows=rows,

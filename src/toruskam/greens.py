@@ -149,13 +149,13 @@ def decay_certificate(norm: float, alpha: float, threshold: int, region,
                             extra=extra)
 
 
-def invert_direct(T: LatticeMatrix, threshold: int = 0,
-                  cond_cap: float = 1e12):
+def invert_direct(T: LatticeMatrix, threshold: int = 0):
     """Inverse (block by block, on T's components; float64 when T is
     real) plus a certificate with fields measured from it; `extra` holds
-    the exact cond_1 and ||G||_2 before the 1e-6 inflation."""
+    the exact cond_1 and ||G||_2 before the 1e-6 inflation.  Raises
+    NearSingularError past `_block_inverse`'s condition cap."""
     parts = _component_blocks(T)
-    inverses, cond = _block_inverse([B for _, _, B in parts], cond_cap)
+    inverses, cond = _block_inverse([B for _, _, B in parts])
     G = np.zeros((T.size, T.size), dtype=np.result_type(*inverses))
     for (_, rows, _), Gb in zip(parts, inverses):
         G[rows[:, :, None], rows[:, None, :]] = Gb
@@ -382,11 +382,11 @@ def combes_thomas(T: LatticeMatrix, threshold: int = 0):
                              prefactor=prefactor)
 
 
-def level_certificate(T: LatticeMatrix, threshold: int = 0,
-                      cond_cap: float = 1e12) -> DecayCertificate:
+def level_certificate(T: LatticeMatrix, threshold: int = 0
+                      ) -> DecayCertificate:
     """The closed-form certificate of T when q_0 < 1, else the measured one
-    of `invert_direct` (which raises NearSingularError past `cond_cap`)."""
+    of `invert_direct` (which raises NearSingularError past its cond_1 cap)."""
     cert = combes_thomas(T, threshold)
     if cert is None:
-        _, cert = invert_direct(T, threshold=threshold, cond_cap=cond_cap)
+        _, cert = invert_direct(T, threshold=threshold)
     return cert

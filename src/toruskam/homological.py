@@ -45,8 +45,14 @@ import numpy as np
 
 from .fourier import (FourierSeries, _l1_grid, dir_derivative, mode_grid,
                       product, strip_norm, truncate)
-from .jets import (HamiltonianJet, component_y, component_z, jet_from_parts,
-                   matrix_zz, poisson_bracket, split_low_high)
+from .jets import (HamiltonianJet, component_x, component_y, component_z,
+                   jet_from_parts, matrix_zz, matrix_zzbar, poisson_bracket,
+                   split_low_high)
+
+# the one condition gate on lattice operators: a cond_1 beyond it counts
+# as singular (NearSingularError), for `_block_inverse` and for the Neumann
+# route's proven bound in `_lattice_solve`
+COND_CAP = 1e12
 
 
 class SmallDivisorError(Exception):
@@ -259,14 +265,14 @@ def _component_blocks(T: LatticeMatrix) -> list:
     return [(sites, *T._gather(sites)) for sites in T.components()]
 
 
-def _block_inverse(blocks: list, cond_cap: float):
+def _block_inverse(blocks: list):
     """(inverses, cond_1) of a block-diagonal operator given by its
     diagonal blocks, one (c, k, k) stack per block size.
 
     Each stack takes one batched LU with partial pivoting against the
     identity (`np.linalg.inv`).  The gate is the exact
     cond_1 = max_b ||T_b||_1 max_b ||G_b||_1; an exactly singular block
-    raises NearSingularError(inf), a cond_1 beyond `cond_cap` (or NaN)
+    raises NearSingularError(inf), a cond_1 beyond `COND_CAP` (or NaN)
     NearSingularError(cond_1)."""
     try:
         inverses = [np.linalg.inv(B) for B in blocks]
@@ -275,7 +281,7 @@ def _block_inverse(blocks: list, cond_cap: float):
     anorm = max(float(np.abs(B).sum(axis=-2).max()) for B in blocks)
     gnorm = max(float(np.abs(G).sum(axis=-2).max()) for G in inverses)
     cond = anorm * gnorm
-    if not cond <= cond_cap:
+    if not cond <= COND_CAP:
         raise NearSingularError(cond)
     return inverses, cond
 
@@ -513,22 +519,21 @@ def _neumann_solve(T: LatticeMatrix, b: np.ndarray, N: int, q: float):
     return u, float(res), sweeps
 
 
-def _lattice_solve(T: LatticeMatrix, rhs: FourierSeries, N: int | None,
-                   cond_cap: float):
+def _lattice_solve(T: LatticeMatrix, rhs: FourierSeries, N: int | None):
     """Solve T u = -i rhs_N; returns (u as an (nblock, 1) series at cutoff
     N, info).  With q = ||S|| / min|D| < 1, T = D (I + D^{-1} S) is
     invertible, Jacobi converges at rate q and cond_1(T) is at most
     (max|D| + ||S||) / (min|D| (1 - q)).  That route is taken on the full
-    centred box when the bound is within `cond_cap` and the iteration
+    centred box when the bound is within `COND_CAP` and the iteration
     settles within its sweep cap.  Otherwise T is inverted on its
     components (`_block_inverse`), gated on the exact cond_1 within
-    `cond_cap`, and u = G_b b_b block by block.  Either route solves on
+    `COND_CAP`, and u = G_b b_b block by block.  Either route solves on
     T's whole region and then truncates or pads u to cutoff N."""
     Nr = int(np.abs(T.site_array).max())
     if N is None:
         N = Nr
     gate = _neumann_bound(T) if T.region == cube_region(T.d, Nr) else None
-    if gate is not None and gate[0] <= cond_cap:
+    if gate is not None and gate[0] <= COND_CAP:
         bound, q = gate
         b = -1j * _at_cutoff(_at_cutoff(rhs, N), Nr).data
         solved = _neumann_solve(T, b, Nr, q)
@@ -538,7 +543,7 @@ def _lattice_solve(T: LatticeMatrix, rhs: FourierSeries, N: int | None,
             return sol, LatticeSolveInfo(residual=res, condition=bound,
                                          route="neumann", iterations=sweeps)
     parts = _component_blocks(T)
-    inverses, cond = _block_inverse([B for _, _, B in parts], cond_cap)
+    inverses, cond = _block_inverse([B for _, _, B in parts])
     b = -1j * _series_to_vec(T, _at_cutoff(rhs, N))
     sol, Tsol = np.empty_like(b), np.empty_like(b)
     # T's entries between components are structural zeros, so the block
@@ -552,25 +557,24 @@ def _lattice_solve(T: LatticeMatrix, rhs: FourierSeries, N: int | None,
         residual=float(res), condition=cond, route="dense", iterations=0)
 
 
-def solve_hz(T: LatticeMatrix, Ehat: FourierSeries, N: int | None = None,
-             cond_cap: float = 1e12):
+def solve_hz(T: LatticeMatrix, Ehat: FourierSeries, N: int | None = None):
     """Solve T_N F = -i E_N; returns (F^z, F^zbar, info).
 
     F^zbar is conj(F^z) (the conjugate equation has right side conj(E)).
     """
-    Fz, info = _lattice_solve(T, Ehat, N, cond_cap)
+    Fz, info = _lattice_solve(T, Ehat, N)
     return Fz, Fz.conj_function(), info
 
 
 def solve_hzz(boldT: LatticeMatrix, Shat: FourierSeries,
-              N: int | None = None, cond_cap: float = 1e12):
+              N: int | None = None):
     """Solve bold T_N vec(F^zz) = -i vec(S_N); returns (F^zz, F^zbzb, info).
 
     The solution is symmetrized (F^zz is symmetric for symmetric S) and
     F^zbzb = conj(F^zz).
     """
     n = int(round(np.sqrt(boldT.nblock)))
-    Fvec, info = _lattice_solve(boldT, _as_column(Shat), N, cond_cap)
+    Fvec, info = _lattice_solve(boldT, _as_column(Shat), N)
     Fzz = FourierSeries(boldT.d, (n, n), Fvec.cutoff,
                         Fvec.data.reshape((n, n) + Fvec.data.shape[2:]))
     Fzz = 0.5 * (Fzz + Fzz.transpose())
@@ -647,8 +651,7 @@ def assemble_rhs(stage: str, P: HamiltonianJet,
 
 
 def solve_homological(omega, Omega, B: FourierSeries, P: HamiltonianJet,
-                      N: int, divisor_floor=0.0,
-                      cond_cap: float = 1e12) -> HomologicalSolution:
+                      N: int, divisor_floor=0.0) -> HomologicalSolution:
     """Run the four equation classes in dependency order.
 
     Order: F^x first, then the pair (F^z, F^zbar), then F^y together with the
@@ -656,7 +659,6 @@ def solve_homological(omega, Omega, B: FourierSeries, P: HamiltonianJet,
     per-solve diagnostics are kept in `solve_info` so residuals can be
     re-verified independently.
     """
-    from .jets import component_x, matrix_zzbar
     sp = split_low_high(P)
     sol = HomologicalSolution()
     Rx = component_x(sp.low)
@@ -665,7 +667,7 @@ def solve_homological(omega, Omega, B: FourierSeries, P: HamiltonianJet,
     Rzzbar = matrix_zzbar(sp.low)
     T = build_T(omega, Omega, B, Rzzbar, N)
     E = assemble_rhs("E", P, sol)
-    sol.Fz, sol.Fzbar, info_z = solve_hz(T, E, N, cond_cap)
+    sol.Fz, sol.Fzbar, info_z = solve_hz(T, E, N)
 
     # R and S share one bracket: F_partial leaves out F^y, solved between
     low, br = _rhs_parts("R", P, sol)
@@ -674,7 +676,7 @@ def solve_homological(omega, Omega, B: FourierSeries, P: HamiltonianJet,
 
     S = matrix_zz(low) + matrix_zz(br)
     boldT = build_boldT(omega, Omega, B, Rzzbar, N)
-    sol.Fzz, sol.Fzbzb, info_zz = solve_hzz(boldT, S, N, cond_cap)
+    sol.Fzz, sol.Fzbzb, info_zz = solve_hzz(boldT, S, N)
 
     sol.truncation_gap = T.symbol_truncation_gap + boldT.symbol_truncation_gap
     sol.solve_info = {"hz": info_z, "hzz": info_zz, "T": T, "boldT": boldT,

@@ -541,9 +541,8 @@ class _Prober:
     Hermitian exactly when each of its diagonal blocks is, and its spectrum
     is the union of theirs."""
 
-    def __init__(self, T: LatticeMatrix, targets, cond_cap: float):
+    def __init__(self, T: LatticeMatrix, targets):
         self.alpha_target, self.threshold, self.norm_target = targets
-        self.cond_cap = cond_cap
         self.T0 = T.with_sigma(0.0)
         parts = _component_blocks(self.T0)
         self.blocks0 = [(rows, B) for _, rows, B in parts]
@@ -583,7 +582,7 @@ class _Prober:
             B[:, i, i] = diag[rows]
             blocks.append(B)
         try:
-            inverses, _ = _block_inverse(blocks, self.cond_cap)
+            inverses, _ = _block_inverse(blocks)
         except NearSingularError:
             return None
         nb = self.T0.nblock
@@ -628,8 +627,8 @@ class _Prober:
 
 
 def sigma_scan(T: LatticeMatrix, sigma_range, targets,
-               points_per_unit: float = 1e4, refine_iters: int = 20,
-               cond_cap: float = 1e12) -> SigmaScanReport:
+               points_per_unit: float = 1e4, refine_iters: int = 20
+               ) -> SigmaScanReport:
     """Scan the shift family T + sigma (T's own sigma is replaced), marking
     sigma values whose inverse violates the targets (alpha_target,
     threshold, norm_target); failing windows are localized at the pass/fail
@@ -654,7 +653,7 @@ def sigma_scan(T: LatticeMatrix, sigma_range, targets,
     lo, hi = float(sigma_range[0]), float(sigma_range[1])
     npts = max(int(np.ceil((hi - lo) * points_per_unit)) + 1, 2)
     grid = np.linspace(lo, hi, npts)
-    prober = _Prober(T, targets, cond_cap)
+    prober = _Prober(T, targets)
     samples = []
     passed = np.zeros(npts, dtype=bool)
     for i, s in enumerate(grid):

@@ -40,6 +40,37 @@ def test_constants_key_is_unknown():
     assert exc.value.violations == ["unknown key: constants"]
 
 
+# settings one value served, now constants of the modules that read them
+REMOVED_SETTINGS = [("caps", "cond_cap", 1e12), ("caps", "lie_order", 3),
+                    ("caps", "stop_threshold", 1e-14),
+                    ("perturbation", "decay", 1.0)]
+
+
+@pytest.mark.parametrize("section, key, value", REMOVED_SETTINGS)
+def test_removed_settings_are_unknown_keys(tmp_path, capsys, section, key,
+                                           value):
+    data = {section: {key: value}}
+    with pytest.raises(ConfigError) as exc:
+        load_config(data)
+    msg = f"unknown key: {section}.{key}"
+    assert exc.value.violations == [msg]
+    out = tmp_path / "o"
+    assert main(["--config", write_config(tmp_path, data),
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert msg in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert report["results"]["config_errors"] == [msg]
+
+
+def test_levels_flag_is_gone(tmp_path):
+    # caps.levels has one way in, the config
+    path = write_config(tmp_path, stability_config())
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", path, "--out", str(tmp_path / "o"),
+              "--levels", "2"])
+    assert exc.value.code == 2
+
+
 def test_all_violations_reported_at_once():
     with pytest.raises(ConfigError) as exc:
         load_config({"mode": "nope", "d": 0, "eps": -1.0,
@@ -295,16 +326,16 @@ def test_verify_names_schema_change(tmp_path):
     dispatch(cfg, str(tmp_path / "a"))
     p = tmp_path / "a" / "report.json"
     doc = json.loads(p.read_text())
-    assert doc["schema"] == cli.SCHEMA_VERSION == 6
+    assert doc["schema"] == cli.SCHEMA_VERSION == 7
     doc["schema"] = 1
     p.write_text(json.dumps(doc))
     vcfg = load_config({"mode": "verify", "verify": {"report": str(p)}})
     assert dispatch(vcfg, str(tmp_path / "b")) == EXIT_NUMERIC
     rep = json.loads((tmp_path / "b" / "report.json").read_text())
-    assert rep["results"]["schema"] == [1, 6]
+    assert rep["results"]["schema"] == [1, 7]
     assert rep["results"]["match"] is False
     summary = (tmp_path / "b" / "summary.txt").read_text()
-    assert "DIFFERS (report schema 1, current schema 6)" in summary
+    assert "DIFFERS (report schema 1, current schema 7)" in summary
 
 
 def test_verify_refuses_schema_4_constants(tmp_path, capsys):
@@ -317,14 +348,82 @@ def test_verify_refuses_schema_4_constants(tmp_path, capsys):
     doc["schema"] = 4
     doc["config"]["constants"] = [2, 3, 17, 4, 5, 14, 11, 16, 12]
     p.write_text(json.dumps(doc))
-    code, rep, err = refused_verify(tmp_path, capsys, p, tmp_path / "b")
+    code, rep, err = run_verify(tmp_path, capsys, p, tmp_path / "b")
     assert code == EXIT_CONFIG and rep["exit_code"] == EXIT_CONFIG
     want = f"verify.report: {p}: config: unknown key: constants"
     assert rep["results"]["config_errors"] == [want]
     assert want in err and "Traceback" not in err
 
 
-def refused_verify(tmp_path, capsys, report, out):
+@pytest.mark.parametrize("section, key, value", REMOVED_SETTINGS)
+def test_verify_refuses_schema_6_settings(tmp_path, capsys, section, key,
+                                          value):
+    # a schema-6 report's config echo carries the four settings that are
+    # now constants: the replay is refused as a config error naming the key
+    cfg = load_config(stability_config(perturbation={"kind": "zero"}))
+    dispatch(cfg, str(tmp_path / "a"))
+    p = tmp_path / "a" / "report.json"
+    doc = json.loads(p.read_text())
+    doc["schema"] = 6
+    doc["config"][section][key] = value
+    p.write_text(json.dumps(doc))
+    code, rep, err = run_verify(tmp_path, capsys, p, tmp_path / "b")
+    assert code == EXIT_CONFIG and rep["exit_code"] == EXIT_CONFIG
+    want = f"verify.report: {p}: config: unknown key: {section}.{key}"
+    assert rep["results"]["config_errors"] == [want]
+    assert want in err and "Traceback" not in err
+
+
+# runs that end in exit 3 or 4, with the exclusion or error in `results`
+FAILING_RUNS = {
+    "greens-exit-4": ({"mode": "greens", "greens": {"N": 3, "sigma": -1.17}},
+                      EXIT_NUMERIC),
+    "run-exit-3": ({"mode": "run", "caps": {"gamma": 50.0, "levels": 1}},
+                   EXIT_EXCLUDED),
+    "atlas-exit-3": ({"mode": "atlas", "caps": {"gamma": 50.0}},
+                     EXIT_EXCLUDED),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAILING_RUNS))
+def test_verify_replays_failing_runs(tmp_path, capsys, name):
+    data, want = FAILING_RUNS[name]
+    assert main(["--config", write_config(tmp_path, data),
+                 "--out", str(tmp_path / "a")]) == want
+    saved = tmp_path / "a" / "report.json"
+    code, rep, _ = run_verify(tmp_path, capsys, saved, tmp_path / "b")
+    assert code == EXIT_OK
+    assert rep["results"]["match"] is True
+    assert rep["results"]["replay_exit"] == want
+    # the exit code is part of the comparison
+    doc = json.loads(saved.read_text())
+    doc["exit_code"] = EXIT_OK
+    saved.write_text(json.dumps(doc))
+    code, rep, _ = run_verify(tmp_path, capsys, saved, tmp_path / "c")
+    assert code == EXIT_NUMERIC and rep["results"]["match"] is False
+
+
+def test_verify_replays_a_downgrade(tmp_path, capsys):
+    data, _ = FAILING_RUNS["greens-exit-4"]
+    assert main(["--config", write_config(tmp_path, data),
+                 "--out", str(tmp_path / "a"), "--no-strict"]) == EXIT_OK
+    saved = tmp_path / "a" / "report.json"
+    assert json.loads(saved.read_text())["results"]["downgraded"] is True
+    code, rep, _ = run_verify(tmp_path, capsys, saved, tmp_path / "b")
+    assert code == EXIT_OK
+    assert rep["results"]["match"] is True
+    assert rep["results"]["replay_exit"] == EXIT_OK
+
+
+def test_exclusion_message_prints_plain_floats(tmp_path):
+    data, _ = FAILING_RUNS["run-exit-3"]
+    assert dispatch(load_config(data), str(tmp_path / "o")) == EXIT_EXCLUDED
+    rep = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert "parameter (1.0, 1.618033988749895) excluded at level" \
+        in rep["results"]["excluded"]
+
+
+def run_verify(tmp_path, capsys, report, out):
     """Exit code, parsed report.json and stderr of `main` verifying the
     report at `report` into `out`."""
     path = write_config(tmp_path, {"mode": "verify",
@@ -341,7 +440,7 @@ def refused_verify(tmp_path, capsys, report, out):
 def test_verify_refuses_foreign_report(tmp_path, capsys, doc, msg):
     p = tmp_path / "saved.json"
     p.write_text(json.dumps(doc))
-    code, rep, err = refused_verify(tmp_path, capsys, p, tmp_path / "o")
+    code, rep, err = run_verify(tmp_path, capsys, p, tmp_path / "o")
     assert code == EXIT_CONFIG and rep["exit_code"] == EXIT_CONFIG
     assert msg in rep["results"]["config_errors"][0]
     assert msg in err and "Traceback" not in err
@@ -353,7 +452,7 @@ def test_verify_refuses_foreign_report(tmp_path, capsys, doc, msg):
 def test_verify_names_saved_config_errors(tmp_path, capsys, config, msg):
     p = tmp_path / "saved.json"
     p.write_text(json.dumps({"mode": "stability", "config": config}))
-    code, rep, err = refused_verify(tmp_path, capsys, p, tmp_path / "o")
+    code, rep, err = run_verify(tmp_path, capsys, p, tmp_path / "o")
     assert code == EXIT_CONFIG and rep["exit_code"] == EXIT_CONFIG
     want = f"verify.report: {p}: config: {msg}"
     assert want in rep["results"]["config_errors"]
@@ -367,10 +466,10 @@ def test_verify_refuses_self_naming_report(tmp_path, capsys):
         perturbation={"kind": "zero"}))
     out = tmp_path / "a"
     assert main(["--config", path, "--out", str(out)]) == EXIT_OK
-    code, rep, _ = refused_verify(tmp_path, capsys, out / "report.json", out)
+    code, rep, _ = run_verify(tmp_path, capsys, out / "report.json", out)
     assert code == EXIT_OK and rep["mode"] == "verify"
     assert rep["config"]["verify"]["report"] == str(out / "report.json")
-    code, rep, err = refused_verify(tmp_path, capsys, out / "report.json",
+    code, rep, err = run_verify(tmp_path, capsys, out / "report.json",
                                     tmp_path / "b")
     assert code == EXIT_CONFIG and rep["exit_code"] == EXIT_CONFIG
     assert rep["results"]["config_errors"] \
@@ -412,6 +511,24 @@ def test_main_config_error_exit_2(tmp_path):
     path = write_config(tmp_path, {"mode": "nope"})
     assert main(["--config", path, "--out", str(tmp_path / "o")]) \
         == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("target", ["afile", "afile/sub"])
+def test_main_unusable_out_exit_2_before_the_run(tmp_path, capsys,
+                                                 monkeypatch, target):
+    # an --out that cannot be made is refused before the mode runs
+    def never(cfg, out):
+        raise AssertionError("mode ran")
+
+    monkeypatch.setitem(cli.MODE_TABLE, "stability", never)
+    (tmp_path / "afile").write_text("")
+    out = tmp_path / target
+    code = main(["--config", write_config(tmp_path, stability_config()),
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert str(out) in err and len(err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_main_missing_file_exit_2(tmp_path):
@@ -527,7 +644,6 @@ def test_refine_iters_cap(tmp_path, capsys, iters, refused):
     ("caps", "N_max", "caps.N_max: positive integer"),
     ("caps", "levels", "caps.levels: positive integer"),
     ("caps", "exclusion_N", "caps.exclusion_N: positive integer"),
-    ("caps", "lie_order", "caps.lie_order: positive integer"),
     ("box", "atlas_level", "box.atlas_level: positive integer"),
     ("perturbation", "kmax", "perturbation.kmax: positive integer"),
     ("perturbation", "cutoff_cap", "perturbation.cutoff_cap: positive integer"),
@@ -557,7 +673,7 @@ def test_booleans_are_not_integers(tmp_path, capsys, section, key, msg, flag):
     ('{"omega": [1.0, NaN]}', "omega: nonempty number list"),
     ('{"A": Infinity}', "A: must exceed 1"),
     ('{"Omega": [-Infinity]}', "Omega: nonempty number list"),
-    ('{"caps": {"cond_cap": Infinity}}', "caps.cond_cap: positive"),
+    ('{"caps": {"gamma": Infinity}}', "caps.gamma: positive"),
     ('{"greens": {"sigma": NaN}}', "greens.sigma: number"),
     ('{"mode": "stability", "stability": {"phases": [[0.0, NaN]]}}',
      "stability.phases: list of angle vectors"),
@@ -567,7 +683,7 @@ def test_booleans_are_not_integers(tmp_path, capsys, section, key, msg, flag):
     # both finite, but T / dt overflows to an infinite step count
     ('{"mode": "stability", "stability": {"T": 1e300, "dt": 1e-300}}',
      "stability.T / stability.dt: must be finite"),
-], ids=["T-inf", "omega-nan", "A-inf", "Omega-neg-inf", "cond_cap-inf",
+], ids=["T-inf", "omega-nan", "A-inf", "Omega-neg-inf", "gamma-inf",
         "sigma-nan", "phases-nan", "z0_imag-inf", "T-over-dt-inf"])
 def test_non_finite_numbers_refused(tmp_path, capsys, text, msg):
     # Python's json reads NaN and +-Infinity; each is a config error (exit
@@ -582,9 +698,9 @@ def test_non_finite_numbers_refused(tmp_path, capsys, text, msg):
     assert report["results"]["config_errors"] == [msg]
 
 
-def decaying_scalar_loop(rng, d, eps, decay, kmax, zero_mean=True,
-                         real=True):
-    """The per-mode form: two scalar draws and one np.exp per mode."""
+def decaying_scalar_loop(rng, d, eps, kmax, zero_mean=True, real=True):
+    """The per-mode form: two scalar draws and one np.exp per mode, at the
+    random tail's decay rate 1."""
     entries = {}
     for k in np.ndindex(*(2 * kmax + 1,) * d):
         kk = tuple(int(c) - kmax for c in k)
@@ -592,7 +708,7 @@ def decaying_scalar_loop(rng, d, eps, decay, kmax, zero_mean=True,
             continue
         if zero_mean and not any(kk):
             continue
-        amp = eps * np.exp(-decay * sum(abs(c) for c in kk))
+        amp = eps * np.exp(-1.0 * sum(abs(c) for c in kk))
         entries[kk] = amp * (rng.standard_normal()
                              + 1j * rng.standard_normal())
     f = FourierSeries.from_coeffs(d, entries, cutoff=kmax)
@@ -605,8 +721,8 @@ def decaying_scalar_loop(rng, d, eps, decay, kmax, zero_mean=True,
 def test_decaying_scalar_matches_mode_loop(d, zero_mean, real):
     kmax = {1: 26, 2: 9, 3: 4}[d]
     rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
-    got = _decaying_scalar(rng, d, 1e-6, 0.7, kmax, zero_mean, real)
-    ref = decaying_scalar_loop(ref_rng, d, 1e-6, 0.7, kmax, zero_mean, real)
+    got = _decaying_scalar(rng, d, 1e-6, kmax, zero_mean, real)
+    ref = decaying_scalar_loop(ref_rng, d, 1e-6, kmax, zero_mean, real)
     assert got.cutoff == ref.cutoff
     assert np.array_equal(got.data, ref.data)
     assert rng.standard_normal() == ref_rng.standard_normal()

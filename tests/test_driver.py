@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from toruskam import cli, greens
+from toruskam import cli, greens, homological
 from toruskam.config import load_config
 from toruskam.driver import (KamState, ParameterExcluded, contraction_exponent,
                              gamma_floor, initial_step, invariance_residual,
@@ -145,7 +145,7 @@ def test_initial_step_zero_perturbation():
 
 def test_initial_step_direct_certificate_gated_on_cond_cap(monkeypatch):
     # when the closed form declines, the direct inversion of the level
-    # operator is gated on the configured cap, not a default one
+    # operator is gated on the lattice solves' one condition cap
     seen = []
     monkeypatch.setattr(greens, "combes_thomas",
                         lambda T, threshold=0: seen.append(T))
@@ -156,9 +156,11 @@ def test_initial_step_direct_certificate_gated_on_cond_cap(monkeypatch):
     cond = greens.invert_direct(seen[0])[1].extra["condition"]
     assert state.extra["level_certificate"].provenance == "direct"
     assert 1.0 < cond < 1e12
+    monkeypatch.setattr(homological, "COND_CAP", 0.5 * cond)
     with pytest.raises(NearSingularError):
-        initial_step(nf, P, sch, gamma=1e-3, cond_cap=0.5 * cond)
-    state, _ = initial_step(nf, P, sch, gamma=1e-3, cond_cap=2.0 * cond)
+        initial_step(nf, P, sch, gamma=1e-3)
+    monkeypatch.setattr(homological, "COND_CAP", 2.0 * cond)
+    state, _ = initial_step(nf, P, sch, gamma=1e-3)
     cert = state.extra["level_certificate"]
     assert cert.provenance == "direct" and cert.extra["condition"] == cond
 

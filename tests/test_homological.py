@@ -502,8 +502,10 @@ def lu_reference(T, rhs):
 
 
 def block_cond(T):
-    """The exact cond_1 of T's component blocks."""
-    return _block_inverse([B for _, _, B in _component_blocks(T)], np.inf)[1]
+    """The exact cond_1 of T's component blocks, with the cap lifted."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homological, "COND_CAP", np.inf)
+        return _block_inverse([B for _, _, B in _component_blocks(T)])[1]
 
 
 def assert_dense_solve(T, u, rhs):
@@ -527,7 +529,7 @@ def test_neumann_route_matches_dense_oracle(n, build, sigma):
               FourierSeries.zero(D, shape=(n, n)), N, sigma=sigma)
     assert 0.05 < contraction_q(T) < 1.0
     rhs = random_column(rng, T.nblock, N)
-    u, info = _lattice_solve(T, rhs, N, 1e12)
+    u, info = _lattice_solve(T, rhs, N)
     assert info.route == "neumann" and info.iterations > 1
     assert T._dense is None
     assert info.residual <= 1e-14
@@ -558,7 +560,7 @@ def test_both_routes_solve_below_the_region_cutoff(coupling, route):
         <= 1e-12 * np.linalg.norm(ref)
 
 
-def test_dense_fallback_selection():
+def test_dense_fallback_selection(monkeypatch):
     rng = np.random.default_rng(70)
     Z = FourierSeries.zero(D)
     # an exactly vanishing divisor: no gate, and the dense route refuses it
@@ -588,7 +590,8 @@ def test_dense_fallback_selection():
     for T, cap in cases:
         Nr = max(max(abs(c) for c in k) for k in T.region)
         rhs = random_column(rng, 1, Nr)
-        Fz, _, info = solve_hz(T, rhs, cond_cap=cap)
+        monkeypatch.setattr(homological, "COND_CAP", cap)
+        Fz, _, info = solve_hz(T, rhs)
         assert info.route == "dense" and info.iterations == 0
         assert T._dense is None
         assert_dense_solve(T, lattice_vec(T, Fz), rhs)

@@ -10,7 +10,11 @@ Four static rules over every module in `src/toruskam`, checked with `ast`:
     `tests/`, by name, by position, or through `*`/`**`: a default no
     caller overrides is a constant, not a setting;
   * likewise every dataclass field with a default, which may also be set
-    by a `replace(...)` call or an attribute assignment (`obj.field = ...`).
+    by a `replace(...)` call or an attribute assignment (`obj.field = ...`);
+  * no function imports inside its body: a module's imports sit at its top.
+One policy rule: the condition cap of the lattice inversions is
+`homological.COND_CAP`, which no other module names and no function takes
+as a `cond_cap` parameter.
 One transform rule: only `fourier` reaches `numpy.fft`, so `jets` transforms
 through its embedding.  One state rule: no module imports `contextvars`; a
 Lie series hands its state to each bracket as an argument.  Three import
@@ -213,6 +217,35 @@ def unset_fields() -> list:
             and not _is_set(keywords, positions, cls, field, pos)]
 
 
+def function_body_imports() -> list:
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in ast.walk(_parse(path)):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path.name}:{node.lineno} in {fn.name}"
+                          for node in ast.walk(fn)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))]
+    return found
+
+
+def cond_cap_knowledge() -> tuple:
+    """Functions with a `cond_cap` parameter, and the modules that name
+    `COND_CAP`."""
+    params, naming = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                params += [f"{path.name}: {node.name}" for arg in
+                           a.posonlyargs + a.args + a.kwonlyargs
+                           if arg.arg == "cond_cap"]
+            elif isinstance(node, ast.Name) and node.id == "COND_CAP" \
+                    or isinstance(node, ast.Attribute) \
+                    and node.attr == "COND_CAP":
+                naming.add(path.name)
+    return params, naming
+
+
 def test_no_unused_imports():
     assert unused_imports() == []
 
@@ -227,6 +260,14 @@ def test_every_default_is_overridden_somewhere():
 
 def test_every_dataclass_default_is_set_somewhere():
     assert unset_fields() == []
+
+
+def test_no_imports_inside_functions():
+    assert function_body_imports() == []
+
+
+def test_condition_cap_lives_in_homological():
+    assert cond_cap_knowledge() == ([], {"homological.py"})
 
 
 def _fresh_python(code: str, *args: str) -> str:

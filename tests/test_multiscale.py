@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from toruskam import homological
 from toruskam.fourier import FourierSeries
 from toruskam.greens import (CertificateGateError, check_certificate,
                              combes_thomas, invert_direct, measure_alpha,
@@ -426,7 +427,7 @@ def test_sigma_scan_flag_only_bisection_matches_full_probes(hermitian):
     T = builder(0.0)
     args = ((-1.4037, -0.9037), targets, 100, 12)
     rep = sigma_scan(T, *args[:2], points_per_unit=100, refine_iters=12)
-    prober = _Prober(T, targets, 1e12)
+    prober = _Prober(T, targets)
     assert rep.samples == [(s, *prober.sample(s)) for s, *_ in rep.samples]
     cells = [(a, b) for a, b in zip(rep.samples, rep.samples[1:])
              if a[1] != b[1]]
@@ -450,7 +451,7 @@ def _bisection_intervals(T, sigma_range, targets, points_per_unit,
     fully sampled probes, as the scan did before its closed-form norm
     edges; `edge(prober, a, b)` may first move the failing end b of a grid
     cell (a passes)."""
-    prober = _Prober(T, targets, 1e12)
+    prober = _Prober(T, targets)
     lo, hi = sigma_range
     npts = max(int(np.ceil((hi - lo) * points_per_unit)) + 1, 2)
     grid = np.linspace(lo, hi, npts)
@@ -510,7 +511,7 @@ BLOCK_SPECTRUM_CASES = {
 @pytest.mark.parametrize("case", sorted(BLOCK_SPECTRUM_CASES))
 def test_prober_block_spectrum_matches_dense(case):
     T = BLOCK_SPECTRUM_CASES[case]()
-    prober = _Prober(T, (0.1, 2, 100.0), 1e12)
+    prober = _Prober(T, (0.1, 2, 100.0))
     ref = np.linalg.eigvalsh(T.to_dense())
     assert len(prober.lam) == T.size
     assert np.abs(np.sort(prober.lam) - ref).max() <= 1e-13
@@ -528,9 +529,9 @@ def test_prober_block_spectrum_matches_dense(case):
 def test_sigma_scan_non_hermitian_block_bisects():
     builder, targets = _direct_probe_case(hermitian=False)
     T = builder(0.0)
-    assert _Prober(T, targets, 1e12).lam is None
-    assert _Prober(_coupled_T(2, 4, 2, [(1, 0)], hermitian=False), targets,
-                   1e12).lam is None
+    assert _Prober(T, targets).lam is None
+    assert _Prober(_coupled_T(2, 4, 2, [(1, 0)], hermitian=False),
+                   targets).lam is None
     args = ((-1.4037, -0.9037), targets, 100, 12)
     rep = sigma_scan(T, *args[:2], points_per_unit=100, refine_iters=12)
     assert rep.norm_route == "svd"
@@ -588,7 +589,7 @@ def test_sigma_scan_exactly_singular_sample():
         rep = sigma_scan(op, (-1.05, -0.95), (0.5, 0, 20.0),
                          points_per_unit=100, refine_iters=5)
         assert rep.samples[0] == (-1.05, False, np.inf, 0.0)
-        assert _Prober(op, (0.5, 0, 20.0), 1e12).sample(-1.05) \
+        assert _Prober(op, (0.5, 0, 20.0)).sample(-1.05) \
             == (False, np.inf, 0.0)
 
 
@@ -644,7 +645,7 @@ def test_block_kernel_matches_dense_oracle(case):
     T = make()
     assert [g.shape for g in T.components()] == shapes
     targets = (0.1, 2, 100.0)
-    prober = _Prober(T, targets, 1e12)
+    prober = _Prober(T, targets)
     assert (prober.lam is not None) == spectral
     assert prober.components == (sum(c for c, _ in shapes), shapes[-1][1])
     # two shifts just off the spectrum, where the norm target fails
@@ -680,7 +681,7 @@ def test_block_kernel_exactly_singular_block():
     T = build_T(np.array([0.0]), np.array([1.0]), B, Z, 3,
                 region=((0,), (1,), (3,)))
     assert [g.tolist() for g in T.components()] == [[[2]], [[0, 1]]]
-    prober = _Prober(T, (0.5, 0, 20.0), 1e12)
+    prober = _Prober(T, (0.5, 0, 20.0))
     assert prober.sample(0.0) == (False, np.inf, 0.0)
     for invert in (lambda: lu_gecon(T, 1e12), lambda: invert_direct(T)):
         with pytest.raises(NearSingularError) as exc:
@@ -890,7 +891,7 @@ def test_prober_memory_without_dense_form():
     assert T.size == 1089
     tracemalloc.start()
     try:
-        prober = _Prober(T, (0.1, 2, 100.0), 1e12)
+        prober = _Prober(T, (0.1, 2, 100.0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -899,7 +900,7 @@ def test_prober_memory_without_dense_form():
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_block_cond_bounds_gecon_estimate(seed):
+def test_block_cond_bounds_gecon_estimate(seed, monkeypatch):
     rng = np.random.default_rng(seed)
     modes = [[(1, 0)], [(1, 1)], [(1, 0), (0, 2)]][seed % 3]
     T = _coupled_T(2, int(rng.integers(2, 5)), int(rng.integers(1, 3)),
@@ -907,14 +908,17 @@ def test_block_cond_bounds_gecon_estimate(seed):
                    eps=float(rng.uniform(0.05, 0.5))).with_sigma(
         float(rng.uniform(-2.0, 1.0)))
     _, _, est = lu_gecon(T, np.inf)
-    _, cond = _block_inverse([B for _, _, B in _component_blocks(T)], np.inf)
+    monkeypatch.setattr(homological, "COND_CAP", np.inf)
+    _, cond = _block_inverse([B for _, _, B in _component_blocks(T)])
     # exact cond_1 >= the gecon lower estimate, up to rounding
     assert cond >= est * (1 - 1e-12)
     cap = 0.5 * est
     with pytest.raises(NearSingularError):
         lu_gecon(T, cap)
+    monkeypatch.setattr(homological, "COND_CAP", cap)
     with pytest.raises(NearSingularError):
-        invert_direct(T, cond_cap=cap)
+        invert_direct(T)
+    monkeypatch.undo()
     if seed % 2:
         # shifted onto an eigenvalue: both gates refuse at the default cap
         lam = np.linalg.eigvalsh(T.to_dense())
@@ -922,7 +926,7 @@ def test_block_cond_bounds_gecon_estimate(seed):
         with pytest.raises(NearSingularError):
             lu_gecon(near, 1e12)
         with pytest.raises(NearSingularError):
-            invert_direct(near, cond_cap=1e12)
+            invert_direct(near)
 
 
 def test_scale_config_invariants():
