@@ -20,6 +20,7 @@ from numpy.random import default_rng
 from .atlas import (ParameterAtlas, nonresonance_predicate, pave_and_filter,
                     paving_count)
 from .config import ConfigError, RunConfig, load_config, parse_config
+from .csvfmt import format_rows
 from .driver import ParameterExcluded, log_csv, make_schedule, run
 from .fourier import FourierSeries, _l1_grid
 from .greens import CertificateGateError, check_certificate, invert_direct
@@ -61,9 +62,10 @@ MAX_SIGMA_POINTS = 2 ** 16
 # bounds either mode near 400 MB
 MAX_GREENS_SITES = 2 ** 11
 
-# RK4 steps a stability run may take over all its phases: at n = 2, 10^6
-# steps take about 1.4 s and a phase holds about 100 bytes per step, so
-# this bounds a run near 6 s and one phase near 420 MB
+# RK4 steps a stability run may take over all its phases: at n = 2, on one
+# core of a 2-core x86-64 box, 10^6 steps take about 0.3 s and a phase
+# holds about 80 bytes per step, so this bounds a run near 1.5 s and one
+# phase near 340 MB
 MAX_STABILITY_STEPS = 2 ** 22
 
 
@@ -234,11 +236,10 @@ def _mode_atlas(cfg: RunConfig, out: dict):
         if not atlas.boxes:
             break
     rows = atlas.serialize_rows()
+    floats = format_rows([r[1:] for r in rows]).splitlines()
     csv = "level," + ",".join(f"xi{i}" for i in range(c["d"])) \
         + ",half_width\n"
-    csv += "\n".join(",".join([str(r[0])]
-                              + [f"{float(x):.17e}" for x in r[1:]])
-                     for r in rows)
+    csv += "\n".join(f"{r[0]},{line}" for r, line in zip(rows, floats))
     out["results"] = {
         "level": atlas.level,
         "boxes": len(atlas.boxes),
@@ -414,10 +415,16 @@ MODE_TABLE = {
 
 def _run_mode(cfg: RunConfig, report: dict, strict: bool) -> int:
     """Run the report's mode into `report`; its exit code, also in
-    `report["exit_code"]`, is 3 on an excluded parameter and 4 on a numeric
-    failure (0 with `results.downgraded` set unless `strict`)."""
+    `report["exit_code"]`, is 2 on a configuration the mode refuses (a
+    size cap, or a report verify cannot replay), 3 on an excluded
+    parameter and 4 on a numeric failure (0 with `results.downgraded` set
+    unless `strict`)."""
     try:
         code = MODE_TABLE[report["mode"]](cfg, report)
+    except ConfigError as exc:
+        report["results"] = {"config_errors": exc.violations}
+        report["summary"] = str(exc)
+        code = EXIT_CONFIG
     except ParameterExcluded as exc:
         report["results"] = {"excluded": str(exc)}
         report["summary"] = f"parameter excluded: {exc}"
@@ -436,10 +443,14 @@ def _run_mode(cfg: RunConfig, report: dict, strict: bool) -> int:
 
 def dispatch(cfg: RunConfig, out_dir: str, strict: bool = True) -> int:
     """Run the configured mode, write report.json + CSV sidecars +
-    summary.txt, and return the exit code."""
+    summary.txt, and return the exit code.  A configuration the mode
+    refuses is also printed to stderr, as `main` prints one it cannot
+    load; its report keeps the config echo, so `verify` can replay it."""
     report = {"schema": SCHEMA_VERSION, "mode": cfg.values["mode"],
               "config": cfg.normalized()}
     code = _run_mode(cfg, report, strict)
+    if code == EXIT_CONFIG:
+        print(report["summary"], file=sys.stderr)
     _write_outputs(report, out_dir)
     return code
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .atlas import ParameterAtlas, nonresonance_predicate, pave_and_filter
+from .csvfmt import format_rows
 from .fourier import FourierSeries
 from .greens import DecayCertificate, level_certificate
 from .homological import (NearSingularError, SmallDivisorError, build_T,
@@ -341,13 +342,10 @@ def run(nf: NormalForm, P: HamiltonianJet, schedule: KamSchedule,
 
 
 def log_csv(rows) -> str:
-    """Deterministic per-level CSV."""
-    header = "level,eps_meas,eps_sched,omega_shift,B_symmetry_err,residual"
-    lines = [header]
-    for r in rows:
-        lines.append(",".join([str(int(r["level"]))]
-                              + [f"{float(r[k]):.17e}"
-                                 for k in ("eps_meas", "eps_sched",
-                                           "omega_shift", "B_symmetry_err",
-                                           "residual")]))
-    return "\n".join(lines) + "\n"
+    """Deterministic per-level CSV: the level, then `{:.17e}` floats."""
+    keys = ("eps_meas", "eps_sched", "omega_shift", "B_symmetry_err",
+            "residual")
+    floats = format_rows([[float(r[k]) for k in keys] for r in rows])
+    return "".join([f"level,{','.join(keys)}\n"]
+                   + [f"{int(r['level'])},{line}\n"
+                      for r, line in zip(rows, floats.splitlines())])

@@ -374,8 +374,14 @@ def test_verify_refuses_schema_6_settings(tmp_path, capsys, section, key,
     assert want in err and "Traceback" not in err
 
 
-# runs that end in exit 3 or 4, with the exclusion or error in `results`
+# runs that end in exit 2, 3 or 4, with the refusal, exclusion or error in
+# `results`: the stability and atlas size caps refuse inside the mode
 FAILING_RUNS = {
+    "stability-cap-exit-2": ({"mode": "stability",
+                              "stability": {"T": 10000.0, "dt": 1e-3}},
+                             EXIT_CONFIG),
+    "atlas-cap-exit-2": ({"mode": "atlas", "box": {"atlas_level": 2}},
+                         EXIT_CONFIG),
     "greens-exit-4": ({"mode": "greens", "greens": {"N": 3, "sigma": -1.17}},
                       EXIT_NUMERIC),
     "run-exit-3": ({"mode": "run", "caps": {"gamma": 50.0, "levels": 1}},

@@ -17,12 +17,13 @@ One policy rule: the condition cap of the lattice inversions is
 as a `cond_cap` parameter.
 One transform rule: only `fourier` reaches `numpy.fft`, so `jets` transforms
 through its embedding.  One state rule: no module imports `contextvars`; a
-Lie series hands its state to each bracket as an argument.  Three import
-rules, checked in fresh interpreters: `toruskam.cli` loads no scipy module,
-`dispatch` imports no module on the benchmark workloads, and neither
-lattice-solve route loads scipy.  Three run-path rules: `dispatch` builds
-no dense lattice operator (`LatticeMatrix.to_dense`) on the benchmark
-workloads, nor on a strong-coupling run that takes the dense route;
+Lie series hands its state to each bracket as an argument.  Four import
+rules, checked in fresh interpreters: `toruskam.cli` loads no scipy
+module, nor `fractions` or `decimal`; `dispatch` imports no module on the
+benchmark workloads; and neither lattice-solve route loads scipy.  Three
+run-path rules: `dispatch` builds no dense lattice operator
+(`LatticeMatrix.to_dense`) on the benchmark workloads, nor on a
+strong-coupling run that takes the dense route;
 stability mode, whose B is diagonal, takes no n x n doubling scan; and
 kam-run's Lie series transform fewer parts than they would with no series
 budget.  numpy is the only runtime dependency in `pyproject.toml`; scipy
@@ -331,6 +332,15 @@ def test_cli_import_loads_no_scipy():
     loaded = _fresh_python(code).split()
     assert "toruskam.cli" in loaded
     assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+
+
+def test_cli_import_loads_no_fractions_or_decimal():
+    # the CSV kernel's power table comes from int arithmetic: either module
+    # would add its import to every run's set-up
+    code = "import sys, toruskam.cli; print(*sorted(sys.modules))"
+    loaded = _fresh_python(code).split()
+    assert "toruskam.csvfmt" in loaded
+    assert {"fractions", "decimal"}.isdisjoint(loaded)
 
 
 GOLDEN = (1.0 + 5.0 ** 0.5) / 2.0

@@ -177,15 +177,22 @@ def test_trajectory_csv_shape_and_determinism():
     assert trajectory_csv(traj2) == csv
     assert len(trajectory_csv(traj, stride=5).strip().split("\n")) \
         == 1 + math.ceil(len(traj.times) / 5)
-    # the rows are the values formatted one row at a time
-    traj = integrate_linearized(OMEGA, np.array([1.17, 1.43]), None,
-                                np.array([0.5 + 0.5j, -1.0j]), T=0.1,
-                                dt=1e-2)
-    rows = ["t,re_z0,re_z1,im_z0,im_z1,norm_sq"]
-    for t, z in zip(traj.times[::3], traj.z[::3]):
-        vals = [t, *z.real, *z.imag, float((np.abs(z) ** 2).sum())]
-        rows.append(",".join(f"{v:.17e}" for v in vals))
-    assert trajectory_csv(traj, stride=3) == "\n".join(rows) + "\n"
+    # the rows are the values formatted one row at a time, one f-string
+    # per value, at n = 1, 2, 3 (a zero component included) and strides
+    # 1, 3 and 10
+    for z0 in ([0.5 + 0.5j], [0.5 + 0.5j, -1.0j], [0.3 - 2j, 0.0, 1e-5]):
+        n = len(z0)
+        traj = integrate_linearized(OMEGA, np.linspace(1.17, 1.43, n), None,
+                                    np.array(z0), T=1.0, dt=1e-2)
+        for stride in (1, 3, 10):
+            rows = [",".join(["t"] + [f"re_z{j}" for j in range(n)]
+                             + [f"im_z{j}" for j in range(n)]
+                             + ["norm_sq"])]
+            for t, z in zip(traj.times[::stride], traj.z[::stride]):
+                vals = [t, *z.real, *z.imag, float((np.abs(z) ** 2).sum())]
+                rows.append(",".join(f"{v:.17e}" for v in vals))
+            assert trajectory_csv(traj, stride=stride) \
+                == "\n".join(rows) + "\n"
 
 
 # ----------------------------------------------------------------------
