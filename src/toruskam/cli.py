@@ -28,8 +28,9 @@ from .homological import (LatticeMatrix, NearSingularError, SmallDivisorError,
                           build_T)
 from .jets import HamiltonianJet, NormalForm
 from .multiscale import sigma_scan
-from .stability import (integrate_linearized, l2_drift, lyapunov_estimate,
-                        symmetry_defect, trajectory_csv)
+from .stability import (LinearTrajectory, linearized_chunks,
+                        lyapunov_estimate, sample_stream, symmetry_defect,
+                        trajectory_csv_parts)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -63,9 +64,10 @@ MAX_SIGMA_POINTS = 2 ** 16
 MAX_GREENS_SITES = 2 ** 11
 
 # RK4 steps a stability run may take over all its phases: at n = 2, on one
-# core of a 2-core x86-64 box, 10^6 steps take about 0.3 s and a phase
-# holds about 80 bytes per step, so this bounds a run near 1.5 s and one
-# phase near 340 MB
+# core of a 2-core x86-64 box, 10^6 steps take about 0.3 s, so this bounds
+# a run near 1.5 s.  It bounds time only: a phase is read chunk by chunk,
+# and a one-phase run at the cap peaked at 41 MB of RSS, numpy and scipy
+# included, as a 10^5-step run does
 MAX_STABILITY_STEPS = 2 ** 22
 
 
@@ -313,7 +315,9 @@ def _mode_stability(cfg: RunConfig, out: dict):
     c = cfg.values
     st = c["stability"]
     n = c["n"]
-    steps = round(st["T"] / st["dt"]) * len(st["phases"])
+    dt = st["dt"]
+    nsteps = round(st["T"] / dt)
+    steps = nsteps * len(st["phases"])
     if steps > MAX_STABILITY_STEPS:
         raise ConfigError([
             f"stability: T / dt = {st['T'] / st['dt']:.4g} steps over "
@@ -332,27 +336,32 @@ def _mode_stability(cfg: RunConfig, out: dict):
     re = st["z0_real"] if st["z0_real"] is not None else [1.0] * n
     im = st["z0_imag"] if st["z0_imag"] is not None else [0.0] * n
     z0 = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
+    # each phase is read as a stream, keeping the rows lyapunov_estimate
+    # reads (steps 0, m and the last) and, in the first phase, the rows
+    # trajectory.csv writes; its text is made as it is written
+    ends = np.array([0, (nsteps + 1) // 2, nsteps])
+    every = np.arange(0, nsteps + 1, max(1, (nsteps + 1) // 10000))
     rows = []
-    csvs = {}
     worst_drift = 0.0
     for i, x0 in enumerate(st["phases"]):
-        traj = integrate_linearized(c["omega"], c["Omega"], B, z0,
-                                    T=st["T"], dt=st["dt"], x0=x0)
-        drift = l2_drift(traj)
-        lam, first, second = lyapunov_estimate(traj, return_halves=True)
+        chunks = linearized_chunks(c["omega"], c["Omega"], B, z0,
+                                   T=st["T"], dt=dt, x0=x0)
+        drift, kept = sample_stream(chunks, z0,
+                                    [ends, every] if i == 0 else [ends])
+        lam, first, second = lyapunov_estimate(
+            LinearTrajectory(times=dt * ends, z=kept[0]), return_halves=True)
         worst_drift = max(worst_drift, drift)
         rows.append({"phase": list(map(float, x0)), "l2_drift": drift,
                      "lyapunov": lam, "lyapunov_first_half": first,
                      "lyapunov_second_half": second})
         if i == 0:
-            stride = max(1, len(traj.times) // 10000)
-            csvs["trajectory.csv"] = trajectory_csv(traj, stride=stride)
+            sampled = LinearTrajectory(times=dt * every, z=kept[1])
     out["results"] = {
         "trajectories": rows,
         "symmetry_defect": symmetry_defect(B),
         "worst_drift": worst_drift,
     }
-    out["csv"] = csvs
+    out["csv"] = {"trajectory.csv": trajectory_csv_parts(sampled)}
     out["summary"] = (f"stability: {len(rows)} phases, worst drift "
                       f"{worst_drift:.3e}, lyapunov "
                       f"{rows[0]['lyapunov']:.3e}")
@@ -456,7 +465,9 @@ def dispatch(cfg: RunConfig, out_dir: str, strict: bool = True) -> int:
 
 
 def _write_outputs(report: dict, out_dir: str):
-    """Write report.json, the report's CSV sidecars and summary.txt."""
+    """Write report.json, the report's CSV sidecars and summary.txt.  A
+    sidecar is its text or an iterable of its parts, written part by
+    part."""
     csvs = report.pop("csv", {})
     summary = report.pop("summary", "")
     os.makedirs(out_dir, exist_ok=True)
@@ -464,7 +475,7 @@ def _write_outputs(report: dict, out_dir: str):
         fh.write(render_report(report))
     for name, text in csvs.items():
         with open(os.path.join(out_dir, name), "w") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
     with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
         fh.write(summary + "\n")
 

@@ -244,6 +244,13 @@ def validate(values: dict) -> list:
                 and n_ok:
             _require(len(st[key]) == c["n"],
                      f"stability.{key}: length must equal n", v)
+    # z0_real None means all ones and z0_imag None zeros, so z0 is zero
+    # only if z0_real is given, and a zero z0 has no Lyapunov estimate
+    if _num_list(st["z0_real"]) \
+            and (st["z0_imag"] is None or _num_list(st["z0_imag"])):
+        _require(any(x != 0 for x in st["z0_real"] + (st["z0_imag"] or [])),
+                 "stability.z0_real, stability.z0_imag: the initial "
+                 "condition must not be zero", v)
 
     if c["mode"] == "verify":
         _require(isinstance(c["verify"]["report"], str),

@@ -123,22 +123,26 @@ def _render(v: np.ndarray) -> tuple:
     return mat, keep
 
 
-def format_rows(table) -> str:
-    """A 2-D float table as text: each row's values as format(v, ".17e"),
-    joined by commas, the row ended by a newline.  Byte-identical to
-    "".join(",".join(format(v, ".17e") for v in row) + "\\n" for row in
-    table); an empty table gives the empty string."""
+def format_parts(table):
+    """The text of `format_rows(table)` in parts, one per pass of at most
+    CHUNK values, each made as it is read."""
     if not len(table):
-        return ""
+        return
     table = np.asarray(table, dtype=np.float64)
     rows, cols = table.shape
     sep = np.full(cols, ord(","), dtype=np.uint8)
     sep[-1] = ord("\n")
     step = max(1, CHUNK // cols)
-    parts = []
     for start in range(0, rows, step):
         block = table[start:start + step]
         mat, keep = _render(block.ravel())
         mat[:, -1] = np.tile(sep, len(block))
-        parts.append(mat[keep].tobytes().decode("ascii"))
-    return "".join(parts)
+        yield mat[keep].tobytes().decode("ascii")
+
+
+def format_rows(table) -> str:
+    """A 2-D float table as text: each row's values as format(v, ".17e"),
+    joined by commas, the row ended by a newline.  Byte-identical to
+    "".join(",".join(format(v, ".17e") for v in row) + "\\n" for row in
+    table); an empty table gives the empty string."""
+    return "".join(format_parts(table))

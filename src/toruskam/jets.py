@@ -569,7 +569,10 @@ def poisson_bracket(F: HamiltonianJet, G: HamiltonianJet,
 
 
 def vf_norm(P: HamiltonianJet, s: float, r: float) -> float:
-    """Computable upper bound for the weighted phase norm of X_P on D(s,r)."""
+    """The weighted phase norm of X_P on D(s, r) as each term's bound plus
+    P's tail.  An upper bound while no tail has been bracketed again: a
+    tail that entered a bracket as tail times a vf norm does not bound the
+    bracket of the part it stands for (see the module docstring)."""
     if r <= 0:
         raise ValueError("r must be positive")
     return sum(_term_vf_bound(sig, f, s, r)

@@ -18,6 +18,11 @@ running product of those factors, seeded with the chunk's start value,
 gives the chunk's trajectory rows in the order the steps are taken.  A
 coupled B makes each step's RK4 map an n x n propagator, and a doubling
 prefix product turns those into the rows.
+
+`linearized_chunks` yields the rows one chunk at a time.  The full
+trajectory (`integrate_linearized`) is one reader of that stream; a
+stability run is another (`sample_stream`), which keeps only the drift and
+the rows at a few given steps, so its memory does not grow with T.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import default_rng
 
-from .csvfmt import format_rows
+from .csvfmt import format_parts
 from .fourier import FourierSeries
 
 # Steps per chunk; bounds the batched evaluation and propagator arrays.
@@ -121,12 +126,14 @@ def _prefix_products(P: np.ndarray) -> np.ndarray:
     return P
 
 
-def integrate_linearized(omega, Omega, B: FourierSeries | None, z0,
-                         T: float, dt: float, x0=None) -> LinearTrajectory:
+def linearized_chunks(omega, Omega, B: FourierSeries | None, z0,
+                      T: float, dt: float, x0=None):
     """Fixed-step fourth-order integration of z' = i (Omega + B(x)) z along
-    x = omega t + x0.  Deterministic; the step count is round(T / dt).
-    Stops at the first chunk whose rows are not finite, with a ValueError
-    naming the chunk's start time."""
+    x = omega t + x0, as a stream: an iterator over the rows z at steps 1
+    .. round(T / dt), one (count, n) array per chunk of at most CHUNK steps.
+    Deterministic.  The arguments are checked here; each chunk is computed
+    as the iterator reaches it, and the first chunk whose rows are not
+    finite raises a ValueError naming the chunk's start time."""
     omega = np.asarray(omega, dtype=float)
     Omega = np.asarray(Omega, dtype=float)
     z = np.asarray(z0, dtype=complex).copy()
@@ -141,44 +148,86 @@ def integrate_linearized(omega, Omega, B: FourierSeries | None, z0,
     if B is not None and B.shape != (n, n):
         raise ValueError(f"B has shape {B.shape}, z0 has shape {z.shape}")
     x0 = np.zeros(omega.size) if x0 is None else np.asarray(x0, dtype=float)
-    nsteps = int(round(T / dt))
-    times = dt * np.arange(nsteps + 1)
-    traj = np.empty((nsteps + 1, n), dtype=complex)
-    traj[0] = z
+    return _chunks(omega, Omega, B, z, int(round(T / dt)), dt, x0)
+
+
+def _chunks(omega, Omega, B, z, nsteps, dt, x0):
+    """The generator behind `linearized_chunks`, on checked arguments; z
+    is the start value, of shape (n,)."""
+    n = z.size
     coupled = B is not None and B.data[~np.eye(n, dtype=bool)].any()
     if B is not None:
         iB = 1j * (B.data if coupled else B.data[np.arange(n), np.arange(n)])
         tables = _phase_tables(omega, B.cutoff, dt, min(CHUNK, nsteps))
-    # an overflowing run is reported by the finiteness test below
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, nsteps, CHUNK):
-            count = min(CHUNK, nsteps - start)
+    for start in range(0, nsteps, CHUNK):
+        count = min(CHUNK, nsteps - start)
+        # an overflowing run is reported by the finiteness test below
+        with np.errstate(over="ignore", invalid="ignore"):
             if B is None:
                 A = np.zeros((2 * count + 1, n), dtype=complex)
             else:
                 A = _orbit_generator(iB, tables, omega, x0, start * dt, count)
             if coupled:
-                P = _prefix_products(_propagators(A, Omega, dt))
-                rows = P @ traj[start]
+                rows = _prefix_products(_propagators(A, Omega, dt)) @ z
             else:
                 rows = _scalar_factors(A, Omega, dt)
-                rows[0] *= traj[start]
+                rows[0] *= z
                 np.cumprod(rows, axis=0, out=rows)
-            if not np.isfinite(rows).all():
-                raise ValueError(
-                    "trajectory contains non-finite amplitudes in the "
-                    f"chunk from t = {start * dt:.6g}")
-            traj[start + 1:start + count + 1] = rows
-    return LinearTrajectory(times=times, z=traj)
+        if not np.isfinite(rows).all():
+            raise ValueError(
+                "trajectory contains non-finite amplitudes in the "
+                f"chunk from t = {start * dt:.6g}")
+        z = rows[-1].copy()
+        yield rows
+
+
+def integrate_linearized(omega, Omega, B: FourierSeries | None, z0,
+                         T: float, dt: float, x0=None) -> LinearTrajectory:
+    """Every row of `linearized_chunks`' integration, z0 first, with its
+    time: the full trajectory, about 16 n + 8 bytes per step."""
+    chunks = linearized_chunks(omega, Omega, B, z0, T, dt, x0)
+    nsteps = int(round(T / dt))
+    traj = np.empty((nsteps + 1, np.size(z0)), dtype=complex)
+    traj[0] = z0
+    for start, rows in zip(range(1, nsteps + 1, CHUNK), chunks):
+        traj[start:start + len(rows)] = rows
+    return LinearTrajectory(times=dt * np.arange(nsteps + 1), z=traj)
+
+
+def sample_stream(chunks, z0, picks):
+    """Read a `linearized_chunks` stream from z0, keeping per chunk only
+    what a stability run reports: the drift `l2_drift` gives on the full
+    trajectory, and for each sorted array of step indices in `picks` the
+    rows z at those steps (z0 at step 0).  Returns (drift, [rows, ...])."""
+    z0 = np.asarray(z0, dtype=complex)
+    total0 = _norm_sq(z0[None])
+    drift = np.float64(0.0)
+    kept = []
+    for steps in picks:
+        z = np.empty((len(steps), z0.size), dtype=complex)
+        z[steps == 0] = z0
+        kept.append(z)
+    start = 0           # step of the row before the chunk's first
+    for rows in chunks:
+        stop = start + len(rows)
+        # np.maximum, unlike max, carries a NaN drift as l2_drift does
+        drift = np.maximum(drift, np.abs(_norm_sq(rows) - total0).max())
+        for steps, z in zip(picks, kept):
+            lo, hi = np.searchsorted(steps, (start + 1, stop + 1))
+            z[lo:hi] = rows[steps[lo:hi] - start - 1]
+        start = stop
+    return float(drift), kept
+
+
+def _norm_sq(z: np.ndarray) -> np.ndarray:
+    """|z|^2 of each row of z."""
+    return (np.abs(z) ** 2).sum(axis=1)
 
 
 def l2_drift(traj: LinearTrajectory) -> float:
     """Largest deviation of |z(t)|^2 from its initial value."""
-    norms = np.abs(traj.z) ** 2
-    total = norms.sum(axis=1)
+    total = _norm_sq(traj.z)
     return float(np.abs(total - total[0]).max())
-
-
 def lyapunov_estimate(traj: LinearTrajectory,
                       return_halves: bool = False):
     """Finite-time top Lyapunov estimate log(|z(T)| / |z(0)|) / T.  With
@@ -212,6 +261,21 @@ def symmetry_defect(B: FourierSeries | None) -> float:
                      np.abs(vals.imag).max()))
 
 
+def trajectory_csv_parts(traj: LinearTrajectory, stride: int = 1):
+    """The text of `trajectory_csv(traj, stride)` in parts: the header
+    line, then `csvfmt.format_parts` of the table, each made as it is
+    read."""
+    n = traj.z.shape[1]
+    cols = ["t"]
+    cols += [f"re_z{j}" for j in range(n)]
+    cols += [f"im_z{j}" for j in range(n)]
+    cols.append("norm_sq")
+    yield ",".join(cols) + "\n"
+    z = traj.z[::stride]
+    yield from format_parts(np.column_stack([traj.times[::stride], z.real,
+                                             z.imag, _norm_sq(z)]))
+
+
 def trajectory_csv(traj: LinearTrajectory, stride: int = 1) -> str:
     """Deterministic CSV: t, Re z_j, Im z_j, |z|^2 at every stride-th step,
     each value `{:.17e}`.  The vectorised kernel `csvfmt.format_rows`
@@ -220,12 +284,4 @@ def trajectory_csv(traj: LinearTrajectory, stride: int = 1) -> str:
     values, nonzero |v| outside [1e-280, 1e280], values within 1e-6 of a
     tie in their 18th digit, and values within two 18th-digit units of a
     power of ten."""
-    n = traj.z.shape[1]
-    cols = ["t"]
-    cols += [f"re_z{j}" for j in range(n)]
-    cols += [f"im_z{j}" for j in range(n)]
-    cols.append("norm_sq")
-    z = traj.z[::stride]
-    table = np.column_stack([traj.times[::stride], z.real, z.imag,
-                             (np.abs(z) ** 2).sum(axis=1)])
-    return ",".join(cols) + "\n" + format_rows(table)
+    return "".join(trajectory_csv_parts(traj, stride))

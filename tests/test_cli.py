@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +13,8 @@ from toruskam.cli import (EXIT_CONFIG, EXIT_EXCLUDED, EXIT_NUMERIC, EXIT_OK,
 from toruskam.fourier import FourierSeries
 from toruskam.config import (MAX_REFINE_ITERS, ConfigError, load_config,
                              parse_config, validate)
+from toruskam.stability import (integrate_linearized, l2_drift,
+                                lyapunov_estimate, trajectory_csv)
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -144,6 +147,60 @@ def test_stability_overflow_exit_4_quietly(tmp_path, capsys):
     assert rep["exit_code"] == EXIT_NUMERIC
     assert rep["results"]["error"] == f"ValueError: {msg}"
     assert (out / "summary.txt").read_text() == f"numeric failure: {msg}\n"
+    assert not (out / "trajectory.csv").exists()
+
+
+TWO_PHASES = {"mode": "stability", "n": 2, "omega": [1.0, PHI],
+              "Omega": [1.17, 1.43],
+              "perturbation": {"kind": "cosine", "amplitude": 0.05,
+                               "mode": [1, 0]},
+              "stability": {"T": 25.0, "dt": 1e-3,
+                            "phases": [[0.3, 1.2], [2.0, 5.0]],
+                            "z0_real": [0.6, -0.1],
+                            "z0_imag": [0.8, 0.4]}}
+
+
+def test_stability_mode_equals_full_trajectory_references(tmp_path):
+    # the mode reads each phase as a stream; its drift, Lyapunov triple and
+    # trajectory.csv (stride 2 at 25000 steps) equal l2_drift,
+    # lyapunov_estimate and trajectory_csv on the full trajectory
+    out = tmp_path / "o"
+    assert dispatch(load_config(TWO_PHASES), str(out)) == EXIT_OK
+    got = json.loads((out / "report.json").read_text())["results"]
+    st = TWO_PHASES["stability"]
+    cosine = FourierSeries.cosine(2, (1, 0), 0.05)
+    data = np.zeros((2, 2) + cosine.data.shape[2:], dtype=complex)
+    data[0, 0] = data[1, 1] = cosine.data[0, 0]
+    B = FourierSeries(2, (2, 2), cosine.cutoff, data)
+    z0 = np.array(st["z0_real"]) + 1j * np.array(st["z0_imag"])
+    for i, x0 in enumerate(st["phases"]):
+        traj = integrate_linearized([1.0, PHI], [1.17, 1.43], B, z0,
+                                    T=st["T"], dt=st["dt"], x0=x0)
+        lam, first, second = lyapunov_estimate(traj, return_halves=True)
+        assert got["trajectories"][i] == {
+            "phase": x0, "l2_drift": l2_drift(traj), "lyapunov": lam,
+            "lyapunov_first_half": first, "lyapunov_second_half": second}
+        if i == 0:
+            assert (out / "trajectory.csv").read_bytes() \
+                == trajectory_csv(traj, stride=2).encode()
+
+
+def test_stability_memory_does_not_grow_with_T(tmp_path):
+    # a phase is read chunk by chunk and trajectory.csv keeps about 10^4
+    # rows at any T, so a run at 4 x 10^5 steps peaks as one at 10^5 does
+    def peak(T, name):
+        data = {**TWO_PHASES, "stability": {**TWO_PHASES["stability"],
+                                            "T": T, "phases": [[0.3, 1.2]]}}
+        cfg = load_config(data)
+        tracemalloc.start()
+        try:
+            assert dispatch(cfg, str(tmp_path / name)) == EXIT_OK
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1.0, "warm")           # fills the caches a first run builds
+    assert abs(peak(400.0, "long") - peak(100.0, "short")) <= 2 ** 19
 
 
 def test_run_mode_exclusion_exit_3(tmp_path):
@@ -764,7 +821,7 @@ def test_stability_step_cap(tmp_path, capsys, monkeypatch, T, phases,
                             refused):
     def stand_in(*args, **kwargs):
         raise _Integrated
-    monkeypatch.setattr(cli, "integrate_linearized", stand_in)
+    monkeypatch.setattr(cli, "linearized_chunks", stand_in)
     path = write_config(tmp_path, {"mode": "stability",
                                    "stability": {"T": T, "dt": 1e-3,
                                                  "phases": [[0.0, 0.0]]
@@ -780,6 +837,30 @@ def test_stability_step_cap(tmp_path, capsys, monkeypatch, T, phases,
     report = json.loads((out / "report.json").read_text())
     assert report["exit_code"] == EXIT_CONFIG
     assert msg in report["results"]["config_errors"][0]
+
+
+def test_zero_initial_condition_refused_before_integration(tmp_path, capsys,
+                                                           monkeypatch):
+    # z0_imag absent means zeros, so z0_real alone can make z0 zero
+    def stand_in(*args, **kwargs):
+        raise _Integrated
+    monkeypatch.setattr(cli, "linearized_chunks", stand_in)
+    msg = ("stability.z0_real, stability.z0_imag: the initial condition "
+           "must not be zero")
+    for st in ({"z0_real": [0.0], "z0_imag": [0.0]}, {"z0_real": [0.0]}):
+        data = {"mode": "stability", "n": 1, "stability": st}
+        out = tmp_path / "o"
+        assert main(["--config", write_config(tmp_path, data),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert msg in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert report["results"]["config_errors"] == [msg]
+    # z0_real absent means ones; one nonzero component is enough
+    for st in ({"z0_imag": [0.0]}, {"z0_real": [0.0], "z0_imag": [1e-300]}):
+        with pytest.raises(_Integrated):
+            main(["--config", write_config(tmp_path, {
+                "mode": "stability", "n": 1, "stability": st}),
+                "--out", str(tmp_path / "o")])
 
 
 D3_RUN = {"mode": "run", "d": 3, "n": 1,

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from toruskam.fourier import FourierSeries, mode_grid
-from toruskam.stability import (CHUNK, _orbit_generator, _phase_tables,
-                                integrate_linearized, l2_drift,
-                                lyapunov_estimate, symmetry_defect,
-                                trajectory_csv)
+from toruskam.stability import (CHUNK, LinearTrajectory, _orbit_generator,
+                                _phase_tables, integrate_linearized,
+                                l2_drift, linearized_chunks,
+                                lyapunov_estimate, sample_stream,
+                                symmetry_defect, trajectory_csv,
+                                trajectory_csv_parts)
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 OMEGA = np.array([1.0, PHI])
@@ -360,3 +362,59 @@ def test_batched_integration_memory_is_chunked():
         tracemalloc.stop()
     own = traj.z.nbytes + traj.times.nbytes
     assert peak - own <= 16 * 2 ** 20
+
+
+# ----------------------------------------------------------------------
+# a sampled stream against the full trajectory it replaces
+# ----------------------------------------------------------------------
+
+STREAM_CASES = {
+    # name: (Omega, B, z0, x0)
+    "n1": ([1.17], matrix_series({(0, 0): STABILITY_COSINE}),
+           [0.6 + 0.8j], [0.3, 1.9]),
+    "n2-free": ([1.17, 1.43], None, [1.0, 0.5 - 0.25j], None),
+    "n2-diagonal": PARITY_CASES["stability-mode"][1:],
+    "n2-coupled": ([1.0, 1.4], symmetric_B(), [1.0, 0.5j], [0.7, -2.1]),
+    "n3-diagonal": ([0.9, 1.6, 2.3], diagonal_part(
+        random_symmetric(2, 3, 2, 0.05, 6)), [0.3j, 1.0, -0.2], [1.0, 4.0]),
+    "n3-coupled": ([0.9, 1.6, 2.3], random_symmetric(2, 3, 2, 0.05, 7),
+                   [0.3j, 1.0, -0.2], [1.0, 4.0]),
+}
+
+
+@pytest.mark.parametrize("nsteps", [300, 301, CHUNK, CHUNK + 1, 2 * CHUNK,
+                                    2 * CHUNK + 1])
+@pytest.mark.parametrize("name", sorted(STREAM_CASES))
+def test_sampled_stream_equals_full_trajectory(name, nsteps):
+    # what a stability run keeps of each phase's stream: its drift, the
+    # three rows of the Lyapunov estimate and the stride rows of the CSV,
+    # equal to l2_drift, lyapunov_estimate and trajectory_csv on the full
+    # trajectory, at two phases
+    Omega, B, z0, x0 = STREAM_CASES[name]
+    dt = 2e-3
+    T = nsteps * dt
+    ends = np.array([0, (nsteps + 1) // 2, nsteps])
+    strides = (1, 3, 10)
+    everies = [np.arange(0, nsteps + 1, k) for k in strides]
+    for phase in ([0.0, 0.0] if x0 is None else x0, [2.5, 0.1]):
+        traj = integrate_linearized(OMEGA, Omega, B, z0, T=T, dt=dt,
+                                    x0=phase)
+        drift, kept = sample_stream(
+            linearized_chunks(OMEGA, Omega, B, z0, T=T, dt=dt, x0=phase),
+            z0, [ends, *everies])
+        assert drift == l2_drift(traj)
+        assert lyapunov_estimate(LinearTrajectory(dt * ends, kept[0]),
+                                 return_halves=True) \
+            == lyapunov_estimate(traj, return_halves=True)
+        for stride, every, z in zip(strides, everies, kept[1:]):
+            text = "".join(trajectory_csv_parts(
+                LinearTrajectory(dt * every, z)))
+            assert text == trajectory_csv(traj, stride=stride)
+
+
+def test_linearized_chunks_checks_before_the_first_chunk():
+    # a bad argument is refused when the stream is made, not when read
+    with pytest.raises(ValueError, match="T and dt must be positive"):
+        linearized_chunks(OMEGA, [1.0], None, [1.0], T=-1.0, dt=1e-2)
+    with pytest.raises(ValueError, match="Omega has shape"):
+        linearized_chunks(OMEGA, [1.0, 2.0], None, [1.0], T=1.0, dt=1e-2)
