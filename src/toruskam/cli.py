@@ -191,7 +191,7 @@ def _mode_run(cfg: RunConfig, out: dict):
     rng = default_rng(c["seed"])
     nf = _normal_form(cfg)
     P = build_perturbation(cfg, rng)
-    sch = make_schedule(c["A"], c["eps"], c["d"], tau=c["tau"], s0=c["s0"],
+    sch = make_schedule(c["A"], c["eps"], tau=c["tau"], s0=c["s0"],
                         r0=c["r0"], N_max=c["caps"]["N_max"])
     res = run(nf, P, sch, max_levels=c["caps"]["levels"],
               gamma=c["caps"]["gamma"], exclusion_N=c["caps"]["exclusion_N"])
@@ -340,7 +340,7 @@ def _mode_stability(cfg: RunConfig, out: dict):
     # reads (steps 0, m and the last) and, in the first phase, the rows
     # trajectory.csv writes; its text is made as it is written
     ends = np.array([0, (nsteps + 1) // 2, nsteps])
-    every = np.arange(0, nsteps + 1, max(1, (nsteps + 1) // 10000))
+    every = np.arange(0, nsteps + 1, max(1, nsteps // 10000))
     rows = []
     worst_drift = 0.0
     for i, x0 in enumerate(st["phases"]):

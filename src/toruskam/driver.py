@@ -53,9 +53,9 @@ class KamSchedule:
     A: float
     tau: float
     l_star: int
-    s0: float = 1.0
-    r0: float = 0.5
-    N_max: int = 16
+    s0: float
+    r0: float
+    N_max: int
 
     def eps(self, l: int) -> float:
         return self.A ** -((4.0 / 3.0) ** l)
@@ -96,17 +96,15 @@ def _with_events(events: list, *new) -> list:
     return out
 
 
-def make_schedule(A: float, eps0: float, d: int, tau: float | None = None,
-                  s0: float = 1.0, r0: float = 0.5,
-                  N_max: int = 16) -> KamSchedule:
+def make_schedule(A: float, eps0: float, tau: float, s0: float, r0: float,
+                  N_max: int) -> KamSchedule:
     if A <= 1:
         raise ValueError("A > 1 required")
-    tau = float(d + 2) if tau is None else float(tau)
     # A^{tau l*} = eps^{-1/3}, rounded up
     l_star = max(int(math.ceil(-math.log(eps0) / (3.0 * tau * math.log(A)))),
                  1)
-    return KamSchedule(A=float(A), tau=tau, l_star=l_star, s0=s0, r0=r0,
-                       N_max=N_max)
+    return KamSchedule(A=float(A), tau=float(tau), l_star=l_star, s0=s0,
+                       r0=r0, N_max=N_max)
 
 
 # ----------------------------------------------------------------------
@@ -181,7 +179,7 @@ STOP_THRESHOLD = 1e-14
 
 
 def initial_step(nf: NormalForm, P: HamiltonianJet, schedule: KamSchedule,
-                 gamma: float | None = None, exclusion_N: int = 8) -> tuple:
+                 gamma: float | None, exclusion_N: int) -> tuple:
     """Measure the input, build the surviving-parameter atlas at the first
     level, certify the level's lattice operator (`level_certificate`: the
     closed-form Combes-Thomas bound, or a condition-gated direct inversion
@@ -308,10 +306,8 @@ def contraction_exponent(eps_values) -> float | None:
 
 
 def run(nf: NormalForm, P: HamiltonianJet, schedule: KamSchedule,
-        max_levels: int = 6, gamma: float | None = None,
-        exclusion_N: int = 8) -> TorusResult:
-    state, atlas = initial_step(nf, P, schedule, gamma=gamma,
-                                exclusion_N=exclusion_N)
+        max_levels: int, gamma: float | None, exclusion_N: int) -> TorusResult:
+    state, atlas = initial_step(nf, P, schedule, gamma, exclusion_N)
     rows = []
     while True:
         extra = state.extra

@@ -114,7 +114,7 @@ class LatticeMatrix:
     @cached_property
     def site_array(self) -> np.ndarray:
         """The region as an (nsites, d) int array, built once per operator
-        and read-only (`translate` and `with_sigma` make new operators)."""
+        and read-only (`restrict` and `with_sigma` make new operators)."""
         ks = np.array(self.region, dtype=int)
         ks.flags.writeable = False
         return ks
@@ -215,12 +215,12 @@ class LatticeMatrix:
         rows, cols = np.concatenate(rows), np.concatenate(cols)
         return _label_components(m, rows, cols)
 
-    def translate(self, p) -> "LatticeMatrix":
-        """The same operator restricted to region + p (Toeplitz shift)."""
-        p = tuple(int(c) for c in p)
-        region = tuple(tuple(k[t] + p[t] for t in range(self.d))
-                       for k in self.region)
-        return replace(self, region=region)
+    def restrict(self, sites) -> "LatticeMatrix":
+        """The same operator on the site set `sites` (any iterable of
+        k-tuples): the symbol, diagonal and shift are kept, so the blocks
+        between sites are unchanged and a shifted set S + p moves the
+        diagonal by <p, omega>."""
+        return replace(self, region=sites)
 
     def with_sigma(self, sigma: float) -> "LatticeMatrix":
         """The same operator with shift sigma."""
@@ -287,9 +287,8 @@ def _block_inverse(blocks: list):
 
 
 def _lattice_operator(omega, Omega, B: FourierSeries, Rzz: FourierSeries,
-                      N: int, sigma: float, region, bold: bool
-                      ) -> LatticeMatrix:
-    """Operator with symbol B + R^{z zbar} on `region` (default [-N, N]^d).
+                      N: int, bold: bool) -> LatticeMatrix:
+    """Operator with symbol B + R^{z zbar} on [-N, N]^d, at shift 0.
 
     The symbol is pre-truncated to modes |k|_inf <= N; the strip norm of the
     dropped part is recorded (`symbol_truncation_gap`).  The bold operator
@@ -300,22 +299,21 @@ def _lattice_operator(omega, Omega, B: FourierSeries, Rzz: FourierSeries,
     full = B + Rzz
     sym = truncate(full, N)
     gap = strip_norm(full - sym.pad(full.cutoff), 0.0)
-    if region is None:
-        region = cube_region(len(omega), N)
     if bold:
         Omega = (Omega[:, None] + Omega[None, :]).ravel()
         sym = bold_symbol(sym)
-    return LatticeMatrix(d=len(omega), nblock=len(Omega), region=region,
-                         omega=omega, diag_block=Omega, symbol=sym,
-                         sigma=sigma, bold=bold, symbol_truncation_gap=gap)
+    return LatticeMatrix(d=len(omega), nblock=len(Omega),
+                         region=cube_region(len(omega), N), omega=omega,
+                         diag_block=Omega, symbol=sym, bold=bold,
+                         symbol_truncation_gap=gap)
 
 
-def build_T(omega, Omega, B: FourierSeries, Rzz: FourierSeries, N: int,
-            sigma: float = 0.0, region=None) -> LatticeMatrix:
-    """Scalar operator with diag Omega_j + <k, omega> and symbol
-    B + R^{z zbar}, pre-truncated to |k|_inf <= N."""
-    return _lattice_operator(omega, Omega, B, Rzz, N, sigma, region,
-                             bold=False)
+def build_T(omega, Omega, B: FourierSeries, Rzz: FourierSeries,
+            N: int) -> LatticeMatrix:
+    """Scalar operator on [-N, N]^d with diag Omega_j + <k, omega> and
+    symbol B + R^{z zbar}, pre-truncated to |k|_inf <= N.  `restrict` and
+    `with_sigma` give it another site set or shift."""
+    return _lattice_operator(omega, Omega, B, Rzz, N, bold=False)
 
 
 def bold_symbol(A: FourierSeries) -> FourierSeries:
@@ -337,11 +335,11 @@ def bold_symbol(A: FourierSeries) -> FourierSeries:
     return FourierSeries(A.d, (n * n, n * n), A.cutoff, out)
 
 
-def build_boldT(omega, Omega, B: FourierSeries, Rzz: FourierSeries, N: int,
-                sigma: float = 0.0, region=None) -> LatticeMatrix:
-    """Pair-index operator with diag Omega_i + Omega_j + <k, omega>."""
-    return _lattice_operator(omega, Omega, B, Rzz, N, sigma, region,
-                             bold=True)
+def build_boldT(omega, Omega, B: FourierSeries, Rzz: FourierSeries,
+                N: int) -> LatticeMatrix:
+    """Pair-index operator on [-N, N]^d with diag
+    Omega_i + Omega_j + <k, omega>."""
+    return _lattice_operator(omega, Omega, B, Rzz, N, bold=True)
 
 
 # ----------------------------------------------------------------------
@@ -582,72 +580,27 @@ def solve_hzz(boldT: LatticeMatrix, Shat: FourierSeries,
 
 
 # ----------------------------------------------------------------------
-# right-hand-side assembly
+# the four equations in dependency order
 # ----------------------------------------------------------------------
 
 @dataclass
 class HomologicalSolution:
-    Fx: FourierSeries | None = None
-    Fy: FourierSeries | None = None
-    Fz: FourierSeries | None = None
-    Fzbar: FourierSeries | None = None
-    Fzz: FourierSeries | None = None
-    Fzbzb: FourierSeries | None = None
-    freq_shift: np.ndarray | None = None
-    truncation_gap: float = 0.0
-    solve_info: dict = field(default_factory=dict)
+    Fx: FourierSeries
+    Fy: FourierSeries
+    Fz: FourierSeries
+    Fzbar: FourierSeries
+    Fzz: FourierSeries
+    Fzbzb: FourierSeries
+    freq_shift: np.ndarray
+    truncation_gap: float
+    solve_info: dict
 
-    def generator_jet(self, d: int, n: int, stages=("x", "z", "y", "zz"),
-                      **jet_kw) -> HamiltonianJet:
-        kw = {}
-        if "x" in stages and self.Fx is not None:
-            kw["Fx"] = self.Fx
-        if "y" in stages and self.Fy is not None:
-            kw["Fy"] = self.Fy
-        if "z" in stages and self.Fz is not None:
-            kw["Fz"], kw["Fzbar"] = self.Fz, self.Fzbar
-        if "zz" in stages and self.Fzz is not None:
-            kw["Fzz"], kw["Fzbzb"] = self.Fzz, self.Fzbzb
-        return jet_from_parts(d, n, **kw, **jet_kw)
-
-
-_RHS_COMPONENT = {"E": component_z, "R": component_y, "S": matrix_zz}
-
-
-def _rhs_parts(stage: str, P: HamiltonianJet,
-               partialF: HomologicalSolution):
-    """R^low and {P^high, F_partial} for `stage` (see `assemble_rhs`)."""
-    sp = split_low_high(P)
-    d, n = P.d, P.n
-    if stage == "E":
-        if partialF.Fx is None:
-            raise ValueError("stage E needs F^x")
-        Fpart = partialF.generator_jet(d, n, stages=("x",),
-                                       max_degree=P.max_degree)
-    elif stage in ("R", "S"):
-        missing = [nm for nm, v in (("F^x", partialF.Fx), ("F^z", partialF.Fz),
-                                    ("F^zbar", partialF.Fzbar)) if v is None]
-        if missing:
-            raise ValueError(f"stage {stage} needs {', '.join(missing)}")
-        Fpart = partialF.generator_jet(d, n, stages=("x", "z"),
-                                       max_degree=P.max_degree)
-    else:
-        raise ValueError(f"unknown stage {stage!r}")
-    return sp.low, poisson_bracket(sp.high, Fpart)
-
-
-def assemble_rhs(stage: str, P: HamiltonianJet,
-                 partialF: HomologicalSolution) -> FourierSeries:
-    """Right-hand side of the equation class `stage`, one of "E", "R", "S".
-
-    Each right side is the matching component of
-    R^low plus the low-order part of {P^high, F_partial}, where F_partial
-    contains only the already-solved generator components (F^x for E; F^x,
-    F^z, F^zbar for R and S).
-    """
-    low, br = _rhs_parts(stage, P, partialF)
-    pick = _RHS_COMPONENT[stage]
-    return pick(low) + pick(br)
+    def generator_jet(self, d: int, n: int, **jet_kw) -> HamiltonianJet:
+        """The generator F^x + <F^y, y> + <F^z, z> + <F^zbar, zbar>
+        + (1/2)<F^zz z, z> + (1/2)<F^zbzb zbar, zbar> as a jet."""
+        return jet_from_parts(d, n, Fx=self.Fx, Fy=self.Fy, Fz=self.Fz,
+                              Fzbar=self.Fzbar, Fzz=self.Fzz,
+                              Fzbzb=self.Fzbzb, **jet_kw)
 
 
 def solve_homological(omega, Omega, B: FourierSeries, P: HamiltonianJet,
@@ -655,37 +608,44 @@ def solve_homological(omega, Omega, B: FourierSeries, P: HamiltonianJet,
     """Run the four equation classes in dependency order.
 
     Order: F^x first, then the pair (F^z, F^zbar), then F^y together with the
-    frequency shift, then (F^zz, F^zbzb).  Operators, right-hand sides and
-    per-solve diagnostics are kept in `solve_info` so residuals can be
-    re-verified independently.
+    frequency shift, then (F^zz, F^zbzb).  Each right side is the matching
+    component of R^low plus that of {P^high, F_partial}, where F_partial
+    holds the generator parts already solved: F^x for E, and F^x, F^z,
+    F^zbar for R and S, which share that one bracket.  Operators,
+    right-hand sides and per-solve diagnostics are kept in `solve_info` so
+    residuals can be re-verified independently.
     """
     sp = split_low_high(P)
-    sol = HomologicalSolution()
+    d, n, deg = P.d, P.n, P.max_degree
     Rx = component_x(sp.low)
-    sol.Fx = solve_hx(Rx, omega, N, divisor_floor)
+    Fx = solve_hx(Rx, omega, N, divisor_floor)
 
     Rzzbar = matrix_zzbar(sp.low)
     T = build_T(omega, Omega, B, Rzzbar, N)
-    E = assemble_rhs("E", P, sol)
-    sol.Fz, sol.Fzbar, info_z = solve_hz(T, E, N)
+    br = poisson_bracket(sp.high, jet_from_parts(d, n, Fx=Fx, max_degree=deg))
+    E = component_z(sp.low) + component_z(br)
+    Fz, Fzbar, info_z = solve_hz(T, E, N)
 
-    # R and S share one bracket: F_partial leaves out F^y, solved between
-    low, br = _rhs_parts("R", P, sol)
-    Rscript = component_y(low) + component_y(br)
-    sol.Fy, sol.freq_shift = solve_hy(Rscript, omega, N, divisor_floor)
+    # F_partial leaves out F^y, solved between R and S
+    br = poisson_bracket(sp.high, jet_from_parts(d, n, Fx=Fx, Fz=Fz,
+                                                 Fzbar=Fzbar, max_degree=deg))
+    Rscript = component_y(sp.low) + component_y(br)
+    Fy, freq_shift = solve_hy(Rscript, omega, N, divisor_floor)
 
-    S = matrix_zz(low) + matrix_zz(br)
+    S = matrix_zz(sp.low) + matrix_zz(br)
     boldT = build_boldT(omega, Omega, B, Rzzbar, N)
-    sol.Fzz, sol.Fzbzb, info_zz = solve_hzz(boldT, S, N)
+    Fzz, Fzbzb, info_zz = solve_hzz(boldT, S, N)
 
-    sol.truncation_gap = T.symbol_truncation_gap + boldT.symbol_truncation_gap
-    sol.solve_info = {"hz": info_z, "hzz": info_zz, "T": T, "boldT": boldT,
-                      "Rx": Rx, "E": E, "Rscript": Rscript, "S": S}
-    return sol
+    return HomologicalSolution(
+        Fx=Fx, Fy=Fy, Fz=Fz, Fzbar=Fzbar, Fzz=Fzz, Fzbzb=Fzbzb,
+        freq_shift=freq_shift,
+        truncation_gap=T.symbol_truncation_gap + boldT.symbol_truncation_gap,
+        solve_info={"hz": info_z, "hzz": info_zz, "T": T, "boldT": boldT,
+                    "Rx": Rx, "E": E, "Rscript": Rscript, "S": S})
 
 
 # ----------------------------------------------------------------------
-# residual checks (independent reconstruction, used by tests and reports)
+# residual checks (independent reconstruction, the tests' oracle)
 # ----------------------------------------------------------------------
 
 def residual_hx(Fx: FourierSeries, Rx: FourierSeries, omega, N: int) -> float:

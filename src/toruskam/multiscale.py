@@ -16,7 +16,7 @@ rate alpha converts to the (weaker but sound) rate alpha/d.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace as _dc_replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -197,10 +197,6 @@ def build_exhaustion(region: ElementaryRegion, m, M: int) -> Exhaustion:
                       remainder=remainder, exceptional=exceptional)
 
 
-def _restrict(T: LatticeMatrix, sites) -> LatticeMatrix:
-    return _dc_replace(T, region=tuple(sorted(sites)))
-
-
 def _sup_dist_matrix(sites) -> np.ndarray:
     pts = np.array(sorted(sites), dtype=int)
     return np.abs(pts[:, None, :] - pts[None, :, :]).max(axis=-1)
@@ -226,7 +222,7 @@ class DirectClassifier:
         self._cache: dict = {}
 
     def _invert(self, sites):
-        sub = _restrict(self.T, frozenset(sites))
+        sub = self.T.restrict(sites)
         G, cert = invert_direct(sub)
         return sub, G, cert
 
@@ -451,7 +447,7 @@ def cl2_couple(T: LatticeMatrix, config: ScaleConfig,
     if budget is None:
         budget = config.kappa * diam ** config.theta / M_prev
     # measured off-diagonal envelope of T: |T(x,y)| <= t_pref e^{-rho |x-y|}
-    full = _restrict(T, sites)
+    full = T.restrict(sites)
     tmag = _site_magnitudes(full.to_dense(), len(sites), full.nblock)
     dsup = _sup_dist_matrix(sites)
     off = dsup > 0
@@ -627,8 +623,7 @@ class _Prober:
 
 
 def sigma_scan(T: LatticeMatrix, sigma_range, targets,
-               points_per_unit: float = 1e4, refine_iters: int = 20
-               ) -> SigmaScanReport:
+               points_per_unit: float, refine_iters: int) -> SigmaScanReport:
     """Scan the shift family T + sigma (T's own sigma is replaced), marking
     sigma values whose inverse violates the targets (alpha_target,
     threshold, norm_target); failing windows are localized at the pass/fail

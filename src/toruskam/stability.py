@@ -228,6 +228,8 @@ def l2_drift(traj: LinearTrajectory) -> float:
     """Largest deviation of |z(t)|^2 from its initial value."""
     total = _norm_sq(traj.z)
     return float(np.abs(total - total[0]).max())
+
+
 def lyapunov_estimate(traj: LinearTrajectory,
                       return_halves: bool = False):
     """Finite-time top Lyapunov estimate log(|z(T)| / |z(0)|) / T.  With

@@ -27,7 +27,7 @@ from toruskam.greens import (CertificateGateError, check_certificate,
 from toruskam.homological import (build_T, cube_region, residual_hx,
                                   residual_lattice, solve_homological)
 from toruskam.multiscale import (DirectClassifier, ElementaryRegion,
-                                 ScaleConfig, _restrict, build_exhaustion,
+                                 ScaleConfig, build_exhaustion,
                                  cl1_couple, cl2_couple, cube_sites,
                                  diagonal_bad_measure,
                                  random_elementary_region, sigma_scan,
@@ -72,7 +72,7 @@ def kam_run():
     t0 = time.monotonic()
     rng = np.random.default_rng(42)
     P = tail_jet(rng, 1e-6, s0=1.0, kmax=26)
-    sch = make_schedule(2.0, 1e-6, d=2, s0=0.3, N_max=24)
+    sch = make_schedule(2.0, 1e-6, tau=4.0, s0=0.3, r0=0.5, N_max=24)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         state, atlas = initial_step(base_nf(), P, sch, gamma=1e-4,
@@ -165,7 +165,7 @@ def _two_scale_instances(counts):
         T = lattice_on(sites, 1, Omega=1.02 + 0.6 * rng.random(),
                        eps=10.0 ** rng.uniform(-5, -3.5), seed=seed)
         bulk = sorted(cube_sites((0,), 6) & set(sites))
-        _, certK = invert_direct(_restrict(T, bulk), threshold=2)
+        _, certK = invert_direct(T.restrict(bulk), threshold=2)
         certs = {x: c for x, c in window_certs(T, M_window=2).items()
                  if abs(x[0]) > 3}
         try:
@@ -180,7 +180,7 @@ def _two_scale_instances(counts):
         T = lattice_on(sites, 2, Omega=1.02 + 0.6 * rng.random(),
                        omega=[1.2, PHI], eps=1e-4, seed=seed, cutoff=2)
         bulk = sorted(cube_sites((0, 0), 3) & set(sites))
-        _, certK = invert_direct(_restrict(T, bulk), threshold=2)
+        _, certK = invert_direct(T.restrict(bulk), threshold=2)
         certs = {x: c for x, c in window_certs(T, M_window=2).items()
                  if max(abs(c0) for c0 in x) > 3}
         try:
@@ -202,7 +202,7 @@ def _cl2_instances(counts):
         T = lattice_on(sites, 1, Omega=1.02 + 0.6 * rng.random(),
                        eps=10.0 ** rng.uniform(-5, -3), seed=seed)
         reg = interval_region(0, hi if hi % 2 == 0 else hi - 1)
-        Tr = _restrict(T, reg.site_set())
+        Tr = T.restrict(reg.site_set())
         cls = DirectClassifier(Tr, alpha=0.3, b=cfg.b, theta=cfg.theta)
         try:
             cert = cl2_couple(Tr, cfg, cls, reg, M_prev=2, alpha_prev=0.4)
@@ -384,7 +384,7 @@ def test_run_csv_byte_identical(kam_run):
     def csv_of():
         rng = np.random.default_rng(13)
         P = tail_jet(rng, 1e-5, s0=1.0, kmax=8)
-        sch = make_schedule(2.0, 1e-5, d=2, s0=0.3, N_max=16)
+        sch = make_schedule(2.0, 1e-5, tau=4.0, s0=0.3, r0=0.5, N_max=16)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             state, _ = initial_step(base_nf(), P, sch, gamma=1e-4,

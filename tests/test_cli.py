@@ -185,6 +185,21 @@ def test_stability_mode_equals_full_trajectory_references(tmp_path):
                 == trajectory_csv(traj, stride=2).encode()
 
 
+
+@pytest.mark.parametrize("T, stride", [(19.999, 1), (20.0, 2)])
+def test_stability_csv_stride(tmp_path, T, stride):
+    # trajectory.csv keeps every stride-th step, stride = max(1, steps //
+    # 10^4): all 20000 rows at 19999 steps, 10001 rows at 20000
+    data = {**TWO_PHASES, "stability": {**TWO_PHASES["stability"],
+                                        "T": T, "phases": [[0.3, 1.2]]}}
+    out = tmp_path / "o"
+    assert dispatch(load_config(data), str(out)) == EXIT_OK
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    nsteps = round(T / 1e-3)
+    assert len(lines) == 1 + len(range(0, nsteps + 1, stride))
+    assert float(lines[2].split(",")[0]) == 1e-3 * stride
+
+
 def test_stability_memory_does_not_grow_with_T(tmp_path):
     # a phase is read chunk by chunk and trajectory.csv keeps about 10^4
     # rows at any T, so a run at 4 x 10^5 steps peaks as one at 10^5 does

@@ -70,14 +70,20 @@ def base_nf(Omega=1.17):
 # schedule
 # ----------------------------------------------------------------------
 
+def schedule(A, eps0, s0=1.0, N_max=16):
+    """`make_schedule` at d = 2 (tau = d + 2) with r0 = 0.5 and, unless
+    given, s0 = 1 and N_max = 16."""
+    return make_schedule(A, eps0, tau=4.0, s0=s0, r0=0.5, N_max=N_max)
+
+
 def test_schedule_eps_example():
-    sch = make_schedule(10.0, 1e-6, d=2)
+    sch = schedule(10.0, 1e-6)
     assert sch.eps(2) == pytest.approx(10 ** -(16.0 / 9.0), rel=1e-12)
     assert sch.eps(2) == pytest.approx(1.667e-2, rel=1e-3)
 
 
 def test_schedule_e_stays_below_half():
-    sch = make_schedule(10.0, 1e-6, d=2)
+    sch = schedule(10.0, 1e-6)
     for l in (1, 10, 1000, 10 ** 6):
         assert 0 < sch.e(l) < 0.5
     assert sch.s(10 ** 6) > sch.s0 / 2
@@ -85,7 +91,7 @@ def test_schedule_e_stays_below_half():
 
 
 def test_schedule_lstar_and_cutoff_cap():
-    sch = make_schedule(10.0, 1e-6, d=2)     # tau = 4
+    sch = schedule(10.0, 1e-6)     # tau = 4
     assert sch.l_star == math.ceil(6 * math.log(10)
                                    / (3 * 4 * math.log(10)))
     with warnings.catch_warnings():
@@ -106,7 +112,7 @@ def inter(ladder, l, j):
 
 
 def test_schedule_intermediate_ladder():
-    sch = make_schedule(2.0, 1e-6, d=2)
+    sch = schedule(2.0, 1e-6)
     assert inter(sch.s, 1, 0) == sch.s(1)
     assert inter(sch.s, 1, 100) == pytest.approx(sch.s(2))
     assert inter(sch.r, 3, 50) == pytest.approx(0.5 * (sch.r(3) + sch.r(4)))
@@ -130,8 +136,8 @@ def test_gamma_floor_and_contraction_exponent():
 def test_initial_step_zero_perturbation():
     nf = base_nf()
     P = HamiltonianJet.zero(D, NN, s_ref=0.3, r_ref=0.5)
-    sch = make_schedule(2.0, 1e-6, d=2, s0=0.3, N_max=16)
-    state, atlas = initial_step(nf, P, sch, gamma=1e-3)
+    sch = schedule(2.0, 1e-6, s0=0.3, N_max=16)
+    state, atlas = initial_step(nf, P, sch, gamma=1e-3, exclusion_N=8)
     assert state.eps_meas == 0.0
     assert np.allclose(state.xi, GOLD)
     assert len(atlas.boxes) > 50
@@ -151,16 +157,16 @@ def test_initial_step_direct_certificate_gated_on_cond_cap(monkeypatch):
                         lambda T, threshold=0: seen.append(T))
     nf = base_nf()
     P = HamiltonianJet.zero(D, NN, s_ref=0.3, r_ref=0.5)
-    sch = make_schedule(2.0, 1e-6, d=2, s0=0.3, N_max=16)
-    state, _ = initial_step(nf, P, sch, gamma=1e-3)
+    sch = schedule(2.0, 1e-6, s0=0.3, N_max=16)
+    state, _ = initial_step(nf, P, sch, gamma=1e-3, exclusion_N=8)
     cond = greens.invert_direct(seen[0])[1].extra["condition"]
     assert state.extra["level_certificate"].provenance == "direct"
     assert 1.0 < cond < 1e12
     monkeypatch.setattr(homological, "COND_CAP", 0.5 * cond)
     with pytest.raises(NearSingularError):
-        initial_step(nf, P, sch, gamma=1e-3)
+        initial_step(nf, P, sch, gamma=1e-3, exclusion_N=8)
     monkeypatch.setattr(homological, "COND_CAP", 2.0 * cond)
-    state, _ = initial_step(nf, P, sch, gamma=1e-3)
+    state, _ = initial_step(nf, P, sch, gamma=1e-3, exclusion_N=8)
     cert = state.extra["level_certificate"]
     assert cert.provenance == "direct" and cert.extra["condition"] == cond
 
@@ -180,7 +186,7 @@ def test_initial_step_certifies_d3_in_closed_form(monkeypatch):
                          "kmax": 6}})
     c = cfg.values
     P = cli.build_perturbation(cfg, np.random.default_rng(1))
-    sch = make_schedule(c["A"], c["eps"], 3, s0=c["s0"], r0=c["r0"],
+    sch = make_schedule(c["A"], c["eps"], c["tau"], s0=c["s0"], r0=c["r0"],
                         N_max=10)
     t0 = time.monotonic()
     with warnings.catch_warnings():
@@ -200,8 +206,8 @@ def test_initial_step_moves_off_resonance():
     nf = NormalForm(np.array([a, a]), np.array([1.17]),
                     FourierSeries.zero(D, shape=(NN, NN)))
     P = HamiltonianJet.zero(D, NN, s_ref=0.3, r_ref=0.5)
-    sch = make_schedule(2.0, 1e-6, d=2, s0=0.3)
-    state, atlas = initial_step(nf, P, sch, gamma=1e-3)
+    sch = schedule(2.0, 1e-6, s0=0.3)
+    state, atlas = initial_step(nf, P, sch, gamma=1e-3, exclusion_N=8)
     assert not np.allclose(state.xi, (a, a))
     assert np.allclose(state.nf.omega, state.xi)
 
@@ -209,24 +215,24 @@ def test_initial_step_moves_off_resonance():
 def test_initial_step_empty_atlas():
     nf = base_nf()
     P = HamiltonianJet.zero(D, NN, s_ref=0.3, r_ref=0.5)
-    sch = make_schedule(2.0, 1e-6, d=2, s0=0.3)
+    sch = schedule(2.0, 1e-6, s0=0.3)
     with pytest.raises(ParameterExcluded):
-        initial_step(nf, P, sch, gamma=50.0)
+        initial_step(nf, P, sch, gamma=50.0, exclusion_N=8)
 
 
 def test_initial_step_rejects_unreal_input():
     bad = HamiltonianJet(D, NN, {((0, 0), (1,), (0,)):
                                  FourierSeries.constant(D, 1.0)},
                          s_ref=0.3, r_ref=0.5)
-    sch = make_schedule(2.0, 1e-6, d=2, s0=0.3)
+    sch = schedule(2.0, 1e-6, s0=0.3)
     with pytest.raises(ValueError):
-        initial_step(base_nf(), bad, sch)
+        initial_step(base_nf(), bad, sch, gamma=None, exclusion_N=8)
 
 
 def test_initial_step_projects_onto_real_subspace():
     rng = np.random.default_rng(5)
     P = tail_jet(rng, 1e-5, s0=1.0, kmax=6)
-    sch = make_schedule(2.0, 1e-5, d=2, s0=0.3, N_max=16)
+    sch = schedule(2.0, 1e-5, s0=0.3, N_max=16)
     # an exactly real input passes bit for bit
     state, _ = initial_step(base_nf(), P, sch, gamma=1e-4, exclusion_N=4)
     assert list(state.P.terms) == list(P.terms)
@@ -253,7 +259,7 @@ def test_kam_step_fixed_point_high_only():
     hi = FourierSeries.cosine(D, (1, 0), 1e-5)
     P = HamiltonianJet(D, NN, {((0, 0), (2,), (1,)): hi},
                        s_ref=0.3, r_ref=0.5)
-    sch = make_schedule(2.0, 1e-6, d=2, s0=0.3)
+    sch = schedule(2.0, 1e-6, s0=0.3)
     state = KamState(level=2, nf=nf, P=P, xi=GOLD.copy(), eps_meas=0.0,
                      eps_high=vf_norm(P, 0.3, 0.5), extra={"gamma": 0.0})
     new, sol = kam_step(state, sch)
@@ -268,7 +274,7 @@ def test_kam_step_cosine_contracts():
     P = HamiltonianJet(D, NN, {((0, 0), (0,), (0,)):
                                FourierSeries.cosine(D, (1, 0), eps)},
                        s_ref=0.3, r_ref=0.5)
-    sch = make_schedule(2.0, 1e-6, d=2, s0=0.3)
+    sch = schedule(2.0, 1e-6, s0=0.3)
     state = KamState(level=2, nf=nf, P=P, xi=GOLD.copy(),
                      eps_meas=vf_norm(P, sch.s(2), sch.r(2)),
                      eps_high=0.0, extra={"gamma": 1e-4})
@@ -285,8 +291,9 @@ def test_kam_step_drops_the_constant_shift_through_the_jet():
     sig0 = ((0, 0), (0,), (0,))
     P = HamiltonianJet(D, NN, {sig0: FourierSeries.constant(D, 1e-6)},
                        s_ref=0.3, r_ref=0.5)
-    sch = make_schedule(2.0, 1e-6, d=2, s0=0.3)
-    state, _ = initial_step(base_nf(), P, sch, gamma=1e-4)
+    sch = schedule(2.0, 1e-6, s0=0.3)
+    state, _ = initial_step(base_nf(), P, sch, gamma=1e-4,
+                            exclusion_N=8)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")     # R^x's mean is the shift
         new, _ = kam_step(state, sch)
@@ -301,7 +308,7 @@ def test_kam_step_resonant_parameter_excluded():
     P = HamiltonianJet(D, NN, {((0, 0), (0,), (0,)):
                                FourierSeries.cosine(D, (3, -2), 1e-5)},
                        s_ref=0.3, r_ref=0.5)
-    sch = make_schedule(2.0, 1e-6, d=2, s0=0.3)
+    sch = schedule(2.0, 1e-6, s0=0.3)
     state = KamState(level=2, nf=nf, P=P, xi=nf.omega.copy(),
                      eps_meas=1e-5, eps_high=0.0, extra={"gamma": 1e-6})
     with pytest.raises(ParameterExcluded):
@@ -315,7 +322,7 @@ def test_kam_step_resonant_parameter_excluded():
 def small_run(seed=7, eps=1e-5, kmax=10, levels=2):
     rng = np.random.default_rng(seed)
     P = tail_jet(rng, eps, s0=1.0, kmax=kmax)
-    sch = make_schedule(2.0, eps, d=2, s0=0.3, N_max=16)
+    sch = schedule(2.0, eps, s0=0.3, N_max=16)
     return run(base_nf(), P, sch, max_levels=levels, gamma=1e-4,
                exclusion_N=6)
 

@@ -18,10 +18,10 @@ from toruskam.homological import (LatticeMatrix, NearSingularError,
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 
-def diagonal_T(d, N, Omega=1.1, omega=None, sigma=0.0):
+def diagonal_T(d, N, Omega=1.1, omega=None):
     omega = [PHI] * d if omega is None else omega
     Z = FourierSeries.zero(d)
-    return build_T(np.array(omega), np.array([Omega]), Z, Z, N, sigma=sigma)
+    return build_T(np.array(omega), np.array([Omega]), Z, Z, N)
 
 
 def decaying_symbol(d, cutoff, rho, eps, rng):
@@ -220,7 +220,7 @@ def test_translation_sigma_identity():
     rng = np.random.default_rng(7)
     T = perturbed_T(rng, d=1, N=5, rho=0.9, eps=1e-2)
     p = (4,)
-    shifted = T.translate(p)
+    shifted = T.restrict([(k + p[0],) for (k,) in T.region])
     ref = T.with_sigma(float(np.dot(p, T.omega)))
     G1, _ = invert_direct(shifted)
     G2, _ = invert_direct(ref)

@@ -10,18 +10,18 @@ from toruskam.fourier import (FourierSeries, dir_derivative, partial_x,
                               product, strip_norm, truncate)
 from toruskam import homological
 from toruskam.driver import gamma_floor
-from toruskam.homological import (HomologicalSolution, NearSingularError,
-                                  SmallDivisorError, _as_column,
-                                  _block_inverse, _component_blocks,
-                                  _divide_by_divisor, _lattice_solve,
-                                  _neumann_bound, _sweep_cap, assemble_rhs,
+from toruskam.homological import (NearSingularError, SmallDivisorError,
+                                  _as_column, _block_inverse,
+                                  _component_blocks, _divide_by_divisor,
+                                  _lattice_solve, _neumann_bound, _sweep_cap,
                                   bold_symbol, build_T, build_boldT,
                                   cube_region, residual_hx, residual_lattice,
                                   solve_homological, solve_hx, solve_hy,
                                   solve_hz, solve_hzz)
 from toruskam.jets import (HamiltonianJet, check_reality, component_x,
-                           component_z, conjugate_jet, matrix_zz,
-                           matrix_zzbar, split_low_high, weighted_degree)
+                           component_y, component_z, conjugate_jet,
+                           jet_from_parts, matrix_zz, matrix_zzbar,
+                           poisson_bracket, split_low_high, weighted_degree)
 
 from lu_oracle import lu_gecon
 from test_fourier import sine
@@ -92,6 +92,11 @@ def make_instance(rng, n, eps=1e-3, N=6):
     return B, Omega, P, N
 
 
+def shifted(T, p):
+    """T restricted to its region moved by p."""
+    return T.restrict([tuple(a + b for a, b in zip(k, p)) for k in T.region])
+
+
 # ----------------------------------------------------------------------
 # operator assembly
 # ----------------------------------------------------------------------
@@ -138,9 +143,8 @@ def test_translation_covariance():
     B = random_B(rng, 1)
     T = build_T(GOLD, np.array([1.3]), B, FourierSeries.zero(D), 2)
     p = (3, -2)
-    shifted = T.translate(p)
     ref = T.with_sigma(float(np.dot(p, GOLD)))
-    assert np.allclose(shifted.to_dense(), ref.to_dense(), atol=1e-12)
+    assert np.allclose(shifted(T, p).to_dense(), ref.to_dense(), atol=1e-12)
 
 
 def test_site_array_built_once_read_only():
@@ -154,10 +158,10 @@ def test_site_array_built_once_read_only():
     # the per-probe diagonal is bitwise the one a fresh operator gives
     for s in (0.0, 0.37, -1.2):
         fresh = build_T(GOLD, np.array([1.3]), T.symbol,
-                        FourierSeries.zero(D), 3, sigma=s)
+                        FourierSeries.zero(D), 3).with_sigma(s)
         assert np.array_equal(T.dense_diagonal(s), fresh.dense_diagonal())
-    # a translated operator has its own sites
-    moved = T.translate((3, -2))
+    # a restriction to moved sites has its own sites
+    moved = shifted(T, (3, -2))
     assert np.array_equal(moved.site_array,
                           np.array(moved.region, dtype=int))
     assert np.array_equal(moved.site_array, ks + np.array([3, -2]))
@@ -175,17 +179,57 @@ def test_with_sigma_carries_dense_form(d, N, n, builder):
     omega = GOLD[0] + np.arange(d) * (GOLD[1] - 1.0)
     Omega = 1.1 + 0.3 * np.arange(n)
     Z = FourierSeries.zero(d, shape=(n, n))
-    T = builder(omega, Omega, B, Z, N, sigma=0.1)
+    T = builder(omega, Omega, B, Z, N).with_sigma(0.1)
     before = T.to_dense().copy()
     moved = T
     # the shifted operator, and the diagonal shifted in place as the sigma
     # scan does it, equal the dense form built at that shift
     for s in (0.37, -1.2, 0.0):
         moved = moved.with_sigma(s)
-        fresh = builder(omega, Omega, B, Z, N, sigma=s).to_dense()
+        fresh = builder(omega, Omega, B, Z, N).with_sigma(s).to_dense()
         assert np.array_equal(moved.to_dense(), fresh)
         assert np.array_equal(T.dense_diagonal(s), np.diagonal(fresh))
     assert np.array_equal(T.to_dense(), before)
+
+
+
+@pytest.mark.parametrize("d,N", [(1, 4), (2, 3)])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("builder", [build_T, build_boldT])
+def test_restrict_matches_dense_oracle(d, N, n, builder):
+    # a restriction to a random site subset S is the dense form's rows and
+    # columns of S, bit for bit; on S + p the blocks between sites are the
+    # same and the diagonal moves by <p, omega>; every copy starts without
+    # the dense-form cache
+    rng = np.random.default_rng(80 + 10 * d + n)
+    box = (n, n) + (3,) * d
+    B = FourierSeries(d, (n, n), 1, 0.1 * (rng.standard_normal(box)
+                                           + 1j * rng.standard_normal(box)))
+    omega = GOLD[0] + np.arange(d) * (GOLD[1] - 1.0)
+    Omega = 1.1 + 0.3 * np.arange(n)
+    T = builder(omega, Omega, B, FourierSeries.zero(d, shape=(n, n)),
+                N).with_sigma(0.1)
+    dense = T.to_dense()
+    nb = T.nblock
+    p = (3, -2)[:d]
+    for size in (1, 2, T.nsites // 3, T.nsites):
+        keep = np.sort(rng.choice(T.nsites, size, replace=False))
+        sites = [T.region[i] for i in rng.permutation(keep)]
+        rows = (keep[:, None] * nb + np.arange(nb)).ravel()
+        ref = dense[np.ix_(rows, rows)]
+        sub = T.restrict(sites)
+        assert sub._dense is None
+        assert sub.region == tuple(T.region[i] for i in keep)
+        assert np.array_equal(sub.to_dense(), ref)
+        moved = sub.restrict([tuple(a + b for a, b in zip(k, p))
+                              for k in sites])
+        assert moved._dense is None
+        got = moved.to_dense()
+        off = ~np.eye(len(rows), dtype=bool)
+        assert np.array_equal(got[off], ref[off])
+        assert np.abs(np.diagonal(got) - np.diagonal(ref)
+                      - np.dot(p, omega)).max() <= 1e-12
+    assert T.with_sigma(0.2)._dense is None
 
 
 def test_bold_symbol_case_table():
@@ -526,7 +570,7 @@ def test_neumann_route_matches_dense_oracle(n, build, sigma):
     omega = 0.1 * GOLD       # |<k, omega>| <= 0.79 < Omega on the box
     Omega = 1.0 + rng.uniform(0.0, 0.5, n)
     T = build(omega, Omega, random_hermitian_symbol(rng, n, 0.005),
-              FourierSeries.zero(D, shape=(n, n)), N, sigma=sigma)
+              FourierSeries.zero(D, shape=(n, n)), N).with_sigma(sigma)
     assert 0.05 < contraction_q(T) < 1.0
     rhs = random_column(rng, T.nblock, N)
     u, info = _lattice_solve(T, rhs, N)
@@ -573,8 +617,8 @@ def test_dense_fallback_selection(monkeypatch):
     small = build_T(0.1 * GOLD, np.array([1.3]),
                     random_B(rng, 1, scale=0.01), Z, 2)
     assert contraction_q(small) < 1.0
-    shifted = small.translate((3, -2))       # q < 1, but not the centred box
-    assert contraction_q(shifted) < 1.0
+    moved = shifted(small, (3, -2))      # q < 1, but not the centred box
+    assert contraction_q(moved) < 1.0
     strong = build_T(GOLD, np.array([1.17]), random_B(rng, 1, scale=0.3), Z, 3)
     assert contraction_q(strong) >= 1.0
     # q just above 1: the Jacobi iteration is not proven to converge
@@ -585,7 +629,7 @@ def test_dense_fallback_selection(monkeypatch):
     bound, _ = _neumann_bound(small)
     cond = block_cond(small)
     assert cond < bound                       # a cap between the two
-    cases = [(shifted, 1e12), (strong, 1e12), (edge, 1e12),
+    cases = [(moved, 1e12), (strong, 1e12), (edge, 1e12),
              (small, 0.5 * (cond + bound))]
     for T, cap in cases:
         Nr = max(max(abs(c) for c in k) for k in T.region)
@@ -657,12 +701,14 @@ def test_dense_route_on_several_components():
     Z2 = FourierSeries.zero(D, shape=(n, n))
     region2 = tuple([(k, 0) for k in range(-2, 3)]
                     + [(k, 2) for k in range(0, 3)] + [(-3, -3)])
-    cases = [(build_T(np.array([0.0]), np.array([1.0]), B1, Z1, 3,
-                      sigma=0.5, region=region), [(1, 1), (1, 2)]),
-             (build_T(GOLD, np.array([1.1, 1.6]), B2, Z2, 3, sigma=0.3,
-                      region=region2), [(1, 1), (1, 3), (1, 5)])]
-    cases.append((build_boldT(GOLD, np.array([1.1, 1.6]), B2, Z2, 3,
-                              sigma=0.3, region=region2), cases[1][1]))
+    singular = tuple(build(np.array([0.0]), np.array([1.0]), B1, Z1,
+                           3).restrict(region)
+                     for build in (build_T, build_boldT))
+    T2, bold2 = (build(GOLD, np.array([1.1, 1.6]), B2, Z2, 3).restrict(region2)
+                 for build in (build_T, build_boldT))
+    cases = [(singular[0].with_sigma(0.5), [(1, 1), (1, 2)]),
+             (T2.with_sigma(0.3), [(1, 1), (1, 3), (1, 5)]),
+             (bold2.with_sigma(0.3), [(1, 1), (1, 3), (1, 5)])]
     for T, shapes in cases:
         assert [g.shape for g in T.components()] == shapes
         Nr = max(max(abs(c) for c in k) for k in T.region)
@@ -680,10 +726,6 @@ def test_dense_route_on_several_components():
         assert info.residual <= 1e-14
         assert info.condition == block_cond(T)
         assert_dense_solve(T, lattice_vec(T, F), rhs)
-    singular = (build_T(np.array([0.0]), np.array([1.0]), B1, Z1, 3,
-                        region=region),
-                build_boldT(np.array([0.0]), np.array([1.0]), B1, Z1, 3,
-                            region=region))
     for T in singular:
         solve = solve_hzz if T.bold else solve_hz
         rhs = FourierSeries.from_coeffs(1, {(0,): 1.0}, cutoff=3)
@@ -737,6 +779,15 @@ def test_neumann_d3_box_without_dense():
 # right-hand sides: explicit-formula oracles
 # ----------------------------------------------------------------------
 
+def rhs(pick, P, **parts):
+    """pick(R^low) + pick({P^high, F}) for the generator F of `parts`: the
+    right side `solve_homological` forms, E with pick = component_z from
+    F^x, R (component_y) and S (matrix_zz) from F^x, F^z and F^zbar."""
+    sp = split_low_high(P)
+    F = jet_from_parts(P.d, P.n, max_degree=P.max_degree, **parts)
+    return pick(sp.low) + pick(poisson_bracket(sp.high, F))
+
+
 def test_assemble_rhs_E_matches_explicit_formula():
     rng = np.random.default_rng(37)
     n = 2
@@ -744,8 +795,7 @@ def test_assemble_rhs_E_matches_explicit_formula():
     Fx = FourierSeries(D, (1, 1), 2,
                        rng.standard_normal((1, 1, 5, 5))
                        + 1j * rng.standard_normal((1, 1, 5, 5)))
-    sol = HomologicalSolution(Fx=Fx)
-    got = assemble_rhs("E", P, sol)
+    got = rhs(component_z, P, Fx=Fx)
     # explicit: E_j = R^z_j - sum_i coeff(y_i z_j) dF^x/dx_i
     low = split_low_high(P).low
     Rz = component_z(low)
@@ -777,11 +827,9 @@ def test_assemble_rhs_R_matches_explicit_formula():
     Fz = FourierSeries(D, (n, 1), 2,
                        np.stack([f.data[0, 0] for f in Fzp])[:, None])
     Fzb = Fz.conj_function()
-    sol = HomologicalSolution(Fx=Fx, Fz=Fz, Fzbar=Fzb)
-    got = assemble_rhs("R", P, sol)
+    got = rhs(component_y, P, Fx=Fx, Fz=Fz, Fzbar=Fzb)
     low = split_low_high(P).low
     zn = (0,) * n
-    from toruskam.jets import component_y
     Ry = component_y(low)
     Nc = got.cutoff
     for i in range(D):
@@ -814,8 +862,7 @@ def test_assemble_rhs_S_targeted_yzz_term():
     P = HamiltonianJet(D, n, {sig: c}, max_degree=4)
     Fx = sine(D, (1, 0), amplitude=0.3)
     Z = FourierSeries.zero(D, shape=(n, 1))
-    sol = HomologicalSolution(Fx=Fx, Fz=Z, Fzbar=Z)
-    S = assemble_rhs("S", P, sol)
+    S = rhs(matrix_zz, P, Fx=Fx, Fz=Z, Fzbar=Z)
     expect = -1.0 * product(c, partial_x(Fx, 0))
     assert (S.entry(0, 1) - expect).max_abs_coeff() <= 1e-13
     assert (S.entry(1, 0) - expect).max_abs_coeff() <= 1e-13
@@ -834,25 +881,13 @@ def test_assemble_rhs_S_targeted_zzz_term():
     Fzb = FourierSeries(D, (n, 1), 1,
                         np.stack([f1.data[0, 0], f2.data[0, 0]])[:, None])
     Z = FourierSeries.zero(D, shape=(n, 1))
-    sol = HomologicalSolution(Fx=FourierSeries.zero(D), Fz=Z, Fzbar=Fzb)
-    S = assemble_rhs("S", P, sol)
+    S = rhs(matrix_zz, P, Fx=FourierSeries.zero(D), Fz=Z, Fzbar=Fzb)
     # matrix_zz convention: M_12 = coeff(z1 z2), M_11 = 2 coeff(z1^2)
     m12 = 2j * product(c, f1)
     m11 = 2j * product(c, f2)
     assert (S.entry(0, 1) - m12).max_abs_coeff() <= 1e-13
     assert (S.entry(0, 0) - m11).max_abs_coeff() <= 1e-13
     assert S.entry(1, 1).max_abs_coeff() <= 1e-15
-
-
-def test_assemble_rhs_missing_prerequisites():
-    P = HamiltonianJet.zero(D, 1)
-    with pytest.raises(ValueError):
-        assemble_rhs("E", P, HomologicalSolution())
-    with pytest.raises(ValueError):
-        assemble_rhs("S", P, HomologicalSolution(Fx=FourierSeries.zero(D)))
-    with pytest.raises(ValueError):
-        assemble_rhs("bogus", P,
-                     HomologicalSolution(Fx=FourierSeries.zero(D)))
 
 
 # ----------------------------------------------------------------------
@@ -885,8 +920,8 @@ def test_full_pipeline_brackets_once_for_R_and_S(monkeypatch, n):
     sol = solve_homological(GOLD, Omega, B, P, N)
     assert len(calls) == 2
     info = sol.solve_info
-    for key, stage in (("Rscript", "R"), ("S", "S")):
-        ref = assemble_rhs(stage, P, sol)
+    for key, pick in (("Rscript", component_y), ("S", matrix_zz)):
+        ref = rhs(pick, P, Fx=sol.Fx, Fz=sol.Fz, Fzbar=sol.Fzbar)
         assert info[key].cutoff == ref.cutoff
         assert np.array_equal(info[key].data, ref.data)
 

@@ -12,6 +12,10 @@ Four static rules over every module in `src/toruskam`, checked with `ast`:
   * likewise every dataclass field with a default, which may also be set
     by a `replace(...)` call or an attribute assignment (`obj.field = ...`);
   * no function imports inside its body: a module's imports sit at its top.
+One count rule: the settable values, config leaves (`config.DEFAULTS`)
+plus defaulted parameters plus defaulted dataclass fields as the walkers
+above find them, number at most `SETTABLE_VALUES`; a change that adds a
+setting raises that ceiling in plain sight.
 One policy rule: the condition cap of the lattice inversions is
 `homological.COND_CAP`, which no other module names and no function takes
 as a `cond_cap` parameter.
@@ -218,6 +222,23 @@ def unset_fields() -> list:
             and not _is_set(keywords, positions, cls, field, pos)]
 
 
+# the ceiling of the count rule
+SETTABLE_VALUES = 108
+
+
+def settable_values() -> int:
+    """Config leaves plus defaulted parameters plus defaulted dataclass
+    fields."""
+    from toruskam.config import DEFAULTS
+
+    def leaves(tree):
+        return sum(leaves(v) if isinstance(v, dict) else 1
+                   for v in tree.values())
+    trees = [_parse(path) for path in sorted(PACKAGE.glob("*.py"))]
+    return leaves(DEFAULTS) + sum(len(_defaulted_parameters(t))
+                                  + len(_defaulted_fields(t)) for t in trees)
+
+
 def function_body_imports() -> list:
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -261,6 +282,10 @@ def test_every_default_is_overridden_somewhere():
 
 def test_every_dataclass_default_is_set_somewhere():
     assert unset_fields() == []
+
+
+def test_settable_values_within_ceiling():
+    assert settable_values() <= SETTABLE_VALUES
 
 
 def test_no_imports_inside_functions():

@@ -21,7 +21,7 @@ from toruskam.multiscale import (DirectClassifier, ElementaryRegion,
                                  diagonal_bad_measure,
                                  random_elementary_region, sigma_scan,
                                  sup_dist, two_scale_couple, _Prober,
-                                 _propagate_bounds, _restrict)
+                                 _propagate_bounds)
 
 from lu_oracle import lu_gecon
 
@@ -188,7 +188,7 @@ def window_certs(T, M_window, threshold=2):
     certs = {}
     for x in T.region:
         U = sorted(cube_sites(x, M_window) & set(T.region))
-        _, cert = invert_direct(_restrict(T, U), threshold=threshold)
+        _, cert = invert_direct(T.restrict(U), threshold=threshold)
         certs[x] = cert
     return certs
 
@@ -210,7 +210,7 @@ def test_cl1_couples_closed_form_windows():
     # coupled certificate is sound
     sites = [(k,) for k in range(-8, 9)]
     T = lattice_on(sites, 1, Omega=1.05, eps=1e-4, seed=11)
-    certs = {x: combes_thomas(_restrict(T, sorted(
+    certs = {x: combes_thomas(T.restrict(sorted(
         cube_sites(x, 4) & set(T.region))), threshold=2) for x in T.region}
     assert max(c.prefactor for c in certs.values()) > 1.0
     cert = cl1_couple(T, certs, M=6)
@@ -264,7 +264,7 @@ def test_two_scale_sound_against_direct():
     sites = [(k,) for k in range(-8, 9)]
     T = lattice_on(sites, 1, Omega=1.05, eps=1e-4, seed=21)
     bulk = sorted(cube_sites((0,), 6) & set(sites))
-    _, certK = invert_direct(_restrict(T, bulk), threshold=2)
+    _, certK = invert_direct(T.restrict(bulk), threshold=2)
     certs = {x: c for x, c in window_certs(T, M_window=2).items()
              if abs(x[0]) > 3}
     out = two_scale_couple(T, certK, certs, K=6, M0=2)
@@ -275,7 +275,7 @@ def test_two_scale_missing_boundary_window():
     sites = [(k,) for k in range(-8, 9)]
     T = lattice_on(sites, 1, Omega=1.05)
     bulk = sorted(cube_sites((0,), 6) & set(sites))
-    _, certK = invert_direct(_restrict(T, bulk), threshold=2)
+    _, certK = invert_direct(T.restrict(bulk), threshold=2)
     with pytest.raises(CertificateGateError):
         two_scale_couple(T, certK, {}, K=6, M0=2)
 
@@ -293,7 +293,7 @@ def test_cl2_rectangle_all_good():
     cert = cl2_couple(T, cfg, cls, reg, M_prev=2, alpha_prev=0.4)
     assert cert.provenance == "cl2"
     assert cert.alpha > 0
-    assert check_certificate(cert, _restrict(T, reg.site_set())).passed
+    assert check_certificate(cert, T.restrict(reg.site_set())).passed
     assert cert.extra["alpha_nominal"] == pytest.approx(
         0.4 * (1 - 15 * cfg.kappa))
 
@@ -346,7 +346,8 @@ def test_sigma_scan_translation_covariance():
     p = (2,)
     shift = float(np.dot(p, omega))
     targets = (0.5, 0, 1.0 / delta)
-    rep_moved = sigma_scan(base.translate(p), (-0.5, 0.5), targets,
+    moved = base.restrict([(k + p[0],) for (k,) in base.region])
+    rep_moved = sigma_scan(moved, (-0.5, 0.5), targets,
                            points_per_unit=400, refine_iters=25)
     rep_base = sigma_scan(base, (-0.5 + shift, 0.5 + shift), targets,
                           points_per_unit=400, refine_iters=25)
@@ -364,7 +365,7 @@ def _direct_probe_case(hermitian):
     Z = FourierSeries.zero(2)
 
     def builder(s):
-        return build_T(omega, Omega, B, Z, N, sigma=s)
+        return build_T(omega, Omega, B, Z, N).with_sigma(s)
 
     return builder, (0.1, 2, 100.0)
 
@@ -585,7 +586,7 @@ def test_sigma_scan_exactly_singular_sample():
     # sigma = -Omega makes the k = 0 diagonal entry exactly zero
     Z = FourierSeries.zero(1)
     T = build_T(np.array([PHI]), np.array([1.05]), Z, Z, 3)
-    for op in (T, T.translate((0,))):
+    for op in (T, T.restrict(T.region)):
         rep = sigma_scan(op, (-1.05, -0.95), (0.5, 0, 20.0),
                          points_per_unit=100, refine_iters=5)
         assert rep.samples[0] == (-1.05, False, np.inf, 0.0)
@@ -678,8 +679,8 @@ def test_block_kernel_exactly_singular_block():
     # sigma = 0; site 3 is a component of its own
     B = FourierSeries.from_coeffs(1, {(1,): 1.0, (-1,): 1.0})
     Z = FourierSeries.zero(1)
-    T = build_T(np.array([0.0]), np.array([1.0]), B, Z, 3,
-                region=((0,), (1,), (3,)))
+    T = build_T(np.array([0.0]), np.array([1.0]), B, Z, 3).restrict(
+        ((0,), (1,), (3,)))
     assert [g.tolist() for g in T.components()] == [[[2]], [[0, 1]]]
     prober = _Prober(T, (0.5, 0, 20.0))
     assert prober.sample(0.0) == (False, np.inf, 0.0)
