@@ -20,10 +20,10 @@ from numpy.random import default_rng
 from .atlas import (ParameterAtlas, nonresonance_predicate, pave_and_filter,
                     paving_count)
 from .config import ConfigError, RunConfig, load_config, parse_config
-from .csvfmt import format_rows
+from .csvfmt import labelled_rows
 from .driver import ParameterExcluded, log_csv, make_schedule, run
 from .fourier import FourierSeries, _l1_grid
-from .greens import CertificateGateError, check_certificate, invert_direct
+from .greens import CertificateGateError, _check_against, invert_direct
 from .homological import (LatticeMatrix, NearSingularError, SmallDivisorError,
                           build_T)
 from .jets import HamiltonianJet, NormalForm
@@ -238,10 +238,7 @@ def _mode_atlas(cfg: RunConfig, out: dict):
         if not atlas.boxes:
             break
     rows = atlas.serialize_rows()
-    floats = format_rows([r[1:] for r in rows]).splitlines()
-    csv = "level," + ",".join(f"xi{i}" for i in range(c["d"])) \
-        + ",half_width\n"
-    csv += "\n".join(f"{r[0]},{line}" for r, line in zip(rows, floats))
+    columns = ["level", *(f"xi{i}" for i in range(c["d"])), "half_width"]
     out["results"] = {
         "level": atlas.level,
         "boxes": len(atlas.boxes),
@@ -249,7 +246,8 @@ def _mode_atlas(cfg: RunConfig, out: dict):
         "total_volume": atlas.total_volume(),
         "gamma": gamma,
     }
-    out["csv"] = {"atlas.csv": csv + "\n"}
+    out["csv"] = {"atlas.csv": labelled_rows(
+        columns, [r[0] for r in rows], [r[1:] for r in rows])}
     out["summary"] = (f"atlas: level {atlas.level}, {len(atlas.boxes)} "
                       f"boxes survive, removed measure {removed_total:.3e}")
     if not atlas.boxes:
@@ -263,8 +261,8 @@ def _mode_greens(cfg: RunConfig, out: dict):
     g = c["greens"]
     T = _greens_operator(cfg).with_sigma(g["sigma"])
     threshold = g["N"] // 2 if g["threshold"] is None else g["threshold"]
-    _, cert = invert_direct(T, threshold=int(threshold))
-    sound = check_certificate(cert, T)
+    G, cert = invert_direct(T, threshold=int(threshold))
+    sound = _check_against(cert, G, T)
     out["results"] = {
         "norm_bound": cert.norm_bound,
         "alpha": cert.alpha,

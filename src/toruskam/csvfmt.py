@@ -146,3 +146,11 @@ def format_rows(table) -> str:
     "".join(",".join(format(v, ".17e") for v in row) + "\\n" for row in
     table); an empty table gives the empty string."""
     return "".join(format_parts(table))
+
+
+def labelled_rows(columns, labels, table) -> str:
+    """Header line `columns`, then per row its integer label and `format_rows`
+    floats, each line ended by a newline (an empty table: the header alone)."""
+    return "".join([",".join(columns) + "\n"] + [
+        f"{int(k)},{line}\n"
+        for k, line in zip(labels, format_rows(table).splitlines())])

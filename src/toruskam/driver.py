@@ -16,12 +16,12 @@ is recorded as events in the state and the result, never as a warning.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .atlas import ParameterAtlas, nonresonance_predicate, pave_and_filter
-from .csvfmt import format_rows
+from .csvfmt import labelled_rows
 from .fourier import FourierSeries
 from .greens import DecayCertificate, level_certificate
 from .homological import (NearSingularError, SmallDivisorError, build_T,
@@ -166,8 +166,7 @@ def invariance_residual(P: HamiltonianJet, s: float, r: float) -> float:
         da, db, dc = sum(a), sum(b), sum(c)
         if (da, db, dc) in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)):
             keep[sig] = f
-    sub = P._like(keep, tail=0.0)
-    return vf_norm(sub, s, r)
+    return vf_norm(replace(P, terms=keep, tail=0.0), s, r)
 
 
 # ----------------------------------------------------------------------
@@ -256,7 +255,7 @@ def kam_step(state: KamState, schedule: KamSchedule) -> tuple:
     if sig0 in P_new.terms:
         f = P_new.terms[sig0]
         mean = FourierSeries.constant(d, f.coeff((0,) * d)).pad(f.cutoff)
-        P_new = P_new._like({**P_new.terms, sig0: f - mean})
+        P_new = replace(P_new, terms={**P_new.terms, sig0: f - mean})
 
     sp = split_low_high(P_new)
     s1, r1 = schedule.s(l + 1), schedule.r(l + 1)
@@ -341,7 +340,5 @@ def log_csv(rows) -> str:
     """Deterministic per-level CSV: the level, then `{:.17e}` floats."""
     keys = ("eps_meas", "eps_sched", "omega_shift", "B_symmetry_err",
             "residual")
-    floats = format_rows([[float(r[k]) for k in keys] for r in rows])
-    return "".join([f"level,{','.join(keys)}\n"]
-                   + [f"{int(r['level'])},{line}\n"
-                      for r, line in zip(rows, floats.splitlines())])
+    return labelled_rows(("level",) + keys, [r["level"] for r in rows],
+                         [[float(r[k]) for k in keys] for r in rows])

@@ -36,9 +36,12 @@ scatters the blocks into the full G its callers read and adds the measured
 ||G||_2 = max_b ||G_b||_2, kept in `extra["measured_norm"]`, and the
 certificate, whose rate is read off the in-block pairs (`far_rate`, the one
 rate formula).  `_site_magnitudes` is the per-site-pair block maximum and
-`decay_certificate` the b-exponent for every emitted certificate.
+`decay_certificate` the b-exponent for every emitted certificate;
+`_in_block_distances`, `_in_block_magnitudes` and `_block_norm` read the
+component inverses for `invert_direct` and the sigma-scan probes alike.
 `certify` keeps its own SVD of the full G, as the independent soundness
-oracle.
+oracle; `_check_against` compares a claim with a given inverse (greens
+mode's own G), and `check_certificate` inverts first.
 """
 
 from __future__ import annotations
@@ -85,8 +88,7 @@ class DecayCertificate:
 
 
 def site_distances(region) -> np.ndarray:
-    ks = np.array(region, dtype=int)
-    return np.abs(ks[:, None, :] - ks[None, :, :]).sum(axis=-1)
+    return _block_distances(np.array(region, dtype=int)[None])[0]
 
 
 def l1_diameter(region) -> int:
@@ -114,6 +116,25 @@ def _block_distances(ks: np.ndarray) -> np.ndarray:
     for t in range(ks.shape[2]):
         dist += np.abs(ks[:, :, None, t] - ks[:, None, :, t])
     return dist
+
+
+def _in_block_distances(T: LatticeMatrix, parts: list) -> np.ndarray:
+    """|x - y|_1 of the in-block site pairs of T's `_component_blocks`."""
+    return np.concatenate([_block_distances(T.site_array[sites]).ravel()
+                           for sites, _, _ in parts])
+
+
+def _in_block_magnitudes(inverses: list, nblock: int) -> np.ndarray:
+    """`_site_magnitudes` of the in-block site pairs of block inverses."""
+    return np.concatenate([
+        _site_magnitudes(G, G.shape[-1] // nblock, nblock).ravel()
+        for G in inverses])
+
+
+def _block_norm(inverses: list) -> float:
+    """||G||_2 of a block-diagonal G: the largest ||G_b||_2."""
+    return max(float(np.linalg.norm(G, 2, axis=(-2, -1)).max())
+               for G in inverses)
 
 
 def measure_alpha(gmag: np.ndarray, dist: np.ndarray, threshold: int) -> float:
@@ -161,19 +182,13 @@ def invert_direct(T: LatticeMatrix, threshold: int = 0):
         G[rows[:, :, None], rows[:, None, :]] = Gb
     # pairs in different components are structural zeros of G, which
     # carry no rate: alpha is read off the in-block pairs
-    gmag = np.concatenate([
-        _site_magnitudes(Gb, sites.shape[1], T.nblock).ravel()
-        for (sites, _, _), Gb in zip(parts, inverses)])
-    dist = np.concatenate([_block_distances(T.site_array[sites]).ravel()
-                           for sites, _, _ in parts])
-    measured = max(float(np.linalg.norm(Gb, 2, axis=(-2, -1)).max())
-                   for Gb in inverses)
-    alpha = measure_alpha(gmag, dist, threshold)
-    cert = decay_certificate(measured * (1 + 1e-6), alpha, threshold,
-                             T.region, "direct",
-                             {"condition": float(cond),
-                              "measured_norm": measured})
-    return G, cert
+    measured = _block_norm(inverses)
+    alpha = measure_alpha(_in_block_magnitudes(inverses, T.nblock),
+                          _in_block_distances(T, parts), threshold)
+    return G, decay_certificate(measured * (1 + 1e-6), alpha, threshold,
+                                T.region, "direct",
+                                {"condition": float(cond),
+                                 "measured_norm": measured})
 
 
 @dataclass
@@ -298,10 +313,14 @@ def variation_delta(Ta: LatticeMatrix, Tb: LatticeMatrix, s: float):
 
 def check_certificate(cert: DecayCertificate, T: LatticeMatrix
                       ) -> CertifyResult:
-    """Soundness oracle: invert directly and certify against the claim,
-    relaxed by a relative tolerance of 1e-12."""
+    """Soundness oracle: `_check_against` a direct inverse of T."""
+    return _check_against(cert, invert_direct(T, cert.threshold)[0], T)
+
+
+def _check_against(cert: DecayCertificate, G: np.ndarray, T: LatticeMatrix
+                   ) -> CertifyResult:
+    """`certify` T's inverse G against the claim, relaxed by 1e-12."""
     tol = 1e-12
-    G, _ = invert_direct(T, threshold=cert.threshold)
     return certify(G, T.region, T.nblock, cert.alpha - tol, cert.threshold,
                    cert.norm_bound * (1 + tol), cert.prefactor * (1 + tol))
 

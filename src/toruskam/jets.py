@@ -499,13 +499,6 @@ class HamiltonianJet:
         self.terms = clean
 
     # ------------------------------------------------------------------
-    def _like(self, terms, tail=None) -> "HamiltonianJet":
-        return HamiltonianJet(
-            self.d, self.n, terms, max_degree=self.max_degree,
-            cutoff_cap=self.cutoff_cap,
-            tail=self.tail if tail is None else tail,
-            s_ref=self.s_ref, r_ref=self.r_ref)
-
     @classmethod
     def zero(cls, d: int, n: int, **kw) -> "HamiltonianJet":
         return cls(d, n, {}, **kw)
@@ -527,8 +520,8 @@ class HamiltonianJet:
         return self + (-1.0) * other
 
     def __mul__(self, scalar) -> "HamiltonianJet":
-        return self._like({sig: f * scalar for sig, f in self.terms.items()},
-                          tail=self.tail * abs(scalar))
+        terms = {sig: f * scalar for sig, f in self.terms.items()}
+        return replace(self, terms=terms, tail=self.tail * abs(scalar))
 
     __rmul__ = __mul__
 
@@ -589,8 +582,8 @@ def split_low_high(P: HamiltonianJet) -> JetSplit:
     """Low = weighted degree <= 2; high = the rest (carries the tail)."""
     low = {s: f for s, f in P.terms.items() if weighted_degree(s) <= 2}
     high = {s: f for s, f in P.terms.items() if weighted_degree(s) > 2}
-    return JetSplit(low=P._like(low, tail=0.0),
-                    high=P._like(high, tail=P.tail))
+    return JetSplit(low=replace(P, terms=low, tail=0.0),
+                    high=replace(P, terms=high))
 
 
 def check_reality(P: HamiltonianJet, tol: float = 1e-12):
@@ -614,7 +607,7 @@ def conjugate_jet(P: HamiltonianJet) -> HamiltonianJet:
         sig = (a, c, b)
         g = f.conj_function()
         out[sig] = out[sig] + g if sig in out else g
-    return P._like(out)
+    return replace(P, terms=out)
 
 
 @dataclass
@@ -661,7 +654,7 @@ def lie_transform(H: HamiltonianJet, F: HamiltonianJet,
         if j <= order:
             out = out + (1.0 / fact) * term
     tail_bound = norms[order + 1]
-    jet = out._like(out.terms, tail=out.tail + tail_bound)
+    jet = replace(out, tail=out.tail + tail_bound)
     return LieResult(jet=jet, tail_bound=tail_bound, term_norms=norms,
                      skipped_keys=side.skipped, skipped_bound=side.booked)
 

@@ -11,6 +11,10 @@ site geometry, never from asymptotic absorption, so that each emitted
 certificate is falsifiable against direct inversion.  Emitted certificates
 use the |.|_1 distance convention of the greens module; a sup-metric decay
 rate alpha converts to the (weaker but sound) rate alpha/d.
+
+`classify_annuli(ex, M, classifier)` asks the caller's classifier;
+`DirectClassifier` inverts each site set once, for its verdict, `norm` and
+`entry_prefactor` alike.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .greens import (CertificateGateError, DecayCertificate, _block_distances,
+from .greens import (CertificateGateError, DecayCertificate, _block_norm,
+                     _in_block_distances, _in_block_magnitudes,
                      _site_magnitudes, decay_certificate, far_rate,
                      invert_direct, measure_alpha, site_distances)
 from .homological import (LatticeMatrix, NearSingularError, _block_inverse,
@@ -77,11 +82,9 @@ class ElementaryRegion:
         return set(itertools.product(*rng))
 
     def sites(self) -> tuple:
-        R = self.block_sites()
-        out = R
+        out = self.block_sites()
         if self.shift is not None:
-            moved = {tuple(x + s for x, s in zip(p, self.shift)) for p in R}
-            out = R - moved
+            out -= {tuple(x + s for x, s in zip(p, self.shift)) for p in out}
         if not out:
             raise ValueError("realized set is empty")
         return tuple(sorted(out))
@@ -117,16 +120,11 @@ class ElementaryRegion:
             *[range(l, h + 1) for l, h in zip(lo, hi)]) if p not in sites}
         clo = tuple(min(p[i] for p in cut) for i in range(self.d))
         chi = tuple(max(p[i] for p in cut) for i in range(self.d))
-        for corner in itertools.product(*zip(clo, chi)):
-            if all(lo[i] < corner[i] < hi[i] for i in range(self.d)):
-                return corner
-        # corner touching the hull boundary in some axis: pick the one
-        # strictly interior in the most axes (deterministic tie-break)
-        corners = sorted(itertools.product(*zip(clo, chi)))
-        best = max(corners,
+        # the corner strictly interior in the most axes, the first in
+        # the (sorted) product order on a tie
+        return max(itertools.product(*zip(clo, chi)),
                    key=lambda c: sum(lo[i] < c[i] < hi[i]
                                      for i in range(self.d)))
-        return best
 
 
 def random_elementary_region(rng, d: int, min_half: int = 2,
@@ -203,9 +201,8 @@ def _sup_dist_matrix(sites) -> np.ndarray:
 
 
 def _decays(gfar: np.ndarray, bound: np.ndarray) -> bool:
-    """|G(x,y)| <= e^{-alpha dist(x,y)} on every far site pair, from the
-    site magnitudes `gfar` of G on those pairs and their bounds
-    e^{-alpha dist}; true when no pair is far."""
+    """|G(x,y)| <= e^{-alpha dist(x,y)} on every far site pair, from G's
+    site magnitudes `gfar` and bounds `bound` there; true with no pair."""
     return bool((gfar <= bound).all())
 
 
@@ -214,46 +211,50 @@ class DirectClassifier:
 
     A set of diameter L is good when the restricted inverse exists with
     ||G|| <= e^{L^b} and |G(x,y)| <= e^{-alpha |x-y|_sup} for
-    |x-y|_sup > L^theta.
+    |x-y|_sup > L^theta.  Each set is inverted once: its record holds the
+    verdict, the site magnitudes of G, the sup distances and ||G||_2, or
+    the NearSingularError the inversion raised, which `norm` and
+    `entry_prefactor` raise again.
     """
 
     def __init__(self, T: LatticeMatrix, alpha: float, b: float, theta: float):
         self.T, self.alpha, self.b, self.theta = T, alpha, b, theta
-        self._cache: dict = {}
+        self._records: dict = {}
 
-    def _invert(self, sites):
-        sub = self.T.restrict(sites)
-        G, cert = invert_direct(sub)
-        return sub, G, cert
+    def _record(self, sites):
+        key = frozenset(sites)
+        if key not in self._records:
+            try:
+                G, cert = invert_direct(self.T.restrict(key))
+            except NearSingularError as exc:
+                self._records[key] = exc
+                return exc
+            gmag = _site_magnitudes(G, len(key), self.T.nblock)
+            dist = _sup_dist_matrix(key)
+            norm = cert.extra["measured_norm"]
+            L = max(int(dist.max()), 1)     # the sup diameter of the set
+            far = dist > L ** self.theta
+            good = bool(norm <= np.exp(L ** self.b) and _decays(
+                gmag[far], np.exp(-self.alpha * dist[far])))
+            self._records[key] = (good, gmag, dist, norm)
+        return self._records[key]
+
+    def _measured(self, sites) -> tuple:
+        record = self._record(sites)
+        if isinstance(record, NearSingularError):
+            raise record
+        return record
 
     def __call__(self, sites) -> bool:
-        key = frozenset(sites)
-        if key in self._cache:
-            return self._cache[key]
-        try:
-            sub, G, cert = self._invert(key)
-        except NearSingularError:
-            self._cache[key] = False
-            return False
-        L = max(diameter(key), 1)
-        norm_ok = cert.extra["measured_norm"] <= np.exp(L ** self.b)
-        dist = _sup_dist_matrix(key)
-        far = dist > L ** self.theta
-        good = bool(norm_ok and _decays(
-            _site_magnitudes(G, sub.nsites, sub.nblock)[far],
-            np.exp(-self.alpha * dist[far])))
-        self._cache[key] = good
-        return good
+        record = self._record(sites)
+        return not isinstance(record, NearSingularError) and record[0]
 
     def norm(self, sites) -> float:
-        _, _, cert = self._invert(sites)
-        return cert.extra["measured_norm"]
+        return self._measured(sites)[3]
 
     def entry_prefactor(self, sites, rate: float) -> float:
         """max over pairs of |G(x,y)| e^{rate |x-y|_sup} for the restriction."""
-        sub, G, _ = self._invert(sites)
-        dist = _sup_dist_matrix(sites)
-        gmag = _site_magnitudes(G, sub.nsites, sub.nblock)
+        _, gmag, dist, _ = self._measured(sites)
         return float((gmag * np.exp(rate * dist)).max())
 
 
@@ -264,28 +265,15 @@ class AnnulusReport:
     exceptional: int | None
 
 
-def classify_annuli(T: LatticeMatrix, ex: Exhaustion, M: int,
-                    alpha_target: float, b: float, theta: float,
-                    classifier=None) -> AnnulusReport:
-    """Per-annulus goodness: an annulus is good iff every n in it has both
-    Q_M(n) cap A_j and Q_M(n) cap Lambda good; the exceptional annulus is
-    always bad."""
-    if classifier is None:
-        classifier = DirectClassifier(T, alpha_target, b, theta)
+def classify_annuli(ex: Exhaustion, M: int, classifier) -> AnnulusReport:
+    """Per-annulus goodness under `classifier` (site set -> good?): an
+    annulus is good iff every n in it has both Q_M(n) cap A_j and
+    Q_M(n) cap Lambda good; the exceptional annulus is always bad."""
     pieces = list(ex.annuli) + ([ex.remainder] if ex.remainder else [])
-    flags = []
-    for j, piece in enumerate(pieces):
-        if j == ex.exceptional:
-            flags.append(False)
-            continue
-        good = True
-        for n in sorted(piece):
-            q = cube_sites(n, M)
-            if not classifier(frozenset(q & piece)) \
-                    or not classifier(frozenset(q & ex.region_sites)):
-                good = False
-                break
-        flags.append(good)
+    flags = [j != ex.exceptional and all(
+        classifier(q & piece) and classifier(q & ex.region_sites)
+        for q in (cube_sites(n, M) for n in sorted(piece)))
+        for j, piece in enumerate(pieces)]
     return AnnulusReport(flags=flags, bad_count=flags.count(False),
                          exceptional=ex.exceptional)
 
@@ -413,12 +401,9 @@ def two_scale_couple(T: LatticeMatrix, certK: DecayCertificate,
 # ----------------------------------------------------------------------
 
 def _runs(flags):
-    """Group consecutive annulus indices by their flag."""
-    out = []
-    for good, grp in itertools.groupby(range(len(flags)),
-                                       key=lambda j: flags[j]):
-        out.append((good, list(grp)))
-    return out
+    """Group consecutive indices by their flag: (flag, indices) runs."""
+    return [(flag, list(grp)) for flag, grp in
+            itertools.groupby(range(len(flags)), key=lambda j: flags[j])]
 
 
 def cl2_couple(T: LatticeMatrix, config: ScaleConfig,
@@ -456,8 +441,7 @@ def cl2_couple(T: LatticeMatrix, config: ScaleConfig,
     phi_worst = 1.0
     for m in region.sites():
         ex = build_exhaustion(region, m, M_prev)
-        rep = classify_annuli(T, ex, M_prev, beta, config.b, config.theta,
-                              classifier=scale_certs)
+        rep = classify_annuli(ex, M_prev, scale_certs)
         if rep.bad_count > budget:
             bad = [j for j, f in enumerate(rep.flags) if not f]
             raise CertificateGateError(
@@ -547,9 +531,7 @@ class _Prober:
         self.lam = np.concatenate([np.linalg.eigvalsh(B).ravel()
                                    for _, _, B in parts]) \
             if hermitian else None
-        dist = np.concatenate([
-            _block_distances(self.T0.site_array[sites]).ravel()
-            for sites, _, _ in parts])
+        dist = _in_block_distances(self.T0, parts)
         self.far = dist > self.threshold
         self.far_dist = dist[self.far]
         self.far_bound = np.exp(-self.alpha_target * self.far_dist)
@@ -561,8 +543,7 @@ class _Prober:
         """||G||_2: 1 / min |lambda + sigma| on the spectral route (G is
         not read), max_b ||G_b||_2 otherwise."""
         if self.lam is None:
-            return max(float(np.linalg.norm(G, 2, axis=(-2, -1)).max())
-                       for G in inverses)
+            return _block_norm(inverses)
         gap = float(np.abs(self.lam + sigma).min())
         return np.inf if gap == 0.0 else 1.0 / gap
 
@@ -581,10 +562,8 @@ class _Prober:
             inverses, _ = _block_inverse(blocks)
         except NearSingularError:
             return None
-        nb = self.T0.nblock
-        return inverses, np.concatenate([
-            _site_magnitudes(G, G.shape[-1] // nb, nb).ravel()
-            for G in inverses])[self.far]
+        return inverses, _in_block_magnitudes(inverses,
+                                              self.T0.nblock)[self.far]
 
     def sample(self, sigma: float) -> tuple:
         """(passed, ||G||_2, measured alpha); (False, inf, 0.0) when T + sigma
@@ -674,19 +653,10 @@ def sigma_scan(T: LatticeMatrix, sigma_range, targets,
         return e if prober.decays(e) else bisect(a, e)
 
     intervals = []
-    i = 0
-    while i < npts:
-        if not passed[i]:
-            j = i
-            while j + 1 < npts and not passed[j + 1]:
-                j += 1
-            left = grid[i] if i == 0 else boundary(grid[i - 1], grid[i])
-            right = grid[j] if j == npts - 1 \
-                else boundary(grid[j + 1], grid[j])
-            intervals.append((float(left), float(right)))
-            i = j + 1
-        else:
-            i += 1
+    for i, j in ((run[0], run[-1]) for ok, run in _runs(passed) if not ok):
+        left = grid[i] if i == 0 else boundary(grid[i - 1], grid[i])
+        right = grid[j] if j == npts - 1 else boundary(grid[j + 1], grid[j])
+        intervals.append((float(left), float(right)))
     measure = float(sum(b - a for a, b in intervals))
     return SigmaScanReport(samples=samples, bad_intervals=intervals,
                            bad_measure=measure,

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from toruskam import cli
+from toruskam import cli, greens
 from toruskam.cli import (EXIT_CONFIG, EXIT_EXCLUDED, EXIT_NUMERIC, EXIT_OK,
                           _decaying_scalar, dispatch, main)
 from toruskam.fourier import FourierSeries
@@ -291,6 +291,25 @@ def test_greens_mode_sound_cert(tmp_path):
     assert rep["results"]["provenance"] == "direct"
 
 
+def test_greens_mode_inverts_once(tmp_path, monkeypatch):
+    # the soundness check reads the inverse the certificate came from
+    real, calls = greens.invert_direct, []
+
+    def counting(T, threshold=0):
+        calls.append(threshold)
+        return real(T, threshold)
+
+    monkeypatch.setattr(cli, "invert_direct", counting)
+    monkeypatch.setattr(greens, "invert_direct", counting)
+    cfg = load_config({"mode": "greens", "omega": [1.0, PHI],
+                       "greens": {"N": 4, "sigma": 0.3,
+                                  "coupling_eps": 1e-3}})
+    assert dispatch(cfg, str(tmp_path / "out")) == EXIT_OK
+    rep = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert rep["results"]["sound"] is True
+    assert calls == [2]
+
+
 def test_greens_default_config_no_runtime_warning(tmp_path):
     # the soundness check weighs far entries by e^{alpha d} with alpha at
     # ALPHA_CAP, which overflows at this size
@@ -491,6 +510,13 @@ def test_verify_replays_a_downgrade(tmp_path, capsys):
     assert code == EXIT_OK
     assert rep["results"]["match"] is True
     assert rep["results"]["replay_exit"] == EXIT_OK
+
+
+def test_empty_atlas_writes_its_header_alone(tmp_path):
+    data, want = FAILING_RUNS["atlas-exit-3"]
+    assert dispatch(load_config(data), str(tmp_path / "o")) == want
+    assert (tmp_path / "o" / "atlas.csv").read_text() \
+        == "level,xi0,xi1,half_width\n"
 
 
 def test_exclusion_message_prints_plain_floats(tmp_path):

@@ -1,6 +1,7 @@
 import math
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -241,8 +242,8 @@ def test_initial_step_projects_onto_real_subspace():
     assert state.P.tail == P.tail and state.extra["reality_err"] == 0.0
     # a defect within the 1e-12 acceptance is projected away
     sig = ((0, 0), (1,), (0,))
-    near = P._like({**P.terms,
-                    sig: P.terms[sig] + FourierSeries.constant(D, 1e-13j)})
+    near = replace(P, terms={
+        **P.terms, sig: P.terms[sig] + FourierSeries.constant(D, 1e-13j)})
     assert 0 < check_reality(near)[1] <= 1e-12
     state, _ = initial_step(base_nf(), near, sch, gamma=1e-4, exclusion_N=4)
     assert check_reality(state.P, tol=0.0) == (True, 0.0)

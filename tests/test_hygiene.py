@@ -223,7 +223,7 @@ def unset_fields() -> list:
 
 
 # the ceiling of the count rule
-SETTABLE_VALUES = 108
+SETTABLE_VALUES = 106
 
 
 def settable_values() -> int:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -150,7 +151,7 @@ def jet_product(F, G):
         tail += F.tail * (vf_norm(G, G.s_ref, G.r_ref) + G.tail)
     if G.tail:
         tail += G.tail * vf_norm(F, F.s_ref, F.r_ref)
-    return F._like(out, tail=tail)
+    return replace(F, terms=out, tail=tail)
 
 
 def oracle_term_vf_bound(sig, series, s, r):
@@ -176,8 +177,8 @@ def oracle_vf_norm(P, s, r):
 
 
 def d_x(P, i):
-    return P._like({sig: partial_x(f, i) for sig, f in P.terms.items()},
-                   tail=0.0)
+    return replace(P, terms={sig: partial_x(f, i)
+                             for sig, f in P.terms.items()}, tail=0.0)
 
 
 def _d_monomial(P, slot, j):
@@ -191,7 +192,7 @@ def _d_monomial(P, slot, j):
         low = list(sig)
         low[slot] = e[:j] + (e[j] - 1,) + e[j + 1:]
         out[tuple(low)] = f * e[j]
-    return P._like(out, tail=0.0)
+    return replace(P, terms=out, tail=0.0)
 
 
 def d_y(P, i):
@@ -290,7 +291,7 @@ def oracle_jet_product(self, other, shells=False, mul=product):
     if other.tail:
         cross += other.tail * oracle_vf_norm(self, self.s_ref, self.r_ref)
     extra = oracle_tail(dropped, self.s_ref, self.r_ref, shells)
-    return self._like(out, tail=extra + cross)
+    return replace(self, terms=out, tail=extra + cross)
 
 
 def oracle_poisson_bracket(F, G, shells=False, mul=product):
@@ -311,7 +312,7 @@ def oracle_poisson_bracket(F, G, shells=False, mul=product):
     dropped = []
     for w, P, Q in channels:
         terms, drops = oracle_pairs(P, Q, w, mul)
-        out = out + P._like(terms, tail=0.0)
+        out = out + replace(P, terms=terms, tail=0.0)
         dropped += drops
     cross = 0.0
     if F.tail:
@@ -319,7 +320,7 @@ def oracle_poisson_bracket(F, G, shells=False, mul=product):
     if G.tail:
         cross += G.tail * oracle_vf_norm(F, F.s_ref, F.r_ref)
     tail = oracle_tail(dropped, F.s_ref, F.r_ref, shells)
-    return out._like(out.terms, tail=tail + cross)
+    return replace(out, tail=tail + cross)
 
 
 @pytest.fixture
@@ -540,7 +541,7 @@ def test_exactly_real_inputs_give_exactly_real_brackets(monkeypatch):
         sig = next(s for s in H.terms if s[1] != s[2])
         bumped = dict(H.terms)
         bumped[sig] = H.terms[sig] * (1 + 2 ** -52)
-        assert jets._mirrors(H._like(bumped)) is None
+        assert jets._mirrors(replace(H, terms=bumped)) is None
 
 
 @pytest.mark.parametrize("d, n, cut, cap", GRID_CASES)
@@ -691,7 +692,7 @@ def test_nan_terms_are_kept_zero_terms_dropped():
     assert list(P.terms) == [sig_x]
     assert np.isnan(P.terms[sig_x].data).all()
     for built in (P + scalar_jet(FourierSeries.cosine(D, (1, 0))),
-                  P._like(P.terms), 2.0 * P):
+                  replace(P, terms=P.terms), 2.0 * P):
         assert np.isnan(built.term(sig_x).data).any()
     # a term whose coefficients cancel exactly is still dropped
     f = FourierSeries.cosine(D, (1, 0))
@@ -802,7 +803,7 @@ def plain_lie(H, F, order):
         norms.append(vf_norm(term, H.s_ref, H.r_ref) / fact)
         if j <= order:
             out = out + (1.0 / fact) * term
-    return out._like(out.terms, tail=out.tail + norms[-1]), norms[-1], norms
+    return replace(out, tail=out.tail + norms[-1]), norms[-1], norms
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -847,8 +848,8 @@ def graded_jet(rng, d, n, count, max_cutoff, degree, scale, **kw):
     """Like `mixed_jet`, with each term scaled by scale 10^-U(0, 12), so a
     series holds keys on both sides of its budget."""
     J = mixed_jet(rng, d, n, count, max_cutoff, degree=degree, **kw)
-    return J._like({sig: f * (scale * 10.0 ** -rng.uniform(0, 12))
-                    for sig, f in J.terms.items()})
+    return replace(J, terms={sig: f * (scale * 10.0 ** -rng.uniform(0, 12))
+                             for sig, f in J.terms.items()})
 
 
 def test_lie_series_budget_against_the_full_series_200_cases(monkeypatch):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from toruskam import homological
+from toruskam import homological, multiscale
 from toruskam.fourier import FourierSeries
 from toruskam.greens import (CertificateGateError, check_certificate,
                              combes_thomas, invert_direct, measure_alpha,
@@ -160,7 +160,7 @@ def test_planted_resonance_marks_annulus_bad():
     T = lattice_on(sites, 1, Omega=-5 * PHI + 1e-9)
     reg = interval_region(0, 10)
     ex = build_exhaustion(reg, (0,), 1)
-    rep = classify_annuli(T, ex, 1, alpha_target=0.3, b=0.996, theta=0.997)
+    rep = classify_annuli(ex, 1, DirectClassifier(T, 0.3, 0.996, 0.997))
     pieces = list(ex.annuli) + ([ex.remainder] if ex.remainder else [])
     for j, piece in enumerate(pieces):
         near = min(abs(p[0] - 5) for p in piece)
@@ -176,8 +176,36 @@ def test_healthy_diagonal_all_annuli_good():
     T = lattice_on(sites, 1, Omega=1.05)
     reg = interval_region(0, 12)
     ex = build_exhaustion(reg, (6,), 1)
-    rep = classify_annuli(T, ex, 1, alpha_target=0.3, b=0.996, theta=0.997)
+    rep = classify_annuli(ex, 1, DirectClassifier(T, 0.3, 0.996, 0.997))
     assert rep.bad_count == 0
+
+
+def test_classify_annuli_with_a_stand_in_classifier():
+    # every set containing (7,) is bad: an annulus is bad exactly when one
+    # of its sites lies within M = 1 of 7, through Q_1(n) cap Lambda
+    reg = interval_region(0, 12)
+    ex = build_exhaustion(reg, (0,), 1)
+    asked = []
+
+    def classifier(sites):
+        asked.append(frozenset(sites))
+        return (7,) not in sites
+
+    rep = classify_annuli(ex, 1, classifier)
+    pieces = list(ex.annuli) + ([ex.remainder] if ex.remainder else [])
+    assert rep.flags == [all(abs(p[0] - 7) > 1 for p in piece)
+                         for piece in pieces]
+    assert rep.bad_count == rep.flags.count(False) >= 1
+    assert rep.exceptional is None
+    assert all(sites <= ex.region_sites for sites in asked)
+
+
+def test_classify_annuli_exceptional_annulus_is_bad():
+    reg = ElementaryRegion(2, (0, 0), (2, 2), shift=(3, 3))
+    ex = build_exhaustion(reg, (-2, -2), 1)
+    assert ex.exceptional is not None
+    rep = classify_annuli(ex, 1, lambda sites: True)
+    assert rep.bad_count == 1 and not rep.flags[ex.exceptional]
 
 
 # ----------------------------------------------------------------------
@@ -317,6 +345,54 @@ def test_cl2_l_shape_with_budget():
     cert = cl2_couple(T, cfg, cls, reg, M_prev=1, alpha_prev=0.4, budget=6)
     assert np.isfinite(cert.extra["phi"])
     assert check_certificate(cert, T).passed
+
+
+def test_cl2_inverts_each_set_once(monkeypatch):
+    """A CL2 run's classifier inverts each site set at most once, for its
+    verdict, its norm and its prefactors alike."""
+    inverted = []
+
+    def counting(T, threshold=0):
+        inverted.append(T.region)
+        return invert_direct(T, threshold)
+
+    monkeypatch.setattr(multiscale, "invert_direct", counting)
+    cfg = ScaleConfig()
+    l_shape = ElementaryRegion(2, (0, 0), (2, 2), shift=(3, 3))
+    cases = [
+        (lattice_on([(k,) for k in range(13)], 1, Omega=1.05, eps=1e-3,
+                    seed=31), interval_region(0, 12), 2, None),
+        (lattice_on(l_shape.sites(), 2, Omega=1.05, omega=[1.2, PHI],
+                    eps=1e-3, seed=41, cutoff=2), l_shape, 1, 6)]
+    for T, reg, M, budget in cases:
+        inverted.clear()
+        cls = DirectClassifier(T, alpha=0.3, b=cfg.b, theta=cfg.theta)
+        cert = cl2_couple(T, cfg, cls, reg, M_prev=M, alpha_prev=0.4,
+                          budget=budget)
+        assert cert.provenance == "cl2"
+        assert inverted and len(inverted) == len(set(inverted))
+
+
+def test_classifier_keeps_a_near_singular_set(monkeypatch):
+    # the diagonal vanishes exactly at k = 5
+    T = lattice_on([(k,) for k in range(11)], 1, Omega=-5 * PHI)
+    inverted = []
+
+    def counting(T, threshold=0):
+        inverted.append(T.region)
+        return invert_direct(T, threshold)
+
+    monkeypatch.setattr(multiscale, "invert_direct", counting)
+    cls = DirectClassifier(T, alpha=0.3, b=0.996, theta=0.997)
+    sites = {(4,), (5,), (6,)}
+    assert not cls(sites) and not cls(frozenset(sites))
+    with pytest.raises(NearSingularError):
+        cls.norm(sites)
+    with pytest.raises(NearSingularError):
+        cls.entry_prefactor(sites, 0.3)
+    assert cls({(2,), (3,)})
+    assert cls.norm({(2,), (3,)}) > 0
+    assert inverted == [((4,), (5,), (6,)), ((2,), (3,))]
 
 
 # ----------------------------------------------------------------------
