@@ -26,7 +26,7 @@ from .fourier import FourierSeries, _l1_grid
 from .greens import CertificateGateError, _check_against, invert_direct
 from .homological import (LatticeMatrix, NearSingularError, SmallDivisorError,
                           build_T)
-from .jets import HamiltonianJet, NormalForm
+from .jets import HamiltonianJet, LieSeriesDivergence, NormalForm
 from .multiscale import sigma_scan
 from .stability import (LinearTrajectory, linearized_chunks,
                         lyapunov_estimate, sample_stream, symmetry_defect,
@@ -45,8 +45,12 @@ EXIT_NUMERIC = 4
 # run results' `levels` carry lie_skipped_keys and lie_skipped_bound, the
 # keys the Lie series' budget booked in its tail and their summed bound;
 # version 7: the `config` echo no longer carries caps.cond_cap, lie_order,
-# stop_threshold and perturbation.decay, now constants
-SCHEMA_VERSION = 7
+# stop_threshold and perturbation.decay, now constants; version 8: a Lie
+# series' whole-key and dropped bounds come from one shell-sum table (their
+# values move by rounding only), a divergent series reports
+# results.lie_divergence, and a dropped mean of R^x is an rx_mean_dropped
+# event
+SCHEMA_VERSION = 8
 
 # boxes an atlas run may pave: the predicate holds about 20 kB per child box
 # at exclusion_N = 6, so this bounds one paving near 330 MB
@@ -437,8 +441,13 @@ def _run_mode(cfg: RunConfig, report: dict, strict: bool) -> int:
         report["summary"] = f"parameter excluded: {exc}"
         code = EXIT_EXCLUDED
     except (NearSingularError, SmallDivisorError, CertificateGateError,
-            FloatingPointError, np.linalg.LinAlgError, ValueError) as exc:
+            LieSeriesDivergence, FloatingPointError, np.linalg.LinAlgError,
+            ValueError) as exc:
         report["results"] = {"error": f"{type(exc).__name__}: {exc}"}
+        if isinstance(exc, LieSeriesDivergence):
+            report["results"]["lie_divergence"] = {
+                "level": exc.level, "order": exc.order,
+                "norm_before": exc.before, "norm_after": exc.after}
         report["summary"] = f"numeric failure: {exc}"
         code = EXIT_NUMERIC
     if not strict and code == EXIT_NUMERIC:

@@ -9,8 +9,9 @@ measure the new low-order norm.  The schedule fixes the targets
 eps_l = A^{-(4/3)^l} and the analyticity-loss ladder; at desk scale the mode
 cutoffs are capped, so contraction is asserted against measured norms and
 the schedule targets are reported side by side.  What a run meets on the way
--- a capped cutoff, a normal form that drifts, a missed schedule target --
-is recorded as events in the state and the result, never as a warning.
+-- a capped cutoff, a dropped mean of R^x, a normal form that drifts, a
+missed schedule target -- is recorded as events in the state and the
+result, never as a warning.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ from .fourier import FourierSeries
 from .greens import DecayCertificate, level_certificate
 from .homological import (NearSingularError, SmallDivisorError, build_T,
                           solve_homological)
-from .jets import (HamiltonianJet, NormalForm, check_reality, conjugate_jet,
-                   lie_transform, matrix_zzbar, split_low_high, vf_norm)
+from .jets import (HamiltonianJet, LieSeriesDivergence, NormalForm,
+                   check_reality, conjugate_jet, lie_transform, matrix_zzbar,
+                   split_low_high, vf_norm)
 
 
 class ParameterExcluded(Exception):
@@ -238,7 +240,11 @@ def kam_step(state: KamState, schedule: KamSchedule) -> tuple:
         raise ParameterExcluded(state.xi, l, str(err)) from err
     F = sol.generator_jet(d, n, **_jet_kw(P))
     H = nf.to_jet(**_jet_kw(P)) + P
-    lie = lie_transform(H, F)
+    try:
+        lie = lie_transform(H, F)
+    except LieSeriesDivergence as err:
+        err.level = l
+        raise
     Hp = lie.jet
 
     omega_new = nf.omega + np.real(np.asarray(sol.freq_shift))
@@ -268,8 +274,12 @@ def kam_step(state: KamState, schedule: KamSchedule) -> tuple:
                                 f"frequency drift {drift:.3e} beyond "
                                 f"sqrt(eps) = {math.sqrt(state.eps_meas):.3e}")
     bdrift = (B_new - nf.B.pad(B_new.cutoff)).max_abs_coeff()
+    rx_mean = sol.solve_info["rx_mean"]
     events = _with_events(
         state.extra.get("events", []), schedule.cap_event(l),
+        {**_event(l, "rx_mean_dropped", f"R^x mean of modulus {rx_mean!r} "
+                  "dropped (an energy shift only)"), "abs_mean": rx_mean}
+        if rx_mean > 1e-15 else None,
         _event(l, "normal_form_drift", f"normal-form drift {bdrift:.3e} "
                "beyond eps^(1/10)")
         if bdrift > max(state.eps_meas, 1e-300) ** 0.1 else None,

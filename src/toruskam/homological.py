@@ -37,7 +37,6 @@ run in real arithmetic on the same code path.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
@@ -377,12 +376,9 @@ def _divide_by_divisor(R: FourierSeries, omega, N: int,
 
 def solve_hx(Rx: FourierSeries, omega, N: int,
              divisor_floor=0.0) -> FourierSeries:
-    """d_omega F^x = Gamma_N R^x; the mean of R^x is dropped (with a warning
-    if nonzero), F^x has zero mean."""
-    mean = Rx.coeff(tuple([0] * Rx.d))
-    if np.abs(mean).max() > 1e-15:
-        warnings.warn("R^x has nonzero mean; dropped (energy shift only)",
-                      stacklevel=2)
+    """d_omega F^x = Gamma_N R^x; the mean of R^x is dropped (an energy
+    shift only; `solve_homological` records its modulus), F^x has zero
+    mean."""
     return _divide_by_divisor(Rx, omega, N, divisor_floor)
 
 
@@ -641,7 +637,8 @@ def solve_homological(omega, Omega, B: FourierSeries, P: HamiltonianJet,
         freq_shift=freq_shift,
         truncation_gap=T.symbol_truncation_gap + boldT.symbol_truncation_gap,
         solve_info={"hz": info_z, "hzz": info_zz, "T": T, "boldT": boldT,
-                    "Rx": Rx, "E": E, "Rscript": Rscript, "S": S})
+                    "Rx": Rx, "E": E, "Rscript": Rscript, "S": S,
+                    "rx_mean": float(np.abs(Rx.coeff((0,) * d)).max())})
 
 
 # ----------------------------------------------------------------------

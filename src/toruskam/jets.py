@@ -27,7 +27,9 @@ A Lie series is summed to the rounding of its first-order term {H, F}, a
 sum of FFT products that carries absolute rounding of about u |{H, F}|:
 from its second bracket on, a key whose whole contribution to the series
 is bounded below that level is booked in the tail, untransformed, like an
-over-degree key (`_whole_bounds`, `_ROUNDING`).
+over-degree key (`_whole_bounds`, `_ROUNDING`).  Both bounds, of what a
+key drops and of the whole key, come from one shell-pair kernel
+(`_dropped_bounds`).
 """
 
 from __future__ import annotations
@@ -118,11 +120,12 @@ class _Side:
     """One factor of `_grid_kernel`: a jet's terms, in order, and what the
     kernel derives from them, each at most once: the mirror table
     (`_mirrors`), the motion flags (`_moves`), the shell sums of its parts
-    (`_shells`) and their totals (`_totals`), its `vf_norm` and, on a
-    generator, the channel tables against the other factor
-    (`_bracket_channels`).  None of it is a grid.
-    `lie_transform` builds its generator's side once for the whole series
-    and hands it to every bracket; every other side lives for one bracket.
+    (`_shells`) and its `vf_norm`.  None of it is a grid.  The channel
+    table of a pair of sides depends on their signatures and motion flags
+    alone, and is shared by every bracket that repeats them
+    (`_bracket_channels`).  `lie_transform` builds its generator's side
+    once for the whole series and hands it to every bracket; every other
+    side lives for one bracket.
 
     A generator's side also carries the series budget: `limit`, the per-key
     budget of the bracket being computed (0, as on every new side: none),
@@ -130,10 +133,9 @@ class _Side:
     bounds, `booked`, over every bracket of the side."""
 
     def __init__(self, J: "HamiltonianJet"):
-        self.jet, self.terms = J, J.terms
-        self.series = list(J.terms.values())
-        self.channels = {}
-        self._shells, self._totals = {}, {}
+        self.jet = J
+        self.sigs, self.series = tuple(J.terms), list(J.terms.values())
+        self._shells = {}
         self.limit, self.skipped, self.booked = 0.0, 0, 0.0
 
     @cached_property
@@ -154,45 +156,40 @@ class _Side:
                                                    width)
         return self._shells[t, p, s, width]
 
-    def totals(self, t: int, s: float) -> np.ndarray:
-        if (t, s) not in self._totals:
-            self._totals[t, s] = _totals(self.series[t], s)
-        return self._totals[t, s]
-
 
 def _lower(e: tuple[int, ...], t: int) -> tuple[int, ...]:
     return e[:t] + (e[t] - 1,) + e[t + 1:]
 
 
-def _bracket_channels(F: _Side, G: _Side) -> list:
+@lru_cache(maxsize=64)
+def _bracket_channels(f_sigs: tuple, f_moves: tuple, g_sigs: tuple,
+                      g_moves: tuple) -> tuple:
     """The channel products of {F, G} = <F_x, G_y> - <F_y, G_x>
     + i<F_z, G_zbar> - i<F_zbar, G_z>, per pair of terms f y^a1 z^b1 zbar^c1
     and g y^a2 z^b2 zbar^c2: a2_i f_{x_i} g and -a1_i f g_{x_i} on the
     signature with y_i lowered, and i(b1_t c2_t - c1_t b2_t) f g with z_t
     and zbar_t lowered.  Identically zero x-partials are left out.  The
-    table is memoised on G per signatures and motion flags of F, which the
-    brackets of a Lie series repeat."""
-    key = tuple(F.terms), F.moves
-    if key in G.channels:
-        return G.channels[key]
-    d, n = F.jet.d, F.jet.n
-    table = G.channels[key] = []
-    for i, (a1, b1, c1) in enumerate(F.terms):
-        for j, (a2, b2, c2) in enumerate(G.terms):
+    table is a function of the factors' signatures and motion flags
+    (`_moves`) alone, cached and shared by every bracket that repeats
+    them: read-only."""
+    d, n = len(f_sigs[0][0]), len(f_sigs[0][1])
+    table = []
+    for i, (a1, b1, c1) in enumerate(f_sigs):
+        for j, (a2, b2, c2) in enumerate(g_sigs):
             a, b, c = (tuple(x + y for x, y in zip(u, v))
                        for u, v in ((a1, a2), (b1, b2), (c1, c2)))
             for ax in range(d):
                 sig = (_lower(a, ax), b, c)
-                if a2[ax] and F.moves[i][ax]:
+                if a2[ax] and f_moves[i][ax]:
                     table.append((i, 1 + ax, j, 0, sig, a2[ax]))
-                if a1[ax] and G.moves[j][ax]:
+                if a1[ax] and g_moves[j][ax]:
                     table.append((i, 0, j, 1 + ax, sig, -a1[ax]))
             for t in range(n):
                 w = b1[t] * c2[t] - c1[t] * b2[t]
                 if w:
                     table.append((i, 0, j, 0, (a, _lower(b, t), _lower(c, t)),
                                   1j * w))
-    return table
+    return tuple(table)
 
 
 def _mirrors(J: "HamiltonianJet") -> list | None:
@@ -225,24 +222,26 @@ def _shells(f: FourierSeries, p: int, s: float, width: int) -> np.ndarray:
                                  width) for w in _vf_weights(d, n, s)])
 
 
-def _dropped_bound(F: _Side, G: _Side, keys, kept, s: float,
-                   r: float) -> float:
-    """Bound for the vector-field norm of the modes the keys drop, from the
-    shell sums a, a' of their factors (`_shells`), never from grid values.
+def _dropped_bounds(F: _Side, G: _Side, keys, kept, s: float,
+                    r: float) -> tuple:
+    """Per key of `keys`, kept up to its cutoff m (`kept`; -1 for a key not
+    in it, past max_degree), a bound for the vector-field norm of the modes
+    |k|_inf > m of its products, from the shell sums a, a' of their factors
+    (`_shells`), never from grid values; and the length of the longest
+    rounding chain behind them.
 
     As |k1 + k2|_inf <= |k1|_inf + |k2|_inf and e^{s|k1 + k2|_1} <=
     e^{s|k1|_1} e^{s|k2|_1}, the modes |k|_inf > m of f g have strip norm
     at most sum_{i+j>m} a_f(i) a_g(j), and their partials summed strip norms
     at most sum_{i+j>m} a'_f(i) a_g(j) + a_f(i) a'_g(j).  A key sums these
-    over its products with |w| into `_vf_of`; m is its kept cutoff, -1 past
-    max_degree.  Every term is nonnegative, so the float sum is within
-    gamma_n of the exact one for a chain of n roundings; it is raised by
-    2 gamma_n."""
+    over its products with |w| into `_vf_of`.  Every term is nonnegative,
+    so a float sum over them is within gamma_n of the exact one for a chain
+    of n roundings (`_raised`)."""
     rows = [(t, i, p, j, q, abs(w), kept.get(key, -1))
             for t, (key, prods) in enumerate(keys.items())
             if kept.get(key, -1) < key[1] for i, p, j, q, w in prods]
     if not rows:
-        return 0.0
+        return [0.0] * len(keys), 0
     N1, N2 = (max(f.cutoff for f in side.series) for side in (F, G))
     A = np.array([F.shells(i, p, s, N1 + 1) for _, i, p, *_ in rows])
     S = np.array([G.shells(j, q, s, N2 + 2) for _, _, _, j, q, *_ in rows])
@@ -254,13 +253,13 @@ def _dropped_bound(F: _Side, G: _Side, keys, kept, s: float,
     sig = np.bincount(key_of, aw * (A[:, 0] * g[:, 0]).sum(axis=1), len(keys))
     sx = np.bincount(key_of, aw * (A[:, 1] * g[:, 0]
                                    + A[:, 0] * g[:, 1]).sum(axis=1), len(keys))
-    tail = sum(_vf_of(key[0], float(sig[t]), float(sx[t]), r)
-               for t, key in enumerate(keys) if sig[t] or sx[t])
     # roundings in a chain: a shell sum, the exp of the rounded s|k|_1, the
     # suffix sum, the dot, the sums over products and keys, and _vf_of
     d, N = F.jet.d, max(N1, N2)
-    return _raised(tail, (2 * N + 1) ** d + 2 * N + len(rows) + len(keys)
-                   + math.ceil(s * d * N) + 32)
+    return ([_vf_of(key[0], float(sig[t]), float(sx[t]), r)
+             if sig[t] or sx[t] else 0.0 for t, key in enumerate(keys)],
+            (2 * N + 1) ** d + 2 * N + len(rows) + len(keys)
+            + math.ceil(s * d * N) + 32)
 
 
 def _raised(total: float, chain: int) -> float:
@@ -271,63 +270,24 @@ def _raised(total: float, chain: int) -> float:
     return total * (1.0 + 2.0 * nu / (1.0 - nu))
 
 
-@lru_cache(maxsize=256)
-def _part_factors(d: int, cutoff: int) -> np.ndarray:
-    """1 and |k_a| for each axis a over the box of `cutoff`, flattened, shape
-    (d + 1, box): the factors of the parts of a series on the box.  Cached
-    and shared: read-only."""
-    k = np.abs(mode_grid(d, cutoff)).reshape(-1, d).T
-    out = np.vstack([np.ones(k.shape[1]), k])
-    out.flags.writeable = False
-    return out
-
-
-def _totals(f: FourierSeries, s: float) -> np.ndarray:
-    """The totals of the shell sums of every part of f (`_shells`), shape
-    (d + 1, 2): row p holds part p's strip norm and the summed strip norms
-    of its partials."""
-    mags = np.abs(f.data[0, 0]).ravel()
-    w, wl1 = _vf_weights(f.d, f.cutoff, s)
-    return _part_factors(f.d, f.cutoff) @ np.stack(
-        [mags * w.ravel(), mags * wl1.ravel()], axis=1)
-
-
 def _whole_bounds(F: _Side, G: _Side, keys, cand, s: float,
                   r: float) -> list:
     """Per key of `cand`, a bound for the vector-field norm of its whole
-    contribution: what `_dropped_bound` books for a key that keeps nothing
-    (m = -1, every shell pair), from the totals of the parts' shell sums
-    (`_totals`) instead of the sums themselves.  Over a key's products with
-    |w|, the strip norm of f g is at most sigma_f sigma_g and the summed
-    strip norms of its partials at most sigma'_f sigma_g + sigma_f
-    sigma'_g, passed through `_vf_of`.  Each bound is raised for its own
-    roundings and for those of a sum over the keys."""
-    rows = [(t, i, p, j, q, abs(w)) for t, key in enumerate(cand)
-            for i, p, j, q, w in keys[key]]
-    if not rows:
-        return []
-    a = np.array([F.totals(i, s)[p] for _, i, p, *_ in rows])
-    b = np.array([G.totals(j, s)[q] for _, _, _, j, q, _ in rows])
-    key_of, aw = (np.array([row[k] for row in rows]) for k in (0, 5))
-    sig = np.bincount(key_of, aw * a[:, 0] * b[:, 0], len(cand))
-    sx = np.bincount(key_of, aw * (a[:, 1] * b[:, 0] + a[:, 0] * b[:, 1]),
-                     len(cand))
-    # roundings in a chain: a total, the exp of the rounded s|k|_1, the
-    # products, the sums over products and keys, and _vf_of
-    d = F.jet.d
-    N = max(f.cutoff for side in (F, G) for f in side.series)
-    chain = (2 * N + 1) ** d + len(rows) + len(cand) \
-        + math.ceil(s * d * N) + 32
-    return [_raised(_vf_of(key[0], float(sig[t]), float(sx[t]), r), chain)
-            for t, key in enumerate(cand)]
+    contribution: what `_dropped_bounds` gives a key that keeps nothing
+    (m = -1, every shell pair), each raised for its own rounding chain and
+    for that of a sum over the keys."""
+    bounds, chain = _dropped_bounds(F, G, {key: keys[key] for key in cand},
+                                    {}, s, r)
+    return [_raised(bound, chain) for bound in bounds]
 
 
 def _grid_kernel(F: "HamiltonianJet", gs: _Side, channels):
-    """Sum of the channel products `channels(f, g)` on one FFT grid, f the
-    side (`_Side`) of F and g = `gs` the side of G its caller hands in;
-    returns (terms, tail).  In a Lie series `gs` is the generator's side
-    for the whole series, so what it derives from G is derived once per
-    series; nothing that holds a grid outlives the call.
+    """Sum of the channel products on one FFT grid, f the side (`_Side`)
+    of F and g = `gs` the side of G its caller hands in; returns (terms,
+    tail).  The products are `channels(f.sigs, f.moves, g.sigs, g.moves)`.
+    In a Lie series `gs` is the generator's side for the whole series, so
+    what it derives from G is derived once per series; nothing that holds
+    a grid outlives the call.
 
     A channel product (i, p, j, q, sig, w) is w times the product of part p
     of F's i-th term and part q of G's j-th term, part 0 being the term and
@@ -335,14 +295,16 @@ def _grid_kernel(F: "HamiltonianJet", gs: _Side, channels):
     block `_wrapped_transform` takes.  Products are summed by key (sig, c),
     c the box f.cutoff + g.cutoff of the pair, in F-term order.  A key
     keeps the modes |k|_inf <= m = min(c, cap) of its own box, none past
-    max_degree; `_dropped_bound` books the rest in `tail`, and an
+    max_degree; `_dropped_bounds` books the rest in `tail`, and an
     over-degree key never touches the grid.  Neither does a key whose
-    whole contribution is bounded by `gs.limit` (`_whole_bounds`, before
-    any transform), which `lie_transform` sets from a series' second
-    bracket on: it is booked in `tail` whole, as an over-degree key is,
-    and counted in `gs.skipped` and `gs.booked`.  Parts sit wrapped (mode
-    k at index k mod L) on L >= c + m + 1 points per axis over the kept keys,
-    and L >= 2 cutoff + 1 per part: a kept mode's aliases lie at
+    whole contribution is bounded by `gs.limit`, which `lie_transform`
+    sets from a series' second bracket on: before any transform, each live
+    key's bound is read off the same shell sums at m = -1
+    (`_whole_bounds`), and a key within the limit is booked in `tail`
+    whole, as an over-degree key is, and counted in `gs.skipped` and
+    `gs.booked`.  Parts sit wrapped (mode k at index k mod L) on
+    L >= c + m + 1 points per axis over the kept keys, and
+    L >= 2 cutoff + 1 per part: a kept mode's aliases lie at
     |k|_inf >= L - m > c, outside its key's box.  Every part is
     transformed once, while it is in use; keys run in order of their first
     product, summed in the rows of a slab of at most _BATCH_BYTES that is
@@ -362,7 +324,8 @@ def _grid_kernel(F: "HamiltonianJet", gs: _Side, channels):
     fs = _Side(F)
     tf, tg = fs.series, gs.series
     keys = {}           # (sig, box) -> its products (i, p, j, q, w)
-    for i, p, j, q, sig, w in channels(fs, gs):
+    for i, p, j, q, sig, w in channels(fs.sigs, fs.moves, gs.sigs,
+                                       gs.moves):
         keys.setdefault((sig, tf[i].cutoff + tg[j].cutoff), []).append(
             (i, p, j, q, w))
     cap = F.cutoff_cap
@@ -391,7 +354,8 @@ def _grid_kernel(F: "HamiltonianJet", gs: _Side, channels):
     for (sig, _), m in kept.items():
         width[sig] = max(width.get(sig, 0), m)
     rest = {key: prods for key, prods in keys.items() if key not in skipped}
-    tail = _dropped_bound(fs, gs, rest, kept, F.s_ref, F.r_ref) + booked
+    bounds, chain = _dropped_bounds(fs, gs, rest, kept, F.s_ref, F.r_ref)
+    tail = _raised(sum(bounds), chain) + booked
     if not live:
         return {}, tail
     first, last = {}, {}    # first and last use of each part
@@ -610,6 +574,22 @@ def conjugate_jet(P: HamiltonianJet) -> HamiltonianJet:
     return replace(P, terms=out)
 
 
+class LieSeriesDivergence(ArithmeticError):
+    """The term norms of a Lie series grew from one order to the next: the
+    order, the norms before and after (exact, as `repr` prints them) and
+    the level, which `driver.kam_step` adds."""
+
+    def __init__(self, order: int, before: float, after: float):
+        super().__init__(order, before, after)
+        self.order, self.before, self.after = order, before, after
+        self.level = None
+
+    def __str__(self):
+        at = "" if self.level is None else f" at level {self.level}"
+        return (f"Lie series terms grow{at} at order {self.order}: "
+                f"{self.before!r} -> {self.after!r}")
+
+
 @dataclass
 class LieResult:
     jet: HamiltonianJet
@@ -624,8 +604,8 @@ def lie_transform(H: HamiltonianJet, F: HamiltonianJet,
     """H composed with the time-1 flow of X_F: sum_j ad_F^j H / j!.
 
     The reported tail bound is the vf_norm (on the reference domain) of the
-    first omitted term.  Raises if the term norms grow, which signals a
-    divergent expansion.
+    first omitted term.  Raises `LieSeriesDivergence` if the term norms
+    grow, which signals a divergent expansion.
 
     The series is summed to the rounding of its first-order term: bracket
     j >= 2 books in its tail, untransformed, each key whose bound over j!
@@ -648,9 +628,7 @@ def lie_transform(H: HamiltonianJet, F: HamiltonianJet,
         norm_j = vf_norm(term, H.s_ref, H.r_ref) / fact
         norms.append(norm_j)
         if j >= 2 and norm_j > norms[-2] and norm_j > 1e-13:
-            raise ValueError(
-                f"Lie series terms grow at order {j}: "
-                f"{norms[-2]:.3e} -> {norm_j:.3e}")
+            raise LieSeriesDivergence(j, norms[-2], norm_j)
         if j <= order:
             out = out + (1.0 / fact) * term
     tail_bound = norms[order + 1]

@@ -417,16 +417,16 @@ def test_verify_names_schema_change(tmp_path):
     dispatch(cfg, str(tmp_path / "a"))
     p = tmp_path / "a" / "report.json"
     doc = json.loads(p.read_text())
-    assert doc["schema"] == cli.SCHEMA_VERSION == 7
+    assert doc["schema"] == cli.SCHEMA_VERSION == 8
     doc["schema"] = 1
     p.write_text(json.dumps(doc))
     vcfg = load_config({"mode": "verify", "verify": {"report": str(p)}})
     assert dispatch(vcfg, str(tmp_path / "b")) == EXIT_NUMERIC
     rep = json.loads((tmp_path / "b" / "report.json").read_text())
-    assert rep["results"]["schema"] == [1, 7]
+    assert rep["results"]["schema"] == [1, 8]
     assert rep["results"]["match"] is False
     summary = (tmp_path / "b" / "summary.txt").read_text()
-    assert "DIFFERS (report schema 1, current schema 7)" in summary
+    assert "DIFFERS (report schema 1, current schema 8)" in summary
 
 
 def test_verify_refuses_schema_4_constants(tmp_path, capsys):
@@ -498,6 +498,41 @@ def test_verify_replays_failing_runs(tmp_path, capsys, name):
     saved.write_text(json.dumps(doc))
     code, rep, _ = run_verify(tmp_path, capsys, saved, tmp_path / "c")
     assert code == EXIT_NUMERIC and rep["results"]["match"] is False
+
+
+# the benchmark's kam-run config with eps and the amplitude at 3e-2: its Lie
+# series diverges at order 2 of level 1 (seed 1) or order 3 of level 2
+# (seed 3)
+DIVERGENT_RUN = {"mode": "run", "d": 2, "n": 1, "omega": [1.0, PHI],
+                 "Omega": [1.17], "A": 2.0, "s0": 0.3, "r0": 0.5,
+                 "eps": 3e-2, "caps": {"levels": 3, "N_max": 24,
+                                       "gamma": 1e-4},
+                 "perturbation": {"kind": "random-tail", "amplitude": 3e-2,
+                                  "kmax": 26}}
+
+
+@pytest.mark.parametrize("seed, level, order", [(1, 1, 2), (3, 2, 3)])
+def test_lie_divergence_is_typed_and_exits_4(tmp_path, capsys, seed, level,
+                                             order):
+    # a divergent Lie series ends in exit 4 with its level, order and both
+    # term norms, exact, in results.lie_divergence, and verify replays it
+    data = {**DIVERGENT_RUN, "seed": seed}
+    assert main(["--config", write_config(tmp_path, data),
+                 "--out", str(tmp_path / "a")]) == EXIT_NUMERIC
+    assert "Traceback" not in capsys.readouterr().err
+    saved = tmp_path / "a" / "report.json"
+    res = json.loads(saved.read_text())["results"]
+    div = res["lie_divergence"]
+    assert (div["level"], div["order"]) == (level, order)
+    assert div["norm_after"] > div["norm_before"] > 0
+    msg = (f"Lie series terms grow at level {level} at order {order}: "
+           f"{div['norm_before']!r} -> {div['norm_after']!r}")
+    assert res["error"] == f"LieSeriesDivergence: {msg}"
+    assert (tmp_path / "a" / "summary.txt").read_text() \
+        == f"numeric failure: {msg}\n"
+    code, rep, _ = run_verify(tmp_path, capsys, saved, tmp_path / "b")
+    assert code == EXIT_OK and rep["results"]["match"] is True
+    assert rep["results"]["replay_exit"] == EXIT_NUMERIC
 
 
 def test_verify_replays_a_downgrade(tmp_path, capsys):

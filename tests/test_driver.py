@@ -302,6 +302,27 @@ def test_kam_step_drops_the_constant_shift_through_the_jet():
     assert sig0 not in new.P.terms
 
 
+def test_kam_step_reports_a_dropped_mean_as_an_event():
+    # R^x's mean is an energy shift: kam_step drops it and records an
+    # rx_mean_dropped event with the level and the exact modulus, and no
+    # Python warning is raised
+    sig0 = ((0, 0), (0,), (0,))
+    P = HamiltonianJet(D, NN, {sig0: FourierSeries.constant(D, 1e-6)},
+                       s_ref=0.3, r_ref=0.5)
+    sch = schedule(2.0, 1e-6, s0=0.3)
+    state, _ = initial_step(base_nf(), P, sch, gamma=1e-4, exclusion_N=8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        new, sol = kam_step(state, sch)
+        again, _ = kam_step(new, sch)
+    dropped = [e for e in again.extra["events"]
+               if e["event"] == "rx_mean_dropped"]
+    assert sol.solve_info["rx_mean"] == 1e-6
+    assert dropped == [{"level": state.level, "event": "rx_mean_dropped",
+                        "message": "R^x mean of modulus 1e-06 dropped (an "
+                                   "energy shift only)", "abs_mean": 1e-6}]
+
+
 def test_kam_step_resonant_parameter_excluded():
     nf = NormalForm(np.array([1.0, 1.5]), np.array([1.17]),
                     FourierSeries.zero(D, shape=(NN, NN)))

@@ -290,10 +290,17 @@ def test_solve_hx_residual_random():
     assert residual_hx(Fx, Rx, GOLD, 3) <= 1e-12
 
 
-def test_solve_hx_mean_warning():
+def test_solve_hx_drops_the_mean_without_a_warning():
+    # the mean is an energy shift: solve_hx drops it silently, and
+    # solve_homological records its modulus for the driver's event
     Rx = FourierSeries.constant(D, 1.0)
-    with pytest.warns(UserWarning):
-        solve_hx(Rx, GOLD, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert solve_hx(Rx, GOLD, 1).max_abs_coeff() == 0.0
+        P = HamiltonianJet(D, 1, {(ZD, (0,), (0,)): 0.25 * Rx})
+        sol = solve_homological(GOLD, np.array([1.17]), FourierSeries.zero(
+            D, shape=(1, 1)), P, 2)
+    assert sol.solve_info["rx_mean"] == 0.25
 
 
 def test_solve_hx_small_divisor():

@@ -21,7 +21,8 @@ One policy rule: the condition cap of the lattice inversions is
 as a `cond_cap` parameter.
 One transform rule: only `fourier` reaches `numpy.fft`, so `jets` transforms
 through its embedding.  One state rule: no module imports `contextvars`; a
-Lie series hands its state to each bracket as an argument.  Four import
+Lie series hands its state to each bracket as an argument.  One event rule:
+no module imports `warnings`; what a run meets is an event in its report.  Four import
 rules, checked in fresh interpreters: `toruskam.cli` loads no scipy
 module, nor `fractions` or `decimal`; `dispatch` imports no module on the
 benchmark workloads; and neither lattice-solve route loads scipy.  Three
@@ -341,6 +342,13 @@ def test_no_context_variables():
     # budget and memos on its generator's side, handed to each bracket
     assert [m.name for m in sorted(PACKAGE.glob("*.py"))
             if "contextvars" in imported_modules(m)] == []
+
+
+def test_src_imports_no_warnings():
+    # what a run meets -- a capped cutoff, a dropped mean of R^x -- is an
+    # event in its report, never a Python warning
+    assert [m.name for m in sorted(PACKAGE.glob("*.py"))
+            if "warnings" in imported_modules(m)] == []
 
 
 def test_jets_transforms_only_through_fourier():

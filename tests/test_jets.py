@@ -8,16 +8,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.signal import convolve
 
+import totals_oracle
 from test_fourier import sine
-from toruskam import jets
+from test_hygiene import WORKLOAD_CONFIGS
+from toruskam import cli, jets
+from toruskam.config import load_config
 from toruskam.fourier import (FourierSeries, partial_x, product, strip_norm,
                               truncate)
-from toruskam.jets import (HamiltonianJet, NormalForm, _term_vf_bound,
-                           check_reality, component_x, component_y,
-                           component_z, conjugate_jet, jet_from_parts,
-                           lie_transform, matrix_zz, matrix_zzbar,
-                           poisson_bracket, split_low_high, vf_norm,
-                           weighted_degree)
+from toruskam.jets import (HamiltonianJet, LieSeriesDivergence, NormalForm,
+                           _term_vf_bound, check_reality, component_x,
+                           component_y, component_z, conjugate_jet,
+                           jet_from_parts, lie_transform, matrix_zz,
+                           matrix_zzbar, poisson_bracket, split_low_high,
+                           vf_norm, weighted_degree)
 
 D, N = 2, 2
 ZD, ZN = (0,) * D, (0,) * N
@@ -132,11 +135,11 @@ def test_vf_norm_subadditive():
 # the FFT-grid products against the term-by-term loop
 # ----------------------------------------------------------------------
 
-def product_channels(F, G):
+def product_channels(f_sigs, _, g_sigs, __):
     """The pair products of the polynomial product F G as grid-kernel
     channels: (i, 0, j, 0, signature, 1) per pair of terms."""
-    for i, s1 in enumerate(F.terms):
-        for j, s2 in enumerate(G.terms):
+    for i, s1 in enumerate(f_sigs):
+        for j, s2 in enumerate(g_sigs):
             yield i, 0, j, 0, tuple(tuple(x + y for x, y in zip(u, v))
                                     for u, v in zip(s1, s2)), 1
 
@@ -646,7 +649,8 @@ def mirror_classes_in_use(F, G):
     bracket: kept keys with b <= c, in order of their first product."""
     f, g = jets._Side(F), jets._Side(G)
     keys = {}
-    for i, p, j, q, sig, _ in jets._bracket_channels(f, g):
+    for i, p, j, q, sig, _ in jets._bracket_channels(f.sigs, f.moves,
+                                                      g.sigs, g.moves):
         if weighted_degree(sig) <= F.max_degree and sig[1] <= sig[2]:
             box = f.series[i].cutoff + g.series[j].cutoff
             keys.setdefault((sig, box), []).append(
@@ -852,14 +856,10 @@ def graded_jet(rng, d, n, count, max_cutoff, degree, scale, **kw):
                              for sig, f in J.terms.items()})
 
 
-def test_lie_series_budget_against_the_full_series_200_cases(monkeypatch):
-    # the series budget only moves keys into the tail: against the full
-    # series (budget constant 0) each coefficient moves by at most the
-    # bounds it booked, skipping never lowers a bracket's vf norm on the
-    # same input, real series stay exactly real, and a bracket outside a
-    # series, after it or after the growth error, has no budget
-    rng = np.random.default_rng(23)
-    seen = {"skipped": 0, "real-skipped": 0, "no-cap": 0}
+def budget_series(rng):
+    """200 cases (case, H, F, kw, real) of Lie series with keys on both
+    sides of the series budget: d in 1..3, n in 1..2, every other case
+    under a cutoff cap, every other pair of cases exactly real."""
     for case in range(200):
         d, n = int(rng.integers(1, 4)), int(rng.integers(1, 3))
         cut = (3, 2, 1)[d - 1]
@@ -872,6 +872,18 @@ def test_lie_series_budget_against_the_full_series_200_cases(monkeypatch):
         real = case % 4 >= 2
         if real:
             H, F = (0.5 * (J + conjugate_jet(J)) for J in (H, F))
+        yield case, H, F, kw, real
+
+
+def test_lie_series_budget_against_the_full_series_200_cases(monkeypatch):
+    # the series budget only moves keys into the tail: against the full
+    # series (budget constant 0) each coefficient moves by at most the
+    # bounds it booked, skipping never lowers a bracket's vf norm on the
+    # same input, real series stay exactly real, and a bracket outside a
+    # series, after it or after the growth error, has no budget
+    rng = np.random.default_rng(23)
+    seen = {"skipped": 0, "real-skipped": 0, "no-cap": 0}
+    for case, H, F, kw, real in budget_series(rng):
         got = lie_transform(H, F, order=3)
         bracket = poisson_bracket(H, F)
         with monkeypatch.context() as m:
@@ -909,12 +921,66 @@ def test_lie_series_budget_against_the_full_series_200_cases(monkeypatch):
                 * math.factorial(j + 1)
     assert min(seen.values()) >= 50, seen
     H, F = random_jet(rng), 50.0 * random_jet(rng)
-    with pytest.raises(ValueError, match="grow"):
+    with pytest.raises(LieSeriesDivergence, match="grow"):
         lie_transform(H, F, order=3)
     with monkeypatch.context() as m:
         m.setattr(jets, "_ROUNDING", 0.0)
         full = poisson_bracket(H, F)
     assert_bit_identical(poisson_bracket(H, F), full)
+
+
+def test_whole_bounds_match_the_totals_oracle(tmp_path, monkeypatch):
+    # the budget's whole-key bounds come from the shell sums at m = -1,
+    # where every shell pair counts: in exact arithmetic they equal the
+    # totals algebra's sigma_f sigma_g, so on the 200 budget series and
+    # kam-run seeds 1-3 they agree to rounding and skip the same keys
+    calls = []
+    whole = jets._whole_bounds
+
+    def checked(F, G, keys, cand, s, r):
+        got = whole(F, G, keys, cand, s, r)
+        calls.append((got, totals_oracle.whole_bounds(F, G, keys, cand, s, r),
+                      G.limit))
+        return got
+    monkeypatch.setattr(jets, "_whole_bounds", checked)
+    rng = np.random.default_rng(23)
+    for _, H, F, _, _ in budget_series(rng):
+        lie_transform(H, F, order=3)
+    series_calls = len(calls)
+    for seed in (1, 2, 3):
+        cfg = load_config({**WORKLOAD_CONFIGS["kam-run"], "seed": seed})
+        assert cli.dispatch(cfg, str(tmp_path / str(seed))) == 0
+    assert 0 < series_calls < len(calls)
+    skips = 0
+    for got, ref, limit in calls:
+        assert len(got) == len(ref)
+        assert all(abs(a - b) <= 1e-13 * b for a, b in zip(got, ref))
+        assert [a <= limit for a in got] == [b <= limit for b in ref]
+        skips += sum(a <= limit for a in got)
+    assert skips > 0
+
+
+def test_channel_tables_are_cached_immutable_and_fresh(tmp_path,
+                                                       monkeypatch):
+    # a bracket's channel table is a function of the two sides' signatures
+    # and motion flags: cached, shared across kam-run's levels, hashable,
+    # and equal to a fresh build
+    tables = []
+    cached = jets._bracket_channels
+
+    def logged(*args):
+        tables.append((args, cached(*args)))
+        return tables[-1][1]
+    monkeypatch.setattr(jets, "_bracket_channels", logged)
+    cached.cache_clear()
+    cfg = load_config(WORKLOAD_CONFIGS["kam-run"])
+    assert cli.dispatch(cfg, str(tmp_path / "out")) == 0
+    assert cached.cache_info().hits > 0
+    for args, table in tables:
+        hash(table)     # raises TypeError on a list anywhere inside
+        assert cached(*args) is table
+        assert table == cached.__wrapped__(*args)
+        assert isinstance(table, tuple) and len(table) > 0
 
 
 def test_lie_identity():
@@ -970,7 +1036,7 @@ def test_lie_divergence_detected():
     rng = np.random.default_rng(17)
     H = random_jet(rng)
     F = 50.0 * random_jet(rng)
-    with pytest.raises(ValueError):
+    with pytest.raises(LieSeriesDivergence):
         lie_transform(H, F, order=3)
 
 
