@@ -35,6 +35,19 @@ def nominal_half_width(A: float, size_exponent: int, level: int) -> float:
 _PREDICATE_BYTES = 1 << 23
 
 
+def gamma_floor(gamma: float, tau: float):
+    """The Diophantine floor gamma |k|_1^{-tau} of the predicate below and
+    of the driver's divisor checks, as a callable of an (m, d) array of
+    modes returning their m floors.  Each distinct |k|_1 takes one scalar
+    gamma * max(|k|_1, 1) ** -tau, the per-mode expression, bit for bit."""
+    def floor(modes):
+        l1 = np.abs(modes).sum(axis=1)
+        table = [gamma * max(v, 1) ** -tau
+                 for v in range(int(l1.max(initial=0)) + 1)]
+        return np.array(table)[l1]
+    return floor
+
+
 def nonresonance_predicate(Omega, N: int, gamma: float, tau: float):
     """Vectorized predicate: a point, an (m, d) array of frequency vectors,
     passes when it meets the Diophantine condition and the plain and
@@ -49,8 +62,7 @@ def nonresonance_predicate(Omega, N: int, gamma: float, tau: float):
         d = om.shape[1]
         ks = mode_grid(d, N).reshape(-1, d)
         knz = np.abs(ks).max(axis=1) > 0
-        kn1 = np.maximum(np.abs(ks).sum(axis=1), 1)
-        bounds = gamma * kn1 ** -float(tau)
+        bounds = gamma_floor(gamma, tau)(ks)
         ok = np.empty(len(om), dtype=bool)
         step = max(1, _PREDICATE_BYTES // (8 * len(ks)))
         for lo in range(0, len(om), step):

@@ -25,7 +25,7 @@ from .driver import ParameterExcluded, log_csv, make_schedule, run
 from .fourier import FourierSeries, _l1_grid
 from .greens import CertificateGateError, _check_against, invert_direct
 from .homological import (LatticeMatrix, NearSingularError, SmallDivisorError,
-                          build_T)
+                          lattice_operator)
 from .jets import HamiltonianJet, LieSeriesDivergence, NormalForm
 from .multiscale import sigma_scan
 from .stability import (LinearTrajectory, linearized_chunks,
@@ -49,8 +49,9 @@ EXIT_NUMERIC = 4
 # series' whole-key and dropped bounds come from one shell-sum table (their
 # values move by rounding only), a divergent series reports
 # results.lie_divergence, and a dropped mean of R^x is an rx_mean_dropped
-# event
-SCHEMA_VERSION = 8
+# event; version 9: a run whose KAM step fails keeps the results.levels
+# and events of the levels it finished
+SCHEMA_VERSION = 9
 
 # boxes an atlas run may pave: the predicate holds about 20 kB per child box
 # at exclusion_N = 6, so this bounds one paving near 330 MB
@@ -174,7 +175,7 @@ def _greens_operator(cfg: RunConfig) -> LatticeMatrix:
         neg = tuple(-k for k in mode)
         ent = {mode: eye, neg: eye} if mode != neg else {mode: 2 * eye}
         B = FourierSeries.from_coeffs(c["d"], ent, shape=(n, n))
-    return build_T(c["omega"], c["Omega"], B, Z, g["N"])
+    return lattice_operator(c["omega"], c["Omega"], B, Z, g["N"], False)
 
 
 # ----------------------------------------------------------------------
@@ -190,6 +191,14 @@ def _certificate_record(cert) -> dict:
             "threshold": cert.threshold, **cert.extra}
 
 
+def _level_records(rows) -> list:
+    """The per-level records of `results.levels`."""
+    return [{k: r[k] for k in ("level", "eps_high", "lie_tail",
+                               "lie_skipped_keys", "lie_skipped_bound",
+                               "reality_err", "B_fold_defect")}
+            for r in rows]
+
+
 def _mode_run(cfg: RunConfig, out: dict):
     c = cfg.values
     rng = default_rng(c["seed"])
@@ -201,10 +210,7 @@ def _mode_run(cfg: RunConfig, out: dict):
               gamma=c["caps"]["gamma"], exclusion_N=c["caps"]["exclusion_N"])
     out["results"] = {
         "omega_star": list(res.omega_star),
-        "levels": [{k: r[k] for k in ("level", "eps_high", "lie_tail",
-                                      "lie_skipped_keys", "lie_skipped_bound",
-                                      "reality_err", "B_fold_defect")}
-                   for r in res.rows],
+        "levels": _level_records(res.rows),
         "eps_sequence": [r["eps_meas"] for r in res.rows],
         "contraction_exponent": res.exponent,
         "residual": res.residual,
@@ -430,6 +436,7 @@ def _run_mode(cfg: RunConfig, report: dict, strict: bool) -> int:
     size cap, or a report verify cannot replay), 3 on an excluded
     parameter and 4 on a numeric failure (0 with `results.downgraded` set
     unless `strict`)."""
+    failure = None
     try:
         code = MODE_TABLE[report["mode"]](cfg, report)
     except ConfigError as exc:
@@ -440,6 +447,7 @@ def _run_mode(cfg: RunConfig, report: dict, strict: bool) -> int:
         report["results"] = {"excluded": str(exc)}
         report["summary"] = f"parameter excluded: {exc}"
         code = EXIT_EXCLUDED
+        failure = exc
     except (NearSingularError, SmallDivisorError, CertificateGateError,
             LieSeriesDivergence, FloatingPointError, np.linalg.LinAlgError,
             ValueError) as exc:
@@ -450,6 +458,11 @@ def _run_mode(cfg: RunConfig, report: dict, strict: bool) -> int:
                 "norm_before": exc.before, "norm_after": exc.after}
         report["summary"] = f"numeric failure: {exc}"
         code = EXIT_NUMERIC
+        failure = exc
+    # a failed KAM step keeps the finished levels `driver.run` attached
+    if hasattr(failure, "rows"):
+        report["results"]["levels"] = _level_records(failure.rows)
+        report["events"] = failure.events
     if not strict and code == EXIT_NUMERIC:
         report["results"]["downgraded"] = True
         code = EXIT_OK

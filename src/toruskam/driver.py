@@ -21,12 +21,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .atlas import ParameterAtlas, nonresonance_predicate, pave_and_filter
+from .atlas import (ParameterAtlas, gamma_floor, nonresonance_predicate,
+                    pave_and_filter)
 from .csvfmt import labelled_rows
 from .fourier import FourierSeries
 from .greens import DecayCertificate, level_certificate
-from .homological import (NearSingularError, SmallDivisorError, build_T,
-                          solve_homological)
+from .homological import (NearSingularError, SmallDivisorError,
+                          lattice_operator, solve_homological)
 from .jets import (HamiltonianJet, LieSeriesDivergence, NormalForm,
                    check_reality, conjugate_jet, lie_transform, matrix_zzbar,
                    split_low_high, vf_norm)
@@ -142,19 +143,6 @@ def _jet_kw(P: HamiltonianJet) -> dict:
                 s_ref=P.s_ref, r_ref=P.r_ref)
 
 
-def gamma_floor(gamma: float, tau: float):
-    """Divisor exclusion floor |<k, omega>| > gamma |k|_1^{-tau}, as a
-    callable of an (m, d) array of modes returning their m floors.  Each
-    distinct |k|_1 takes one scalar gamma * max(|k|_1, 1) ** -tau, the
-    per-mode expression, so every floor is bit-identical to it."""
-    def floor(modes):
-        l1 = np.abs(modes).sum(axis=1)
-        table = [gamma * max(v, 1) ** -tau
-                 for v in range(int(l1.max(initial=0)) + 1)]
-        return np.array(table)[l1]
-    return floor
-
-
 def invariance_residual(P: HamiltonianJet, s: float, r: float) -> float:
     """Norm bound for the vector-field defect on the torus y = z = 0.
 
@@ -212,8 +200,8 @@ def initial_step(nf: NormalForm, P: HamiltonianJet, schedule: KamSchedule,
         centers = np.array([b.center for b in atlas.boxes])
         xi = centers[np.argmin(np.abs(centers - nf.omega).sum(axis=1))]
         nf = NormalForm(xi.copy(), nf.Omega, nf.B)
-    T = build_T(nf.omega, nf.Omega, nf.B, matrix_zzbar(sp.low),
-                schedule.N(l))
+    T = lattice_operator(nf.omega, nf.Omega, nf.B, matrix_zzbar(sp.low),
+                         schedule.N(l), False)
     state = KamState(level=l, nf=nf, P=P, xi=xi, eps_meas=eps0,
                      eps_high=eps_high,
                      extra={"gamma": gamma,
@@ -335,7 +323,12 @@ def run(nf: NormalForm, P: HamiltonianJet, schedule: KamSchedule,
                      "B_fold_defect": extra.get("B_fold_defect")})
         if len(rows) > max_levels or not state.eps_meas > STOP_THRESHOLD:
             break
-        state, _ = kam_step(state, schedule)
+        try:
+            state, _ = kam_step(state, schedule)
+        except (ParameterExcluded, LieSeriesDivergence) as err:
+            # the failure carries what the finished levels recorded
+            err.rows, err.events = rows, state.extra["events"]
+            raise
     return TorusResult(omega_star=state.nf.omega, B_final=state.nf.B,
                        residual=rows[-1]["residual"],
                        atlas=atlas, rows=rows,

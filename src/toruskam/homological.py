@@ -11,20 +11,23 @@ Vectorization order of the bold index is row-major over (i, j); sites are
 enumerated in sorted k order with the block index fastest.  This ordering is
 part of the contract so that emitted certificates reproduce bit-for-bit.
 
-Four solvers, two kernels:
-  solve_hx    d_omega F^x = Gamma_N R^x                  (_divide_by_divisor)
-  solve_hz    T_N F^z = -i E_N                           (_lattice_solve)
-  solve_hy    d_omega F^y = Gamma_N Rs - Rs_hat(0)       (_divide_by_divisor)
-  solve_hzz   bold T_N vec(F^zz) = -i vec(S_N)           (_lattice_solve)
-with F^zbar = conj(F^z) and F^zbzb = conj(F^zz) by the conjugation symmetry
-of the system; the bold right side enters as the (n^2, 1) column of
-`_as_column`.  `_lattice_solve` has two routes.  On the full centred box,
+The four equations, one function per job:
+  homo 1  d_omega F^x = Gamma_N R^x                  solve_hx
+  homo 2  T_N F^z = -i E_N                           solve_lattice
+  homo 3  d_omega F^y = Gamma_N Rs - Rs_hat(0)       solve_hy (solve_hx)
+  homo 4  bold T_N vec(F^zz) = -i vec(S_N)           solve_lattice
+with T and bold T from `lattice_operator`, and F^zbar = conj(F^z) and
+F^zbzb = conj(F^zz) by the conjugation symmetry of the system
+(`HomologicalSolution` derives them).  `solve_lattice` returns F in its
+right side's shape and has two routes.  On the full centred box,
 with q = ||S|| / min|D| < 1 (||S|| bounded by the symbol's mode sum), T is
 invertible and is solved matrix-free by the Jacobi iteration
 u <- u + D^{-1}(b - T u), whose matvec is the series product truncated to
 the box.  Otherwise it inverts T block by block on its connected
 components (`_block_inverse`, the package's one LU kernel, which `greens`
-and the sigma-scan probes share) and gates on the exact cond_1.
+and the sigma-scan probes share) and gates on the exact cond_1; the right
+side and the solution move between series and T's site order by one
+gather (`_site_values`) and one scatter (`_site_series`).
 
 Neither route builds the dense form.  The components and their blocks are
 gathered from the symbol scattered once over the box of site differences
@@ -50,7 +53,7 @@ from .jets import (HamiltonianJet, component_x, component_y, component_z,
 
 # the one condition gate on lattice operators: a cond_1 beyond it counts
 # as singular (NearSingularError), for `_block_inverse` and for the Neumann
-# route's proven bound in `_lattice_solve`
+# route's proven bound in `solve_lattice`
 COND_CAP = 1e12
 
 
@@ -84,14 +87,11 @@ def cube_region(d: int, N: int) -> tuple:
 
 @dataclass
 class LatticeMatrix:
-    d: int
-    nblock: int
     region: tuple                 # sorted tuple of k-tuples
-    omega: np.ndarray
+    omega: np.ndarray             # length d
     diag_block: np.ndarray        # length nblock: Omega part of the diagonal
     symbol: FourierSeries         # nblock x nblock matrix series
     sigma: float = 0.0
-    bold: bool = False
     symbol_truncation_gap: float = 0.0   # norm dropped by pre-truncation
     # `to_dense`'s cache; `replace` starts every copy without it
     _dense: np.ndarray | None = field(default=None, init=False, repr=False)
@@ -101,6 +101,14 @@ class LatticeMatrix:
         self.region = tuple(sorted(tuple(k) for k in self.region))
         if self.symbol.shape != (self.nblock, self.nblock):
             raise ValueError("symbol shape inconsistent with block size")
+
+    @property
+    def d(self) -> int:
+        return len(self.omega)
+
+    @property
+    def nblock(self) -> int:
+        return len(self.diag_block)
 
     @property
     def nsites(self) -> int:
@@ -285,13 +293,15 @@ def _block_inverse(blocks: list):
     return inverses, cond
 
 
-def _lattice_operator(omega, Omega, B: FourierSeries, Rzz: FourierSeries,
-                      N: int, bold: bool) -> LatticeMatrix:
-    """Operator with symbol B + R^{z zbar} on [-N, N]^d, at shift 0.
+def lattice_operator(omega, Omega, B: FourierSeries, Rzz: FourierSeries,
+                     N: int, bold: bool) -> LatticeMatrix:
+    """T, or with `bold` the pair-index bold T, on [-N, N]^d at shift 0.
 
-    The symbol is pre-truncated to modes |k|_inf <= N; the strip norm of the
-    dropped part is recorded (`symbol_truncation_gap`).  The bold operator
-    takes the pair diagonal Omega_i + Omega_j and the lifted symbol.
+    The symbol is B + R^{z zbar}, pre-truncated to modes |k|_inf <= N; the
+    strip norm of the dropped part is recorded (`symbol_truncation_gap`).
+    T takes the diagonal Omega_j + <k, omega>; bold T the pair diagonal
+    Omega_i + Omega_j + <k, omega> and the symbol lifted by `bold_symbol`.
+    `restrict` and `with_sigma` give either another site set or shift.
     """
     omega = np.asarray(omega, dtype=float)
     Omega = np.asarray(Omega, dtype=float)
@@ -301,18 +311,9 @@ def _lattice_operator(omega, Omega, B: FourierSeries, Rzz: FourierSeries,
     if bold:
         Omega = (Omega[:, None] + Omega[None, :]).ravel()
         sym = bold_symbol(sym)
-    return LatticeMatrix(d=len(omega), nblock=len(Omega),
-                         region=cube_region(len(omega), N), omega=omega,
-                         diag_block=Omega, symbol=sym, bold=bold,
+    return LatticeMatrix(region=cube_region(len(omega), N), omega=omega,
+                         diag_block=Omega, symbol=sym,
                          symbol_truncation_gap=gap)
-
-
-def build_T(omega, Omega, B: FourierSeries, Rzz: FourierSeries,
-            N: int) -> LatticeMatrix:
-    """Scalar operator on [-N, N]^d with diag Omega_j + <k, omega> and
-    symbol B + R^{z zbar}, pre-truncated to |k|_inf <= N.  `restrict` and
-    `with_sigma` give it another site set or shift."""
-    return _lattice_operator(omega, Omega, B, Rzz, N, bold=False)
 
 
 def bold_symbol(A: FourierSeries) -> FourierSeries:
@@ -322,35 +323,27 @@ def bold_symbol(A: FourierSeries) -> FourierSeries:
     diagonal pairs get A_{ii} + A_{jj}, all other entries zero.
     """
     n = A.shape[0]
-    box = A.data.shape[2:]
-    out = np.zeros((n * n, n * n) + box, dtype=complex)
+    out = np.zeros((n, n, n, n) + A.data.shape[2:], dtype=complex)
+    for j in range(n):
+        out[:, j, :, j] += A.data
     for i in range(n):
-        for j in range(n):
-            r = i * n + j
-            for i2 in range(n):
-                out[r, i2 * n + j] += A.data[i, i2]
-            for j2 in range(n):
-                out[r, i * n + j2] += A.data[j2, j]
-    return FourierSeries(A.d, (n * n, n * n), A.cutoff, out)
-
-
-def build_boldT(omega, Omega, B: FourierSeries, Rzz: FourierSeries,
-                N: int) -> LatticeMatrix:
-    """Pair-index operator on [-N, N]^d with diag
-    Omega_i + Omega_j + <k, omega>."""
-    return _lattice_operator(omega, Omega, B, Rzz, N, bold=True)
+        out[i, :, i, :] += A.data.swapaxes(0, 1)
+    return FourierSeries(A.d, (n * n, n * n), A.cutoff,
+                         out.reshape((n * n, n * n) + A.data.shape[2:]))
 
 
 # ----------------------------------------------------------------------
 # coefficientwise solves (homo 1 / homo 3)
 # ----------------------------------------------------------------------
 
-def _divide_by_divisor(R: FourierSeries, omega, N: int,
-                       divisor_floor) -> FourierSeries:
-    """F_hat(k) = R_hat(k) / (i <k, omega>) for 0 < |k|_inf <= N.  The floor
-    (a number, or a callable mapping an (m, d) array of modes to their m
-    floors) is checked at every mode with a nonzero coefficient; the first
-    failure in lexicographic order raises SmallDivisorError."""
+def solve_hx(R: FourierSeries, omega, N: int,
+             divisor_floor) -> FourierSeries:
+    """d_omega F = Gamma_N R - R_hat(0): F_hat(k) = R_hat(k) / (i <k, omega>)
+    for 0 < |k|_inf <= N, and F has zero mean.  For R^x the dropped mean is
+    an energy shift only (`solve_homological` records its modulus).  The
+    floor (a number, or a callable mapping an (m, d) array of modes to
+    their m floors) is checked at every mode with a nonzero coefficient;
+    the first failure in lexicographic order raises SmallDivisorError."""
     omega = np.asarray(omega, dtype=float)
     R = truncate(R, N)
     modes = mode_grid(R.d, R.cutoff).reshape(-1, R.d)
@@ -374,40 +367,46 @@ def _divide_by_divisor(R: FourierSeries, omega, N: int,
     return FourierSeries(R.d, R.shape, R.cutoff, out.reshape(R.data.shape))
 
 
-def solve_hx(Rx: FourierSeries, omega, N: int,
-             divisor_floor=0.0) -> FourierSeries:
-    """d_omega F^x = Gamma_N R^x; the mean of R^x is dropped (an energy
-    shift only; `solve_homological` records its modulus), F^x has zero
-    mean."""
-    return _divide_by_divisor(Rx, omega, N, divisor_floor)
-
-
-def solve_hy(Rscript: FourierSeries, omega, N: int, divisor_floor=0.0):
+def solve_hy(Rscript: FourierSeries, omega, N: int, divisor_floor):
     """d_omega F^y = Gamma_N Rs - Rs_hat(0); returns (F^y, frequency shift).
 
     The zero mode is the tangent-frequency shift omega_+ - omega; its
     imaginary part (a reality defect) is discarded after measurement.
     """
-    shift_c = Rscript.coeff(tuple([0] * Rscript.d))[:, 0]
-    shift = shift_c.real.copy()
-    Fy = _divide_by_divisor(Rscript, omega, N, divisor_floor)
-    return Fy, shift
+    shift = Rscript.coeff((0,) * Rscript.d)[:, 0].real.copy()
+    return solve_hx(Rscript, omega, N, divisor_floor), shift
 
 
 # ----------------------------------------------------------------------
 # lattice solves (homo 2 / homo 4)
 # ----------------------------------------------------------------------
 
-def _series_to_vec(T: LatticeMatrix, F: FourierSeries) -> np.ndarray:
-    """Stack hat(F)_block(k) over (site, block), block fastest."""
-    return np.concatenate([F.coeff(k)[:, 0] for k in T.region])
+def _site_values(T: LatticeMatrix, F: FourierSeries) -> np.ndarray:
+    """vec(F_hat(k)) at T's sites in T's row order (site, then the
+    row-major entry of F, fastest), zero at sites beyond F's cutoff: one
+    gather through `site_array`."""
+    ks, c = T.site_array, F.cutoff
+    live = (np.abs(ks) <= c).all(axis=1)
+    flat = F.data.reshape((-1,) + F.data.shape[2:])
+    out = np.zeros((len(ks), len(flat)), dtype=complex)
+    out[live] = flat[(slice(None),) + tuple((ks[live] + c).T)].T
+    return out.ravel()
 
 
-def _vec_to_series(T: LatticeMatrix, vec: np.ndarray,
-                   cutoff: int) -> FourierSeries:
-    blocks = vec.reshape(T.nsites, T.nblock, 1)
-    return FourierSeries.from_coeffs(T.d, dict(zip(T.region, blocks)),
-                                     shape=(T.nblock, 1), cutoff=cutoff)
+def _site_series(T: LatticeMatrix, values: np.ndarray, shape: tuple,
+                 N: int) -> FourierSeries:
+    """The series of `shape` at cutoff N whose `_site_values` at T's sites
+    within |k|_inf <= N are `values`, zero at every other mode: one
+    scatter through `site_array`."""
+    ks = T.site_array
+    live = (np.abs(ks) <= N).all(axis=1)
+    rows = shape[0] * shape[1]
+    data = np.zeros((rows,) + (2 * N + 1,) * T.d, dtype=complex)
+    # added into the zeros, so that a -0.0 lands as +0.0, bit for bit what
+    # `FourierSeries.from_coeffs` makes of it
+    data[(slice(None),) + tuple((ks[live] + N).T)] += \
+        values.reshape(len(ks), rows)[live].T
+    return FourierSeries(T.d, shape, N, data.reshape(shape + data.shape[1:]))
 
 
 @dataclass
@@ -431,14 +430,6 @@ class LatticeSolveInfo:
 def _at_cutoff(F: FourierSeries, N: int) -> FourierSeries:
     """F on exactly the modes |k|_inf <= N (truncated or zero-padded)."""
     return F.pad(N) if F.cutoff < N else truncate(F, N)
-
-
-def _as_column(F: FourierSeries) -> FourierSeries:
-    """Row-major vec of a matrix series as an (rows*cols, 1) series:
-    component (i, j) of an n x n series lands at block index i*n + j."""
-    rows = F.shape[0] * F.shape[1]
-    return FourierSeries(F.d, (rows, 1), F.cutoff,
-                         F.data.reshape((rows, 1) + F.data.shape[2:]))
 
 
 def _symbol_norm(T: LatticeMatrix, r: float = 0.0) -> float:
@@ -513,9 +504,11 @@ def _neumann_solve(T: LatticeMatrix, b: np.ndarray, N: int, q: float):
     return u, float(res), sweeps
 
 
-def _lattice_solve(T: LatticeMatrix, rhs: FourierSeries, N: int | None):
-    """Solve T u = -i rhs_N; returns (u as an (nblock, 1) series at cutoff
-    N, info).  With q = ||S|| / min|D| < 1, T = D (I + D^{-1} S) is
+def solve_lattice(T: LatticeMatrix, rhs: FourierSeries, N: int):
+    """Solve T u = -i vec(rhs_N); returns (F, info), F the solution in
+    rhs's shape at cutoff N: u for a column right side, and for the n x n
+    right side of a pair operator the n x n series whose row-major vec is
+    u.  With q = ||S|| / min|D| < 1, T = D (I + D^{-1} S) is
     invertible, Jacobi converges at rate q and cond_1(T) is at most
     (max|D| + ||S||) / (min|D| (1 - q)).  That route is taken on the full
     centred box when the bound is within `COND_CAP` and the iteration
@@ -524,21 +517,21 @@ def _lattice_solve(T: LatticeMatrix, rhs: FourierSeries, N: int | None):
     `COND_CAP`, and u = G_b b_b block by block.  Either route solves on
     T's whole region and then truncates or pads u to cutoff N."""
     Nr = int(np.abs(T.site_array).max())
-    if N is None:
-        N = Nr
     gate = _neumann_bound(T) if T.region == cube_region(T.d, Nr) else None
     if gate is not None and gate[0] <= COND_CAP:
         bound, q = gate
-        b = -1j * _at_cutoff(_at_cutoff(rhs, N), Nr).data
+        box = _at_cutoff(_at_cutoff(rhs, N), Nr).data
+        b = -1j * box.reshape((T.nblock, 1) + box.shape[2:])
         solved = _neumann_solve(T, b, Nr, q)
         if solved is not None:
             u, res, sweeps = solved
-            sol = _at_cutoff(FourierSeries(T.d, b.shape[:2], Nr, u), N)
-            return sol, LatticeSolveInfo(residual=res, condition=bound,
-                                         route="neumann", iterations=sweeps)
+            F = FourierSeries(T.d, rhs.shape, Nr, u.reshape(box.shape))
+            return _at_cutoff(F, N), LatticeSolveInfo(
+                residual=res, condition=bound, route="neumann",
+                iterations=sweeps)
     parts = _component_blocks(T)
     inverses, cond = _block_inverse([B for _, _, B in parts])
-    b = -1j * _series_to_vec(T, _at_cutoff(rhs, N))
+    b = -1j * _site_values(T, _at_cutoff(rhs, N))
     sol, Tsol = np.empty_like(b), np.empty_like(b)
     # T's entries between components are structural zeros, so the block
     # products make up T sol
@@ -547,32 +540,8 @@ def _lattice_solve(T: LatticeMatrix, rhs: FourierSeries, N: int | None):
         Tsol[rows] = (B @ sol[rows][..., None])[..., 0]
     scale = np.linalg.norm(b)
     res = np.linalg.norm(Tsol - b) / scale if scale > 0 else 0.0
-    return _at_cutoff(_vec_to_series(T, sol, Nr), N), LatticeSolveInfo(
+    return _site_series(T, sol, rhs.shape, N), LatticeSolveInfo(
         residual=float(res), condition=cond, route="dense", iterations=0)
-
-
-def solve_hz(T: LatticeMatrix, Ehat: FourierSeries, N: int | None = None):
-    """Solve T_N F = -i E_N; returns (F^z, F^zbar, info).
-
-    F^zbar is conj(F^z) (the conjugate equation has right side conj(E)).
-    """
-    Fz, info = _lattice_solve(T, Ehat, N)
-    return Fz, Fz.conj_function(), info
-
-
-def solve_hzz(boldT: LatticeMatrix, Shat: FourierSeries,
-              N: int | None = None):
-    """Solve bold T_N vec(F^zz) = -i vec(S_N); returns (F^zz, F^zbzb, info).
-
-    The solution is symmetrized (F^zz is symmetric for symmetric S) and
-    F^zbzb = conj(F^zz).
-    """
-    n = int(round(np.sqrt(boldT.nblock)))
-    Fvec, info = _lattice_solve(boldT, _as_column(Shat), N)
-    Fzz = FourierSeries(boldT.d, (n, n), Fvec.cutoff,
-                        Fvec.data.reshape((n, n) + Fvec.data.shape[2:]))
-    Fzz = 0.5 * (Fzz + Fzz.transpose())
-    return Fzz, Fzz.conj_function(), info
 
 
 # ----------------------------------------------------------------------
@@ -584,12 +553,20 @@ class HomologicalSolution:
     Fx: FourierSeries
     Fy: FourierSeries
     Fz: FourierSeries
-    Fzbar: FourierSeries
     Fzz: FourierSeries
-    Fzbzb: FourierSeries
     freq_shift: np.ndarray
     truncation_gap: float
     solve_info: dict
+
+    @property
+    def Fzbar(self) -> FourierSeries:
+        """conj(F^z): the conjugate equation has right side conj(E)."""
+        return self.Fz.conj_function()
+
+    @property
+    def Fzbzb(self) -> FourierSeries:
+        """conj(F^zz), likewise."""
+        return self.Fzz.conj_function()
 
     def generator_jet(self, d: int, n: int, **jet_kw) -> HamiltonianJet:
         """The generator F^x + <F^y, y> + <F^z, z> + <F^zbar, zbar>
@@ -603,8 +580,9 @@ def solve_homological(omega, Omega, B: FourierSeries, P: HamiltonianJet,
                       N: int, divisor_floor=0.0) -> HomologicalSolution:
     """Run the four equation classes in dependency order.
 
-    Order: F^x first, then the pair (F^z, F^zbar), then F^y together with the
-    frequency shift, then (F^zz, F^zbzb).  Each right side is the matching
+    Order: F^x first, then F^z (with F^zbar = conj(F^z)), then F^y together
+    with the frequency shift, then F^zz, symmetrized (F^zz is symmetric for
+    symmetric S).  Each right side is the matching
     component of R^low plus that of {P^high, F_partial}, where F_partial
     holds the generator parts already solved: F^x for E, and F^x, F^z,
     F^zbar for R and S, which share that one bracket.  Operators,
@@ -617,23 +595,23 @@ def solve_homological(omega, Omega, B: FourierSeries, P: HamiltonianJet,
     Fx = solve_hx(Rx, omega, N, divisor_floor)
 
     Rzzbar = matrix_zzbar(sp.low)
-    T = build_T(omega, Omega, B, Rzzbar, N)
+    T = lattice_operator(omega, Omega, B, Rzzbar, N, False)
     br = poisson_bracket(sp.high, jet_from_parts(d, n, Fx=Fx, max_degree=deg))
     E = component_z(sp.low) + component_z(br)
-    Fz, Fzbar, info_z = solve_hz(T, E, N)
+    Fz, info_z = solve_lattice(T, E, N)
 
     # F_partial leaves out F^y, solved between R and S
-    br = poisson_bracket(sp.high, jet_from_parts(d, n, Fx=Fx, Fz=Fz,
-                                                 Fzbar=Fzbar, max_degree=deg))
+    br = poisson_bracket(sp.high, jet_from_parts(
+        d, n, Fx=Fx, Fz=Fz, Fzbar=Fz.conj_function(), max_degree=deg))
     Rscript = component_y(sp.low) + component_y(br)
     Fy, freq_shift = solve_hy(Rscript, omega, N, divisor_floor)
 
     S = matrix_zz(sp.low) + matrix_zz(br)
-    boldT = build_boldT(omega, Omega, B, Rzzbar, N)
-    Fzz, Fzbzb, info_zz = solve_hzz(boldT, S, N)
+    boldT = lattice_operator(omega, Omega, B, Rzzbar, N, True)
+    Fzz, info_zz = solve_lattice(boldT, S, N)
 
     return HomologicalSolution(
-        Fx=Fx, Fy=Fy, Fz=Fz, Fzbar=Fzbar, Fzz=Fzz, Fzbzb=Fzbzb,
+        Fx=Fx, Fy=Fy, Fz=Fz, Fzz=0.5 * (Fzz + Fzz.transpose()),
         freq_shift=freq_shift,
         truncation_gap=T.symbol_truncation_gap + boldT.symbol_truncation_gap,
         solve_info={"hz": info_z, "hzz": info_zz, "T": T, "boldT": boldT,
@@ -659,13 +637,15 @@ def residual_hx(Fx: FourierSeries, Rx: FourierSeries, omega, N: int) -> float:
 
 def residual_lattice(T: LatticeMatrix, F: FourierSeries,
                      rhs: FourierSeries) -> float:
-    """|T F + i rhs| / |rhs| in the lattice vector norm."""
-    N = int(np.abs(T.site_array).max())
-    if T.bold:
-        F, rhs = _as_column(F), _as_column(rhs)
-    Fv = _series_to_vec(T, _at_cutoff(F, N))
-    rv = _series_to_vec(T, _at_cutoff(rhs, N))
-    num = np.linalg.norm(T.to_dense() @ Fv + 1j * rv)
+    """|T vec(F) + i vec(rhs)| / |vec(rhs)| in the lattice vector norm, for
+    column series or, with a pair operator, n x n ones."""
+    rv = _site_values(T, rhs)
+    num = np.linalg.norm(T.to_dense() @ _site_values(T, F) + 1j * rv)
     den = np.linalg.norm(rv)
     return float(num / den) if den > 0 else float(num)
 
+
+# `perfbench/spans.py` wraps these names, and a traced run fails on a
+# missing one; nothing calls them, and they go once it wraps the two above
+build_T = build_boldT = lattice_operator
+solve_hz = solve_hzz = solve_lattice

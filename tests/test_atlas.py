@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from toruskam import atlas as atlas_mod
-from toruskam.atlas import (ParameterAtlas, ParameterBox,
+from toruskam.atlas import (ParameterAtlas, ParameterBox, gamma_floor,
                             monte_carlo_excluded, nominal_half_width,
                             nonresonance_predicate, pave_and_filter,
                             paving_count)
@@ -152,6 +152,24 @@ def test_predicate_matches_scalar_scans():
             and melnikov1_ok(xi, Om, 4, 0.01, 2).ok \
             and melnikov1_ok(xi, Om, 4, 0.01, 2, doubled=True).ok
         assert bool(got[i]) == want
+
+
+def test_predicate_floor_is_gamma_floor_d3_tau5():
+    # omega = (1.5 + f/2, 1, sqrt 2) puts the one divisor <k, omega> = f
+    # exactly, at k = (2, -3, 0) with |k|_1 = 5, and f is the floor that
+    # `gamma_floor` (the divisor check's) gives there at tau = 5; every
+    # other divisor and the Melnikov ones clear their floors.  The point
+    # fails at f, on the strict inequality, and passes one grid step above
+    tau = 5.0
+    k = np.array([[2, -3, 0]])
+    f = (2 ** 29 + 1) * 2.0 ** -51
+    gamma = f / 5 ** -tau
+    assert gamma_floor(gamma, tau)(k)[0] == f
+    pred = nonresonance_predicate(np.array([100.0]), 5, gamma, tau)
+    for div, ok in ((f, False), (f + 2.0 ** -51, True)):
+        om = np.array([[1.5 + div / 2, 1.0, math.sqrt(2.0)]])
+        assert (om @ k.T)[0, 0] == div
+        assert pred(om)[0] == ok
 
 
 def test_predicate_chunks_match_one_pass(monkeypatch):

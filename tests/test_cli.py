@@ -417,16 +417,16 @@ def test_verify_names_schema_change(tmp_path):
     dispatch(cfg, str(tmp_path / "a"))
     p = tmp_path / "a" / "report.json"
     doc = json.loads(p.read_text())
-    assert doc["schema"] == cli.SCHEMA_VERSION == 8
+    assert doc["schema"] == cli.SCHEMA_VERSION == 9
     doc["schema"] = 1
     p.write_text(json.dumps(doc))
     vcfg = load_config({"mode": "verify", "verify": {"report": str(p)}})
     assert dispatch(vcfg, str(tmp_path / "b")) == EXIT_NUMERIC
     rep = json.loads((tmp_path / "b" / "report.json").read_text())
-    assert rep["results"]["schema"] == [1, 8]
+    assert rep["results"]["schema"] == [1, 9]
     assert rep["results"]["match"] is False
     summary = (tmp_path / "b" / "summary.txt").read_text()
-    assert "DIFFERS (report schema 1, current schema 8)" in summary
+    assert "DIFFERS (report schema 1, current schema 9)" in summary
 
 
 def test_verify_refuses_schema_4_constants(tmp_path, capsys):
@@ -533,6 +533,31 @@ def test_lie_divergence_is_typed_and_exits_4(tmp_path, capsys, seed, level,
     code, rep, _ = run_verify(tmp_path, capsys, saved, tmp_path / "b")
     assert code == EXIT_OK and rep["results"]["match"] is True
     assert rep["results"]["replay_exit"] == EXIT_NUMERIC
+
+
+def test_failed_run_keeps_its_finished_levels(tmp_path, capsys):
+    # seed 3 diverges at level 2, after level 1 missed its schedule target:
+    # the report keeps the records and events of the levels it finished,
+    # as the run stopped before the failing level lists them, and verify
+    # replays it
+    data = {**DIVERGENT_RUN, "seed": 3}
+    assert main(["--config", write_config(tmp_path, data),
+                 "--out", str(tmp_path / "a")]) == EXIT_NUMERIC
+    saved = tmp_path / "a" / "report.json"
+    rep = json.loads(saved.read_text())
+    assert rep["schema"] == 9
+    assert rep["results"]["lie_divergence"]["level"] == 2
+    assert [lv["level"] for lv in rep["results"]["levels"]] == [1, 2]
+    assert [(e["level"], e["event"]) for e in rep["events"]] \
+        == [(2, "schedule_target_missed")]
+    short = {**data, "caps": {**data["caps"], "levels": 1}}
+    assert main(["--config", write_config(tmp_path, short),
+                 "--out", str(tmp_path / "b")]) == EXIT_OK
+    done = json.loads((tmp_path / "b" / "report.json").read_text())
+    assert rep["results"]["levels"] == done["results"]["levels"]
+    assert rep["events"] == done["events"]
+    code, ver, _ = run_verify(tmp_path, capsys, saved, tmp_path / "c")
+    assert code == EXIT_OK and ver["results"]["match"] is True
 
 
 def test_verify_replays_a_downgrade(tmp_path, capsys):
@@ -738,7 +763,7 @@ def test_greens_site_cap(tmp_path, capsys, monkeypatch, mode, data,
                          refused):
     def stand_in(*args, **kwargs):
         raise _PastCap
-    monkeypatch.setattr(cli, "build_T", stand_in)
+    monkeypatch.setattr(cli, "lattice_operator", stand_in)
     assert cli.MAX_GREENS_SITES == 2048
     path = write_config(tmp_path, {"mode": mode, **data})
     out = tmp_path / "o"

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from toruskam import cli, greens, homological
+from toruskam.atlas import gamma_floor
 from toruskam.config import load_config
 from toruskam.driver import (KamState, ParameterExcluded, contraction_exponent,
-                             gamma_floor, initial_step, invariance_residual,
-                             kam_step, log_csv, make_schedule, run)
+                             initial_step, invariance_residual, kam_step,
+                             log_csv, make_schedule, run)
 from toruskam.fourier import FourierSeries
 from toruskam.homological import NearSingularError
 from toruskam.jets import (HamiltonianJet, NormalForm, check_reality,

@@ -13,7 +13,8 @@ from toruskam.greens import (ALPHA_CAP, CT_Q_MAX, CT_RATES,
                              neumann_transfer, site_distances,
                              variation_delta, weighted_row_norm_from_cert)
 from toruskam.homological import (LatticeMatrix, NearSingularError,
-                                  _symbol_norm, build_T, cube_region)
+                                  _symbol_norm, cube_region,
+                                  lattice_operator)
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -21,7 +22,7 @@ PHI = (1.0 + math.sqrt(5.0)) / 2.0
 def diagonal_T(d, N, Omega=1.1, omega=None):
     omega = [PHI] * d if omega is None else omega
     Z = FourierSeries.zero(d)
-    return build_T(np.array(omega), np.array([Omega]), Z, Z, N)
+    return lattice_operator(np.array(omega), np.array([Omega]), Z, Z, N, False)
 
 
 def decaying_symbol(d, cutoff, rho, eps, rng):
@@ -37,7 +38,8 @@ def decaying_symbol(d, cutoff, rho, eps, rng):
 def perturbed_T(rng, d=1, N=8, rho=0.8, eps=1e-3, Omega=1.1):
     sym = decaying_symbol(d, N, rho, eps, rng)
     Z = FourierSeries.zero(d)
-    return build_T(np.array([PHI] * d), np.array([Omega]), sym, Z, N)
+    return lattice_operator(np.array([PHI] * d), np.array([Omega]), sym, Z,
+                            N, False)
 
 
 # ----------------------------------------------------------------------
@@ -294,11 +296,13 @@ def random_operator(rng, N):
     data = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
         * env
     Z = FourierSeries.zero(2, shape=(n, n))
-    T = build_T(omega, Omega, FourierSeries(2, (n, n), N, data), Z, N)
+    T = lattice_operator(omega, Omega, FourierSeries(2, (n, n), N, data), Z,
+                         N, False)
     q0 = _symbol_norm(T) / np.abs(T.diag_values()).min()
     scale = 10.0 ** rng.uniform(-4, math.log10(0.9)) / q0
-    return build_T(omega, Omega, FourierSeries(2, (n, n), N, scale * data),
-                   Z, N)
+    return lattice_operator(omega, Omega,
+                            FourierSeries(2, (n, n), N, scale * data), Z, N,
+                            False)
 
 
 def test_combes_thomas_sound_50_operators():
@@ -356,7 +360,8 @@ def test_level_certificate_falls_back_to_direct():
     assert (cert.norm_bound, cert.alpha) == (ref.norm_bound, ref.alpha)
     # a vanishing divisor: no closed form, and the direct route refuses it
     Z = FourierSeries.zero(1)
-    singular = build_T(np.array([1.0]), np.array([0.0]), Z, Z, 3)
+    singular = lattice_operator(np.array([1.0]), np.array([0.0]), Z, Z, 3,
+                                False)
     assert combes_thomas(singular) is None
     with pytest.raises(NearSingularError):
         level_certificate(singular)
@@ -371,7 +376,7 @@ def test_neumann_transfer_keeps_prefactor_sound():
                            Omega=1.0 + 0.4 * rng.random())
         cert = combes_thomas(base, threshold=thr)
         assert cert.prefactor > 1.0
-        Tp = LatticeMatrix(d=1, nblock=1, region=base.region,
+        Tp = LatticeMatrix(region=base.region,
                            omega=base.omega, diag_block=base.diag_block,
                            symbol=base.symbol + perturbed_T(
                                rng, rho=rho, eps=1e-11).symbol)
