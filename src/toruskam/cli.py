@@ -25,7 +25,7 @@ from .driver import ParameterExcluded, log_csv, make_schedule, run
 from .fourier import FourierSeries, _l1_grid
 from .greens import CertificateGateError, _check_against, invert_direct
 from .homological import (LatticeMatrix, NearSingularError, SmallDivisorError,
-                          lattice_operator)
+                          build_T)
 from .jets import HamiltonianJet, LieSeriesDivergence, NormalForm
 from .multiscale import sigma_scan
 from .stability import (LinearTrajectory, linearized_chunks,
@@ -175,7 +175,7 @@ def _greens_operator(cfg: RunConfig) -> LatticeMatrix:
         neg = tuple(-k for k in mode)
         ent = {mode: eye, neg: eye} if mode != neg else {mode: 2 * eye}
         B = FourierSeries.from_coeffs(c["d"], ent, shape=(n, n))
-    return lattice_operator(c["omega"], c["Omega"], B, Z, g["N"], False)
+    return build_T(c["omega"], c["Omega"], B, Z, g["N"])
 
 
 # ----------------------------------------------------------------------

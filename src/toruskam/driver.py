@@ -26,8 +26,8 @@ from .atlas import (ParameterAtlas, gamma_floor, nonresonance_predicate,
 from .csvfmt import labelled_rows
 from .fourier import FourierSeries
 from .greens import DecayCertificate, level_certificate
-from .homological import (NearSingularError, SmallDivisorError,
-                          lattice_operator, solve_homological)
+from .homological import (NearSingularError, SmallDivisorError, build_T,
+                          solve_homological)
 from .jets import (HamiltonianJet, LieSeriesDivergence, NormalForm,
                    check_reality, conjugate_jet, lie_transform, matrix_zzbar,
                    split_low_high, vf_norm)
@@ -200,8 +200,8 @@ def initial_step(nf: NormalForm, P: HamiltonianJet, schedule: KamSchedule,
         centers = np.array([b.center for b in atlas.boxes])
         xi = centers[np.argmin(np.abs(centers - nf.omega).sum(axis=1))]
         nf = NormalForm(xi.copy(), nf.Omega, nf.B)
-    T = lattice_operator(nf.omega, nf.Omega, nf.B, matrix_zzbar(sp.low),
-                         schedule.N(l), False)
+    T = build_T(nf.omega, nf.Omega, nf.B, matrix_zzbar(sp.low),
+                schedule.N(l))
     state = KamState(level=l, nf=nf, P=P, xi=xi, eps_meas=eps0,
                      eps_high=eps_high,
                      extra={"gamma": gamma,

@@ -13,20 +13,20 @@ part of the contract so that emitted certificates reproduce bit-for-bit.
 
 The four equations, one function per job:
   homo 1  d_omega F^x = Gamma_N R^x                  solve_hx
-  homo 2  T_N F^z = -i E_N                           solve_lattice
+  homo 2  T_N F^z = -i E_N                           solve_hz
   homo 3  d_omega F^y = Gamma_N Rs - Rs_hat(0)       solve_hy (solve_hx)
-  homo 4  bold T_N vec(F^zz) = -i vec(S_N)           solve_lattice
-with T and bold T from `lattice_operator`, and F^zbar = conj(F^z) and
-F^zbzb = conj(F^zz) by the conjugation symmetry of the system
-(`HomologicalSolution` derives them).  `solve_lattice` returns F in its
-right side's shape and has two routes.  On the full centred box,
-with q = ||S|| / min|D| < 1 (||S|| bounded by the symbol's mode sum), T is
-invertible and is solved matrix-free by the Jacobi iteration
-u <- u + D^{-1}(b - T u), whose matvec is the series product truncated to
-the box.  Otherwise it inverts T block by block on its connected
-components (`_block_inverse`, the package's one LU kernel, which `greens`
-and the sigma-scan probes share) and gates on the exact cond_1; the right
-side and the solution move between series and T's site order by one
+  homo 4  bold T_N vec(F^zz) = -i vec(S_N)           solve_hzz
+with T from `build_T` and bold T its pair lift (`build_boldT`).  solve_hz
+and solve_hzz add F^zbar = conj(F^z) and F^zbzb = conj(F^zz), by the
+conjugation symmetry of the system, to the one lattice solve,
+`solve_lattice`, which returns F in its right side's shape and has two
+routes.  On the full centred box, with q = ||S|| / min|D| < 1 (||S|| bounded
+by the symbol's mode sum), T is invertible and is solved matrix-free by the
+Jacobi iteration u <- u + D^{-1}(b - T u), whose matvec is the series
+product truncated to the box.  Otherwise it inverts T block by block on its
+connected components (`_block_inverse`, the package's one LU kernel, which
+`greens` and the sigma-scan probes share) and gates on the exact cond_1; the
+right side and the solution move between series and T's site order by one
 gather (`_site_values`) and one scatter (`_site_series`).
 
 Neither route builds the dense form.  The components and their blocks are
@@ -293,27 +293,28 @@ def _block_inverse(blocks: list):
     return inverses, cond
 
 
-def lattice_operator(omega, Omega, B: FourierSeries, Rzz: FourierSeries,
-                     N: int, bold: bool) -> LatticeMatrix:
-    """T, or with `bold` the pair-index bold T, on [-N, N]^d at shift 0.
+def build_T(omega, Omega, B: FourierSeries, Rzz: FourierSeries,
+            N: int) -> LatticeMatrix:
+    """T on [-N, N]^d at shift 0, with the diagonal Omega_j + <k, omega>.
 
     The symbol is B + R^{z zbar}, pre-truncated to modes |k|_inf <= N; the
     strip norm of the dropped part is recorded (`symbol_truncation_gap`).
-    T takes the diagonal Omega_j + <k, omega>; bold T the pair diagonal
-    Omega_i + Omega_j + <k, omega> and the symbol lifted by `bold_symbol`.
-    `restrict` and `with_sigma` give either another site set or shift.
+    `restrict` and `with_sigma` give it another site set or shift.
     """
-    omega = np.asarray(omega, dtype=float)
-    Omega = np.asarray(Omega, dtype=float)
     full = B + Rzz
     sym = truncate(full, N)
-    gap = strip_norm(full - sym.pad(full.cutoff), 0.0)
-    if bold:
-        Omega = (Omega[:, None] + Omega[None, :]).ravel()
-        sym = bold_symbol(sym)
     return LatticeMatrix(region=cube_region(len(omega), N), omega=omega,
-                         diag_block=Omega, symbol=sym,
-                         symbol_truncation_gap=gap)
+                         diag_block=np.asarray(Omega, dtype=float),
+                         symbol=sym, symbol_truncation_gap=strip_norm(
+                             full - sym.pad(full.cutoff), 0.0))
+
+
+def build_boldT(T: LatticeMatrix) -> LatticeMatrix:
+    """The pair-index bold T of T, on T's sites and shift: the diagonal
+    Omega_i + Omega_j + <k, omega> and the symbol lifted by `bold_symbol`."""
+    Omega = T.diag_block
+    return replace(T, diag_block=(Omega[:, None] + Omega[None, :]).ravel(),
+                   symbol=bold_symbol(T.symbol))
 
 
 def bold_symbol(A: FourierSeries) -> FourierSeries:
@@ -544,6 +545,20 @@ def solve_lattice(T: LatticeMatrix, rhs: FourierSeries, N: int):
         residual=float(res), condition=cond, route="dense", iterations=0)
 
 
+def solve_hz(T: LatticeMatrix, E: FourierSeries, N: int):
+    """homo 2, T_N F^z = -i E_N; returns (F^z, F^zbar = conj(F^z), info)."""
+    Fz, info = solve_lattice(T, E, N)
+    return Fz, Fz.conj_function(), info
+
+
+def solve_hzz(boldT: LatticeMatrix, S: FourierSeries, N: int):
+    """homo 4, bold T_N vec(F^zz) = -i vec(S_N); returns (F^zz, F^zbzb =
+    conj(F^zz), info); F^zz is symmetrised, as it is for symmetric S."""
+    F, info = solve_lattice(boldT, S, N)
+    Fzz = 0.5 * (F + F.transpose())
+    return Fzz, Fzz.conj_function(), info
+
+
 # ----------------------------------------------------------------------
 # the four equations in dependency order
 # ----------------------------------------------------------------------
@@ -553,20 +568,12 @@ class HomologicalSolution:
     Fx: FourierSeries
     Fy: FourierSeries
     Fz: FourierSeries
+    Fzbar: FourierSeries
     Fzz: FourierSeries
+    Fzbzb: FourierSeries
     freq_shift: np.ndarray
     truncation_gap: float
     solve_info: dict
-
-    @property
-    def Fzbar(self) -> FourierSeries:
-        """conj(F^z): the conjugate equation has right side conj(E)."""
-        return self.Fz.conj_function()
-
-    @property
-    def Fzbzb(self) -> FourierSeries:
-        """conj(F^zz), likewise."""
-        return self.Fzz.conj_function()
 
     def generator_jet(self, d: int, n: int, **jet_kw) -> HamiltonianJet:
         """The generator F^x + <F^y, y> + <F^z, z> + <F^zbar, zbar>
@@ -580,9 +587,8 @@ def solve_homological(omega, Omega, B: FourierSeries, P: HamiltonianJet,
                       N: int, divisor_floor=0.0) -> HomologicalSolution:
     """Run the four equation classes in dependency order.
 
-    Order: F^x first, then F^z (with F^zbar = conj(F^z)), then F^y together
-    with the frequency shift, then F^zz, symmetrized (F^zz is symmetric for
-    symmetric S).  Each right side is the matching
+    Order: F^x first, then the pair (F^z, F^zbar), then F^y together with the
+    frequency shift, then (F^zz, F^zbzb).  Each right side is the matching
     component of R^low plus that of {P^high, F_partial}, where F_partial
     holds the generator parts already solved: F^x for E, and F^x, F^z,
     F^zbar for R and S, which share that one bracket.  Operators,
@@ -595,23 +601,23 @@ def solve_homological(omega, Omega, B: FourierSeries, P: HamiltonianJet,
     Fx = solve_hx(Rx, omega, N, divisor_floor)
 
     Rzzbar = matrix_zzbar(sp.low)
-    T = lattice_operator(omega, Omega, B, Rzzbar, N, False)
+    T = build_T(omega, Omega, B, Rzzbar, N)
     br = poisson_bracket(sp.high, jet_from_parts(d, n, Fx=Fx, max_degree=deg))
     E = component_z(sp.low) + component_z(br)
-    Fz, info_z = solve_lattice(T, E, N)
+    Fz, Fzbar, info_z = solve_hz(T, E, N)
 
     # F_partial leaves out F^y, solved between R and S
-    br = poisson_bracket(sp.high, jet_from_parts(
-        d, n, Fx=Fx, Fz=Fz, Fzbar=Fz.conj_function(), max_degree=deg))
+    br = poisson_bracket(sp.high, jet_from_parts(d, n, Fx=Fx, Fz=Fz,
+                                                 Fzbar=Fzbar, max_degree=deg))
     Rscript = component_y(sp.low) + component_y(br)
     Fy, freq_shift = solve_hy(Rscript, omega, N, divisor_floor)
 
     S = matrix_zz(sp.low) + matrix_zz(br)
-    boldT = lattice_operator(omega, Omega, B, Rzzbar, N, True)
-    Fzz, info_zz = solve_lattice(boldT, S, N)
+    boldT = build_boldT(T)
+    Fzz, Fzbzb, info_zz = solve_hzz(boldT, S, N)
 
     return HomologicalSolution(
-        Fx=Fx, Fy=Fy, Fz=Fz, Fzz=0.5 * (Fzz + Fzz.transpose()),
+        Fx=Fx, Fy=Fy, Fz=Fz, Fzbar=Fzbar, Fzz=Fzz, Fzbzb=Fzbzb,
         freq_shift=freq_shift,
         truncation_gap=T.symbol_truncation_gap + boldT.symbol_truncation_gap,
         solve_info={"hz": info_z, "hzz": info_zz, "T": T, "boldT": boldT,
@@ -644,8 +650,3 @@ def residual_lattice(T: LatticeMatrix, F: FourierSeries,
     den = np.linalg.norm(rv)
     return float(num / den) if den > 0 else float(num)
 
-
-# `perfbench/spans.py` wraps these names, and a traced run fails on a
-# missing one; nothing calls them, and they go once it wraps the two above
-build_T = build_boldT = lattice_operator
-solve_hz = solve_hzz = solve_lattice

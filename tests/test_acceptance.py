@@ -24,7 +24,7 @@ from toruskam.fourier import FourierSeries
 from toruskam.greens import (CertificateGateError, check_certificate,
                              invert_direct, neumann_transfer,
                              variation_delta)
-from toruskam.homological import (cube_region, lattice_operator, residual_hx,
+from toruskam.homological import (build_T, cube_region, residual_hx,
                                   residual_lattice, solve_homological)
 from toruskam.multiscale import (DirectClassifier, ElementaryRegion,
                                  ScaleConfig, build_exhaustion,
@@ -250,8 +250,7 @@ def test_sigma_scan_exact_and_toeplitz_stability():
     Om = np.array([1.05])
 
     targets = (0.5, 0, 1.0 / delta)
-    rep = sigma_scan(lattice_operator(omega, Om, Z, Z, N, False), (-1.0, 1.0),
-                     targets,
+    rep = sigma_scan(build_T(omega, Om, Z, Z, N), (-1.0, 1.0), targets,
                      points_per_unit=500, refine_iters=25)
     exact = diagonal_bad_measure(omega, Om, region, delta, (-1.0, 1.0))
     assert exact > 0
@@ -271,8 +270,7 @@ def test_sigma_scan_exact_and_toeplitz_stability():
     sym = FourierSeries.from_coeffs(1, entries, cutoff=N)
     sym = 0.5 * (sym + sym.conj_function())
 
-    rep_t = sigma_scan(lattice_operator(omega, Om, sym, Z, N, False),
-                       (-1.0, 1.0), targets,
+    rep_t = sigma_scan(build_T(omega, Om, sym, Z, N), (-1.0, 1.0), targets,
                        points_per_unit=500, refine_iters=25)
     ratio = rep_t.bad_measure / rep.bad_measure
     assert 0.5 <= ratio <= 2.0

@@ -763,7 +763,7 @@ def test_greens_site_cap(tmp_path, capsys, monkeypatch, mode, data,
                          refused):
     def stand_in(*args, **kwargs):
         raise _PastCap
-    monkeypatch.setattr(cli, "lattice_operator", stand_in)
+    monkeypatch.setattr(cli, "build_T", stand_in)
     assert cli.MAX_GREENS_SITES == 2048
     path = write_config(tmp_path, {"mode": mode, **data})
     out = tmp_path / "o"

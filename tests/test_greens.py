@@ -13,8 +13,7 @@ from toruskam.greens import (ALPHA_CAP, CT_Q_MAX, CT_RATES,
                              neumann_transfer, site_distances,
                              variation_delta, weighted_row_norm_from_cert)
 from toruskam.homological import (LatticeMatrix, NearSingularError,
-                                  _symbol_norm, cube_region,
-                                  lattice_operator)
+                                  _symbol_norm, build_T, cube_region)
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -22,7 +21,7 @@ PHI = (1.0 + math.sqrt(5.0)) / 2.0
 def diagonal_T(d, N, Omega=1.1, omega=None):
     omega = [PHI] * d if omega is None else omega
     Z = FourierSeries.zero(d)
-    return lattice_operator(np.array(omega), np.array([Omega]), Z, Z, N, False)
+    return build_T(np.array(omega), np.array([Omega]), Z, Z, N)
 
 
 def decaying_symbol(d, cutoff, rho, eps, rng):
@@ -38,8 +37,7 @@ def decaying_symbol(d, cutoff, rho, eps, rng):
 def perturbed_T(rng, d=1, N=8, rho=0.8, eps=1e-3, Omega=1.1):
     sym = decaying_symbol(d, N, rho, eps, rng)
     Z = FourierSeries.zero(d)
-    return lattice_operator(np.array([PHI] * d), np.array([Omega]), sym, Z,
-                            N, False)
+    return build_T(np.array([PHI] * d), np.array([Omega]), sym, Z, N)
 
 
 # ----------------------------------------------------------------------
@@ -296,13 +294,11 @@ def random_operator(rng, N):
     data = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
         * env
     Z = FourierSeries.zero(2, shape=(n, n))
-    T = lattice_operator(omega, Omega, FourierSeries(2, (n, n), N, data), Z,
-                         N, False)
+    T = build_T(omega, Omega, FourierSeries(2, (n, n), N, data), Z, N)
     q0 = _symbol_norm(T) / np.abs(T.diag_values()).min()
     scale = 10.0 ** rng.uniform(-4, math.log10(0.9)) / q0
-    return lattice_operator(omega, Omega,
-                            FourierSeries(2, (n, n), N, scale * data), Z, N,
-                            False)
+    return build_T(omega, Omega, FourierSeries(2, (n, n), N, scale * data),
+                   Z, N)
 
 
 def test_combes_thomas_sound_50_operators():
@@ -360,8 +356,7 @@ def test_level_certificate_falls_back_to_direct():
     assert (cert.norm_bound, cert.alpha) == (ref.norm_bound, ref.alpha)
     # a vanishing divisor: no closed form, and the direct route refuses it
     Z = FourierSeries.zero(1)
-    singular = lattice_operator(np.array([1.0]), np.array([0.0]), Z, Z, 3,
-                                False)
+    singular = build_T(np.array([1.0]), np.array([0.0]), Z, Z, 3)
     assert combes_thomas(singular) is None
     with pytest.raises(NearSingularError):
         level_certificate(singular)

@@ -13,10 +13,11 @@ from toruskam.atlas import gamma_floor
 from toruskam.homological import (NearSingularError, SmallDivisorError,
                                   _block_inverse, _component_blocks,
                                   _neumann_bound, _site_series, _site_values,
-                                  _sweep_cap, bold_symbol, cube_region,
-                                  lattice_operator, residual_hx,
+                                  _sweep_cap, bold_symbol, build_boldT,
+                                  build_T, cube_region, residual_hx,
                                   residual_lattice, solve_homological,
-                                  solve_hx, solve_hy, solve_lattice)
+                                  solve_hx, solve_hy, solve_hz, solve_hzz,
+                                  solve_lattice)
 from toruskam.jets import (HamiltonianJet, check_reality, component_x,
                            component_y, component_z, conjugate_jet,
                            jet_from_parts, matrix_zz, matrix_zzbar,
@@ -30,6 +31,12 @@ ZD = (0, 0)
 GOLD = np.array([1.0, (1.0 + math.sqrt(5.0)) / 2.0])
 # test ids of the scalar operator T and the pair-index bold T
 OPERATOR_IDS = ["build_T", "build_boldT"]
+
+
+def make_operator(omega, Omega, B, Rzz, N, bold):
+    """T, or with `bold` its pair lift bold T."""
+    T = build_T(omega, Omega, B, Rzz, N)
+    return build_boldT(T) if bold else T
 
 
 def random_B(rng, n, cutoff=1, scale=0.1):
@@ -119,7 +126,7 @@ def test_cube_region():
 def test_diagonal_T_entries():
     # unperturbed divisors: B = Rzz = 0
     Z = FourierSeries.zero(D, shape=(1, 1))
-    T = lattice_operator(GOLD, np.array([1.0]), Z, Z, 1, False)
+    T = build_T(GOLD, np.array([1.0]), Z, Z, 1)
     dense = T.to_dense()
     assert np.allclose(dense, np.diag(np.diag(dense)))
     # entry at k=(1,0): Omega + <k, omega> = 1 + 1 = 2
@@ -129,8 +136,7 @@ def test_diagonal_T_entries():
 
 def test_toeplitz_symbol_placement():
     sym = FourierSeries.from_coeffs(D, {(1, 0): 0.25}, shape=(1, 1))
-    T = lattice_operator(GOLD, np.array([1.0]), sym, FourierSeries.zero(D), 2,
-                         False)
+    T = build_T(GOLD, np.array([1.0]), sym, FourierSeries.zero(D), 2)
     dense = T.to_dense()
     for p, k in enumerate(T.region):
         for q, kp in enumerate(T.region):
@@ -143,8 +149,7 @@ def test_toeplitz_symbol_placement():
 def test_translation_covariance():
     rng = np.random.default_rng(30)
     B = random_B(rng, 1)
-    T = lattice_operator(GOLD, np.array([1.3]), B, FourierSeries.zero(D), 2,
-                         False)
+    T = build_T(GOLD, np.array([1.3]), B, FourierSeries.zero(D), 2)
     p = (3, -2)
     ref = T.with_sigma(float(np.dot(p, GOLD)))
     assert np.allclose(shifted(T, p).to_dense(), ref.to_dense(), atol=1e-12)
@@ -152,16 +157,16 @@ def test_translation_covariance():
 
 def test_site_array_built_once_read_only():
     rng = np.random.default_rng(32)
-    T = lattice_operator(GOLD, np.array([1.3]), random_B(rng, 1),
-                         FourierSeries.zero(D), 3, False)
+    T = build_T(GOLD, np.array([1.3]), random_B(rng, 1),
+                FourierSeries.zero(D), 3)
     ks = T.site_array
     assert ks is T.site_array
     assert not ks.flags.writeable
     assert np.array_equal(ks, np.array(T.region, dtype=int))
     # the per-probe diagonal is bitwise the one a fresh operator gives
     for s in (0.0, 0.37, -1.2):
-        fresh = lattice_operator(GOLD, np.array([1.3]), T.symbol,
-                                 FourierSeries.zero(D), 3, False).with_sigma(s)
+        fresh = build_T(GOLD, np.array([1.3]), T.symbol,
+                        FourierSeries.zero(D), 3).with_sigma(s)
         assert np.array_equal(T.dense_diagonal(s), fresh.dense_diagonal())
     # a restriction to moved sites has its own sites
     moved = shifted(T, (3, -2))
@@ -182,15 +187,15 @@ def test_with_sigma_carries_dense_form(d, N, n, bold):
     omega = GOLD[0] + np.arange(d) * (GOLD[1] - 1.0)
     Omega = 1.1 + 0.3 * np.arange(n)
     Z = FourierSeries.zero(d, shape=(n, n))
-    T = lattice_operator(omega, Omega, B, Z, N, bold).with_sigma(0.1)
+    T = make_operator(omega, Omega, B, Z, N, bold).with_sigma(0.1)
     before = T.to_dense().copy()
     moved = T
     # the shifted operator, and the diagonal shifted in place as the sigma
     # scan does it, equal the dense form built at that shift
     for s in (0.37, -1.2, 0.0):
         moved = moved.with_sigma(s)
-        fresh = lattice_operator(omega, Omega, B, Z, N,
-                                 bold).with_sigma(s).to_dense()
+        fresh = make_operator(omega, Omega, B, Z, N,
+                              bold).with_sigma(s).to_dense()
         assert np.array_equal(moved.to_dense(), fresh)
         assert np.array_equal(T.dense_diagonal(s), np.diagonal(fresh))
     assert np.array_equal(T.to_dense(), before)
@@ -211,8 +216,8 @@ def test_restrict_matches_dense_oracle(d, N, n, bold):
                                            + 1j * rng.standard_normal(box)))
     omega = GOLD[0] + np.arange(d) * (GOLD[1] - 1.0)
     Omega = 1.1 + 0.3 * np.arange(n)
-    T = lattice_operator(omega, Omega, B, FourierSeries.zero(d, shape=(n, n)),
-                         N, bold).with_sigma(0.1)
+    T = make_operator(omega, Omega, B, FourierSeries.zero(d, shape=(n, n)),
+                      N, bold).with_sigma(0.1)
     dense = T.to_dense()
     nb = T.nblock
     p = (3, -2)[:d]
@@ -258,7 +263,7 @@ def test_bold_symbol_case_table():
 
 def test_boldT_diagonal_n1():
     Z = FourierSeries.zero(D)
-    bT = lattice_operator(GOLD, np.array([1.5]), Z, Z, 1, True)
+    bT = build_boldT(build_T(GOLD, np.array([1.5]), Z, Z, 1))
     dense = bT.to_dense()
     p = bT.region.index((0, 0))
     assert dense[p, p] == pytest.approx(3.0)   # 2 * Omega_1
@@ -267,8 +272,8 @@ def test_boldT_diagonal_n1():
 def test_bold_divisor_floor_positive():
     # |<k, omega>| < min(Omega_i + Omega_j): plus-sign pairs never vanish,
     # so the bold operator's diagonal stays off zero
-    T = lattice_operator(0.1 * GOLD, np.array([1.0, 2.0]), FourierSeries.zero(
-        D, shape=(2, 2)), FourierSeries.zero(D, shape=(2, 2)), 5, True)
+    Z = FourierSeries.zero(D, shape=(2, 2))
+    T = build_boldT(build_T(0.1 * GOLD, np.array([1.0, 2.0]), Z, Z, 5))
     assert np.abs(T.diag_values()).min() > 0.5
 
 
@@ -428,16 +433,18 @@ def test_solve_hz_diagonal_oracle():
     rng = np.random.default_rng(33)
     Omega = np.array([1.05, 1.73])
     Z = FourierSeries.zero(D, shape=(2, 2))
-    T = lattice_operator(GOLD, Omega, Z, Z, 2, False)
+    T = build_T(GOLD, Omega, Z, Z, 2)
     box = (2, 1, 5, 5)
     E = FourierSeries(D, (2, 1), 2,
                       rng.standard_normal(box) + 1j * rng.standard_normal(box))
-    Fz, info = solve_lattice(T, E, 2)
+    Fz, Fzb, info = solve_hz(T, E, 2)
     assert info.residual <= 1e-12
     for k in T.region:
         div = Omega + float(np.dot(k, GOLD))
         expect = -1j * E.coeff(k)[:, 0] / div
         assert np.allclose(Fz.coeff(k)[:, 0], expect, atol=1e-12)
+    # conjugate solution is the coefficientwise conjugate-reflect
+    assert np.array_equal(Fzb.data, Fz.conj_function().data)
 
 
 def test_solve_hz_series_level_residual():
@@ -446,12 +453,11 @@ def test_solve_hz_series_level_residual():
     B = random_B(rng, n)
     Omega = np.array([1.1, 2.3])
     Z = FourierSeries.zero(D, shape=(n, n))
-    T = lattice_operator(GOLD, Omega, B, Z, N, False)
+    T = build_T(GOLD, Omega, B, Z, N)
     box = (n, 1, 2 * N + 1, 2 * N + 1)
     E = FourierSeries(D, (n, 1), N,
                       rng.standard_normal(box) + 1j * rng.standard_normal(box))
-    Fz, info = solve_lattice(T, E, N)
-    Fzb = Fz.conj_function()
+    Fz, Fzb, info = solve_hz(T, E, N)
     assert residual_lattice(T, Fz, E) <= 1e-12
     # independent reconstruction of the equation as series algebra:
     # d_omega F + i Gamma_N[(Omega + symbol) F] - Gamma_N E = 0
@@ -469,25 +475,24 @@ def test_solve_hz_series_level_residual():
 
 def test_solve_hz_near_singular():
     Z = FourierSeries.zero(D)
-    # a zero diagonal entry at k = 0
-    T = lattice_operator(GOLD, np.array([0.0]), Z, Z, 1, False)
+    T = build_T(GOLD, np.array([0.0]), Z, Z, 1)   # zero diagonal entry at k=0
     E = FourierSeries.from_coeffs(D, {(0, 0): 1.0}, cutoff=1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(NearSingularError):
-            solve_lattice(T, E, 1)
+            solve_hz(T, E, 1)
 
 
 def test_solve_hzz_diagonal_oracle():
     rng = np.random.default_rng(35)
     Omega = np.array([1.05, 1.62])
     Z = FourierSeries.zero(D, shape=(2, 2))
-    bT = lattice_operator(GOLD, Omega, Z, Z, 2, True)
+    bT = build_boldT(build_T(GOLD, Omega, Z, Z, 2))
     box = (2, 2, 5, 5)
     S = FourierSeries(D, (2, 2), 2,
                       rng.standard_normal(box) + 1j * rng.standard_normal(box))
     S = 0.5 * (S + S.transpose())
-    Fzz, info = solve_lattice(bT, S, 2)
+    Fzz, Fzbzb, info = solve_hzz(bT, S, 2)
     assert Fzz.shape == (2, 2) and info.residual <= 1e-12
     for k in bT.region:
         kw = float(np.dot(k, GOLD))
@@ -496,6 +501,8 @@ def test_solve_hzz_diagonal_oracle():
                 div = Omega[i] + Omega[j] + kw
                 expect = -1j * S.coeff(k)[i, j] / div
                 assert Fzz.coeff(k)[i, j] == pytest.approx(expect, abs=1e-12)
+    assert np.array_equal(Fzz.data, Fzz.transpose().data)
+    assert np.array_equal(Fzbzb.data, Fzz.conj_function().data)
 
 
 def test_solve_hzz_symmetric_symbol_residual():
@@ -504,16 +511,18 @@ def test_solve_hzz_symmetric_symbol_residual():
     B = random_B(rng, n)
     Omega = np.array([1.2, 2.1])
     Z = FourierSeries.zero(D, shape=(n, n))
-    bT = lattice_operator(GOLD, Omega, B, Z, N, True)
+    bT = build_boldT(build_T(GOLD, Omega, B, Z, N))
     box = (n, n, 2 * N + 1, 2 * N + 1)
     S = FourierSeries(D, (n, n), N,
                       rng.standard_normal(box) + 1j * rng.standard_normal(box))
     S = 0.5 * (S + S.transpose())
     Fzz, info = solve_lattice(bT, S, N)
     # a symmetric S and symbol give a solution symmetric to rounding, at a
-    # machine-level residual
+    # machine-level residual; solve_hzz symmetrises it within that rounding
     assert (Fzz - Fzz.transpose()).max_abs_coeff() <= 1e-13
     assert residual_lattice(bT, Fzz, S) <= 1e-11
+    sym = solve_hzz(bT, S, N)[0]
+    assert (sym - Fzz).max_abs_coeff() <= 1e-13
 
 
 # ----------------------------------------------------------------------
@@ -585,9 +594,9 @@ def test_neumann_route_matches_dense_oracle(n, bold, matrix_rhs, sigma):
     N = 3
     omega = 0.1 * GOLD       # |<k, omega>| <= 0.79 < Omega on the box
     Omega = 1.0 + rng.uniform(0.0, 0.5, n)
-    T = lattice_operator(omega, Omega, random_hermitian_symbol(rng, n, 0.005),
-                         FourierSeries.zero(D, shape=(n, n)), N,
-                         bold).with_sigma(sigma)
+    T = make_operator(omega, Omega, random_hermitian_symbol(rng, n, 0.005),
+                      FourierSeries.zero(D, shape=(n, n)), N,
+                      bold).with_sigma(sigma)
     assert 0.05 < contraction_q(T) < 1.0
     rhs = random_column(rng, T.nblock, N)
     if matrix_rhs:
@@ -615,8 +624,7 @@ def test_both_routes_solve_below_the_region_cutoff(coupling, route):
     # T u = -i rhs_N on the whole box and returns u truncated to N
     N = 2
     B = FourierSeries.from_coeffs(D, {(1, 0): coupling, (-1, 0): coupling})
-    T = lattice_operator(0.1 * GOLD, np.array([1.3]), B, FourierSeries.zero(D),
-                         3, False)
+    T = build_T(0.1 * GOLD, np.array([1.3]), B, FourierSeries.zero(D), 3)
     rhs = random_column(np.random.default_rng(75), 1, 3)
     Fz, info = solve_lattice(T, rhs, N)
     assert info.route == route and Fz.cutoff == N
@@ -630,24 +638,22 @@ def test_dense_fallback_selection(monkeypatch):
     rng = np.random.default_rng(70)
     Z = FourierSeries.zero(D)
     # an exactly vanishing divisor: no gate, and the dense route refuses it
-    T = lattice_operator(GOLD, np.array([0.0]), Z, Z, 1, False)
+    T = build_T(GOLD, np.array([0.0]), Z, Z, 1)
     assert _neumann_bound(T) is None
     with pytest.raises(NearSingularError) as exc:
         solve_lattice(T, FourierSeries.from_coeffs(D, {ZD: 1.0}, cutoff=1), 1)
     assert exc.value.cond == np.inf
 
-    small = lattice_operator(0.1 * GOLD, np.array([1.3]),
-                             random_B(rng, 1, scale=0.01), Z, 2, False)
+    small = build_T(0.1 * GOLD, np.array([1.3]),
+                    random_B(rng, 1, scale=0.01), Z, 2)
     assert contraction_q(small) < 1.0
     moved = shifted(small, (3, -2))      # q < 1, but not the centred box
     assert contraction_q(moved) < 1.0
-    strong = lattice_operator(GOLD, np.array([1.17]),
-                              random_B(rng, 1, scale=0.3), Z, 3, False)
+    strong = build_T(GOLD, np.array([1.17]), random_B(rng, 1, scale=0.3), Z, 3)
     assert contraction_q(strong) >= 1.0
     # q just above 1: the Jacobi iteration is not proven to converge
-    edge = lattice_operator(0.1 * GOLD, np.array([1.3]),
-                            (1.05 / contraction_q(small)) * small.symbol, Z,
-                            2, False)
+    edge = build_T(0.1 * GOLD, np.array([1.3]),
+                   (1.05 / contraction_q(small)) * small.symbol, Z, 2)
     assert 1.0 <= contraction_q(edge) < 1.1
     assert solve_lattice(small, random_column(rng, 1, 2), 2)[1].route \
         == "neumann"
@@ -674,11 +680,9 @@ def q99_operator(N=3):
     on the site of smallest |D|, so it needs thousands of sweeps."""
     Z = FourierSeries.zero(D)
     omega, Omega = 0.1 * GOLD, np.array([1.3])
-    dmin = np.abs(lattice_operator(omega, Omega, Z, Z, N,
-                                   False).diag_values()).min()
-    return lattice_operator(omega, Omega,
-                            FourierSeries.constant(D, [[0.99 * dmin]]), Z, N,
-                            False)
+    dmin = np.abs(build_T(omega, Omega, Z, Z, N).diag_values()).min()
+    return build_T(omega, Omega, FourierSeries.constant(D, [[0.99 * dmin]]),
+                   Z, N)
 
 
 def test_neumann_sweeps_capped_at_q99():
@@ -728,11 +732,11 @@ def test_dense_route_on_several_components():
     Z2 = FourierSeries.zero(D, shape=(n, n))
     region2 = tuple([(k, 0) for k in range(-2, 3)]
                     + [(k, 2) for k in range(0, 3)] + [(-3, -3)])
-    singular = tuple(lattice_operator(np.array([0.0]), np.array([1.0]), B1,
-                                      Z1, 3, bold).restrict(region)
+    singular = tuple(make_operator(np.array([0.0]), np.array([1.0]), B1,
+                                   Z1, 3, bold).restrict(region)
                      for bold in (False, True))
-    T2, bold2 = (lattice_operator(GOLD, np.array([1.1, 1.6]), B2, Z2, 3,
-                                  bold).restrict(region2)
+    T2, bold2 = (make_operator(GOLD, np.array([1.1, 1.6]), B2, Z2, 3,
+                               bold).restrict(region2)
                  for bold in (False, True))
     cases = [(singular[0].with_sigma(0.5), [(1, 1), (1, 2)], False),
              (T2.with_sigma(0.3), [(1, 1), (1, 3), (1, 5)], False),
@@ -770,9 +774,9 @@ def test_dense_route_matches_lu_oracle(bold, matrix_rhs, region):
     # exact cond_1 bounds the gecon estimate
     rng = np.random.default_rng(77)
     n, N = 2, 3
-    T = lattice_operator(GOLD, np.array([1.1, 1.6]),
-                         random_B(rng, n, scale=0.3),
-                         FourierSeries.zero(D, shape=(n, n)), N, bold)
+    T = make_operator(GOLD, np.array([1.1, 1.6]),
+                      random_B(rng, n, scale=0.3),
+                      FourierSeries.zero(D, shape=(n, n)), N, bold)
     if region == "restricted":
         keep = rng.choice(T.nsites, T.nsites // 2, replace=False)
         T = T.restrict([T.region[i] for i in keep])
@@ -802,7 +806,7 @@ def test_site_gather_and_scatter_round_trip(shape):
     # cutoff), and the scatter puts it back at the region's sites
     rng = np.random.default_rng(78)
     Z = FourierSeries.zero(D, shape=(2, 2))
-    T = lattice_operator(GOLD, np.array([1.1, 1.6]), Z, Z, 4, shape[1] == 2)
+    T = make_operator(GOLD, np.array([1.1, 1.6]), Z, Z, 4, shape[1] == 2)
     keep = rng.choice(T.nsites, 30, replace=False)
     T = T.restrict([T.region[i] for i in keep] + [(4, -3), (-1, 2)])
     assert np.abs(T.site_array).max() > 2 >= np.abs(T.site_array).min()
@@ -847,8 +851,7 @@ def test_neumann_d3_box_without_dense():
     B = FourierSeries(d, (1, 1), 2,
                       rng.standard_normal(box) + 1j * rng.standard_normal(box))
     B = 1e-7 * (0.5 * (B + B.conj_function()))
-    T = lattice_operator(omega, np.array([1.17]), B, FourierSeries.zero(d), N,
-                         False)
+    T = build_T(omega, np.array([1.17]), B, FourierSeries.zero(d), N)
     assert T.size == 9261
     assert contraction_q(T) < 1.0
     E = random_column(rng, 1, N, d=d)
@@ -994,6 +997,10 @@ def test_full_pipeline_residuals(n):
     assert residual_lattice(info["boldT"], sol.Fzz, info["S"]) <= 1e-10
     assert info["hz"].residual <= 1e-10
     assert info["hzz"].residual <= 1e-10
+    # F^zz symmetric, and the zbar parts the conjugates of the z parts
+    assert np.array_equal(sol.Fzz.data, sol.Fzz.transpose().data)
+    assert np.array_equal(sol.Fzbar.data, sol.Fz.conj_function().data)
+    assert np.array_equal(sol.Fzbzb.data, sol.Fzz.conj_function().data)
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -513,14 +513,14 @@ def test_dense_route_imports_no_scipy():
         import sys
         import numpy as np
         from toruskam.fourier import FourierSeries
-        from toruskam.homological import lattice_operator, solve_lattice
+        from toruskam.homological import build_T, solve_lattice
         omega, Omega = np.array([0.1, 0.1618]), np.array([1.3])
         Z = FourierSeries.zero(2)
         rhs = FourierSeries.from_coeffs(2, {(0, 0): 1.0, (1, -1): 0.5j})
         for coupling in (0.05, 1.5):
             B = FourierSeries.from_coeffs(2, {(1, 0): coupling,
                                               (-1, 0): coupling})
-            T = lattice_operator(omega, Omega, B, Z, 3, False)
+            T = build_T(omega, Omega, B, Z, 3)
             Fz, info = solve_lattice(T, rhs, 3)
             b = -1j * np.concatenate([rhs.coeff(k)[:, 0] for k in T.region])
             u = np.concatenate([Fz.coeff(k)[:, 0] for k in T.region])

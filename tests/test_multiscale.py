@@ -14,8 +14,7 @@ from toruskam.greens import (CertificateGateError, check_certificate,
                              site_distances)
 from toruskam.homological import (LatticeMatrix, NearSingularError,
                                   _block_inverse, _component_blocks,
-                                  _label_components, cube_region,
-                                  lattice_operator)
+                                  _label_components, build_T, cube_region)
 from toruskam.multiscale import (DirectClassifier, ElementaryRegion,
                                  ScaleConfig, build_exhaustion, classify_annuli,
                                  cl1_couple, cl2_couple, cube_sites,
@@ -281,9 +280,8 @@ def test_cl1_contraction_gate():
 # ----------------------------------------------------------------------
 
 def test_two_scale_degenerate_reduces_to_bulk():
-    T = lattice_operator(np.array([PHI]), np.array([1.05]),
-                         FourierSeries.zero(1), FourierSeries.zero(1), 4,
-                         False)
+    T = build_T(np.array([PHI]), np.array([1.05]), FourierSeries.zero(1),
+                FourierSeries.zero(1), 4)
     _, certK = invert_direct(T, threshold=2)
     out = two_scale_couple(T, certK, {}, K=4, M0=1)
     assert out.provenance == "two_scale"
@@ -405,7 +403,7 @@ def test_sigma_scan_matches_diagonal_oracle():
     N, delta = 5, 0.05
     region = cube_region(1, N)
     Z = FourierSeries.zero(1)
-    T = lattice_operator(np.array([PHI]), np.array([1.05]), Z, Z, N, False)
+    T = build_T(np.array([PHI]), np.array([1.05]), Z, Z, N)
     rep = sigma_scan(T, (-1.0, 1.0), (0.5, 0, 1.0 / delta),
                      points_per_unit=500, refine_iters=25)
     exact = diagonal_bad_measure([PHI], [1.05], region, delta, (-1.0, 1.0))
@@ -420,7 +418,7 @@ def test_sigma_scan_translation_covariance():
     N, delta = 3, 0.05
     Z = FourierSeries.zero(1)
     omega = np.array([PHI])
-    base = lattice_operator(omega, np.array([1.05]), Z, Z, N, False)
+    base = build_T(omega, np.array([1.05]), Z, Z, N)
     p = (2,)
     shift = float(np.dot(p, omega))
     targets = (0.5, 0, 1.0 / delta)
@@ -443,7 +441,7 @@ def _direct_probe_case(hermitian):
     Z = FourierSeries.zero(2)
 
     def builder(s):
-        return lattice_operator(omega, Omega, B, Z, N, False).with_sigma(s)
+        return build_T(omega, Omega, B, Z, N).with_sigma(s)
 
     return builder, (0.1, 2, 100.0)
 
@@ -565,7 +563,7 @@ def test_sigma_scan_norm_edges_closed_form_on_diagonal():
     # norm-window edge -lambda -+ delta, confirmed by one probe
     N, delta = 5, 0.05
     Z = FourierSeries.zero(1)
-    T = lattice_operator(np.array([PHI]), np.array([1.05]), Z, Z, N, False)
+    T = build_T(np.array([PHI]), np.array([1.05]), Z, Z, N)
     rep = sigma_scan(T, (-1.0, 1.0), (0.5, 0, 1.0 / delta),
                      points_per_unit=500, refine_iters=25)
     lam = np.array([k * PHI + 1.05 for k in range(-N, N + 1)])
@@ -663,7 +661,7 @@ def test_sigma_scan_unconfirmed_edge_bisects(monkeypatch, targets, patched):
 def test_sigma_scan_exactly_singular_sample():
     # sigma = -Omega makes the k = 0 diagonal entry exactly zero
     Z = FourierSeries.zero(1)
-    T = lattice_operator(np.array([PHI]), np.array([1.05]), Z, Z, 3, False)
+    T = build_T(np.array([PHI]), np.array([1.05]), Z, Z, 3)
     for op in (T, T.restrict(T.region)):
         rep = sigma_scan(op, (-1.05, -0.95), (0.5, 0, 20.0),
                          points_per_unit=100, refine_iters=5)
@@ -688,8 +686,8 @@ def _coupled_T(d, N, n, modes, hermitian=True, seed=0, eps=0.05):
             coeffs[mode].conj().T if hermitian else draw()
     B = FourierSeries.from_coeffs(d, coeffs, shape=(n, n))
     Z = FourierSeries.zero(d, shape=(n, n))
-    return lattice_operator(np.array([1.0, PHI, math.sqrt(2.0)][:d]),
-                            1.17 + 0.26 * np.arange(n), B, Z, N, False)
+    return build_T(np.array([1.0, PHI, math.sqrt(2.0)][:d]),
+                   1.17 + 0.26 * np.arange(n), B, Z, N)
 
 
 def _benchmark_scan_T(N=8):
@@ -757,8 +755,7 @@ def test_block_kernel_exactly_singular_block():
     # sigma = 0; site 3 is a component of its own
     B = FourierSeries.from_coeffs(1, {(1,): 1.0, (-1,): 1.0})
     Z = FourierSeries.zero(1)
-    T = lattice_operator(np.array([0.0]), np.array([1.0]), B, Z, 3,
-                         False).restrict(
+    T = build_T(np.array([0.0]), np.array([1.0]), B, Z, 3).restrict(
         ((0,), (1,), (3,)))
     assert [g.tolist() for g in T.components()] == [[[2]], [[0, 1]]]
     prober = _Prober(T, (0.5, 0, 20.0))
