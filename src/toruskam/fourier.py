@@ -220,9 +220,6 @@ class FourierSeries:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "FourierSeries":
-        return (-1.0) * self
-
     def transpose(self) -> "FourierSeries":
         return FourierSeries(self.d, (self.shape[1], self.shape[0]),
                              self.cutoff, np.swapaxes(self.data, 0, 1))

@@ -27,21 +27,21 @@ operator, inverts the diagonal blocks, one batched LU with partial
 pivoting per component size, and gates on the exact condition number
 cond_1 = max_b ||T_b||_1 max_b ||G_b||_1 (at least the LAPACK gecon
 estimate of the dense form, up to rounding, which the tests keep as the
-oracle).  It is shared by `invert_direct`, the sigma-scan probes and the
-dense route of the lattice solves.  The blocks are gathered from the
-symbol (`homological._component_blocks`), with no dense form of the
-operator, and are float64 when the operator is real, so the LU, the norms
-and the site magnitudes then run in real arithmetic.  `invert_direct`
-scatters the blocks into the full G its callers read and adds the measured
+oracle).  It is shared by `invert_direct`, the sigma-scan probes, the
+multiscale classifier and the dense route of the lattice solves.  The
+blocks are gathered from the symbol (`homological._component_blocks`),
+with no dense form of the operator, and are float64 when the operator is
+real, so the LU, the norms and the site magnitudes then run in real
+arithmetic.  `_in_block_distances` (l1 or sup), `_in_block_magnitudes` and
+`_block_norm` read the component blocks for all of them; G is zero between
+components.  Only `invert_direct` scatters the blocks into a full G, which
+greens mode and `check_certificate` read; it adds the measured
 ||G||_2 = max_b ||G_b||_2, kept in `extra["measured_norm"]`, and the
 certificate, whose rate is read off the in-block pairs (`far_rate`, the one
-rate formula).  `_site_magnitudes` is the per-site-pair block maximum and
-`decay_certificate` the b-exponent for every emitted certificate;
-`_in_block_distances`, `_in_block_magnitudes` and `_block_norm` read the
-component inverses for `invert_direct` and the sigma-scan probes alike.
-`certify` keeps its own SVD of the full G, as the independent soundness
-oracle; `_check_against` compares a claim with a given inverse (greens
-mode's own G), and `check_certificate` inverts first.
+rate formula).  `decay_certificate` takes the b-exponent for every emitted
+certificate.  `certify` keeps its own SVD of the full G, as the
+independent soundness oracle; `_check_against` compares a claim with a
+given inverse (greens mode's own G), and `check_certificate` inverts first.
 """
 
 from __future__ import annotations
@@ -81,14 +81,15 @@ class DecayCertificate:
     def diameter(self) -> int:
         return l1_diameter(self.region)
 
-    def entry_bound(self, dist: int) -> float:
-        if dist <= self.threshold:
-            return self.norm_bound
-        return float(self.prefactor * np.exp(-self.alpha * dist))
+    def entry_bound(self, dist: np.ndarray) -> np.ndarray:
+        """The bound on |G(x,y)| at each of the int distances `dist`: the
+        norm up to the threshold, C e^{-alpha dist} beyond it."""
+        return np.where(dist <= self.threshold, self.norm_bound,
+                        self.prefactor * np.exp(-self.alpha * dist))
 
 
 def site_distances(region) -> np.ndarray:
-    return _block_distances(np.array(region, dtype=int)[None])[0]
+    return _block_distances(np.array(region, dtype=int)[None], np.add)[0]
 
 
 def l1_diameter(region) -> int:
@@ -109,26 +110,28 @@ def _site_magnitudes(G: np.ndarray, nsites: int, nblock: int) -> np.ndarray:
     return R.max(axis=(-3, -1))
 
 
-def _block_distances(ks: np.ndarray) -> np.ndarray:
-    """|x - y|_1 between the sites of each component, shape (c, s, s), from
-    their (c, s, d) coordinates, summed one axis at a time."""
+def _block_distances(ks: np.ndarray, combine) -> np.ndarray:
+    """|x - y|_1 (`combine` np.add) or |x - y|_sup (np.maximum) between the
+    sites of each component, shape (c, s, s), from (c, s, d) coordinates."""
     dist = np.zeros(ks.shape[:2] + ks.shape[1:2], dtype=ks.dtype)
     for t in range(ks.shape[2]):
-        dist += np.abs(ks[:, :, None, t] - ks[:, None, :, t])
+        combine(dist, np.abs(ks[:, :, None, t] - ks[:, None, :, t]), out=dist)
     return dist
 
 
-def _in_block_distances(T: LatticeMatrix, parts: list) -> np.ndarray:
-    """|x - y|_1 of the in-block site pairs of T's `_component_blocks`."""
-    return np.concatenate([_block_distances(T.site_array[sites]).ravel()
-                           for sites, _, _ in parts])
-
-
-def _in_block_magnitudes(inverses: list, nblock: int) -> np.ndarray:
-    """`_site_magnitudes` of the in-block site pairs of block inverses."""
+def _in_block_distances(T: LatticeMatrix, parts, combine) -> np.ndarray:
+    """`_block_distances` of the in-block pairs of `_component_blocks`."""
     return np.concatenate([
-        _site_magnitudes(G, G.shape[-1] // nblock, nblock).ravel()
-        for G in inverses])
+        _block_distances(T.site_array[sites], combine).ravel()
+        for sites, _, _ in parts])
+
+
+def _in_block_magnitudes(blocks: list, nblock: int) -> np.ndarray:
+    """`_site_magnitudes` of the in-block site pairs of block stacks (the
+    inverses, or the operator's own blocks)."""
+    return np.concatenate([
+        _site_magnitudes(B, B.shape[-1] // nblock, nblock).ravel()
+        for B in blocks])
 
 
 def _block_norm(inverses: list) -> float:
@@ -184,7 +187,7 @@ def invert_direct(T: LatticeMatrix, threshold: int = 0):
     # carry no rate: alpha is read off the in-block pairs
     measured = _block_norm(inverses)
     alpha = measure_alpha(_in_block_magnitudes(inverses, T.nblock),
-                          _in_block_distances(T, parts), threshold)
+                          _in_block_distances(T, parts, np.add), threshold)
     return G, decay_certificate(measured * (1 + 1e-6), alpha, threshold,
                                 T.region, "direct",
                                 {"condition": float(cond),
@@ -287,8 +290,7 @@ def neumann_transfer(cert: DecayCertificate, delta: tuple) -> DecayCertificate:
     # C bounding the weighted norm of G' - G = -G Delta G'
     corr = gw * dw * (gw / (1.0 - q))
     dvals = np.arange(thr + 1, max(diam, thr + 1) + 1)
-    bound = np.array([cert.entry_bound(int(dd)) for dd in dvals]) \
-        + corr * np.exp(-rate * dvals)
+    bound = cert.entry_bound(dvals) + corr * np.exp(-rate * dvals)
     alpha_rig = float((-np.log(np.maximum(bound, 1e-300) / cert.prefactor)
                        / dvals).min())
     alpha_out = max(min(alpha_nom, alpha_rig), 0.0)

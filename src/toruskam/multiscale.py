@@ -13,21 +13,24 @@ use the |.|_1 distance convention of the greens module; a sup-metric decay
 rate alpha converts to the (weaker but sound) rate alpha/d.
 
 `classify_annuli(ex, M, classifier)` asks the caller's classifier;
-`DirectClassifier` inverts each site set once, for its verdict, `norm` and
-`entry_prefactor` alike.
+`DirectClassifier` inverts each site set once, block by block on its
+components, and keeps the in-block magnitudes of G for its verdict, `norm`
+and `entry_prefactor` alike; CL2 reads T's envelope off the same blocks.
+Neither forms a full G or a dense T.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .greens import (CertificateGateError, DecayCertificate, _block_norm,
                      _in_block_distances, _in_block_magnitudes,
                      _site_magnitudes, decay_certificate, far_rate,
-                     invert_direct, measure_alpha, site_distances)
+                     measure_alpha, site_distances)
 from .homological import (LatticeMatrix, NearSingularError, _block_inverse,
                           _component_blocks)
 
@@ -37,7 +40,9 @@ def sup_dist(a, b) -> int:
 
 
 def cube_sites(center, M) -> set:
-    rng = [range(c - M, c + M + 1) for c in center]
+    """Q_M(center): the box of radius M, or of radius M[i] along axis i."""
+    rng = [range(c - r, c + r + 1) for c, r in
+           zip(center, M if isinstance(M, tuple) else itertools.repeat(M))]
     return set(itertools.product(*rng))
 
 
@@ -76,18 +81,18 @@ class ElementaryRegion:
     half_widths: tuple
     shift: tuple | None = None
 
-    def block_sites(self) -> set:
-        rng = [range(c - h, c + h + 1)
-               for c, h in zip(self.block_center, self.half_widths)]
-        return set(itertools.product(*rng))
-
-    def sites(self) -> tuple:
-        out = self.block_sites()
+    @cached_property
+    def _sites(self) -> tuple:
+        out = cube_sites(self.block_center, tuple(self.half_widths))
         if self.shift is not None:
             out -= {tuple(x + s for x, s in zip(p, self.shift)) for p in out}
         if not out:
             raise ValueError("realized set is empty")
         return tuple(sorted(out))
+
+    def sites(self) -> tuple:
+        """The realised sites, sorted, built once per region."""
+        return self._sites
 
     def site_set(self) -> frozenset:
         return frozenset(self.sites())
@@ -101,10 +106,9 @@ class ElementaryRegion:
         return tuple(pts.min(axis=0)), tuple(pts.max(axis=0))
 
     def classification(self) -> str:
-        sites = self.site_set()
         lo, hi = self.bounding_box()
         nbox = int(np.prod([h - l + 1 for l, h in zip(lo, hi)]))
-        if len(sites) == nbox:
+        if len(self.sites()) == nbox:
             if self.d > 1 and any(h == l for l, h in zip(lo, hi)):
                 return "lower-dimensional"
             return "rectangle"
@@ -114,12 +118,11 @@ class ElementaryRegion:
         """The corner of the cut-out lying inside the hull (L-shaped only)."""
         if self.classification() != "l-shaped":
             return None
-        sites = self.site_set()
+        # the cut-out is the box where the hull meets the shifted block
         lo, hi = self.bounding_box()
-        cut = {p for p in itertools.product(
-            *[range(l, h + 1) for l, h in zip(lo, hi)]) if p not in sites}
-        clo = tuple(min(p[i] for p in cut) for i in range(self.d))
-        chi = tuple(max(p[i] for p in cut) for i in range(self.d))
+        centre = np.add(self.block_center, self.shift)
+        clo = tuple(map(int, np.maximum(lo, centre - self.half_widths)))
+        chi = tuple(map(int, np.minimum(hi, centre + self.half_widths)))
         # the corner strictly interior in the most axes, the first in
         # the (sorted) product order on a tie
         return max(itertools.product(*zip(clo, chi)),
@@ -195,11 +198,6 @@ def build_exhaustion(region: ElementaryRegion, m, M: int) -> Exhaustion:
                       remainder=remainder, exceptional=exceptional)
 
 
-def _sup_dist_matrix(sites) -> np.ndarray:
-    pts = np.array(sorted(sites), dtype=int)
-    return np.abs(pts[:, None, :] - pts[None, :, :]).max(axis=-1)
-
-
 def _decays(gfar: np.ndarray, bound: np.ndarray) -> bool:
     """|G(x,y)| <= e^{-alpha dist(x,y)} on every far site pair, from G's
     site magnitudes `gfar` and bounds `bound` there; true with no pair."""
@@ -209,12 +207,13 @@ def _decays(gfar: np.ndarray, bound: np.ndarray) -> bool:
 class DirectClassifier:
     """Good/bad classification of site sets by direct inversion.
 
-    A set of diameter L is good when the restricted inverse exists with
+    A set of sup diameter L is good when the restricted inverse exists with
     ||G|| <= e^{L^b} and |G(x,y)| <= e^{-alpha |x-y|_sup} for
-    |x-y|_sup > L^theta.  Each set is inverted once: its record holds the
-    verdict, the site magnitudes of G, the sup distances and ||G||_2, or
-    the NearSingularError the inversion raised, which `norm` and
-    `entry_prefactor` raise again.
+    |x-y|_sup > L^theta.  Each set is inverted once, block by block on
+    its components as `_Prober` inverts: its record holds the verdict, the
+    in-block site magnitudes of G and their sup distances (G is zero
+    between components) and ||G||_2, or the NearSingularError the
+    inversion raised, which `norm` and `entry_prefactor` raise again.
     """
 
     def __init__(self, T: LatticeMatrix, alpha: float, b: float, theta: float):
@@ -224,15 +223,17 @@ class DirectClassifier:
     def _record(self, sites):
         key = frozenset(sites)
         if key not in self._records:
+            T = self.T.restrict(key)
+            parts = _component_blocks(T)
             try:
-                G, cert = invert_direct(self.T.restrict(key))
+                inverses, _ = _block_inverse([B for _, _, B in parts])
             except NearSingularError as exc:
                 self._records[key] = exc
                 return exc
-            gmag = _site_magnitudes(G, len(key), self.T.nblock)
-            dist = _sup_dist_matrix(key)
-            norm = cert.extra["measured_norm"]
-            L = max(int(dist.max()), 1)     # the sup diameter of the set
+            gmag = _in_block_magnitudes(inverses, T.nblock)
+            dist = _in_block_distances(T, parts, np.maximum)
+            norm = _block_norm(inverses)
+            L = max(diameter(key), 1)
             far = dist > L ** self.theta
             good = bool(norm <= np.exp(L ** self.b) and _decays(
                 gmag[far], np.exp(-self.alpha * dist[far])))
@@ -282,8 +283,10 @@ def classify_annuli(ex: Exhaustion, M: int, classifier) -> AnnulusReport:
 # resolvent bound propagation (CL1 and the two-scale coupling)
 # ----------------------------------------------------------------------
 
-def _propagate_bounds(T: LatticeMatrix, windows: dict) -> np.ndarray:
-    """Entrywise bound on |G_Lambda| from window certificates.
+def _propagate_bounds(T: LatticeMatrix, windows: dict,
+                      dist1: np.ndarray) -> np.ndarray:
+    """Entrywise bound on |G_Lambda| from window certificates, given the
+    l1 distances `dist1` of T's region.
 
     For each site x the resolvent identity on its window U(x) gives
     g(x, y) <= a(x, y) + sum_v K(x, v) g(v, y); with row sums of K below the
@@ -293,24 +296,18 @@ def _propagate_bounds(T: LatticeMatrix, windows: dict) -> np.ndarray:
     region = T.region
     m = len(region)
     idx = {k: i for i, k in enumerate(region)}
-    dist1 = site_distances(region)
     tmag = _site_magnitudes(T.to_dense(), m, T.nblock)
     a = np.zeros((m, m))
     K = np.zeros((m, m))
     for x, cert in windows.items():
         i = idx[x]
-        inU = np.zeros(m, dtype=bool)
-        row_g = np.zeros(m)
-        for w in cert.region:
-            j = idx.get(tuple(w))
-            if j is None:
-                raise CertificateGateError(
-                    f"window of {x} leaves the region at {tuple(w)}")
-            inU[j] = True
-            row_g[j] = cert.entry_bound(int(dist1[i, j]))
-        a[i, inU] = row_g[inU]
-        coupling = row_g[inU] @ tmag[inU][:, ~inU]
-        K[i, ~inU] = coupling
+        U = frozenset(map(tuple, cert.region))
+        if not U.issubset(idx):
+            raise CertificateGateError(f"window of {x} leaves the region "
+                                       f"at {min(U.difference(idx))}")
+        inU = np.fromiter(map(U.__contains__, region), bool, m)
+        a[i, inU] = cert.entry_bound(dist1[i, inU])
+        K[i, ~inU] = a[i, inU] @ tmag[inU][:, ~inU]
     rows = K.sum(axis=1)
     if rows.max() >= 0.1:
         raise CertificateGateError(
@@ -323,9 +320,9 @@ def _emit(T: LatticeMatrix, windows: dict, provenance: str,
           extra: dict) -> DecayCertificate:
     """Certificate for T's region from the propagated window bounds, with
     the largest window threshold."""
-    g = _propagate_bounds(T, windows)
-    threshold = max(c.threshold for c in windows.values())
     dist1 = site_distances(T.region)
+    g = _propagate_bounds(T, windows, dist1)
+    threshold = max(c.threshold for c in windows.values())
     norm = float(np.linalg.norm(g, 2)) * (1 + 1e-6)
     alpha = measure_alpha(g, dist1, threshold)
     return decay_certificate(norm, alpha, threshold, T.region, provenance,
@@ -431,10 +428,11 @@ def cl2_couple(T: LatticeMatrix, config: ScaleConfig,
     diam = max(region.diam, 2)
     if budget is None:
         budget = config.kappa * diam ** config.theta / M_prev
-    # measured off-diagonal envelope of T: |T(x,y)| <= t_pref e^{-rho |x-y|}
+    # |T(x,y)| <= t_pref e^{-rho |x-y|}, measured on T's component blocks
     full = T.restrict(sites)
-    tmag = _site_magnitudes(full.to_dense(), len(sites), full.nblock)
-    dsup = _sup_dist_matrix(sites)
+    parts = _component_blocks(full)
+    tmag = _in_block_magnitudes([B for _, _, B in parts], full.nblock)
+    dsup = _in_block_distances(full, parts, np.maximum)
     off = dsup > 0
     t_pref = float((tmag[off] * np.exp(RHO * dsup[off])).max()) \
         if off.any() else 0.0
@@ -531,7 +529,7 @@ class _Prober:
         self.lam = np.concatenate([np.linalg.eigvalsh(B).ravel()
                                    for _, _, B in parts]) \
             if hermitian else None
-        dist = _in_block_distances(self.T0, parts)
+        dist = _in_block_distances(self.T0, parts, np.add)
         self.far = dist > self.threshold
         self.far_dist = dist[self.far]
         self.far_bound = np.exp(-self.alpha_target * self.far_dist)

@@ -265,6 +265,26 @@ def test_prefactor_scales_entry_bound_and_row_norm():
         == pytest.approx((near + 3.0 * far).max(), rel=1e-14)
 
 
+def test_entry_bound_of_an_array_is_the_scalar_bound():
+    # the array form against the scalar formula it replaced, bit for bit,
+    # on both sides of each threshold: a measured certificate, a
+    # closed-form one with its prefactor, and one with an arbitrary rate
+    T = perturbed_T(np.random.default_rng(7), N=8, eps=1e-3)
+    _, direct = invert_direct(T, threshold=3)
+    closed = combes_thomas(T, threshold=2)
+    dvals = np.arange(0, 41)
+    for cert in (direct, closed, replace(closed, prefactor=3.0, alpha=0.37),
+                 replace(direct, alpha=ALPHA_CAP)):
+        scalar = np.array([
+            cert.norm_bound if dd <= cert.threshold
+            else float(cert.prefactor * np.exp(-cert.alpha * dd))
+            for dd in map(int, dvals)])
+        got = cert.entry_bound(dvals)
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), scalar.view(np.uint64))
+        assert 0 < (dvals <= cert.threshold).sum() < dvals.size
+
+
 def test_certify_honours_prefactor():
     region = cube_region(1, 4)
     G = (3.0 * np.exp(-1.0 * site_distances(region))).astype(complex)

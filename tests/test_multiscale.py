@@ -9,9 +9,9 @@ import scipy.linalg as sla
 
 from toruskam import homological, multiscale
 from toruskam.fourier import FourierSeries
-from toruskam.greens import (CertificateGateError, check_certificate,
-                             combes_thomas, invert_direct, measure_alpha,
-                             site_distances)
+from toruskam.greens import (CertificateGateError, _site_magnitudes,
+                             check_certificate, combes_thomas, invert_direct,
+                             measure_alpha, site_distances)
 from toruskam.homological import (LatticeMatrix, NearSingularError,
                                   _block_inverse, _component_blocks,
                                   _label_components, build_T, cube_region)
@@ -243,9 +243,10 @@ def test_cl1_couples_closed_form_windows():
     assert max(c.prefactor for c in certs.values()) > 1.0
     cert = cl1_couple(T, certs, M=6)
     assert check_certificate(cert, T).passed
-    g = _propagate_bounds(T, certs)
+    dist1 = site_distances(T.region)
+    g = _propagate_bounds(T, certs, dist1)
     doubled = _propagate_bounds(T, {x: replace(c, prefactor=2 * c.prefactor)
-                                    for x, c in certs.items()})
+                                    for x, c in certs.items()}, dist1)
     far = np.abs(np.subtract.outer(np.arange(17), np.arange(17))) > 2
     assert np.all(doubled >= g) and np.all(doubled[far] > g[far])
 
@@ -347,24 +348,43 @@ def test_cl2_l_shape_with_budget():
     assert check_certificate(cert, T).passed
 
 
-def test_cl2_inverts_each_set_once(monkeypatch):
-    """A CL2 run's classifier inverts each site set at most once, for its
-    verdict, its norm and its prefactors alike."""
-    inverted = []
+def count_classifier_inversions(monkeypatch):
+    """The regions `multiscale` inverts, in call order: each
+    `_block_inverse` call is recorded with the region whose
+    `_component_blocks` it inverts (the classifier gathers them just
+    before; CL2's envelope gathers them without inverting)."""
+    inverted, gathered = [], []
+    blocks_of, invert = multiscale._component_blocks, multiscale._block_inverse
 
-    def counting(T, threshold=0):
-        inverted.append(T.region)
-        return invert_direct(T, threshold)
+    def gathering(T):
+        gathered.append(T.region)
+        return blocks_of(T)
 
-    monkeypatch.setattr(multiscale, "invert_direct", counting)
-    cfg = ScaleConfig()
+    def counting(blocks):
+        inverted.append(gathered[-1])
+        return invert(blocks)
+
+    monkeypatch.setattr(multiscale, "_component_blocks", gathering)
+    monkeypatch.setattr(multiscale, "_block_inverse", counting)
+    return inverted
+
+
+def cl2_cases():
+    """(T, region, M_prev, budget): a 1-D interval and a 2-D L-shape."""
     l_shape = ElementaryRegion(2, (0, 0), (2, 2), shift=(3, 3))
-    cases = [
+    return [
         (lattice_on([(k,) for k in range(13)], 1, Omega=1.05, eps=1e-3,
                     seed=31), interval_region(0, 12), 2, None),
         (lattice_on(l_shape.sites(), 2, Omega=1.05, omega=[1.2, PHI],
                     eps=1e-3, seed=41, cutoff=2), l_shape, 1, 6)]
-    for T, reg, M, budget in cases:
+
+
+def test_cl2_inverts_each_set_once(monkeypatch):
+    """A CL2 run's classifier inverts each site set at most once, for its
+    verdict, its norm and its prefactors alike."""
+    inverted = count_classifier_inversions(monkeypatch)
+    cfg = ScaleConfig()
+    for T, reg, M, budget in cl2_cases():
         inverted.clear()
         cls = DirectClassifier(T, alpha=0.3, b=cfg.b, theta=cfg.theta)
         cert = cl2_couple(T, cfg, cls, reg, M_prev=M, alpha_prev=0.4,
@@ -376,13 +396,7 @@ def test_cl2_inverts_each_set_once(monkeypatch):
 def test_classifier_keeps_a_near_singular_set(monkeypatch):
     # the diagonal vanishes exactly at k = 5
     T = lattice_on([(k,) for k in range(11)], 1, Omega=-5 * PHI)
-    inverted = []
-
-    def counting(T, threshold=0):
-        inverted.append(T.region)
-        return invert_direct(T, threshold)
-
-    monkeypatch.setattr(multiscale, "invert_direct", counting)
+    inverted = count_classifier_inversions(monkeypatch)
     cls = DirectClassifier(T, alpha=0.3, b=0.996, theta=0.997)
     sites = {(4,), (5,), (6,)}
     assert not cls(sites) and not cls(frozenset(sites))
@@ -393,6 +407,174 @@ def test_classifier_keeps_a_near_singular_set(monkeypatch):
     assert cls({(2,), (3,)})
     assert cls.norm({(2,), (3,)}) > 0
     assert inverted == [((4,), (5,), (6,)), ((2,), (3,))]
+
+
+def test_cl2_builds_no_dense_form(monkeypatch):
+    # the classifier and CL2's envelope of T read component blocks only
+    calls = []
+    to_dense = LatticeMatrix.to_dense
+
+    def counted(self):
+        calls.append(self.region)
+        return to_dense(self)
+
+    monkeypatch.setattr(LatticeMatrix, "to_dense", counted)
+    cfg = ScaleConfig()
+    for T, reg, M, budget in cl2_cases():
+        cls = DirectClassifier(T, alpha=0.3, b=cfg.b, theta=cfg.theta)
+        cert = cl2_couple(T, cfg, cls, reg, M_prev=M, alpha_prev=0.4,
+                          budget=budget)
+        assert cert.provenance == "cl2"
+    assert calls == []
+
+
+def classifier_oracle(T, sites, alpha, b, theta, rates):
+    """(verdict, ||G||_2, entry prefactors at `rates`) of a site set as read
+    off `invert_direct`'s full G: the site magnitudes of all of G and the
+    set's whole sup-distance matrix."""
+    key = frozenset(sites)
+    G, cert = invert_direct(T.restrict(key))
+    gmag = _site_magnitudes(G, len(key), T.nblock)
+    pts = np.array(sorted(key), dtype=int)
+    dist = np.abs(pts[:, None, :] - pts[None, :, :]).max(axis=-1)
+    norm = cert.extra["measured_norm"]
+    L = max(int(dist.max()), 1)
+    far = dist > L ** theta
+    good = bool(norm <= np.exp(L ** b)
+                and (gmag[far] <= np.exp(-alpha * dist[far])).all())
+    return good, norm, [float((gmag * np.exp(r * dist)).max())
+                        for r in rates]
+
+
+def assert_classifier_matches_oracle(cls, sites):
+    """The classifier's verdict, norm and prefactors at rates 0, 0.3 and 1
+    equal the full-G oracle's exactly; returns the verdict."""
+    rates = (0.0, 0.3, 1.0)
+    good, norm, prefactors = classifier_oracle(cls.T, sites, cls.alpha,
+                                               cls.b, cls.theta, rates)
+    assert cls(sites) == good
+    assert cls.norm(sites) == norm
+    assert [cls.entry_prefactor(sites, r) for r in rates] == prefactors
+    return good
+
+
+# operators whose random subsets split into several components, and two
+# with many components on the whole box
+CLASSIFIER_CASES = {
+    "1d": lambda: lattice_on([(k,) for k in range(-9, 10)], 1, Omega=1.05,
+                             eps=3e-2, seed=3),
+    "2d": lambda: lattice_on(list(itertools.product(range(-4, 5), repeat=2)),
+                             2, Omega=1.05, omega=[1.2, PHI], eps=1e-2,
+                             seed=4, cutoff=2),
+    "diagonal": lambda: _coupled_T(2, 4, 1, []),
+    "single mode": lambda: _coupled_T(2, 4, 2, [(2, 0)], eps=0.2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLASSIFIER_CASES))
+def test_classifier_reads_blocks_as_the_full_inverse(case):
+    T = CLASSIFIER_CASES[case]()
+    rng = np.random.default_rng(len(case))
+    verdicts = set()
+    for alpha, b, theta in [(0.3, 0.996, 0.997), (3.0, 0.05, 0.3)]:
+        cls = DirectClassifier(T, alpha=alpha, b=b, theta=theta)
+        for size in rng.integers(1, T.nsites // 2, size=20):
+            pick = rng.choice(T.nsites, size=int(size), replace=False)
+            verdicts.add(assert_classifier_matches_oracle(
+                cls, {T.region[i] for i in pick}))
+        verdicts.add(assert_classifier_matches_oracle(cls, T.region))
+    assert verdicts == {True, False}
+
+
+def test_classifier_on_an_exactly_singular_set():
+    # sites 0 and 1 form the exactly singular block [[1, 1], [1, 1]];
+    # every other pair of sites at distance 1 does too
+    B = FourierSeries.from_coeffs(1, {(1,): 1.0, (-1,): 1.0})
+    Z = FourierSeries.zero(1)
+    T = build_T(np.array([0.0]), np.array([1.0]), B, Z, 4)
+    cls = DirectClassifier(T, alpha=0.3, b=0.996, theta=0.997)
+    singular = {(0,), (1,), (3,)}
+    with pytest.raises(NearSingularError):
+        invert_direct(T.restrict(singular))
+    assert not cls(singular)
+    with pytest.raises(NearSingularError):
+        cls.norm(singular)
+    with pytest.raises(NearSingularError):
+        cls.entry_prefactor(singular, 0.3)
+    # the same operator on sets of isolated sites
+    for sites in ({(1,), (3,)}, {(-4,), (-1,), (1,), (4,)}):
+        assert assert_classifier_matches_oracle(cls, sites)
+
+
+def propagate_oracle(T, windows):
+    """The per-site loop `_propagate_bounds` replaced: each window's row of
+    a and K filled site by site through the scalar entry bound."""
+    region = T.region
+    m = len(region)
+    idx = {k: i for i, k in enumerate(region)}
+    dist1 = site_distances(region)
+    tmag = _site_magnitudes(T.to_dense(), m, T.nblock)
+    a = np.zeros((m, m))
+    K = np.zeros((m, m))
+    for x, cert in windows.items():
+        i = idx[x]
+        inU = np.zeros(m, dtype=bool)
+        row_g = np.zeros(m)
+        for w in cert.region:
+            j = idx.get(tuple(w))
+            if j is None:
+                raise CertificateGateError(
+                    f"window of {x} leaves the region at {tuple(w)}")
+            inU[j] = True
+            dd = int(dist1[i, j])
+            row_g[j] = cert.norm_bound if dd <= cert.threshold \
+                else float(cert.prefactor * np.exp(-cert.alpha * dd))
+        a[i, inU] = row_g[inU]
+        K[i, ~inU] = row_g[inU] @ tmag[inU][:, ~inU]
+    rows = K.sum(axis=1)
+    if rows.max() >= 0.1:
+        raise CertificateGateError(
+            f"resolvent contraction factor {rows.max():.3e} >= 0.1")
+    return np.maximum(np.linalg.solve(np.eye(m) - K, a), 0.0)
+
+
+def test_propagate_bounds_matches_per_site_oracle():
+    line = lattice_on([(k,) for k in range(-8, 9)], 1, Omega=1.05,
+                      eps=1e-4, seed=11)
+    square = lattice_on(list(itertools.product(range(-4, 5), repeat=2)), 2,
+                        Omega=1.05, omega=[1.2, PHI], eps=1e-4, seed=2,
+                        cutoff=2)
+    closed = {x: combes_thomas(line.restrict(sorted(
+        cube_sites(x, 4) & set(line.region))), threshold=2)
+        for x in line.region}
+    cases = [(line, window_certs(line, M_window=4)), (line, closed),
+             (square, window_certs(square, M_window=3))]
+    for T, windows in cases:
+        g = _propagate_bounds(T, windows, site_distances(T.region))
+        assert np.array_equal(g, propagate_oracle(T, windows))
+    # windows of a larger operator leave the region: the same refusal
+    inner = line.restrict([(k,) for k in range(-5, 6)])
+    windows = {x: c for x, c in window_certs(line, M_window=2).items()
+               if x in inner.region}
+    with pytest.raises(CertificateGateError) as ref:
+        propagate_oracle(inner, windows)
+    with pytest.raises(CertificateGateError) as got:
+        _propagate_bounds(inner, windows, site_distances(inner.region))
+    assert str(got.value) == str(ref.value)
+    assert "leaves the region at (-7,)" in str(got.value)
+
+
+def test_region_realises_its_sites_once():
+    reg = ElementaryRegion(2, (0, 0), (2, 3), shift=(3, 4))
+    sites = reg.sites()
+    for m in sites:
+        build_exhaustion(reg, m, 1)
+        assert reg.sites() is sites
+    assert reg.site_set() == frozenset(sites)
+    box = ElementaryRegion(2, (1, -2), (2, 0)).sites()
+    assert box == tuple((x, -2) for x in range(-1, 4))
+    assert cube_sites((1, -2), (2, 0)) == set(box)
+    assert cube_sites((1, -2), 1) == cube_sites((1, -2), (1, 1))
 
 
 # ----------------------------------------------------------------------
