@@ -496,7 +496,10 @@ def _write_outputs(report: dict, out_dir: str):
     for name, text in csvs.items():
         with open(os.path.join(out_dir, name), "w") as fh:
             fh.writelines([text] if isinstance(text, str) else text)
-    with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
+    # a refused config's unknown key can hold any JSON string, a lone
+    # surrogate too: escaped here, as on stderr
+    with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8",
+              errors="backslashreplace") as fh:
         fh.write(summary + "\n")
 
 

@@ -289,12 +289,14 @@ def _wrapped_transform(x: np.ndarray, L: int) -> np.ndarray:
 def _kept_inverse(x: np.ndarray, M: int) -> np.ndarray:
     """Inverse transform of a stack of wrapped grids over axes 1..d, the
     first pass in place in x, keeping the modes |k|_inf <= M in centred
-    order: after the pass over an axis only its kept rows go on."""
+    order: after the pass over an axis only its kept rows go on, the
+    slices L - M..L - 1 and 0..M."""
     L = x.shape[1]
-    rows = np.r_[L - M:L, 0:M + 1]
     for ax in range(1, x.ndim):
         ifft(x, axis=ax, norm="forward", out=x)
-        x = x.take(rows, axis=ax)
+        pre = (slice(None),) * ax
+        x = np.concatenate((x[pre + (slice(L - M, L),)],
+                            x[pre + (slice(0, M + 1),)]), axis=ax)
     x *= 1.0 / L ** (x.ndim - 1)
     return x
 

@@ -19,9 +19,12 @@ the part's x-derivatives.  So a norm is an upper bound only as long as no
 tail has been bracketed again.
 A bracket runs on the wrapped FFT embedding of `fourier`
 (`_wrapped_transform`, `_kept_inverse`), the one `fourier.product` uses, on
-a grid that is alias-free for the kept modes only.  When both factors are
-exactly real only half of the bracket is computed: the rest is its
-conjugate mirror, so the result is exactly real too.
+a grid that is alias-free for the kept modes only.  Each output key (a
+signature and the box of its pair) is summed in one work grid and
+inverse-transformed at its own cutoff before the next key starts, so a
+bracket holds the grids of the parts in use and two work grids.  When both
+factors are exactly real only half of the bracket is computed: the rest is
+its conjugate mirror, so the result is exactly real too.
 
 A Lie series is summed to the rounding of its first-order term {H, F}, a
 sum of FFT products that carries absolute rounding of about u |{H, F}|:
@@ -95,9 +98,6 @@ def _term_vf_bound(sig: Signature, series: FourierSeries,
     w, wl1 = _vf_weights(series.d, series.cutoff, float(s))
     return _vf_of(sig, float(np.sum(mags * w)), float(np.sum(mags * wl1)), r)
 
-
-# working set of one batch of key sums in `_grid_kernel`
-_BATCH_BYTES = 1 << 21
 
 # unit roundoff u of the series budget: from bracket j = 2 on, a key whose
 # whole contribution to the series, its bound over j!, is at most u times
@@ -307,9 +307,10 @@ def _grid_kernel(F: "HamiltonianJet", gs: _Side, channels):
     L >= 2 cutoff + 1 per part: a kept mode's aliases lie at
     |k|_inf >= L - m > c, outside its key's box.  Every part is
     transformed once, while it is in use; keys run in order of their first
-    product, summed in the rows of a slab of at most _BATCH_BYTES that is
-    inverse-transformed once full.  The output series take over the arrays
-    summed here (`_adopt`), uncopied.
+    product, and each is finished before the next starts: its products
+    are summed in one work grid, inverse-transformed at its own m and
+    added into its window of the output.  The output series take over the
+    arrays summed here (`_adopt`), uncopied.
 
     When F and G are exactly real (`_mirrors`), only keys (a, b, c) with
     b <= c are computed: a b = c output is projected onto the real
@@ -378,9 +379,8 @@ def _grid_kernel(F: "HamiltonianJet", gs: _Side, channels):
     L = next_fast_len(max([2 * N + 1] + [c + kept[sig, c] + 1
                                          for sig, c in live]))
     tmp = np.empty((L,) * d, dtype=complex)
-    slab = np.empty((min(len(live), max(1, _BATCH_BYTES // tmp.nbytes)),)
-                    + tmp.shape, dtype=complex)
-    grids, pending, acc = {}, [], {}
+    buf = np.empty_like(tmp)
+    grids, acc = {}, {}
 
     def part(x, out):
         """The grid of part x; a mirror read off its partner goes to out,
@@ -394,20 +394,8 @@ def _grid_kernel(F: "HamiltonianJet", gs: _Side, channels):
                                           if p else f.data, L)[0, 0]
         return grids[x]
 
-    def flush():
-        M = max(kept[key] for key in pending)
-        out = _kept_inverse(slab[:len(pending)], M)
-        for key, grid in zip(pending, out):
-            sig, m, K = key[0], kept[key], width[key[0]]
-            if sig not in acc:
-                acc[sig] = np.zeros((2 * K + 1,) * d, dtype=complex)
-            acc[sig][(slice(K - m, K + m + 1),) * d] += \
-                grid[(slice(M - m, M + m + 1),) * d]
-        pending.clear()
-
     pos = 0
     for key in live:
-        buf = slab[len(pending)]
         for t, (i, p, j, q, w) in enumerate(keys[key]):
             x, y = ("F", i, p), ("G", j, q)
             out = tmp if t else buf
@@ -422,11 +410,11 @@ def _grid_kernel(F: "HamiltonianJet", gs: _Side, channels):
                 if last[z] == pos:
                     del grids[z]
             pos += 1
-        pending.append(key)
-        if len(pending) == len(slab):
-            flush()
-    if pending:
-        flush()
+        sig, m, K = key[0], kept[key], width[key[0]]
+        if sig not in acc:
+            acc[sig] = np.zeros((2 * K + 1,) * d, dtype=complex)
+        acc[sig][(slice(K - m, K + m + 1),) * d] += \
+            _kept_inverse(buf[None], m)[0]
     for (a, b, c), v in acc.items():
         if real and b == c:
             v = 0.5 * (v + np.conj(np.flip(v)))

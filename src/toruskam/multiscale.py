@@ -335,13 +335,18 @@ def cl1_couple(T: LatticeMatrix, site_certs: dict, M: int
 
     Each site m must come with a certificate for a window U(m) (the
     certificate's own region) containing m with dist(m, region \\ U(m))
-    > M/2.  The certified bound is produced by the resolvent propagation
+    > M/2, and a certificate keyed by a site outside the region is
+    refused.  The certified bound is produced by the resolvent propagation
     above; the nominal conclusion (norm <= 2 |region|^d max site norm,
     alpha >= min alpha - (log |region|)^-50) is reported alongside.
     """
     region = T.region
     sites = frozenset(region)
     site_certs = {tuple(k): v for k, v in site_certs.items()}
+    stray = site_certs.keys() - sites
+    if stray:
+        raise CertificateGateError(
+            f"certificate for site {min(stray)} outside the region")
     for x in region:
         cert = site_certs.get(tuple(x))
         if cert is None:

@@ -1,18 +1,23 @@
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 import time
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toruskam import cli, greens
 from toruskam.cli import (EXIT_CONFIG, EXIT_EXCLUDED, EXIT_NUMERIC, EXIT_OK,
                           _decaying_scalar, dispatch, main)
 from toruskam.fourier import FourierSeries
-from toruskam.config import (MAX_REFINE_ITERS, ConfigError, load_config,
-                             parse_config, validate)
+from toruskam.config import (DEFAULTS, MAX_REFINE_ITERS, MODES, ConfigError,
+                             load_config, parse_config, validate)
 from toruskam.stability import (integrate_linearized, l2_drift,
                                 lyapunov_estimate, trajectory_csv)
 
@@ -105,6 +110,143 @@ def test_bad_json_reports_location(tmp_path):
 
 def test_validate_accepts_defaults():
     assert validate(load_config({}).values) == []
+
+
+# ----------------------------------------------------------------------
+# malformed configs through main: always exit 2 with a report
+# ----------------------------------------------------------------------
+
+SECTIONS = sorted(k for k, v in DEFAULTS.items() if isinstance(v, dict))
+LEAVES = {**{k: v for k, v in DEFAULTS.items() if not isinstance(v, dict)},
+          **{f"{s}.{k}": v for s in SECTIONS for k, v in DEFAULTS[s].items()}}
+# known keys where None is a setting, and the strings a key takes
+NULLABLE = {"tau", "caps.gamma", "caps.drift_tol", "greens.threshold",
+            "stability.z0_real", "stability.z0_imag", "verify.report"}
+STRINGS = {"mode": MODES, "perturbation.kind": ("random-tail", "cosine",
+                                                 "zero")}
+
+
+def _at_most(x):
+    return st.floats(max_value=x, allow_nan=False)
+
+
+def _ints_below(x):
+    return st.integers(-10 ** 6, x - 1)
+
+
+# a value each key refuses for its range, whatever else the config holds
+OUT_OF_RANGE = {
+    "seed": _ints_below(0), "d": _ints_below(1), "n": _ints_below(1),
+    "A": _at_most(1.0), "s0": _at_most(0.0), "r0": _at_most(0.0),
+    "eps": _at_most(0.0), "tau": _at_most(0.0), "omega": st.just([]),
+    "Omega": st.lists(_at_most(0.0), min_size=1, max_size=3),
+    "caps.N_max": _ints_below(1), "caps.levels": _ints_below(1),
+    "caps.exclusion_N": _ints_below(1), "caps.gamma": _at_most(0.0),
+    "caps.drift_tol": _at_most(0.0), "box.half_width": _at_most(0.0),
+    "box.atlas_level": _ints_below(1),
+    "perturbation.amplitude": _at_most(-1e-300),
+    "perturbation.kmax": _ints_below(1),
+    "perturbation.cutoff_cap": _ints_below(1),
+    "greens.N": _ints_below(1),
+    "greens.threshold": _at_most(-1e-300),
+    "greens.coupling_eps": _at_most(-1e-300),
+    "greens.coupling_rho": _at_most(0.0),
+    "sigma_scan.range": st.floats(-1e3, 1e3).map(lambda x: [x, x]),
+    "sigma_scan.alpha_target": _at_most(0.0),
+    "sigma_scan.threshold": _at_most(0.0),
+    "sigma_scan.norm_target": _at_most(0.0),
+    "sigma_scan.points_per_unit": _at_most(0.0),
+    "sigma_scan.refine_iters": _ints_below(0)
+    | st.integers(MAX_REFINE_ITERS + 1, 10 ** 6),
+    "stability.T": _at_most(0.0), "stability.dt": _at_most(0.0),
+}
+
+
+@st.composite
+def wrong_type(draw, key):
+    """A value of a type `key` never takes."""
+    kinds = [st.booleans(),
+             st.text(max_size=4).filter(lambda s: s not in STRINGS.get(
+                 key, ())),
+             st.lists(st.text(max_size=3), min_size=1, max_size=2),
+             st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)]
+    if key not in NULLABLE:
+        kinds.append(st.none())
+    if type(LEAVES[key]) is int:
+        kinds.append(st.floats(allow_nan=False))
+    return draw(st.one_of(kinds))
+
+
+def _put(data, key, value):
+    """Set a dotted key, first making its section a table if it is not."""
+    section, _, leaf = key.rpartition(".")
+    if section:
+        if not isinstance(data.get(section), dict):
+            data[section] = {}
+        data[section][leaf] = value
+    else:
+        data[key] = value
+
+
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=2)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2), max_leaves=4)
+# a JSON key can be any string, a lone surrogate too
+KEY_NAMES = st.text(min_size=1, max_size=6) | st.text(
+    st.characters(categories=["Cs"]), min_size=1, max_size=2)
+
+
+@st.composite
+def fault(draw):
+    """One (key, value) the config must refuse."""
+    kind = draw(st.sampled_from(["range", "type", "unknown", "section"]))
+    if kind == "range":
+        key = draw(st.sampled_from(sorted(OUT_OF_RANGE)))
+        return key, draw(OUT_OF_RANGE[key])
+    if kind == "type":
+        key = draw(st.sampled_from(sorted(LEAVES.keys() - {"verify.report"})))
+        return key, draw(wrong_type(key))
+    if kind == "unknown":
+        section = draw(st.sampled_from([""] + SECTIONS))
+        known = DEFAULTS[section] if section else DEFAULTS
+        leaf = draw(KEY_NAMES.filter(lambda k: k not in known
+                                     and "." not in k))
+        return f"{section}.{leaf}" if section else leaf, draw(ANY_JSON)
+    return draw(st.sampled_from(SECTIONS)), draw(ANY_JSON.filter(
+        lambda v: not isinstance(v, dict)))
+
+
+@st.composite
+def malformed_config(draw):
+    if draw(st.integers(0, 4)) == 0:
+        # a top level that is not an object
+        return draw(ANY_JSON.filter(lambda v: not isinstance(v, dict)))
+    data = {"mode": draw(st.sampled_from(MODES))}
+    for key, value in draw(st.lists(fault(), min_size=1, max_size=3)):
+        _put(data, key, value)
+    return data
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(malformed_config())
+def test_malformed_configs_exit_2_with_a_report(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        out = os.path.join(tmp, "out")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(err):
+            code = main(["--config", path, "--out", out])
+        with open(os.path.join(out, "report.json")) as fh:
+            report = json.load(fh)
+    assert code == EXIT_CONFIG == report["exit_code"]
+    errors = report["results"]["config_errors"]
+    assert errors and all(isinstance(e, str) and e for e in errors)
+    assert "Traceback" not in err.getvalue()
 
 
 # ----------------------------------------------------------------------

@@ -621,11 +621,11 @@ def test_over_degree_pairs_never_touch_the_grid(monkeypatch):
     assert peak <= 2 ** 20
 
 
-def test_grid_product_memory_is_batched(monkeypatch):
+def test_grid_product_inverts_one_key_at_a_time(monkeypatch):
     # 12 x 12 kept pairs at cutoffs 24 + 24 under cap 2 sum into 58 keys
-    # on the 54 x 54 grid (47 kB each): unbatched, the key sums would take
-    # 2.7 MB beyond the 24 transforms; the 128 KiB batch holds two rows
-    monkeypatch.setattr(jets, "_BATCH_BYTES", 1 << 17)
+    # on the 54 x 54 grid (47 kB each): held all at once, the key sums
+    # would take 2.7 MB beyond the 24 transforms; each key is inverted
+    # alone, at its own cutoff, before the next is summed
     rows = []
     inverse = jets._kept_inverse
     monkeypatch.setattr(jets, "_kept_inverse",
@@ -639,7 +639,7 @@ def test_grid_product_memory_is_batched(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert max(rows) == 2 and sum(rows) == len(out.terms) == 58
+    assert rows == [1] * 58 and len(out.terms) == 58
     assert peak <= 24 * grid + 0.5 * 2 ** 20
 
 
@@ -664,13 +664,12 @@ def mirror_classes_in_use(F, G):
                for pos in range(pos + 1))
 
 
-def test_real_bracket_stores_one_grid_per_mirror_class(monkeypatch):
+def test_real_bracket_stores_one_grid_per_mirror_class():
     # a mirror part is read off its partner's grid at each use and never
-    # stored: past one slab row, the kernel's peak stays within one grid
-    # per mirror class in use plus 10 grids of transform and work space,
-    # 64 grids here.  Storing each mirror's conjugate peaked at 70 grids;
-    # this kernel peaks at 61
-    monkeypatch.setattr(jets, "_BATCH_BYTES", 1)
+    # stored: the kernel's peak stays within one grid per mirror class in
+    # use, plus the key's sum grid and 10 grids of transform and work
+    # space, 64 grids here.  Storing each mirror's conjugate peaked at 70
+    # grids, and a 2 MB slab of key sums at 82; this kernel peaks at 59
     rng = np.random.default_rng(1)
     kw = dict(max_degree=4, cutoff_cap=1, s_ref=0.3, r_ref=0.5)
     H = mixed_jet(rng, 3, 2, 30, 8, degree=4, **kw)
@@ -958,6 +957,25 @@ def test_whole_bounds_match_the_totals_oracle(tmp_path, monkeypatch):
         assert [a <= limit for a in got] == [b <= limit for b in ref]
         skips += sum(a <= limit for a in got)
     assert skips > 0
+
+
+def test_kam_run_kernel_inverts_one_key_per_call(tmp_path, monkeypatch):
+    # kam-run's brackets invert each key alone, at its own cutoff, so the
+    # run peaks at 9.6 MiB traced; the 2 MB slab of key sums inverted in
+    # batches took it to 10.4 MiB, inside a level-3 Lie bracket
+    rows = []
+    inverse = jets._kept_inverse
+    monkeypatch.setattr(jets, "_kept_inverse",
+                        lambda x, M: rows.append(len(x)) or inverse(x, M))
+    cfg = load_config(WORKLOAD_CONFIGS["kam-run"])
+    tracemalloc.start()
+    try:
+        assert cli.dispatch(cfg, str(tmp_path / "out")) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows and set(rows) == {1}
+    assert peak < 10.0 * 2 ** 20
 
 
 def test_channel_tables_are_cached_immutable_and_fresh(tmp_path,

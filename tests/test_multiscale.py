@@ -260,6 +260,20 @@ def test_cl1_missing_certificate():
         cl1_couple(T, certs, M=2)
 
 
+def test_cl1_refuses_a_certificate_outside_the_region():
+    # a window certificate keyed by a site the region does not hold is
+    # refused by name, before any propagation reads it
+    T = lattice_on([(k,) for k in range(-8, 9)], 1, Omega=1.05, eps=1e-4,
+                   seed=11)
+    wide = lattice_on([(k,) for k in range(-12, 13)], 1, Omega=1.05,
+                      eps=1e-4, seed=11)
+    _, stray = invert_direct(wide.restrict(sorted(
+        cube_sites((10,), 4) & set(wide.region))), threshold=2)
+    certs = {**window_certs(T, M_window=4), (10,): stray}
+    with pytest.raises(CertificateGateError, match=r"\(10,\)"):
+        cl1_couple(T, certs, M=6)
+
+
 def test_cl1_window_too_close():
     sites = [(k,) for k in range(-5, 6)]
     T = lattice_on(sites, 1)
