@@ -34,14 +34,14 @@ with no dense form of the operator, and are float64 when the operator is
 real, so the LU, the norms and the site magnitudes then run in real
 arithmetic.  `_in_block_distances` (l1 or sup), `_in_block_magnitudes` and
 `_block_norm` read the component blocks for all of them; G is zero between
-components.  Only `invert_direct` scatters the blocks into a full G, which
-greens mode and `check_certificate` read; it adds the measured
-||G||_2 = max_b ||G_b||_2, kept in `extra["measured_norm"]`, and the
-certificate, whose rate is read off the in-block pairs (`far_rate`, the one
-rate formula).  `decay_certificate` takes the b-exponent for every emitted
-certificate.  `certify` keeps its own SVD of the full G, as the
-independent soundness oracle; `_check_against` compares a claim with a
-given inverse (greens mode's own G), and `check_certificate` inverts first.
+components and is never formed in full.  `invert_direct` returns the
+component inverses and a certificate with the measured
+||G||_2 = max_b ||G_b||_2 (`extra["measured_norm"]`) and the rate of the
+in-block pairs (`far_rate`, the one rate formula).  `decay_certificate`
+takes the b-exponent for every emitted certificate.  `certify` tests a
+claim on the same blocks, where the in-block pairs are the only ones that
+can offend, and `_check_against` relaxes a claim by 1e-12 first; the tests
+keep the dense G and its SVD as the independent soundness oracle.
 """
 
 from __future__ import annotations
@@ -76,10 +76,6 @@ class DecayCertificate:
     provenance: str
     prefactor: float = 1.0
     extra: dict = field(default_factory=dict, compare=False)
-
-    @property
-    def diameter(self) -> int:
-        return l1_diameter(self.region)
 
     def entry_bound(self, dist: np.ndarray) -> np.ndarray:
         """The bound on |G(x,y)| at each of the int distances `dist`: the
@@ -174,24 +170,26 @@ def decay_certificate(norm: float, alpha: float, threshold: int, region,
 
 
 def invert_direct(T: LatticeMatrix, threshold: int = 0):
-    """Inverse (block by block, on T's components; float64 when T is
-    real) plus a certificate with fields measured from it; `extra` holds
-    the exact cond_1 and ||G||_2 before the 1e-6 inflation.  Raises
-    NearSingularError past `_block_inverse`'s condition cap."""
+    """T's inverse as (sites, rows, inverses) per component size, as in
+    `_component_blocks` (float64 when T is real), and a certificate measured
+    from them; `extra` holds the exact cond_1 and ||G||_2 before the 1e-6
+    inflation.  A far entry above 1 has no rate: alpha is then 0 and the
+    prefactor that entry, inflated by 1e-6.  Raises NearSingularError past
+    `_block_inverse`'s condition cap."""
     parts = _component_blocks(T)
     inverses, cond = _block_inverse([B for _, _, B in parts])
-    G = np.zeros((T.size, T.size), dtype=np.result_type(*inverses))
-    for (_, rows, _), Gb in zip(parts, inverses):
-        G[rows[:, :, None], rows[:, None, :]] = Gb
+    parts = [(s, r, Gb) for (s, r, _), Gb in zip(parts, inverses)]
     # pairs in different components are structural zeros of G, which
     # carry no rate: alpha is read off the in-block pairs
     measured = _block_norm(inverses)
-    alpha = measure_alpha(_in_block_magnitudes(inverses, T.nblock),
-                          _in_block_distances(T, parts, np.add), threshold)
-    return G, decay_certificate(measured * (1 + 1e-6), alpha, threshold,
-                                T.region, "direct",
-                                {"condition": float(cond),
-                                 "measured_norm": measured})
+    gmag = _in_block_magnitudes(inverses, T.nblock)
+    dist = _in_block_distances(T, parts, np.add)
+    far = float(gmag[dist > threshold].max(initial=0.0))
+    return parts, decay_certificate(
+        measured * (1 + 1e-6), measure_alpha(gmag, dist, threshold),
+        threshold, T.region, "direct",
+        {"condition": float(cond), "measured_norm": measured},
+        prefactor=max(1.0, far * (1 + 1e-6)))
 
 
 @dataclass
@@ -200,33 +198,36 @@ class CertifyResult:
     offenders: list
     measured_norm: float
 
-    def __bool__(self):
-        return self.passed
 
-
-def certify(G: np.ndarray, region, nblock: int, alpha_target: float,
+def certify(T: LatticeMatrix, parts: list, alpha_target: float,
             threshold: int, norm_target: float,
             prefactor: float = 1.0) -> CertifyResult:
-    """Check |G(x,y)| <= C e^{-alpha |x-y|} beyond the threshold, with
+    """Check T's inverse G, given as `invert_direct`'s component blocks
+    `parts`, for |G(x,y)| <= C e^{-alpha |x-y|} beyond the threshold, with
     C = `prefactor`, and ||G|| <= norm_target; report the 10 worst
     offenders with their ratio |G(x,y)| e^{alpha |x-y|} / C.
 
     The comparison is log|G(x,y)| + alpha |x-y| - log C > 0, so that
     neither e^{alpha |x-y|} overflowing nor a zero entry can produce a
-    NaN."""
-    nsites = len(region)
-    dist = site_distances(region)
-    gmag = _site_magnitudes(G, nsites, nblock)
-    norm = float(np.linalg.norm(G, 2))
+    NaN.  G is zero between components, so only in-block pairs can
+    offend; they are put in the row-major (x, y) order of the full G before
+    the sort, so that ties fall as they would there."""
+    inverses = [Gb for _, _, Gb in parts]
+    dist = _in_block_distances(T, parts, np.add)
+    norm = _block_norm(inverses)
     with np.errstate(divide="ignore"):
-        log_ratio = np.log(gmag) + alpha_target * dist - np.log(prefactor)
-    mask = dist > threshold
-    bad = np.argwhere(mask & (log_ratio > 0.0))
-    order = np.argsort(-log_ratio[tuple(bad.T)]) if len(bad) else []
+        log_ratio = (np.log(_in_block_magnitudes(inverses, T.nblock))
+                     + alpha_target * dist - np.log(prefactor))
+    bad = np.flatnonzero((dist > threshold) & (log_ratio > 0.0))
+    # each in-block pair's place x m + y in the full G, its row-major order
+    m = T.nsites
+    place = np.concatenate([(sites[:, :, None] * m + sites[:, None, :]).ravel()
+                            for sites, _, _ in parts])
+    bad = bad[np.argsort(place[bad])]
     with np.errstate(over="ignore"):
-        offenders = [(tuple(region[i]), tuple(region[j]),
-                      float(np.exp(log_ratio[i, j])))
-                     for i, j in bad[order][:10]]
+        offenders = [(T.region[place[k] // m], T.region[place[k] % m],
+                      float(np.exp(log_ratio[k])))
+                     for k in bad[np.argsort(-log_ratio[bad])[:10]]]
     passed = len(bad) == 0 and norm <= norm_target
     if norm > norm_target and len(offenders) < 10:
         offenders.append(("norm", "norm", norm))
@@ -270,7 +271,7 @@ def neumann_transfer(cert: DecayCertificate, delta: tuple) -> DecayCertificate:
     which the output keeps.
     """
     bound_eps, rho = float(delta[0]), float(delta[1])
-    diam = max(cert.diameter, 1)
+    diam = max(l1_diameter(cert.region), 1)
     gate = float(np.exp(-4.0 * rho * diam ** 0.997))
     if bound_eps >= gate:
         raise CertificateGateError(
@@ -313,17 +314,12 @@ def variation_delta(Ta: LatticeMatrix, Tb: LatticeMatrix, s: float):
     return bound_eps, s
 
 
-def check_certificate(cert: DecayCertificate, T: LatticeMatrix
-                      ) -> CertifyResult:
-    """Soundness oracle: `_check_against` a direct inverse of T."""
-    return _check_against(cert, invert_direct(T, cert.threshold)[0], T)
-
-
-def _check_against(cert: DecayCertificate, G: np.ndarray, T: LatticeMatrix
+def _check_against(cert: DecayCertificate, parts: list, T: LatticeMatrix
                    ) -> CertifyResult:
-    """`certify` T's inverse G against the claim, relaxed by 1e-12."""
+    """`certify` T's inverse, given as `invert_direct`'s component blocks,
+    against the claim, relaxed by 1e-12."""
     tol = 1e-12
-    return certify(G, T.region, T.nblock, cert.alpha - tol, cert.threshold,
+    return certify(T, parts, cert.alpha - tol, cert.threshold,
                    cert.norm_bound * (1 + tol), cert.prefactor * (1 + tol))
 
 

@@ -249,6 +249,70 @@ def test_malformed_configs_exit_2_with_a_report(data):
     assert "Traceback" not in err.getvalue()
 
 
+def _no_constant(name):
+    raise ValueError(f"report.json holds {name}")
+
+
+@st.composite
+def greens_config(draw):
+    """A small greens config that loads: (2N + 1)^d n <= 2048 sites, a
+    coupling that may vanish, any mode vector, 0 included, and a shift
+    sigma that may cancel the diagonal at one site and block.  omega and
+    Omega are multiples of 1/16, so the cancelled entry is exactly 0 unless
+    a mode-0 coupling that is no such multiple sits on the diagonal."""
+    d, n = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    N = draw(st.integers(1, max(N for N in range(1, 1024)
+                                if (2 * N + 1) ** d * n <= 2048)))
+    sixteenths = st.integers(-48, 48).map(lambda i: i / 16)
+    omega = draw(st.lists(sixteenths, min_size=d, max_size=d))
+    Omega = draw(st.lists(st.integers(1, 48).map(lambda i: i / 16),
+                          min_size=n, max_size=n))
+    mode = draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
+    eps = draw(st.sampled_from([0.0, 0.5, 0.0625])
+               | st.floats(1e-8, 2.0, allow_subnormal=False))
+    if draw(st.booleans()):
+        k = draw(st.lists(st.integers(-N, N), min_size=d, max_size=d))
+        # at mode 0 the coupling sits on the diagonal, eps e^0 = eps
+        shift = eps if not any(mode) else 0.0
+        sigma = -(sum(a * b for a, b in zip(k, omega))
+                  + draw(st.sampled_from(Omega)) + shift)
+    else:
+        sigma = draw(st.floats(-3.0, 3.0, allow_subnormal=False))
+    return {"mode": "greens", "d": d, "n": n, "omega": omega,
+            "Omega": Omega, "perturbation": {"mode": mode},
+            "greens": {"N": N, "sigma": sigma, "coupling_eps": eps,
+                       "coupling_rho": draw(st.floats(0.1, 2.0))}}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(greens_config())
+def test_greens_configs_that_load_end_cleanly(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        verify = os.path.join(tmp, "verify.json")
+        with open(verify, "w") as fh:
+            json.dump({"mode": "verify", "verify": {
+                "report": os.path.join(tmp, "out", "report.json")}}, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(err):
+            code = main(["--config", path, "--out",
+                         os.path.join(tmp, "out")])
+            replay = main(["--config", verify, "--out",
+                           os.path.join(tmp, "verify")])
+        with open(os.path.join(tmp, "out", "report.json")) as fh:
+            report = json.loads(fh.read(), parse_constant=_no_constant)
+    assert code in (EXIT_OK, EXIT_EXCLUDED, EXIT_NUMERIC), report
+    assert report["exit_code"] == code
+    # a numeric failure refuses the inversion: a measured certificate
+    # always passes its own check
+    assert report["results"].get("sound", True), report
+    assert "Traceback" not in err.getvalue()
+    assert replay == EXIT_OK, err.getvalue()
+
+
 # ----------------------------------------------------------------------
 # dispatch modes
 # ----------------------------------------------------------------------
@@ -450,6 +514,25 @@ def test_greens_mode_inverts_once(tmp_path, monkeypatch):
     rep = json.loads((tmp_path / "out" / "report.json").read_text())
     assert rep["results"]["sound"] is True
     assert calls == [2]
+
+
+def test_greens_mode_memory_stays_in_component_blocks(tmp_path):
+    # a coupling along one axis at N = 20: 41 components of 41 sites,
+    # m = 1681; the traced peak stays below a quarter of one m x m float64
+    # array, so no m x m array is built
+    cfg = load_config({"mode": "greens", "omega": [1.0, PHI],
+                       "perturbation": {"mode": [1, 0]},
+                       "greens": {"N": 20, "coupling_eps": 0.05}})
+    m = 41 ** 2
+    tracemalloc.start()
+    try:
+        assert dispatch(cfg, str(tmp_path / "out")) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rep = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert rep["results"]["sound"] is True and rep["results"]["sites"] == m
+    assert peak < m * m * 2
 
 
 def test_greens_default_config_no_runtime_warning(tmp_path):

@@ -5,15 +5,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from toruskam.cli import _greens_operator
+from toruskam.config import load_config
 from toruskam.fourier import FourierSeries
 from toruskam.greens import (ALPHA_CAP, CT_Q_MAX, CT_RATES,
-                             CertificateGateError, certify, check_certificate,
+                             CertificateGateError, _check_against, certify,
                              combes_thomas, invert_direct, l1_diameter,
                              level_certificate, measure_alpha,
                              neumann_transfer, site_distances,
                              variation_delta, weighted_row_norm_from_cert)
 from toruskam.homological import (LatticeMatrix, NearSingularError,
                                   _symbol_norm, build_T, cube_region)
+
+from greens_oracle import check_certificate, dense_certify, dense_inverse
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -46,7 +50,7 @@ def perturbed_T(rng, d=1, N=8, rho=0.8, eps=1e-3, Omega=1.1):
 
 def test_identity_certificate():
     T = diagonal_T(1, 5, Omega=1.0, omega=[0.0])
-    G, cert = invert_direct(T)
+    _, cert = invert_direct(T)
     assert cert.norm_bound == pytest.approx(1.0, rel=1e-5)
     assert cert.alpha == ALPHA_CAP
     assert cert.provenance == "direct"
@@ -54,7 +58,7 @@ def test_identity_certificate():
 
 def test_diagonal_norm_is_inverse_min_entry():
     T = diagonal_T(1, 6)          # entries 1.1 + k*phi
-    G, cert = invert_direct(T)
+    _, cert = invert_direct(T)
     delta = np.abs(T.diag_values()).min()
     assert cert.norm_bound == pytest.approx(1.0 / delta, rel=1e-5)
 
@@ -68,6 +72,22 @@ def test_measured_alpha_tracks_symbol_decay():
         assert cert.alpha >= rho - 0.1
 
 
+def test_direct_certificate_covers_far_entries_above_one():
+    # near a resonance, entries beyond the threshold exceed 1: no rate
+    # holds under a unit prefactor, so the claim is alpha = 0 with the
+    # largest far entry as its prefactor
+    cfg = load_config({"mode": "greens", "d": 2, "n": 2,
+                       "omega": [1.5625, -1.4375], "Omega": [2.3125, 0.1875],
+                       "perturbation": {"mode": [-1, 1]},
+                       "greens": {"N": 7, "coupling_eps": 0.0625,
+                                  "coupling_rho": 0.26}})
+    T = _greens_operator(cfg).with_sigma(5.3125)
+    _, cert = invert_direct(T, threshold=3)
+    assert cert.alpha == 0.0 and 1.0 < cert.prefactor < cert.norm_bound
+    assert check_certificate(cert, T).passed
+    assert not check_certificate(replace(cert, prefactor=1.0), T).passed
+
+
 def test_measure_alpha_no_far_pairs():
     dist = np.array([[0, 1], [1, 0]])
     g = np.array([[1.0, 0.5], [0.5, 1.0]])
@@ -78,11 +98,34 @@ def test_measure_alpha_no_far_pairs():
 # certify
 # ----------------------------------------------------------------------
 
+def assert_same_result(res, ref):
+    """Block and dense `certify` results agree: the verdict, the norm and
+    the offenders' site pairs in order, norms and ratios within 1e-12."""
+    assert res.passed == ref.passed
+    assert res.measured_norm == pytest.approx(ref.measured_norm, rel=1e-12)
+    assert [o[:2] for o in res.offenders] == [o[:2] for o in ref.offenders]
+    assert [o[2] for o in res.offenders] \
+        == pytest.approx([o[2] for o in ref.offenders], rel=1e-12)
+
+
+def certify_full(G, region, nblock, *targets, **kw):
+    """`certify` of a given G over `region`, read as one component block,
+    after checking it against the dense oracle."""
+    d = len(region[0])
+    T = LatticeMatrix(region=region, omega=np.zeros(d),
+                      diag_block=np.ones(nblock),
+                      symbol=FourierSeries.zero(d, shape=(nblock, nblock)))
+    parts = [(np.arange(T.nsites)[None], np.arange(T.size)[None], G[None])]
+    res = certify(T, parts, *targets, **kw)
+    assert_same_result(res, dense_certify(G, region, nblock, *targets, **kw))
+    return res
+
+
 def test_certify_identity_passes():
     region = cube_region(1, 4)
     G = np.eye(len(region), dtype=complex)
-    res = certify(G, region, 1, alpha_target=1.0, threshold=0,
-                  norm_target=2.0)
+    res = certify_full(G, region, 1, alpha_target=1.0, threshold=0,
+                       norm_target=2.0)
     assert res.passed and not res.offenders
 
 
@@ -90,8 +133,8 @@ def test_certify_planted_offender():
     region = cube_region(1, 4)
     G = np.eye(len(region), dtype=complex)
     G[0, -1] = 0.9          # far off-diagonal sentinel
-    res = certify(G, region, 1, alpha_target=0.5, threshold=1,
-                  norm_target=5.0)
+    res = certify_full(G, region, 1, alpha_target=0.5, threshold=1,
+                       norm_target=5.0)
     assert not res.passed
     x, y, ratio = res.offenders[0]
     assert {x, y} == {(-4,), (4,)}
@@ -106,8 +149,8 @@ def _far_entry_case(magnitude):
     G[0, -2] = magnitude
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return certify(G, region, 1, alpha_target=48.0, threshold=1,
-                       norm_target=2.0)
+        return certify_full(G, region, 1, alpha_target=48.0, threshold=1,
+                            norm_target=2.0)
 
 
 def test_certify_far_entry_below_overflowing_weight_passes():
@@ -129,8 +172,8 @@ def test_certify_far_entry_above_one_is_flagged():
 def test_certify_norm_violation():
     region = cube_region(1, 2)
     G = 3.0 * np.eye(len(region), dtype=complex)
-    res = certify(G, region, 1, alpha_target=0.5, threshold=0,
-                  norm_target=2.0)
+    res = certify_full(G, region, 1, alpha_target=0.5, threshold=0,
+                       norm_target=2.0)
     assert not res.passed
 
 
@@ -222,8 +265,8 @@ def test_translation_sigma_identity():
     p = (4,)
     shifted = T.restrict([(k + p[0],) for (k,) in T.region])
     ref = T.with_sigma(float(np.dot(p, T.omega)))
-    G1, _ = invert_direct(shifted)
-    G2, _ = invert_direct(ref)
+    G1, _ = dense_inverse(shifted)
+    G2, _ = dense_inverse(ref)
     assert np.abs(G1 - G2).max() <= 1e-12
 
 
@@ -288,10 +331,10 @@ def test_entry_bound_of_an_array_is_the_scalar_bound():
 def test_certify_honours_prefactor():
     region = cube_region(1, 4)
     G = (3.0 * np.exp(-1.0 * site_distances(region))).astype(complex)
-    assert not certify(G, region, 1, 1.0, 0, 1e6).passed
-    assert certify(G, region, 1, 1.0, 0, 1e6,
-                   prefactor=3.0 * (1 + 1e-12)).passed
-    res = certify(G, region, 1, 1.0, 0, 1e6, prefactor=1.5)
+    assert not certify_full(G, region, 1, 1.0, 0, 1e6).passed
+    assert certify_full(G, region, 1, 1.0, 0, 1e6,
+                        prefactor=3.0 * (1 + 1e-12)).passed
+    res = certify_full(G, region, 1, 1.0, 0, 1e6, prefactor=1.5)
     assert not res.passed
     assert res.offenders[0][2] == pytest.approx(2.0, rel=1e-12)
 
@@ -403,3 +446,86 @@ def test_neumann_transfer_keeps_prefactor_sound():
         assert out.prefactor == cert.prefactor
         assert check_certificate(out, Tp).passed
     assert hits >= 5
+
+
+# ----------------------------------------------------------------------
+# block certify against the dense oracle
+# ----------------------------------------------------------------------
+
+def greens_T(N, coupling_eps, n=1):
+    """greens mode's operator, at sigma = 0.3."""
+    cfg = load_config({"mode": "greens", "n": n, "Omega": [1.17, 1.43][:n],
+                       "perturbation": {"mode": [1, 0]},
+                       "greens": {"N": N, "coupling_eps": coupling_eps}})
+    return _greens_operator(cfg).with_sigma(0.3)
+
+
+def planted_claims(cert):
+    """The certificate, and claims that fail on alpha, on the norm and on
+    both."""
+    return [cert, replace(cert, alpha=cert.alpha + 1.0),
+            replace(cert, norm_bound=0.5 * cert.norm_bound),
+            replace(cert, alpha=cert.alpha + 1.0,
+                    norm_bound=0.5 * cert.norm_bound)]
+
+
+def assert_block_certify_is_dense(T, threshold, claims=planted_claims):
+    """`_check_against` on `invert_direct`'s blocks gives the dense
+    oracle's result for each claim; returns the offender counts."""
+    parts, cert = invert_direct(T, threshold)
+    counts = []
+    for claim in claims(cert):
+        res = _check_against(claim, parts, T)
+        assert_same_result(res, check_certificate(claim, T))
+        counts.append(len(res.offenders))
+    return counts
+
+
+@pytest.mark.parametrize("N", [8, 16, 20])
+@pytest.mark.parametrize("coupling_eps", [0.0, 0.05])
+def test_block_certify_matches_dense_on_greens_operators(N, coupling_eps):
+    # each dense check takes an SVD of the full G, so the large operators
+    # take only the certificate and the claim that fails on both
+    claims = planted_claims if N == 8 else (
+        lambda cert: planted_claims(cert)[::3])
+    counts = assert_block_certify_is_dense(greens_T(N, coupling_eps), N // 2,
+                                           claims)
+    # coupled, alpha fails on 10 pairs; diagonal, only the norm can fail
+    assert counts[-1] == (10 if coupling_eps else 1)
+
+
+def test_block_certify_matches_dense_at_n2():
+    assert assert_block_certify_is_dense(greens_T(6, 0.05, n=2), 3) \
+        == [0, 10, 1, 10]
+
+
+def test_block_certify_matches_dense_on_complex_and_connected():
+    # connected and real, diagonal, then complex non-Hermitian at n = 1
+    # and n = 2
+    cases = [perturbed_T(np.random.default_rng(41), rho=0.8, eps=0.05),
+             diagonal_T(2, 4)] + [random_operator(np.random.default_rng(s), 3)
+                                  for s in (1, 0)]
+    assert [T.nblock for T in cases[2:]] == [1, 2]
+    assert not any(T.is_real for T in cases[2:])
+    for T in cases:
+        counts = assert_block_certify_is_dense(T, 2)
+        assert counts[0] == 0 and counts[2] == 1
+        assert counts[1] == (0 if T is cases[1] else 10)
+
+
+def test_block_certify_breaks_ties_as_the_full_array():
+    # at omega = 0 the even and odd sites of [-4, 5] are two components
+    # with equal blocks, so their offenders tie pair for pair; the full G
+    # interleaves them in its row-major order
+    B = FourierSeries.from_coeffs(1, {(2,): 0.3, (-2,): 0.3})
+    Z = FourierSeries.zero(1)
+    T = build_T(np.array([0.0]), np.array([1.0]), B, Z, 5).restrict(
+        [(k,) for k in range(-4, 6)])
+    assert [g.shape for g in T.components()] == [(2, 5)]
+    parts, cert = invert_direct(T, 1)
+    claim = replace(cert, alpha=cert.alpha + 1.0)
+    res = _check_against(claim, parts, T)
+    assert_same_result(res, check_certificate(claim, T))
+    ratios = [r for _, _, r in res.offenders]
+    assert len(set(ratios)) < len(ratios)
+    assert {x[0] % 2 for x, _, _ in res.offenders} == {0, 1}

@@ -10,8 +10,8 @@ import scipy.linalg as sla
 from toruskam import homological, multiscale
 from toruskam.fourier import FourierSeries
 from toruskam.greens import (CertificateGateError, _site_magnitudes,
-                             check_certificate, combes_thomas, invert_direct,
-                             measure_alpha, site_distances)
+                             combes_thomas, invert_direct, measure_alpha,
+                             site_distances)
 from toruskam.homological import (LatticeMatrix, NearSingularError,
                                   _block_inverse, _component_blocks,
                                   _label_components, build_T, cube_region)
@@ -23,6 +23,7 @@ from toruskam.multiscale import (DirectClassifier, ElementaryRegion,
                                  sup_dist, two_scale_couple, _Prober,
                                  _propagate_bounds)
 
+from greens_oracle import check_certificate, dense_inverse
 from lu_oracle import lu_gecon
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -228,7 +229,7 @@ def test_cl1_sound_against_direct():
     cert = cl1_couple(T, certs, M=6)
     assert cert.provenance == "cl1"
     assert check_certificate(cert, T).passed
-    G, _ = invert_direct(T)
+    G, _ = dense_inverse(T)
     assert cert.norm_bound >= np.linalg.norm(G, 2)
 
 
@@ -444,10 +445,10 @@ def test_cl2_builds_no_dense_form(monkeypatch):
 
 def classifier_oracle(T, sites, alpha, b, theta, rates):
     """(verdict, ||G||_2, entry prefactors at `rates`) of a site set as read
-    off `invert_direct`'s full G: the site magnitudes of all of G and the
-    set's whole sup-distance matrix."""
+    off `invert_direct`'s G scattered in full: the site magnitudes of all of
+    G and the set's whole sup-distance matrix."""
     key = frozenset(sites)
-    G, cert = invert_direct(T.restrict(key))
+    G, cert = dense_inverse(T.restrict(key))
     gmag = _site_magnitudes(G, len(key), T.nblock)
     pts = np.array(sorted(key), dtype=int)
     dist = np.abs(pts[:, None, :] - pts[None, :, :]).max(axis=-1)
@@ -930,7 +931,7 @@ def test_block_kernel_matches_dense_oracle(case):
         # dense oracle: gated LU of the whole matrix against the identity
         _, lu_piv, _ = lu_gecon(Ts, 1e12)
         ref = sla.lu_solve(lu_piv, np.eye(Ts.size, dtype=complex))
-        G, cert = invert_direct(Ts)
+        G, cert = dense_inverse(Ts)
         assert np.array_equal(G != 0, ref != 0)
         assert (np.abs(G - ref) <= 1e-12 * np.abs(ref)).all()
         ref_norm = float(np.linalg.norm(ref, 2))
