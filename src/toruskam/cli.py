@@ -22,7 +22,7 @@ from .atlas import (ParameterAtlas, nonresonance_predicate, pave_and_filter,
 from .config import ConfigError, RunConfig, load_config, parse_config
 from .csvfmt import labelled_rows
 from .driver import ParameterExcluded, log_csv, make_schedule, run
-from .fourier import FourierSeries, _l1_grid
+from .fourier import FourierSeries, _l1_grid, next_fast_len
 from .greens import CertificateGateError, _check_against, invert_direct
 from .homological import (LatticeMatrix, NearSingularError, SmallDivisorError,
                           build_T)
@@ -67,6 +67,16 @@ MAX_SIGMA_POINTS = 2 ** 16
 # (d = 1, N = 1012) peaked at 204 MB in greens and 329 MB in a sigma scan,
 # so this bounds either mode near 400 MB
 MAX_GREENS_SITES = 2 ** 11
+
+# points L^d of the largest FFT grid a run's jet kernel may build.  A run's
+# brackets pair a term of cutoff at most K = max(input cutoff, cutoff_cap)
+# (a bracket keeps at most cutoff_cap, a Lie sum the larger cutoff) with a
+# generator term of cutoff at most N_max, and keep at most cutoff_cap of
+# the pair's box c <= K + N_max, so `jets._grid_kernel` takes
+# L <= next_fast_len(max(2 max(K, N_max) + 1, K + N_max + cutoff_cap + 1)).
+# kam-run reaches L = 90 of that bound and the d = 3 run L = 75
+# (421875 points, 6.75 MB a grid), which peaked near 460 MB of RSS
+MAX_JET_GRID_POINTS = 2 ** 19
 
 # RK4 steps a stability run may take over all its phases: at n = 2, on one
 # core of a 2-core x86-64 box, 10^6 steps take about 0.3 s, so this bounds
@@ -199,7 +209,34 @@ def _level_records(rows) -> list:
             for r in rows]
 
 
+def _jet_grid_check(cfg: RunConfig):
+    """Refuse a run whose jet kernel could build a grid of more than
+    MAX_JET_GRID_POINTS points, before any array is built; the message
+    leads with the largest of the three cutoffs."""
+    c = cfg.values
+    pert, d = c["perturbation"], c["d"]
+    cap, N_max = pert["cutoff_cap"], c["caps"]["N_max"]
+    if pert["kind"] == "random-tail":
+        source = ("perturbation.kmax", pert["kmax"])
+    elif pert["kind"] == "cosine":
+        source = ("perturbation.mode", max(abs(k) for k in pert["mode"]))
+    else:
+        source = ("perturbation.kind", 0)
+    K = max(source[1], cap)
+    need = max(2 * max(K, N_max) + 1, K + N_max + cap + 1)
+    L = need if need ** d > MAX_JET_GRID_POINTS else next_fast_len(need)
+    if L ** d > MAX_JET_GRID_POINTS:
+        key, value = max([source, ("perturbation.cutoff_cap", cap),
+                          ("caps.N_max", N_max)], key=lambda kv: kv[1])
+        raise ConfigError([
+            f"{key}: {value} at d = {d} (input cutoff {source[1]}, "
+            f"cutoff_cap {cap}, N_max {N_max}) gives jet grids of at least "
+            f"{L}^{d} = {L ** d:.4g} points, more than the "
+            f"{MAX_JET_GRID_POINTS} allowed"])
+
+
 def _mode_run(cfg: RunConfig, out: dict):
+    _jet_grid_check(cfg)
     c = cfg.values
     rng = default_rng(c["seed"])
     nf = _normal_form(cfg)

@@ -215,21 +215,35 @@ def initial_step(nf: NormalForm, P: HamiltonianJet, schedule: KamSchedule,
 
 
 def kam_step(state: KamState, schedule: KamSchedule) -> tuple:
-    """One full level: solve, transform, re-extract the normal form."""
-    l = state.level
-    nf, P = state.nf, state.P
-    d, n = P.d, P.n
+    """One full level: solve, transform, re-extract the normal form.
+
+    The level's P and H = N + P are dead once the Lie series has read
+    them, and the lattice operators once they are solved.  The step keeps
+    its state's fields, not the state, hands H over to `lie_transform`,
+    and keeps of the solution what it returns: the generator parts, the
+    frequency shift, the truncation gap and, in `solve_info`, the hz/hzz
+    `LatticeSolveInfo`s and `rx_mean`.  So a caller that hands its state
+    over (`run`) has the level's arrays freed as the series replaces them,
+    and one that keeps its state finds it unchanged."""
+    l, nf, P, xi = state.level, state.nf, state.P, state.xi
+    eps_meas, extra = state.eps_meas, state.extra
+    del state
+    d, n, kw = P.d, P.n, _jet_kw(P)
     N = schedule.N(l)
-    floor = gamma_floor(0.5 * state.extra.get("gamma", 0.0), schedule.tau)
+    floor = gamma_floor(0.5 * extra.get("gamma", 0.0), schedule.tau)
     try:
         sol = solve_homological(nf.omega, nf.Omega, nf.B, P, N,
                                 divisor_floor=floor)
     except (SmallDivisorError, NearSingularError) as err:
-        raise ParameterExcluded(state.xi, l, str(err)) from err
-    F = sol.generator_jet(d, n, **_jet_kw(P))
-    H = nf.to_jet(**_jet_kw(P)) + P
+        raise ParameterExcluded(xi, l, str(err)) from err
+    F = sol.generator_jet(d, n, **kw)
+    sol = replace(sol, solve_info={k: sol.solve_info[k]
+                                   for k in ("hz", "hzz", "rx_mean")})
+    # popped off a list, H is referenced by the call alone
+    level = [nf.to_jet(**kw) + P]
+    del P
     try:
-        lie = lie_transform(H, F)
+        lie = lie_transform(level.pop(), F)
     except LieSeriesDivergence as err:
         err.level = l
         raise
@@ -243,7 +257,7 @@ def kam_step(state: KamState, schedule: KamSchedule) -> tuple:
     fold_defect = (Bfull - B_new).max_abs_coeff()
     nf_new = NormalForm(omega_new, nf.Omega, B_new)
 
-    P_new = Hp - nf_new.to_jet(**_jet_kw(P))
+    P_new = Hp - nf_new.to_jet(**kw)
     # drop the irrelevant constant energy shift
     sig0 = ((0,) * d, (0,) * n, (0,) * n)
     if sig0 in P_new.terms:
@@ -257,29 +271,28 @@ def kam_step(state: KamState, schedule: KamSchedule) -> tuple:
     eps_high = vf_norm(sp.high, s1, r1)
 
     drift = float(np.abs(omega_new - nf.omega).max())
-    if drift > math.sqrt(max(state.eps_meas, 1e-300)):
-        raise ParameterExcluded(state.xi, l,
-                                f"frequency drift {drift:.3e} beyond "
-                                f"sqrt(eps) = {math.sqrt(state.eps_meas):.3e}")
+    if drift > math.sqrt(max(eps_meas, 1e-300)):
+        raise ParameterExcluded(xi, l, f"frequency drift {drift:.3e} beyond "
+                                f"sqrt(eps) = {math.sqrt(eps_meas):.3e}")
     bdrift = (B_new - nf.B.pad(B_new.cutoff)).max_abs_coeff()
     rx_mean = sol.solve_info["rx_mean"]
     events = _with_events(
-        state.extra.get("events", []), schedule.cap_event(l),
+        extra.get("events", []), schedule.cap_event(l),
         {**_event(l, "rx_mean_dropped", f"R^x mean of modulus {rx_mean!r} "
                   "dropped (an energy shift only)"), "abs_mean": rx_mean}
         if rx_mean > 1e-15 else None,
         _event(l, "normal_form_drift", f"normal-form drift {bdrift:.3e} "
                "beyond eps^(1/10)")
-        if bdrift > max(state.eps_meas, 1e-300) ** 0.1 else None,
+        if bdrift > max(eps_meas, 1e-300) ** 0.1 else None,
         _event(l + 1, "schedule_target_missed", f"measured low norm "
                f"{eps_new:.3e} misses the schedule target "
                f"{schedule.eps(l + 1):.3e} at level {l + 1}")
         if eps_new > schedule.eps(l + 1) else None)
 
     _, reality_err = check_reality(P_new, tol=0.0)
-    new = KamState(level=l + 1, nf=nf_new, P=P_new, xi=state.xi,
+    new = KamState(level=l + 1, nf=nf_new, P=P_new, xi=xi,
                    eps_meas=eps_new, eps_high=eps_high,
-                   extra={**state.extra,
+                   extra={**extra,
                           "omega_shift": drift,
                           "B_symmetry_err": nf_new.symmetry_error(),
                           "B_fold_defect": float(fold_defect),
@@ -323,11 +336,16 @@ def run(nf: NormalForm, P: HamiltonianJet, schedule: KamSchedule,
                      "B_fold_defect": extra.get("B_fold_defect")})
         if len(rows) > max_levels or not state.eps_meas > STOP_THRESHOLD:
             break
+        # hand the level over: popped off a list, the state is referenced
+        # by the call alone (a CPython 3.11+ call moves its arguments into
+        # the callee's frame), so the step frees its P as it goes
+        level, events = [state], extra["events"]
+        del state
         try:
-            state, _ = kam_step(state, schedule)
+            state, _ = kam_step(level.pop(), schedule)
         except (ParameterExcluded, LieSeriesDivergence) as err:
             # the failure carries what the finished levels recorded
-            err.rows, err.events = rows, state.extra["events"]
+            err.rows, err.events = rows, events
             raise
     return TorusResult(omega_star=state.nf.omega, B_final=state.nf.B,
                        residual=rows[-1]["residual"],

@@ -194,11 +194,8 @@ class FourierSeries:
             raise ValueError("pad target smaller than cutoff; use truncate")
         if cutoff == self.cutoff:
             return self
-        w = cutoff - self.cutoff
-        data = np.zeros(self.shape + (2 * cutoff + 1,) * self.d,
-                        dtype=complex)
-        data[(slice(None),) * 2 + (slice(w, -w),) * self.d] = self.data
-        return FourierSeries._adopt(self.d, self.shape, cutoff, data)
+        return FourierSeries._adopt(self.d, self.shape, cutoff,
+                                    _padded(self.data, cutoff))
 
     def __add__(self, other: "FourierSeries") -> "FourierSeries":
         if not isinstance(other, FourierSeries):
@@ -264,6 +261,19 @@ class FourierSeries:
                             np.exp(1j * np.outer(k, pts[:, j])))
         vals = np.moveaxis(acc.reshape(self.shape + (len(pts),)), -1, 0)
         return vals[0] if x.ndim == 1 else vals
+
+
+def _padded(data: np.ndarray, cutoff: int) -> np.ndarray:
+    """A coefficient block of shape (rows, cols) + (2 c + 1,) * d embedded
+    into the box of `cutoff` >= c: the block itself when c = cutoff, else
+    a new array, zero outside the block."""
+    w = cutoff - data.shape[-1] // 2
+    if w == 0:
+        return data
+    out = np.zeros(data.shape[:2] + (2 * cutoff + 1,) * (data.ndim - 2),
+                   dtype=complex)
+    out[(slice(None),) * 2 + (slice(w, -w),) * (data.ndim - 2)] = data
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -44,7 +44,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .fourier import (FourierSeries, _ik, _kept_inverse, _l1_grid,
-                      _wrapped_transform, mode_grid, next_fast_len)
+                      _padded, _wrapped_transform, mode_grid, next_fast_len)
 
 Signature = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
@@ -600,12 +600,22 @@ def lie_transform(H: HamiltonianJet, F: HamiltonianJet,
     is at most u |{H, F}| (u = `_ROUNDING`, |.| the vf norm).  Every
     bracket takes F's one `_Side`, which holds that budget in `limit` and
     counts the keys and sums their booked bounds for the result.
+
+    The series is summed into arrays allocated here (`_sum_into`), which
+    the result's series adopt; no array of H or F is written.  H is read
+    by the first bracket and the first sum only, and the reference held
+    here is dropped with the first bracket, so the arrays of an H the
+    caller hands over (keeps no reference to) are freed as the sums
+    replace them.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    out = H
-    term = H
-    norms = [vf_norm(term, H.s_ref, H.r_ref)]
+    s_ref, r_ref = H.s_ref, H.r_ref
+    norms = [vf_norm(H, s_ref, r_ref)]
+    meta = replace(H, terms={})
+    sums = {sig: f.data for sig, f in H.terms.items()}
+    term, tail, degree = H, H.tail, H.max_degree
+    del H
     fact = 1.0
     side = _Side(F)
     for j in range(1, order + 2):
@@ -613,16 +623,50 @@ def lie_transform(H: HamiltonianJet, F: HamiltonianJet,
         if j >= 2:
             side.limit = _ROUNDING * norms[1] * fact
         term = poisson_bracket(term, F, side)
-        norm_j = vf_norm(term, H.s_ref, H.r_ref) / fact
+        norm_j = vf_norm(term, s_ref, r_ref) / fact
         norms.append(norm_j)
         if j >= 2 and norm_j > norms[-2] and norm_j > 1e-13:
             raise LieSeriesDivergence(j, norms[-2], norm_j)
         if j <= order:
-            out = out + (1.0 / fact) * term
+            tail = _sum_into(sums, term, 1.0 / fact, tail)
+            degree = max(degree, term.max_degree)
     tail_bound = norms[order + 1]
-    jet = replace(out, tail=out.tail + tail_bound)
+    jet = replace(meta, terms={
+        sig: FourierSeries._adopt(meta.d, (1, 1), v.shape[-1] // 2, v)
+        for sig, v in sums.items()}, tail=tail + tail_bound,
+        max_degree=degree)
     return LieResult(jet=jet, tail_bound=tail_bound, term_norms=norms,
                      skipped_keys=side.skipped, skipped_bound=side.booked)
+
+
+def _sum_into(sums: dict, term: HamiltonianJet, scale: float,
+              tail: float) -> float:
+    """Add scale * term into the partial sums of a Lie series, a map from
+    signature to coefficient block, and return the new tail.  Values, term
+    order and the exact zeros dropped are those of `out + scale * term`
+    for the jet `out` the sums stand for: a block is scaled as
+    `FourierSeries.__mul__` scales it, a sum adds the pair elementwise,
+    padded as `_aligned` pads it (`fourier._padded`), and a signature whose
+    sum is exactly zero leaves the map, so that a later term puts it back
+    at the end.  A writable block was allocated here and is added into; a
+    read-only one is the caller's, and its first sum goes to a new
+    array."""
+    touched = []
+    for sig, f in term.terms.items():
+        g = f.data * complex(scale)
+        if not g.any():
+            continue
+        if sig in sums:
+            v = sums[sig]
+            K = max(v.shape[-1], g.shape[-1]) // 2
+            a, b = _padded(v, K), _padded(g, K)
+            g = np.add(a, b, out=v if a is v and v.flags.writeable else b)
+            touched.append(sig)
+        sums[sig] = g
+    for sig in touched:
+        if not sums[sig].any():
+            del sums[sig]
+    return tail + term.tail * abs(scale)
 
 
 # ----------------------------------------------------------------------

@@ -1006,6 +1006,45 @@ def test_greens_site_cap(tmp_path, capsys, monkeypatch, mode, data,
     assert msg in err and "Traceback" not in err
 
 
+D3_AT = {"mode": "run", "d": 3, "n": 1, "seed": 1,
+         "omega": [1.0, PHI, math.sqrt(2.0)], "Omega": [1.17],
+         "caps": {"levels": 2, "N_max": 10, "gamma": 1e-4}}
+
+
+@pytest.mark.parametrize("data, key", [
+    ({"perturbation": {"kmax": 6}}, None),       # D3_RUN: 75^3 points
+    ({"perturbation": {"kmax": 37}}, None),      # 80^3, the largest at d = 3
+    ({"perturbation": {"kmax": 38}}, "perturbation.kmax"),      # 81^3
+    ({"perturbation": {"kmax": 2000}}, "perturbation.kmax"),
+    ({"perturbation": {"kind": "cosine", "mode": [40, 0, 0]}},
+     "perturbation.mode"),
+    ({"perturbation": {"cutoff_cap": 48}}, "perturbation.cutoff_cap"),
+    ({"d": 2, "omega": [1.0, PHI], "caps": {"N_max": 400}}, "caps.N_max"),
+], ids=["d3-run", "largest", "past", "kmax-2000", "cosine", "cap", "N_max"])
+def test_run_jet_grid_cap(tmp_path, capsys, monkeypatch, data, key):
+    # refused before any array is built: build_perturbation never runs
+    def stand_in(*args, **kwargs):
+        raise _PastCap
+    monkeypatch.setattr(cli, "build_perturbation", stand_in)
+    assert cli.MAX_JET_GRID_POINTS == 2 ** 19
+    merged = {**D3_AT, **data,
+              "caps": {**D3_AT["caps"], **data.get("caps", {})}}
+    cfg = load_config(merged)
+    out = tmp_path / "o"
+    if key is None:
+        with pytest.raises(_PastCap):
+            dispatch(cfg, str(out))
+        return
+    assert dispatch(cfg, str(out)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert report["exit_code"] == EXIT_CONFIG
+    msg, = report["results"]["config_errors"]
+    assert msg.startswith(f"{key}: ")
+    assert f"more than the {2 ** 19} allowed" in msg
+    assert msg in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("iters, refused", [(64, False), (65, True)])
 def test_refine_iters_cap(tmp_path, capsys, iters, refused):
     # refused by config validation, before any scan could start

@@ -303,6 +303,39 @@ def test_kam_step_drops_the_constant_shift_through_the_jet():
     assert sig0 not in new.P.terms
 
 
+def state_bytes(state: KamState) -> tuple:
+    """What a KamState holds, as bytes and plain values: P's terms, in
+    order, with their bytes and writeable flags, its tail, the normal form,
+    and a copy of `extra` whose events list is copied too."""
+    nf = state.nf
+    extra = dict(state.extra, events=list(state.extra.get("events", [])))
+    return (state.level, state.xi.tobytes(), state.eps_meas, state.eps_high,
+            [(sig, f.cutoff, f.data.tobytes(), f.data.flags.writeable)
+             for sig, f in state.P.terms.items()], state.P.tail,
+            nf.omega.tobytes(), nf.Omega.tobytes(), nf.B.cutoff,
+            nf.B.data.tobytes(), extra)
+
+
+def test_kam_step_leaves_a_kept_state_unchanged():
+    # a caller that keeps its state (the acceptance fixture keeps every
+    # level's) finds P's arrays, the normal form and extra as they were,
+    # though the step hands the level's Hamiltonian over to its Lie series;
+    # the solution it returns keeps no operator
+    rng = np.random.default_rng(5)
+    P = tail_jet(rng, 1e-5, s0=1.0, kmax=8)
+    sch = schedule(2.0, 1e-5, s0=0.3, N_max=12)
+    state, _ = initial_step(base_nf(), P, sch, gamma=1e-4, exclusion_N=6)
+    before = state_bytes(state)
+    new, sol = kam_step(state, sch)
+    assert state_bytes(state) == before
+    assert sorted(sol.solve_info) == ["hz", "hzz", "rx_mean"]
+    again, _ = kam_step(state, sch)
+    assert state_bytes(again) == state_bytes(new)
+    before = state_bytes(new)
+    kam_step(new, sch)
+    assert state_bytes(new) == before
+
+
 def test_kam_step_reports_a_dropped_mean_as_an_event():
     # R^x's mean is an energy shift: kam_step drops it and records an
     # rx_mean_dropped event with the level and the exact modulus, and no

@@ -815,7 +815,9 @@ def test_lie_series_memos_match_the_plain_bracket_chain(monkeypatch, d,
                                                         real):
     # the generator's mirror table, motion flags and shell sums are
     # computed once per series and its channel tables reused: the jet,
-    # tail bound and term norms equal the plain chain's bit for bit
+    # tail bound and term norms equal the plain chain's bit for bit.  The
+    # series is summed in arrays of its own: every array of H and F keeps
+    # its bytes and stays read-only, and a second call gives the same bytes
     rng = np.random.default_rng(500 + 10 * d + real)
     cut = (5, 3, 2)[d - 1]
     kw = dict(max_degree=4, cutoff_cap=cut + 1, s_ref=0.3, r_ref=0.5)
@@ -824,6 +826,8 @@ def test_lie_series_memos_match_the_plain_bracket_chain(monkeypatch, d,
     if real:
         H, F = (0.5 * (J + conjugate_jet(J)) for J in (H, F))
     assert (jets._mirrors(F) is not None) == real
+    inputs = [f.data for J in (H, F) for f in J.terms.values()]
+    before = [x.tobytes() for x in inputs]
     calls = {"_mirrors": [], "_moves": [], "_shells": []}
     for name, log in calls.items():
         def counted(*args, _f=getattr(jets, name), _log=log):
@@ -839,12 +843,47 @@ def test_lie_series_memos_match_the_plain_bracket_chain(monkeypatch, d,
     assert len(mirrors) == 1
     assert 0 < len(moves) == len({id(f) for f in moves}) <= len(terms)
     assert 0 < len(shells) == len(set(shells))
+    assert [x.tobytes() for x in inputs] == before
+    assert not any(x.flags.writeable for x in inputs)
+    again = lie_transform(H, F, order=3)
+    assert (again.tail_bound, again.term_norms) == (got.tail_bound,
+                                                    got.term_norms)
+    assert_bit_identical(again.jet, got.jet)
     for log in calls.values():
         log.clear()
     jet, tail, norms = plain_lie(H, F, 3)
     assert len([J for J, in calls["_mirrors"] if J is F]) == 4
     assert got.tail_bound == tail and got.term_norms == norms
     assert_bit_identical(got.jet, jet)
+
+
+def test_series_sums_drop_exact_zeros_as_the_jet_chain_does():
+    # a Lie series' in-place sums give `out + scale * term` bit for bit:
+    # padded as `_aligned` pads, a signature whose sum is exactly zero
+    # dropped, and put back at the end by a later term
+    rng = np.random.default_rng(77)
+
+    def series(cut):
+        box = (1, 1) + (2 * cut + 1,) * 2
+        return FourierSeries(2, (1, 1), cut, rng.standard_normal(box)
+                             + 1j * rng.standard_normal(box))
+
+    s1, s2, s3 = ((0, 0), (0,), (0,)), ((1, 0), (0,), (0,)), \
+        ((0, 0), (1,), (1,))
+    A = HamiltonianJet(2, 1, {s1: series(2), s2: series(3)}, tail=1e-3)
+    B = HamiltonianJet(2, 1, {s1: -1.0 * A.terms[s1], s3: series(1),
+                              s2: series(4)}, tail=2e-3)
+    C = HamiltonianJet(2, 1, {s1: series(1), s2: series(2)}, tail=3e-3)
+    ref, sums, tail = A, {sig: f.data for sig, f in A.terms.items()}, A.tail
+    for term, scale in ((B, 1.0), (C, 0.5), (C, 1.0 / 6.0)):
+        ref = ref + scale * term
+        tail = jets._sum_into(sums, term, scale, tail)
+        assert list(sums) == list(ref.terms) and tail == ref.tail
+        assert all(sums[sig].tobytes() == f.data.tobytes()
+                   for sig, f in ref.terms.items())
+    assert list(sums) == [s2, s3, s1]
+    assert not any(f.data.flags.writeable
+                   for J in (A, B, C) for f in J.terms.values())
 
 
 def graded_jet(rng, d, n, count, max_cutoff, degree, scale, **kw):
